@@ -1,0 +1,116 @@
+//! Micro-benchmarks of the multilevel transform stage on one chunk:
+//! `decompose` / `recompose` / `extract_levels` / `inject_levels` on an
+//! `N³` `f32` array, each reported as nanoseconds per sample and as the
+//! share of a same-run `memcpy` of the array's rate it reaches (the
+//! roofline a stencil this simple should sit near — ROADMAP item 1's
+//! "each stage as a fraction of memcpy bandwidth").
+//!
+//! Runs 32³, 64³ and 128³ — the benchmark's small chunk, its large chunk
+//! and its whole domain; `HPMDR_BENCH_EXTENT=N` runs `N³` alone. The
+//! transform runs on the default pool, as a bare `hpmdr_mgard` call does;
+//! the thread count is printed with the results.
+
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use hpmdr_mgard::{decompose, extract_levels, inject_levels, recompose, Hierarchy};
+use std::time::Instant;
+
+fn bench_extents() -> Vec<usize> {
+    match std::env::var("HPMDR_BENCH_EXTENT")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+    {
+        Some(e) => vec![e.max(3)],
+        None => vec![32, 64, 128],
+    }
+}
+
+fn field(e: usize) -> Vec<f32> {
+    let mut v = Vec::with_capacity(e * e * e);
+    for x in 0..e {
+        for y in 0..e {
+            for z in 0..e {
+                let (xf, yf, zf) = (x as f32, y as f32, z as f32);
+                v.push((xf * 0.31).sin() * (yf * 0.17).cos() + 0.05 * (zf * 0.9).sin());
+            }
+        }
+    }
+    v
+}
+
+/// Run `op` as one criterion benchmark and return its median wall time in
+/// seconds (timed inside the closure, so the harness line and the summary
+/// below describe the same iterations).
+fn bench_median(g: &mut criterion::BenchmarkGroup<'_>, name: &str, mut op: impl FnMut()) -> f64 {
+    let mut times = Vec::new();
+    g.bench_function(name, |b| {
+        times.clear();
+        b.iter(|| {
+            let t0 = Instant::now();
+            op();
+            times.push(t0.elapsed().as_secs_f64());
+        })
+    });
+    times.sort_by(f64::total_cmp);
+    times[times.len() / 2]
+}
+
+fn bench_transform(c: &mut Criterion) {
+    println!(
+        "transform micro-bench: f32, default pool of {} thread(s)",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    for e in bench_extents() {
+        let h = Hierarchy::full(&[e, e, e]);
+        let n = h.len();
+        let orig = field(e);
+        let mut coeffs = orig.clone();
+        decompose(&mut coeffs, &h, true);
+        let groups = extract_levels(&coeffs, &h);
+
+        let mut g = c.benchmark_group(format!("transform_{e}"));
+        g.throughput(Throughput::Elements(n as u64));
+        let mut work = vec![0.0f32; n];
+
+        // Each timed op starts with the copy that resets its input, so
+        // the copy's own time (measured first) is subtracted below.
+        let memcpy = bench_median(&mut g, "memcpy", || {
+            work.copy_from_slice(criterion::black_box(&orig));
+            criterion::black_box(&mut work);
+        });
+        let dec = bench_median(&mut g, "copy+decompose", || {
+            work.copy_from_slice(&orig);
+            decompose(criterion::black_box(&mut work), &h, true);
+        });
+        let rec = bench_median(&mut g, "copy+recompose", || {
+            work.copy_from_slice(&coeffs);
+            recompose(criterion::black_box(&mut work), &h, true);
+        });
+        let ext = bench_median(&mut g, "extract_levels", || {
+            criterion::black_box(extract_levels(criterion::black_box(&coeffs), &h));
+        });
+        let inj = bench_median(&mut g, "inject_levels", || {
+            criterion::black_box(inject_levels(criterion::black_box(&groups), &h));
+        });
+        g.finish();
+
+        let report = |name: &str, secs: f64| {
+            println!(
+                "  {e:>4}^3 {name:<15} {:>7.2} ns/sample  {:>6.1} % of memcpy rate",
+                secs * 1e9 / n as f64,
+                100.0 * memcpy / secs.max(f64::MIN_POSITIVE)
+            );
+        };
+        report("memcpy", memcpy);
+        report("decompose", (dec - memcpy).max(0.0));
+        report("recompose", (rec - memcpy).max(0.0));
+        report("extract_levels", ext);
+        report("inject_levels", inj);
+    }
+}
+
+criterion_group!(
+    name = benches;
+    config = Criterion::default().sample_size(20);
+    targets = bench_transform
+);
+criterion_main!(benches);

@@ -12,7 +12,7 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{prefix_error_bound, BitplaneFloat, Reconstruction};
 use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
-use hpmdr_mgard::{extract_active_grid, inject_levels_with, LevelSet, Real};
+use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
 use serde::{Deserialize, Serialize};
 
 /// A retrieval decision: merged units to fetch per level group.
@@ -196,9 +196,6 @@ pub struct RetrievalSession<'a, B: Backend = ScalarBackend> {
     decoders: Vec<Option<(hpmdr_bitplane::BitplaneChunk, ProgressiveDecoder)>>,
     units_applied: Vec<usize>,
     fetched_bytes: usize,
-    /// Group-index enumeration of the hierarchy, computed once — every
-    /// reconstruction injects through it instead of re-deriving it.
-    level_set: LevelSet,
 }
 
 impl<'a> RetrievalSession<'a, ScalarBackend> {
@@ -221,7 +218,6 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
             decoders: (0..g).map(|_| None).collect(),
             units_applied: vec![0; g],
             fetched_bytes: 0,
-            level_set: LevelSet::new(&refactored.hierarchy),
         }
     }
 
@@ -396,7 +392,7 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
                 }
             })
             .collect();
-        let mut data = inject_levels_with(&self.level_set, &groups, h);
+        let mut data = inject_levels(&groups, h);
         self.backend
             .recompose_to_level(&self.ctx, &mut data, h, self.refactored.correction, level);
         let shape = h.shape_at_level(level);

@@ -100,6 +100,17 @@ impl Hierarchy {
         stride
     }
 
+    /// Active extent per dimension at level `l`, and the element stride
+    /// between active nodes per dimension (level stride × row-major
+    /// stride).
+    pub(crate) fn level_geometry(&self, l: usize) -> (Vec<usize>, Vec<usize>) {
+        let row_major = self.strides();
+        let elem_strides = (0..self.ndims())
+            .map(|d| self.stride_at_level(d, l) * row_major[d])
+            .collect();
+        (self.shape_at_level(l), elem_strides)
+    }
+
     /// Number of active nodes at level `l`.
     pub fn len_at_level(&self, l: usize) -> usize {
         self.shape_at_level(l).iter().product()

@@ -119,18 +119,79 @@ fn enumerate_active(h: &Hierarchy, l: usize, row_major: &[usize]) -> Vec<usize> 
     out
 }
 
-/// Pull the per-level coefficient groups out of a decomposed array.
-pub fn extract_levels<F: Real>(data: &[F], h: &Hierarchy) -> Vec<Vec<F>> {
-    extract_levels_with(&LevelSet::new(h), data)
+/// Visit the elements of level group `k` as strided runs
+/// `f(start, step, count)` (flat indices `start + t·step`, `t < count`),
+/// in the group order [`LevelSet`] tabulates, straight from the level
+/// geometry: the rows of the level's active grid in row-major order,
+/// where a row whose other coordinates all survive to the next level
+/// contributes only its odd nodes (none if the last dimension is frozen)
+/// and any other row contributes whole.
+fn for_each_run(h: &Hierarchy, k: usize, mut f: impl FnMut(usize, usize, usize)) {
+    let last = h.ndims() - 1;
+    let (dims, elem_stride) = h.level_geometry(h.levels - k);
+    // A dimension with < 3 nodes is frozen and keeps all of them; a
+    // refined one keeps its even nodes (`j/2 < ceil(n/2)` for every even
+    // `j < n`, so parity alone decides).
+    let refined: Vec<bool> = dims.iter().map(|&n| n >= 3).collect();
+    let survives = |d: usize, j: usize| !refined[d] || j & 1 == 0;
+    // Group 0 is the coarsest grid itself: there is no next level to
+    // survive to, every row contributes whole.
+    let whole = k == 0;
+
+    let n = dims[last];
+    let step = elem_stride[last];
+    let rows: usize = dims[..last].iter().product();
+    let mut coord = vec![0usize; last];
+    let mut base = 0usize;
+    for _ in 0..rows {
+        if whole || !(0..last).all(|d| survives(d, coord[d])) {
+            f(base, step, n);
+        } else if refined[last] {
+            f(base + step, 2 * step, n / 2);
+        }
+        for d in (0..last).rev() {
+            coord[d] += 1;
+            base += elem_stride[d];
+            if coord[d] < dims[d] {
+                break;
+            }
+            base -= coord[d] * elem_stride[d];
+            coord[d] = 0;
+        }
+    }
 }
 
-/// [`extract_levels`] against a pre-enumerated [`LevelSet`] — callers
-/// that process one hierarchy repeatedly build the set once instead of
-/// re-deriving every group index per call.
-pub fn extract_levels_with<F: Real>(ls: &LevelSet, data: &[F]) -> Vec<Vec<F>> {
-    ls.indices
-        .iter()
-        .map(|idx| idx.iter().map(|&i| data[i]).collect())
+/// Element count of level group `k`.
+fn group_len(h: &Hierarchy, k: usize) -> usize {
+    if k == 0 {
+        h.len_at_level(h.levels)
+    } else {
+        h.len_at_level(h.levels - k) - h.len_at_level(h.levels - k + 1)
+    }
+}
+
+/// Pull the per-level coefficient groups out of a decomposed array.
+///
+/// # Panics
+/// Panics if `data.len()` does not match the hierarchy.
+pub fn extract_levels<F: Real>(data: &[F], h: &Hierarchy) -> Vec<Vec<F>> {
+    assert_eq!(
+        data.len(),
+        h.len(),
+        "data length must match hierarchy shape"
+    );
+    (0..=h.levels)
+        .map(|k| {
+            let mut group = Vec::with_capacity(group_len(h, k));
+            for_each_run(h, k, |start, step, count| {
+                if step == 1 {
+                    group.extend_from_slice(&data[start..start + count]);
+                } else {
+                    group.extend(data[start..].iter().step_by(step).take(count));
+                }
+            });
+            group
+        })
         .collect()
 }
 
@@ -139,21 +200,22 @@ pub fn extract_levels_with<F: Real>(ls: &LevelSet, data: &[F]) -> Vec<Vec<F>> {
 /// # Panics
 /// Panics if group shapes do not match the hierarchy.
 pub fn inject_levels<F: Real>(groups: &[Vec<F>], h: &Hierarchy) -> Vec<F> {
-    inject_levels_with(&LevelSet::new(h), groups, h)
-}
-
-/// [`inject_levels`] against a pre-enumerated [`LevelSet`].
-///
-/// # Panics
-/// Panics if group shapes do not match the level set.
-pub fn inject_levels_with<F: Real>(ls: &LevelSet, groups: &[Vec<F>], h: &Hierarchy) -> Vec<F> {
-    assert_eq!(groups.len(), ls.num_groups(), "group count mismatch");
+    assert_eq!(groups.len(), h.levels + 1, "group count mismatch");
     let mut out = vec![F::ZERO; h.len()];
-    for (g, idx) in groups.iter().zip(&ls.indices) {
-        assert_eq!(g.len(), idx.len(), "group length mismatch");
-        for (&v, &i) in g.iter().zip(idx) {
-            out[i] = v;
-        }
+    for (k, group) in groups.iter().enumerate() {
+        assert_eq!(group.len(), group_len(h, k), "group length mismatch");
+        let mut rest = group.as_slice();
+        for_each_run(h, k, |start, step, count| {
+            let (run, tail) = rest.split_at(count);
+            rest = tail;
+            if step == 1 {
+                out[start..start + count].copy_from_slice(run);
+            } else {
+                for (slot, &v) in out[start..].iter_mut().step_by(step).zip(run) {
+                    *slot = v;
+                }
+            }
+        });
     }
     out
 }
@@ -214,6 +276,65 @@ mod tests {
         let finest = ls.indices.last().expect("non-empty");
         // Refining 33x33 -> 65x65 adds 65*65 - 33*33 coefficients.
         assert_eq!(finest.len(), 65 * 65 - 33 * 33);
+    }
+
+    #[test]
+    fn table_free_walk_matches_level_set_order() {
+        // The geometry walk must reproduce the tabulated group order
+        // exactly: extents 1, 2, 3, primes, even/odd mixes, thin dims.
+        let extents = [1usize, 2, 3, 4, 5, 7, 8, 13, 16, 17];
+        let mut shapes: Vec<Vec<usize>> = vec![
+            vec![100],
+            vec![7, 64, 5],
+            vec![64, 3, 64],
+            vec![33, 32, 31],
+            vec![2, 129, 2],
+        ];
+        for &a in &extents {
+            shapes.push(vec![a]);
+            for &b in &extents {
+                shapes.push(vec![a, b]);
+                for &c in &[1usize, 2, 3, 5, 8] {
+                    shapes.push(vec![a, b, c]);
+                }
+            }
+        }
+        for shape in shapes {
+            let h = Hierarchy::full(&shape);
+            let ls = LevelSet::new(&h);
+            let data: Vec<f64> = (0..h.len()).map(|i| i as f64 + 0.5).collect();
+
+            let indexed: Vec<Vec<f64>> = ls
+                .indices
+                .iter()
+                .map(|idx| idx.iter().map(|&i| data[i]).collect())
+                .collect();
+            let groups = extract_levels(&data, &h);
+            assert_eq!(groups, indexed, "extract {shape:?}");
+
+            // Inject distinct values per slot so a misplaced one shows.
+            let marked: Vec<Vec<f64>> = indexed
+                .iter()
+                .enumerate()
+                .map(|(k, g)| (0..g.len()).map(|j| (k * 1_000_000 + j) as f64).collect())
+                .collect();
+            let mut want = vec![0.0f64; h.len()];
+            for (g, idx) in marked.iter().zip(&ls.indices) {
+                for (&v, &i) in g.iter().zip(idx) {
+                    want[i] = v;
+                }
+            }
+            assert_eq!(inject_levels(&marked, &h), want, "inject {shape:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn inject_wrong_group_length_panics() {
+        let h = Hierarchy::full(&[9]);
+        let mut groups = extract_levels(&[0.0f64; 9], &h);
+        groups[1].push(0.0);
+        inject_levels(&groups, &h);
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //!
 //! * [`mod@grid`] — level geometry: per-dimension active index sets coarsening
 //!   as `n_{l+1} = ceil(n_l / 2)`.
-//! * [`mod@line`] — the 1D transform: interpolation detail plus the L2
-//!   correction obtained from a symmetric tridiagonal (Thomas) solve.
+//! * `line` (internal) — the 1D transform: interpolation detail plus the
+//!   L2 correction obtained from a symmetric tridiagonal (Thomas) solve,
+//!   applied to a panel of independent lines in lockstep.
 //! * [`transform`] — tensor-product application along each axis per level,
-//!   exactly invertible by construction.
+//!   one panel of lines at a time, exactly invertible by construction.
 //! * [`levels`] — extraction/injection of per-level coefficient groups and
 //!   the conservative error-propagation weights MDR's retrieval planner
 //!   uses.
@@ -28,16 +29,13 @@
 
 pub mod grid;
 pub mod levels;
-pub mod line;
+mod line;
 pub mod quantize;
 pub mod simd;
 pub mod transform;
 
 pub use grid::Hierarchy;
-pub use levels::{
-    extract_levels, extract_levels_with, inject_levels, inject_levels_with, level_error_weights,
-    LevelSet,
-};
+pub use levels::{extract_levels, inject_levels, level_error_weights, LevelSet};
 pub use simd::{dequantize_with_isa, quantize_with_isa, quantize_zigzag_with_isa, Isa};
 pub use transform::{decompose, extract_active_grid, recompose, recompose_to_level};
 

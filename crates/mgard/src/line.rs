@@ -15,236 +15,531 @@
 //!
 //! Both steps are exactly invertible: the correction depends only on the
 //! detail coefficients, so recomposition subtracts the identical `w`.
+//!
+//! # Panels
+//!
+//! The lines of one axis pass never exchange data, so the kernels here
+//! transform a *panel* of `w` lines in lockstep: `buf[i·w + lane]` is
+//! node `i` of line `lane`, and every step above — predict, load vector,
+//! forward sweep, back substitution, coarse update — is a loop over the
+//! `w` lanes of one row. That turns the latency-bound scalar Thomas
+//! recurrence into unit-stride lane loops the compiler vectorises, with
+//! no change to what any single line computes: each lane sees the same
+//! operations on the same operands in the same order as the per-line
+//! reference kept in `oracle` for the tests, so the result is
+//! bit-identical for every `w`.
 
 use crate::Real;
 
-/// Solve the symmetric tridiagonal system `M x = r` in place, where `M`
-/// has diagonal `diag` and off-diagonal `off` entries (Thomas algorithm).
+/// Thomas factorisation of the coarse-grid mass matrix for one coarse
+/// length. The matrix is the same for every line of an axis pass, so the
+/// pivots are computed once per pass and shared by all panels.
 ///
-/// `r` is overwritten with the solution. `scratch` must be at least as
-/// long as `r`.
-pub fn thomas_solve<F: Real>(diag: &[F], off: F, r: &mut [F], scratch: &mut [F]) {
-    let n = r.len();
-    if n == 0 {
-        return;
-    }
-    debug_assert_eq!(diag.len(), n);
-    debug_assert!(scratch.len() >= n);
-    // Forward sweep.
-    scratch[0] = off / diag[0];
-    r[0] = r[0] / diag[0];
-    for i in 1..n {
-        let m = diag[i] - off * scratch[i - 1];
-        scratch[i] = off / m;
-        r[i] = (r[i] - off * r[i - 1]) / m;
-    }
-    // Back substitution.
-    for i in (0..n - 1).rev() {
-        r[i] = r[i] - scratch[i] * r[i + 1];
-    }
-}
-
-/// Reusable buffers for one line transform (avoids per-line allocation in
-/// the hot tensor loops).
-#[derive(Debug, Clone, Default)]
-pub struct LineScratch<F> {
-    coarse: Vec<F>,
-    detail: Vec<F>,
-    rhs: Vec<F>,
-    diag: Vec<F>,
-    tmp: Vec<F>,
-    /// Coarse-node count the cached Thomas factorization below is for
-    /// (0 = none). An axis pass solves thousands of same-length lines
-    /// against the *same* mass matrix, so the factorization — the part of
-    /// the solve that needs divisions — is computed once per length.
-    solver_nc: usize,
-    /// Cached `1/m_i` (pivot reciprocals) of the forward sweep.
+/// Normalized by the *fine* spacing `h`: coarse hats have spacing `H = 2h`,
+/// so the interior diagonal is `2H/3h = 4/3`, the boundary diagonal
+/// `H/3h = 2/3`, and the off-diagonal `H/6h = 1/3` (the load vector
+/// `r_j = ½(d_{j−1}+d_j)` carries the matching `h/h` scale).
+#[derive(Debug, Clone)]
+pub(crate) struct MassFactor<F> {
+    /// Forward-sweep pivots `m_j`. Decomposition *divides* by them: the
+    /// quotient is what the encoded artifacts were built from.
+    m: Vec<F>,
+    /// Pivot reciprocals `1/m_j`. Recomposition multiplies by them, which
+    /// rounds differently from the division — fine for reconstruction,
+    /// but it would perturb the artifacts on the decompose side.
     inv_m: Vec<F>,
-    /// Cached `off/m_i` back-substitution multipliers.
+    /// Back-substitution multipliers `off/m_j`.
     c: Vec<F>,
 }
 
-impl<F: Real> LineScratch<F> {
-    /// Scratch able to process lines up to `n` nodes.
-    pub fn with_capacity(n: usize) -> Self {
-        let half = n / 2 + 1;
-        LineScratch {
-            coarse: Vec::with_capacity(half),
-            detail: Vec::with_capacity(half),
-            rhs: Vec::with_capacity(half),
-            diag: Vec::with_capacity(half),
-            tmp: Vec::with_capacity(half),
-            solver_nc: 0,
-            inv_m: Vec::with_capacity(half),
-            c: Vec::with_capacity(half),
-        }
-    }
+impl<F: Real> MassFactor<F> {
+    const OFF: f64 = 1.0 / 3.0;
 
-    /// (Re)build the cached mass-matrix factorization for `nc` coarse
-    /// nodes; a hit on the previous length is free.
-    fn prepare_solver(&mut self, nc: usize) {
-        if self.solver_nc == nc {
-            return;
-        }
+    /// Factorise the mass matrix of `nc` coarse nodes.
+    pub(crate) fn new(nc: usize) -> Self {
         let one = F::from_f64(1.0);
-        let off = F::from_f64(1.0 / 3.0);
+        let off = F::from_f64(Self::OFF);
         let interior = F::from_f64(4.0 / 3.0);
         let boundary = F::from_f64(2.0 / 3.0);
-        self.inv_m.clear();
-        self.c.clear();
+        let mut fac = MassFactor {
+            m: Vec::with_capacity(nc),
+            inv_m: Vec::with_capacity(nc),
+            c: Vec::with_capacity(nc),
+        };
         let mut prev_c = F::ZERO;
         for i in 0..nc {
-            let d = if i == 0 || i + 1 == nc {
-                boundary
-            } else {
-                interior
-            };
+            let last = i + 1 == nc;
+            // The interior recurrence `m_i = 4/3 − off·c_{i−1}` contracts
+            // to a fixed point within a few steps; once two consecutive
+            // interior multipliers agree bitwise every later interior
+            // pivot is that same value, so the dependent division chain —
+            // as long as a whole line's solve — stops there.
+            if !last && i >= 2 && fac.c[i - 1] == fac.c[i - 2] {
+                fac.m.push(fac.m[i - 1]);
+                fac.inv_m.push(fac.inv_m[i - 1]);
+                fac.c.push(prev_c);
+                continue;
+            }
+            let d = if i == 0 || last { boundary } else { interior };
             let m = if i == 0 { d } else { d - off * prev_c };
             let c = off / m;
-            self.inv_m.push(one / m);
-            self.c.push(c);
+            fac.m.push(m);
+            fac.inv_m.push(one / m);
+            fac.c.push(c);
             prev_c = c;
         }
-        self.solver_nc = nc;
+        fac
     }
 
-    /// Solve `M x = r` using the cached factorization — division-free per
-    /// line. Recompose-only: multiplying by the cached reciprocals rounds
-    /// differently from [`thomas_solve`]'s divisions, which is fine for
-    /// reconstruction but would perturb the encoded artifacts if used on
-    /// the decompose side.
-    fn solve_cached(&mut self, nc: usize) {
-        self.prepare_solver(nc);
-        let off = F::from_f64(1.0 / 3.0);
-        let r = &mut self.rhs;
-        r[0] = r[0] * self.inv_m[0];
-        for i in 1..nc {
-            r[i] = (r[i] - off * r[i - 1]) * self.inv_m[i];
-        }
-        for i in (0..nc - 1).rev() {
-            r[i] = r[i] - self.c[i] * r[i + 1];
+    /// Coarse length this factorisation is for.
+    pub(crate) fn coarse_len(&self) -> usize {
+        self.m.len()
+    }
+}
+
+/// Per-worker scratch of the correction step for panels of up to `w`
+/// lines of `n` nodes.
+#[derive(Debug, Clone)]
+pub(crate) struct PanelScratch<F> {
+    /// One load-vector row per coarse node.
+    rhs: Vec<F>,
+    /// A row of zeros standing in for the detail neighbours the first and
+    /// last coarse node lack. Never written.
+    zeros: Vec<F>,
+}
+
+impl<F: Real> PanelScratch<F> {
+    pub(crate) fn new(n: usize, w: usize) -> Self {
+        PanelScratch {
+            rhs: vec![F::ZERO; n.div_ceil(2) * w],
+            zeros: vec![F::ZERO; w],
         }
     }
 }
 
-/// Coarse-grid mass-matrix diagonal for `nc` nodes, normalized by the
-/// *fine* spacing `h`: coarse hats have spacing `H = 2h`, so after
-/// dividing by `h` the interior diagonal is `2H/3h = 4/3`, the boundary
-/// diagonal `H/3h = 2/3`, and the off-diagonal `H/6h = 1/3` (the load
-/// vector `r_j = ½(d_{j−1}+d_j)` carries the matching `h/ h` scale).
-fn fill_mass_diag<F: Real>(diag: &mut Vec<F>, nc: usize) {
-    diag.clear();
-    diag.resize(nc, F::from_f64(4.0 / 3.0));
-    if nc >= 1 {
-        diag[0] = F::from_f64(2.0 / 3.0);
-        let last = nc - 1;
-        diag[last] = F::from_f64(2.0 / 3.0);
-    }
-}
-
-/// One decomposition step of `line` (in place): even slots end up holding
-/// corrected coarse values, odd slots the detail coefficients.
+/// One decomposition step of every line of the panel `buf` (`w` lanes,
+/// `buf.len() / w` nodes, in place): even rows end up holding corrected
+/// coarse values, odd rows the detail coefficients.
 ///
-/// Lines shorter than 3 nodes are left untouched (nothing to decompose).
-pub fn decompose_line<F: Real>(line: &mut [F], s: &mut LineScratch<F>, correct: bool) {
-    let n = line.len();
-    if n < 3 {
+/// `scratch` must be sized for at least this panel and `fac` be for its
+/// coarse length. Lines shorter than 3 nodes are left untouched.
+pub(crate) fn decompose_panel<F: Real>(
+    buf: &mut [F],
+    w: usize,
+    scratch: &mut PanelScratch<F>,
+    fac: &MassFactor<F>,
+    correct: bool,
+) {
+    if buf.len() / w < 3 {
         return;
     }
-    let nc = n.div_ceil(2);
-    let nf = n / 2;
-    let half = F::from_f64(0.5);
-
-    s.detail.clear();
-    for i in 0..nf {
-        let left = line[2 * i];
-        let pred = if 2 * i + 2 < n {
-            (left + line[2 * i + 2]) * half
-        } else {
-            left
-        };
-        s.detail.push(line[2 * i + 1] - pred);
-    }
-
-    s.coarse.clear();
-    for j in 0..nc {
-        s.coarse.push(line[2 * j]);
-    }
-
+    predict(buf, w, |odd, pred| odd - pred);
     if correct {
-        // r_j = ½ (d_{j-1} + d_j) with missing neighbors treated as zero.
-        s.rhs.clear();
-        for j in 0..nc {
-            let dl = if j >= 1 { s.detail[j - 1] } else { F::ZERO };
-            let dr = if j < nf { s.detail[j] } else { F::ZERO };
-            s.rhs.push((dl + dr) * half);
-        }
-        fill_mass_diag(&mut s.diag, nc);
-        s.tmp.clear();
-        s.tmp.resize(nc, F::ZERO);
-        thomas_solve(&s.diag, F::from_f64(1.0 / 3.0), &mut s.rhs, &mut s.tmp);
-        for j in 0..nc {
-            s.coarse[j] = s.coarse[j] + s.rhs[j];
-        }
-    }
-
-    for j in 0..nc {
-        line[2 * j] = s.coarse[j];
-    }
-    for i in 0..nf {
-        line[2 * i + 1] = s.detail[i];
+        project(buf, w, scratch, fac, &fac.m, |r, m| r / m, |v, x| v + x);
     }
 }
 
-/// Inverse of [`decompose_line`].
-pub fn recompose_line<F: Real>(line: &mut [F], s: &mut LineScratch<F>, correct: bool) {
-    let n = line.len();
-    if n < 3 {
+/// Inverse of [`decompose_panel`].
+pub(crate) fn recompose_panel<F: Real>(
+    buf: &mut [F],
+    w: usize,
+    scratch: &mut PanelScratch<F>,
+    fac: &MassFactor<F>,
+    correct: bool,
+) {
+    if buf.len() / w < 3 {
         return;
     }
+    if correct {
+        project(
+            buf,
+            w,
+            scratch,
+            fac,
+            &fac.inv_m,
+            |r, im| r * im,
+            |v, x| v - x,
+        );
+    }
+    predict(buf, w, |odd, pred| odd + pred);
+}
+
+/// `odd = apply(odd, pred)` on every odd row, where `pred` interpolates
+/// the two even neighbours (one-sided past the end of an even-length
+/// line).
+fn predict<F: Real>(buf: &mut [F], w: usize, apply: impl Fn(F, F) -> F) {
+    let half = F::from_f64(0.5);
+    let n = buf.len() / w;
+    for r in (1..n).step_by(2) {
+        let (head, tail) = buf.split_at_mut(r * w);
+        let left = &head[(r - 1) * w..];
+        let (odd, tail) = tail.split_at_mut(w);
+        if r + 1 < n {
+            let right = &tail[..w];
+            for ((o, &a), &b) in odd.iter_mut().zip(left).zip(right) {
+                *o = apply(*o, (a + b) * half);
+            }
+        } else {
+            for (o, &a) in odd.iter_mut().zip(left) {
+                *o = apply(*o, a);
+            }
+        }
+    }
+}
+
+/// `even = apply(even, M⁻¹ r)` on every even row, with the load vector
+/// `r_j = ½(d_{j−1} + d_j)` read from the odd rows (missing neighbours
+/// are an explicit `0 +`, which is not a no-op for `−0.0`).
+///
+/// `pivots`/`pivot` select the forward-sweep form: divide by `m_j`
+/// (decompose) or multiply by `1/m_j` (recompose).
+fn project<F: Real>(
+    buf: &mut [F],
+    w: usize,
+    scratch: &mut PanelScratch<F>,
+    fac: &MassFactor<F>,
+    pivots: &[F],
+    pivot: impl Fn(F, F) -> F,
+    apply: impl Fn(F, F) -> F,
+) {
+    let half = F::from_f64(0.5);
+    let off = F::from_f64(MassFactor::<F>::OFF);
+    let n = buf.len() / w;
     let nc = n.div_ceil(2);
     let nf = n / 2;
-    let half = F::from_f64(0.5);
+    assert_eq!(fac.coarse_len(), nc, "factorisation is for another length");
+    let rhs = &mut scratch.rhs[..nc * w];
+    let zeros = &scratch.zeros[..w];
 
-    s.detail.clear();
-    for i in 0..nf {
-        s.detail.push(line[2 * i + 1]);
-    }
-    s.coarse.clear();
-    for j in 0..nc {
-        s.coarse.push(line[2 * j]);
-    }
-
-    if correct {
-        s.rhs.clear();
-        for j in 0..nc {
-            let dl = if j >= 1 { s.detail[j - 1] } else { F::ZERO };
-            let dr = if j < nf { s.detail[j] } else { F::ZERO };
-            s.rhs.push((dl + dr) * half);
-        }
-        s.solve_cached(nc);
-        for j in 0..nc {
-            s.coarse[j] = s.coarse[j] - s.rhs[j];
-        }
-    }
-
-    for j in 0..nc {
-        line[2 * j] = s.coarse[j];
-    }
-    for i in 0..nf {
-        let left = line[2 * i];
-        let pred = if 2 * i + 2 < n {
-            (left + line[2 * i + 2]) * half
+    // Load vector fused with the forward sweep.
+    for (j, &p) in pivots.iter().enumerate() {
+        let dl = if j >= 1 {
+            &buf[(2 * j - 1) * w..2 * j * w]
         } else {
-            left
+            zeros
         };
-        line[2 * i + 1] = s.detail[i] + pred;
+        let dr = if j < nf {
+            &buf[(2 * j + 1) * w..(2 * j + 2) * w]
+        } else {
+            zeros
+        };
+        let (done, cur) = rhs.split_at_mut(j * w);
+        let cur = &mut cur[..w];
+        if j == 0 {
+            for ((r, &a), &b) in cur.iter_mut().zip(dl).zip(dr) {
+                *r = pivot((a + b) * half, p);
+            }
+        } else {
+            let prev = &done[(j - 1) * w..];
+            for (((r, &a), &b), &q) in cur.iter_mut().zip(dl).zip(dr).zip(prev) {
+                *r = pivot((a + b) * half - off * q, p);
+            }
+        }
+    }
+
+    // Back substitution fused with the coarse update.
+    for j in (0..nc).rev() {
+        let (cur, next) = rhs[j * w..].split_at_mut(w);
+        let coarse = &mut buf[2 * j * w..(2 * j + 1) * w];
+        if j + 1 < nc {
+            let c = fac.c[j];
+            for ((v, r), &x) in coarse.iter_mut().zip(cur).zip(&next[..w]) {
+                *r = *r - c * x;
+                *v = apply(*v, *r);
+            }
+        } else {
+            for (v, &r) in coarse.iter_mut().zip(cur.iter()) {
+                *v = apply(*v, r);
+            }
+        }
+    }
+}
+
+/// The per-line reference the panel kernels are checked against, bit for
+/// bit: one line at a time through a scalar Thomas solve, exactly as the
+/// transform ran before it was batched.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use crate::Real;
+
+    /// Solve the symmetric tridiagonal system `M x = r` in place, where `M`
+    /// has diagonal `diag` and off-diagonal `off` entries (Thomas algorithm).
+    ///
+    /// `r` is overwritten with the solution. `scratch` must be at least as
+    /// long as `r`.
+    pub fn thomas_solve<F: Real>(diag: &[F], off: F, r: &mut [F], scratch: &mut [F]) {
+        let n = r.len();
+        if n == 0 {
+            return;
+        }
+        debug_assert_eq!(diag.len(), n);
+        debug_assert!(scratch.len() >= n);
+        // Forward sweep.
+        scratch[0] = off / diag[0];
+        r[0] = r[0] / diag[0];
+        for i in 1..n {
+            let m = diag[i] - off * scratch[i - 1];
+            scratch[i] = off / m;
+            r[i] = (r[i] - off * r[i - 1]) / m;
+        }
+        // Back substitution.
+        for i in (0..n - 1).rev() {
+            r[i] = r[i] - scratch[i] * r[i + 1];
+        }
+    }
+
+    /// Reusable buffers for one line transform (avoids per-line allocation in
+    /// the hot tensor loops).
+    #[derive(Debug, Clone, Default)]
+    pub struct LineScratch<F> {
+        coarse: Vec<F>,
+        detail: Vec<F>,
+        rhs: Vec<F>,
+        diag: Vec<F>,
+        tmp: Vec<F>,
+        /// Coarse-node count the cached Thomas factorization below is for
+        /// (0 = none). An axis pass solves thousands of same-length lines
+        /// against the *same* mass matrix, so the factorization — the part of
+        /// the solve that needs divisions — is computed once per length.
+        solver_nc: usize,
+        /// Cached `1/m_i` (pivot reciprocals) of the forward sweep.
+        inv_m: Vec<F>,
+        /// Cached `off/m_i` back-substitution multipliers.
+        c: Vec<F>,
+    }
+
+    impl<F: Real> LineScratch<F> {
+        /// Scratch able to process lines up to `n` nodes.
+        pub fn with_capacity(n: usize) -> Self {
+            let half = n / 2 + 1;
+            LineScratch {
+                coarse: Vec::with_capacity(half),
+                detail: Vec::with_capacity(half),
+                rhs: Vec::with_capacity(half),
+                diag: Vec::with_capacity(half),
+                tmp: Vec::with_capacity(half),
+                solver_nc: 0,
+                inv_m: Vec::with_capacity(half),
+                c: Vec::with_capacity(half),
+            }
+        }
+
+        /// (Re)build the cached mass-matrix factorization for `nc` coarse
+        /// nodes; a hit on the previous length is free.
+        fn prepare_solver(&mut self, nc: usize) {
+            if self.solver_nc == nc {
+                return;
+            }
+            let one = F::from_f64(1.0);
+            let off = F::from_f64(1.0 / 3.0);
+            let interior = F::from_f64(4.0 / 3.0);
+            let boundary = F::from_f64(2.0 / 3.0);
+            self.inv_m.clear();
+            self.c.clear();
+            let mut prev_c = F::ZERO;
+            for i in 0..nc {
+                let d = if i == 0 || i + 1 == nc {
+                    boundary
+                } else {
+                    interior
+                };
+                let m = if i == 0 { d } else { d - off * prev_c };
+                let c = off / m;
+                self.inv_m.push(one / m);
+                self.c.push(c);
+                prev_c = c;
+            }
+            self.solver_nc = nc;
+        }
+
+        /// Solve `M x = r` using the cached factorization — division-free per
+        /// line. Recompose-only: multiplying by the cached reciprocals rounds
+        /// differently from [`thomas_solve`]'s divisions, which is fine for
+        /// reconstruction but would perturb the encoded artifacts if used on
+        /// the decompose side.
+        fn solve_cached(&mut self, nc: usize) {
+            self.prepare_solver(nc);
+            let off = F::from_f64(1.0 / 3.0);
+            let r = &mut self.rhs;
+            r[0] = r[0] * self.inv_m[0];
+            for i in 1..nc {
+                r[i] = (r[i] - off * r[i - 1]) * self.inv_m[i];
+            }
+            for i in (0..nc - 1).rev() {
+                r[i] = r[i] - self.c[i] * r[i + 1];
+            }
+        }
+    }
+
+    /// Coarse-grid mass-matrix diagonal for `nc` nodes, normalized by the
+    /// *fine* spacing `h`: coarse hats have spacing `H = 2h`, so after
+    /// dividing by `h` the interior diagonal is `2H/3h = 4/3`, the boundary
+    /// diagonal `H/3h = 2/3`, and the off-diagonal `H/6h = 1/3` (the load
+    /// vector `r_j = ½(d_{j−1}+d_j)` carries the matching `h/ h` scale).
+    fn fill_mass_diag<F: Real>(diag: &mut Vec<F>, nc: usize) {
+        diag.clear();
+        diag.resize(nc, F::from_f64(4.0 / 3.0));
+        if nc >= 1 {
+            diag[0] = F::from_f64(2.0 / 3.0);
+            let last = nc - 1;
+            diag[last] = F::from_f64(2.0 / 3.0);
+        }
+    }
+
+    /// One decomposition step of `line` (in place): even slots end up holding
+    /// corrected coarse values, odd slots the detail coefficients.
+    ///
+    /// Lines shorter than 3 nodes are left untouched (nothing to decompose).
+    pub fn decompose_line<F: Real>(line: &mut [F], s: &mut LineScratch<F>, correct: bool) {
+        let n = line.len();
+        if n < 3 {
+            return;
+        }
+        let nc = n.div_ceil(2);
+        let nf = n / 2;
+        let half = F::from_f64(0.5);
+
+        s.detail.clear();
+        for i in 0..nf {
+            let left = line[2 * i];
+            let pred = if 2 * i + 2 < n {
+                (left + line[2 * i + 2]) * half
+            } else {
+                left
+            };
+            s.detail.push(line[2 * i + 1] - pred);
+        }
+
+        s.coarse.clear();
+        for j in 0..nc {
+            s.coarse.push(line[2 * j]);
+        }
+
+        if correct {
+            // r_j = ½ (d_{j-1} + d_j) with missing neighbors treated as zero.
+            s.rhs.clear();
+            for j in 0..nc {
+                let dl = if j >= 1 { s.detail[j - 1] } else { F::ZERO };
+                let dr = if j < nf { s.detail[j] } else { F::ZERO };
+                s.rhs.push((dl + dr) * half);
+            }
+            fill_mass_diag(&mut s.diag, nc);
+            s.tmp.clear();
+            s.tmp.resize(nc, F::ZERO);
+            thomas_solve(&s.diag, F::from_f64(1.0 / 3.0), &mut s.rhs, &mut s.tmp);
+            for j in 0..nc {
+                s.coarse[j] = s.coarse[j] + s.rhs[j];
+            }
+        }
+
+        for j in 0..nc {
+            line[2 * j] = s.coarse[j];
+        }
+        for i in 0..nf {
+            line[2 * i + 1] = s.detail[i];
+        }
+    }
+
+    /// Inverse of [`decompose_line`].
+    pub fn recompose_line<F: Real>(line: &mut [F], s: &mut LineScratch<F>, correct: bool) {
+        let n = line.len();
+        if n < 3 {
+            return;
+        }
+        let nc = n.div_ceil(2);
+        let nf = n / 2;
+        let half = F::from_f64(0.5);
+
+        s.detail.clear();
+        for i in 0..nf {
+            s.detail.push(line[2 * i + 1]);
+        }
+        s.coarse.clear();
+        for j in 0..nc {
+            s.coarse.push(line[2 * j]);
+        }
+
+        if correct {
+            s.rhs.clear();
+            for j in 0..nc {
+                let dl = if j >= 1 { s.detail[j - 1] } else { F::ZERO };
+                let dr = if j < nf { s.detail[j] } else { F::ZERO };
+                s.rhs.push((dl + dr) * half);
+            }
+            s.solve_cached(nc);
+            for j in 0..nc {
+                s.coarse[j] = s.coarse[j] - s.rhs[j];
+            }
+        }
+
+        for j in 0..nc {
+            line[2 * j] = s.coarse[j];
+        }
+        for i in 0..nf {
+            let left = line[2 * i];
+            let pred = if 2 * i + 2 < n {
+                (left + line[2 * i + 2]) * half
+            } else {
+                left
+            };
+            line[2 * i + 1] = s.detail[i] + pred;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
+
+    #[test]
+    fn panel_lanes_match_per_line_oracle_bitwise() {
+        // Every lane of a panel must see exactly the per-line arithmetic,
+        // whatever the panel width and whichever lane it rides in.
+        for n in [3usize, 4, 5, 8, 9, 33, 100] {
+            for w in [1usize, 2, 7, 16] {
+                for correct in [true, false] {
+                    let lines: Vec<Vec<f32>> = (0..w)
+                        .map(|lane| {
+                            (0..n)
+                                .map(|i| ((i * 7 + lane * 13) as f32 * 0.37).sin() * 9.0)
+                                .collect()
+                        })
+                        .collect();
+                    let mut panel = vec![0.0f32; n * w];
+                    for (lane, line) in lines.iter().enumerate() {
+                        for (i, &v) in line.iter().enumerate() {
+                            panel[i * w + lane] = v;
+                        }
+                    }
+                    let fac = MassFactor::new(n.div_ceil(2));
+                    let mut scratch = PanelScratch::new(n, w);
+                    let mut s = LineScratch::with_capacity(n);
+
+                    decompose_panel(&mut panel, w, &mut scratch, &fac, correct);
+                    let mut want = lines.clone();
+                    for line in &mut want {
+                        decompose_line(line, &mut s, correct);
+                    }
+                    for (lane, line) in want.iter().enumerate() {
+                        for (i, v) in line.iter().enumerate() {
+                            assert_eq!(panel[i * w + lane].to_bits(), v.to_bits());
+                        }
+                    }
+
+                    recompose_panel(&mut panel, w, &mut scratch, &fac, correct);
+                    for line in &mut want {
+                        recompose_line(line, &mut s, correct);
+                    }
+                    for (lane, line) in want.iter().enumerate() {
+                        for (i, v) in line.iter().enumerate() {
+                            assert_eq!(panel[i * w + lane].to_bits(), v.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     fn roundtrip_case(vals: &[f64], correct: bool) {
         let mut line = vals.to_vec();

@@ -1,106 +1,281 @@
 //! Tensor-product multilevel (re)decomposition over 1D/2D/3D arrays.
 //!
-//! Each level applies the 1D transform of [`crate::line`] along every
-//! dimension of the current active grid (all lines of one axis pass are
-//! independent and processed in parallel). Recomposition replays levels
-//! and axes in exactly reverse order, making the whole transform exactly
+//! Each level applies the 1D transform of `crate::line` along every
+//! dimension of the current active grid. Recomposition replays levels and
+//! axes in exactly reverse order, making the whole transform exactly
 //! invertible up to floating-point roundoff — the property MDR relies on
 //! for near-lossless refactoring.
+//!
+//! # Schedule
+//!
+//! All lines of one axis pass are independent, so a pass is cut into
+//! *panels* of consecutive lines that are transformed in lockstep by the
+//! kernels of `crate::line`: a panel is copied into a dense
+//! cache-resident `n × w` buffer (`buf[i·w + lane]`), transformed, and
+//! copied back. Along an axis that is not the last, consecutive lines are
+//! the neighbouring nodes of the last dimension, so panel rows are
+//! contiguous runs of the array (at level 0; stride `2^l` above) and the
+//! copies are row copies; along the last axis the lines themselves are
+//! contiguous and the copy is a transpose. A panel that already sits in
+//! the array in buffer layout — a single unit-stride line, or a full slab
+//! of a middle axis — is transformed in place. Panels, not lines, are
+//! what a parallel pool fans out over.
+//!
+//! Lines never exchange data inside a pass, so how they are grouped into
+//! panels, and panels into worker parts, changes only the interleaving of
+//! independent computations: the result is bit-identical for every panel
+//! width and every thread count.
 
 use crate::grid::Hierarchy;
-use crate::line::{decompose_line, recompose_line, LineScratch};
+use crate::line::{decompose_panel, recompose_panel, MassFactor, PanelScratch};
 use crate::Real;
 use rayon::prelude::*;
+use std::ops::Range;
 
-/// Shared mutable base pointer for disjoint parallel line updates.
+/// Target footprint of one panel buffer: with the correction scratch
+/// (half as much again) it stays inside a 32 KiB L1.
+const PANEL_BYTES: usize = 16 * 1024;
+
+/// Lanes a panel keeps even when its lines are too long for
+/// [`PANEL_BYTES`]: below a few vectors' worth the lane loops stop paying.
+const MIN_PANEL_LANES: usize = 16;
+
+/// Least work (elements of the active grid) one worker part of an axis
+/// pass must have. Handing a part to another thread costs tens of
+/// microseconds; a part this size runs for about a hundred, so a pass over
+/// a small chunk stays on the calling thread.
+const MIN_PART_ELEMS: usize = 1 << 17;
+
+/// Shared mutable view of the array for the disjoint panel updates of one
+/// axis pass.
 ///
-/// Soundness: each line id of one axis pass touches a disjoint set of
-/// elements (lines differ in at least one non-axis coordinate).
-struct SyncPtr<F>(*mut F);
-// SAFETY: the pointer targets the caller's buffer for the duration of one
-// axis pass; each worker touches only its own line's elements.
-unsafe impl<F> Send for SyncPtr<F> {}
-// SAFETY: concurrent access is confined to disjoint element sets (lines
+/// Soundness: a panel is a set of whole lines, and two lines of one axis
+/// pass differ in a non-axis coordinate, so distinct panels touch disjoint
+/// element sets; every panel is processed by exactly one worker.
+struct SyncPtr<F> {
+    ptr: *mut F,
+    len: usize,
+}
+// SAFETY: the pointer targets the caller's exclusively borrowed buffer for
+// the duration of one axis pass; each worker touches only the elements of
+// its own panels.
+unsafe impl<F: Send> Send for SyncPtr<F> {}
+// SAFETY: concurrent access is confined to disjoint element sets (panels
 // of one axis pass never share an element), so no location races.
-unsafe impl<F> Sync for SyncPtr<F> {}
+unsafe impl<F: Send> Sync for SyncPtr<F> {}
 
-impl<F> SyncPtr<F> {
-    // SAFETY: caller must pass an in-bounds `i` belonging to its own line.
+impl<F: Copy> SyncPtr<F> {
+    // SAFETY: caller must pass an in-bounds `i` belonging to its own panel.
     #[inline]
-    unsafe fn read(&self, i: usize) -> F
-    where
-        F: Copy,
-    {
-        *self.0.add(i)
+    unsafe fn read(&self, i: usize) -> F {
+        debug_assert!(i < self.len);
+        *self.ptr.add(i)
     }
-    // SAFETY: caller must pass an in-bounds `i` belonging to its own line.
+    // SAFETY: caller must pass an in-bounds `i` belonging to its own panel.
     #[inline]
     unsafe fn write(&self, i: usize, v: F) {
-        *self.0.add(i) = v;
+        debug_assert!(i < self.len);
+        *self.ptr.add(i) = v;
+    }
+    // SAFETY: caller must pass an in-bounds range whose elements all belong
+    // to its own panel, and must not hold another slice overlapping it.
+    #[inline]
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [F] {
+        debug_assert!(start + len <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(start), len)
     }
 }
 
+/// Geometry of one axis pass over the active grid of a level.
+struct AxisPass {
+    /// Nodes per line.
+    n: usize,
+    /// Element stride between consecutive nodes of a line.
+    axis_stride: usize,
+    /// `(extent, element stride)` of the slower of the two other
+    /// dimensions (`(1, 0)` when absent).
+    outer: (usize, usize),
+    /// Same for the faster one: consecutive lines step along it.
+    inner: (usize, usize),
+}
+
+impl AxisPass {
+    /// `dims`: active extent per dimension; `elem_strides`: element stride
+    /// between active nodes per dimension (level stride × row-major stride).
+    fn new(dims: &[usize], elem_strides: &[usize], axis: usize) -> Self {
+        let mut other = (0..dims.len())
+            .filter(|&d| d != axis)
+            .map(|d| (dims[d], elem_strides[d]));
+        let first = other.next();
+        let (outer, inner) = match (first, other.next()) {
+            (Some(a), Some(b)) => (a, b),
+            (Some(a), None) => ((1, 0), a),
+            _ => ((1, 0), (1, 0)),
+        };
+        AxisPass {
+            n: dims[axis],
+            axis_stride: elem_strides[axis],
+            outer,
+            inner,
+        }
+    }
+
+    fn num_lines(&self) -> usize {
+        self.outer.0 * self.inner.0
+    }
+
+    /// Lines per panel for element type `F`.
+    fn panel_lanes<F>(&self) -> usize {
+        let fit = (PANEL_BYTES / (self.n * std::mem::size_of::<F>())).max(MIN_PANEL_LANES);
+        // One run of the inner dimension is equally spaced in memory; a
+        // panel that straddles runs is not. Stop at the run's end when the
+        // run alone fills enough lanes.
+        let run = self.inner.0;
+        if run >= MIN_PANEL_LANES && fit > run {
+            run
+        } else {
+            fit.min(self.num_lines())
+        }
+    }
+
+    /// Flat index of node 0 of lines `first..first + out.len()`, in line
+    /// order (row-major over the other dimensions, so strictly ascending).
+    fn lane_bases(&self, first: usize, out: &mut [usize]) {
+        let (extent, stride) = self.inner;
+        let (mut o, mut i) = (first / extent, first % extent);
+        for b in out {
+            *b = o * self.outer.1 + i * stride;
+            i += 1;
+            if i == extent {
+                i = 0;
+                o += 1;
+            }
+        }
+    }
+}
+
+/// Worker parts an axis pass over `elems` active elements in `panels`
+/// panels is split into on a pool of `threads`: as many as the pool has,
+/// but none with less than [`MIN_PART_ELEMS`] of work.
+fn pass_parts(elems: usize, panels: usize, threads: usize) -> usize {
+    threads.min(elems / MIN_PART_ELEMS).min(panels).max(1)
+}
+
+/// Panels `part` of `parts` owns out of `panels` (contiguous, balanced).
+fn part_range(panels: usize, parts: usize, part: usize) -> Range<usize> {
+    panels * part / parts..panels * (part + 1) / parts
+}
+
+/// The panel kernel an axis pass applies: [`decompose_panel`] or
+/// [`recompose_panel`].
+type PanelKernel<F> = fn(&mut [F], usize, &mut PanelScratch<F>, &MassFactor<F>, bool);
+
 /// One axis pass over the active grid at a level.
-///
-/// `dims`: active extent per dimension; `strides`: element stride between
-/// active nodes per dimension (original-grid units × row-major stride).
 fn axis_pass<F: Real>(
     data: &mut [F],
     dims: &[usize],
     elem_strides: &[usize],
     axis: usize,
-    decompose_dir: bool,
+    kernel: PanelKernel<F>,
     correct: bool,
 ) {
-    let n = dims[axis];
-    if n < 3 {
+    let pass = AxisPass::new(dims, elem_strides, axis);
+    if pass.n < 3 {
         return;
     }
-    // Enumerate lines: mixed-radix over the other dimensions.
-    let other: Vec<usize> = (0..dims.len()).filter(|&d| d != axis).collect();
-    let num_lines: usize = other.iter().map(|&d| dims[d]).product::<usize>().max(1);
-    let axis_stride = elem_strides[axis];
-    let ptr = SyncPtr(data.as_mut_ptr());
+    let lanes = pass.panel_lanes::<F>();
+    let panels = pass.num_lines().div_ceil(lanes);
+    let fac = MassFactor::new(pass.n.div_ceil(2));
+    let view = SyncPtr {
+        ptr: data.as_mut_ptr(),
+        len: data.len(),
+    };
+    let run = |range: Range<usize>| run_panels(&view, &pass, &fac, lanes, range, kernel, correct);
 
-    (0..num_lines)
-        .into_par_iter()
-        .with_min_len(8)
-        .for_each_init(
-            || (LineScratch::<F>::with_capacity(n), vec![F::ZERO; n]),
-            |(scratch, buf), line_id| {
-                let mut rem = line_id;
-                let mut base = 0usize;
-                for &d in other.iter().rev() {
-                    let idx = rem % dims[d];
-                    rem /= dims[d];
-                    base += idx * elem_strides[d];
-                }
-                // Gather, transform, scatter.
-                for (i, slot) in buf.iter_mut().enumerate() {
-                    // SAFETY: disjoint lines; in-bounds by construction.
-                    *slot = unsafe { ptr.read(base + i * axis_stride) };
-                }
-                if decompose_dir {
-                    decompose_line(buf, scratch, correct);
-                } else {
-                    recompose_line(buf, scratch, correct);
-                }
-                for (i, &v) in buf.iter().enumerate() {
-                    // SAFETY: same indices the gather above read — disjoint
-                    // across lines and in-bounds by construction.
-                    unsafe { ptr.write(base + i * axis_stride, v) };
-                }
-            },
-        );
+    let parts = pass_parts(
+        pass.n * pass.num_lines(),
+        panels,
+        rayon::current_num_threads(),
+    );
+    if parts == 1 {
+        run(0..panels);
+    } else {
+        (0..parts)
+            .into_par_iter()
+            .for_each(|part| run(part_range(panels, parts, part)));
+    }
 }
 
-fn level_geometry(h: &Hierarchy, l: usize) -> (Vec<usize>, Vec<usize>) {
-    let dims = h.shape_at_level(l);
-    let row_major = h.strides();
-    let elem_strides: Vec<usize> = (0..h.ndims())
-        .map(|d| h.stride_at_level(d, l) * row_major[d])
-        .collect();
-    (dims, elem_strides)
+/// Transform panels `range` of `pass` (each `lanes` lines wide, the last
+/// one of the pass possibly narrower).
+fn run_panels<F: Real>(
+    view: &SyncPtr<F>,
+    pass: &AxisPass,
+    fac: &MassFactor<F>,
+    lanes: usize,
+    range: Range<usize>,
+    kernel: PanelKernel<F>,
+    correct: bool,
+) {
+    let (n, axis_stride) = (pass.n, pass.axis_stride);
+    let mut scratch = PanelScratch::new(n, lanes);
+    let mut buf = vec![F::ZERO; n * lanes];
+    let mut bases = vec![0usize; lanes];
+
+    for panel in range {
+        let first = panel * lanes;
+        let w = lanes.min(pass.num_lines() - first);
+        let bases = &mut bases[..w];
+        pass.lane_bases(first, bases);
+        // Bases ascend, so this bounds every index the panel touches.
+        assert!(bases[w - 1] + (n - 1) * axis_stride < view.len);
+        let contiguous = bases[w - 1] - bases[0] == w - 1;
+
+        if contiguous && axis_stride == w {
+            // The panel already sits in the array in buffer layout.
+            // SAFETY: in bounds by the assert above; rows of `w`
+            // consecutive lanes at stride `w` tile exactly this range, so
+            // all of it belongs to this panel.
+            let block = unsafe { view.slice_mut(bases[0], n * w) };
+            kernel(block, w, &mut scratch, fac, correct);
+            continue;
+        }
+
+        let buf = &mut buf[..n * w];
+        if contiguous && w > 1 {
+            for (i, row) in buf.chunks_exact_mut(w).enumerate() {
+                // SAFETY: in bounds by the assert above; the `w`
+                // consecutive lanes of node `i` belong to this panel.
+                row.copy_from_slice(unsafe { view.slice_mut(bases[0] + i * axis_stride, w) });
+            }
+        } else {
+            for (i, row) in buf.chunks_exact_mut(w).enumerate() {
+                for (slot, &base) in row.iter_mut().zip(bases.iter()) {
+                    // SAFETY: in bounds by the assert above; node `i` of
+                    // one of this panel's lines.
+                    *slot = unsafe { view.read(base + i * axis_stride) };
+                }
+            }
+        }
+
+        kernel(buf, w, &mut scratch, fac, correct);
+
+        // Scatter to the same indices the gather read.
+        if contiguous && w > 1 {
+            for (i, row) in buf.chunks_exact(w).enumerate() {
+                // SAFETY: same range as the gather of this row.
+                unsafe { view.slice_mut(bases[0] + i * axis_stride, w) }.copy_from_slice(row);
+            }
+        } else {
+            for (i, row) in buf.chunks_exact(w).enumerate() {
+                for (&v, &base) in row.iter().zip(bases.iter()) {
+                    // SAFETY: same index as the gather.
+                    unsafe { view.write(base + i * axis_stride, v) };
+                }
+            }
+        }
+    }
 }
 
 /// Decompose `data` (row-major, shape `h.shape`) in place through all
@@ -120,9 +295,9 @@ pub fn decompose<F: Real>(data: &mut [F], h: &Hierarchy, correct: bool) {
         "data length must match hierarchy shape"
     );
     for l in 0..h.levels {
-        let (dims, elem_strides) = level_geometry(h, l);
+        let (dims, elem_strides) = h.level_geometry(l);
         for axis in 0..h.ndims() {
-            axis_pass(data, &dims, &elem_strides, axis, true, correct);
+            axis_pass(data, &dims, &elem_strides, axis, decompose_panel, correct);
         }
     }
 }
@@ -158,9 +333,9 @@ pub fn recompose_to_level<F: Real>(
         "level {target_level} beyond hierarchy"
     );
     for l in (target_level..h.levels).rev() {
-        let (dims, elem_strides) = level_geometry(h, l);
+        let (dims, elem_strides) = h.level_geometry(l);
         for axis in (0..h.ndims()).rev() {
-            axis_pass(data, &dims, &elem_strides, axis, false, correct);
+            axis_pass(data, &dims, &elem_strides, axis, recompose_panel, correct);
         }
     }
 }
@@ -175,11 +350,7 @@ pub fn extract_active_grid<F: Real>(data: &[F], h: &Hierarchy, level: usize) -> 
     );
     assert!(level <= h.levels, "level {level} beyond hierarchy");
     let nd = h.ndims();
-    let dims = h.shape_at_level(level);
-    let row_major = h.strides();
-    let strides: Vec<usize> = (0..nd)
-        .map(|d| h.stride_at_level(d, level) * row_major[d])
-        .collect();
+    let (dims, strides) = h.level_geometry(level);
     let count: usize = dims.iter().product();
     let mut out = Vec::with_capacity(count);
     let mut coord = vec![0usize; nd];
@@ -200,6 +371,200 @@ pub fn extract_active_grid<F: Real>(data: &[F], h: &Hierarchy, level: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::oracle::{decompose_line, recompose_line, LineScratch};
+    use proptest::prelude::*;
+
+    /// One axis pass as it ran before panels: every line gathered into a
+    /// scratch vector, through the per-line oracle, scattered back.
+    fn oracle_pass<F: Real>(
+        data: &mut [F],
+        dims: &[usize],
+        elem_strides: &[usize],
+        axis: usize,
+        line_kernel: fn(&mut [F], &mut LineScratch<F>, bool),
+        correct: bool,
+    ) {
+        let pass = AxisPass::new(dims, elem_strides, axis);
+        let mut scratch = LineScratch::with_capacity(pass.n);
+        let mut bases = vec![0usize; pass.num_lines()];
+        pass.lane_bases(0, &mut bases);
+        for base in bases {
+            let mut line: Vec<F> = (0..pass.n)
+                .map(|i| data[base + i * pass.axis_stride])
+                .collect();
+            line_kernel(&mut line, &mut scratch, correct);
+            for (i, v) in line.into_iter().enumerate() {
+                data[base + i * pass.axis_stride] = v;
+            }
+        }
+    }
+
+    fn oracle_decompose<F: Real>(data: &mut [F], h: &Hierarchy, correct: bool) {
+        for l in 0..h.levels {
+            let (dims, elem_strides) = h.level_geometry(l);
+            for axis in 0..h.ndims() {
+                oracle_pass(data, &dims, &elem_strides, axis, decompose_line, correct);
+            }
+        }
+    }
+
+    fn oracle_recompose_to_level<F: Real>(
+        data: &mut [F],
+        h: &Hierarchy,
+        correct: bool,
+        target_level: usize,
+    ) {
+        for l in (target_level..h.levels).rev() {
+            let (dims, elem_strides) = h.level_geometry(l);
+            for axis in (0..h.ndims()).rev() {
+                oracle_pass(data, &dims, &elem_strides, axis, recompose_line, correct);
+            }
+        }
+    }
+
+    /// Bit patterns (widening f32 to f64 is exact, signed zeros included).
+    fn bits<F: Real>(v: &[F]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Rough field with exact and negative zeros sprinkled in: the `0 +`
+    /// of a missing detail neighbour is not a no-op for `−0.0`.
+    fn rough_field<F: Real>(n: usize, seed: u32) -> Vec<F> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                match s % 23 {
+                    0 => F::ZERO,
+                    1 => -F::ZERO,
+                    _ => F::from_f64((s as f64 / u32::MAX as f64 - 0.5) * 37.0),
+                }
+            })
+            .collect()
+    }
+
+    /// Decompose, and recompose to every target level, on a `threads`-wide
+    /// pool: bit-identical to the per-line oracle.
+    fn assert_matches_oracle<F: Real>(shape: &[usize], seed: u32, threads: usize) {
+        let h = Hierarchy::full(shape);
+        let orig: Vec<F> = rough_field(h.len(), seed);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool");
+        for correct in [true, false] {
+            let mut want = orig.clone();
+            oracle_decompose(&mut want, &h, correct);
+            let mut got = orig.clone();
+            pool.install(|| decompose(&mut got, &h, correct));
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "decompose {shape:?} correct={correct} threads={threads}"
+            );
+            for target in 0..=h.levels {
+                let mut want_back = want.clone();
+                oracle_recompose_to_level(&mut want_back, &h, correct, target);
+                let mut got_back = want.clone();
+                pool.install(|| recompose_to_level(&mut got_back, &h, correct, target));
+                assert_eq!(
+                    bits(&got_back),
+                    bits(&want_back),
+                    "recompose {shape:?} to {target} correct={correct} threads={threads}"
+                );
+            }
+        }
+    }
+
+    fn extent() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(1usize),
+            Just(2usize),
+            Just(3usize),
+            Just(5usize),
+            Just(13usize),
+            Just(31usize),
+            Just(64usize),
+            1usize..40,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn panel_transform_is_bit_identical_to_per_line_oracle(
+            shape in prop::collection::vec(extent(), 1..=3),
+            seed in any::<u32>(),
+        ) {
+            for threads in [1, 4] {
+                assert_matches_oracle::<f32>(&shape, seed, threads);
+                assert_matches_oracle::<f64>(&shape, seed, threads);
+            }
+        }
+    }
+
+    #[test]
+    fn thin_and_long_shapes_are_bit_identical_to_oracle() {
+        // Thin dimensions make panels straddle slabs; a long line forces
+        // the minimum panel width; 1-D runs in place at level 0.
+        for shape in [
+            vec![7usize, 64, 5],
+            vec![64, 3, 64],
+            vec![2, 129, 2],
+            vec![5000],
+            vec![3, 2100],
+            vec![2100, 3],
+        ] {
+            assert_matches_oracle::<f32>(&shape, 0x5eed, 1);
+            assert_matches_oracle::<f64>(&shape, 0x5eed, 4);
+        }
+    }
+
+    #[test]
+    fn parallel_fan_out_is_bit_identical_to_oracle() {
+        // Large enough that a 4-thread pool really splits the level-0
+        // passes (see `work_floor_keeps_small_passes_on_one_thread`).
+        for shape in [vec![80usize, 72, 96], vec![700, 800]] {
+            let elems: usize = shape.iter().product();
+            assert!(pass_parts(elems, 64, 4) > 1);
+            assert_matches_oracle::<f32>(&shape, 7, 4);
+            assert_matches_oracle::<f64>(&shape, 7, 4);
+        }
+    }
+
+    #[test]
+    fn work_floor_keeps_small_passes_on_one_thread() {
+        // A 32^3 chunk (and every coarser level of a 64^3 one) is not
+        // worth a hand-off, however wide the pool.
+        for threads in [1, 2, 4, 64] {
+            assert_eq!(pass_parts(32 * 32 * 32, 32, threads), 1);
+            assert_eq!(pass_parts(33 * 33 * 33, 64, threads), 1);
+        }
+        // Larger passes use the pool, never beyond it or the panel count,
+        // and no part falls below the floor.
+        assert_eq!(pass_parts(64 * 64 * 64, 64, 1), 1);
+        assert_eq!(pass_parts(64 * 64 * 64, 64, 2), 2);
+        assert_eq!(pass_parts(64 * 64 * 64, 64, 64), 2);
+        assert_eq!(pass_parts(128 * 128 * 128, 256, 4), 4);
+        assert_eq!(pass_parts(128 * 128 * 128, 3, 4), 3);
+        for (elems, panels, threads) in [(1usize << 20, 100usize, 3usize), (1 << 24, 7, 16)] {
+            let parts = pass_parts(elems, panels, threads);
+            assert!(parts >= 1 && parts <= threads.min(panels));
+            assert!(elems / parts >= MIN_PART_ELEMS);
+            // The parts tile the panels in order.
+            let mut next = 0;
+            for part in 0..parts {
+                let r = part_range(panels, parts, part);
+                assert_eq!(r.start, next);
+                assert!(!r.is_empty());
+                next = r.end;
+            }
+            assert_eq!(next, panels);
+        }
+    }
 
     fn field_3d(nx: usize, ny: usize, nz: usize) -> Vec<f64> {
         let mut v = Vec::with_capacity(nx * ny * nz);
@@ -369,9 +734,16 @@ mod tests {
             // Reference: decompose the original only down to `level`.
             let mut reference = orig.clone();
             for l in 0..level {
-                let (dims, elem_strides) = level_geometry(&h, l);
+                let (dims, elem_strides) = h.level_geometry(l);
                 for axis in 0..h.ndims() {
-                    axis_pass(&mut reference, &dims, &elem_strides, axis, true, true);
+                    axis_pass(
+                        &mut reference,
+                        &dims,
+                        &elem_strides,
+                        axis,
+                        decompose_panel,
+                        true,
+                    );
                 }
             }
             let ref_coarse = extract_active_grid(&reference, &h, level);

@@ -16,7 +16,7 @@
 //! pay no parallelism tax.
 
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// 0 = no override (use the host parallelism).
@@ -29,8 +29,17 @@ pub fn current_num_threads() -> usize {
     if o != 0 {
         o
     } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+        host_parallelism()
     }
+}
+
+/// Host parallelism, queried once: like rayon's global pool, the default
+/// width is fixed at first use. `available_parallelism` re-reads the
+/// affinity mask and cgroup quota files on every call — tens of
+/// microseconds, which kernels that ask per pass cannot afford.
+fn host_parallelism() -> usize {
+    static HOST: OnceLock<usize> = OnceLock::new();
+    *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 fn with_thread_override<R>(n: usize, f: impl FnOnce() -> R) -> R {
@@ -104,7 +113,7 @@ impl ThreadPoolBuilder {
     /// Finish building.
     pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
         let threads = match self.threads {
-            Some(0) | None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            Some(0) | None => host_parallelism(),
             Some(n) => n,
         };
         Ok(ThreadPool { threads })
