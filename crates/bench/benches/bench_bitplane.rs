@@ -1,9 +1,25 @@
 //! Criterion microbenchmarks of the native bitplane codecs (the §4 claim
-//! carriers): encode/decode wall-clock per layout and size, plus prefix
-//! decoding cost as a function of retained planes.
+//! carriers): encode/decode wall-clock per layout and size, prefix
+//! decoding cost as a function of retained planes, and the progressive
+//! decoder's two steps on the group every retrieval spends most of its
+//! decode time in.
+//!
+//! `progressive/{advance,materialize}` runs on the finest level group of
+//! a 64³ and a 32³ chunk (≈ 230 k and ≈ 28 k coefficients of a
+//! decomposed turbulent field) at the plane counts the repository
+//! benchmark's `coarse` (8–12) and `fine` (20–24) plans reach, and
+//! reports nanoseconds per value and the share of a same-run `memcpy` of
+//! the group's rate, like `bench_transform`. Bare decoder calls: `advance`
+//! is serial, `materialize` fans out on the default pool (printed).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{decode_prefix, encode, Layout, Reconstruction};
+use hpmdr_datasets::fields::{spectral_field, FieldSpec};
+use hpmdr_mgard::{decompose, extract_levels, Hierarchy};
+
+mod common;
+use common::bench_median;
 
 fn field(n: usize) -> Vec<f32> {
     (0..n)
@@ -57,9 +73,76 @@ fn bench_prefix_scaling(c: &mut Criterion) {
     g.finish();
 }
 
+/// The finest level group of an `e³` chunk of a turbulent field.
+fn finest_group(e: usize) -> Vec<f32> {
+    let shape = [e; 3];
+    let mut field: Vec<f32> = spectral_field(&FieldSpec::turbulent(&shape, 3))
+        .into_iter()
+        .map(|v| v as f32)
+        .collect();
+    let h = Hierarchy::full(&shape);
+    decompose(&mut field, &h, true);
+    extract_levels(&field, &h)
+        .pop()
+        .expect("a hierarchy has at least one level group")
+}
+
+fn bench_progressive(c: &mut Criterion) {
+    println!(
+        "progressive decode micro-bench: f32, Interleaved32, default pool of {} thread(s)",
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    );
+    for e in [64usize, 32] {
+        let group = finest_group(e);
+        let n = group.len();
+        let chunk = encode(&group, 32, Layout::Interleaved32);
+        let mut g = c.benchmark_group(format!("progressive_{e}"));
+        g.throughput(Throughput::Elements(n as u64));
+
+        let mut copy = vec![0.0f32; n];
+        let memcpy = bench_median(&mut g, "memcpy", || {
+            copy.copy_from_slice(criterion::black_box(&group));
+            criterion::black_box(&mut copy);
+        });
+        let report = |name: &str, secs: f64| {
+            println!(
+                "  {e:>3}^3 finest group ({n} values) {name:<16} {:>6.2} ns/value  {:>5.1} % of memcpy rate",
+                secs * 1e9 / n as f64,
+                100.0 * memcpy / secs.max(f64::MIN_POSITIVE)
+            );
+        };
+        report("memcpy", memcpy);
+        for k in [8usize, 12, 20, 24] {
+            // `advance` includes the fresh decoder's zeroed accumulators,
+            // as every one-shot retrieval pays them.
+            let advance = bench_median(&mut g, &format!("advance/{k}"), || {
+                let mut decoder = ProgressiveDecoder::new(&chunk);
+                decoder.advance(criterion::black_box(&chunk), k);
+                criterion::black_box(&decoder);
+            });
+            let mut decoder = ProgressiveDecoder::new(&chunk);
+            decoder.advance(&chunk, k);
+            let materialize = bench_median(&mut g, &format!("materialize/{k}"), || {
+                criterion::black_box(
+                    criterion::black_box(&decoder)
+                        .materialize::<f32>(&chunk, Reconstruction::Truncate),
+                );
+            });
+            report(&format!("advance/{k}"), advance);
+            report(&format!("materialize/{k}"), materialize);
+        }
+        g.finish();
+    }
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_encode, bench_decode, bench_prefix_scaling
 );
-criterion_main!(benches);
+criterion_group!(
+    name = progressive;
+    config = Criterion::default().sample_size(30);
+    targets = bench_progressive
+);
+criterion_main!(benches, progressive);

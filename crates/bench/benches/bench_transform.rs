@@ -12,7 +12,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmdr_mgard::{decompose, extract_levels, inject_levels, recompose, Hierarchy};
-use std::time::Instant;
+
+mod common;
+use common::bench_median;
 
 fn bench_extents() -> Vec<usize> {
     match std::env::var("HPMDR_BENCH_EXTENT")
@@ -35,23 +37,6 @@ fn field(e: usize) -> Vec<f32> {
         }
     }
     v
-}
-
-/// Run `op` as one criterion benchmark and return its median wall time in
-/// seconds (timed inside the closure, so the harness line and the summary
-/// below describe the same iterations).
-fn bench_median(g: &mut criterion::BenchmarkGroup<'_>, name: &str, mut op: impl FnMut()) -> f64 {
-    let mut times = Vec::new();
-    g.bench_function(name, |b| {
-        times.clear();
-        b.iter(|| {
-            let t0 = Instant::now();
-            op();
-            times.push(t0.elapsed().as_secs_f64());
-        })
-    });
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
 }
 
 fn bench_transform(c: &mut Criterion) {

@@ -21,7 +21,7 @@
 //! The `kernels` section (PR 6) microbenchmarks the bit-level hot loops
 //! scalar-vs-SIMD at the host's best instruction set: 32×32 bit-matrix
 //! transpose, bitplane encode fill, Huffman byte histogram, Huffman
-//! encode, and fixed-point quantize/dequantize — asserting in-bench that
+//! encode, and fixed-point quantize — asserting in-bench that
 //! both legs produce identical output before reporting the speedup. The
 //! `huffman_encode` point carries a `decision` record for the PR 7
 //! retune (pairwise code precombine in the wide encoder).
@@ -699,7 +699,7 @@ fn huffman_point(name: &str, data: Vec<u8>, reps: usize) -> CodecPoint {
 /// legs produce identical output before timing them.
 fn kernel_points(reps: usize) -> Vec<KernelPoint> {
     use hpmdr_bitplane::{simd::transpose32_with_isa, transpose::transpose32, Isa, Layout};
-    use hpmdr_mgard::{dequantize_with_isa, quantize_with_isa};
+    use hpmdr_mgard::quantize_with_isa;
 
     let isa = Isa::best_available();
     let point = |kernel: &str, bytes: usize, scalar_ms: f64, simd_ms: f64| KernelPoint {
@@ -819,7 +819,7 @@ fn kernel_points(reps: usize) -> Vec<KernelPoint> {
     });
     points.push(p);
 
-    // Fixed-point quantize/dequantize (MGARD baseline codec hot loop).
+    // Fixed-point quantize (MGARD baseline codec hot loop).
     let n = 1usize << 20;
     let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.0017).sin() * 9.0).collect();
     let eb = 1e-4;
@@ -836,17 +836,6 @@ fn kernel_points(reps: usize) -> Vec<KernelPoint> {
         std::hint::black_box(quantize_with_isa(&vals, eb, isa));
     });
     points.push(point("quantize", n * 8, scalar_ms, simd_ms));
-
-    let deq: Vec<f64> = hpmdr_mgard::quantize::dequantize(&codes, eb);
-    let deq_simd: Vec<f64> = dequantize_with_isa(&codes, eb, isa);
-    assert_eq!(deq, deq_simd, "dequantize kernels must agree");
-    let scalar_ms = time_ms(reps, || {
-        std::hint::black_box(hpmdr_mgard::quantize::dequantize::<f64>(&codes, eb));
-    });
-    let simd_ms = time_ms(reps, || {
-        std::hint::black_box(dequantize_with_isa::<f64>(&codes, eb, isa));
-    });
-    points.push(point("dequantize", n * 8, scalar_ms, simd_ms));
 
     points
 }

@@ -9,7 +9,7 @@
 
 use crate::chunk::BitplaneChunk;
 use crate::fixed::{align_exponent, BitplaneFloat};
-use crate::layout::{Layout, WORD_BITS};
+use crate::layout::{Layout, TILE_ELEMS, WORD_BITS};
 use crate::simd::{transpose32_fn, Isa, TransposeFn};
 use crate::transpose::transpose32;
 use rayon::prelude::*;
@@ -25,10 +25,11 @@ pub enum Reconstruction {
     Midpoint,
 }
 
-/// Raw pointer into the plane-major arena, letting disjoint word columns
-/// be written from rayon workers without locks. Soundness: every unit
-/// index is processed by exactly one worker, and workers only write word
-/// `u` of each plane (`arena[plane·words + u]`).
+/// Raw pointer into a plane-major arena (the magnitude planes, or the sign
+/// plane as an arena of one), letting disjoint word columns be written
+/// from rayon workers without locks. Soundness: every unit index is
+/// processed by exactly one worker, and workers only write word `u` of
+/// each plane (`arena[plane·words + u]`).
 struct ArenaColumns {
     ptr: *mut u32,
     words: usize,
@@ -50,29 +51,6 @@ impl ArenaColumns {
     #[inline]
     unsafe fn set(&self, plane: usize, word: usize, val: u32) {
         *self.ptr.add(plane * self.words + word) = val;
-    }
-}
-
-/// Raw output pointer for decode scatter; each unit writes a disjoint
-/// element set (layouts are injective), so concurrent writes never alias.
-struct ElemWriter<F> {
-    ptr: *mut F,
-}
-// SAFETY: the pointer targets a caller-owned buffer that outlives the
-// parallel scope; layout injectivity gives each element one writer.
-unsafe impl<F> Send for ElemWriter<F> {}
-// SAFETY: shared use only performs `write` calls on disjoint indices
-// (layouts are injective), so no address is ever written twice.
-unsafe impl<F> Sync for ElemWriter<F> {}
-
-impl<F> ElemWriter<F> {
-    /// # Safety
-    /// `idx` must be in-bounds and written by only one thread.
-    // SAFETY: contract is on the caller — in-bounds index, one writer per
-    // element; the body is then a plain store into owned memory.
-    #[inline]
-    unsafe fn write(&self, idx: usize, val: F) {
-        *self.ptr.add(idx) = val;
     }
 }
 
@@ -129,8 +107,9 @@ pub fn encode_with_isa<F: BitplaneFloat>(
             ptr: chunk.arena_mut().as_mut_ptr(),
             words,
         };
-        let signs_col = ElemWriter {
+        let signs_col = ArenaColumns {
             ptr: chunk.signs.as_mut_ptr(),
+            words,
         };
         if aligned.is_empty() {
             (0..words).into_par_iter().with_min_len(32).for_each(|u| {
@@ -185,7 +164,7 @@ pub fn encode_with_isa<F: BitplaneFloat>(
 #[inline]
 fn store_tile(
     cols: &ArenaColumns,
-    signs_col: &ElemWriter<u32>,
+    signs_col: &ArenaColumns,
     u: usize,
     hi: &mut [u32; 32],
     lo: &mut [u32; 32],
@@ -213,10 +192,11 @@ fn store_tile(
     }
     // SAFETY: `u < words == signs.len()` and each unit writes only its
     // own sign word.
-    unsafe { signs_col.write(u, sign_word) };
+    unsafe { signs_col.set(0, u, sign_word) };
 }
 
-/// Decode the first `k` magnitude planes of `chunk` into values.
+/// Decode the first `k` magnitude planes of `chunk` into values: a
+/// fresh [`ProgressiveDecoder`] advanced to `k` and materialized.
 ///
 /// `k` is clamped to the number of available planes. The pointwise error is
 /// bounded by [`crate::fixed::prefix_error_bound`]`(chunk.exp, k)`.
@@ -229,65 +209,13 @@ pub fn decode_prefix<F: BitplaneFloat>(
     recon: Reconstruction,
 ) -> Vec<F> {
     assert_eq!(chunk.dtype, F::TYPE_NAME, "chunk dtype mismatch");
-    let n = chunk.n;
-    let mut out: Vec<F> = vec![F::from_f64(0.0); n];
-    if chunk.exp == i32::MIN || n == 0 {
-        return out;
-    }
-    let b = chunk.num_planes();
-    let k = k.min(b);
+    let k = k.min(chunk.num_planes());
     if k == 0 {
-        return out;
+        return vec![F::from_f64(0.0); chunk.n];
     }
-    let words = chunk.words_per_plane();
-    let layout = chunk.layout;
-    let exp = chunk.exp;
-    let k_hi = k.min(32);
-    // Midpoint offset: half of the first dropped plane's quantum.
-    let midpoint: u64 = if k < b && matches!(recon, Reconstruction::Midpoint) {
-        1u64 << (b - k - 1)
-    } else {
-        0
-    };
-
-    let writer = ElemWriter {
-        ptr: out.as_mut_ptr(),
-    };
-    let arena = chunk.arena();
-    let scale = crate::fixed::exp2(exp - b as i32);
-    (0..words).into_par_iter().with_min_len(32).for_each(|u| {
-        let mut hi = [0u32; 32];
-        let mut lo = [0u32; 32];
-        for (p, row) in hi.iter_mut().rev().take(k_hi).enumerate() {
-            *row = arena[p * words + u];
-        }
-        if k > 32 {
-            for (p, row) in lo.iter_mut().rev().take(k - 32).enumerate() {
-                *row = arena[(32 + p) * words + u];
-            }
-        }
-        transpose32(&mut hi);
-        if k > 32 {
-            transpose32(&mut lo);
-        }
-        let sign_word = chunk.signs[u];
-        for r in 0..WORD_BITS {
-            let e = layout.element(u, r);
-            if e >= n {
-                continue;
-            }
-            let aligned = ((hi[r] as u64) << 32) | lo[r] as u64;
-            let mut fixed = aligned >> (64 - b);
-            if fixed != 0 {
-                fixed |= midpoint;
-            }
-            let sign = (sign_word >> r) & 1 == 1;
-            // SAFETY: `e < n == out.len()` and layouts are injective, so
-            // element `e` is written by exactly this unit.
-            unsafe { writer.write(e, F::from_fixed_scaled(sign, fixed, scale)) };
-        }
-    });
-    out
+    let mut decoder = ProgressiveDecoder::new(chunk);
+    decoder.advance(chunk, k);
+    decoder.materialize(chunk, recon)
 }
 
 /// Incremental decoder: accumulates plane prefixes across progressive
@@ -298,9 +226,19 @@ pub fn decode_prefix<F: BitplaneFloat>(
 /// (possibly partial) chunks handed to [`Self::advance`]: bit weights must
 /// stay stable across refinements even when earlier chunks carried fewer
 /// planes.
+///
+/// Magnitudes accumulate left-aligned (plane 0 at bit 63) as two `u32`
+/// halves in **element order**, padded to whole tiles: [`Self::advance`]
+/// pays the layout permutation once per word column (32 ORs into a tile
+/// in L1) and [`Self::materialize`] is a unit-stride loop.
 #[derive(Debug, Clone)]
 pub struct ProgressiveDecoder {
-    fixed: Vec<u64>,
+    n: usize,
+    /// Planes `0..32`: plane `p` is bit `31 - p`.
+    hi: Vec<u32>,
+    /// Planes `32..64` (plane `p` is bit `63 - p`); empty until one is
+    /// applied, so streams of at most 32 planes never allocate it.
+    lo: Vec<u32>,
     applied: usize,
     total_planes: usize,
 }
@@ -315,7 +253,9 @@ impl ProgressiveDecoder {
     /// magnitude planes.
     pub fn with_total_planes(n: usize, total_planes: usize) -> Self {
         ProgressiveDecoder {
-            fixed: vec![0u64; n],
+            n,
+            hi: vec![0; n.div_ceil(TILE_ELEMS) * TILE_ELEMS],
+            lo: Vec::new(),
             applied: 0,
             total_planes,
         }
@@ -327,70 +267,226 @@ impl ProgressiveDecoder {
     }
 
     /// Apply planes `applied..k` of `chunk` to the accumulator. The chunk
-    /// must carry at least `k` planes of the same stream.
+    /// must carry at least `k` planes of the same stream. A `k` at or
+    /// below [`Self::applied`] is a no-op: planes are never un-applied.
+    ///
+    /// # Panics
+    /// Panics if the chunk's element count differs from the decoder's or
+    /// it carries fewer than `k` planes.
     pub fn advance(&mut self, chunk: &BitplaneChunk, k: usize) {
+        assert_eq!(chunk.n, self.n, "chunk and decoder element counts differ");
         let k = k.min(self.total_planes);
         if chunk.exp == i32::MIN {
-            self.applied = k;
-            return;
+            self.applied = self.applied.max(k);
+        } else if k > self.applied {
+            assert!(
+                chunk.num_planes() >= k,
+                "chunk carries fewer than {k} planes"
+            );
+            self.advance_planes(chunk.layout, chunk.plane_range(self.applied, k), k);
         }
-        assert!(
-            chunk.num_planes() >= k,
-            "chunk carries {} planes, {} requested",
-            chunk.num_planes(),
-            k
+    }
+
+    /// Apply planes `applied..k`, handed over as one plane-major `delta`
+    /// (what a refinement step decompressed), in one pass over the word
+    /// columns: however many planes arrive, each column is gathered and
+    /// transposed once per accumulator half.
+    ///
+    /// # Panics
+    /// Panics unless `delta` is exactly the planes `applied..k` of the
+    /// stream, `layout.words_per_plane(n)` words each.
+    pub fn advance_planes(&mut self, layout: Layout, delta: &[u32], k: usize) {
+        let (from, words) = (self.applied, layout.words_per_plane(self.n));
+        assert!(from <= k && k <= self.total_planes, "no planes {from}..{k}");
+        assert_eq!(
+            delta.len(),
+            (k - from) * words,
+            "delta is not planes {from}..{k}"
         );
-        let layout = chunk.layout;
-        let n = chunk.n;
-        for p in self.applied..k {
-            let weight_shift = (self.total_planes - 1 - p) as u32;
-            let plane = chunk.plane(p);
-            for (u, &word) in plane.iter().enumerate() {
-                let mut w = word;
-                while w != 0 {
-                    let r = w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    let e = layout.element(u, r);
-                    if e < n {
-                        self.fixed[e] |= 1u64 << weight_shift;
-                    }
-                }
-            }
+        if k > 32 && self.lo.is_empty() {
+            self.lo = vec![0; self.hi.len()];
         }
+        let (hi_planes, lo_planes) = delta.split_at(k.min(32).saturating_sub(from) * words);
+        accumulate(&mut self.hi, hi_planes, words, from, layout);
+        accumulate(&mut self.lo, lo_planes, words, from.max(32), layout);
         self.applied = k;
     }
 
     /// Materialize current values (signs/exp/layout read from `chunk`).
+    ///
+    /// # Panics
+    /// Panics on an element type or element count other than the chunk's.
     pub fn materialize<F: BitplaneFloat>(
         &self,
         chunk: &BitplaneChunk,
         recon: Reconstruction,
     ) -> Vec<F> {
         assert_eq!(chunk.dtype, F::TYPE_NAME, "chunk dtype mismatch");
+        assert_eq!(chunk.n, self.n, "chunk and decoder element counts differ");
         let b = self.total_planes;
+        let mut out = vec![F::from_f64(0.0); self.n];
         if chunk.exp == i32::MIN || b == 0 {
-            return vec![F::from_f64(0.0); chunk.n];
+            return out;
         }
+        // Midpoint offset: half of the first dropped plane's quantum.
         let midpoint: u64 = if self.applied < b && matches!(recon, Reconstruction::Midpoint) {
             1u64 << (b - self.applied - 1)
         } else {
             0
         };
-        let layout = chunk.layout;
-        let scale = crate::fixed::exp2(chunk.exp - b as i32);
-        (0..chunk.n)
-            .into_par_iter()
-            .with_min_len(1024)
-            .map(|e| {
-                let (u, r) = layout.position(e);
-                let sign = (chunk.signs[u] >> r) & 1 == 1;
-                let mut fixed = self.fixed[e];
-                if fixed != 0 {
-                    fixed |= midpoint;
+        let (scale, mid32) = (crate::fixed::exp2(chunk.exp - b as i32), midpoint as u32);
+        // Fan out over tiles, 32 or more to a worker (a thread spawn's
+        // worth). `move`: the row loops must read `b`, `midpoint` and
+        // `scale` as values — behind references the compiler reloads them
+        // after every store to `out` and the loops do not vectorise.
+        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
+        tiles.for_each(move |(tile, out)| {
+            let acc = tile * TILE_ELEMS..(tile + 1) * TILE_ELEMS;
+            let lo = self.lo.get(acc.clone()).unwrap_or(&[0; TILE_ELEMS]);
+            let (hi, lo) = (
+                self.hi[acc].chunks_exact(WORD_BITS),
+                lo.chunks_exact(WORD_BITS),
+            );
+            // The sign of tile element `32·j + t` is bit `j` of sign word
+            // `t` (interleaved) or bit `t` of word `j` (natural, made
+            // interleaved by one transpose), so row `j` below reads 32
+            // consecutive accumulators and sign words, unit stride.
+            let mut signs = [0u32; WORD_BITS];
+            let words = chunk.signs[tile * WORD_BITS..].iter();
+            signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
+            if chunk.layout == Layout::Natural {
+                transpose32(&mut signs);
+            }
+            for (j, ((row, hi), lo)) in out.chunks_mut(WORD_BITS).zip(hi).zip(lo).enumerate() {
+                let cells = row.iter_mut().zip(hi).zip(lo).zip(&signs);
+                if b <= 32 {
+                    // The magnitude fits the `hi` half: `u32` up to a
+                    // `u32 → f64` conversion the compiler vectorises.
+                    for (((o, &h), _), &s) in cells {
+                        let fixed = h >> (32 - b);
+                        let fixed = fixed | if fixed != 0 { mid32 } else { 0 };
+                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, u64::from(fixed), scale);
+                    }
+                } else {
+                    for (((o, &h), &l), &s) in cells {
+                        let fixed = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
+                        let fixed = fixed | if fixed != 0 { midpoint } else { 0 };
+                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, fixed, scale);
+                    }
                 }
-                F::from_fixed_scaled(sign, fixed, scale)
-            })
-            .collect()
+            }
+        });
+        out
+    }
+}
+
+/// OR plane-major `planes` (`words` words each, stream planes `first..`
+/// of one accumulator half) into the element-order accumulator `acc`:
+/// per word column, gather the plane words into a zeroed tile at their
+/// bit weight, transpose, and OR the 32 element rows out. A column whose
+/// gathered words are all zero — most columns of the high planes — is
+/// skipped before the transpose.
+fn accumulate(acc: &mut [u32], planes: &[u32], words: usize, first: usize, layout: Layout) {
+    if planes.is_empty() {
+        return;
+    }
+    let top = 31 - first % 32;
+    for u in 0..words {
+        let mut tile = [0u32; 32];
+        let mut any = 0;
+        for (p, plane) in planes.chunks_exact(words).enumerate() {
+            tile[top - p] = plane[u];
+            any |= plane[u];
+        }
+        if any == 0 {
+            continue;
+        }
+        transpose32(&mut tile);
+        let (start, stride) = match layout {
+            Layout::Natural => (u * WORD_BITS, 1),
+            Layout::Interleaved32 => (u / WORD_BITS * TILE_ELEMS + u % WORD_BITS, WORD_BITS),
+        };
+        let elems = acc[start..].iter_mut().step_by(stride);
+        elems.zip(tile).for_each(|(a, t)| *a |= t);
+    }
+}
+
+/// The decoder this module shipped before the word-parallel kernel —
+/// one accumulator update per *set bit*, one `layout.position` per
+/// materialized element — kept verbatim as the bit-exact reference.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub struct Decoder {
+        fixed: Vec<u64>,
+        applied: usize,
+        total_planes: usize,
+    }
+
+    impl Decoder {
+        pub fn with_total_planes(n: usize, total_planes: usize) -> Self {
+            Decoder {
+                fixed: vec![0u64; n],
+                applied: 0,
+                total_planes,
+            }
+        }
+
+        pub fn advance(&mut self, chunk: &BitplaneChunk, k: usize) {
+            let k = k.min(self.total_planes);
+            if chunk.exp == i32::MIN {
+                self.applied = k;
+                return;
+            }
+            let layout = chunk.layout;
+            let n = chunk.n;
+            for p in self.applied..k {
+                let weight_shift = (self.total_planes - 1 - p) as u32;
+                let plane = chunk.plane(p);
+                for (u, &word) in plane.iter().enumerate() {
+                    let mut w = word;
+                    while w != 0 {
+                        let r = w.trailing_zeros() as usize;
+                        w &= w - 1;
+                        let e = layout.element(u, r);
+                        if e < n {
+                            self.fixed[e] |= 1u64 << weight_shift;
+                        }
+                    }
+                }
+            }
+            self.applied = k;
+        }
+
+        pub fn materialize<F: BitplaneFloat>(
+            &self,
+            chunk: &BitplaneChunk,
+            recon: Reconstruction,
+        ) -> Vec<F> {
+            let b = self.total_planes;
+            if chunk.exp == i32::MIN || b == 0 {
+                return vec![F::from_f64(0.0); chunk.n];
+            }
+            let midpoint: u64 = if self.applied < b && matches!(recon, Reconstruction::Midpoint) {
+                1u64 << (b - self.applied - 1)
+            } else {
+                0
+            };
+            let layout = chunk.layout;
+            let scale = crate::fixed::exp2(chunk.exp - b as i32);
+            (0..chunk.n)
+                .map(|e| {
+                    let (u, r) = layout.position(e);
+                    let sign = (chunk.signs[u] >> r) & 1 == 1;
+                    let mut fixed = self.fixed[e];
+                    if fixed != 0 {
+                        fixed |= midpoint;
+                    }
+                    F::from_fixed_scaled(sign, fixed, scale)
+                })
+                .collect()
+        }
     }
 }
 
@@ -398,6 +494,7 @@ impl ProgressiveDecoder {
 mod tests {
     use super::*;
     use crate::fixed::prefix_error_bound;
+    use proptest::prelude::*;
 
     fn wave(n: usize, scale: f64) -> Vec<f64> {
         (0..n)
@@ -533,6 +630,208 @@ mod tests {
             let direct: Vec<f64> = decode_prefix(&c, k, Reconstruction::Truncate);
             assert_eq!(inc, direct, "k={k}");
         }
+    }
+
+    const BOTH: [Reconstruction; 2] = [Reconstruction::Truncate, Reconstruction::Midpoint];
+
+    fn bits<F: BitplaneFloat>(v: &[F]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Values spanning many binades, with exact ±0.0 sprinkled in;
+    /// `seed % 7 == 0` is an all-zero group.
+    fn noisy(n: usize, seed: u32) -> Vec<f64> {
+        let mut s = seed | 1;
+        (0..n)
+            .map(|_| {
+                s ^= s << 13;
+                s ^= s >> 17;
+                s ^= s << 5;
+                let sign = if s & 1 == 0 { 1.0 } else { -1.0 };
+                if seed.is_multiple_of(7) || s.is_multiple_of(11) {
+                    return sign * 0.0;
+                }
+                sign * f64::from(s >> 8) * crate::fixed::exp2((s >> 4) as i32 % 40 - 30)
+            })
+            .collect()
+    }
+
+    /// A strictly increasing plane schedule ending at `planes`.
+    fn schedule(planes: usize, seed: u32) -> Vec<usize> {
+        let mut ks = Vec::new();
+        let (mut k, mut s) = (0usize, seed | 1);
+        while k < planes {
+            s = s.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            k = (k + 1 + (s >> 24) as usize % 9).min(planes);
+            ks.push(k);
+        }
+        ks
+    }
+
+    /// Step the kernel and the oracle through `ks` over `chunk` (which may
+    /// carry fewer planes than the stream's `total`) and compare bit
+    /// patterns after every step; `decode_prefix` must agree wherever the
+    /// chunk is the whole stream.
+    fn assert_matches_oracle<F: BitplaneFloat>(chunk: &BitplaneChunk, total: usize, ks: &[usize]) {
+        let mut dec = ProgressiveDecoder::with_total_planes(chunk.n, total);
+        let mut want = oracle::Decoder::with_total_planes(chunk.n, total);
+        for &k in ks {
+            dec.advance(chunk, k);
+            want.advance(chunk, k);
+            assert_eq!(dec.applied(), k.min(total));
+            for recon in BOTH {
+                let got = bits(&dec.materialize::<F>(chunk, recon));
+                let tag = format!(
+                    "{:?} n={} total={total} k={k} {recon:?}",
+                    chunk.layout, chunk.n
+                );
+                assert_eq!(got, bits(&want.materialize::<F>(chunk, recon)), "{tag}");
+                if total == chunk.num_planes() {
+                    assert_eq!(
+                        got,
+                        bits(&decode_prefix::<F>(chunk, k, recon)),
+                        "prefix {tag}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn check_group<F: BitplaneFloat>(n: usize, planes: usize, seed: u32) {
+        let data: Vec<F> = noisy(n, seed).into_iter().map(F::from_f64).collect();
+        for layout in [Layout::Natural, Layout::Interleaved32] {
+            let full = encode(&data, planes, layout);
+            let ks = schedule(full.num_planes(), seed);
+            assert_matches_oracle::<F>(&full, full.num_planes(), &ks);
+            // What a session decodes: a chunk holding only a plane prefix
+            // of a longer stream.
+            if let Some(&k) = ks.first() {
+                let partial = BitplaneChunk::from_arena(
+                    n,
+                    full.exp,
+                    layout,
+                    full.dtype.clone(),
+                    full.signs.clone(),
+                    k,
+                    full.plane_range(0, k).to_vec(),
+                );
+                assert_matches_oracle::<F>(&partial, full.num_planes(), &[k]);
+            }
+        }
+    }
+
+    fn group_len() -> impl Strategy<Value = usize> {
+        prop_oneof![
+            Just(1usize),
+            Just(31usize),
+            Just(32usize),
+            Just(33usize),
+            Just(1023usize),
+            Just(1024usize),
+            Just(1025usize),
+            Just(3000usize),
+            1usize..2500,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn word_parallel_decoder_is_bit_identical_to_per_set_bit_oracle(
+            n in group_len(),
+            planes32 in 1usize..=32,
+            planes64 in prop_oneof![Just(48usize), Just(64usize), 1usize..=64],
+            seed in any::<u32>(),
+        ) {
+            check_group::<f32>(n, planes32, seed);
+            check_group::<f64>(n, planes64, seed);
+        }
+    }
+
+    #[test]
+    fn steps_straddling_plane_32_match_oracle() {
+        for n in [1usize, 33, 1025, 3000] {
+            let data = wave(n, 9.0);
+            for layout in [Layout::Natural, Layout::Interleaved32] {
+                let c = encode(&data, 64, layout);
+                for ks in [&[31usize, 33, 64][..], &[20, 40], &[32, 33], &[64]] {
+                    assert_matches_oracle::<f64>(&c, 64, ks);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_prefix_of_nothing_is_positive_zero() {
+        let data = wave32(100);
+        let c = encode(&data, 32, Layout::Interleaved32);
+        let back: Vec<f32> = decode_prefix(&c, 0, Reconstruction::Midpoint);
+        assert!(bits(&back).iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn advance_never_moves_backwards() {
+        let data = wave32(2000);
+        let c = encode(&data, 32, Layout::Interleaved32);
+        let mut dec = ProgressiveDecoder::new(&c);
+        dec.advance(&c, 20);
+        let at_20 = bits(&dec.materialize::<f32>(&c, Reconstruction::Midpoint));
+        for k in [20usize, 7, 0] {
+            dec.advance(&c, k);
+            assert_eq!(dec.applied(), 20, "k={k}");
+            assert_eq!(
+                bits(&dec.materialize::<f32>(&c, Reconstruction::Midpoint)),
+                at_20
+            );
+        }
+        assert_eq!(
+            at_20,
+            bits(&decode_prefix::<f32>(&c, 20, Reconstruction::Midpoint))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "element count")]
+    fn advance_rejects_a_chunk_of_another_size() {
+        let c = encode(&wave32(2000), 32, Layout::Interleaved32);
+        ProgressiveDecoder::with_total_planes(1999, 32).advance(&c, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "delta is not planes")]
+    fn advance_planes_rejects_a_wrong_word_count() {
+        let c = encode(&wave32(2000), 32, Layout::Interleaved32);
+        // Interleaved planes of 2000 elements are 64 words, natural ones 63.
+        ProgressiveDecoder::new(&c).advance_planes(Layout::Natural, c.plane_range(0, 4), 4);
+    }
+
+    #[test]
+    fn streams_of_at_most_32_planes_keep_one_accumulator_half() {
+        let c32 = encode(&wave32(5000), 32, Layout::Interleaved32);
+        let mut dec = ProgressiveDecoder::new(&c32);
+        dec.advance(&c32, 32);
+        assert_eq!((dec.hi.len(), dec.lo.len()), (5 * TILE_ELEMS, 0));
+        let c64 = encode(&wave(5000, 3.0), 64, Layout::Natural);
+        let mut dec = ProgressiveDecoder::new(&c64);
+        dec.advance(&c64, 32);
+        assert!(dec.lo.is_empty());
+        dec.advance(&c64, 33);
+        assert_eq!(dec.lo.len(), dec.hi.len());
+    }
+
+    #[test]
+    fn materialize_is_identical_on_one_and_four_threads() {
+        let data = wave32(70_000);
+        let c = encode(&data, 32, Layout::Interleaved32);
+        let mut dec = ProgressiveDecoder::new(&c);
+        dec.advance(&c, 17);
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+            let pool = pool.expect("the shim's build is infallible");
+            bits(&pool.install(|| dec.materialize::<f32>(&c, Reconstruction::Midpoint)))
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]

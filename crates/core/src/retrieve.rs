@@ -2,14 +2,15 @@
 //!
 //! Retrieval fetches a *prefix of merged units* per level group. The
 //! planner picks the cheapest prefix whose guaranteed L∞ bound
-//! `Σ_g w_g · 2^(exp_g − k_g)` meets the request; the session caches
-//! decoded plane state across refinements so each Algorithm-3 iteration
-//! only pays for the newly fetched units (the paper's recompose step).
+//! `Σ_g w_g · 2^(exp_g − k_g)` meets the request; the session keeps the
+//! decoded plane accumulators across refinements so each Algorithm-3
+//! iteration decompresses and applies only the newly fetched units (the
+//! paper's recompose step).
 
 use crate::error::MdrError;
 use crate::refactor::Refactored;
 use hpmdr_bitplane::native::ProgressiveDecoder;
-use hpmdr_bitplane::{prefix_error_bound, BitplaneFloat, Reconstruction};
+use hpmdr_bitplane::{prefix_error_bound, BitplaneChunk, BitplaneFloat, Reconstruction};
 use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
 use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
@@ -183,8 +184,10 @@ impl RetrievalPlan {
 
 /// Incremental reconstruction state for one refactored variable.
 ///
-/// Holds the per-group decoded bitplane accumulators; refining to a larger
-/// plan decompresses and applies only the new units. All decode and
+/// Holds per group the decoded bitplane accumulators, the sign plane and
+/// the stream metadata — not the decompressed planes, which are dropped
+/// once applied; refining to a larger plan decompresses and applies only
+/// the new units. All decode and
 /// recompose kernels route through the session's [`Backend`]
 /// (the portable [`ScalarBackend`] unless opened via
 /// [`RetrievalSession::with_backend`]).
@@ -193,7 +196,9 @@ pub struct RetrievalSession<'a, B: Backend = ScalarBackend> {
     backend: B,
     ctx: ExecCtx,
     compressor: HybridCompressor,
-    decoders: Vec<Option<(hpmdr_bitplane::BitplaneChunk, ProgressiveDecoder)>>,
+    /// Per group, once refined: a plane-less chunk (sign plane, exponent,
+    /// layout — what `materialize` reads) and the plane accumulators.
+    decoders: Vec<Option<(BitplaneChunk, ProgressiveDecoder)>>,
     units_applied: Vec<usize>,
     fetched_bytes: usize,
 }
@@ -262,46 +267,47 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
 
     /// Fallible [`Self::refine_to`]: returns a matchable
     /// [`MdrError::Decode`] (or [`MdrError::Corrupt`]) when a unit fails
-    /// to decode (truncated or corrupt payload). Units applied before
-    /// the failure remain applied.
+    /// to decode (truncated or corrupt payload). Groups refined before
+    /// the failure remain applied; the failing group keeps the state it
+    /// had, and [`Self::fetched_bytes`] counts applied units only.
     pub fn try_refine_to(&mut self, plan: &RetrievalPlan) -> Result<(), MdrError> {
         assert_eq!(plan.units.len(), self.decoders.len(), "plan shape mismatch");
         for (gi, &target) in plan.units.iter().enumerate() {
-            let target = target.min(self.refactored.streams[gi].num_units());
+            let stream = &self.refactored.streams[gi];
+            let target = target.min(stream.num_units());
             let current = self.units_applied[gi];
             if target <= current {
                 continue;
             }
-            let stream = &self.refactored.streams[gi];
-            for u in current..target {
-                self.fetched_bytes += stream.units[u].stored_len();
-            }
-            // Decompress the prefix [0, target) — cheap relative to decode;
-            // the plane accumulators only apply the new planes.
-            let chunk = self
+            // Decompress the new units only — entropy decoding is the
+            // largest decode stage, and re-reading the applied prefix
+            // would make unit-by-unit refinement quadratic in it — and
+            // apply their planes in one pass over the accumulators.
+            let new = self
                 .backend
-                .decode_units(
-                    &self.ctx,
-                    stream.view(),
-                    target,
-                    &self.compressor,
-                    &self.refactored.dtype,
-                )
+                .decode_unit_range(&self.ctx, stream.view(), current..target, &self.compressor)
                 .map_err(|e| MdrError::from(e).in_context(format!("group {gi}")))?;
-            let k = stream.planes_in_units(target);
-            match &mut self.decoders[gi] {
-                Some((stored, dec)) => {
-                    *stored = chunk;
-                    dec.advance(stored, k);
-                }
-                slot @ None => {
-                    let mut dec =
-                        ProgressiveDecoder::with_total_planes(stream.n, stream.num_planes);
-                    dec.advance(&chunk, k);
-                    *slot = Some((chunk, dec));
-                }
-            }
+            let (_, decoder) = self.decoders[gi].get_or_insert_with(|| {
+                // First refinement of the group: the run starts at unit 0,
+                // which carries the sign plane.
+                let signs = BitplaneChunk::from_arena(
+                    stream.n,
+                    stream.exp,
+                    stream.layout,
+                    self.refactored.dtype.clone(),
+                    new.signs.unwrap_or_default(),
+                    0,
+                    Vec::new(),
+                );
+                let decoder = ProgressiveDecoder::with_total_planes(stream.n, stream.num_planes);
+                (signs, decoder)
+            });
+            decoder.advance_planes(stream.layout, &new.planes, stream.planes_in_units(target));
             self.units_applied[gi] = target;
+            self.fetched_bytes += stream.units[current..target]
+                .iter()
+                .map(|u| u.stored_len())
+                .sum::<usize>();
         }
         Ok(())
     }
@@ -491,6 +497,165 @@ mod tests {
         two_step.refine_to(&coarse);
         two_step.refine_to(&fine);
         assert_eq!(two_step.fetched_bytes(), direct);
+    }
+
+    #[test]
+    fn failed_refinement_counts_only_applied_units() {
+        let data = field(33, 33);
+        let intact = refactor(&data, &[33, 33], &RefactorConfig::default());
+        let plan = RetrievalPlan::full(&intact);
+        // Damage the second unit of the last group: every earlier group
+        // refines, the last one must stay where it was.
+        let last = intact.streams.len() - 1;
+        assert!(intact.streams[last].num_units() >= 2);
+        let mut damaged = intact.clone();
+        let payload = &mut damaged.streams[last].units[1].payload;
+        payload.truncate(payload.len() / 2);
+
+        let mut sess = RetrievalSession::new(&damaged);
+        let mut first = RetrievalPlan::empty(&damaged);
+        first.units[last] = 1;
+        sess.refine_to(&first);
+        let err = sess.try_refine_to(&plan).unwrap_err();
+        assert!(
+            matches!(err, MdrError::Decode { .. } | MdrError::Corrupt(_)),
+            "{err}"
+        );
+        let mut applied = plan.units.clone();
+        applied[last] = 1;
+        assert_eq!(sess.units(), &applied[..]);
+        let applied = RetrievalPlan { units: applied };
+        assert_eq!(sess.fetched_bytes(), applied.fetch_bytes(&damaged));
+
+        // The applied state is exactly a fresh session's over the intact
+        // archive at the same units.
+        let mut fresh = RetrievalSession::new(&intact);
+        fresh.refine_to(&applied);
+        assert_eq!(sess.reconstruct::<f32>(), fresh.reconstruct::<f32>());
+    }
+
+    /// Step a session one greedy unit at a time to exhaustion; after every
+    /// step it must hold bit for bit what a fresh session refined straight
+    /// to the same units holds.
+    fn assert_stepwise_matches_fresh<F: BitplaneFloat + Real>(r: &Refactored) {
+        let bits = |v: Vec<F>| -> Vec<u64> {
+            v.into_iter()
+                .map(|x| BitplaneFloat::to_f64(x).to_bits())
+                .collect()
+        };
+        let mut stepped = RetrievalSession::new(r);
+        while !stepped.exhausted() {
+            stepped.advance_greedy(1);
+            let mut fresh = RetrievalSession::new(r);
+            fresh.refine_to(&RetrievalPlan {
+                units: stepped.units().to_vec(),
+            });
+            assert_eq!(stepped.fetched_bytes(), fresh.fetched_bytes());
+            assert_eq!(
+                bits(stepped.reconstruct()),
+                bits(fresh.reconstruct()),
+                "units {:?}",
+                stepped.units()
+            );
+        }
+        assert_eq!(stepped.units(), &RetrievalPlan::full(r).units[..]);
+    }
+
+    #[test]
+    fn unit_by_unit_refinement_matches_fresh_sessions_f32() {
+        let data = field(33, 20);
+        assert_stepwise_matches_fresh::<f32>(&refactor(
+            &data,
+            &[33, 20],
+            &RefactorConfig::default(),
+        ));
+    }
+
+    #[test]
+    fn unit_by_unit_refinement_matches_fresh_sessions_f64() {
+        // 64 planes: unit steps cross the accumulators' 32-plane halves.
+        let data: Vec<f64> = field(17, 17).into_iter().map(f64::from).collect();
+        let r = refactor(&data, &[17, 17], &RefactorConfig::default());
+        assert!(r.streams.iter().any(|s| s.num_planes > 32));
+        assert_stepwise_matches_fresh::<f64>(&r);
+    }
+
+    /// [`ScalarBackend`] that counts the merged units it is asked to
+    /// decompress.
+    #[derive(Clone, Default)]
+    struct CountingBackend {
+        inner: ScalarBackend,
+        units: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Backend for CountingBackend {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+        fn threads(&self) -> usize {
+            1
+        }
+        fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+            self.inner.install(f)
+        }
+        fn decode_unit_range(
+            &self,
+            ctx: &ExecCtx,
+            stream: hpmdr_exec::StreamView<'_>,
+            units: std::ops::Range<usize>,
+            compressor: &HybridCompressor,
+        ) -> Result<hpmdr_exec::UnitPlanes, hpmdr_exec::DecodeError> {
+            use std::sync::atomic::Ordering::SeqCst;
+            self.units.fetch_add(units.len(), SeqCst);
+            self.inner.decode_unit_range(ctx, stream, units, compressor)
+        }
+    }
+
+    #[test]
+    fn refinement_decompresses_each_unit_exactly_once() {
+        use std::sync::atomic::Ordering::SeqCst;
+        let data = field(33, 33);
+        let r = refactor(&data, &[33, 33], &RefactorConfig::default());
+        let total: usize = r.streams.iter().map(|s| s.num_units()).sum();
+
+        // Nested plans p1 ⊂ p2 ⊂ p3: every unit of p3 once, none twice.
+        let backend = CountingBackend::default();
+        let mut sess = RetrievalSession::with_backend(&r, backend.clone());
+        let mut seen = 0;
+        for eb in [1e-1, 1e-3, 1e-6] {
+            let (plan, _) = RetrievalPlan::for_error(&r, eb);
+            sess.refine_to(&plan);
+            let want: usize = plan.units.iter().sum();
+            assert!(want > seen, "plans must grow");
+            seen = want;
+            assert_eq!(backend.units.load(SeqCst), want, "eb={eb}");
+        }
+
+        // One unit per call to exhaustion: Σ units, not Σ u·(u+1)/2.
+        let backend = CountingBackend::default();
+        let mut sess = RetrievalSession::with_backend(&r, backend.clone());
+        while !sess.exhausted() {
+            sess.advance_greedy(1);
+        }
+        assert_eq!(backend.units.load(SeqCst), total);
+    }
+
+    #[test]
+    fn parallel_backend_thread_count_does_not_change_the_values() {
+        use hpmdr_exec::ParallelBackend;
+        // The finest group (≈ 49 k coefficients) is large enough for
+        // `materialize` to fan out over tiles on four workers.
+        let data = field(257, 257);
+        let r = refactor(&data, &[257, 257], &RefactorConfig::default());
+        let (plan, _) = RetrievalPlan::for_error(&r, 1e-4);
+        let run = |threads: usize| {
+            let backend = ParallelBackend::with_threads(threads);
+            let mut sess = RetrievalSession::with_backend(&r, backend);
+            sess.refine_to(&plan);
+            let rec: Vec<f32> = sess.reconstruct();
+            rec.into_iter().map(f32::to_bits).collect::<Vec<u32>>()
+        };
+        assert_eq!(run(1), run(4));
     }
 
     #[test]

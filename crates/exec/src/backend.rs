@@ -93,6 +93,18 @@ impl<'a> StreamView<'a> {
     }
 }
 
+/// The decompressed planes of a run of merged units (what
+/// [`Backend::decode_unit_range`] returns).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitPlanes {
+    /// The sign plane — present exactly when the run starts at unit 0,
+    /// which carries it ahead of its magnitude planes.
+    pub signs: Option<Vec<u32>>,
+    /// Plane-major words of the run's magnitude planes, stream planes
+    /// `planes_in_units(start)..planes_in_units(end)`.
+    pub planes: Vec<u32>,
+}
+
 /// Portable execution backend: the kernels every pipeline stage routes
 /// through. Implementations must be cheap to clone (the overlapped
 /// pipeline clones one handle per tile submission) and are expected to
@@ -182,15 +194,68 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
             .collect()
     }
 
-    /// Decompress the first `take_units` merged units of a stream back
-    /// into a (possibly partial) [`BitplaneChunk`] — the retrieval-side
-    /// inverse of [`Backend::compress_units`].
+    /// Decompress merged units `units` of a stream into their magnitude
+    /// planes — the one unit loop of retrieval, run by
+    /// [`Backend::decode_units`] over `0..take_units` and by a session's
+    /// refinement over just the units it has not applied yet.
     ///
     /// Unit payloads decode into a scratch buffer leased from `ctx`
     /// (`Direct` units are read in place, zero copy) and land in the
-    /// chunk's plane-major arena as one contiguous word range per unit.
-    /// Streams are storage input, so every structural defect is a
-    /// readable error, never a panic.
+    /// plane-major result as one contiguous word range per unit. The
+    /// range is clamped to the stream's units. Streams are storage input,
+    /// so every structural defect is a readable error, never a panic.
+    fn decode_unit_range(
+        &self,
+        ctx: &ExecCtx,
+        stream: StreamView<'_>,
+        units: std::ops::Range<usize>,
+        compressor: &HybridCompressor,
+    ) -> Result<UnitPlanes, DecodeError> {
+        let end = units.end.min(stream.units.len());
+        let start = units.start.min(end);
+        self.install(|| {
+            let words = stream.layout.words_per_plane(stream.n);
+            if stream.plane_bytes != words * 4 {
+                return Err(DecodeError::Structure(format!(
+                    "stream declares {}-byte planes, layout needs {}",
+                    stream.plane_bytes,
+                    words * 4
+                )));
+            }
+            let first = stream.planes_in_units(start);
+            let mut signs = (start == 0 && end > 0).then(|| vec![0u32; words]);
+            let mut planes = vec![0u32; (stream.planes_in_units(end) - first) * words];
+            ctx.with_buffer(|scratch| -> Result<(), DecodeError> {
+                for u in start..end {
+                    let raw = compressor
+                        .decompress_to(&stream.units[u], scratch)
+                        .map_err(|e| DecodeError::Unit { unit: u, source: e })?;
+                    let lo = stream.planes_in_units(u) - first;
+                    let hi = stream.planes_in_units(u + 1) - first;
+                    let expect = (hi - lo + usize::from(u == 0)) * stream.plane_bytes;
+                    if raw.len() != expect {
+                        return Err(DecodeError::Structure(format!(
+                            "unit {u} decompressed to {} bytes, expected {expect}",
+                            raw.len()
+                        )));
+                    }
+                    let mut off = 0usize;
+                    if let (0, Some(signs)) = (u, signs.as_mut()) {
+                        read_words(&raw[..stream.plane_bytes], signs);
+                        off = stream.plane_bytes;
+                    }
+                    read_words(&raw[off..], &mut planes[lo * words..hi * words]);
+                }
+                Ok(())
+            })?;
+            Ok(UnitPlanes { signs, planes })
+        })
+    }
+
+    /// Decompress the first `take_units` merged units of a stream back
+    /// into a (possibly partial) [`BitplaneChunk`] — the retrieval-side
+    /// inverse of [`Backend::compress_units`], and the `0..take_units`
+    /// case of [`Backend::decode_unit_range`].
     fn decode_units(
         &self,
         ctx: &ExecCtx,
@@ -200,51 +265,18 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         dtype: &str,
     ) -> Result<BitplaneChunk, DecodeError> {
         let take_units = take_units.min(stream.units.len());
-        self.install(|| {
-            let k = stream.planes_in_units(take_units);
-            let words = stream.layout.words_per_plane(stream.n);
-            if stream.plane_bytes != words * 4 {
-                return Err(DecodeError::Structure(format!(
-                    "stream declares {}-byte planes, layout needs {}",
-                    stream.plane_bytes,
-                    words * 4
-                )));
-            }
-            let mut signs = vec![0u32; words];
-            let mut arena = vec![0u32; k * words];
-            ctx.with_buffer(|scratch| -> Result<(), DecodeError> {
-                for u in 0..take_units {
-                    let raw = compressor
-                        .decompress_to(&stream.units[u], scratch)
-                        .map_err(|e| DecodeError::Unit { unit: u, source: e })?;
-                    let lo = (u * stream.group_size).min(stream.num_planes);
-                    let hi = ((u + 1) * stream.group_size).min(stream.num_planes);
-                    let expect = (hi - lo + usize::from(u == 0)) * stream.plane_bytes;
-                    if raw.len() != expect {
-                        return Err(DecodeError::Structure(format!(
-                            "unit {u} decompressed to {} bytes, expected {expect}",
-                            raw.len()
-                        )));
-                    }
-                    let mut off = 0usize;
-                    if u == 0 {
-                        read_words(&raw[..stream.plane_bytes], &mut signs);
-                        off = stream.plane_bytes;
-                    }
-                    read_words(&raw[off..], &mut arena[lo * words..hi * words]);
-                }
-                Ok(())
-            })?;
-            Ok(BitplaneChunk::from_arena(
-                stream.n,
-                stream.exp,
-                stream.layout,
-                dtype.to_string(),
-                signs,
-                k,
-                arena,
-            ))
-        })
+        let decoded = self.decode_unit_range(ctx, stream, 0..take_units, compressor)?;
+        Ok(BitplaneChunk::from_arena(
+            stream.n,
+            stream.exp,
+            stream.layout,
+            dtype.to_string(),
+            decoded
+                .signs
+                .unwrap_or_else(|| vec![0; stream.layout.words_per_plane(stream.n)]),
+            stream.planes_in_units(take_units),
+            decoded.planes,
+        ))
     }
 
     /// Run `f` over every item of a batch and collect the results in

@@ -45,7 +45,7 @@ mod scalar;
 mod simd;
 pub mod stages;
 
-pub use backend::{Backend, DecodeError, EncodedStream, StreamView};
+pub use backend::{Backend, DecodeError, EncodedStream, StreamView, UnitPlanes};
 pub use ctx::{ExecCtx, DEFAULT_TILE_ROWS};
 pub use hpmdr_simd::Isa;
 pub use parallel::ParallelBackend;

@@ -71,7 +71,7 @@ mod tests {
         let data: Vec<f32> = (0..300).map(|i| (i as f32 * 0.21).sin() * 3.0).collect();
         let compressor = HybridCompressor::new(HybridConfig::default());
         let streams =
-            backend.encode_and_compress(&ctx, &[data], 32, Layout::Interleaved32, 4, &compressor);
+            backend.encode_and_compress(&ctx, &[data], 32, Layout::Interleaved32, 5, &compressor);
         assert_eq!(streams.len(), 1);
         let s = &streams[0];
         let view = crate::backend::StreamView {
@@ -88,5 +88,25 @@ mod tests {
             .unwrap();
         full.validate().unwrap();
         assert_eq!(full.num_planes(), s.num_planes);
+
+        // Any run of units decodes to exactly its slice of the full
+        // arena; the sign plane comes with unit 0 and only with it. The
+        // group size 5 leaves the last unit short (32 = 6·5 + 2).
+        let units = s.units.len();
+        for (a, b) in [
+            (0, 1),
+            (0, units),
+            (1, 3),
+            (3, units),
+            (units - 1, units + 4),
+            (2, 2),
+        ] {
+            let run = backend
+                .decode_unit_range(&ctx, view, a..b, &compressor)
+                .unwrap();
+            let planes = view.planes_in_units(a)..view.planes_in_units(b.min(units));
+            assert_eq!(run.planes, full.plane_range(planes.start, planes.end));
+            assert_eq!(run.signs, (a == 0).then(|| full.signs.clone()), "{a}..{b}");
+        }
     }
 }

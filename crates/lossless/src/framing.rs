@@ -50,6 +50,11 @@ impl ChunkFrames<'_> {
     }
 }
 
+/// The `N` bytes at `off`; `None` if the stream ends before them.
+fn bytes_at<const N: usize>(stream: &[u8], off: usize) -> Option<[u8; N]> {
+    stream.get(off..)?.first_chunk::<N>().copied()
+}
+
 /// Parse the frame of `stream`, whose chunk-length table starts at
 /// `table_off` (16 for RLE, 16 + 256 for Huffman's code-length table).
 pub(crate) fn parse_frames(
@@ -59,9 +64,10 @@ pub(crate) fn parse_frames(
     if stream.len() < table_off {
         return Err(FramingError::TruncatedHeader);
     }
-    let orig_len = u64::from_le_bytes(stream[0..8].try_into().expect("sized")) as usize;
-    let chunk_size = u32::from_le_bytes(stream[8..12].try_into().expect("sized")) as usize;
-    let n_chunks = u32::from_le_bytes(stream[12..16].try_into().expect("sized")) as usize;
+    let short = || FramingError::TruncatedHeader;
+    let orig_len = u64::from_le_bytes(bytes_at(stream, 0).ok_or_else(short)?) as usize;
+    let chunk_size = u32::from_le_bytes(bytes_at(stream, 8).ok_or_else(short)?) as usize;
+    let n_chunks = u32::from_le_bytes(bytes_at(stream, 12).ok_or_else(short)?) as usize;
 
     if n_chunks == 0 {
         if orig_len != 0 {
@@ -105,7 +111,8 @@ pub(crate) fn parse_frames(
     let mut chunks = Vec::with_capacity(n_chunks);
     let mut payload_off = table_end;
     for i in 0..n_chunks {
-        let l = u32::from_le_bytes(stream[off..off + 4].try_into().expect("sized")) as usize;
+        let l = bytes_at(stream, off).ok_or(FramingError::TruncatedPayload)?;
+        let l = u32::from_le_bytes(l) as usize;
         off += 4;
         let end = payload_off
             .checked_add(l)

@@ -304,8 +304,9 @@ fn try_code_lengths(hist: &[u64; 256]) -> [u8; 256] {
     }
     let mut next_id = 256;
     while heap.len() > 1 {
-        let a = heap.pop().expect("heap len > 1");
-        let b = heap.pop().expect("heap len > 1");
+        let (Some(a), Some(b)) = (heap.pop(), heap.pop()) else {
+            break;
+        };
         parents[a.id] = next_id;
         parents[b.id] = next_id;
         heap.push(Node {
@@ -637,6 +638,8 @@ impl<'a> Bits<'a> {
             let w = u64::from_be_bytes(
                 self.data[self.pos..self.pos + 8]
                     .try_into()
+                    // lint:allow(L3): statically infallible — the range
+                    // above is exactly 8 bytes long (decode hot loop).
                     .expect("8-byte slice"),
             );
             self.acc |= w >> self.have;

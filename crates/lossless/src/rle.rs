@@ -79,22 +79,6 @@ pub fn push_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Read a LEB128 varint, returning `(value, bytes_consumed)`.
-#[inline]
-pub fn read_varint(data: &[u8]) -> (u64, usize) {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in data.iter().enumerate() {
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return (v, i + 1);
-        }
-        shift += 7;
-        assert!(shift < 64, "varint overflow");
-    }
-    panic!("truncated varint");
-}
-
 /// Encoded byte size of `v` as a varint.
 #[inline]
 pub fn varint_len(v: u64) -> usize {
@@ -140,9 +124,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Checked [`read_varint`]: `None` on truncation or overflow.
+/// Read a LEB128 varint, returning `(value, bytes_consumed)`; `None` on
+/// truncation or overflow.
 #[inline]
-fn try_read_varint(data: &[u8]) -> Option<(u64, usize)> {
+pub fn read_varint(data: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0u32;
     for (i, &b) in data.iter().enumerate() {
@@ -167,7 +152,7 @@ fn decode_chunk(payload: &[u8], dst: &mut [u8], chunk: usize) -> Result<(), RleE
         let v = *payload.get(p).ok_or_else(|| corrupt("truncated run"))?;
         p += 1;
         let (run, used) =
-            try_read_varint(&payload[p..]).ok_or_else(|| corrupt("truncated run length"))?;
+            read_varint(&payload[p..]).ok_or_else(|| corrupt("truncated run length"))?;
         p += used;
         let run = run as usize;
         if run > dst.len() - filled {
@@ -223,7 +208,7 @@ mod tests {
             let mut buf = Vec::new();
             push_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v), "len for {v}");
-            let (back, used) = read_varint(&buf);
+            let (back, used) = read_varint(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
         }

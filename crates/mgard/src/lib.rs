@@ -24,7 +24,7 @@
 //! * [`quantize`] — uniform level-scaled quantization (used by the MGARD
 //!   baseline codec of the evaluation, not by HP-MDR's bitplane path).
 //! * [`mod@simd`] — runtime-dispatched AVX2/NEON kernels for the
-//!   quantize/dequantize/zig-zag hot loops, bit-identical to the scalar
+//!   quantize/zig-zag hot loops, bit-identical to the scalar
 //!   reference on every ISA.
 
 pub mod grid;
@@ -36,7 +36,7 @@ pub mod transform;
 
 pub use grid::Hierarchy;
 pub use levels::{extract_levels, inject_levels, level_error_weights, LevelSet};
-pub use simd::{dequantize_with_isa, quantize_with_isa, quantize_zigzag_with_isa, Isa};
+pub use simd::{quantize_with_isa, quantize_zigzag_with_isa, Isa};
 pub use transform::{decompose, extract_active_grid, recompose, recompose_to_level};
 
 /// Minimal float abstraction for the decomposition math.

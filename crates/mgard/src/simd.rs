@@ -1,11 +1,13 @@
 //! Runtime-dispatched SIMD kernels for [`quantize`](crate::quantize).
 //!
-//! The MGARD baseline codec spends most of its coefficient-processing time
-//! in three embarrassingly parallel loops: fixed-point quantization
-//! (`(v * inv).round() as i64`), dequantization (`qi as f64 * 2.0 * eb`),
-//! and the zig-zag map feeding the varint byte stream. This module provides
-//! AVX2 and NEON implementations of all three behind the same [`Isa`]
-//! dispatch used by the bitplane and Huffman kernels.
+//! The MGARD baseline codec's encode side spends most of its
+//! coefficient-processing time in two embarrassingly parallel loops:
+//! fixed-point quantization (`(v * inv).round() as i64`) and the zig-zag
+//! map feeding the varint byte stream. This module provides AVX2 and NEON
+//! implementations of both behind the same [`Isa`] dispatch used by the
+//! bitplane and Huffman kernels. (Dequantization stays the scalar
+//! [`dequantize`](crate::quantize::dequantize): a vector kernel measured
+//! slower than the loop the compiler already vectorises.)
 //!
 //! # Bit identity
 //!
@@ -24,10 +26,6 @@
 //!   (`(r + 1.5·2^52) reinterpreted - magic`), which is exact for
 //!   `|r| ≤ 2^51`; lanes outside that range (or NaN) take a per-block
 //!   scalar fallback that replicates the Rust cast verbatim.
-//! * **Dequantization.** The products are evaluated in the scalar
-//!   reference's association order `(qi as f64 * 2.0) * eb`. The
-//!   `i64 -> f64` conversion is exact on NEON (`SCVTF`); on AVX2 the
-//!   inverse magic trick is used with the same `|qi| ≤ 2^51` guard.
 //!
 //! # Safety model
 //!
@@ -85,18 +83,6 @@ pub fn quantize_zigzag_with_isa<F: Real>(values: &[F], eb: f64, isa: Isa) -> Vec
     out
 }
 
-/// [`dequantize`](crate::quantize::dequantize) with the hot loop dispatched
-/// to `isa`'s vectorized kernel. Bit-identical to the scalar reference.
-pub fn dequantize_with_isa<F: Real>(q: &[i64], eb: f64, isa: Isa) -> Vec<F> {
-    let mut out = vec![F::ZERO; q.len()];
-    if !dequantize_into(q, eb, isa.or_scalar(), &mut out) {
-        for (o, &qi) in out.iter_mut().zip(q) {
-            *o = F::from_f64(qi as f64 * 2.0 * eb);
-        }
-    }
-    out
-}
-
 /// Dispatch to a vector quantize kernel; `false` means no kernel applies
 /// (unsupported ISA/arch/type) and the caller must run the scalar loop.
 fn quantize_into<F: Real, const ZIGZAG: bool>(
@@ -145,55 +131,6 @@ fn quantize_into<F: Real, const ZIGZAG: bool>(
             unsafe {
                 let v = std::slice::from_raw_parts(values.as_ptr() as *const f64, values.len());
                 quantize_f64_neon::<ZIGZAG>(v, inv, out);
-            }
-            return true;
-        }
-    }
-    false
-}
-
-/// Dispatch to a vector dequantize kernel; `false` means scalar fallback.
-fn dequantize_into<F: Real>(q: &[i64], eb: f64, isa: Isa, out: &mut [F]) -> bool {
-    debug_assert_eq!(q.len(), out.len());
-    let _ = (q, eb, isa, &mut *out);
-    #[cfg(target_arch = "x86_64")]
-    if isa == Isa::Avx2 {
-        if TypeId::of::<F>() == TypeId::of::<f32>() {
-            // SAFETY: F is f32 (TypeId match), so the slice cast is a
-            // layout no-op; Avx2 was verified available by the dispatch.
-            unsafe {
-                let o = std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len());
-                dequantize_f32_avx2(q, eb, o);
-            }
-            return true;
-        }
-        if TypeId::of::<F>() == TypeId::of::<f64>() {
-            // SAFETY: F is f64 (TypeId match), so the slice cast is a
-            // layout no-op; Avx2 was verified available by the dispatch.
-            unsafe {
-                let o = std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f64, out.len());
-                dequantize_f64_avx2(q, eb, o);
-            }
-            return true;
-        }
-    }
-    #[cfg(target_arch = "aarch64")]
-    if isa == Isa::Neon {
-        if TypeId::of::<F>() == TypeId::of::<f32>() {
-            // SAFETY: F is f32 (TypeId match), so the slice cast is a
-            // layout no-op; Neon was verified available by the dispatch.
-            unsafe {
-                let o = std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f32, out.len());
-                dequantize_f32_neon(q, eb, o);
-            }
-            return true;
-        }
-        if TypeId::of::<F>() == TypeId::of::<f64>() {
-            // SAFETY: F is f64 (TypeId match), so the slice cast is a
-            // layout no-op; Neon was verified available by the dispatch.
-            unsafe {
-                let o = std::slice::from_raw_parts_mut(out.as_mut_ptr() as *mut f64, out.len());
-                dequantize_f64_neon(q, eb, o);
             }
             return true;
         }
@@ -328,85 +265,10 @@ mod x86 {
             out[i] = if ZIGZAG { zz(c) } else { c };
         }
     }
-
-    /// Inverse magic `i64 -> f64` (exact for `|qi| ≤ 2^51`) and the scalar
-    /// association order `(qi as f64 * 2.0) * eb`.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: precondition is AVX2 availability (dispatch-gated); all
-    // accesses stay inside the argument slices.
-    pub(super) unsafe fn dequantize_f64(q: &[i64], eb: f64, out: &mut [f64]) {
-        let magic_pd = _mm256_set1_pd(f64::from_bits(MAGIC_BITS as u64));
-        let magic_si = _mm256_set1_epi64x(MAGIC_BITS);
-        let two = _mm256_set1_pd(2.0);
-        let veb = _mm256_set1_pd(eb);
-        let hi = _mm256_set1_epi64x(1 << 51);
-        let lo = _mm256_set1_epi64x(-(1 << 51));
-        let n = q.len() & !3;
-        for i in (0..n).step_by(4) {
-            let qi = _mm256_loadu_si256(q.as_ptr().add(i) as *const __m256i);
-            let bad = _mm256_or_si256(_mm256_cmpgt_epi64(qi, hi), _mm256_cmpgt_epi64(lo, qi));
-            if _mm256_movemask_epi8(bad) == 0 {
-                let d = _mm256_sub_pd(
-                    _mm256_castsi256_pd(_mm256_add_epi64(qi, magic_si)),
-                    magic_pd,
-                );
-                let t = _mm256_mul_pd(_mm256_mul_pd(d, two), veb);
-                _mm256_storeu_pd(out.as_mut_ptr().add(i), t);
-            } else {
-                for j in i..i + 4 {
-                    out[j] = (q[j] as f64 * 2.0) * eb;
-                }
-            }
-        }
-        for i in n..q.len() {
-            out[i] = (q[i] as f64 * 2.0) * eb;
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    // SAFETY: precondition is AVX2 availability (dispatch-gated); all
-    // accesses stay inside the argument slices.
-    pub(super) unsafe fn dequantize_f32(q: &[i64], eb: f64, out: &mut [f32]) {
-        let magic_pd = _mm256_set1_pd(f64::from_bits(MAGIC_BITS as u64));
-        let magic_si = _mm256_set1_epi64x(MAGIC_BITS);
-        let two = _mm256_set1_pd(2.0);
-        let veb = _mm256_set1_pd(eb);
-        let hi = _mm256_set1_epi64x(1 << 51);
-        let lo = _mm256_set1_epi64x(-(1 << 51));
-        let n = q.len() & !3;
-        for i in (0..n).step_by(4) {
-            let qi = _mm256_loadu_si256(q.as_ptr().add(i) as *const __m256i);
-            let bad = _mm256_or_si256(_mm256_cmpgt_epi64(qi, hi), _mm256_cmpgt_epi64(lo, qi));
-            if _mm256_movemask_epi8(bad) == 0 {
-                let d = _mm256_sub_pd(
-                    _mm256_castsi256_pd(_mm256_add_epi64(qi, magic_si)),
-                    magic_pd,
-                );
-                let t = _mm256_mul_pd(_mm256_mul_pd(d, two), veb);
-                // Narrowing rounds nearest-even, matching `as f32`.
-                _mm_storeu_ps(out.as_mut_ptr().add(i), _mm256_cvtpd_ps(t));
-            } else {
-                for j in i..i + 4 {
-                    out[j] = ((q[j] as f64 * 2.0) * eb) as f32;
-                }
-            }
-        }
-        for i in n..q.len() {
-            out[i] = ((q[i] as f64 * 2.0) * eb) as f32;
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{
-    dequantize_f32 as dequantize_f32_avx2, dequantize_f64 as dequantize_f64_avx2,
-    quantize_f32 as quantize_f32_avx2, quantize_f64 as quantize_f64_avx2,
-};
+use x86::{quantize_f32 as quantize_f32_avx2, quantize_f64 as quantize_f64_avx2};
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
@@ -469,55 +331,15 @@ mod arm {
             out[i] = if ZIGZAG { zz(c) } else { c };
         }
     }
-
-    /// # Safety
-    /// Caller must ensure NEON is available.
-    #[target_feature(enable = "neon")]
-    // SAFETY: precondition is NEON availability (aarch64 baseline,
-    // dispatch-gated); all accesses stay inside the argument slices.
-    pub(super) unsafe fn dequantize_f64(q: &[i64], eb: f64, out: &mut [f64]) {
-        let n = q.len() & !1;
-        for i in (0..n).step_by(2) {
-            // SCVTF is the exact `i64 as f64` conversion; products use the
-            // scalar association order `(qi as f64 * 2.0) * eb`.
-            let d = vcvtq_f64_s64(vld1q_s64(q.as_ptr().add(i)));
-            let t = vmulq_n_f64(vmulq_n_f64(d, 2.0), eb);
-            vst1q_f64(out.as_mut_ptr().add(i), t);
-        }
-        for i in n..q.len() {
-            out[i] = (q[i] as f64 * 2.0) * eb;
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure NEON is available.
-    #[target_feature(enable = "neon")]
-    // SAFETY: precondition is NEON availability (aarch64 baseline,
-    // dispatch-gated); all accesses stay inside the argument slices.
-    pub(super) unsafe fn dequantize_f32(q: &[i64], eb: f64, out: &mut [f32]) {
-        let n = q.len() & !1;
-        for i in (0..n).step_by(2) {
-            let d = vcvtq_f64_s64(vld1q_s64(q.as_ptr().add(i)));
-            let t = vmulq_n_f64(vmulq_n_f64(d, 2.0), eb);
-            // FCVTN narrows nearest-even, matching `as f32`.
-            vst1_f32(out.as_mut_ptr().add(i), vcvt_f32_f64(t));
-        }
-        for i in n..q.len() {
-            out[i] = ((q[i] as f64 * 2.0) * eb) as f32;
-        }
-    }
 }
 
 #[cfg(target_arch = "aarch64")]
-use arm::{
-    dequantize_f32 as dequantize_f32_neon, dequantize_f64 as dequantize_f64_neon,
-    quantize_f32 as quantize_f32_neon, quantize_f64 as quantize_f64_neon,
-};
+use arm::{quantize_f32 as quantize_f32_neon, quantize_f64 as quantize_f64_neon};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::quantize::{codes_to_bytes, dequantize, quantize};
+    use crate::quantize::{codes_to_bytes, quantize};
 
     fn available_isas() -> Vec<Isa> {
         [Isa::Scalar, Isa::Avx2, Isa::Neon]
@@ -585,42 +407,6 @@ mod tests {
         let want: Vec<i64> = vec![1, -1, 2, -2, 3, -3];
         for isa in available_isas() {
             assert_eq!(quantize_with_isa(&vals, 0.25, isa), want, "isa={isa}");
-        }
-    }
-
-    #[test]
-    fn dequantize_with_isa_matches_scalar() {
-        let codes: Vec<i64> = vec![
-            0,
-            1,
-            -1,
-            1000,
-            -999,
-            i64::MAX,
-            i64::MIN,
-            (1 << 51) + 1,
-            -(1 << 51) - 1,
-            (1 << 51),
-            -(1 << 51),
-            12345678901,
-        ];
-        for eb in [0.25, 1e-4] {
-            let want64: Vec<f64> = dequantize(&codes, eb);
-            let want32: Vec<f32> = dequantize(&codes, eb);
-            for isa in available_isas() {
-                let got64: Vec<f64> = dequantize_with_isa(&codes, eb, isa);
-                let got32: Vec<f32> = dequantize_with_isa(&codes, eb, isa);
-                assert_eq!(
-                    got64.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    want64.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "isa={isa} eb={eb}"
-                );
-                assert_eq!(
-                    got32.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    want32.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                    "isa={isa} eb={eb}"
-                );
-            }
         }
     }
 

@@ -500,6 +500,56 @@ impl<T: Sync> ParallelSlice<T> for [T] {
     }
 }
 
+/// `.par_chunks_mut()` over mutably borrowed slices.
+pub trait ParallelSliceMut<T: Send> {
+    /// Parallel iterator over disjoint `chunk_size`-sized mutable
+    /// subslices (last may be shorter).
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
+}
+
+/// Parallel iterator over fixed-size mutable subslices.
+pub struct ParChunksMut<'a, T: Send> {
+    slice: &'a mut [T],
+    chunk: usize,
+    min_len: usize,
+}
+
+impl<'a, T: Send> ParallelIterator for ParChunksMut<'a, T> {
+    type Item = &'a mut [T];
+
+    fn length(&self) -> usize {
+        self.slice.len().div_ceil(self.chunk)
+    }
+
+    fn min_len_hint(&self) -> usize {
+        self.min_len
+    }
+
+    fn set_min_len(&mut self, n: usize) {
+        self.min_len = n;
+    }
+
+    fn drive(self, parts: usize, job: &(dyn Fn(usize, Vec<&'a mut [T]>) + Sync)) {
+        let ranges = split_ranges(self.length(), parts.max(1));
+        let mut chunks = self.slice.chunks_mut(self.chunk);
+        let parts_vec = ranges
+            .into_iter()
+            .map(|(s, e)| (s, chunks.by_ref().take(e - s).collect()))
+            .collect();
+        run_parts(parts_vec, job);
+    }
+}
+
+impl<T: Send> ParallelSliceMut<T> for [T] {
+    fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
+        ParChunksMut {
+            slice: self,
+            chunk: chunk_size.max(1),
+            min_len: 1,
+        }
+    }
+}
+
 /// `map` adapter (see [`ParallelIterator::map`]).
 pub struct Map<I, F> {
     inner: I,
@@ -602,7 +652,7 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice,
+        ParallelSlice, ParallelSliceMut,
     };
 }
 
@@ -693,6 +743,20 @@ mod tests {
             let v: Vec<usize> = (0..64usize).into_par_iter().map(|i| i).collect();
             assert_eq!(v.len(), 64);
         });
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_disjoint_chunks_in_order() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        let mut data = vec![0usize; 1000];
+        pool.install(|| {
+            data.par_chunks_mut(64)
+                .enumerate()
+                .for_each(|(c, chunk)| chunk.iter_mut().for_each(|x| *x = c));
+        });
+        for (i, x) in data.iter().enumerate() {
+            assert_eq!(*x, i / 64);
+        }
     }
 
     #[test]
