@@ -4,16 +4,23 @@
 //! The ROI section prints a selectivity report comparing the bytes an
 //! ROI query fetches against a full-domain retrieval at the same error
 //! bound — the acceptance claim of the chunked layer (an ROI query over
-//! a 512³-scale field must fetch strictly fewer bytes). Set
+//! a 512³-scale field must fetch strictly fewer bytes). The `stream`
+//! group prices a region query streamed frame by frame against the same
+//! query answered one-shot. Set
 //! `HPMDR_BENCH_EXTENT=512` for the full-size run; the default keeps CI
 //! and laptops in seconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hpmdr_core::chunked::{refactor_chunked_with, ChunkedConfig};
+use hpmdr_core::api::{CachedStore, InMemoryStore, Query, SharedReader, Target};
+use hpmdr_core::chunked::{refactor_chunked_with, ChunkedConfig, ChunkedRefactored};
 use hpmdr_core::roi::{Region, RoiPlan, RoiRequest};
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
 use hpmdr_core::{refactor_with, ExecCtx, ParallelBackend, RefactorConfig, ScalarBackend};
 use hpmdr_datasets::{uniform_queries, Dataset, DatasetKind};
+use std::sync::Arc;
+
+mod common;
+use common::bench_median;
 
 /// Grid extent per dimension. Defaults to a laptop-friendly 96³; set
 /// `HPMDR_BENCH_EXTENT=512` for the full 512³-scale acceptance run.
@@ -73,20 +80,32 @@ fn bench_chunked_refactor(c: &mut Criterion) {
     g.finish();
 }
 
+/// The `e`³ field of the retrieval groups, refactored in
+/// [`chunk_extent_for`] chunks.
+fn chunked_field(e: usize) -> ChunkedRefactored {
+    let shape = vec![e, e, e];
+    let ds = Dataset::generate_with_shape(DatasetKind::Jhtdb, &shape, 5);
+    let ccfg = ChunkedConfig {
+        chunk_extent: vec![chunk_extent_for(e); 3],
+        refactor: RefactorConfig::default(),
+    };
+    refactor_chunked_with(
+        &ds.variables[0].as_f32(),
+        &shape,
+        &ccfg,
+        &ParallelBackend::new(),
+        &ExecCtx::default(),
+    )
+}
+
 /// ROI retrieval through the sharded store at several selectivities,
 /// reporting fetched bytes vs the full-domain fetch at the same bound.
 fn bench_roi_selectivity(c: &mut Criterion) {
     let e = bench_extent();
     let shape = vec![e, e, e];
-    let ds = Dataset::generate_with_shape(DatasetKind::Jhtdb, &shape, 5);
-    let data = ds.variables[0].as_f32();
     let ctx = ExecCtx::default();
-    let ccfg = ChunkedConfig {
-        chunk_extent: vec![chunk_extent_for(e); 3],
-        refactor: RefactorConfig::default(),
-    };
     let backend = ParallelBackend::new();
-    let cr = refactor_chunked_with(&data, &shape, &ccfg, &backend, &ctx);
+    let cr = chunked_field(e);
 
     let dir = std::env::temp_dir().join(format!("hpmdr_bench_roi_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -138,9 +157,68 @@ fn bench_roi_selectivity(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Region queries of one chunk's extent (they straddle up to eight
+/// chunks — the repository benchmark's `serve` queries), each streamed to
+/// its final frame and answered one-shot by the same reader behind a warm
+/// cache. A refinement frame should cost its own units plus a recompose,
+/// so a stream of `k` frames must cost well under `k` one-shot queries.
+fn bench_stream(c: &mut Criterion) {
+    const QUERIES: usize = 8;
+    let e = bench_extent();
+    let shape = vec![e, e, e];
+    let chunk = chunk_extent_for(e);
+    let cr = chunked_field(e);
+    let eb = 1e-4 * cr.value_range();
+    let reader = SharedReader::new(Arc::new(CachedStore::new(
+        InMemoryStore::from(cr),
+        usize::MAX,
+    )));
+    let selectivity = (chunk as f64 / e as f64).powi(3);
+    let queries: Vec<Query> = uniform_queries(&shape, selectivity, QUERIES, 42)
+        .iter()
+        .map(|q| Query::region(Target::AbsError(eb), Region::new(&q.start, &q.extent)))
+        .collect();
+
+    let mut g = c.benchmark_group("stream");
+    let mut frames = 0;
+    let stream = bench_median(&mut g, "stream_to_final", || {
+        frames = 0;
+        for q in &queries {
+            let mut s = reader.stream::<f32>(q).expect("stream opens");
+            while let Some(frame) = s.refine_next().expect("frame refines") {
+                frames += 1;
+                criterion::black_box(frame);
+            }
+        }
+    });
+    let oneshot = bench_median(&mut g, "oneshot_retrieve", || {
+        for q in &queries {
+            criterion::black_box(reader.retrieve::<f32>(q).expect("query retrieves"));
+        }
+    });
+    g.finish();
+
+    let per_stream = frames as f64 / QUERIES as f64;
+    let ratio = stream / oneshot;
+    println!(
+        "stream {e}^3 in {chunk}^3 chunks: {per_stream:.1} frames per stream, \
+         {:.0} us per frame, {:.0} us per one-shot query, \
+         stream/one-shot {ratio:.2} = {:.2} x frames",
+        stream * 1e6 / frames as f64,
+        oneshot * 1e6 / QUERIES as f64,
+        ratio / per_stream,
+    );
+    // Loose on purpose: CI runs a tiny extent, where fixed per-frame
+    // costs weigh most.
+    assert!(
+        ratio < per_stream,
+        "a {per_stream:.1}-frame stream cost {ratio:.2} one-shot queries"
+    );
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(bench_samples());
-    targets = bench_chunked_refactor, bench_roi_selectivity
+    targets = bench_chunked_refactor, bench_roi_selectivity, bench_stream
 );
 criterion_main!(benches);

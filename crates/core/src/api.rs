@@ -1487,10 +1487,8 @@ fn serve_region<F: BitplaneFloat + Real + Default, B: Backend>(
         PipelineMode::Sequential => {
             assemble_region::<F, _, _>(store.meta(), &plan, backend, ctx, |_, cp| {
                 let loaded = store.load_chunk(cp.chunk, &cp.plan)?;
-                let mut sess = RetrievalSession::with_backend(&loaded, backend.clone());
-                sess.try_refine_to(&cp.plan)
-                    .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
-                Ok(sess.reconstruct::<F>())
+                RetrievalSession::with_backend(&loaded, backend.clone())
+                    .refine_chunk::<F>(cp.chunk, &cp.plan)
             })?
         }
         PipelineMode::Overlapped => {
@@ -1530,10 +1528,8 @@ fn overlapped_parts<F: BitplaneFloat + Real + Default, B: Backend>(
                 let loaded = rx.recv().map_err(|_| {
                     MdrError::corrupt("retrieval prefetch thread exited early".to_string())
                 })??;
-                let mut sess = RetrievalSession::with_backend(&loaded, backend.clone());
-                sess.try_refine_to(&cp.plan)
-                    .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
-                Ok(sess.reconstruct::<F>())
+                RetrievalSession::with_backend(&loaded, backend.clone())
+                    .refine_chunk::<F>(cp.chunk, &cp.plan)
             })
             .collect()
     })

@@ -22,11 +22,26 @@
 //! nonzero `skip`, which a [`crate::api::CachedStore`] turns into a
 //! prefix extension) and the achieved bound tightens monotonically.
 //!
+//! Decode is incremental too. The stream keeps one owning
+//! [`RetrievalSession`] per touched chunk for its whole life: a frame
+//! hands each session its delta, which the session decompresses, ORs
+//! into its plane accumulators and then releases, so a unit is entropy-
+//! decoded once however many frames follow its arrival. A frame costs
+//! its own units plus one materialize + recompose per chunk; between
+//! frames a chunk holds its skeleton, sign planes and accumulators, not
+//! compressed bytes.
+//!
 //! The final frame plans with the *exact* resolved target through the
-//! same planner closure the one-shot path uses, so its data, shape,
-//! achieved bound, and exhaustion flag cannot diverge from
+//! same planner closure the one-shot path uses, and a stepped session
+//! equals a fresh one at the same units, so its data, shape, achieved
+//! bound, and exhaustion flag cannot diverge from
 //! [`SharedReader::retrieve`] (asserted across the Target×Scope battery
-//! in `tests/tests/progressive_stream.rs`).
+//! in `tests/tests/progressive_stream.rs`, together with the
+//! decode-once count).
+//!
+//! A frame that fails (store or decode error) ends the stream:
+//! [`ApproximationStream::refine_next`] returns the typed error once and
+//! `Ok(None)` afterwards.
 //!
 //! QoI targets and resolution-scoped queries have no useful
 //! intermediate-frame semantics (QoI runs its own adaptive control
@@ -40,7 +55,6 @@ use crate::api::{
 };
 use crate::error::MdrError;
 use crate::pipeline::PipelineMode;
-use crate::refactor::Refactored;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, Region, RoiPlan};
 use crate::Scope;
@@ -73,20 +87,18 @@ pub struct RefinementFrame<F> {
     pub is_final: bool,
 }
 
-/// Per-chunk accumulation state: a payload-free skeleton clone whose
-/// unit payloads fill in as the ladder fetches deltas.
-struct OwnedChunk {
+/// Per-chunk refinement state, alive for the whole stream.
+struct OwnedChunk<B: Backend> {
     /// Linear chunk index in the grid.
     index: usize,
-    /// The chunk with payloads present for the first `loaded[g]` units
-    /// of each group `g` (empty beyond).
-    chunk: Refactored,
-    /// Units whose payloads are resident, per group.
-    loaded: Vec<usize>,
+    /// The session owning the chunk's skeleton: its applied units are
+    /// what the stream has fetched, and each frame hands it only the
+    /// delta.
+    session: RetrievalSession<'static, B>,
 }
 
 /// How the stream produces its frames.
-enum Mode {
+enum Mode<B: Backend> {
     /// Abs / RMSE / Lossless targets over Full or Region scopes: the
     /// descending-threshold ladder with delta fetches.
     Ladder {
@@ -96,14 +108,18 @@ enum Mode {
         /// after they are spent.
         thresholds: Vec<f64>,
         cursor: usize,
-        owned: Vec<OwnedChunk>,
+        owned: Vec<OwnedChunk<B>>,
         /// Unit matrix of the previously emitted frame (dedup: a ladder
         /// step whose plan did not grow is skipped, not re-sent).
         last_units: Option<Vec<Vec<usize>>>,
     },
     /// QoI targets and resolution scopes: one frame via the one-shot
-    /// path.
-    SingleShot,
+    /// path, on the reader's backend, context and pipeline.
+    SingleShot {
+        backend: B,
+        ctx: Arc<ExecCtx>,
+        pipeline: PipelineMode,
+    },
 }
 
 /// A pull-based incremental retrieval: see the [module docs](self).
@@ -114,11 +130,8 @@ enum Mode {
 /// [`SharedReader::stream`]: crate::api::SharedReader::stream
 pub struct ApproximationStream<F, B: Backend = ScalarBackend> {
     store: Arc<dyn Store>,
-    backend: B,
-    ctx: Arc<ExecCtx>,
-    pipeline: PipelineMode,
     query: Query,
-    mode: Mode,
+    mode: Mode<B>,
     bytes_at_open: usize,
     step: usize,
     done: bool,
@@ -147,7 +160,11 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             }
         }
         let mode = match (&query.target, &query.scope) {
-            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot,
+            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot {
+                backend,
+                ctx,
+                pipeline,
+            },
             (target, scope) => {
                 let resolved = resolve_target(&*store, target)?;
                 let meta = store.meta();
@@ -197,14 +214,12 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                 let owned = init
                     .chunks
                     .iter()
-                    .map(|cp| {
-                        let chunk = meta.chunks[cp.chunk].clone();
-                        let groups = chunk.streams.len();
-                        OwnedChunk {
-                            index: cp.chunk,
-                            chunk,
-                            loaded: vec![0; groups],
-                        }
+                    .map(|cp| OwnedChunk {
+                        index: cp.chunk,
+                        session: RetrievalSession::owning(
+                            meta.chunks[cp.chunk].clone(),
+                            backend.clone(),
+                        ),
                     })
                     .collect();
                 Mode::Ladder {
@@ -220,9 +235,6 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
         let bytes_at_open = store.bytes_fetched();
         Ok(ApproximationStream {
             store,
-            backend,
-            ctx,
-            pipeline,
             query,
             mode,
             bytes_at_open,
@@ -237,13 +249,14 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
         self.step
     }
 
-    /// Whether the final frame has been produced.
+    /// Whether the stream has ended (final frame produced, or a frame
+    /// failed).
     pub fn is_done(&self) -> bool {
         self.done
     }
 
-    /// Produce the next refinement frame, or `Ok(None)` once the final
-    /// frame has been delivered.
+    /// Produce the next refinement frame, or `Ok(None)` once the stream
+    /// has ended — after the final frame, or after a frame that failed.
     ///
     /// Frames tighten monotonically: each frame's `achieved` is ≤ the
     /// previous frame's, and the last frame (marked
@@ -253,28 +266,38 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// query. A strict query fails (with [`MdrError::Unsatisfiable`]) at
     /// the final step, after the intermediate frames — callers that
     /// stream strict queries get best-effort frames and then the typed
-    /// error, mirroring the one-shot contract.
+    /// error, mirroring the one-shot contract. Any other error (store,
+    /// decode) likewise ends the stream: it is returned once, the
+    /// sessions keep the groups they had applied, and later calls yield
+    /// `Ok(None)`.
     pub fn refine_next(&mut self) -> Result<Option<RefinementFrame<F>>, MdrError> {
         if self.done {
             return Ok(None);
         }
+        // Only a delivered intermediate frame keeps the stream open.
+        let produced = self.next_approximation();
+        self.done = !matches!(produced, Ok((_, false)));
+        let (approximation, is_final) = produced?;
+        let step = self.step;
+        self.step += 1;
+        Ok(Some(RefinementFrame {
+            approximation,
+            step,
+            is_final,
+        }))
+    }
+
+    /// The next frame's approximation and whether it is the final one.
+    fn next_approximation(&mut self) -> Result<(Approximation<F>, bool), MdrError> {
         match &mut self.mode {
-            Mode::SingleShot => {
-                let approximation = serve_query::<F, B>(
-                    &*self.store,
-                    &self.backend,
-                    &self.ctx,
-                    self.pipeline,
-                    &self.query,
-                )?;
-                self.done = true;
-                let step = self.step;
-                self.step += 1;
-                Ok(Some(RefinementFrame {
-                    approximation,
-                    step,
-                    is_final: true,
-                }))
+            Mode::SingleShot {
+                backend,
+                ctx,
+                pipeline,
+            } => {
+                let approximation =
+                    serve_query::<F, B>(&*self.store, backend, ctx, *pipeline, &self.query)?;
+                Ok((approximation, true))
             }
             Mode::Ladder {
                 region,
@@ -320,38 +343,27 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                             continue;
                         }
                         *last_units = Some(units);
-                    } else {
-                        self.done = true;
                     }
 
-                    // Fetch exactly the delta units into the owned
-                    // chunks (plans are nested, so `skip = loaded`).
-                    for (oc, cp) in owned.iter_mut().zip(&plan.chunks) {
-                        debug_assert_eq!(oc.index, cp.chunk);
-                        for (g, &want) in cp.plan.units.iter().enumerate() {
-                            let stored = oc.chunk.streams[g].units.len();
-                            let want = want.min(stored);
-                            let have = oc.loaded[g];
-                            if want > have {
-                                let fresh =
-                                    self.store.load_units(oc.index, g, have, want - have)?;
-                                for (j, payload) in fresh.into_iter().enumerate() {
-                                    oc.chunk.streams[g].units[have + j].payload = payload;
-                                }
-                                oc.loaded[g] = want;
-                            }
-                        }
-                    }
-
+                    // Per chunk: fetch exactly the delta units (plans are
+                    // nested, so `skip` is what the session has applied),
+                    // hand them to the live session, and decode only them.
                     let parts: Vec<Vec<F>> = owned
-                        .iter()
+                        .iter_mut()
                         .zip(&plan.chunks)
                         .map(|(oc, cp)| {
-                            let mut sess =
-                                RetrievalSession::with_backend(&oc.chunk, self.backend.clone());
-                            sess.try_refine_to(&cp.plan)
-                                .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
-                            Ok(sess.reconstruct::<F>())
+                            debug_assert_eq!(oc.index, cp.chunk);
+                            for (g, &want) in cp.plan.units.iter().enumerate() {
+                                let stored = oc.session.refactored().streams[g].num_units();
+                                let want = want.min(stored);
+                                let have = oc.session.units()[g];
+                                if want > have {
+                                    let fresh =
+                                        self.store.load_units(oc.index, g, have, want - have)?;
+                                    oc.session.supply_units(g, have, fresh)?;
+                                }
+                            }
+                            oc.session.refine_chunk::<F>(cp.chunk, &cp.plan)
                         })
                         .collect::<Result<_, MdrError>>()?;
                     let res = assemble_parts(meta, &plan, parts)?;
@@ -368,13 +380,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                         bytes_fetched: self.store.bytes_fetched() - self.bytes_at_open,
                         exhausted: res.exhausted,
                     };
-                    let step = self.step;
-                    self.step += 1;
-                    return Ok(Some(RefinementFrame {
-                        approximation,
-                        step,
-                        is_final,
-                    }));
+                    return Ok((approximation, is_final));
                 }
             }
         }

@@ -15,6 +15,7 @@ use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
 use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A retrieval decision: merged units to fetch per level group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -191,8 +192,15 @@ impl RetrievalPlan {
 /// recompose kernels route through the session's [`Backend`]
 /// (the portable [`ScalarBackend`] unless opened via
 /// [`RetrievalSession::with_backend`]).
+///
+/// A session either *borrows* a variable whose payloads are already
+/// resident ([`Self::with_backend`]) or *owns* a payload-free skeleton
+/// ([`Self::owning`]) that the caller feeds through
+/// [`Self::supply_units`] as payloads arrive. An owning session releases
+/// each payload once its unit is applied, so between refinements it
+/// holds the skeleton, the sign planes and the accumulators only.
 pub struct RetrievalSession<'a, B: Backend = ScalarBackend> {
-    refactored: &'a Refactored,
+    refactored: Cow<'a, Refactored>,
     backend: B,
     ctx: ExecCtx,
     compressor: HybridCompressor,
@@ -211,9 +219,24 @@ impl<'a> RetrievalSession<'a, ScalarBackend> {
     }
 }
 
+impl<B: Backend> RetrievalSession<'static, B> {
+    /// Open a session that owns `skeleton` — a variable whose payloads
+    /// arrive later through [`Self::supply_units`] and are released as
+    /// their units are applied. What a long-lived consumer (an
+    /// [`ApproximationStream`](crate::progressive::ApproximationStream))
+    /// keeps per chunk.
+    pub fn owning(skeleton: Refactored, backend: B) -> Self {
+        Self::open(Cow::Owned(skeleton), backend)
+    }
+}
+
 impl<'a, B: Backend> RetrievalSession<'a, B> {
     /// Open a session over `refactored` running its kernels on `backend`.
     pub fn with_backend(refactored: &'a Refactored, backend: B) -> Self {
+        Self::open(Cow::Borrowed(refactored), backend)
+    }
+
+    fn open(refactored: Cow<'a, Refactored>, backend: B) -> Self {
         let g = refactored.streams.len();
         RetrievalSession {
             refactored,
@@ -231,9 +254,38 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
         &self.backend
     }
 
-    /// The variable this session reconstructs.
+    /// The variable this session reconstructs (on an owning session, the
+    /// payloads of applied units are gone).
     pub fn refactored(&self) -> &Refactored {
-        self.refactored
+        &self.refactored
+    }
+
+    /// Store `payloads` as units `from ..` of level group `group`, ready
+    /// for the next [`Self::try_refine_to`] — how an owning session
+    /// receives what [`crate::api::Store::load_units`] returned. (A
+    /// borrowing session clones its variable first.)
+    /// [`MdrError::InvalidQuery`] when the run exceeds the group.
+    pub fn supply_units(
+        &mut self,
+        group: usize,
+        from: usize,
+        payloads: Vec<Vec<u8>>,
+    ) -> Result<(), MdrError> {
+        let take = payloads.len();
+        let slots = self
+            .refactored
+            .to_mut()
+            .streams
+            .get_mut(group)
+            .and_then(|s| s.units.get_mut(from..))
+            .and_then(|units| units.get_mut(..take))
+            .ok_or_else(|| {
+                MdrError::InvalidQuery(format!("units {from}+{take} of group {group} out of range"))
+            })?;
+        for (slot, payload) in slots.iter_mut().zip(payloads) {
+            slot.payload = payload;
+        }
+        Ok(())
     }
 
     /// Units currently applied per group.
@@ -308,8 +360,27 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
                 .iter()
                 .map(|u| u.stored_len())
                 .sum::<usize>();
+            // Applied units live on in the accumulators; an owning session
+            // has no further use for their compressed bytes.
+            if let Cow::Owned(r) = &mut self.refactored {
+                for unit in &mut r.streams[gi].units[current..target] {
+                    unit.payload = Vec::new();
+                }
+            }
         }
         Ok(())
+    }
+
+    /// One chunk's share of a region query: refine to `plan` and
+    /// materialize, labelling a decode error with the chunk's index.
+    pub(crate) fn refine_chunk<F: BitplaneFloat + Real>(
+        &mut self,
+        chunk: usize,
+        plan: &RetrievalPlan,
+    ) -> Result<Vec<F>, MdrError> {
+        self.try_refine_to(plan)
+            .map_err(|e| e.in_context(format!("chunk {chunk}")))?;
+        Ok(self.reconstruct::<F>())
     }
 
     /// Advance every group by `extra` merged units.
@@ -578,6 +649,53 @@ mod tests {
         let r = refactor(&data, &[17, 17], &RefactorConfig::default());
         assert!(r.streams.iter().any(|s| s.num_planes > 32));
         assert_stepwise_matches_fresh::<f64>(&r);
+    }
+
+    #[test]
+    fn owning_session_fed_unit_by_unit_matches_a_borrowing_one_and_keeps_no_payload() {
+        let data = field(33, 20);
+        let r = refactor(&data, &[33, 20], &RefactorConfig::default());
+        let mut borrowing = RetrievalSession::new(&r);
+        let mut owning = RetrievalSession::owning(r.skeleton(), ScalarBackend::new());
+        assert_eq!(owning.refactored().total_bytes(), 0);
+        while !borrowing.exhausted() {
+            borrowing.advance_greedy(1);
+            let plan = RetrievalPlan {
+                units: borrowing.units().to_vec(),
+            };
+            for (g, (&want, &have)) in plan.units.iter().zip(owning.units()).enumerate() {
+                if want > have {
+                    let delta = r.streams[g].units[have..want]
+                        .iter()
+                        .map(|u| u.payload.clone())
+                        .collect();
+                    owning.supply_units(g, have, delta).unwrap();
+                    break; // one greedy step grows exactly one group
+                }
+            }
+            owning.try_refine_to(&plan).unwrap();
+            assert_eq!(owning.units(), borrowing.units());
+            assert_eq!(owning.fetched_bytes(), borrowing.fetched_bytes());
+            assert_eq!(owning.error_bound(), borrowing.error_bound());
+            let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+            assert_eq!(
+                bits(owning.reconstruct()),
+                bits(borrowing.reconstruct()),
+                "units {:?}",
+                plan.units
+            );
+            // Applied payloads are released; the borrowed variable is intact.
+            assert_eq!(owning.refactored().total_bytes(), 0);
+        }
+        assert_eq!(owning.fetched_bytes(), r.total_bytes());
+        assert_eq!(borrowing.refactored(), &r);
+
+        // A run outside the group is a typed error, not a panic.
+        let units = r.streams[0].num_units();
+        for (group, from) in [(r.streams.len(), 0), (0, units), (0, units + 1)] {
+            let err = owning.supply_units(group, from, vec![Vec::new()]);
+            assert!(matches!(err, Err(MdrError::InvalidQuery(_))), "{err:?}");
+        }
     }
 
     /// [`ScalarBackend`] that counts the merged units it is asked to

@@ -406,10 +406,8 @@ pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
 ) -> Result<RoiResult<F>, MdrError> {
     let plan = RoiPlan::for_request(cr, req)?;
     assemble_region(cr, &plan, backend, ctx, |_, cp| {
-        let mut sess = RetrievalSession::with_backend(&cr.chunks[cp.chunk], backend.clone());
-        sess.try_refine_to(&cp.plan)
-            .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
-        Ok(sess.reconstruct::<F>())
+        RetrievalSession::with_backend(&cr.chunks[cp.chunk], backend.clone())
+            .refine_chunk::<F>(cp.chunk, &cp.plan)
     })
 }
 

@@ -750,10 +750,8 @@ impl ChunkedStoreReader {
         let plan = RoiPlan::for_request(&self.skeleton, req)?;
         crate::roi::assemble_region(&self.skeleton, &plan, backend, ctx, |_, cp| {
             let loaded = self.load_chunk(cp.chunk, &cp.plan)?;
-            let mut sess = RetrievalSession::with_backend(&loaded, backend.clone());
-            sess.try_refine_to(&cp.plan)
-                .map_err(|e| e.in_context(format!("chunk {}", cp.chunk)))?;
-            Ok(sess.reconstruct::<F>())
+            RetrievalSession::with_backend(&loaded, backend.clone())
+                .refine_chunk::<F>(cp.chunk, &cp.plan)
         })
     }
 }

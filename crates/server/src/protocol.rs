@@ -337,9 +337,13 @@ impl WireFloat for f32 {
     const SIZE: usize = 4;
 
     fn write_le(values: &[Self], out: &mut Vec<u8>) {
-        out.reserve(values.len() * Self::SIZE);
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
+        // Grow once, then fill fixed-size slots: no per-element capacity
+        // check, so the loop vectorises.
+        let start = out.len();
+        out.resize(out.len() + values.len() * Self::SIZE, 0);
+        let (_, tail) = out.split_at_mut(start);
+        for (slot, v) in tail.chunks_exact_mut(Self::SIZE).zip(values) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -363,9 +367,13 @@ impl WireFloat for f64 {
     const SIZE: usize = 8;
 
     fn write_le(values: &[Self], out: &mut Vec<u8>) {
-        out.reserve(values.len() * Self::SIZE);
-        for v in values {
-            out.extend_from_slice(&v.to_le_bytes());
+        // Grow once, then fill fixed-size slots: no per-element capacity
+        // check, so the loop vectorises.
+        let start = out.len();
+        out.resize(out.len() + values.len() * Self::SIZE, 0);
+        let (_, tail) = out.split_at_mut(start);
+        for (slot, v) in tail.chunks_exact_mut(Self::SIZE).zip(values) {
+            slot.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -483,6 +491,12 @@ mod tests {
         f64::write_le(&values, &mut bytes);
         assert_eq!(f64::read_le(&bytes).unwrap(), values);
         assert!(f64::read_le(&bytes[..9]).is_none());
+
+        // `write_le` appends: what `out` already held stays in front.
+        let mut framed = vec![0xAAu8, 0xBB];
+        f64::write_le(&values, &mut framed);
+        assert_eq!(framed[..2], [0xAA, 0xBB]);
+        assert_eq!(framed[2..], bytes[..]);
 
         assert_eq!(dtype_size("f32"), Some(4));
         assert_eq!(dtype_size("f64"), Some(8));
