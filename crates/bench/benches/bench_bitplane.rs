@@ -11,15 +11,19 @@
 //! reports nanoseconds per value and the share of a same-run `memcpy` of
 //! the group's rate, like `bench_transform`. Bare decoder calls: `advance`
 //! is serial, `materialize` fans out on the default pool (printed).
+//!
+//! `encode_{64,32}/{Interleaved32,Natural}` encodes every level group of
+//! the same chunks at 32 planes — one chunk's worth of the ingest's
+//! bitplane stage — with the same two figures, under `ScalarBackend`'s
+//! one-thread budget: the path every default caller runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{decode_prefix, encode, Layout, Reconstruction};
-use hpmdr_datasets::fields::{spectral_field, FieldSpec};
-use hpmdr_mgard::{decompose, extract_levels, Hierarchy};
+use hpmdr_exec::{Backend, ScalarBackend};
 
 mod common;
-use common::bench_median;
+use common::{bench_median, level_groups, report_rate};
 
 fn field(n: usize) -> Vec<f32> {
     (0..n)
@@ -73,18 +77,34 @@ fn bench_prefix_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The finest level group of an `e³` chunk of a turbulent field.
-fn finest_group(e: usize) -> Vec<f32> {
-    let shape = [e; 3];
-    let mut field: Vec<f32> = spectral_field(&FieldSpec::turbulent(&shape, 3))
-        .into_iter()
-        .map(|v| v as f32)
-        .collect();
-    let h = Hierarchy::full(&shape);
-    decompose(&mut field, &h, true);
-    extract_levels(&field, &h)
-        .pop()
-        .expect("a hierarchy has at least one level group")
+/// `encode` over every level group of a 64³ and a 32³ chunk.
+fn bench_encode_groups(c: &mut Criterion) {
+    println!("chunk encode micro-bench: f32, 32 planes, ScalarBackend (one thread)");
+    let backend = ScalarBackend::new();
+    for e in [64usize, 32] {
+        let groups = level_groups(e);
+        let flat = groups.concat();
+        let n = flat.len();
+        let mut g = c.benchmark_group(format!("encode_{e}"));
+        g.throughput(Throughput::Elements(n as u64));
+        let mut copy = vec![0.0f32; n];
+        let memcpy = bench_median(&mut g, "memcpy", || {
+            copy.copy_from_slice(criterion::black_box(&flat));
+            criterion::black_box(&mut copy);
+        });
+        for layout in [Layout::Interleaved32, Layout::Natural] {
+            let secs = bench_median(&mut g, &format!("{layout:?}"), || {
+                backend.install(|| {
+                    for group in criterion::black_box(&groups) {
+                        criterion::black_box(encode(group, 32, layout));
+                    }
+                })
+            });
+            let what = format!("{e}^3 chunk ({n} values) encode/{layout:?}");
+            report_rate(&what, secs, n, "value", memcpy);
+        }
+        g.finish();
+    }
 }
 
 fn bench_progressive(c: &mut Criterion) {
@@ -93,7 +113,7 @@ fn bench_progressive(c: &mut Criterion) {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     for e in [64usize, 32] {
-        let group = finest_group(e);
+        let group = level_groups(e).pop().expect("a chunk has a finest group");
         let n = group.len();
         let chunk = encode(&group, 32, Layout::Interleaved32);
         let mut g = c.benchmark_group(format!("progressive_{e}"));
@@ -105,11 +125,8 @@ fn bench_progressive(c: &mut Criterion) {
             criterion::black_box(&mut copy);
         });
         let report = |name: &str, secs: f64| {
-            println!(
-                "  {e:>3}^3 finest group ({n} values) {name:<16} {:>6.2} ns/value  {:>5.1} % of memcpy rate",
-                secs * 1e9 / n as f64,
-                100.0 * memcpy / secs.max(f64::MIN_POSITIVE)
-            );
+            let what = format!("{e}^3 finest group ({n} values) {name}");
+            report_rate(&what, secs, n, "value", memcpy);
         };
         report("memcpy", memcpy);
         for k in [8usize, 12, 20, 24] {
@@ -143,6 +160,6 @@ criterion_group!(
 criterion_group!(
     name = progressive;
     config = Criterion::default().sample_size(30);
-    targets = bench_progressive
+    targets = bench_encode_groups, bench_progressive
 );
 criterion_main!(benches, progressive);

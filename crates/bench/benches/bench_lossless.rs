@@ -1,8 +1,23 @@
 //! Criterion microbenchmarks of the lossless stage: Huffman, RLE, and the
-//! hybrid selector over representative bitplane-group payloads.
+//! hybrid selector over synthetic bitplane-group payloads, and — the
+//! figure to quote — `units_{64,32}/hybrid_compress`: Algorithm 2 over the
+//! real merged units of one 64³ / 32³ chunk of a decomposed turbulent
+//! field (every level group encoded at 32 planes, `Interleaved32`, merged
+//! four planes to a unit), in nanoseconds per plane byte, with the share
+//! of the bytes each codec took and the share of a same-run `memcpy`'s
+//! rate, under `ScalarBackend`'s one-thread budget (the path every
+//! default caller runs). Synthetic `sparse`/`noisy` payloads flatter kernels that win
+//! only on zero-dominated input; real units are mostly neither.
+//! `HPMDR_BENCH_EXTENT=N` runs the units group at `N³` alone (CI's smoke
+//! size is 16).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use hpmdr_bitplane::{encode, Layout};
+use hpmdr_exec::{Backend, ScalarBackend};
 use hpmdr_lossless::{huffman, rle, Codec, HybridCompressor, HybridConfig};
+
+mod common;
+use common::{bench_median, level_groups, report_rate};
 
 /// High-order-plane-like payload: heavily zero-dominated.
 fn sparse_payload(n: usize) -> Vec<u8> {
@@ -80,9 +95,87 @@ fn bench_estimators(c: &mut Criterion) {
     g.finish();
 }
 
+/// The merged units of an `e³` chunk, as the lossless stage sees them:
+/// four planes of little-endian words each, a group's first unit led by
+/// its sign plane.
+fn chunk_units(e: usize) -> Vec<Vec<u8>> {
+    let m = HybridConfig::default().group_size;
+    let mut units = Vec::new();
+    for group in level_groups(e) {
+        let chunk = encode(&group, 32, Layout::Interleaved32);
+        for lo in (0..chunk.num_planes()).step_by(m) {
+            let signs: &[u32] = if lo == 0 { &chunk.signs } else { &[] };
+            let planes = chunk.plane_range(lo, (lo + m).min(chunk.num_planes()));
+            let words = signs.iter().chain(planes);
+            units.push(words.flat_map(|w| w.to_le_bytes()).collect());
+        }
+    }
+    units
+}
+
+fn bench_units(c: &mut Criterion) {
+    let extent = std::env::var("HPMDR_BENCH_EXTENT").ok();
+    let extents = match extent.and_then(|v| v.parse::<usize>().ok()) {
+        Some(e) => vec![e.max(3)],
+        None => vec![64, 32],
+    };
+    println!(
+        "merged-unit micro-bench: f32, 32 planes, Interleaved32, 4 planes a unit, ScalarBackend"
+    );
+    let hybrid = HybridCompressor::new(HybridConfig::default());
+    let backend = ScalarBackend::new();
+    for e in extents {
+        let units = chunk_units(e);
+        let flat = units.concat();
+        let n = flat.len();
+        let mut g = c.benchmark_group(format!("units_{e}"));
+        g.throughput(Throughput::Bytes(n as u64));
+        let mut copy = vec![0u8; n];
+        let memcpy = bench_median(&mut g, "memcpy", || {
+            copy.copy_from_slice(criterion::black_box(&flat));
+            criterion::black_box(&mut copy);
+        });
+        let secs = bench_median(&mut g, "hybrid_compress", || {
+            backend.install(|| {
+                for unit in criterion::black_box(&units) {
+                    criterion::black_box(hybrid.compress(unit));
+                }
+            })
+        });
+        g.finish();
+
+        let mut bytes = [0usize; 3];
+        let mut stored = 0;
+        for unit in &units {
+            let group = hybrid.compress(unit);
+            bytes[group.codec as usize] += unit.len();
+            stored += group.stored_len();
+        }
+        let what = format!(
+            "{e}^3 chunk ({} units, {n} bytes) hybrid_compress",
+            units.len()
+        );
+        report_rate(&what, secs, n, "byte", memcpy);
+        let share = |codec: Codec| 100.0 * bytes[codec as usize] as f64 / n.max(1) as f64;
+        println!(
+            "  {:<44} Huffman {:.1} %, RLE {:.1} %, Direct {:.1} % of the bytes; ratio {:.3}",
+            "",
+            share(Codec::Huffman),
+            share(Codec::Rle),
+            share(Codec::Direct),
+            n as f64 / stored.max(1) as f64
+        );
+    }
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_codecs, bench_estimators
 );
-criterion_main!(benches);
+criterion_group!(
+    name = units;
+    config = Criterion::default().sample_size(20);
+    targets = bench_units
+);
+criterion_main!(benches, units);

@@ -14,7 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hpmdr_mgard::{decompose, extract_levels, inject_levels, recompose, Hierarchy};
 
 mod common;
-use common::bench_median;
+use common::{bench_median, report_rate};
 
 fn bench_extents() -> Vec<usize> {
     match std::env::var("HPMDR_BENCH_EXTENT")
@@ -79,11 +79,7 @@ fn bench_transform(c: &mut Criterion) {
         g.finish();
 
         let report = |name: &str, secs: f64| {
-            println!(
-                "  {e:>4}^3 {name:<15} {:>7.2} ns/sample  {:>6.1} % of memcpy rate",
-                secs * 1e9 / n as f64,
-                100.0 * memcpy / secs.max(f64::MIN_POSITIVE)
-            );
+            report_rate(&format!("{e}^3 {name}"), secs, n, "sample", memcpy);
         };
         report("memcpy", memcpy);
         report("decompose", (dec - memcpy).max(0.0));

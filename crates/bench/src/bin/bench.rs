@@ -20,11 +20,10 @@
 //!
 //! The `kernels` section (PR 6) microbenchmarks the bit-level hot loops
 //! scalar-vs-SIMD at the host's best instruction set: 32×32 bit-matrix
-//! transpose, bitplane encode fill, Huffman byte histogram, Huffman
-//! encode, and fixed-point quantize — asserting in-bench that
-//! both legs produce identical output before reporting the speedup. The
-//! `huffman_encode` point carries a `decision` record for the PR 7
-//! retune (pairwise code precombine in the wide encoder).
+//! transpose, bitplane encode fill, and fixed-point quantize — asserting
+//! in-bench that both legs produce identical output before reporting the
+//! speedup. (The lossless stage has no ISA arms: its one encoder is
+//! measured on real units by `bench_lossless`.)
 //!
 //! The `ingest` section (PR 7) compares streaming ingest against the
 //! whole-input chunked refactor on a larger volume: wall-clock plus
@@ -159,9 +158,6 @@ struct KernelPoint {
     simd_ms: f64,
     /// `scalar_ms / simd_ms` (> 1 means the vector kernel is faster).
     speedup: f64,
-    /// Tuning decision recorded for this kernel (PR 7: the wide Huffman
-    /// encoder retune), derived from the measured speedup.
-    decision: Option<String>,
 }
 
 /// One ROI selectivity served over the network tier, per-group vs
@@ -709,7 +705,6 @@ fn kernel_points(reps: usize) -> Vec<KernelPoint> {
         scalar_ms,
         simd_ms,
         speedup: scalar_ms / simd_ms,
-        decision: None,
     };
     let mut points = Vec::new();
 
@@ -770,54 +765,6 @@ fn kernel_points(reps: usize) -> Vec<KernelPoint> {
         ));
     });
     points.push(point("encode_fill", n * 4, scalar_ms, simd_ms));
-
-    // Huffman byte histogram + whole-stream encode, on the zero-dominated
-    // payload shape merged bitplane units actually have.
-    let n = 1usize << 22;
-    let sparse: Vec<u8> = (0..n)
-        .map(|i| if i % 37 == 0 { (i % 7 + 1) as u8 } else { 0 })
-        .collect();
-    assert_eq!(
-        huffman::histogram(&sparse),
-        huffman::histogram_with_isa(&sparse, isa),
-        "histogram kernels must agree"
-    );
-    let scalar_ms = time_ms(reps, || {
-        std::hint::black_box(huffman::histogram(&sparse));
-    });
-    let simd_ms = time_ms(reps, || {
-        std::hint::black_box(huffman::histogram_with_isa(&sparse, isa));
-    });
-    points.push(point("histogram", n, scalar_ms, simd_ms));
-
-    assert_eq!(
-        huffman::compress(&sparse),
-        huffman::compress_with_isa(&sparse, isa),
-        "huffman encoders must agree"
-    );
-    let scalar_ms = time_ms(reps, || {
-        std::hint::black_box(huffman::compress(&sparse));
-    });
-    let simd_ms = time_ms(reps, || {
-        std::hint::black_box(huffman::compress_with_isa(&sparse, isa));
-    });
-    // PR 7 retune: adjacent codes are pre-combined into one accumulator
-    // insert when their joint length fits MAX_CODE_LEN, halving the
-    // serial accumulate/flush chain (was 1.16x in BENCH_pr6.json).
-    let speedup = scalar_ms / simd_ms;
-    let mut p = point("huffman_encode", n, scalar_ms, simd_ms);
-    p.decision = Some(if speedup >= 1.05 {
-        format!(
-            "retained wide encoder: pairwise code precombine, {speedup:.2}x vs scalar \
-             on this host (1.16x before the PR 7 retune)"
-        )
-    } else {
-        format!(
-            "wide encoder not profitable on this host ({speedup:.2}x); \
-             HPMDR_FORCE_SCALAR=1 selects the scalar reference encoder"
-        )
-    });
-    points.push(p);
 
     // Fixed-point quantize (MGARD baseline codec hot loop).
     let n = 1usize << 20;

@@ -32,9 +32,24 @@ pub trait BitplaneFloat: Copy + PartialOrd + Send + Sync + 'static {
     /// magnitude: `floor(|v| * 2^(planes - exp))`, guaranteed `< 2^planes`
     /// when `|v| < 2^exp`.
     fn to_fixed(self, exp: i32, planes: usize) -> u64 {
-        let scaled = self.abs_val().to_f64() * exp2(planes as i32 - exp);
+        self.to_fixed_scaled(exp2(planes as i32 - exp), planes)
+    }
+
+    /// [`Self::to_fixed`] with the quantum `2^(planes - exp)` precomputed
+    /// — the encode loop hoists the `exp2` out, like
+    /// [`Self::from_fixed_scaled`] does for decode.
+    #[inline]
+    fn to_fixed_scaled(self, scale: f64, planes: usize) -> u64 {
+        let scaled = self.abs_val().to_f64() * scale;
         // |v| < 2^exp ⇒ scaled < 2^planes; clamp defends against rounding
         // at the very top of the range.
+        if planes <= 32 {
+            // The same value through the cheaper 32-bit conversion: both
+            // casts truncate and saturate, and whatever a `u32` cannot
+            // hold is above `max` either way.
+            let max = ((1u64 << planes) - 1) as u32;
+            return u64::from((scaled as u32).min(max));
+        }
         let max = if planes >= 64 {
             u64::MAX
         } else {
@@ -128,14 +143,30 @@ pub struct Alignment {
 /// for finite scientific data, and silently encoding NaN would corrupt the
 /// stream for *all* elements sharing the chunk.
 pub fn align_exponent<F: BitplaneFloat>(data: &[F]) -> i32 {
-    let mut max_abs = 0.0f64;
-    for &v in data {
-        let a = v.abs_val().to_f64();
-        assert!(a.is_finite(), "bitplane encoding requires finite data");
-        if a > max_abs {
-            max_abs = a;
+    // Eight independent running maxima in the element type: one `max`
+    // chain is bound by its own latency, a per-element `assert!` keeps
+    // the scan scalar, and widening every element to `f64` halves the
+    // lanes. A NaN never wins a `>` and, like an infinity, fails
+    // `< inf`, so the flag asserted after the loop rejects what the
+    // per-element check rejected, and the maximum over the lanes is the
+    // maximum of the sequential scan.
+    let (zero, inf) = (F::from_f64(0.0), F::from_f64(f64::INFINITY));
+    let mut lanes = [zero; 8];
+    let mut finite = true;
+    let mut scan = |block: &[F]| {
+        for (max, &v) in lanes.iter_mut().zip(block) {
+            let a = v.abs_val();
+            finite &= a < inf;
+            if a > *max {
+                *max = a;
+            }
         }
-    }
+    };
+    let mut blocks = data.chunks_exact(8);
+    blocks.by_ref().for_each(&mut scan);
+    scan(blocks.remainder());
+    assert!(finite, "bitplane encoding requires finite data");
+    let max_abs = lanes.into_iter().fold(0.0f64, |m, a| m.max(a.to_f64()));
     if max_abs == 0.0 {
         return i32::MIN;
     }
@@ -213,6 +244,34 @@ mod tests {
                 (back - v).abs() <= quantum,
                 "v={v} back={back} quantum={quantum}"
             );
+        }
+    }
+
+    #[test]
+    fn narrow_conversion_equals_the_wide_one() {
+        // `to_fixed_scaled` converts through `u32` at up to 32 planes; the
+        // defining formula is the 64-bit one, on every class of product.
+        let products = [
+            0.0,
+            0.999,
+            1.0,
+            123_456.789,
+            2_147_483_647.5,
+            2_147_483_648.0,
+            4_294_967_295.0,
+            4_294_967_295.999,
+            4_294_967_296.0,
+            1e19,
+            1e300,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for planes in 1usize..=32 {
+            for x in products {
+                let wide = (x as u64).min((1u64 << planes) - 1);
+                assert_eq!(1.0f64.to_fixed_scaled(x, planes), wide, "{x} at {planes}");
+            }
         }
     }
 

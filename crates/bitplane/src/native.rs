@@ -1,17 +1,18 @@
 //! Fast native (CPU) bitplane codecs.
 //!
 //! Both stream layouts are produced by the same engine: each output word
-//! column is a 32×32 bit-tile transpose of 32 aligned values gathered
-//! according to the layout's `element(word, row)` rule. Units (word
-//! columns) are independent, so encoding parallelizes over rayon with no
-//! synchronization; this is the same structure that makes the paper's
-//! register-block GPU kernel communication-free.
+//! column is a 32×32 bit-tile transpose of 32 aligned values chosen by
+//! the layout's `element(word, row)` rule, and the encoder transposes the
+//! 32 columns of a 1024-element tile in lockstep. Tiles are independent,
+//! so encoding parallelizes over rayon with no synchronization; this is
+//! the same structure that makes the paper's register-block GPU kernel
+//! communication-free.
 
 use crate::chunk::BitplaneChunk;
 use crate::fixed::{align_exponent, BitplaneFloat};
 use crate::layout::{Layout, TILE_ELEMS, WORD_BITS};
 use crate::simd::{transpose32_fn, Isa, TransposeFn};
-use crate::transpose::transpose32;
+use crate::transpose::{transpose32, transpose32_columns};
 use rayon::prelude::*;
 
 /// How truncated magnitudes are turned back into floats.
@@ -26,31 +27,37 @@ pub enum Reconstruction {
 }
 
 /// Raw pointer into a plane-major arena (the magnitude planes, or the sign
-/// plane as an arena of one), letting disjoint word columns be written
-/// from rayon workers without locks. Soundness: every unit index is
-/// processed by exactly one worker, and workers only write word `u` of
-/// each plane (`arena[plane·words + u]`).
+/// plane as an arena of one), letting disjoint word ranges be written
+/// from rayon workers without locks. Soundness: every tile (or, in the
+/// per-column loop, every word column) is processed by exactly one
+/// worker, and a worker only writes its own words of each plane — words
+/// `32·tile .. 32·tile + 32` for a tile, word `u` for a column
+/// (`arena[plane·words + word]`).
 struct ArenaColumns {
     ptr: *mut u32,
     words: usize,
 }
 // SAFETY: the pointer targets a plain `u32` arena owned by the caller for
-// the whole scope; workers write disjoint slots (see `set`), so moving the
-// handle across threads cannot race.
+// the whole scope; workers write disjoint slots (see `write`), so moving
+// the handle across threads cannot race.
 unsafe impl Send for ArenaColumns {}
-// SAFETY: shared use only performs `set` calls on disjoint (plane, word)
-// slots — no two threads ever touch the same address.
+// SAFETY: shared use only performs `write` calls on disjoint (plane, word)
+// ranges — no two threads ever touch the same address.
 unsafe impl Sync for ArenaColumns {}
 
 impl ArenaColumns {
+    /// Store `vals` at words `word..word + vals.len()` of `plane`.
+    ///
     /// # Safety
-    /// `plane` and `word` must be in-bounds and the slot written by only
-    /// one thread.
-    // SAFETY: contract is on the caller — in-bounds indices, one writer
-    // per slot; the body is then a plain store into owned memory.
+    /// `plane` and the word range must be in-bounds and the range written
+    /// by only one thread.
+    // SAFETY: contract is on the caller — an in-bounds range, one writer
+    // per slot; the body is then a plain copy into owned memory that
+    // `vals` (a live shared borrow) cannot overlap.
     #[inline]
-    unsafe fn set(&self, plane: usize, word: usize, val: u32) {
-        *self.ptr.add(plane * self.words + word) = val;
+    unsafe fn write(&self, plane: usize, word: usize, vals: &[u32]) {
+        let dst = self.ptr.add(plane * self.words + word);
+        std::ptr::copy_nonoverlapping(vals.as_ptr(), dst, vals.len());
     }
 }
 
@@ -58,8 +65,95 @@ impl ArenaColumns {
 ///
 /// `planes` is clamped to `F::MAX_PLANES`. All-zero input produces a
 /// plane-less chunk whose reconstruction is exact.
+///
+/// Works a 1024-element tile at a time: one unit-stride pass converts the
+/// tile's values into a 32×32 matrix of left-aligned magnitudes in
+/// element order, [`transpose32_columns`] bit-transposes all 32 word
+/// columns of it in lockstep, and row `31 - p` of the result is plane
+/// `p`'s 32 words of the tile — one contiguous copy per plane. For
+/// [`Layout::Interleaved32`] the element-order matrix already is the one
+/// to transpose (`tile[j][t]` = element `32j + t` = bit `j` of tile word
+/// `t`); [`Layout::Natural`] word-transposes it first.
 pub fn encode<F: BitplaneFloat>(data: &[F], planes: usize, layout: Layout) -> BitplaneChunk {
-    encode_with_isa(data, planes, layout, Isa::Scalar)
+    let b = planes.min(F::MAX_PLANES).max(1);
+    let exp = align_exponent(data);
+    if exp == i32::MIN {
+        return BitplaneChunk::zero::<F>(data.len(), layout);
+    }
+    let n = data.len();
+    let words = layout.words_per_plane(n);
+    let mut chunk = BitplaneChunk::zeroed::<F>(n, exp, layout, b);
+    let scale = crate::fixed::exp2(b as i32 - exp);
+    let cols = ArenaColumns {
+        ptr: chunk.arena_mut().as_mut_ptr(),
+        words,
+    };
+    let signs_col = ArenaColumns {
+        ptr: chunk.signs.as_mut_ptr(),
+        words,
+    };
+    // Fan out over tiles, 32 or more to a worker (a thread spawn's worth).
+    // `move`: the conversion loop must read `scale` and `b` as values to
+    // vectorise (see `materialize`).
+    let tiles = data.par_chunks(TILE_ELEMS).with_min_len(32).enumerate();
+    tiles.for_each(move |(tile, vals)| {
+        // Elements past `n` stay zero: padding bits are never set.
+        let mut hi = [[0u32; WORD_BITS]; WORD_BITS];
+        let mut lo = [[0u32; WORD_BITS]; WORD_BITS];
+        let mut signs = [0u32; WORD_BITS];
+        let rows = hi.iter_mut().zip(&mut lo).zip(&mut signs);
+        for (((hi, lo), sign), row) in rows.zip(vals.chunks(WORD_BITS)) {
+            let cells = hi.iter_mut().zip(lo).zip(row).enumerate();
+            if b <= 32 {
+                // The magnitude fits the `hi` half.
+                for (t, ((h, _), &v)) in cells {
+                    *h = (v.to_fixed_scaled(scale, b) as u32) << (32 - b);
+                    *sign |= u32::from(v.is_neg()) << t;
+                }
+            } else {
+                for (t, ((h, l), &v)) in cells {
+                    // Left-aligned in 64 bits: plane 0 is always bit 63.
+                    let a = v.to_fixed_scaled(scale, b) << (64 - b);
+                    (*h, *l) = ((a >> 32) as u32, a as u32);
+                    *sign |= u32::from(v.is_neg()) << t;
+                }
+            }
+        }
+        // The last natural tile may be short of 32 words.
+        let first = tile * WORD_BITS;
+        let len = (words - first).min(WORD_BITS);
+        let halves = [(&mut hi, 0), (&mut lo, 32)];
+        for (half, base) in halves.into_iter().filter(|&(_, base)| base < b) {
+            if layout == Layout::Natural {
+                *half = word_transposed(half);
+            }
+            transpose32_columns(half);
+            for (p, row) in half.iter().rev().take(b - base).enumerate() {
+                // SAFETY: `base + p < b` planes, `first + len <= words`,
+                // and this worker alone owns the tile's words.
+                unsafe { cols.write(base + p, first, &row[..len]) };
+            }
+        }
+        // Row `j` of `signs` masks elements `32j..32j + 32`: a natural
+        // sign word as it stands, an interleaved one after a transpose.
+        if layout == Layout::Interleaved32 {
+            transpose32(&mut signs);
+        }
+        // SAFETY: as above, on the one-plane sign arena.
+        unsafe { signs_col.write(0, first, &signs[..len]) };
+    });
+    chunk
+}
+
+/// `m` with rows and columns of words exchanged.
+fn word_transposed(m: &[[u32; WORD_BITS]; WORD_BITS]) -> [[u32; WORD_BITS]; WORD_BITS] {
+    let mut out = [[0u32; WORD_BITS]; WORD_BITS];
+    for (w, row) in m.iter().enumerate() {
+        for (i, &word) in row.iter().enumerate() {
+            out[i][w] = word;
+        }
+    }
+    out
 }
 
 /// [`encode`] with the bit-transpose and fixed-point conversion routed
@@ -69,14 +163,29 @@ pub fn encode<F: BitplaneFloat>(data: &[F], planes: usize, layout: Layout) -> Bi
 /// transpose is an exact data-movement rewrite and the vector conversion
 /// reproduces the scalar `to_fixed` arithmetic operation for operation
 /// (enforced by the cross-backend golden-bytes and equivalence suites).
-/// An ISA unavailable on this CPU degrades to the scalar kernels.
+/// [`Isa::Scalar`], and an ISA unavailable on this CPU, *is* [`encode`].
 pub fn encode_with_isa<F: BitplaneFloat>(
     data: &[F],
     planes: usize,
     layout: Layout,
     isa: Isa,
 ) -> BitplaneChunk {
-    let isa = isa.or_scalar();
+    match isa.or_scalar() {
+        Isa::Scalar => encode(data, planes, layout),
+        isa => encode_columns(data, planes, layout, isa),
+    }
+}
+
+/// The per-column encoder: one 32-value gather, one transpose and 32
+/// stores a plane apart per word column, with `isa`'s kernels. The vector
+/// arm of [`encode_with_isa`]; with [`Isa::Scalar`] it is the loop
+/// [`encode`] shipped before the lockstep tile, kept as its oracle.
+fn encode_columns<F: BitplaneFloat>(
+    data: &[F],
+    planes: usize,
+    layout: Layout,
+    isa: Isa,
+) -> BitplaneChunk {
     let b = planes.min(F::MAX_PLANES).max(1);
     let exp = align_exponent(data);
     if exp == i32::MIN {
@@ -159,7 +268,7 @@ pub fn encode_with_isa<F: BitplaneFloat>(
 }
 
 /// Transpose one word-column tile and scatter its plane words (and sign
-/// word) into the arena — the shared tail of both encode loop bodies.
+/// word) into the arena — the shared tail of both column loop bodies.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn store_tile(
@@ -178,8 +287,8 @@ fn store_tile(
     unsafe { tr(hi) };
     for (p, col) in hi.iter().rev().take(b_hi).enumerate() {
         // SAFETY: `p < b_hi <= planes` and `u < words`; unit `u` is owned
-        // by exactly this worker, satisfying `ArenaColumns::set`.
-        unsafe { cols.set(p, u, *col) };
+        // by exactly this worker, satisfying `ArenaColumns::write`.
+        unsafe { cols.write(p, u, std::slice::from_ref(col)) };
     }
     if b > 32 {
         // SAFETY: same ISA-availability argument as the `hi` transpose.
@@ -187,12 +296,12 @@ fn store_tile(
         for (p, col) in lo.iter().rev().take(b - 32).enumerate() {
             // SAFETY: `32 + p < b <= planes` and `u < words`, one writer
             // per slot as above.
-            unsafe { cols.set(32 + p, u, *col) };
+            unsafe { cols.write(32 + p, u, std::slice::from_ref(col)) };
         }
     }
     // SAFETY: `u < words == signs.len()` and each unit writes only its
     // own sign word.
-    unsafe { signs_col.set(0, u, sign_word) };
+    unsafe { signs_col.write(0, u, &[sign_word]) };
 }
 
 /// Decode the first `k` magnitude planes of `chunk` into values: a
@@ -842,6 +951,82 @@ mod tests {
         let a: Vec<f32> = decode_prefix(&c, 10, Reconstruction::Truncate);
         let b: Vec<f32> = decode_prefix(&c, 99, Reconstruction::Truncate);
         assert_eq!(a, b);
+    }
+
+    /// `noisy`, with the corner cases of the fixed-point conversion mixed
+    /// in by `seed`: one denormal among ordinary values, nothing but
+    /// denormals (for `f64` the quantum `2^(planes - exp)` overflows and
+    /// every magnitude hits the `min(max)` clamp), and one value at the
+    /// top of the type's exponent range. `tiny` is a denormal of `F` and
+    /// `huge` its largest finite value.
+    fn corner_cases<F: BitplaneFloat>(n: usize, seed: u32, tiny: f64, huge: f64) -> Vec<F> {
+        let mut data = noisy(n, seed);
+        let at = (seed >> 3) as usize % n;
+        match seed % 4 {
+            1 => data[at] = -tiny,
+            2 => data.iter_mut().for_each(|v| *v = tiny * (*v % 7.0)),
+            3 => data[at] = huge,
+            _ => {}
+        }
+        data.into_iter().map(F::from_f64).collect()
+    }
+
+    fn assert_encode_matches_columns<F: BitplaneFloat>(data: &[F], planes: usize, tag: &str) {
+        for layout in [Layout::Natural, Layout::Interleaved32] {
+            let got = encode(data, planes, layout);
+            let want = encode_columns(data, planes, layout, Isa::Scalar);
+            got.validate().unwrap();
+            let tag = format!("{tag} {layout:?} n={} planes={planes}", data.len());
+            assert_eq!(got.signs, want.signs, "signs {tag}");
+            assert_eq!(got.arena(), want.arena(), "arena {tag}");
+            assert_eq!(got, want, "{tag}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lockstep_tile_encode_is_bit_identical_to_per_column_oracle(
+            n in group_len(),
+            planes32 in 1usize..=32,
+            planes64 in prop_oneof![Just(33usize), Just(48usize), Just(64usize), 1usize..=64],
+            seed in any::<u32>(),
+        ) {
+            let d32 = corner_cases::<f32>(n, seed, 1e-40, f64::from(f32::MAX));
+            assert_encode_matches_columns(&d32, planes32, "f32");
+            let d64 = corner_cases::<f64>(n, seed, 1e-310, f64::MAX);
+            assert_encode_matches_columns(&d64, planes64, "f64");
+        }
+    }
+
+    #[test]
+    fn encode_clamps_when_the_quantum_overflows() {
+        // Nothing but f64 denormals at 64 planes: `2^(64 - exp)` is
+        // infinite, every non-zero magnitude saturates.
+        let data: Vec<f64> = (0..100).map(|i| 1e-310 * f64::from(i % 5)).collect();
+        let c = encode(&data, 64, Layout::Interleaved32);
+        assert!(crate::fixed::exp2(64 - c.exp).is_infinite());
+        assert!(c.plane(63).iter().any(|&w| w != 0), "saturated magnitudes");
+        assert_encode_matches_columns(&data, 64, "denormals");
+    }
+
+    #[test]
+    fn encode_is_identical_on_one_and_four_threads() {
+        // 69 tiles: enough for the 32-tile grain to split across workers.
+        let d32 = corner_cases::<f32>(70_000, 0xfeed, 1e-40, f64::from(f32::MAX));
+        let d64 = corner_cases::<f64>(70_000, 0xbeef, 1e-310, f64::MAX);
+        for layout in [Layout::Natural, Layout::Interleaved32] {
+            let run = |threads: usize| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
+                let pool = pool.expect("the shim's build is infallible");
+                pool.install(|| (encode(&d32, 27, layout), encode(&d64, 53, layout)))
+            };
+            let (one, four) = (run(1), run(4));
+            assert_eq!(one, four, "{layout:?}");
+            assert_eq!(one.0, encode_columns(&d32, 27, layout, Isa::Scalar));
+            assert_eq!(one.1, encode_columns(&d64, 53, layout, Isa::Scalar));
+        }
     }
 
     #[test]

@@ -186,11 +186,10 @@ impl<F: IngestElem> ChunkSource<F> for FileSource<F> {
         let nd = self.shape.len();
         debug_assert_eq!(region.ndims(), nd);
         let row = region.extent[nd - 1];
-        let rows = region.len() / row;
-        let mut out = Vec::with_capacity(region.len());
+        let mut out = vec![F::default(); region.len()];
         let mut buf = vec![0u8; row * F::BYTES];
         let mut idx = region.start.clone();
-        for _ in 0..rows {
+        for dst in out.chunks_exact_mut(row.max(1)) {
             let off: usize = idx.iter().zip(&self.strides).map(|(i, s)| i * s).sum();
             self.file
                 .seek(SeekFrom::Start((off * F::BYTES) as u64))
@@ -206,8 +205,8 @@ impl<F: IngestElem> ChunkSource<F> for FileSource<F> {
                         MdrError::io(&self.path, e)
                     }
                 })?;
-            for bytes in buf.chunks_exact(F::BYTES) {
-                out.push(F::from_le(bytes));
+            for (v, bytes) in dst.iter_mut().zip(buf.chunks_exact(F::BYTES)) {
+                *v = F::from_le(bytes);
             }
             // Odometer over the non-row dimensions, bounded to `region`.
             for d in (0..nd - 1).rev() {
@@ -537,23 +536,36 @@ mod tests {
 
     #[test]
     fn file_source_round_trips_all_chunks() {
-        let shape = [13, 9, 6];
-        let data = field(&shape);
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for &v in &data {
-            v.to_le(&mut bytes);
-        }
-        let path = std::env::temp_dir().join(format!("hpmdr_ingest_fs_{}", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
+        // Full-width rows, clipped rows, 2-D, 1-D, and rows of one
+        // element (a chunk extent of 1 and a last dimension of 1).
+        let cases: [(&[usize], &[usize]); 6] = [
+            (&[13, 9, 6], &[5, 4, 6]),
+            (&[13, 9, 6], &[5, 4, 4]),
+            (&[25, 18], &[8, 7]),
+            (&[57], &[10]),
+            (&[6, 7], &[4, 1]),
+            (&[9, 1], &[4, 1]),
+        ];
+        for (case, (shape, extent)) in cases.into_iter().enumerate() {
+            let data = field(shape);
+            let mut bytes = Vec::with_capacity(data.len() * 4);
+            for &v in &data {
+                v.to_le(&mut bytes);
+            }
+            let name = format!("hpmdr_ingest_fs_{}_{case}", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, &bytes).unwrap();
 
-        let grid = ChunkGrid::new(&shape, &[5, 4, 6]);
-        let mut src = FileSource::<f32>::open(&path, &shape).unwrap();
-        for c in 0..grid.num_chunks() {
-            let region = grid.chunk_region(c);
-            let got = src.read_chunk(c, &region).unwrap();
-            assert_eq!(got, extract_region(&data, &shape, &region), "chunk {c}");
+            let grid = ChunkGrid::new(shape, extent);
+            let mut src = FileSource::<f32>::open(&path, shape).unwrap();
+            for c in 0..grid.num_chunks() {
+                let region = grid.chunk_region(c);
+                let got = src.read_chunk(c, &region).unwrap();
+                let want = extract_region(&data, shape, &region);
+                assert_eq!(got, want, "{shape:?} in {extent:?}, chunk {c}");
+            }
+            std::fs::remove_file(&path).unwrap();
         }
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -23,11 +23,12 @@
 //!   merged units, and element ranges fan out across a bounded worker
 //!   pool (per-tile parallelism comes from the pipeline layer driving one
 //!   tile per compute submission).
-//! * [`SimdBackend`] — single-threaded execution with the bit-level hot
-//!   loops (32×32 transpose, aligned fixed-point conversion, Huffman
-//!   histogram and encode) dispatched at construction to AVX2 or NEON
-//!   kernels, with a scalar fallback that is always compiled and
-//!   reachable (`HPMDR_FORCE_SCALAR=1`).
+//! * [`SimdBackend`] — single-threaded execution with the bitplane
+//!   encode loops (32×32 transpose, aligned fixed-point conversion)
+//!   dispatched at construction to AVX2 or NEON kernels, with a scalar
+//!   fallback that is always compiled and reachable
+//!   (`HPMDR_FORCE_SCALAR=1`). The lossless stage has one portable path
+//!   on every backend.
 //!
 //! All of them produce **bit-identical artifacts**: parallelism only ever splits
 //! independent work (groups, units, elements), never reassociates

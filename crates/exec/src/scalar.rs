@@ -65,6 +65,58 @@ mod tests {
     }
 
     #[test]
+    fn direct_payloads_hold_their_own_size_not_the_scratch_buffers() {
+        // Two chunks' level groups in ingest order through one context:
+        // the tiny coarse groups of the second chunk (`Direct`, under the
+        // size threshold) lease the scratch buffer its predecessor's
+        // largest units grew, and must not keep that capacity.
+        let ctx = ExecCtx::default();
+        let backend = ScalarBackend::new();
+        let compressor = HybridCompressor::new(HybridConfig::default());
+        let mut s = 0x2545_f491u32;
+        let groups: Vec<Vec<f32>> = [1usize, 7, 19, 98, 604, 4184, 30_000]
+            .iter()
+            .map(|&n| {
+                (0..n)
+                    .map(|i| {
+                        s ^= s << 13;
+                        s ^= s >> 17;
+                        s ^= s << 5;
+                        (i as f32 * 0.01).sin() + (s >> 8) as f32 * 1e-9
+                    })
+                    .collect()
+            })
+            .collect();
+        let (mut moved, mut largest) = (0, 0);
+        for chunk in 0..2 {
+            let streams = backend.encode_and_compress(
+                &ctx,
+                &groups,
+                32,
+                Layout::Interleaved32,
+                4,
+                &compressor,
+            );
+            for (g, stream) in streams.iter().enumerate() {
+                for (u, unit) in stream.units.iter().enumerate() {
+                    let (len, cap) = (unit.payload.len(), unit.payload.capacity());
+                    assert!(
+                        cap <= len + 16,
+                        "chunk {chunk} group {g} unit {u} ({:?}): {len} bytes hold {cap}",
+                        unit.codec
+                    );
+                    moved += usize::from(unit.codec == hpmdr_lossless::Codec::Direct);
+                    largest = largest.max(unit.original_len);
+                }
+            }
+        }
+        assert!(
+            moved > 0 && largest > 16 * 640,
+            "no buffer was ever oversized"
+        );
+    }
+
+    #[test]
     fn encode_compress_decode_roundtrip() {
         let ctx = ExecCtx::default();
         let backend = ScalarBackend::new();

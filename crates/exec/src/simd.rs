@@ -1,13 +1,12 @@
 //! Runtime-dispatched SIMD backend.
 
-use crate::backend::{compress_one_unit, Backend};
+use crate::backend::Backend;
 use crate::ctx::ExecCtx;
 use crate::scalar::sequential_pool;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout};
-use hpmdr_lossless::{CompressedGroup, HybridCompressor};
 use hpmdr_simd::Isa;
 
-/// Single-threaded execution with the bit-level hot loops dispatched to
+/// Single-threaded execution with the bitplane encode loops dispatched to
 /// vectorized kernels (AVX2 on x86-64, NEON on aarch64, scalar elsewhere).
 ///
 /// The instruction set is probed **once at construction** and pinned for
@@ -21,8 +20,8 @@ use hpmdr_simd::Isa;
 ///
 /// Artifacts are **byte-identical** to [`ScalarBackend`](crate::ScalarBackend)'s
 /// for every ISA: the vector kernels restructure *how* bits are computed
-/// (transposes, histogram accumulation, accumulator flush widths), never
-/// *which* values — arithmetic is never reassociated across elements. The
+/// (transposes, conversion widths), never *which* values — arithmetic is
+/// never reassociated across elements. The
 /// `backend_equivalence` and `golden_bytes` suites in `tests/` enforce
 /// this; it is the portability property HP-MDR's refactored data relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,25 +93,6 @@ impl Backend for SimdBackend {
     ) -> BitplaneChunk {
         self.install(|| hpmdr_bitplane::encode_with_isa(group, planes, layout, self.isa))
     }
-
-    fn compress_units(
-        &self,
-        ctx: &ExecCtx,
-        chunk: &BitplaneChunk,
-        group_size: usize,
-        compressor: &HybridCompressor,
-    ) -> Vec<CompressedGroup> {
-        let m = group_size.max(1);
-        let num_units = chunk.num_planes().div_ceil(m);
-        // Route the Huffman histogram/encode kernels through our ISA; the
-        // selector's estimates and the emitted bytes are ISA-invariant.
-        let compressor = compressor.with_isa(self.isa);
-        self.install(|| {
-            (0..num_units)
-                .map(|u| compress_one_unit(ctx, chunk, u, m, &compressor))
-                .collect()
-        })
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +100,7 @@ mod tests {
     use super::*;
     use crate::backend::StreamView;
     use crate::ScalarBackend;
-    use hpmdr_lossless::HybridConfig;
+    use hpmdr_lossless::{HybridCompressor, HybridConfig};
 
     fn field(n: usize) -> Vec<f32> {
         (0..n).map(|i| (i as f32 * 0.21).sin() * 3.0).collect()

@@ -6,43 +6,33 @@
 //!
 //! * **Huffman**: build the histogram, derive optimal code lengths, and sum
 //!   `freq × len` — the exact payload bit count; the header overhead is
-//!   added as a constant.
+//!   added as a constant. This is [`CodeBook::stream_len`]: the selector
+//!   keeps the code book it asked and encodes with it.
 //! * **RLE**: scan for run beginnings and accumulate the exact per-run
-//!   cost (1 symbol byte + varint run-length bytes).
+//!   cost (1 symbol byte + varint run-length bytes). The selector asks
+//!   the yes/no question [`rle_cr_exceeds`], which a branch-free count of
+//!   run beginnings settles for every group RLE cannot win.
 //!
 //! Because both estimates are exact up to chunk-boundary effects, the
 //! selector's decisions match what actual encoding would have produced.
 
-use crate::huffman;
-use crate::rle::varint_len;
-use hpmdr_simd::Isa;
+use crate::huffman::CodeBook;
+use crate::rle::{varint_len, CHUNK_SIZE};
 use rayon::prelude::*;
 
 /// Estimated compression ratio of Huffman coding `data` (original size
 /// divided by estimated compressed size, header included). Returns
 /// `f64::INFINITY` for empty input.
 pub fn estimate_huffman_cr(data: &[u8]) -> f64 {
-    estimate_huffman_cr_with_isa(data, Isa::Scalar)
-}
-
-/// [`estimate_huffman_cr`] with the histogram scan dispatched to `isa`'s
-/// vectorized kernel. The estimate is identical for every ISA — the
-/// histogram is exact — so callers may freely pass [`Isa::detect`].
-pub fn estimate_huffman_cr_with_isa(data: &[u8], isa: Isa) -> f64 {
     if data.is_empty() {
         return f64::INFINITY;
     }
-    let hist = huffman::histogram_with_isa(data, isa);
-    let lens = huffman::code_lengths(&hist);
-    let payload_bits: u64 = hist
-        .iter()
-        .zip(lens.iter())
-        .map(|(&f, &l)| f * l as u64)
-        .sum();
-    // Header: lengths table + frame fields + per-chunk sizes.
-    let n_chunks = data.len().div_ceil(huffman::CHUNK_SIZE).max(1);
-    let header_bytes = (16 + 256 + 4 * n_chunks) as u64;
-    data.len() as f64 / (payload_bits.div_ceil(8) + header_bytes) as f64
+    CodeBook::new(data).estimated_ratio()
+}
+
+/// Bytes of an RLE frame ahead of the chunk payloads.
+fn rle_header_len(len: usize) -> u64 {
+    (16 + 4 * len.div_ceil(CHUNK_SIZE).max(1)) as u64
 }
 
 /// Estimated compression ratio of RLE coding `data`. Returns
@@ -52,7 +42,7 @@ pub fn estimate_rle_cr(data: &[u8]) -> f64 {
         return f64::INFINITY;
     }
     let cost: u64 = data
-        .par_chunks(crate::rle::CHUNK_SIZE)
+        .par_chunks(CHUNK_SIZE)
         .map(|chunk| {
             let mut bytes = 0u64;
             let mut i = 0;
@@ -68,9 +58,39 @@ pub fn estimate_rle_cr(data: &[u8]) -> f64 {
             bytes
         })
         .sum();
-    let n_chunks = data.len().div_ceil(crate::rle::CHUNK_SIZE).max(1);
-    let header_bytes = (16 + 4 * n_chunks) as u64;
-    data.len() as f64 / (cost + header_bytes) as f64
+    data.len() as f64 / (cost + rle_header_len(data.len())) as f64
+}
+
+/// Whether [`estimate_rle_cr`]`(data) > threshold`, at less than the cost
+/// of the exact scan wherever RLE cannot win.
+///
+/// Every run costs at least two bytes (symbol + one varint byte), so
+/// `2 · runs + header` is a lower bound on the RLE size, and `runs` is a
+/// branch-free count of `c[i] != c[i-1]` per chunk. Correctly rounded
+/// division is monotone in the denominator, so the ratio over the bound
+/// is never below the exact estimate: when it does not clear the
+/// threshold the estimate cannot either, and only the remaining groups
+/// pay the exact scan. The answer is the exact comparison's on every
+/// input at every threshold.
+pub fn rle_cr_exceeds(data: &[u8], threshold: f64) -> bool {
+    if data.is_empty() {
+        return f64::INFINITY > threshold;
+    }
+    let runs: usize = data.par_chunks(CHUNK_SIZE).map(count_runs).sum();
+    let at_least = 2 * runs as u64 + rle_header_len(data.len());
+    data.len() as f64 / at_least as f64 > threshold && estimate_rle_cr(data) > threshold
+}
+
+/// Runs of equal bytes in a non-empty `chunk`: one plus the positions
+/// that differ from their predecessor, counted 128 at a time in a `u8`
+/// so the compare-and-add stays in byte lanes.
+fn count_runs(chunk: &[u8]) -> usize {
+    let blocks = chunk[1..].chunks(128).zip(chunk.chunks(128));
+    let changes = blocks.map(|(next, prev)| {
+        let differing = next.iter().zip(prev).map(|(a, b)| u8::from(a != b));
+        usize::from(differing.sum::<u8>())
+    });
+    1 + changes.sum::<usize>()
 }
 
 #[cfg(test)]

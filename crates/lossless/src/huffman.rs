@@ -22,7 +22,6 @@
 //! ```
 
 use crate::framing::{carve_output, parse_frames, ChunkFrames, FramingError};
-use hpmdr_simd::Isa;
 use rayon::prelude::*;
 
 /// Chunk granularity for parallel encode/decode.
@@ -107,146 +106,6 @@ pub fn histogram(data: &[u8]) -> [u64; 256] {
                 a
             },
         )
-}
-
-/// [`histogram`] with the per-chunk counting kernel dispatched by `isa`.
-///
-/// The vector kernels classify 32 (AVX2) / 16 (NEON) bytes per compare
-/// and count the zero bytes from the resulting mask, so the dominant
-/// symbol of bitplane data costs one popcount per vector instead of one
-/// increment per byte; only the non-zero minority goes through the
-/// interleaved sub-histogram counters. Counts are exact for every input
-/// — an ISA without a kernel on this target degrades to [`histogram`].
-pub fn histogram_with_isa(data: &[u8], isa: Isa) -> [u64; 256] {
-    match isa.or_scalar() {
-        #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => data
-            .par_chunks(1 << 20)
-            .map(|chunk| {
-                // SAFETY: the `or_scalar` gate above proves AVX2 is
-                // available on this CPU.
-                unsafe { histogram_chunk_avx2(chunk) }
-            })
-            .reduce(
-                || [0u64; 256],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    a
-                },
-            ),
-        #[cfg(target_arch = "aarch64")]
-        Isa::Neon => data
-            .par_chunks(1 << 20)
-            .map(|chunk| {
-                // SAFETY: NEON availability established by `or_scalar`.
-                unsafe { histogram_chunk_neon(chunk) }
-            })
-            .reduce(
-                || [0u64; 256],
-                |mut a, b| {
-                    for (x, y) in a.iter_mut().zip(b.iter()) {
-                        *x += y;
-                    }
-                    a
-                },
-            ),
-        _ => histogram(data),
-    }
-}
-
-/// Merge interleaved u32 sub-histogram lanes plus a separate zero-byte
-/// count into a u64 histogram — shared tail of the vector kernels.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-fn merge_lanes(lanes: &[[u32; 256]; 4], zeros: u64) -> [u64; 256] {
-    let mut h = [0u64; 256];
-    h[0] = zeros;
-    for lane in lanes {
-        for (x, &y) in h.iter_mut().zip(lane.iter()) {
-            *x += y as u64;
-        }
-    }
-    h
-}
-
-/// AVX2 histogram of one worker chunk (≤ 2^20 bytes, so u32 lanes
-/// cannot overflow): compare 32 bytes against zero per iteration, count
-/// the zeros via movemask+popcount, and scatter only the non-zero bytes
-/// into four interleaved sub-histograms.
-///
-/// # Safety
-/// AVX2 must be available on the executing CPU.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: sole precondition is AVX2 availability (dispatch-gated); all
-// loads stay inside `chunk`.
-unsafe fn histogram_chunk_avx2(chunk: &[u8]) -> [u64; 256] {
-    use std::arch::x86_64::*;
-    let zero = _mm256_setzero_si256();
-    let mut lanes = [[0u32; 256]; 4];
-    let mut zeros = 0u64;
-    let n = chunk.len() & !31;
-    for i in (0..n).step_by(32) {
-        let v = _mm256_loadu_si256(chunk.as_ptr().add(i) as *const __m256i);
-        let mask = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)) as u32;
-        zeros += mask.count_ones() as u64;
-        let mut nz = !mask;
-        while nz != 0 {
-            let j = nz.trailing_zeros() as usize;
-            nz &= nz - 1;
-            lanes[j & 3][chunk[i + j] as usize] += 1;
-        }
-    }
-    for &b in &chunk[n..] {
-        if b == 0 {
-            zeros += 1;
-        } else {
-            lanes[0][b as usize] += 1;
-        }
-    }
-    merge_lanes(&lanes, zeros)
-}
-
-/// NEON histogram of one worker chunk: 16-byte zero compare, zero count
-/// via the `vshrn` nibble-mask reduction, non-zero scatter as in the
-/// AVX2 kernel.
-///
-/// # Safety
-/// NEON must be available on the executing CPU.
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-// SAFETY: sole precondition is NEON availability (aarch64 baseline,
-// dispatch-gated); all loads stay inside `chunk`.
-unsafe fn histogram_chunk_neon(chunk: &[u8]) -> [u64; 256] {
-    use std::arch::aarch64::*;
-    let zero = vdupq_n_u8(0);
-    let mut lanes = [[0u32; 256]; 4];
-    let mut zeros = 0u64;
-    let n = chunk.len() & !15;
-    for i in (0..n).step_by(16) {
-        let v = vld1q_u8(chunk.as_ptr().add(i));
-        let eq = vceqq_u8(v, zero);
-        // One nibble per byte: 0xF where the byte is zero.
-        let nib = vshrn_n_u16::<4>(vreinterpretq_u16_u8(eq));
-        let mask = vget_lane_u64::<0>(vreinterpret_u64_u8(nib));
-        zeros += (mask.count_ones() / 4) as u64;
-        let mut nz = !mask;
-        while nz != 0 {
-            let tz = nz.trailing_zeros();
-            let j = (tz >> 2) as usize;
-            nz &= !(0xFu64 << (tz & !3));
-            lanes[j & 3][chunk[i + j] as usize] += 1;
-        }
-    }
-    for &b in &chunk[n..] {
-        if b == 0 {
-            zeros += 1;
-        } else {
-            lanes[0][b as usize] += 1;
-        }
-    }
-    merge_lanes(&lanes, zeros)
 }
 
 /// Optimal prefix-code lengths for `hist` (0 for absent symbols).
@@ -343,63 +202,108 @@ pub fn canonical_codes(lens: &[u8; 256]) -> [u64; 256] {
     codes
 }
 
-/// Compress `data`; the result decompresses with [`decompress`].
-pub fn compress(data: &[u8]) -> Vec<u8> {
-    compress_with_isa(data, Isa::Scalar)
+/// The canonical code of one input, built once: what the hybrid selector
+/// asks about ([`Self::stream_len`]) and what encodes
+/// ([`Self::encode`]) share one histogram and one tree. It borrows the
+/// input, so the code can only ever encode the bytes it was built from.
+#[derive(Debug, Clone)]
+pub struct CodeBook<'a> {
+    data: &'a [u8],
+    lens: [u8; 256],
+    /// `Σ count × code length`: the exact payload bit count.
+    payload_bits: u64,
 }
 
-/// [`compress`] with the histogram and accumulator packing loop
-/// dispatched by `isa`. **Byte-identical output** for every `isa`: the
-/// fast packing loop emits the same MSB-first bitstream with the same
-/// zero-padded chunk tails, it just flushes the accumulator a word at a
-/// time instead of a byte at a time (enforced by the equivalence tests
-/// below and the cross-backend golden-bytes suite).
-pub fn compress_with_isa(data: &[u8], isa: Isa) -> Vec<u8> {
-    let isa = isa.or_scalar();
-    let hist = histogram_with_isa(data, isa);
-    let lens = code_lengths(&hist);
-    let codes = canonical_codes(&lens);
-    let n_chunks = data.len().div_ceil(CHUNK_SIZE).max(1);
-
-    // Packed per-symbol entry table for the fast loop: `code | len<<58`
-    // (codes are ≤ 56 bits), so one load serves both fields.
-    let mut packed = [0u64; 256];
-    for (p, (&c, &l)) in packed.iter_mut().zip(codes.iter().zip(lens.iter())) {
-        *p = c | ((l as u64) << 58);
+impl<'a> CodeBook<'a> {
+    /// Histogram `data` and derive its optimal code lengths.
+    pub fn new(data: &'a [u8]) -> Self {
+        let hist = histogram(data);
+        let lens = code_lengths(&hist);
+        let payload_bits = hist.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
+        CodeBook {
+            data,
+            lens,
+            payload_bits,
+        }
     }
 
-    let payloads: Vec<Vec<u8>> = data
-        .par_chunks(CHUNK_SIZE.max(1))
-        .map(|chunk| {
-            let mut out = Vec::with_capacity(chunk.len() / 2 + 8);
-            if isa == Isa::Scalar {
-                encode_chunk_reference(chunk, &lens, &codes, &mut out);
-            } else {
-                encode_chunk_wide(chunk, &packed, &mut out);
-            }
-            out
-        })
-        .collect();
+    /// Bytes of the frame ahead of the chunk payloads: fixed fields,
+    /// lengths table, per-chunk sizes.
+    fn header_len(&self) -> usize {
+        16 + 256 + 4 * self.data.len().div_ceil(CHUNK_SIZE).max(1)
+    }
 
+    /// Length in bytes of the stream [`Self::encode`] produces, exact up
+    /// to the padding of each chunk's last byte (it counts one padded
+    /// tail, a stream of `k` chunks has up to `k`; an empty input is
+    /// counted with the size entry of a chunk it does not have).
+    pub fn stream_len(&self) -> usize {
+        self.payload_bits.div_ceil(8) as usize + self.header_len()
+    }
+
+    /// Input length over [`Self::stream_len`]: the compression ratio the
+    /// hybrid selector holds against its threshold.
+    pub fn estimated_ratio(&self) -> f64 {
+        self.data.len() as f64 / self.stream_len() as f64
+    }
+
+    /// Encode the input; the result decompresses with [`decompress`].
+    pub fn encode(&self) -> Vec<u8> {
+        let (data, lens) = (self.data, &self.lens);
+        let codes = canonical_codes(lens);
+        // Packed per-symbol entry table: `code | len<<58` (codes are
+        // ≤ 56 bits), so one load serves both fields.
+        let mut packed = [0u64; 256];
+        for (p, (&c, &l)) in packed.iter_mut().zip(codes.iter().zip(lens.iter())) {
+            *p = c | ((l as u64) << 58);
+        }
+        // Size each chunk's buffer from the known payload: its exact
+        // size for a single-chunk input, the average plus an eighth
+        // otherwise (a chunk denser than that regrows).
+        let n_chunks = data.len().div_ceil(CHUNK_SIZE).max(1);
+        let share = (self.payload_bits.div_ceil(8) as usize).div_ceil(n_chunks);
+        let payload_cap = share + usize::from(n_chunks > 1) * share / 8;
+        let payloads: Vec<Vec<u8>> = data
+            .par_chunks(CHUNK_SIZE)
+            .map(|chunk| {
+                let mut out = Vec::with_capacity(payload_cap);
+                encode_chunk_wide(chunk, &packed, &mut out);
+                out
+            })
+            .collect();
+
+        frame_stream(data.len(), lens, &payloads)
+    }
+}
+
+/// Assemble the stream of `len` input bytes from its code lengths and
+/// encoded chunk payloads (see the module docs for the format).
+fn frame_stream(len: usize, lens: &[u8; 256], payloads: &[Vec<u8>]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
-        8 + 4 + 4 + 256 + 4 * n_chunks + payloads.iter().map(Vec::len).sum::<usize>(),
+        16 + 256 + 4 * payloads.len() + payloads.iter().map(Vec::len).sum::<usize>(),
     );
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(len as u64).to_le_bytes());
     out.extend_from_slice(&(CHUNK_SIZE as u32).to_le_bytes());
     out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    out.extend_from_slice(&lens);
-    for p in &payloads {
+    out.extend_from_slice(lens);
+    for p in payloads {
         out.extend_from_slice(&(p.len() as u32).to_le_bytes());
     }
-    for p in &payloads {
+    for p in payloads {
         out.extend_from_slice(p);
     }
     out
 }
 
+/// Compress `data`; the result decompresses with [`decompress`].
+pub fn compress(data: &[u8]) -> Vec<u8> {
+    CodeBook::new(data).encode()
+}
+
 /// Reference chunk encoder: right-aligned 64-bit accumulator, one
 /// shift+or per symbol, byte-at-a-time flush. This is the semantics
-/// pin every fast variant must reproduce byte for byte.
+/// pin [`encode_chunk_wide`] must reproduce byte for byte.
+#[cfg(test)]
 fn encode_chunk_reference(chunk: &[u8], lens: &[u8; 256], codes: &[u64; 256], out: &mut Vec<u8>) {
     // Whole codes land in a 64-bit accumulator. The flush keeps
     // pending < 8, and pending + MAX_CODE_LEN = 7 + 56 ≤ 63, so
@@ -1072,18 +976,10 @@ mod tests {
         assert!(kraft <= 1.0 + 1e-9);
     }
 
-    /// Every ISA the host supports, plus `Scalar` (always supported).
-    fn available_isas() -> Vec<Isa> {
-        [Isa::Scalar, Isa::Avx2, Isa::Neon]
-            .into_iter()
-            .filter(|i| i.is_available())
-            .collect()
-    }
-
     /// Payload shapes that exercise every encoder branch: empty input,
     /// one symbol, dense random bytes (long codes, frequent straddles),
-    /// zero-dominated bitplane-like data (the zero-skip histogram fast
-    /// path), single-symbol runs, and exact chunk boundaries.
+    /// zero-dominated bitplane-like data, single-symbol runs, and exact
+    /// chunk boundaries.
     fn equivalence_payloads() -> Vec<Vec<u8>> {
         vec![
             Vec::new(),
@@ -1100,30 +996,28 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn histogram_with_isa_matches_scalar() {
-        for data in equivalence_payloads() {
-            let want = histogram(&data);
-            for isa in available_isas() {
-                assert_eq!(
-                    histogram_with_isa(&data, isa),
-                    want,
-                    "isa={isa} n={}",
-                    data.len()
-                );
-            }
-        }
+    /// [`compress`] as it shipped with the byte-at-a-time chunk encoder:
+    /// the byte oracle of [`CodeBook::encode`].
+    fn compress_reference(data: &[u8]) -> Vec<u8> {
+        let lens = code_lengths(&histogram(data));
+        let codes = canonical_codes(&lens);
+        let payloads: Vec<Vec<u8>> = data
+            .chunks(CHUNK_SIZE)
+            .map(|chunk| {
+                let mut out = Vec::new();
+                encode_chunk_reference(chunk, &lens, &codes, &mut out);
+                out
+            })
+            .collect();
+        frame_stream(data.len(), &lens, &payloads)
     }
 
     #[test]
-    fn compress_with_isa_is_byte_identical_to_scalar() {
+    fn wide_encoder_is_byte_identical_to_the_reference() {
         for data in equivalence_payloads() {
-            let want = compress(&data);
-            for isa in available_isas() {
-                let got = compress_with_isa(&data, isa);
-                assert_eq!(got, want, "isa={isa} n={}", data.len());
-                assert_eq!(decompress(&got).unwrap(), data);
-            }
+            let got = compress(&data);
+            assert_eq!(got, compress_reference(&data), "n={}", data.len());
+            assert_eq!(decompress(&got).unwrap(), data);
         }
     }
 
@@ -1136,11 +1030,34 @@ mod tests {
             let reps = 1usize << (sym % 18);
             data.extend(std::iter::repeat_n(sym, reps));
         }
-        let want = compress(&data);
-        for isa in available_isas() {
-            assert_eq!(compress_with_isa(&data, isa), want, "isa={isa}");
+        let got = compress(&data);
+        let longest = got[16..16 + 256].iter().max().copied();
+        assert!(
+            longest > Some(16),
+            "a pair of {longest:?}-bit codes must straddle"
+        );
+        assert_eq!(got, compress_reference(&data));
+        assert_eq!(decompress(&got).unwrap(), data);
+    }
+
+    #[test]
+    fn code_book_sizes_the_stream_it_encodes() {
+        for data in equivalence_payloads() {
+            let book = CodeBook::new(&data);
+            let stream = book.encode();
+            // One padded tail byte is counted; every further chunk may
+            // add one more.
+            let chunks = data.len().div_ceil(CHUNK_SIZE).max(1);
+            let slack = stream.len() as i64 - book.stream_len() as i64;
+            let empty_table = i64::from(data.is_empty()) * 4;
+            assert!(
+                (0..chunks as i64).contains(&(slack + empty_table)),
+                "n={} estimated {} actual {}",
+                data.len(),
+                book.stream_len(),
+                stream.len()
+            );
         }
-        assert_eq!(decompress(&want).unwrap(), data);
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! then RLE (cheap, good on structured sparsity), with direct copy as the
 //! fallback that keeps incompressible groups at full throughput.
 
-use crate::huffman::HuffmanError;
+use crate::huffman::{CodeBook, HuffmanError};
 use crate::rle::RleError;
 use crate::{estimate, huffman, rle};
-use hpmdr_simd::Isa;
 use serde::{Deserialize, Serialize};
 
 /// Why a compressed group failed to decode: the typed union of the two
@@ -127,56 +126,68 @@ impl CompressedGroup {
 pub struct HybridCompressor {
     /// Selection configuration.
     pub config: HybridConfig,
-    /// Instruction set the Huffman kernels dispatch to. `Scalar` by
-    /// default, so existing callers keep the reference code paths; SIMD
-    /// backends opt in via [`Self::with_isa`]. Every ISA produces
-    /// byte-identical streams.
-    isa: Isa,
+}
+
+/// What Algorithm 2 decided for one group. A Huffman decision keeps the
+/// code book that made it — the histogram and tree behind the estimate
+/// are the ones the encoder needs. It lives on the stack for the length of
+/// one call; boxing the book would cost an allocation per unit.
+#[allow(clippy::large_enum_variant)]
+enum Selection<'a> {
+    Huffman(CodeBook<'a>),
+    Rle,
+    Direct,
 }
 
 impl HybridCompressor {
     /// Compressor with the given configuration.
     pub fn new(config: HybridConfig) -> Self {
-        HybridCompressor {
-            config,
-            isa: Isa::Scalar,
+        HybridCompressor { config }
+    }
+
+    fn decide<'a>(&self, group: &'a [u8]) -> Selection<'a> {
+        if group.len() <= self.config.size_threshold {
+            return Selection::Direct;
         }
-    }
-
-    /// Same compressor, with Huffman histogram/encode kernels dispatched
-    /// to `isa` (degraded to `Scalar` if the host lacks it). Output bytes
-    /// are identical for every ISA; only throughput changes.
-    #[must_use]
-    pub fn with_isa(mut self, isa: Isa) -> Self {
-        self.isa = isa.or_scalar();
-        self
-    }
-
-    /// Instruction set the kernels currently dispatch to.
-    pub fn isa(&self) -> Isa {
-        self.isa
+        let book = CodeBook::new(group);
+        if book.estimated_ratio() > self.config.cr_threshold {
+            Selection::Huffman(book)
+        } else if estimate::rle_cr_exceeds(group, self.config.cr_threshold) {
+            Selection::Rle
+        } else {
+            Selection::Direct
+        }
     }
 
     /// Decide which codec Algorithm 2 would pick for `group` without
     /// encoding it.
     pub fn select(&self, group: &[u8]) -> Codec {
-        if group.len() <= self.config.size_threshold {
-            return Codec::Direct;
+        match self.decide(group) {
+            Selection::Huffman(_) => Codec::Huffman,
+            Selection::Rle => Codec::Rle,
+            Selection::Direct => Codec::Direct,
         }
-        let r_h = estimate::estimate_huffman_cr_with_isa(group, self.isa);
-        if r_h > self.config.cr_threshold {
-            return Codec::Huffman;
+    }
+
+    /// The one body of [`Self::compress`] and [`Self::compress_owned`]:
+    /// the selected codec and its encoded bytes — `None` for `Direct`,
+    /// whose payload is the group itself, copied or moved by the caller.
+    fn encode_selected(&self, group: &[u8]) -> (Codec, Option<Vec<u8>>) {
+        match self.decide(group) {
+            Selection::Huffman(book) => (Codec::Huffman, Some(book.encode())),
+            Selection::Rle => (Codec::Rle, Some(rle::compress(group))),
+            Selection::Direct => (Codec::Direct, None),
         }
-        let r_r = estimate::estimate_rle_cr(group);
-        if r_r > self.config.cr_threshold {
-            return Codec::Rle;
-        }
-        Codec::Direct
     }
 
     /// Compress one merged bitplane group.
     pub fn compress(&self, group: &[u8]) -> CompressedGroup {
-        self.compress_with(group, self.select(group))
+        let (codec, encoded) = self.encode_selected(group);
+        CompressedGroup {
+            codec,
+            payload: encoded.unwrap_or_else(|| group.to_vec()),
+            original_len: group.len(),
+        }
     }
 
     /// Compress an owned group buffer. Produces the same bytes as
@@ -184,14 +195,16 @@ impl HybridCompressor {
     /// into the payload instead of copying it (the buffer is left empty);
     /// this is the write-through path the encode hot loop uses, where
     /// `group` is a scratch buffer already holding the merged planes.
+    /// The moved payload gives back whatever capacity the scratch buffer
+    /// had beyond its length.
     pub fn compress_owned(&self, group: &mut Vec<u8>) -> CompressedGroup {
-        let codec = self.select(group);
+        let (codec, encoded) = self.encode_selected(group);
         let original_len = group.len();
-        let payload = match codec {
-            Codec::Huffman => huffman::compress_with_isa(group, self.isa),
-            Codec::Rle => rle::compress(group),
-            Codec::Direct => std::mem::take(group),
-        };
+        let payload = encoded.unwrap_or_else(|| {
+            let mut moved = std::mem::take(group);
+            moved.shrink_to_fit();
+            moved
+        });
         CompressedGroup {
             codec,
             payload,
@@ -203,7 +216,7 @@ impl HybridCompressor {
     /// all-RLE baselines).
     pub fn compress_with(&self, group: &[u8], codec: Codec) -> CompressedGroup {
         let payload = match codec {
-            Codec::Huffman => huffman::compress_with_isa(group, self.isa),
+            Codec::Huffman => huffman::compress(group),
             Codec::Rle => rle::compress(group),
             Codec::Direct => group.to_vec(),
         };
@@ -341,15 +354,144 @@ mod tests {
             vec![0u8; 50_000],
             xorshift_bytes(50_000, 23),
             (0..50_000).map(|i| (i / 300) as u8).collect::<Vec<u8>>(),
+            xorshift_bytes(640, 29),
         ] {
             let by_ref = c.compress(&data);
-            let mut owned = data.clone();
+            // A scratch buffer that served a larger group before.
+            let mut owned = Vec::with_capacity(3 * data.len());
+            owned.extend_from_slice(&data);
             let by_move = c.compress_owned(&mut owned);
             assert_eq!(by_ref, by_move);
             if by_move.codec == Codec::Direct {
                 assert!(owned.is_empty(), "Direct must take the buffer");
+                assert_eq!(owned.capacity(), 0, "Direct must take the buffer");
+                assert_eq!(
+                    by_move.payload.capacity(),
+                    data.len(),
+                    "and only its length"
+                );
             }
         }
+    }
+
+    /// The selector as it shipped before the code book: two independent
+    /// estimates, the Huffman one written out from its parts, the RLE
+    /// one always the exact scan.
+    fn select_two_pass(c: &HybridCompressor, group: &[u8]) -> Codec {
+        if group.len() <= c.config.size_threshold {
+            return Codec::Direct;
+        }
+        let hist = huffman::histogram(group);
+        let lens = huffman::code_lengths(&hist);
+        let payload_bits: u64 = hist.iter().zip(&lens).map(|(&f, &l)| f * l as u64).sum();
+        let n_chunks = group.len().div_ceil(huffman::CHUNK_SIZE).max(1);
+        let header_bytes = (16 + 256 + 4 * n_chunks) as u64;
+        let r_h = group.len() as f64 / (payload_bits.div_ceil(8) + header_bytes) as f64;
+        if r_h > c.config.cr_threshold {
+            return Codec::Huffman;
+        }
+        if estimate::estimate_rle_cr(group) > c.config.cr_threshold {
+            return Codec::Rle;
+        }
+        Codec::Direct
+    }
+
+    /// Decisions and bytes on `group` equal the two-pass selector's.
+    fn assert_matches_two_pass(c: &HybridCompressor, group: &[u8], tag: &str) -> Codec {
+        let want = select_two_pass(c, group);
+        assert_eq!(c.select(group), want, "select {tag}");
+        let bytes = c.compress_with(group, want);
+        assert_eq!(c.compress(group), bytes, "compress {tag}");
+        assert_eq!(c.compress_owned(&mut group.to_vec()), bytes, "owned {tag}");
+        want
+    }
+
+    /// Sweep every prefix length in `lens` of `full`: the decision must be
+    /// the two-pass selector's at each, and the bytes too wherever it
+    /// flips between two consecutive lengths — payloads one byte apart on
+    /// either side of a threshold. Returns the codecs seen.
+    fn sweep(rc: f64, full: &[u8], lens: std::ops::Range<usize>, tag: &str) -> Vec<Codec> {
+        let c = compressor(rc);
+        let mut seen = Vec::new();
+        let mut last = None;
+        for n in lens {
+            let want = select_two_pass(&c, &full[..n]);
+            assert_eq!(c.select(&full[..n]), want, "select {tag} rc={rc} n={n}");
+            if last.is_some_and(|l| l != want) {
+                for m in [n - 1, n] {
+                    assert_matches_two_pass(&c, &full[..m], &format!("{tag} rc={rc} n={m}"));
+                }
+            }
+            if !seen.contains(&want) {
+                seen.push(want);
+            }
+            last = Some(want);
+        }
+        seen
+    }
+
+    #[test]
+    fn decisions_and_bytes_equal_the_two_pass_selector() {
+        let n = 150_000;
+        let payloads = [
+            ("random", xorshift_bytes(n, 41)),
+            ("zeros", vec![0u8; n]),
+            (
+                "two symbols",
+                (0..n).map(|i| u8::from(i % 9 == 0)).collect(),
+            ),
+            ("runs of 777", (0..n).map(|i| (i / 777) as u8).collect()),
+            (
+                "256 symbols x 4096",
+                (0..n).map(|i| (i / 4096) as u8).collect(),
+            ),
+            ("sparse", (0..n).map(|i| (i % 50 == 0) as u8 * 3).collect()),
+        ];
+        for rc in [1.0, 2.0, 4.0, 16.0] {
+            let c = compressor(rc);
+            for (tag, data) in &payloads {
+                // Whole, just past the size gate, and across a chunk edge.
+                for len in [n, 1024, 1025, 65_536, 65_537] {
+                    assert_matches_two_pass(&c, &data[..len], &format!("{tag} rc={rc} n={len}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_one_byte_either_side_of_each_threshold_decide_alike() {
+        use Codec::{Direct, Huffman, Rle};
+        let n = 12_000;
+        let zeros = vec![0u8; n];
+        let cycle = |k: usize| (0..n).map(|i| (i % k) as u8).collect::<Vec<u8>>();
+        let runs = |l: usize| (0..n).map(|i| (i / l) as u8).collect::<Vec<u8>>();
+        // The Huffman threshold, crossed by a growing payload of 128, 8
+        // and 1 equiprobable symbols (7, 3 and 1 bits a byte against the
+        // fixed header).
+        assert_eq!(
+            sweep(1.0, &cycle(128), 2000..2500, "128 symbols"),
+            [Direct, Huffman]
+        );
+        assert_eq!(
+            sweep(2.0, &cycle(8), 2000..2500, "8 symbols"),
+            [Direct, Huffman]
+        );
+        assert_eq!(sweep(4.0, &zeros, 2000..2500, "zeros"), [Rle, Huffman]);
+        // The RLE threshold, where Huffman cannot reach it: runs of 33
+        // cost two bytes each, so the ratio climbs towards 16.5.
+        assert_eq!(
+            sweep(16.0, &runs(33), 10_400..10_700, "runs of 33"),
+            [Direct, Rle]
+        );
+        // Runs long enough for three-byte costs, where the run-count
+        // bound is loose: it must not change an answer either.
+        for rc in [1.0, 2.0, 4.0, 16.0] {
+            sweep(rc, &runs(777), 1025..1600, "runs of 777");
+            sweep(rc, &runs(130), 1025..1600, "runs of 130");
+        }
+        // A threshold between the bound's ratio (130 / 2) and the exact
+        // one (130 / 3): the bound says maybe, the exact scan says no.
+        assert_eq!(sweep(50.0, &runs(130), 6000..6100, "runs of 130"), [Direct]);
     }
 
     #[test]
@@ -401,45 +543,6 @@ mod tests {
             .map(|i| if i % 50 == 0 { 3 } else { 0 })
             .collect();
         assert_eq!(c.select(&data), Codec::Direct);
-    }
-
-    #[test]
-    fn with_isa_is_byte_identical_and_sticky() {
-        let base = compressor(1.0);
-        for isa in [Isa::Scalar, Isa::Avx2, Isa::Neon] {
-            if !isa.is_available() {
-                continue;
-            }
-            let c = base.with_isa(isa);
-            assert_eq!(c.isa(), isa);
-            for data in [
-                vec![0u8; 100_000],
-                xorshift_bytes(100_000, 31),
-                (0..100_000)
-                    .map(|i| if i % 50 == 0 { 3 } else { 0 })
-                    .collect::<Vec<u8>>(),
-            ] {
-                assert_eq!(c.select(&data), base.select(&data), "isa={isa}");
-                assert_eq!(c.compress(&data), base.compress(&data), "isa={isa}");
-                for codec in [Codec::Huffman, Codec::Rle, Codec::Direct] {
-                    assert_eq!(
-                        c.compress_with(&data, codec),
-                        base.compress_with(&data, codec),
-                        "isa={isa} {codec:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn unavailable_isa_degrades_to_scalar() {
-        let missing = [Isa::Avx2, Isa::Neon]
-            .into_iter()
-            .find(|i| !i.is_available());
-        if let Some(isa) = missing {
-            assert_eq!(compressor(1.0).with_isa(isa).isa(), Isa::Scalar);
-        }
     }
 
     #[test]

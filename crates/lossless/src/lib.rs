@@ -22,8 +22,7 @@ pub mod huffman;
 pub mod hybrid;
 pub mod rle;
 
-pub use estimate::{estimate_huffman_cr, estimate_huffman_cr_with_isa, estimate_rle_cr};
-pub use hpmdr_simd::Isa;
+pub use estimate::{estimate_huffman_cr, estimate_rle_cr};
 pub use huffman::HuffmanError;
 pub use hybrid::{Codec, CodecError, CompressedGroup, HybridCompressor, HybridConfig};
 pub use rle::RleError;

@@ -1,14 +1,13 @@
 //! # hpmdr-simd — runtime instruction-set detection and dispatch policy
 //!
-//! HP-MDR's bit-level stages (32×32 bit transpose, byte histogram,
-//! Huffman accumulator packing, fixed-point quantization) map directly
+//! HP-MDR's bit-level stages (32×32 bit transpose, aligned fixed-point
+//! conversion, fixed-point quantization) map directly
 //! onto 128/256-bit vector units, but refactored artifacts are a
 //! portability contract: whatever instruction set runs the kernels, the
 //! bytes must be identical. This crate owns the *policy* half of that
 //! bargain — which ISA a process may use — while the kernels themselves
 //! live next to the data structures they operate on (`hpmdr-bitplane`,
-//! `hpmdr-lossless`, `hpmdr-mgard`) as explicit `*_with_isa` entry
-//! points.
+//! `hpmdr-mgard`) as explicit `*_with_isa` entry points.
 //!
 //! [`Isa`] is decided **once**, at backend construction (see
 //! `hpmdr-exec`'s `SimdBackend`), and then pinned: kernels receive the
