@@ -29,7 +29,7 @@ use crate::error::MdrError;
 use crate::ingest::{run_ingest, ChunkSource, IngestOptions, IngestReport};
 use crate::pipeline::PipelineMode;
 use crate::qoi_retrieval::{retrieve_with_qoi_control, EbEstimator};
-use crate::refactor::{refactor_with, RefactorConfig, Refactored};
+use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, assemble_region, Region, RoiPlan};
 use crate::storage::{ChunkedStoreReader, ChunkedStoreWriter, StoreReader};
@@ -260,10 +260,13 @@ impl<B: Backend> Mdr<B> {
                 data.len()
             )));
         }
-        if let Some(i) = data.iter().position(|v| !Real::to_f64(*v).is_finite()) {
-            return Err(MdrError::InvalidInput(format!(
-                "non-finite value at index {i}"
-            )));
+        if !scan_samples(data).all_finite {
+            // Only a failed fast scan pays for the one that names the index.
+            if let Some(i) = data.iter().position(|v| !Real::to_f64(*v).is_finite()) {
+                return Err(MdrError::InvalidInput(format!(
+                    "non-finite value at index {i}"
+                )));
+            }
         }
         match &self.config.chunk_extent {
             Some(extent) => {
@@ -1847,6 +1850,7 @@ mod tests {
         assert!(matches!(err, MdrError::InvalidInput(_)), "{err}");
         let mut bad = field(8, 8);
         bad[17] = f32::NAN;
+        bad[40] = f32::INFINITY; // the *first* non-finite value is named
         let err = mdr.refactor(&bad, &[8, 8]).unwrap_err();
         assert!(
             matches!(&err, MdrError::InvalidInput(w) if w.contains("index 17")),

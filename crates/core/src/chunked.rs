@@ -20,7 +20,7 @@
 //! Retrieval over the grid lives in [`crate::roi`]; the sharded on-disk
 //! layout lives in [`crate::storage`].
 
-use crate::refactor::{refactor_with, RefactorConfig, Refactored};
+use crate::refactor::{RefactorConfig, Refactored};
 use crate::roi::Region;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
@@ -347,32 +347,6 @@ pub fn refactor_chunked<F: BitplaneFloat + Real + Default>(
         &ScalarBackend::new(),
         &ExecCtx::default(),
     )
-}
-
-/// Refactor chunk `c` of `grid` from its dense row-major samples — the
-/// single per-chunk refactor entry. Both the whole-input fan below and
-/// the streaming ingest pipeline ([`crate::ingest`]) funnel every chunk
-/// through this function, so the two paths are bit-identical by
-/// construction.
-///
-/// # Panics
-/// Panics if `data.len()` does not match chunk `c`'s region, or on
-/// non-finite input.
-pub fn refactor_grid_chunk_with<F: BitplaneFloat + Real, B: Backend>(
-    grid: &ChunkGrid,
-    c: usize,
-    data: &[F],
-    config: &RefactorConfig,
-    backend: &B,
-    ctx: &ExecCtx,
-) -> Refactored {
-    let region = grid.chunk_region(c);
-    assert_eq!(
-        data.len(),
-        region.len(),
-        "chunk data length must match its grid region"
-    );
-    refactor_with(data, &region.extent, config, backend, ctx)
 }
 
 /// Chunk-refactor one variable on `backend`: every chunk is extracted and

@@ -9,7 +9,10 @@
 //! refactors chunk k, a producer thread is already pulling chunk k+1
 //! from the [`ChunkSource`] and a writer thread is flushing chunk k−1's
 //! shard, with a slot gate keeping at most `lookahead` chunks staged
-//! anywhere in the pipeline.
+//! anywhere in the pipeline. The refactor itself is cut at
+//! [`prepare`] | [`encode`] across those threads: the producer
+//! transforms the chunk it just read, so the caller's thread only
+//! entropy-codes.
 //!
 //! The memory contract is the point: peak staged payload is bounded by
 //! `lookahead × max-chunk-footprint` (a chunk's footprint is its raw
@@ -22,10 +25,10 @@
 //! pipeline run over an in-memory [`SliceSource`] with a dataset-wide
 //! batch, so there is exactly one refactor fan in the crate.
 
-use crate::chunked::{extract_region, refactor_grid_chunk_with, ChunkGrid};
+use crate::chunked::{extract_region, ChunkGrid};
 use crate::error::MdrError;
 use crate::pipeline::PipelineMode;
-use crate::refactor::{RefactorConfig, Refactored};
+use crate::refactor::{encode, prepare, Decomposed, RefactorConfig, Refactored};
 use crate::roi::Region;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{stages, Backend, ExecCtx};
@@ -38,6 +41,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default number of chunks the pipeline may hold in flight.
 pub const DEFAULT_LOOKAHEAD: usize = 4;
+
+/// Most file bytes a [`FileSource`] slab read may fetch per byte it
+/// keeps; past this the gaps between rows cost more than the calls saved.
+const SLAB_MAX_OVERREAD: usize = 4;
+
+/// Largest [`FileSource`] slab read, in bytes — the read buffer stays
+/// small whatever the domain's row length.
+const SLAB_MAX_BYTES: usize = 1 << 20;
 
 /// A sequential supplier of chunk data for streaming ingest.
 ///
@@ -128,9 +139,15 @@ impl<F: Copy + Default + Sync> ChunkSource<F> for SliceSource<'_, F> {
 
 /// [`ChunkSource`] over a raw little-endian row-major binary file.
 ///
-/// Reads one contiguous row per seek, so only a chunk — never the whole
-/// file — is resident. The file length is validated against `shape` at
-/// open time.
+/// Only a chunk — never the whole file — is resident. A chunk is read
+/// one *slab* per call: the `rows` rows that one position of the leading
+/// dimensions spans along the second-to-last dimension lie `pitch`
+/// (the file's row length) apart, so `(rows − 1)·pitch + row` contiguous
+/// file elements hold all of them. That span is read at once while it
+/// over-reads at most 4× and stays within 1 MiB; a wider domain under a
+/// narrow chunk falls back to the same loop with one row per call
+/// ([`reads_issued`](Self::reads_issued) counts the calls). The file
+/// length is validated against `shape` at open time.
 #[derive(Debug)]
 pub struct FileSource<F: IngestElem> {
     file: File,
@@ -138,6 +155,8 @@ pub struct FileSource<F: IngestElem> {
     shape: Vec<usize>,
     /// Row-major element strides of `shape`.
     strides: Vec<usize>,
+    /// `read_exact` calls issued so far.
+    reads: usize,
     _elem: PhantomData<fn() -> F>,
 }
 
@@ -152,7 +171,15 @@ impl<F: IngestElem> FileSource<F> {
         }
         let file = File::open(path).map_err(|e| MdrError::io(path, e))?;
         let meta = file.metadata().map_err(|e| MdrError::io(path, e))?;
-        let want = shape.iter().product::<usize>() as u64 * F::BYTES as u64;
+        let want = shape
+            .iter()
+            .try_fold(F::BYTES as u64, |n, &d| n.checked_mul(d as u64))
+            .ok_or_else(|| {
+                MdrError::InvalidInput(format!(
+                    "source shape {shape:?} of {} overflows a file length",
+                    F::TYPE_NAME
+                ))
+            })?;
         if meta.len() != want {
             return Err(MdrError::InvalidInput(format!(
                 "{} is {} bytes; shape {:?} of {} needs {}",
@@ -172,8 +199,15 @@ impl<F: IngestElem> FileSource<F> {
             path: path.to_path_buf(),
             shape: shape.to_vec(),
             strides,
+            reads: 0,
             _elem: PhantomData,
         })
+    }
+
+    /// Read calls issued against the file so far — the source's I/O-op
+    /// count (one per slab, or one per row where the slab rule declines).
+    pub fn reads_issued(&self) -> usize {
+        self.reads
     }
 }
 
@@ -186,18 +220,38 @@ impl<F: IngestElem> ChunkSource<F> for FileSource<F> {
         let nd = self.shape.len();
         debug_assert_eq!(region.ndims(), nd);
         let row = region.extent[nd - 1];
+        let (rows, pitch) = match nd {
+            1 => (1, row),
+            _ => (region.extent[nd - 2], self.strides[nd - 2]),
+        };
+        // Rows per read: the whole slab when the rule admits it, else one.
+        let slab_span = (rows - 1) * pitch + row;
+        let take = if slab_span <= SLAB_MAX_OVERREAD * rows * row
+            && slab_span * F::BYTES <= SLAB_MAX_BYTES
+        {
+            rows
+        } else {
+            1
+        };
+        // Dimensions a read does not cover, stepped by the odometer below.
+        let outer = if take == rows {
+            nd.saturating_sub(2)
+        } else {
+            nd - 1
+        };
         let mut out = vec![F::default(); region.len()];
-        let mut buf = vec![0u8; row * F::BYTES];
+        let mut buf = vec![0u8; ((take - 1) * pitch + row) * F::BYTES];
         let mut idx = region.start.clone();
-        for dst in out.chunks_exact_mut(row.max(1)) {
+        for dst in out.chunks_exact_mut(take * row) {
             let off: usize = idx.iter().zip(&self.strides).map(|(i, s)| i * s).sum();
+            self.reads += 1;
             self.file
                 .seek(SeekFrom::Start((off * F::BYTES) as u64))
                 .and_then(|_| self.file.read_exact(&mut buf))
                 .map_err(|e| {
                     if e.kind() == std::io::ErrorKind::UnexpectedEof {
                         MdrError::corrupt(format!(
-                            "{} truncated: row at {:?} ends past the file",
+                            "{} truncated: read at {:?} ends past the file",
                             self.path.display(),
                             idx
                         ))
@@ -205,11 +259,13 @@ impl<F: IngestElem> ChunkSource<F> for FileSource<F> {
                         MdrError::io(&self.path, e)
                     }
                 })?;
-            for (v, bytes) in dst.iter_mut().zip(buf.chunks_exact(F::BYTES)) {
-                *v = F::from_le(bytes);
+            let src_rows = buf.chunks(pitch * F::BYTES);
+            for (dst_row, src) in dst.chunks_exact_mut(row).zip(src_rows) {
+                for (v, bytes) in dst_row.iter_mut().zip(src.chunks_exact(F::BYTES)) {
+                    *v = F::from_le(bytes);
+                }
             }
-            // Odometer over the non-row dimensions, bounded to `region`.
-            for d in (0..nd - 1).rev() {
+            for d in (0..outer).rev() {
                 idx[d] += 1;
                 if idx[d] < region.end(d) {
                     break;
@@ -362,10 +418,18 @@ pub(crate) struct IngestMetrics {
     pub max_chunk_footprint_bytes: usize,
 }
 
+/// A staged chunk's samples: as read, or already through [`prepare`]
+/// on the thread that read them. Either way they occupy one chunk's
+/// worth of bytes — the level groups partition the chunk.
+enum Samples<F> {
+    Raw(Vec<F>),
+    Prepared(Decomposed<F>),
+}
+
 /// One chunk staged between the producer and the refactor fan.
 struct Staged<F> {
     c: usize,
-    data: Vec<F>,
+    samples: Samples<F>,
     raw_bytes: usize,
 }
 
@@ -376,9 +440,9 @@ struct Staged<F> {
 /// whole-input chunked path funnel through it, which is what makes
 /// their artifacts bit-identical by construction. `validate` turns
 /// non-finite samples into [`MdrError::InvalidInput`] (streaming
-/// sources are untrusted); with `validate` off the underlying
-/// `refactor_with` assertions apply, preserving the historical
-/// panic-on-NaN contract of the in-memory path.
+/// sources are untrusted); with `validate` off [`encode`]'s assertion
+/// applies, preserving the historical panic-on-NaN contract of the
+/// in-memory path.
 // One parameter per pipeline concern; bundling them into a struct would
 // just move the same eight names behind a constructor.
 #[allow(clippy::too_many_arguments)]
@@ -403,6 +467,24 @@ where
     let footprint = AtomicUsize::new(0);
     let (gauge, footprint) = (&gauge, &footprint);
 
+    // The transform half of chunk `c`, on whichever thread the schedule
+    // gives it.
+    let prepare_chunk = |c: usize, data: Vec<F>| -> Result<Decomposed<F>, MdrError> {
+        let d = prepare(data, &grid.chunk_region(c).extent, cfg, backend, ctx);
+        if validate && !d.all_finite() {
+            return Err(MdrError::InvalidInput(format!(
+                "chunk {c} contains non-finite samples"
+            )));
+        }
+        Ok(d)
+    };
+    // Where it runs follows from the schedule alone. Overlapped: on the
+    // producer thread, which owns the chunk it just read (no copy) and
+    // would otherwise idle while the caller encodes. Sequential: inside
+    // the fan below, which is the only parallelism that schedule has —
+    // the whole-input path is this pipeline with a `threads × 2` batch.
+    let prepare_on_read = matches!(opts.mode, PipelineMode::Overlapped);
+
     let mut next = 0usize;
     let produce = move || -> Option<Result<Staged<F>, MdrError>> {
         if next == n {
@@ -421,19 +503,30 @@ where
             }
             let raw_bytes = std::mem::size_of_val(data.as_slice());
             gauge.add(raw_bytes);
-            Ok(Staged { c, data, raw_bytes })
+            let samples = if prepare_on_read {
+                Samples::Prepared(prepare_chunk(c, data)?)
+            } else {
+                Samples::Raw(data)
+            };
+            Ok(Staged {
+                c,
+                samples,
+                raw_bytes,
+            })
         }))
     };
 
     let transform = |batch: Vec<Staged<F>>| -> Result<Vec<(usize, Refactored, usize)>, MdrError> {
         let outs = backend.map_batch(ctx, &batch, |staged| {
-            if validate && staged.data.iter().any(|&v| !Real::to_f64(v).is_finite()) {
-                return Err(MdrError::InvalidInput(format!(
-                    "chunk {} contains non-finite samples",
-                    staged.c
-                )));
-            }
-            let r = refactor_grid_chunk_with(grid, staged.c, &staged.data, cfg, backend, ctx);
+            let prepared;
+            let d = match &staged.samples {
+                Samples::Prepared(d) => d,
+                Samples::Raw(data) => {
+                    prepared = prepare_chunk(staged.c, data.clone())?;
+                    &prepared
+                }
+            };
+            let r = encode(d, cfg, backend, ctx);
             let artifact_bytes = r.total_bytes();
             gauge.add(artifact_bytes);
             footprint.fetch_max(staged.raw_bytes + artifact_bytes, Ordering::SeqCst);
@@ -534,47 +627,127 @@ mod tests {
         }
     }
 
+    /// `data` as a raw little-endian dump in a fresh temporary file.
+    fn dump<F: IngestElem>(tag: &str, data: &[F]) -> PathBuf {
+        let mut bytes = Vec::with_capacity(data.len() * F::BYTES);
+        for &v in data {
+            v.to_le(&mut bytes);
+        }
+        let name = format!("hpmdr_ingest_{tag}_{}", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    /// Every chunk of `shape` in `extent` read back through a
+    /// [`FileSource`] equals the in-memory extraction; returns the reads
+    /// the source issued.
+    fn file_round_trip<F: IngestElem + std::fmt::Debug>(
+        tag: &str,
+        data: &[F],
+        shape: &[usize],
+        extent: &[usize],
+    ) -> usize {
+        let path = dump(tag, data);
+        let grid = ChunkGrid::new(shape, extent);
+        let mut src = FileSource::<F>::open(&path, shape).unwrap();
+        for c in 0..grid.num_chunks() {
+            let region = grid.chunk_region(c);
+            let got = src.read_chunk(c, &region).unwrap();
+            let want = extract_region(data, shape, &region);
+            assert_eq!(got, want, "{shape:?} in {extent:?}, chunk {c}");
+        }
+        std::fs::remove_file(&path).unwrap();
+        src.reads_issued()
+    }
+
     #[test]
     fn file_source_round_trips_all_chunks() {
-        // Full-width rows, clipped rows, 2-D, 1-D, and rows of one
-        // element (a chunk extent of 1 and a last dimension of 1).
-        let cases: [(&[usize], &[usize]); 6] = [
-            (&[13, 9, 6], &[5, 4, 6]),
-            (&[13, 9, 6], &[5, 4, 4]),
-            (&[25, 18], &[8, 7]),
-            (&[57], &[10]),
-            (&[6, 7], &[4, 1]),
-            (&[9, 1], &[4, 1]),
+        // (shape, chunk extent, reads expected over the whole grid): a
+        // slab read per position of the leading dimensions, or a read per
+        // row where the slab would over-read more than 4×. Full-width and
+        // clipped rows, clipped slabs, the last slab ending at EOF, 2-D,
+        // 1-D, rows of one element, a wide domain under a narrow chunk.
+        let cases: [(&[usize], &[usize], usize); 8] = [
+            (&[13, 9, 6], &[5, 4, 6], 13 * 3),
+            (&[13, 9, 6], &[5, 4, 4], 13 * 3 * 2),
+            // Columns 0–13 read as slabs (133 elements for 56, 2.4×); the
+            // clipped column 14–17 would over-read 130 / 32 = 4.06×, so
+            // its 8-row chunks go row by row and its 1-row chunk is one.
+            (&[25, 18], &[8, 7], 4 * 2 + 3 * 8 + 1),
+            (&[57], &[10], 6),
+            // 4 rows of 1 at pitch 7 are 22 / 4 = 5.5× (rows); the clipped
+            // 2 rows are 8 / 2 = 4× (slab).
+            (&[6, 7], &[4, 1], 7 * (4 + 1)),
+            (&[9, 1], &[4, 1], 3),
+            (&[4, 5, 1000], &[2, 2, 10], 4 * 5 * 100),
+            (&[4, 5, 40], &[2, 2, 10], 4 * 3 * 4),
         ];
-        for (case, (shape, extent)) in cases.into_iter().enumerate() {
+        for (case, (shape, extent, reads)) in cases.into_iter().enumerate() {
             let data = field(shape);
-            let mut bytes = Vec::with_capacity(data.len() * 4);
-            for &v in &data {
-                v.to_le(&mut bytes);
-            }
-            let name = format!("hpmdr_ingest_fs_{}_{case}", std::process::id());
-            let path = std::env::temp_dir().join(name);
-            std::fs::write(&path, &bytes).unwrap();
-
-            let grid = ChunkGrid::new(shape, extent);
-            let mut src = FileSource::<f32>::open(&path, shape).unwrap();
-            for c in 0..grid.num_chunks() {
-                let region = grid.chunk_region(c);
-                let got = src.read_chunk(c, &region).unwrap();
-                let want = extract_region(&data, shape, &region);
-                assert_eq!(got, want, "{shape:?} in {extent:?}, chunk {c}");
-            }
-            std::fs::remove_file(&path).unwrap();
+            let tag = format!("fs_{case}");
+            assert_eq!(
+                file_round_trip(&tag, &data, shape, extent),
+                reads,
+                "{shape:?} in {extent:?}"
+            );
+            let wide: Vec<f64> = data.iter().map(|&v| f64::from(v) * 1e40).collect();
+            assert_eq!(file_round_trip(&tag, &wide, shape, extent), reads);
         }
+        // A slab span over the 1 MiB cap (3 rows at a 512 KiB pitch)
+        // falls back to rows whatever its over-read; exactly 1 MiB fits.
+        let shape = [3usize, 131_072];
+        let data = field(&shape);
+        assert_eq!(
+            file_round_trip("fs_cap", &data, &shape, &[3, 100_000]),
+            3 * 2
+        );
+        let shape = [2usize, 131_072];
+        assert_eq!(
+            file_round_trip("fs_fit", &data[..2 * 131_072], &shape, &[2, 131_072]),
+            1
+        );
     }
 
     #[test]
     fn file_source_rejects_wrong_length() {
-        let path = std::env::temp_dir().join(format!("hpmdr_ingest_len_{}", std::process::id()));
-        std::fs::write(&path, [0u8; 10]).unwrap();
+        let path = dump("len", &[0.0f32; 3]);
         let err = FileSource::<f32>::open(&path, &[4, 4]).unwrap_err();
         assert!(matches!(err, MdrError::InvalidInput(_)), "{err}");
+        // An f32 dump is half the bytes the same shape of f64 needs.
+        let err = FileSource::<f64>::open(&path, &[3]).unwrap_err();
+        assert!(matches!(err, MdrError::InvalidInput(_)), "{err}");
+        // A shape whose byte length overflows is rejected, not wrapped.
+        let err = FileSource::<f64>::open(&path, &[usize::MAX / 4, 3]).unwrap_err();
+        assert!(
+            matches!(&err, MdrError::InvalidInput(w) if w.contains("overflows")),
+            "{err}"
+        );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn truncated_file_is_corrupt_on_both_read_paths() {
+        // Opened at full length, truncated behind the source's back.
+        for (shape, extent) in [([6usize, 40], [3usize, 20]), ([6, 1000], [3, 10])] {
+            let path = dump("trunc", &field(&shape));
+            let mut src = FileSource::<f32>::open(&path, &shape).unwrap();
+            let keep = (shape[0] * shape[1] - 5) * 4;
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_len(keep as u64))
+                .unwrap();
+            let grid = ChunkGrid::new(&shape, &extent);
+            let last = grid.num_chunks() - 1;
+            src.read_chunk(0, &grid.chunk_region(0)).unwrap();
+            let err = src.read_chunk(last, &grid.chunk_region(last)).unwrap_err();
+            assert!(
+                matches!(&err, MdrError::Corrupt(w) if w.contains("truncated")),
+                "{shape:?}: {err}"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]
@@ -606,29 +779,55 @@ mod tests {
 
     #[test]
     fn non_finite_chunk_is_an_error_not_a_panic() {
+        // Whichever thread prepares the chunk: the fan or the producer.
         let shape = [12, 12];
-        let source = FnSource::new(&shape, |c, region: &Region| {
-            let mut v = vec![1.0f32; region.len()];
-            if c == 1 {
-                v[3] = f32::NAN;
-            }
-            Ok(v)
-        });
-        let grid = ChunkGrid::new(&shape, &[6, 6]);
-        let err = run_ingest(
-            source,
-            &grid,
+        for opts in [IngestOptions::sequential(), IngestOptions::overlapped()] {
+            let source = FnSource::new(&shape, |c, region: &Region| {
+                let mut v = vec![1.0f32; region.len()];
+                if c == 1 {
+                    v[3] = f32::NAN;
+                }
+                Ok(v)
+            });
+            let grid = ChunkGrid::new(&shape, &[6, 6]);
+            let err = run_ingest(
+                source,
+                &grid,
+                &RefactorConfig::default(),
+                &ScalarBackend::new(),
+                &ExecCtx::default(),
+                &opts,
+                true,
+                &mut |_, _| Ok(()),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, MdrError::InvalidInput(w) if w.contains("chunk 1 contains non-finite")),
+                "{:?}: {err}",
+                opts.mode
+            );
+        }
+    }
+
+    /// With `validate` off the in-memory contract applies under either
+    /// schedule: `prepare` lets the NaN through on whichever thread runs
+    /// it, and the encoder's own assertion fires on the caller's thread
+    /// (a producer-thread panic would surface as the scope's instead).
+    #[test]
+    #[should_panic(expected = "bitplane encoding requires finite data")]
+    fn unvalidated_non_finite_chunk_panics_in_the_encoder() {
+        let shape = [12, 12];
+        let mut data = field(&shape);
+        data[100] = f32::NAN;
+        let _ = run_ingest(
+            SliceSource::new(&data, &shape).unwrap(),
+            &ChunkGrid::new(&shape, &[6, 6]),
             &RefactorConfig::default(),
             &ScalarBackend::new(),
             &ExecCtx::default(),
-            &IngestOptions::default(),
-            true,
+            &IngestOptions::overlapped(),
+            false,
             &mut |_, _| Ok(()),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(&err, MdrError::InvalidInput(w) if w.contains("non-finite")),
-            "{err}"
         );
     }
 

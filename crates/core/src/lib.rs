@@ -105,8 +105,7 @@ pub use api::{
     Query, Reader, Scope, SharedReader, Store, Target, DEFAULT_CACHE_BUDGET,
 };
 pub use chunked::{
-    refactor_chunked, refactor_chunked_with, refactor_grid_chunk_with, ChunkGrid, ChunkedConfig,
-    ChunkedRefactored,
+    refactor_chunked, refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored,
 };
 pub use error::MdrError;
 pub use hpmdr_exec::{Backend, ExecCtx, Isa, ParallelBackend, ScalarBackend, SimdBackend};
@@ -118,7 +117,9 @@ pub use qoi_retrieval::{
     retrieve_with_multi_qoi_control, retrieve_with_qoi_control, EbEstimator,
     MultiQoiRetrievalOutcome, QoiRetrievalOutcome,
 };
-pub use refactor::{refactor, refactor_with, RefactorConfig, Refactored};
+pub use refactor::{
+    encode, prepare, refactor, refactor_with, Decomposed, RefactorConfig, Refactored,
+};
 pub use remote::{RemoteStore, RemoteStoreConfig};
 pub use retrieve::{RetrievalPlan, RetrievalSession};
 pub use roi::{

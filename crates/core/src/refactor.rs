@@ -201,7 +201,145 @@ pub fn refactor<F: BitplaneFloat + Real>(
     )
 }
 
-/// Refactor one variable of shape `shape` on `backend`.
+/// What the one pre-transform pass over a variable's samples found.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SampleScan {
+    /// No sample is NaN or ±∞.
+    pub all_finite: bool,
+    /// `max − min` over the samples, NaNs ignored (0 when nothing is
+    /// left to compare).
+    pub value_range: f64,
+}
+
+/// Finite check and value range of `data` in one pass — the only look
+/// at the raw samples before the transform, shared by [`prepare`] (and
+/// through it the ingest pipeline's validation) and
+/// [`crate::api::Mdr::refactor`].
+///
+/// Eight independent lanes in the element type and no branch on the
+/// data, so the loop vectorises, like `hpmdr_bitplane`'s exponent scan:
+/// minima and maxima by plain comparison — false for a NaN, which is
+/// thereby ignored exactly as `f64::min`/`max` ignore it — and
+/// finiteness as `|x| < ∞`, false for NaN and ±∞ alike.
+pub(crate) fn scan_samples<F: Real>(data: &[F]) -> SampleScan {
+    let inf = F::from_f64(f64::INFINITY);
+    let (mut lo, mut hi) = ([inf; 8], [-inf; 8]);
+    let mut all_finite = true;
+    let mut scan = |block: &[F]| {
+        for ((lo, hi), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(block) {
+            all_finite &= x.abs_val() < inf;
+            if x < *lo {
+                *lo = x;
+            }
+            if x > *hi {
+                *hi = x;
+            }
+        }
+    };
+    let mut blocks = data.chunks_exact(8);
+    blocks.by_ref().for_each(&mut scan);
+    scan(blocks.remainder());
+    let min = lo.into_iter().fold(f64::INFINITY, |m, x| m.min(x.to_f64()));
+    let max = hi
+        .into_iter()
+        .fold(f64::NEG_INFINITY, |m, x| m.max(x.to_f64()));
+    SampleScan {
+        all_finite,
+        // Not `(max − min).max(0.0)`: this is +0.0, never −0.0 or NaN,
+        // for empty, all-NaN, all-equal and lone-infinity data alike.
+        value_range: if max > min { max - min } else { 0.0 },
+    }
+}
+
+/// A variable after the transform half of refactoring: decomposed in
+/// place and split into its level groups, ready for [`encode`].
+///
+/// This is the cut the streaming ingest pipeline schedules around — the
+/// transform of chunk k + 1 can run on one thread while another
+/// entropy-codes chunk k.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Decomposed<F> {
+    shape: Vec<usize>,
+    hierarchy: Hierarchy,
+    /// Coefficient groups (group 0 = coarsest nodal); together they hold
+    /// exactly the variable's elements.
+    groups: Vec<Vec<F>>,
+    /// What the pre-transform scan of the samples found.
+    scan: SampleScan,
+}
+
+impl<F> Decomposed<F> {
+    /// Whether every input sample was finite. [`encode`] panics on a
+    /// variable for which this is `false`; callers that take untrusted
+    /// samples check it first.
+    pub fn all_finite(&self) -> bool {
+        self.scan.all_finite
+    }
+}
+
+/// First half of [`refactor_with`]: scan `data` (finite check, value
+/// range), decompose it in place on `backend` and split it into level
+/// groups. Takes the samples by value — no copy is made.
+///
+/// # Panics
+/// Panics if `data.len()` does not match `shape`.
+pub fn prepare<F: BitplaneFloat + Real, B: Backend>(
+    mut data: Vec<F>,
+    shape: &[usize],
+    config: &RefactorConfig,
+    backend: &B,
+    ctx: &ExecCtx,
+) -> Decomposed<F> {
+    let hierarchy = match config.max_levels {
+        Some(l) => Hierarchy::with_levels(shape, l),
+        None => Hierarchy::full(shape),
+    };
+    assert_eq!(data.len(), hierarchy.len(), "data length must match shape");
+    let scan = scan_samples(&data);
+    backend.decompose(ctx, &mut data, &hierarchy, config.correction);
+    Decomposed {
+        shape: shape.to_vec(),
+        groups: extract_levels(&data, &hierarchy),
+        hierarchy,
+        scan,
+    }
+}
+
+/// Second half of [`refactor_with`]: bitplane-encode and compress every
+/// level group of `d` on `backend` and assemble the artifact. `config`
+/// must be the one `d` was [`prepare`]d with.
+///
+/// # Panics
+/// Panics on non-finite input (see [`Decomposed::all_finite`]).
+pub fn encode<F: BitplaneFloat + Real, B: Backend>(
+    d: &Decomposed<F>,
+    config: &RefactorConfig,
+    backend: &B,
+    ctx: &ExecCtx,
+) -> Refactored {
+    let planes = config.num_planes.min(F::MAX_PLANES).max(1);
+    let compressor = HybridCompressor::new(config.hybrid);
+    let m = config.hybrid.group_size.max(1);
+
+    let streams: Vec<LevelStream> = backend
+        .encode_and_compress(ctx, &d.groups, planes, config.layout, m, &compressor)
+        .into_iter()
+        .map(LevelStream::from_encoded)
+        .collect();
+
+    Refactored {
+        shape: d.shape.clone(),
+        dtype: F::TYPE_NAME.to_string(),
+        correction: config.correction,
+        weights: level_error_weights(&d.hierarchy, config.correction),
+        hierarchy: d.hierarchy.clone(),
+        streams,
+        value_range: d.scan.value_range,
+    }
+}
+
+/// Refactor one variable of shape `shape` on `backend`:
+/// [`encode`]`(&`[`prepare`]`(..))` — the one definition of a refactor.
 ///
 /// Artifacts are bit-identical across backends; only wall-clock differs.
 ///
@@ -214,44 +352,8 @@ pub fn refactor_with<F: BitplaneFloat + Real, B: Backend>(
     backend: &B,
     ctx: &ExecCtx,
 ) -> Refactored {
-    let hierarchy = match config.max_levels {
-        Some(l) => Hierarchy::with_levels(shape, l),
-        None => Hierarchy::full(shape),
-    };
-    assert_eq!(data.len(), hierarchy.len(), "data length must match shape");
-
-    let mut value_min = f64::INFINITY;
-    let mut value_max = f64::NEG_INFINITY;
-    for v in data {
-        let x = Real::to_f64(*v);
-        value_min = value_min.min(x);
-        value_max = value_max.max(x);
-    }
-    let value_range = (value_max - value_min).max(0.0);
-
-    let mut work = data.to_vec();
-    backend.decompose(ctx, &mut work, &hierarchy, config.correction);
-    let groups = extract_levels(&work, &hierarchy);
-
-    let planes = config.num_planes.min(F::MAX_PLANES).max(1);
-    let compressor = HybridCompressor::new(config.hybrid);
-    let m = config.hybrid.group_size.max(1);
-
-    let streams: Vec<LevelStream> = backend
-        .encode_and_compress(ctx, &groups, planes, config.layout, m, &compressor)
-        .into_iter()
-        .map(LevelStream::from_encoded)
-        .collect();
-
-    Refactored {
-        shape: shape.to_vec(),
-        dtype: F::TYPE_NAME.to_string(),
-        correction: config.correction,
-        weights: level_error_weights(&hierarchy, config.correction),
-        hierarchy,
-        streams,
-        value_range,
-    }
+    let prepared = prepare(data.to_vec(), shape, config, backend, ctx);
+    encode(&prepared, config, backend, ctx)
 }
 
 #[cfg(test)]
@@ -351,6 +453,105 @@ mod tests {
         let r = refactor(&data, &[17, 17], &RefactorConfig::default());
         assert_eq!(r.dtype, "f64");
         assert!(r.streams.iter().any(|s| s.num_planes == 64));
+    }
+
+    /// The two scalar passes [`scan_samples`] replaced, as they stood in
+    /// `run_ingest` (finite check) and `refactor_with` (value range).
+    fn scan_reference<F: Real>(data: &[F]) -> SampleScan {
+        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        for v in data {
+            min = min.min(v.to_f64());
+            max = max.max(v.to_f64());
+        }
+        SampleScan {
+            all_finite: !data.iter().any(|v| !v.to_f64().is_finite()),
+            value_range: (max - min).max(0.0),
+        }
+    }
+
+    fn assert_scans_agree<F: Real + std::fmt::Debug>(data: &[F]) {
+        assert_eq!(scan_samples(data), scan_reference(data), "{data:?}");
+    }
+
+    #[test]
+    fn lane_scan_matches_the_scalar_passes() {
+        let mut s = 0x9E37u32;
+        let mut noise = move || {
+            s ^= s << 13;
+            s ^= s >> 17;
+            s ^= s << 5;
+            (s as f32 / u32::MAX as f32 - 0.5) * 1e3
+        };
+        // Every length around the lane width, a longer odd one, and a
+        // non-finite value at every position (each lane and the tail).
+        for n in (0..=17).chain([1000, 4099]) {
+            let data: Vec<f32> = (0..n).map(|_| noise()).collect();
+            assert_scans_agree(&data);
+            let wide: Vec<f64> = data.iter().map(|&v| f64::from(v) * 1e40).collect();
+            assert_scans_agree(&wide);
+            assert_scans_agree(&vec![-2.5f32; n]);
+            let zeros: Vec<f32> = (0..n).map(|i| [0.0, -0.0][(i / 3) % 2]).collect();
+            assert_scans_agree(&zeros);
+            assert!(scan_samples(&zeros).value_range.is_sign_positive());
+            for at in 0..n.min(24) {
+                for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                    let mut poisoned = data.clone();
+                    poisoned[at] = bad;
+                    assert!(!scan_samples(&poisoned).all_finite, "{bad} at {at} of {n}");
+                    assert_scans_agree(&poisoned);
+                    let wide: Vec<f64> = poisoned.iter().map(|&v| f64::from(v)).collect();
+                    assert_scans_agree(&wide);
+                }
+            }
+        }
+        // Ranges of 0 that the subtraction alone would get wrong.
+        assert_eq!(scan_samples(&[f32::INFINITY]).value_range, 0.0);
+        assert_eq!(scan_samples(&[f64::NAN; 9]).value_range, 0.0);
+        assert_eq!(scan_samples::<f32>(&[]).value_range, 0.0);
+    }
+
+    #[test]
+    fn refactor_with_is_encode_of_prepare() {
+        fn check<F: BitplaneFloat + Real>(data: Vec<F>, shape: &[usize], cfg: &RefactorConfig) {
+            let (backend, ctx) = (ScalarBackend::new(), ExecCtx::default());
+            let whole = refactor_with(&data, shape, cfg, &backend, &ctx);
+            let prepared = prepare(data, shape, cfg, &backend, &ctx);
+            assert!(prepared.all_finite());
+            let cut = encode(&prepared, cfg, &backend, &ctx);
+            assert_eq!(
+                cut,
+                whole,
+                "{} {shape:?} {:?}",
+                F::TYPE_NAME,
+                cfg.max_levels
+            );
+        }
+        let capped = RefactorConfig {
+            max_levels: Some(1),
+            ..RefactorConfig::default()
+        };
+        let extents = [1usize, 2, 3, 17, 33];
+        let mut shapes: Vec<Vec<usize>> = extents.iter().map(|&e| vec![e]).collect();
+        for &a in &extents {
+            shapes.extend(extents.iter().map(|&b| vec![a, b]));
+        }
+        shapes.extend([
+            vec![1, 1, 1],
+            vec![2, 3, 17],
+            vec![17, 1, 2],
+            vec![3, 33, 3],
+            vec![17, 17, 17],
+        ]);
+        for shape in &shapes {
+            let n: usize = shape.iter().product();
+            let data: Vec<f32> = (0..n)
+                .map(|i| (i as f32 * 0.37).sin() * 3.0 + (i % 7) as f32)
+                .collect();
+            for cfg in [&RefactorConfig::default(), &capped] {
+                check(data.clone(), shape, cfg);
+                check(data.iter().map(|&v| f64::from(v)).collect(), shape, cfg);
+            }
+        }
     }
 
     #[test]

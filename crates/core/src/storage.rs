@@ -349,7 +349,10 @@ pub(crate) fn split_units(buf: &[u8], lens: &[usize], skip: usize, take: usize) 
 /// renamed over `manifest.json`. An ingest that dies mid-run therefore
 /// leaves either no manifest (fresh store) or the intact prior version
 /// (append): stray newer shards are invisible until a manifest names
-/// them, so readers never observe a torn store.
+/// them, so readers never observe a torn store. A fresh ingest into a
+/// directory that already holds a store starts by removing that store's
+/// manifest — its shards are about to be overwritten — and ends by
+/// removing the shards the new grid no longer names.
 pub struct ChunkedStoreWriter {
     dir: PathBuf,
     /// Grid of the **final** domain (for an append: the grown shape).
@@ -364,9 +367,21 @@ pub struct ChunkedStoreWriter {
 
 impl ChunkedStoreWriter {
     /// Start a fresh store for `grid` under `dir` (created if absent).
-    /// No manifest exists until [`finish`](Self::finish) commits one.
+    /// No manifest exists until [`finish`](Self::finish) commits one: a
+    /// manifest already there is removed before the first shard is
+    /// written, so `dir` is "no store" for as long as the ingest runs
+    /// rather than an old manifest over new shards.
     pub fn create(dir: &Path, grid: ChunkGrid, dtype: &str) -> Result<Self, MdrError> {
         std::fs::create_dir_all(dir).map_err(|e| MdrError::io(dir, e))?;
+        for name in ["manifest.json", "manifest.json.tmp"] {
+            let path = dir.join(name);
+            match std::fs::remove_file(&path) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => {
+                    return Err(MdrError::io(&path, e));
+                }
+                _ => {}
+            }
+        }
         Ok(ChunkedStoreWriter {
             dir: dir.to_path_buf(),
             grid,
@@ -487,13 +502,14 @@ impl ChunkedStoreWriter {
     /// Commit the manifest atomically: serialize to `manifest.json.tmp`,
     /// flush, and rename over `manifest.json`. Errors without renaming
     /// if any grid chunk is still missing — an incomplete ingest never
-    /// replaces a readable manifest.
+    /// replaces a readable manifest. Shard files numbered past the grid
+    /// (a previous, larger store's) are removed before the rename.
     pub fn finish(self) -> Result<(), MdrError> {
-        if self.chunks.len() != self.grid.num_chunks() {
+        let num_chunks = self.grid.num_chunks();
+        if self.chunks.len() != num_chunks {
             return Err(MdrError::InvalidInput(format!(
-                "ingest incomplete: {} of {} chunks written; manifest not committed",
+                "ingest incomplete: {} of {num_chunks} chunks written; manifest not committed",
                 self.chunks.len(),
-                self.grid.num_chunks()
             )));
         }
         let manifest = ChunkedManifest {
@@ -511,6 +527,18 @@ impl ChunkedStoreWriter {
             f.write_all(&json).map_err(|e| MdrError::io(&tmp, e))?;
             // Durability is best-effort; atomicity comes from the rename.
             let _ = f.sync_all();
+        }
+        let entries = std::fs::read_dir(&self.dir).map_err(|e| MdrError::io(&self.dir, e))?;
+        for entry in entries {
+            let name = entry.map_err(|e| MdrError::io(&self.dir, e))?.file_name();
+            let stale = name
+                .to_str()
+                .and_then(|n| n.strip_prefix('c')?.strip_suffix(".shard")?.parse().ok())
+                .is_some_and(|k: usize| k >= num_chunks && *name == *shard_name(k));
+            if stale {
+                let path = self.dir.join(&name);
+                std::fs::remove_file(&path).map_err(|e| MdrError::io(&path, e))?;
+            }
         }
         let dst = self.dir.join("manifest.json");
         std::fs::rename(&tmp, &dst).map_err(|e| MdrError::io(&dst, e))?;

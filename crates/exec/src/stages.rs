@@ -509,6 +509,27 @@ mod tests {
         assert_eq!(err, "source failed");
     }
 
+    /// The producer closure may run real compute (the ingest pipeline
+    /// transforms chunks there): a panic in it must come out of the
+    /// call — through the scope's join — not strand the transform stage
+    /// on a channel or the producer's claimed slot on the gate.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn producer_panic_propagates_and_does_not_hang_a_full_gate() {
+        let mut next = 0;
+        let _ = run_overlapped(
+            2,
+            1,
+            move || {
+                next += 1;
+                assert!(next < 5, "producer died");
+                Some(Ok::<_, String>(next))
+            },
+            |batch: Vec<i32>| Ok(batch),
+            |_| Ok(()),
+        );
+    }
+
     #[test]
     fn transform_error_propagates() {
         let err = run_overlapped(

@@ -125,7 +125,66 @@ pub fn code_lengths(hist: &[u64; 256]) -> [u8; 256] {
     }
 }
 
+/// One two-queue construction, depth unbounded. Nodes are ordered by
+/// `(count, id)` with leaf ids (the symbols) below internal ids (256 up,
+/// in creation order): the leaves are sorted once, internal nodes are
+/// created with non-decreasing counts and so queue up already sorted, and
+/// the smaller of the two queue heads — the leaf on a tie — is the
+/// minimum of the whole forest.
 fn try_code_lengths(hist: &[u64; 256]) -> [u8; 256] {
+    let mut lens = [0u8; 256];
+    let mut leaves: Vec<(u64, usize)> = (0..256)
+        .filter(|&s| hist[s] > 0)
+        .map(|s| (hist[s], s))
+        .collect();
+    match leaves[..] {
+        [] => return lens,
+        [(_, s)] => {
+            lens[s] = 1;
+            return lens;
+        }
+        _ => {}
+    }
+    leaves.sort_unstable();
+    // `internal[i]` is the count of node `256 + i`.
+    let mut internal: Vec<u64> = Vec::with_capacity(leaves.len() - 1);
+    let mut parents: Vec<usize> = vec![usize::MAX; 256 + leaves.len()];
+    let (mut leaf, mut node) = (0usize, 0usize);
+    while internal.len() + 1 < leaves.len() {
+        let mut count = 0u64;
+        for _ in 0..2 {
+            let take_leaf = match (leaves.get(leaf), internal.get(node)) {
+                (Some(&(l, _)), Some(&i)) => l <= i,
+                (l, _) => l.is_some(),
+            };
+            let (c, id) = if take_leaf {
+                leaf += 1;
+                leaves[leaf - 1]
+            } else {
+                node += 1;
+                (internal[node - 1], 255 + node)
+            };
+            parents[id] = 256 + internal.len();
+            count += c;
+        }
+        internal.push(count);
+    }
+    for &(_, s) in &leaves {
+        let mut depth = 0u8;
+        let mut node = s;
+        while parents[node] != usize::MAX {
+            node = parents[node];
+            depth += 1;
+        }
+        lens[s] = depth;
+    }
+    lens
+}
+
+/// The binary-heap construction [`try_code_lengths`] replaced, kept as
+/// the oracle its lengths are tested against.
+#[cfg(test)]
+fn try_code_lengths_heap(hist: &[u64; 256]) -> [u8; 256] {
     let mut lens = [0u8; 256];
     let symbols: Vec<usize> = (0..256).filter(|&s| hist[s] > 0).collect();
     match symbols.len() {
@@ -954,6 +1013,57 @@ mod tests {
                 }
                 let prefix = codes[b] >> (lens[b] - lens[a]);
                 assert!(prefix != codes[a] || a == b, "code {a} is a prefix of {b}");
+            }
+        }
+    }
+
+    /// One histogram of family `kind` over `present` symbols placed by
+    /// `raw` — the shapes that stress the construction's tie-breaks
+    /// (equal counts), its queue hand-over (one dominant symbol, two
+    /// symbols) and its depth (Fibonacci counts exceed [`MAX_CODE_LEN`]
+    /// from 58 symbols on, so the rescale loop runs).
+    fn family_histogram(kind: usize, present: usize, raw: &[u64]) -> [u64; 256] {
+        let mut hist = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for (i, &r) in raw.iter().take(present).enumerate() {
+            // Distinct slots: an odd multiplier permutes 0..256.
+            let slot = (i * 37 + raw[0] as usize) % 256;
+            hist[slot] = match kind {
+                0 => r % 1000,
+                1 if i >= 2 => 0,
+                1 => 1 + r % 5,
+                2 => 1 + raw[1] % 7,
+                3 if i == 0 => 1 << 40,
+                3 => 1 + r % 3,
+                _ => {
+                    (a, b) = (b, a + b);
+                    a
+                }
+            };
+        }
+        hist
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+        #[test]
+        fn two_queue_lengths_equal_the_heap_oracle(
+            kind in 0usize..5,
+            present in 0usize..=80,
+            raw in proptest::collection::vec(proptest::any::<u64>(), 80),
+        ) {
+            // Compared on every histogram the depth-limit loop visits.
+            let mut hist = family_histogram(kind, present, &raw);
+            loop {
+                let lens = try_code_lengths(&hist);
+                assert_eq!(lens, try_code_lengths_heap(&hist), "kind {kind}, {hist:?}");
+                if lens.iter().all(|&l| (l as usize) <= MAX_CODE_LEN) {
+                    assert_eq!(lens, code_lengths(&hist));
+                    break;
+                }
+                for c in hist.iter_mut() {
+                    *c = (*c).div_ceil(2);
+                }
             }
         }
     }

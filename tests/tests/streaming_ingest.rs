@@ -11,7 +11,7 @@
 //! interrupted append leaves the *prior* version fully readable with
 //! the stray new shards invisible.
 
-use hpmdr_core::chunked::{refactor_chunked, ChunkGrid, ChunkedConfig};
+use hpmdr_core::chunked::{extract_region, refactor_chunked, ChunkGrid, ChunkedConfig};
 use hpmdr_core::prelude::*;
 use hpmdr_core::refactor::refactor;
 use hpmdr_core::roi::Region;
@@ -246,6 +246,65 @@ fn crashed_fresh_ingest_leaves_no_manifest() {
     let _ = std::fs::remove_dir_all(&dir2);
 }
 
+/// A fresh ingest into a directory that already holds a store either
+/// replaces it or leaves no store: the old manifest must never describe
+/// shards a newer ingest has started to overwrite, and a completed
+/// re-ingest must not keep shards of the older, larger grid.
+#[test]
+fn reingest_over_an_existing_store_is_never_torn() {
+    let shape = [32usize, 32, 32];
+    let dir = tmp("reingest");
+    let old = field(shape.iter().product(), 0x01D);
+    MdrConfig::new()
+        .chunked(&[8, 8, 8])
+        .build()
+        .ingest(SliceSource::new(&old, &shape).unwrap(), &dir)
+        .unwrap();
+    assert_eq!(store_files(&dir).len(), 64 + 1);
+
+    // Another field, coarser chunks, and a source that dies at chunk 3:
+    // c0–c2 are already overwritten when it does.
+    let new: Vec<f32> = field(old.len(), 0x2E3).iter().map(|v| v * 3.0).collect();
+    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
+    let failing = FnSource::new(&shape, |c: usize, region: &Region| {
+        if c == 3 {
+            return Err(MdrError::corrupt("feed dropped"));
+        }
+        Ok(extract_region(&new, &shape, region))
+    });
+    let err = mdr.ingest(failing, &dir).unwrap_err();
+    assert!(matches!(&err, MdrError::Corrupt(w) if w.contains("feed dropped")));
+    let err = open_store(&dir).err().expect("a half-overwritten store");
+    assert!(matches!(err, MdrError::InvalidInput(_)), "{err}");
+
+    let report = mdr
+        .ingest(SliceSource::new(&new, &shape).unwrap(), &dir)
+        .unwrap();
+    let mut names: Vec<String> = store_files(&dir).into_iter().map(|(n, _)| n).collect();
+    names.retain(|n| n != "manifest.json");
+    names.sort();
+    let mut want: Vec<String> = (0..report.chunks_written)
+        .map(|c| format!("c{c}.shard"))
+        .collect();
+    want.sort();
+    assert_eq!(names, want, "exactly the new grid's shards remain");
+
+    let store = open_store(&dir).unwrap();
+    let answer = Reader::new(store.as_ref())
+        .retrieve::<f32>(&Query::full(Target::Rel(1e-4)))
+        .unwrap();
+    let linf = new.iter().zip(&answer.data).fold(0f64, |m, (a, b)| {
+        m.max((f64::from(*a) - f64::from(*b)).abs())
+    });
+    assert!(
+        linf <= answer.achieved && answer.achieved <= 1e-4 * store.meta().value_range(),
+        "true error {linf}, achieved {}, range {}",
+        answer.achieved,
+        store.meta().value_range()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The incremental writer refuses to commit a manifest for an
 /// incomplete chunk set — a logic bug can't masquerade as a crash.
 #[test]
@@ -292,6 +351,8 @@ fn ingest_report_proves_bounded_staging() {
     let data = field(32 * 16 * 16, 0xF00D);
     for opts in [
         IngestOptions::sequential(),
+        IngestOptions::sequential().with_lookahead(1),
+        IngestOptions::overlapped().with_lookahead(1),
         IngestOptions::overlapped().with_lookahead(2),
         IngestOptions::overlapped().with_lookahead(8),
     ] {
@@ -309,6 +370,12 @@ fn ingest_report_proves_bounded_staging() {
             report.max_chunk_footprint_bytes,
             report.staging_bound_bytes()
         );
+        // One slot serialises the stages, so the peak is exact whichever
+        // thread holds the chunk and in whichever form (raw samples or
+        // prepared groups): one chunk's samples plus its own artifact.
+        if opts.lookahead == 1 {
+            assert_eq!(report.peak_staged_bytes, report.max_chunk_footprint_bytes);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
