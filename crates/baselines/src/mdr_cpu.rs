@@ -54,7 +54,7 @@ impl MdrCpuBaseline {
         eb: f64,
     ) -> (Vec<F>, usize) {
         let (plan, _) = RetrievalPlan::for_error(refactored, eb);
-        let mut sess = RetrievalSession::with_backend(refactored, self.backend.clone());
+        let mut sess = RetrievalSession::with_backend(refactored, self.backend);
         sess.refine_to(&plan);
         let rec = sess.reconstruct::<F>();
         (rec, sess.fetched_bytes())

@@ -967,7 +967,7 @@ fn main() {
     // Serial reference answers for the byte-identity assertion.
     let serial_store = ChunkedStoreReader::open(&dir).expect("store opens");
     let serial: Vec<Approximation<f32>> = {
-        let reader = Reader::with_backend(&serial_store, backend.clone());
+        let reader = Reader::with_backend(&serial_store, backend);
         queries
             .iter()
             .map(|q| reader.retrieve::<f32>(q).expect("query serves"))
@@ -978,7 +978,7 @@ fn main() {
         .map(|clients| {
             let uncached_store: Arc<dyn Store> =
                 Arc::new(ChunkedStoreReader::open(&dir).expect("store opens"));
-            let uncached = SharedReader::with_backend(Arc::clone(&uncached_store), backend.clone());
+            let uncached = SharedReader::with_backend(Arc::clone(&uncached_store), backend);
             let (uncached_wall_ms, answers) = hammer(&uncached, &queries, clients, reps);
             for (got, want) in answers.iter().zip(&serial) {
                 assert_eq!(
@@ -992,7 +992,7 @@ fn main() {
                 ChunkedStoreReader::open(&dir).expect("store opens"),
             ));
             let cached =
-                SharedReader::with_backend(cached_store.clone() as Arc<dyn Store>, backend.clone());
+                SharedReader::with_backend(cached_store.clone() as Arc<dyn Store>, backend);
             let (cached_wall_ms, answers) = hammer(&cached, &queries, clients, reps);
             for (got, want) in answers.iter().zip(&serial) {
                 assert_eq!(got.data, want.data, "cached answers must match serial");

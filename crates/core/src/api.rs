@@ -28,13 +28,13 @@ use crate::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRef
 use crate::error::MdrError;
 use crate::ingest::{run_ingest, ChunkSource, IngestOptions, IngestReport};
 use crate::pipeline::PipelineMode;
-use crate::qoi_retrieval::{retrieve_with_qoi_control, EbEstimator};
+use crate::qoi_retrieval::{multi_qoi_control, EbEstimator};
 use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, assemble_region, Region, RoiPlan};
 use crate::storage::{ChunkedStoreReader, ChunkedStoreWriter, StoreReader};
 use hpmdr_bitplane::{BitplaneFloat, Layout};
-use hpmdr_exec::{Backend, ExecCtx, ParallelBackend, ScalarBackend, SimdBackend};
+use hpmdr_exec::{Backend, ExecCtx, ParallelBackend, SimdBackend};
 use hpmdr_lossless::HybridConfig;
 use hpmdr_mgard::Real;
 use hpmdr_qoi::QoiExpr;
@@ -69,7 +69,7 @@ impl Default for MdrConfig {
 
 impl MdrConfig {
     /// Start from the defaults (monolithic, [`RefactorConfig::default`],
-    /// scalar backend on [`Self::build`]).
+    /// host-wide [`ParallelBackend`] on [`Self::build`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -141,12 +141,15 @@ impl MdrConfig {
         self
     }
 
-    /// Build an [`Mdr`] on the portable [`ScalarBackend`].
-    pub fn build(self) -> Mdr<ScalarBackend> {
-        self.build_with(ScalarBackend::new())
+    /// Build an [`Mdr`] on a [`ParallelBackend`] as wide as the host:
+    /// its fans take the cores the process-wide budget leaves free, so
+    /// it uses the machine without oversubscribing it.
+    pub fn build(self) -> Mdr<ParallelBackend> {
+        self.build_with(ParallelBackend::new())
     }
 
-    /// Build an [`Mdr`] on a multi-core [`ParallelBackend`].
+    /// Build an [`Mdr`] on a multi-core [`ParallelBackend`] (the same
+    /// backend as [`Self::build`]).
     pub fn build_parallel(self) -> Mdr<ParallelBackend> {
         self.build_with(ParallelBackend::new())
     }
@@ -189,15 +192,15 @@ impl MdrConfig {
 /// assert!(approx.exhausted || approx.achieved <= 1e-3);
 /// ```
 #[derive(Debug)]
-pub struct Mdr<B: Backend = ScalarBackend> {
+pub struct Mdr<B: Backend = ParallelBackend> {
     config: MdrConfig,
     backend: B,
     ctx: ExecCtx,
 }
 
-impl Mdr<ScalarBackend> {
-    /// An [`Mdr`] with every default ([`MdrConfig::new`] on the scalar
-    /// backend).
+impl Mdr<ParallelBackend> {
+    /// An [`Mdr`] with every default ([`MdrConfig::new`] on the host-wide
+    /// parallel backend).
     pub fn with_defaults() -> Self {
         MdrConfig::new().build()
     }
@@ -428,16 +431,20 @@ impl<B: Backend> Mdr<B> {
         F: BitplaneFloat + Real + Default,
         S: ChunkSource<F>,
     {
-        let metrics = run_ingest(
-            source,
-            grid,
-            &self.config.refactor,
-            &self.backend,
-            &self.ctx,
-            opts,
-            true,
-            &mut sink,
-        )?;
+        // The caller's transform loop holds one core of the budget for the
+        // whole ingest; the stage threads hold their own.
+        let metrics = self.backend.install(|| {
+            run_ingest(
+                source,
+                grid,
+                &self.config.refactor,
+                &self.backend,
+                &self.ctx,
+                opts,
+                true,
+                &mut sink,
+            )
+        })?;
         Ok(IngestReport {
             shape: grid.shape.clone(),
             chunks_written: metrics.chunks,
@@ -1393,7 +1400,21 @@ const PREFETCH_LOOKAHEAD: usize = 2;
 /// planned unit prefixes, reconstruct on `backend`, and report the
 /// achieved guarantee and bytes fetched. The one retrieval path behind
 /// both [`Reader`] and [`SharedReader`].
+///
+/// The whole query holds one core of the process's budget (one
+/// outermost `install`), so its fans take only the cores no other client
+/// or pipeline thread holds.
 pub(crate) fn serve_query<F: BitplaneFloat + Real + Default, B: Backend>(
+    store: &dyn Store,
+    backend: &B,
+    ctx: &ExecCtx,
+    mode: PipelineMode,
+    query: &Query,
+) -> Result<Approximation<F>, MdrError> {
+    backend.install(|| answer::<F, B>(store, backend, ctx, mode, query))
+}
+
+fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
     backend: &B,
     ctx: &ExecCtx,
@@ -1489,8 +1510,10 @@ fn serve_region<F: BitplaneFloat + Real + Default, B: Backend>(
     let res = match mode {
         PipelineMode::Sequential => {
             assemble_region::<F, _, _>(store.meta(), &plan, backend, ctx, |_, cp| {
+                // Owning: the session drops each unit's compressed bytes
+                // once applied, before the chunk is materialized.
                 let loaded = store.load_chunk(cp.chunk, &cp.plan)?;
-                RetrievalSession::with_backend(&loaded, backend.clone())
+                RetrievalSession::owning(loaded, backend.clone())
                     .refine_chunk::<F>(cp.chunk, &cp.plan)
             })?
         }
@@ -1586,10 +1609,11 @@ fn serve_resolution<F: BitplaneFloat + Real + Default, B: Backend>(
     Ok((data, shape, bound, exhausted))
 }
 
-/// QoI targets: Algorithm 3 over a fully staged monolithic archive.
+/// QoI targets: Algorithm 3 over a fully staged monolithic archive, on
+/// the reader's backend.
 fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
-    _backend: &B,
+    backend: &B,
     expr: &QoiExpr,
     tau: f64,
     scope: &Scope,
@@ -1627,15 +1651,19 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
     // bytes_fetched reflects the staging cost, not the loop's
     // internal consumption.
     let loaded = store.load_chunk(0, &full)?;
-    let mut outcome =
-        retrieve_with_qoi_control::<F>(&[&loaded], expr, tau, EbEstimator::Mape { c: 10.0 });
+    let mut outcome = multi_qoi_control::<F, B>(
+        &[&loaded],
+        &[(expr.clone(), tau)],
+        EbEstimator::Mape { c: 10.0 },
+        backend,
+    );
     let data: Vec<F> = outcome
         .vars
         .swap_remove(0)
         .into_iter()
         .map(<F as Real>::from_f64)
         .collect();
-    Ok((data, shape, outcome.final_estimate, outcome.exhausted))
+    Ok((data, shape, outcome.final_estimates[0], outcome.exhausted))
 }
 
 /// Serves [`Query`]s from any [`Store`] on any [`Backend`].
@@ -1645,17 +1673,19 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
 /// stores, and returns identical [`Approximation`]s for identical
 /// archives (`tests/tests/store_conformance.rs`). For serving many
 /// client threads from one store, see [`SharedReader`].
-pub struct Reader<'s, B: Backend = ScalarBackend> {
+pub struct Reader<'s, B: Backend = ParallelBackend> {
     store: &'s dyn Store,
     backend: B,
     ctx: ExecCtx,
     mode: PipelineMode,
 }
 
-impl<'s> Reader<'s, ScalarBackend> {
-    /// A reader over `store` on the portable [`ScalarBackend`].
+impl<'s> Reader<'s, ParallelBackend> {
+    /// A reader over `store` on a host-wide [`ParallelBackend`]: a lone
+    /// query fans its chunks across the machine; concurrent ones share
+    /// it through the process's core budget.
     pub fn new(store: &'s dyn Store) -> Self {
-        Reader::with_backend(store, ScalarBackend::new())
+        Reader::with_backend(store, ParallelBackend::new())
     }
 }
 
@@ -1714,7 +1744,7 @@ impl<'s, B: Backend> Reader<'s, B> {
 /// });
 /// # Ok::<(), MdrError>(())
 /// ```
-pub struct SharedReader<B: Backend = ScalarBackend> {
+pub struct SharedReader<B: Backend = ParallelBackend> {
     store: Arc<dyn Store>,
     backend: B,
     ctx: Arc<ExecCtx>,
@@ -1732,10 +1762,11 @@ impl<B: Backend> Clone for SharedReader<B> {
     }
 }
 
-impl SharedReader<ScalarBackend> {
-    /// A shared reader over `store` on the portable [`ScalarBackend`].
+impl SharedReader<ParallelBackend> {
+    /// A shared reader over `store` on a host-wide [`ParallelBackend`]
+    /// (see [`Reader::new`]).
     pub fn new(store: Arc<dyn Store>) -> Self {
-        SharedReader::with_backend(store, ScalarBackend::new())
+        SharedReader::with_backend(store, ParallelBackend::new())
     }
 }
 

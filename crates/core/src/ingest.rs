@@ -549,7 +549,10 @@ where
         PipelineMode::Sequential => stages::run_serial(lookahead, produce, transform, consume)?,
         PipelineMode::Overlapped => {
             // The fan sees up to a backend's worth of staged chunks per
-            // dispatch when the producer runs ahead.
+            // dispatch when the producer runs ahead — fewer when the core
+            // budget leaves the caller no helper (`run_overlapped` sizes
+            // each batch from the count; on two cores the producer and
+            // writer hold the second, so every batch is one chunk).
             let max_batch = backend.threads().clamp(1, lookahead);
             stages::run_overlapped(lookahead, max_batch, produce, transform, consume)?
         }

@@ -78,11 +78,15 @@
 //!
 //! Every hot stage executes through the portable executor layer of
 //! [`hpmdr_exec`]: [`refactor()`], [`RetrievalSession`], and both
-//! pipeline modes are generic over [`hpmdr_exec::Backend`], defaulting
-//! to the sequential [`hpmdr_exec::ScalarBackend`]; pick a backend once
-//! in [`api::MdrConfig::build_with`] (or pass
-//! [`hpmdr_exec::ParallelBackend`] to the `_with` variants) for
-//! multi-core execution with bit-identical artifacts.
+//! pipeline modes are generic over [`hpmdr_exec::Backend`]. The façade
+//! ([`api::MdrConfig::build`], [`api::Reader::new`],
+//! [`api::SharedReader::new`], [`RetrievalSession::new`]) defaults to a
+//! host-wide [`hpmdr_exec::ParallelBackend`], whose fans take only the
+//! cores the process-wide budget leaves free; the plain functions
+//! ([`refactor()`] and friends) run on the sequential
+//! [`hpmdr_exec::ScalarBackend`]. Artifacts are bit-identical either way;
+//! pick a backend once in [`api::MdrConfig::build_with`] or pass one to
+//! the `_with` variants.
 
 pub mod api;
 pub mod chunked;

@@ -59,7 +59,7 @@ use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, Region, RoiPlan};
 use crate::Scope;
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, ExecCtx, ParallelBackend};
 use hpmdr_mgard::Real;
 use std::sync::Arc;
 
@@ -114,9 +114,8 @@ enum Mode<B: Backend> {
         last_units: Option<Vec<Vec<usize>>>,
     },
     /// QoI targets and resolution scopes: one frame via the one-shot
-    /// path, on the reader's backend, context and pipeline.
+    /// path, on the reader's context and pipeline.
     SingleShot {
-        backend: B,
         ctx: Arc<ExecCtx>,
         pipeline: PipelineMode,
     },
@@ -128,9 +127,12 @@ enum Mode<B: Backend> {
 /// it is independent of the reader it came from and of other streams.
 ///
 /// [`SharedReader::stream`]: crate::api::SharedReader::stream
-pub struct ApproximationStream<F, B: Backend = ScalarBackend> {
+pub struct ApproximationStream<F, B: Backend = ParallelBackend> {
     store: Arc<dyn Store>,
     query: Query,
+    /// Runs every frame: each is one outermost `install`, so a frame
+    /// holds one core of the process's budget while it computes.
+    backend: B,
     mode: Mode<B>,
     bytes_at_open: usize,
     step: usize,
@@ -160,11 +162,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             }
         }
         let mode = match (&query.target, &query.scope) {
-            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot {
-                backend,
-                ctx,
-                pipeline,
-            },
+            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot { ctx, pipeline },
             (target, scope) => {
                 let resolved = resolve_target(&*store, target)?;
                 let meta = store.meta();
@@ -236,6 +234,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
         Ok(ApproximationStream {
             store,
             query,
+            backend,
             mode,
             bytes_at_open,
             step: 0,
@@ -275,7 +274,8 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             return Ok(None);
         }
         // Only a delivered intermediate frame keeps the stream open.
-        let produced = self.next_approximation();
+        let backend = self.backend.clone();
+        let produced = backend.install(|| self.next_approximation());
         self.done = !matches!(produced, Ok((_, false)));
         let (approximation, is_final) = produced?;
         let step = self.step;
@@ -290,13 +290,9 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// The next frame's approximation and whether it is the final one.
     fn next_approximation(&mut self) -> Result<(Approximation<F>, bool), MdrError> {
         match &mut self.mode {
-            Mode::SingleShot {
-                backend,
-                ctx,
-                pipeline,
-            } => {
+            Mode::SingleShot { ctx, pipeline } => {
                 let approximation =
-                    serve_query::<F, B>(&*self.store, backend, ctx, *pipeline, &self.query)?;
+                    serve_query::<F, B>(&*self.store, &self.backend, ctx, *pipeline, &self.query)?;
                 Ok((approximation, true))
             }
             Mode::Ladder {

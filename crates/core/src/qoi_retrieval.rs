@@ -19,6 +19,7 @@
 use crate::refactor::Refactored;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use hpmdr_bitplane::BitplaneFloat;
+use hpmdr_exec::{Backend, ParallelBackend};
 use hpmdr_mgard::Real;
 use hpmdr_qoi::{max_qoi_error, QoiExpr};
 use serde::{Deserialize, Serialize};
@@ -71,7 +72,7 @@ pub struct QoiRetrievalOutcome {
 }
 
 /// Run Algorithm 3: retrieve `vars` until the QoI error bound of `qoi`
-/// falls below `tau`.
+/// falls below `tau`, on a host-wide [`ParallelBackend`].
 ///
 /// # Panics
 /// Panics if variables disagree in shape/dtype or `tau` is not positive.
@@ -125,7 +126,8 @@ fn into_single(out: MultiQoiRetrievalOutcome) -> QoiRetrievalOutcome {
 /// Run Algorithm 3 against a *set* of QoI tolerances simultaneously
 /// (\[39\] controls derived quantities in sets): the loop terminates when
 /// every QoI's estimated supremum clears its tolerance, and each
-/// refinement step is driven by the currently most-violating QoI.
+/// refinement step is driven by the currently most-violating QoI. Runs
+/// on a host-wide [`ParallelBackend`].
 ///
 /// # Panics
 /// Panics if variables disagree in shape/dtype, the set is empty, or any
@@ -134,6 +136,20 @@ pub fn retrieve_with_multi_qoi_control<F: BitplaneFloat + Real>(
     vars: &[&Refactored],
     qois: &[(QoiExpr, f64)],
     estimator: EbEstimator,
+) -> MultiQoiRetrievalOutcome {
+    let backend = ParallelBackend::new();
+    backend.install(|| multi_qoi_control::<F, _>(vars, qois, estimator, &backend))
+}
+
+/// The Algorithm-3 loop on `backend`: its sessions decode and recompose
+/// on it. Callers run it under `backend.install` (a façade query already
+/// does), so the domain-wide estimator scans split at the backend's
+/// width too.
+pub(crate) fn multi_qoi_control<F: BitplaneFloat + Real, B: Backend>(
+    vars: &[&Refactored],
+    qois: &[(QoiExpr, f64)],
+    estimator: EbEstimator,
+    backend: &B,
 ) -> MultiQoiRetrievalOutcome {
     assert!(!qois.is_empty(), "at least one QoI required");
     for (q, tau) in qois {
@@ -153,8 +169,10 @@ pub fn retrieve_with_multi_qoi_control<F: BitplaneFloat + Real>(
     }
     let nv = vars.len();
 
-    let mut sessions: Vec<RetrievalSession<'_>> =
-        vars.iter().map(|r| RetrievalSession::new(r)).collect();
+    let mut sessions: Vec<RetrievalSession<'_, B>> = vars
+        .iter()
+        .map(|r| RetrievalSession::with_backend(r, backend.clone()))
+        .collect();
 
     // Initial data error bounds: deliberately loose (a fraction of each
     // variable's value range, per the paper's relative initialization) so

@@ -11,7 +11,7 @@ use crate::error::MdrError;
 use crate::refactor::Refactored;
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{prefix_error_bound, BitplaneChunk, BitplaneFloat, Reconstruction};
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, ExecCtx, ParallelBackend};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
 use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
 use serde::{Deserialize, Serialize};
@@ -190,7 +190,7 @@ impl RetrievalPlan {
 /// once applied; refining to a larger plan decompresses and applies only
 /// the new units. All decode and
 /// recompose kernels route through the session's [`Backend`]
-/// (the portable [`ScalarBackend`] unless opened via
+/// (a host-wide [`ParallelBackend`] unless opened via
 /// [`RetrievalSession::with_backend`]).
 ///
 /// A session either *borrows* a variable whose payloads are already
@@ -199,7 +199,7 @@ impl RetrievalPlan {
 /// [`Self::supply_units`] as payloads arrive. An owning session releases
 /// each payload once its unit is applied, so between refinements it
 /// holds the skeleton, the sign planes and the accumulators only.
-pub struct RetrievalSession<'a, B: Backend = ScalarBackend> {
+pub struct RetrievalSession<'a, B: Backend = ParallelBackend> {
     refactored: Cow<'a, Refactored>,
     backend: B,
     ctx: ExecCtx,
@@ -211,11 +211,11 @@ pub struct RetrievalSession<'a, B: Backend = ScalarBackend> {
     fetched_bytes: usize,
 }
 
-impl<'a> RetrievalSession<'a, ScalarBackend> {
-    /// Open a session over `refactored` (no units fetched yet) on the
-    /// portable [`ScalarBackend`].
+impl<'a> RetrievalSession<'a, ParallelBackend> {
+    /// Open a session over `refactored` (no units fetched yet) on a
+    /// host-wide [`ParallelBackend`].
     pub fn new(refactored: &'a Refactored) -> Self {
-        RetrievalSession::with_backend(refactored, ScalarBackend::new())
+        RetrievalSession::with_backend(refactored, ParallelBackend::new())
     }
 }
 
@@ -485,6 +485,7 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
 mod tests {
     use super::*;
     use crate::refactor::{refactor, RefactorConfig};
+    use hpmdr_exec::ScalarBackend;
 
     fn field(nx: usize, ny: usize) -> Vec<f32> {
         let mut v = Vec::with_capacity(nx * ny);

@@ -24,6 +24,7 @@ use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
+use std::sync::{Mutex, PoisonError};
 
 /// An axis-aligned hyperslab: `start[d] .. start[d] + extent[d]` per
 /// dimension.
@@ -415,7 +416,12 @@ pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
 /// reconstruct each planned chunk via `reconstruct(position, chunk_plan)`
 /// (fanned out on `backend` — the closure typically fetches *and*
 /// decodes, so parallel backends overlap chunk I/O with other chunks'
-/// decode) and copy every chunk∩region box into the output slab.
+/// decode) and copy its chunk∩region box into the output slab.
+///
+/// Each batch item places its own box and drops its reconstruction
+/// before the next: a worker that helps with the fan then holds one
+/// chunk's buffers at a time, never a backlog of finished chunks waiting
+/// for the caller (an allocator arena keeps what its thread once held).
 pub(crate) fn assemble_region<F, B, R>(
     cr: &ChunkedRefactored,
     plan: &RoiPlan,
@@ -435,17 +441,26 @@ where
         });
     }
     let positions: Vec<usize> = (0..plan.chunks.len()).collect();
-    let recons = backend.map_batch(ctx, &positions, |&i| reconstruct(i, &plan.chunks[i]));
-    let parts = recons.into_iter().collect::<Result<Vec<_>, _>>()?;
-    assemble_parts(cr, plan, parts)
+    let out = Mutex::new(vec![F::default(); plan.region.len()]);
+    let placed = backend.map_batch(ctx, &positions, |&i| {
+        let rec = reconstruct(i, &plan.chunks[i])?;
+        // Boxes are disjoint, so the order of placement is immaterial; a
+        // box copy is a small share of a chunk's decode.
+        let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+        place_chunk(cr, plan, &plan.chunks[i], &rec, &mut out);
+        Ok::<(), MdrError>(())
+    });
+    placed.into_iter().collect::<Result<(), _>>()?;
+    Ok(region_result(
+        plan,
+        out.into_inner().unwrap_or_else(PoisonError::into_inner),
+    ))
 }
 
-/// The copy phase of region assembly: place every already-reconstructed
-/// chunk (`parts[i]` is plan chunk `i`'s dense box) into the output
-/// slab. Shared by [`assemble_region`] and the overlapped
-/// (prefetch-thread) retrieval path, so chunk placement can never
-/// diverge between pipelines. Callers have already verified the dtype
-/// (decode would have panicked otherwise).
+/// The copy phase of region assembly for already-reconstructed chunks
+/// (`parts[i]` is plan chunk `i`'s dense box) — the overlapped
+/// (prefetch-thread) retrieval path and the stream frames. Callers have
+/// already verified the dtype (decode would have panicked otherwise).
 pub(crate) fn assemble_parts<F>(
     cr: &ChunkedRefactored,
     plan: &RoiPlan,
@@ -458,30 +473,47 @@ where
     debug_assert_eq!(parts.len(), plan.chunks.len());
     let mut out = vec![F::default(); plan.region.len()];
     for (cp, rec) in plan.chunks.iter().zip(parts) {
-        let chunk_region = cr.grid.chunk_region(cp.chunk);
-        let inter = chunk_region
-            .intersect(&plan.region)
-            // lint:allow(L3): planner invariant — `plan.chunks` holds only
-            // chunks the planner proved to intersect `plan.region`.
-            .expect("planned chunks intersect the region");
-        let src = inter.relative_to(&chunk_region.start);
-        let dst = inter.relative_to(&plan.region.start);
-        copy_hyperslab(
-            &rec,
-            &chunk_region.extent,
-            &src.start,
-            &mut out,
-            &plan.region.extent,
-            &dst.start,
-            &inter.extent,
-        );
+        place_chunk(cr, plan, cp, &rec, &mut out);
     }
-    Ok(RoiResult {
+    Ok(region_result(plan, out))
+}
+
+/// Copy chunk `cp`'s reconstruction `rec` (its dense box) into its
+/// chunk∩region box of `out`, the region's slab — the one placement
+/// rule every assembly path shares.
+fn place_chunk<F: Copy>(
+    cr: &ChunkedRefactored,
+    plan: &RoiPlan,
+    cp: &ChunkRoiPlan,
+    rec: &[F],
+    out: &mut [F],
+) {
+    let chunk_region = cr.grid.chunk_region(cp.chunk);
+    let inter = chunk_region
+        .intersect(&plan.region)
+        // lint:allow(L3): planner invariant — `plan.chunks` holds only
+        // chunks the planner proved to intersect `plan.region`.
+        .expect("planned chunks intersect the region");
+    let src = inter.relative_to(&chunk_region.start);
+    let dst = inter.relative_to(&plan.region.start);
+    copy_hyperslab(
+        rec,
+        &chunk_region.extent,
+        &src.start,
+        out,
+        &plan.region.extent,
+        &dst.start,
+        &inter.extent,
+    );
+}
+
+fn region_result<F>(plan: &RoiPlan, data: Vec<F>) -> RoiResult<F> {
+    RoiResult {
         region: plan.region.clone(),
-        data: out,
+        data,
         bound: plan.bound(),
         exhausted: plan.exhausted(),
-    })
+    }
 }
 
 #[cfg(test)]

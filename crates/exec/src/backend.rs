@@ -112,8 +112,8 @@ pub struct UnitPlanes {
 /// may split independent work but never reassociate arithmetic.
 ///
 /// The provided method bodies are the portable scalar kernels; a backend
-/// customizes execution by overriding [`Backend::install`] (worker
-/// budget) and whichever fan-out kernels it can run better.
+/// customizes execution by overriding [`Backend::install`] (its width)
+/// and whichever fan-out kernels it can run better.
 pub trait Backend: Clone + Default + Send + Sync + 'static {
     /// Short human-readable name (`"scalar"`, `"parallel"`, `"cuda"`, …).
     fn name(&self) -> &'static str;
@@ -121,8 +121,10 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
     /// Worker threads this backend may occupy.
     fn threads(&self) -> usize;
 
-    /// Run `f` under this backend's execution policy (worker budget,
-    /// device context, …). Every kernel body runs inside `install`.
+    /// Run `f` under this backend's execution policy (width, device
+    /// context, …). Every kernel body runs inside `install`; on the host
+    /// backends the outermost `install` of a thread also counts it
+    /// against the process's core budget until it returns.
     fn install<R>(&self, f: impl FnOnce() -> R) -> R;
 
     /// Multilevel decomposition (MGARD forward transform), in place.

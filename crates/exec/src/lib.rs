@@ -13,16 +13,20 @@
 //! worker budget, so domain-decomposed workloads get chunk-level
 //! parallelism from the identical kernel set.
 //!
-//! Two backends ship today:
+//! Three backends ship today:
 //!
 //! * [`ScalarBackend`] — the portable reference: every kernel runs
 //!   sequentially on the calling thread (the paper's "most compatible
-//!   processor" configuration). This is the default everywhere, so
-//!   behavior is reproducible on any host.
-//! * [`ParallelBackend`] — multi-core host execution: level groups,
-//!   merged units, and element ranges fan out across a bounded worker
-//!   pool (per-tile parallelism comes from the pipeline layer driving one
-//!   tile per compute submission).
+//!   processor" configuration), one canonical execution order.
+//! * [`ParallelBackend`] — multi-core host execution and the façade's
+//!   default: batch items, level groups, merged units, and element
+//!   ranges fan out on the process's one persistent worker pool.
+//!   Every backend's `install` counts its thread against one
+//!   process-wide core budget for the duration of the call, and a fan
+//!   takes only the cores that budget leaves free — so a lone query uses
+//!   the whole machine while concurrent clients, pipeline stage threads
+//!   (see [`stages`]) and fans nested in a batch item do not
+//!   oversubscribe it.
 //! * [`SimdBackend`] — single-threaded execution with the bitplane
 //!   encode loops (32×32 transpose, aligned fixed-point conversion)
 //!   dispatched at construction to AVX2 or NEON kernels, with a scalar

@@ -6,52 +6,32 @@ use crate::ctx::ExecCtx;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout};
 use hpmdr_lossless::{CompressedGroup, HybridCompressor};
 use rayon::prelude::*;
-use std::cell::Cell;
 
-thread_local! {
-    /// True while this thread executes one item of a [`Backend::map_batch`]
-    /// fan-out. Batch items already saturate the worker budget, so nested
-    /// kernel `install`s must run inline instead of re-expanding to the
-    /// full pool (which would oversubscribe to ~threads² workers).
-    static IN_BATCH_ITEM: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Set the batch-item marker for the duration of one closure call,
-/// restoring it even on unwind.
-fn with_batch_item_marker<R>(f: impl FnOnce() -> R) -> R {
-    struct Reset(bool);
-    impl Drop for Reset {
-        fn drop(&mut self) {
-            IN_BATCH_ITEM.with(|c| c.set(self.0));
-        }
-    }
-    let _reset = Reset(IN_BATCH_ITEM.with(|c| c.replace(true)));
-    f()
-}
-
-/// Multi-threaded host execution.
+/// Multi-threaded host execution — the default backend of the façade.
 ///
 /// Parallelism shape (mirroring the paper's GPU kernels, which assign
 /// independent tiles/planes/units to independent thread blocks):
 ///
+/// * `map_batch` fans out **per item** (a chunk of the chunk grid);
 /// * `encode_and_compress` fans out **per level group** — groups are
 ///   fully independent streams;
 /// * `compress_units` fans out **per merged unit** — units compress
 ///   disjoint plane ranges;
 /// * element-parallel leaf kernels (decompose lines, plane transposes,
-///   decoder materialization) run under the full worker budget via
-///   `install`.
+///   decoder materialization) split at `threads` width via `install`.
+///
+/// Every fan runs on the process's one worker pool and draws on its one
+/// core budget (see the `rayon` shim): a fan takes only the cores no
+/// other thread holds, so a fan nested inside a batch item runs inline
+/// once the items fill the machine, and concurrent clients or pipeline
+/// stages that already occupy every core fan nothing.
 ///
 /// Work is only ever *split*, never reassociated, so artifacts are
 /// bit-identical to [`crate::ScalarBackend`]'s (property-tested in
 /// `tests/tests/backend_equivalence.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelBackend {
     threads: usize,
-    /// Worker pool, built once per backend and shared by clones (the
-    /// pipeline clones one handle per tile submission; kernels must not
-    /// pay pool construction on the hot path).
-    pool: std::sync::Arc<rayon::ThreadPool>,
 }
 
 impl Default for ParallelBackend {
@@ -61,24 +41,17 @@ impl Default for ParallelBackend {
 }
 
 impl ParallelBackend {
-    /// Backend using every available core.
+    /// Backend as wide as the host (free: the width is read once per
+    /// process).
     pub fn new() -> Self {
-        Self::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
+        Self::with_threads(rayon::host_threads())
     }
 
-    /// Backend bounded to `threads` workers (1 behaves like
+    /// Backend splitting its kernels `threads` ways (1 behaves like
     /// [`crate::ScalarBackend`]).
     pub fn with_threads(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .thread_name(|i| format!("hpmdr-exec-{i}"))
-            .build()
-            // lint:allow(L3): the in-tree rayon shim's build is infallible.
-            .expect("pool always builds");
         ParallelBackend {
-            threads,
-            pool: std::sync::Arc::new(pool),
+            threads: threads.max(1),
         }
     }
 }
@@ -93,13 +66,7 @@ impl Backend for ParallelBackend {
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        if IN_BATCH_ITEM.with(Cell::get) {
-            // Already inside a batch-item worker: the batch fan-out owns
-            // the budget; run nested kernels inline.
-            f()
-        } else {
-            self.pool.install(f)
-        }
+        rayon::install(self.threads, f)
     }
 
     fn compress_units(
@@ -125,12 +92,7 @@ impl Backend for ParallelBackend {
         R: Send,
         F: Fn(&T) -> R + Send + Sync,
     {
-        self.install(|| {
-            items
-                .par_iter()
-                .map(|item| with_batch_item_marker(|| f(item)))
-                .collect()
-        })
+        self.install(|| items.par_iter().map(&f).collect())
     }
 
     fn encode_and_compress<F: BitplaneFloat>(
@@ -199,7 +161,23 @@ mod tests {
     #[test]
     fn thread_budget_is_clamped() {
         assert_eq!(ParallelBackend::with_threads(0).threads(), 1);
-        assert!(ParallelBackend::new().threads() >= 1);
+        assert_eq!(ParallelBackend::new().threads(), rayon::host_threads());
+        assert_eq!(ParallelBackend::default(), ParallelBackend::new());
+    }
+
+    #[test]
+    fn a_panicking_batch_item_reaches_the_caller_and_the_next_batch_runs() {
+        let ctx = ExecCtx::default();
+        let backend = ParallelBackend::with_threads(4);
+        let items: Vec<usize> = (0..8).collect();
+        let failed = std::panic::catch_unwind(|| {
+            backend.map_batch(&ctx, &items, |&i| {
+                assert_ne!(i, 5, "item 5 failed");
+                i
+            })
+        });
+        assert!(failed.is_err());
+        assert_eq!(backend.map_batch(&ctx, &items, |&i| i), items);
     }
 
     #[test]

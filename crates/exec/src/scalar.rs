@@ -3,13 +3,12 @@
 use crate::backend::Backend;
 
 /// Sequential execution on the calling thread — the "most compatible
-/// processor" configuration the paper's portability story falls back to,
-/// and the default backend everywhere in the workspace.
+/// processor" configuration the paper's portability story falls back to.
 ///
-/// All kernels run inside a one-thread worker budget, so even leaf
-/// kernels that know how to parallelize execute sequentially. This is
-/// also what makes the backend the semantics reference: no scheduling,
-/// no nondeterministic interleaving, one canonical execution order.
+/// All kernels run one thread wide, so even leaf kernels that know how
+/// to parallelize execute sequentially. This is also what makes the
+/// backend the semantics reference: no scheduling, no nondeterministic
+/// interleaving, one canonical execution order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScalarBackend;
 
@@ -30,23 +29,10 @@ impl Backend for ScalarBackend {
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        sequential_pool().install(f)
+        // One thread wide: every parallel-capable leaf kernel runs its
+        // parts in order on the calling thread.
+        rayon::install(1, f)
     }
-}
-
-/// One shared one-thread pool pinning every parallel-capable leaf kernel
-/// to sequential execution; built once, not per kernel. Shared by the
-/// scalar and SIMD backends — both run kernels in one canonical order.
-pub(crate) fn sequential_pool() -> &'static rayon::ThreadPool {
-    use std::sync::OnceLock;
-    static POOL: OnceLock<rayon::ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            // lint:allow(L3): the in-tree rayon shim's build is infallible.
-            .expect("one-thread pool always builds")
-    })
 }
 
 #[cfg(test)]

@@ -2,7 +2,6 @@
 
 use crate::backend::Backend;
 use crate::ctx::ExecCtx;
-use crate::scalar::sequential_pool;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout};
 use hpmdr_simd::Isa;
 
@@ -79,9 +78,9 @@ impl Backend for SimdBackend {
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        // Same one-thread budget as the scalar backend: SIMD speeds up
+        // One thread wide, as the scalar backend: SIMD speeds up
         // the lanes inside a kernel, not the scheduling around it.
-        sequential_pool().install(f)
+        rayon::install(1, f)
     }
 
     fn encode_group<F: BitplaneFloat>(

@@ -138,8 +138,9 @@ impl CountingGate {
 ///   slots, so at most `slots` items are staged pipeline-wide.
 /// * `transform` runs on the calling thread. It receives batches of at
 ///   least one item — up to `max_batch` when the producer has run ahead
-///   — and may fan each batch out across worker threads. Outputs are
-///   forwarded to the consumer in production order.
+///   and the core budget has that many cores for the caller's fan — and
+///   may fan each batch out across worker threads. Outputs are forwarded
+///   to the consumer in production order.
 /// * `consume` runs on a second dedicated thread; each retired item
 ///   releases one gate slot.
 ///
@@ -180,8 +181,12 @@ where
         let (tx_a, rx_a) = mpsc::channel::<Result<A, E>>();
         let (tx_b, rx_b) = mpsc::channel::<B>();
 
+        // Each stage thread counts against the core budget for its whole
+        // loop (one thread wide; a backend's own `install` inside the
+        // closure sets its kernels' width), so the transform's fans see
+        // the cores the stages occupy.
         scope.spawn(move || {
-            loop {
+            rayon::install(1, || loop {
                 if !gate.acquire() {
                     break; // pipeline aborted downstream
                 }
@@ -197,23 +202,28 @@ where
                 if failed {
                     break; // stop at the first source error
                 }
-            }
+            })
         });
 
         let writer = scope.spawn(move || -> Result<(), E> {
-            while let Ok(item) = rx_b.recv() {
-                if let Err(e) = consume(item) {
-                    gate.abort();
-                    return Err(e);
+            rayon::install(1, || {
+                while let Ok(item) = rx_b.recv() {
+                    if let Err(e) = consume(item) {
+                        gate.abort();
+                        return Err(e);
+                    }
+                    gate.release();
                 }
-                gate.release();
-            }
-            Ok(())
+                Ok(())
+            })
         });
 
         // Transform stage on the caller's thread: drain whatever the
-        // producer has staged (up to `max_batch`) so a backend fan sees
-        // several chunks per dispatch when the producer runs ahead.
+        // producer has staged so a backend fan sees several chunks per
+        // dispatch when the producer runs ahead — up to `max_batch`, and
+        // no more than the caller plus the cores the budget leaves free
+        // can run at once (a batch nobody helps with only delays its
+        // first output).
         let mut transform_err: Option<E> = None;
         'pump: loop {
             let first = match rx_a.recv() {
@@ -224,8 +234,9 @@ where
                 }
                 Err(_) => break, // producer finished
             };
+            let width = max_batch.min(1 + rayon::idle_threads());
             let mut batch = vec![first];
-            while batch.len() < max_batch {
+            while batch.len() < width {
                 match rx_a.try_recv() {
                     Ok(Ok(a)) => batch.push(a),
                     Ok(Err(e)) => {

@@ -83,7 +83,7 @@ fn main() {
         &device,
         PipelineMode::Overlapped,
         tile_rows,
-        parallel.clone(),
+        parallel,
     );
     println!(
         "\nbackend {:>8} ({} threads): {:.3}s, {:.3} GB/s",
