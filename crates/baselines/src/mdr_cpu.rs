@@ -4,22 +4,21 @@
 //! the workspace's refactoring code but executes it the way the original
 //! system does: on host CPU threads (the paper's comparison uses 32 OpenMP
 //! threads; a laptop reproduction uses however many cores exist). The
-//! wrapper runs everything on a thread-bounded
-//! [`hpmdr_core::ParallelBackend`] so benchmark comparisons against the
-//! (simulated) GPU pipeline are honest about the compute resource used —
-//! and so the "most compatible processor" single-thread configuration the
-//! paper mentions is measurable too (`threads = 1` behaves exactly like
-//! the portable [`hpmdr_core::ScalarBackend`]).
+//! wrapper runs everything on a thread-bounded [`hpmdr_core::CpuBackend`]
+//! so benchmark comparisons against the (simulated) GPU pipeline are
+//! honest about the compute resource used — and so the "most compatible
+//! processor" single-thread configuration the paper mentions is
+//! measurable too (`threads = 1` runs every kernel on the calling thread).
 
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_core::refactor::{refactor_with, RefactorConfig, Refactored};
 use hpmdr_core::retrieve::{RetrievalPlan, RetrievalSession};
-use hpmdr_core::{ExecCtx, ParallelBackend};
+use hpmdr_core::{CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 
 /// CPU MDR baseline executor.
 pub struct MdrCpuBaseline {
-    backend: ParallelBackend,
+    backend: CpuBackend,
     ctx: ExecCtx,
     config: RefactorConfig,
 }
@@ -29,7 +28,7 @@ impl MdrCpuBaseline {
     /// single-core configuration).
     pub fn new(threads: usize, config: RefactorConfig) -> Self {
         MdrCpuBaseline {
-            backend: ParallelBackend::with_threads(threads.max(1)),
+            backend: CpuBackend::with_threads(threads),
             ctx: ExecCtx::default(),
             config,
         }

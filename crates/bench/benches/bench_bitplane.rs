@@ -14,13 +14,13 @@
 //!
 //! `encode_{64,32}/{Interleaved32,Natural}` encodes every level group of
 //! the same chunks at 32 planes — one chunk's worth of the ingest's
-//! bitplane stage — with the same two figures, under `ScalarBackend`'s
-//! one-thread budget: the path every default caller runs.
+//! bitplane stage — with the same two figures, one thread wide
+//! (`CpuBackend::with_threads(1)`), so the figure is per core.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{decode_prefix, encode, Layout, Reconstruction};
-use hpmdr_exec::{Backend, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend};
 
 mod common;
 use common::{bench_median, level_groups, report_rate};
@@ -79,8 +79,8 @@ fn bench_prefix_scaling(c: &mut Criterion) {
 
 /// `encode` over every level group of a 64³ and a 32³ chunk.
 fn bench_encode_groups(c: &mut Criterion) {
-    println!("chunk encode micro-bench: f32, 32 planes, ScalarBackend (one thread)");
-    let backend = ScalarBackend::new();
+    println!("chunk encode micro-bench: f32, 32 planes, CpuBackend (one thread)");
+    let backend = CpuBackend::with_threads(1);
     for e in [64usize, 32] {
         let groups = level_groups(e);
         let flat = groups.concat();

@@ -18,9 +18,7 @@ use hpmdr_core::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, Chunk
 use hpmdr_core::ingest::{ChunkSource, FileSource, IngestOptions};
 use hpmdr_core::roi::{Region, RoiPlan, RoiRequest};
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader, ChunkedStoreWriter};
-use hpmdr_core::{
-    encode, prepare, refactor_with, ExecCtx, ParallelBackend, RefactorConfig, ScalarBackend,
-};
+use hpmdr_core::{encode, prepare, refactor_with, CpuBackend, ExecCtx, RefactorConfig};
 use hpmdr_datasets::{uniform_queries, Dataset, DatasetKind};
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,9 +55,10 @@ fn chunk_extent_for(e: usize) -> usize {
     (e / 4 + 1).max(8)
 }
 
-/// Monolithic vs chunked refactoring on both backends: the chunk grid
-/// must not cost throughput, and gives ParallelBackend chunk-level
-/// parallelism on top of its in-chunk fan-out.
+/// Monolithic vs chunked refactoring one thread wide ("scalar") and
+/// host-wide ("parallel"): the chunk grid must not cost throughput, and
+/// gives a wide backend chunk-level parallelism on top of its in-chunk
+/// fan-out.
 fn bench_chunked_refactor(c: &mut Criterion) {
     let e = bench_extent();
     let shape = vec![e, e, e];
@@ -75,15 +74,15 @@ fn bench_chunked_refactor(c: &mut Criterion) {
     let mut g = c.benchmark_group("chunked_refactor");
     g.throughput(Throughput::Bytes((data.len() * 4) as u64));
     g.bench_function(BenchmarkId::new("monolithic_scalar", e), |b| {
-        let backend = ScalarBackend::new();
+        let backend = CpuBackend::with_threads(1);
         b.iter(|| refactor_with(&data, &shape, &cfg, &backend, &ctx))
     });
     g.bench_function(BenchmarkId::new("chunked_scalar", e), |b| {
-        let backend = ScalarBackend::new();
+        let backend = CpuBackend::with_threads(1);
         b.iter(|| refactor_chunked_with(&data, &shape, &ccfg, &backend, &ctx))
     });
     g.bench_function(BenchmarkId::new("chunked_parallel", e), |b| {
-        let backend = ParallelBackend::new();
+        let backend = CpuBackend::new();
         b.iter(|| refactor_chunked_with(&data, &shape, &ccfg, &backend, &ctx))
     });
     g.finish();
@@ -102,7 +101,7 @@ fn chunked_field(e: usize) -> ChunkedRefactored {
         &ds.variables[0].as_f32(),
         &shape,
         &ccfg,
-        &ParallelBackend::new(),
+        &CpuBackend::new(),
         &ExecCtx::default(),
     )
 }
@@ -113,7 +112,7 @@ fn bench_roi_selectivity(c: &mut Criterion) {
     let e = bench_extent();
     let shape = vec![e, e, e];
     let ctx = ExecCtx::default();
-    let backend = ParallelBackend::new();
+    let backend = CpuBackend::new();
     let cr = chunked_field(e);
 
     let dir = std::env::temp_dir().join(format!("hpmdr_bench_roi_{}", std::process::id()));

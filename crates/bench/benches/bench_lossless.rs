@@ -5,15 +5,15 @@
 //! field (every level group encoded at 32 planes, `Interleaved32`, merged
 //! four planes to a unit), in nanoseconds per plane byte, with the share
 //! of the bytes each codec took and the share of a same-run `memcpy`'s
-//! rate, under `ScalarBackend`'s one-thread budget (the path every
-//! default caller runs). Synthetic `sparse`/`noisy` payloads flatter kernels that win
+//! rate, one thread wide (`CpuBackend::with_threads(1)`), so the figure is
+//! per core. Synthetic `sparse`/`noisy` payloads flatter kernels that win
 //! only on zero-dominated input; real units are mostly neither.
 //! `HPMDR_BENCH_EXTENT=N` runs the units group at `N³` alone (CI's smoke
 //! size is 16).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_bitplane::{encode, Layout};
-use hpmdr_exec::{Backend, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend};
 use hpmdr_lossless::{huffman, rle, Codec, HybridCompressor, HybridConfig};
 
 mod common;
@@ -120,10 +120,10 @@ fn bench_units(c: &mut Criterion) {
         None => vec![64, 32],
     };
     println!(
-        "merged-unit micro-bench: f32, 32 planes, Interleaved32, 4 planes a unit, ScalarBackend"
+        "merged-unit micro-bench: f32, 32 planes, Interleaved32, 4 planes a unit, CpuBackend (one thread)"
     );
     let hybrid = HybridCompressor::new(HybridConfig::default());
-    let backend = ScalarBackend::new();
+    let backend = CpuBackend::with_threads(1);
     for e in extents {
         let units = chunk_units(e);
         let flat = units.concat();

@@ -4,8 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_core::pipeline::{refactor_pipeline, refactor_pipeline_with, PipelineMode};
 use hpmdr_core::{
-    refactor, refactor_with, ExecCtx, ParallelBackend, RefactorConfig, RetrievalPlan,
-    RetrievalSession, ScalarBackend,
+    refactor, refactor_with, CpuBackend, ExecCtx, RefactorConfig, RetrievalPlan, RetrievalSession,
 };
 use hpmdr_datasets::{Dataset, DatasetKind};
 use hpmdr_device::{Device, DeviceConfig};
@@ -79,10 +78,11 @@ fn backend_bench_extent() -> usize {
         .max(8) // zero/tiny extents have no valid hierarchy
 }
 
-/// ScalarBackend vs ParallelBackend on the same refactoring workload —
-/// the executor-layer speedup claim. Artifacts are bit-identical (see
-/// tests/tests/backend_equivalence.rs); only wall-clock may differ, and
-/// on a multi-core host the parallel backend must win.
+/// `CpuBackend` one thread wide ("scalar") vs host-wide ("parallel") on
+/// the same refactoring workload — the executor-layer speedup claim.
+/// Artifacts are bit-identical (see tests/tests/backend_equivalence.rs);
+/// only wall-clock may differ, and on a multi-core host the wide backend
+/// must win.
 fn bench_backends(c: &mut Criterion) {
     let e = backend_bench_extent();
     let shape = vec![e, e, e];
@@ -93,11 +93,11 @@ fn bench_backends(c: &mut Criterion) {
     let mut g = c.benchmark_group("backend_refactor");
     g.throughput(Throughput::Bytes((data.len() * 4) as u64));
     g.bench_function(BenchmarkId::new("scalar", e), |b| {
-        let backend = ScalarBackend::new();
+        let backend = CpuBackend::with_threads(1);
         b.iter(|| refactor_with(&data, &shape, &cfg, &backend, &ctx))
     });
     g.bench_function(BenchmarkId::new("parallel", e), |b| {
-        let backend = ParallelBackend::new();
+        let backend = CpuBackend::new();
         b.iter(|| refactor_with(&data, &shape, &cfg, &backend, &ctx))
     });
     g.finish();
@@ -119,7 +119,7 @@ fn bench_backends(c: &mut Criterion) {
                 &device,
                 PipelineMode::Overlapped,
                 tile_rows,
-                ScalarBackend::new(),
+                CpuBackend::with_threads(1),
             )
         })
     });
@@ -132,7 +132,7 @@ fn bench_backends(c: &mut Criterion) {
                 &device,
                 PipelineMode::Overlapped,
                 tile_rows,
-                ParallelBackend::new(),
+                CpuBackend::new(),
             )
         })
     });

@@ -18,13 +18,6 @@
 //! cached run fetches strictly fewer bytes and that concurrent answers
 //! are byte-identical to the serial reader's.
 //!
-//! The `kernels` section (PR 6) microbenchmarks the bit-level hot loops
-//! scalar-vs-SIMD at the host's best instruction set: 32×32 bit-matrix
-//! transpose, bitplane encode fill, and fixed-point quantize — asserting
-//! in-bench that both legs produce identical output before reporting the
-//! speedup. (The lossless stage has no ISA arms: its one encoder is
-//! measured on real units by `bench_lossless`.)
-//!
 //! The `ingest` section (PR 7) compares streaming ingest against the
 //! whole-input chunked refactor on a larger volume: wall-clock plus
 //! peak staged payload bytes from the pipeline's stage-buffer
@@ -71,7 +64,7 @@ use hpmdr_core::chunked::ChunkedRefactored;
 use hpmdr_core::chunked::{refactor_chunked, ChunkedConfig};
 use hpmdr_core::ingest::{IngestOptions, SliceSource};
 use hpmdr_core::prelude::{
-    open_store, Approximation, CachedStore, InMemoryStore, Mdr, MdrConfig, ParallelBackend, Query,
+    open_store, Approximation, CachedStore, CpuBackend, InMemoryStore, Mdr, MdrConfig, Query,
     Reader, RemoteStore, RemoteStoreConfig, SharedReader, Store, Target,
 };
 use hpmdr_core::roi::{Region, RoiRequest};
@@ -145,19 +138,6 @@ struct ConcurrentPoint {
     /// Misses that only extended an already-cached unit prefix (the
     /// progressive-refinement fast path) rather than starting cold.
     cache_extensions: usize,
-}
-
-#[derive(Serialize)]
-struct KernelPoint {
-    kernel: String,
-    /// Instruction set the SIMD leg dispatched to.
-    isa: String,
-    /// Working-set size in bytes.
-    bytes: usize,
-    scalar_ms: f64,
-    simd_ms: f64,
-    /// `scalar_ms / simd_ms` (> 1 means the vector kernel is faster).
-    speedup: f64,
 }
 
 /// One ROI selectivity served over the network tier, per-group vs
@@ -251,7 +231,6 @@ struct Report {
     remote: Vec<RemotePoint>,
     server: Vec<ServerPoint>,
     huffman: Vec<CodecPoint>,
-    kernels: Vec<KernelPoint>,
     ingest_extent: usize,
     ingest: Vec<IngestPoint>,
 }
@@ -279,7 +258,7 @@ fn client_queries(extent: usize, value_range: f64) -> Vec<Query> {
 /// clone of `reader`; returns wall ms and one client's answers (for the
 /// byte-identity assertion).
 fn hammer(
-    reader: &SharedReader<ParallelBackend>,
+    reader: &SharedReader<CpuBackend>,
     queries: &[Query],
     clients: usize,
     reps: usize,
@@ -690,103 +669,6 @@ fn huffman_point(name: &str, data: Vec<u8>, reps: usize) -> CodecPoint {
     }
 }
 
-/// Scalar-vs-SIMD microbenchmarks of the bit-level hot-loop families, at
-/// the best instruction set the host supports. Each point asserts the two
-/// legs produce identical output before timing them.
-fn kernel_points(reps: usize) -> Vec<KernelPoint> {
-    use hpmdr_bitplane::{simd::transpose32_with_isa, transpose::transpose32, Isa, Layout};
-    use hpmdr_mgard::quantize_with_isa;
-
-    let isa = Isa::best_available();
-    let point = |kernel: &str, bytes: usize, scalar_ms: f64, simd_ms: f64| KernelPoint {
-        kernel: kernel.to_string(),
-        isa: isa.name().to_string(),
-        bytes,
-        scalar_ms,
-        simd_ms,
-        speedup: scalar_ms / simd_ms,
-    };
-    let mut points = Vec::new();
-
-    // 32×32 bit-matrix transpose over a working set of tiles.
-    let n_tiles = 1usize << 14;
-    let tiles: Vec<[u32; 32]> = {
-        let mut s = 0x9e3779b9u32;
-        (0..n_tiles)
-            .map(|_| {
-                std::array::from_fn(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 17;
-                    s ^= s << 5;
-                    s
-                })
-            })
-            .collect()
-    };
-    for t in tiles.iter().take(64) {
-        let (mut a, mut b) = (*t, *t);
-        transpose32(&mut a);
-        transpose32_with_isa(&mut b, isa);
-        assert_eq!(a, b, "transpose kernels must agree");
-    }
-    let scalar_ms = time_ms(reps, || {
-        for t in &tiles {
-            let mut c = *t;
-            transpose32(&mut c);
-            std::hint::black_box(&c);
-        }
-    });
-    let simd_ms = time_ms(reps, || {
-        for t in &tiles {
-            let mut c = *t;
-            transpose32_with_isa(&mut c, isa);
-            std::hint::black_box(&c);
-        }
-    });
-    points.push(point("transpose32", n_tiles * 128, scalar_ms, simd_ms));
-
-    // Bitplane encode (fixed-point conversion + word-column fill).
-    let n = 1usize << 20;
-    let field: Vec<f32> = (0..n).map(|i| (i as f32 * 0.0021).sin() * 3.0).collect();
-    assert_eq!(
-        hpmdr_bitplane::encode(&field, 32, Layout::Interleaved32),
-        hpmdr_bitplane::encode_with_isa(&field, 32, Layout::Interleaved32, isa),
-        "encode kernels must agree"
-    );
-    let scalar_ms = time_ms(reps, || {
-        std::hint::black_box(hpmdr_bitplane::encode(&field, 32, Layout::Interleaved32));
-    });
-    let simd_ms = time_ms(reps, || {
-        std::hint::black_box(hpmdr_bitplane::encode_with_isa(
-            &field,
-            32,
-            Layout::Interleaved32,
-            isa,
-        ));
-    });
-    points.push(point("encode_fill", n * 4, scalar_ms, simd_ms));
-
-    // Fixed-point quantize (MGARD baseline codec hot loop).
-    let n = 1usize << 20;
-    let vals: Vec<f64> = (0..n).map(|i| (i as f64 * 0.0017).sin() * 9.0).collect();
-    let eb = 1e-4;
-    let codes = hpmdr_mgard::quantize::quantize(&vals, eb);
-    assert_eq!(
-        codes,
-        quantize_with_isa(&vals, eb, isa),
-        "quantize kernels must agree"
-    );
-    let scalar_ms = time_ms(reps, || {
-        std::hint::black_box(hpmdr_mgard::quantize::quantize(&vals, eb));
-    });
-    let simd_ms = time_ms(reps, || {
-        std::hint::black_box(quantize_with_isa(&vals, eb, isa));
-    });
-    points.push(point("quantize", n * 8, scalar_ms, simd_ms));
-
-    points
-}
-
 /// Streaming-vs-whole-input ingest comparison on a `side³` volume.
 ///
 /// Three legs over the same fixed-seed dataset and chunk grid: the
@@ -832,9 +714,11 @@ fn ingest_points(side: usize, reps: usize) -> Vec<IngestPoint> {
         bytes_written: shard_bytes,
     });
 
-    // Both streaming legs run the scalar backend so the serial-vs-
+    // Both streaming legs run one thread wide so the serial-vs-
     // overlapped comparison isolates the stage overlap itself.
-    let mdr = MdrConfig::new().chunked(&chunk_extent).build();
+    let mdr = MdrConfig::new()
+        .chunked(&chunk_extent)
+        .build_with(CpuBackend::with_threads(1));
     let streaming = |mode: &str, opts: IngestOptions| {
         let dir = base.join(mode);
         let mut last = None;
@@ -963,7 +847,7 @@ fn main() {
     // Concurrent retrieval service: 1→8 clients hammering one
     // SharedReader over the sharded store, uncached vs cached.
     let queries = client_queries(extent, cr.value_range());
-    let backend = ParallelBackend::new();
+    let backend = CpuBackend::new();
     // Serial reference answers for the byte-identity assertion.
     let serial_store = ChunkedStoreReader::open(&dir).expect("store opens");
     let serial: Vec<Approximation<f32>> = {
@@ -1051,8 +935,6 @@ fn main() {
         huffman_point("noisy", noisy, reps),
     ];
 
-    let kernels = kernel_points(reps);
-
     let ingest_extent = env_usize("HPMDR_BENCH_INGEST_EXTENT", extent.max(128));
     let ingest = ingest_points(ingest_extent, reps);
 
@@ -1071,7 +953,6 @@ fn main() {
         remote,
         server,
         huffman,
-        kernels,
         ingest_extent,
         ingest,
     };

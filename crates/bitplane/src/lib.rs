@@ -16,7 +16,11 @@
 //!   property HP-MDR's refactored data relies on.
 //! * **Fast native codecs** ([`native`]): rayon-parallel encoders built on
 //!   a 32×32 bit-matrix transpose, used for wall-clock benchmarking and by
-//!   the end-to-end pipelines.
+//!   the end-to-end pipelines. They are portable Rust with no
+//!   architecture-specific code: the encoder transposes a 1024-element
+//!   tile's 32 word columns in lockstep, a unit-stride loop the compiler
+//!   vectorises for AVX2 and NEON alike (a hand-written AVX2 per-column
+//!   encoder lost to it and was deleted).
 //! * **The paper's three parallelization designs** ([`designs`]): locality
 //!   block, register shuffling (with the four instruction variants of
 //!   Figure 3: ballot, shift, match-any, reduce-add) and register block,
@@ -28,12 +32,10 @@ pub mod designs;
 pub mod fixed;
 pub mod layout;
 pub mod native;
-pub mod simd;
 pub mod transpose;
 
 pub use chunk::BitplaneChunk;
 pub use designs::{DesignKind, EncodeOutcome, ShuffleInstr};
 pub use fixed::{align_exponent, prefix_error_bound, BitplaneFloat};
 pub use layout::Layout;
-pub use native::{decode_prefix, encode, encode_with_isa, Reconstruction};
-pub use simd::Isa;
+pub use native::{decode_prefix, encode, Reconstruction};

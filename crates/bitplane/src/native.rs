@@ -11,7 +11,6 @@
 use crate::chunk::BitplaneChunk;
 use crate::fixed::{align_exponent, BitplaneFloat};
 use crate::layout::{Layout, TILE_ELEMS, WORD_BITS};
-use crate::simd::{transpose32_fn, Isa, TransposeFn};
 use crate::transpose::{transpose32, transpose32_columns};
 use rayon::prelude::*;
 
@@ -28,11 +27,9 @@ pub enum Reconstruction {
 
 /// Raw pointer into a plane-major arena (the magnitude planes, or the sign
 /// plane as an arena of one), letting disjoint word ranges be written
-/// from rayon workers without locks. Soundness: every tile (or, in the
-/// per-column loop, every word column) is processed by exactly one
-/// worker, and a worker only writes its own words of each plane — words
-/// `32·tile .. 32·tile + 32` for a tile, word `u` for a column
-/// (`arena[plane·words + word]`).
+/// from rayon workers without locks. Soundness: every tile is processed by
+/// exactly one worker, and a worker only writes its own words of each
+/// plane — words `32·tile .. 32·tile + 32` (`arena[plane·words + word]`).
 struct ArenaColumns {
     ptr: *mut u32,
     words: usize,
@@ -156,36 +153,11 @@ fn word_transposed(m: &[[u32; WORD_BITS]; WORD_BITS]) -> [[u32; WORD_BITS]; WORD
     out
 }
 
-/// [`encode`] with the bit-transpose and fixed-point conversion routed
-/// through the vector kernels of [`crate::simd`] for `isa`.
-///
-/// Output is **bit-identical** to [`encode`] for every input: the SIMD
-/// transpose is an exact data-movement rewrite and the vector conversion
-/// reproduces the scalar `to_fixed` arithmetic operation for operation
-/// (enforced by the cross-backend golden-bytes and equivalence suites).
-/// [`Isa::Scalar`], and an ISA unavailable on this CPU, *is* [`encode`].
-pub fn encode_with_isa<F: BitplaneFloat>(
-    data: &[F],
-    planes: usize,
-    layout: Layout,
-    isa: Isa,
-) -> BitplaneChunk {
-    match isa.or_scalar() {
-        Isa::Scalar => encode(data, planes, layout),
-        isa => encode_columns(data, planes, layout, isa),
-    }
-}
-
-/// The per-column encoder: one 32-value gather, one transpose and 32
-/// stores a plane apart per word column, with `isa`'s kernels. The vector
-/// arm of [`encode_with_isa`]; with [`Isa::Scalar`] it is the loop
-/// [`encode`] shipped before the lockstep tile, kept as its oracle.
-fn encode_columns<F: BitplaneFloat>(
-    data: &[F],
-    planes: usize,
-    layout: Layout,
-    isa: Isa,
-) -> BitplaneChunk {
+/// The per-column encoder [`encode`] shipped before the lockstep tile —
+/// one 32-value gather, one [`transpose32`] and 32 stores a plane apart
+/// per word column — kept as its bit-exact oracle.
+#[cfg(test)]
+fn encode_columns<F: BitplaneFloat>(data: &[F], planes: usize, layout: Layout) -> BitplaneChunk {
     let b = planes.min(F::MAX_PLANES).max(1);
     let exp = align_exponent(data);
     if exp == i32::MIN {
@@ -194,114 +166,31 @@ fn encode_columns<F: BitplaneFloat>(
     let n = data.len();
     let words = layout.words_per_plane(n);
     let mut chunk = BitplaneChunk::zeroed::<F>(n, exp, layout, b);
-    let b_hi = b.min(32);
-    let tr = transpose32_fn(isa);
-
-    // Vector ISAs convert the whole group in one contiguous pass (full-
-    // width loads regardless of the layout's gather pattern); the column
-    // loop then only splits/gathers bits. Element order is unchanged and
-    // each element's conversion is independent, so this reordering is
-    // bit-neutral. When the ISA has no conversion for this type/plane
-    // count, conversion stays inline in the column loop.
-    let mut aligned: Vec<u64> = Vec::new();
-    if isa != Isa::Scalar {
-        aligned.resize(n, 0);
-        if !crate::simd::aligned_fixed_with_isa(data, exp, b, isa, &mut aligned) {
-            aligned.clear();
+    for u in 0..words {
+        let mut hi = [0u32; 32];
+        let mut lo = [0u32; 32];
+        let mut sign_word = 0u32;
+        for r in 0..WORD_BITS {
+            let e = layout.element(u, r);
+            if e >= n {
+                continue;
+            }
+            let v = data[e];
+            // Left-align into 64 bits so plane 0 is always bit 63.
+            let a = v.to_fixed(exp, b) << (64 - b);
+            hi[r] = (a >> 32) as u32;
+            lo[r] = a as u32;
+            sign_word |= (v.is_neg() as u32) << r;
         }
-    }
-
-    {
-        let cols = ArenaColumns {
-            ptr: chunk.arena_mut().as_mut_ptr(),
-            words,
-        };
-        let signs_col = ArenaColumns {
-            ptr: chunk.signs.as_mut_ptr(),
-            words,
-        };
-        if aligned.is_empty() {
-            (0..words).into_par_iter().with_min_len(32).for_each(|u| {
-                let mut hi = [0u32; 32];
-                let mut lo = [0u32; 32];
-                let mut sign_word = 0u32;
-                for r in 0..WORD_BITS {
-                    let e = layout.element(u, r);
-                    if e >= n {
-                        continue;
-                    }
-                    let v = data[e];
-                    // Left-align into 64 bits so plane 0 is always bit 63.
-                    let a = v.to_fixed(exp, b) << (64 - b);
-                    hi[r] = (a >> 32) as u32;
-                    lo[r] = a as u32;
-                    sign_word |= (v.is_neg() as u32) << r;
-                }
-                store_tile(
-                    &cols, &signs_col, u, &mut hi, &mut lo, sign_word, b, b_hi, tr,
-                );
-            });
-        } else {
-            let pre: &[u64] = &aligned;
-            (0..words).into_par_iter().with_min_len(32).for_each(|u| {
-                let mut hi = [0u32; 32];
-                let mut lo = [0u32; 32];
-                let mut sign_word = 0u32;
-                for r in 0..WORD_BITS {
-                    let e = layout.element(u, r);
-                    if e >= n {
-                        continue;
-                    }
-                    let a = pre[e];
-                    hi[r] = (a >> 32) as u32;
-                    lo[r] = a as u32;
-                    sign_word |= (data[e].is_neg() as u32) << r;
-                }
-                store_tile(
-                    &cols, &signs_col, u, &mut hi, &mut lo, sign_word, b, b_hi, tr,
-                );
-            });
+        transpose32(&mut hi);
+        transpose32(&mut lo);
+        let arena = chunk.arena_mut();
+        for (p, col) in hi.iter().rev().chain(lo.iter().rev()).take(b).enumerate() {
+            arena[p * words + u] = *col;
         }
+        chunk.signs[u] = sign_word;
     }
-
     chunk
-}
-
-/// Transpose one word-column tile and scatter its plane words (and sign
-/// word) into the arena — the shared tail of both column loop bodies.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn store_tile(
-    cols: &ArenaColumns,
-    signs_col: &ArenaColumns,
-    u: usize,
-    hi: &mut [u32; 32],
-    lo: &mut [u32; 32],
-    sign_word: u32,
-    b: usize,
-    b_hi: usize,
-    tr: TransposeFn,
-) {
-    // SAFETY: `tr` was resolved by `transpose32_fn` from an ISA the
-    // caller verified available, so the required target features exist.
-    unsafe { tr(hi) };
-    for (p, col) in hi.iter().rev().take(b_hi).enumerate() {
-        // SAFETY: `p < b_hi <= planes` and `u < words`; unit `u` is owned
-        // by exactly this worker, satisfying `ArenaColumns::write`.
-        unsafe { cols.write(p, u, std::slice::from_ref(col)) };
-    }
-    if b > 32 {
-        // SAFETY: same ISA-availability argument as the `hi` transpose.
-        unsafe { tr(lo) };
-        for (p, col) in lo.iter().rev().take(b - 32).enumerate() {
-            // SAFETY: `32 + p < b <= planes` and `u < words`, one writer
-            // per slot as above.
-            unsafe { cols.write(32 + p, u, std::slice::from_ref(col)) };
-        }
-    }
-    // SAFETY: `u < words == signs.len()` and each unit writes only its
-    // own sign word.
-    unsafe { signs_col.write(0, u, &[sign_word]) };
 }
 
 /// Decode the first `k` magnitude planes of `chunk` into values: a
@@ -974,7 +863,7 @@ mod tests {
     fn assert_encode_matches_columns<F: BitplaneFloat>(data: &[F], planes: usize, tag: &str) {
         for layout in [Layout::Natural, Layout::Interleaved32] {
             let got = encode(data, planes, layout);
-            let want = encode_columns(data, planes, layout, Isa::Scalar);
+            let want = encode_columns(data, planes, layout);
             got.validate().unwrap();
             let tag = format!("{tag} {layout:?} n={} planes={planes}", data.len());
             assert_eq!(got.signs, want.signs, "signs {tag}");
@@ -1024,43 +913,8 @@ mod tests {
             };
             let (one, four) = (run(1), run(4));
             assert_eq!(one, four, "{layout:?}");
-            assert_eq!(one.0, encode_columns(&d32, 27, layout, Isa::Scalar));
-            assert_eq!(one.1, encode_columns(&d64, 53, layout, Isa::Scalar));
-        }
-    }
-
-    #[test]
-    fn encode_with_isa_is_bit_identical_to_scalar() {
-        let isas: Vec<Isa> = [Isa::Scalar, Isa::Avx2, Isa::Neon]
-            .into_iter()
-            .filter(|i| i.is_available())
-            .collect();
-        for layout in [Layout::Natural, Layout::Interleaved32] {
-            for n in [1usize, 5, 31, 32, 33, 255, 1000, 1024, 1025] {
-                let d32 = wave32(n);
-                let d64 = wave(n, 41.5);
-                for &isa in &isas {
-                    for planes in [1usize, 7, 17, 32] {
-                        let a = encode(&d32, planes, layout);
-                        let b = encode_with_isa(&d32, planes, layout, isa);
-                        assert_eq!(a, b, "f32 {isa} {layout:?} n={n} planes={planes}");
-                    }
-                    for planes in [1usize, 20, 33, 51, 52, 64] {
-                        let a = encode(&d64, planes, layout);
-                        let b = encode_with_isa(&d64, planes, layout, isa);
-                        assert_eq!(a, b, "f64 {isa} {layout:?} n={n} planes={planes}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn encode_with_unavailable_isa_still_correct() {
-        let data = wave32(513);
-        for isa in [Isa::Avx2, Isa::Neon] {
-            let c = encode_with_isa(&data, 32, Layout::Interleaved32, isa);
-            assert_eq!(c, encode(&data, 32, Layout::Interleaved32));
+            assert_eq!(one.0, encode_columns(&d32, 27, layout));
+            assert_eq!(one.1, encode_columns(&d64, 53, layout));
         }
     }
 

@@ -64,9 +64,9 @@ pub fn transposed32(m: &[u32; 32]) -> [u32; 32] {
     out
 }
 
-/// Reference implementation used to validate the fast paths (the scalar
-/// block-swap above and the SIMD kernels in [`crate::simd`]). Test-only:
-/// release binaries carry only the fast paths.
+/// Reference implementation used to validate the fast paths (the
+/// block-swaps above). Test-only: release binaries carry only the fast
+/// paths.
 #[cfg(test)]
 #[doc(hidden)]
 pub fn transpose32_naive(m: &[u32; 32]) -> [u32; 32] {

@@ -34,7 +34,7 @@ use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, assemble_region, Region, RoiPlan};
 use crate::storage::{ChunkedStoreReader, ChunkedStoreWriter, StoreReader};
 use hpmdr_bitplane::{BitplaneFloat, Layout};
-use hpmdr_exec::{Backend, ExecCtx, ParallelBackend, SimdBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::HybridConfig;
 use hpmdr_mgard::Real;
 use hpmdr_qoi::QoiExpr;
@@ -69,7 +69,7 @@ impl Default for MdrConfig {
 
 impl MdrConfig {
     /// Start from the defaults (monolithic, [`RefactorConfig::default`],
-    /// host-wide [`ParallelBackend`] on [`Self::build`]).
+    /// host-wide [`CpuBackend`] on [`Self::build`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -141,29 +141,16 @@ impl MdrConfig {
         self
     }
 
-    /// Build an [`Mdr`] on a [`ParallelBackend`] as wide as the host:
-    /// its fans take the cores the process-wide budget leaves free, so
-    /// it uses the machine without oversubscribing it.
-    pub fn build(self) -> Mdr<ParallelBackend> {
-        self.build_with(ParallelBackend::new())
+    /// Build an [`Mdr`] on a [`CpuBackend`] as wide as the host: its
+    /// fans take the cores the process-wide budget leaves free, so it
+    /// uses the machine without oversubscribing it.
+    pub fn build(self) -> Mdr<CpuBackend> {
+        self.build_with(CpuBackend::new())
     }
 
-    /// Build an [`Mdr`] on a multi-core [`ParallelBackend`] (the same
-    /// backend as [`Self::build`]).
-    pub fn build_parallel(self) -> Mdr<ParallelBackend> {
-        self.build_with(ParallelBackend::new())
-    }
-
-    /// Build an [`Mdr`] on a [`SimdBackend`] using the best instruction
-    /// set the host supports (subject to the `HPMDR_FORCE_SCALAR` /
-    /// `HPMDR_SIMD` environment overrides). Artifacts are bit-identical
-    /// to [`Self::build`]'s; only wall-clock differs.
-    pub fn build_simd(self) -> Mdr<SimdBackend> {
-        self.build_with(SimdBackend::new())
-    }
-
-    /// Build an [`Mdr`] on any [`Backend`]. Artifacts are bit-identical
-    /// across backends; only wall-clock differs.
+    /// Build an [`Mdr`] on any [`Backend`] — for example
+    /// `CpuBackend::with_threads(n)` for a fixed width. Artifacts are
+    /// bit-identical across backends; only wall-clock differs.
     pub fn build_with<B: Backend>(self, backend: B) -> Mdr<B> {
         let ctx = ExecCtx::new(self.tile_rows);
         Mdr {
@@ -192,15 +179,15 @@ impl MdrConfig {
 /// assert!(approx.exhausted || approx.achieved <= 1e-3);
 /// ```
 #[derive(Debug)]
-pub struct Mdr<B: Backend = ParallelBackend> {
+pub struct Mdr<B: Backend = CpuBackend> {
     config: MdrConfig,
     backend: B,
     ctx: ExecCtx,
 }
 
-impl Mdr<ParallelBackend> {
+impl Mdr<CpuBackend> {
     /// An [`Mdr`] with every default ([`MdrConfig::new`] on the host-wide
-    /// parallel backend).
+    /// [`CpuBackend`]).
     pub fn with_defaults() -> Self {
         MdrConfig::new().build()
     }
@@ -1475,8 +1462,8 @@ fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
 /// then fetch + decode per chunk under the selected pipeline:
 ///
 /// * [`PipelineMode::Sequential`] — each chunk's fetch and decode run as
-///   one [`Backend::map_batch`] item (parallel backends overlap chunk
-///   I/O with other chunks' decode; the scalar backend runs chunks in
+///   one [`Backend::map_batch`] item (a multi-threaded backend overlaps
+///   chunk I/O with other chunks' decode; one thread wide, chunks run in
 ///   order);
 /// * [`PipelineMode::Overlapped`] — a dedicated I/O thread prefetches
 ///   chunk *k+1*'s planned byte ranges while chunk *k* decodes — the
@@ -1673,19 +1660,19 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
 /// stores, and returns identical [`Approximation`]s for identical
 /// archives (`tests/tests/store_conformance.rs`). For serving many
 /// client threads from one store, see [`SharedReader`].
-pub struct Reader<'s, B: Backend = ParallelBackend> {
+pub struct Reader<'s, B: Backend = CpuBackend> {
     store: &'s dyn Store,
     backend: B,
     ctx: ExecCtx,
     mode: PipelineMode,
 }
 
-impl<'s> Reader<'s, ParallelBackend> {
-    /// A reader over `store` on a host-wide [`ParallelBackend`]: a lone
+impl<'s> Reader<'s, CpuBackend> {
+    /// A reader over `store` on a host-wide [`CpuBackend`]: a lone
     /// query fans its chunks across the machine; concurrent ones share
     /// it through the process's core budget.
     pub fn new(store: &'s dyn Store) -> Self {
-        Reader::with_backend(store, ParallelBackend::new())
+        Reader::with_backend(store, CpuBackend::new())
     }
 }
 
@@ -1744,7 +1731,7 @@ impl<'s, B: Backend> Reader<'s, B> {
 /// });
 /// # Ok::<(), MdrError>(())
 /// ```
-pub struct SharedReader<B: Backend = ParallelBackend> {
+pub struct SharedReader<B: Backend = CpuBackend> {
     store: Arc<dyn Store>,
     backend: B,
     ctx: Arc<ExecCtx>,
@@ -1762,11 +1749,11 @@ impl<B: Backend> Clone for SharedReader<B> {
     }
 }
 
-impl SharedReader<ParallelBackend> {
-    /// A shared reader over `store` on a host-wide [`ParallelBackend`]
+impl SharedReader<CpuBackend> {
+    /// A shared reader over `store` on a host-wide [`CpuBackend`]
     /// (see [`Reader::new`]).
     pub fn new(store: Arc<dyn Store>) -> Self {
-        SharedReader::with_backend(store, ParallelBackend::new())
+        SharedReader::with_backend(store, CpuBackend::new())
     }
 }
 
@@ -1862,14 +1849,14 @@ mod tests {
             .unwrap();
         let cr = chunked.as_chunked().unwrap();
         assert_eq!(cr.grid.num_chunks(), 3 * 3);
-        // Parallel backends build through the same call and produce
+        // Any backend width builds through the same call and produces
         // bit-identical artifacts.
-        let par = MdrConfig::new()
+        let one = MdrConfig::new()
             .chunked(&[8, 8])
-            .build_parallel()
+            .build_with(CpuBackend::with_threads(1))
             .refactor(&data, &[20, 18])
             .unwrap();
-        assert_eq!(chunked, par);
+        assert_eq!(chunked, one);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * [`ChunkedRefactored`] — one [`Refactored`] per chunk plus the grid.
 //! * [`refactor_chunked`] / [`refactor_chunked_with`] — chunk extraction
 //!   and per-chunk refactoring fanned out through
-//!   [`Backend::map_batch`], so [`hpmdr_exec::ParallelBackend`] gets
+//!   [`Backend::map_batch`], so a multi-threaded [`CpuBackend`] gets
 //!   chunk-level parallelism with bit-identical per-chunk artifacts.
 //!
 //! Retrieval over the grid lives in [`crate::roi`]; the sharded on-disk
@@ -23,7 +23,7 @@
 use crate::refactor::{RefactorConfig, Refactored};
 use crate::roi::Region;
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
 
@@ -331,7 +331,7 @@ pub fn extract_region<T: Copy + Default>(data: &[T], shape: &[usize], region: &R
     out
 }
 
-/// Chunk-refactor one variable on the portable [`ScalarBackend`].
+/// Chunk-refactor one variable on a host-wide [`CpuBackend`].
 ///
 /// # Panics
 /// Panics if `data.len()` does not match `shape`, or on non-finite input.
@@ -344,15 +344,15 @@ pub fn refactor_chunked<F: BitplaneFloat + Real + Default>(
         data,
         shape,
         config,
-        &ScalarBackend::new(),
+        &CpuBackend::default(),
         &ExecCtx::default(),
     )
 }
 
 /// Chunk-refactor one variable on `backend`: every chunk is extracted and
 /// refactored independently, fanned out through [`Backend::map_batch`]
-/// (so a parallel backend runs whole chunks concurrently). Per-chunk
-/// artifacts are bit-identical across backends.
+/// (so a multi-threaded backend runs whole chunks concurrently).
+/// Per-chunk artifacts are bit-identical across backends and widths.
 ///
 /// This is the streaming ingest pipeline run over an in-memory source
 /// ([`crate::ingest::SliceSource`]) in its serial schedule — the same
@@ -376,7 +376,7 @@ pub fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backend>(
     );
     // lint:allow(L3): infallible — the assert_eq above checked the length.
     let source = crate::ingest::SliceSource::new(data, shape).expect("length checked above");
-    // Batch a backend's worth of chunks per fan: parallel backends keep
+    // Batch a backend's worth of chunks per fan: a wide backend keeps
     // chunk-level concurrency while extracted copies stay bounded by
     // the batch, not the dataset.
     let batch = backend.threads().max(1).saturating_mul(2);

@@ -569,7 +569,7 @@ where
 mod tests {
     use super::*;
     use crate::chunked::{refactor_chunked, ChunkedConfig};
-    use hpmdr_exec::ScalarBackend;
+    use hpmdr_exec::CpuBackend;
 
     fn field(shape: &[usize]) -> Vec<f32> {
         let n: usize = shape.iter().product();
@@ -591,7 +591,7 @@ mod tests {
             source,
             &grid,
             &RefactorConfig::default(),
-            &ScalarBackend::new(),
+            &CpuBackend::with_threads(1),
             &ExecCtx::default(),
             opts,
             true,
@@ -769,7 +769,7 @@ mod tests {
                 source,
                 &grid,
                 &RefactorConfig::default(),
-                &ScalarBackend::new(),
+                &CpuBackend::with_threads(1),
                 &ExecCtx::default(),
                 &opts,
                 true,
@@ -797,7 +797,7 @@ mod tests {
                 source,
                 &grid,
                 &RefactorConfig::default(),
-                &ScalarBackend::new(),
+                &CpuBackend::with_threads(1),
                 &ExecCtx::default(),
                 &opts,
                 true,
@@ -826,7 +826,7 @@ mod tests {
             SliceSource::new(&data, &shape).unwrap(),
             &ChunkGrid::new(&shape, &[6, 6]),
             &RefactorConfig::default(),
-            &ScalarBackend::new(),
+            &CpuBackend::with_threads(1),
             &ExecCtx::default(),
             &IngestOptions::overlapped(),
             false,
@@ -845,7 +845,7 @@ mod tests {
             source,
             &grid,
             &RefactorConfig::default(),
-            &ScalarBackend::new(),
+            &CpuBackend::with_threads(1),
             &ExecCtx::default(),
             &IngestOptions::default(),
             true,

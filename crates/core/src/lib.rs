@@ -78,15 +78,15 @@
 //!
 //! Every hot stage executes through the portable executor layer of
 //! [`hpmdr_exec`]: [`refactor()`], [`RetrievalSession`], and both
-//! pipeline modes are generic over [`hpmdr_exec::Backend`]. The façade
+//! pipeline modes are generic over [`hpmdr_exec::Backend`]. Every entry
+//! point that does not take a backend — the façade
 //! ([`api::MdrConfig::build`], [`api::Reader::new`],
-//! [`api::SharedReader::new`], [`RetrievalSession::new`]) defaults to a
-//! host-wide [`hpmdr_exec::ParallelBackend`], whose fans take only the
-//! cores the process-wide budget leaves free; the plain functions
-//! ([`refactor()`] and friends) run on the sequential
-//! [`hpmdr_exec::ScalarBackend`]. Artifacts are bit-identical either way;
-//! pick a backend once in [`api::MdrConfig::build_with`] or pass one to
-//! the `_with` variants.
+//! [`api::SharedReader::new`], [`RetrievalSession::new`]) and the plain
+//! functions ([`refactor()`] and friends) alike — runs on a host-wide
+//! [`CpuBackend`], whose fans take only the cores the process-wide budget
+//! leaves free. Artifacts are bit-identical at every width; pick a
+//! backend once in [`api::MdrConfig::build_with`] (for example
+//! `CpuBackend::with_threads(1)`) or pass one to the `_with` variants.
 
 pub mod api;
 pub mod chunked;
@@ -112,7 +112,7 @@ pub use chunked::{
     refactor_chunked, refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored,
 };
 pub use error::MdrError;
-pub use hpmdr_exec::{Backend, ExecCtx, Isa, ParallelBackend, ScalarBackend, SimdBackend};
+pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx, Isa};
 pub use ingest::{
     ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, SliceSource,
 };

@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn profiled_stage_times_feed_the_scaling_sweep() {
-        use hpmdr_exec::ScalarBackend;
+        use hpmdr_exec::CpuBackend;
         let data: Vec<f32> = (0..48 * 16)
             .map(|i| (i as f32 * 0.07).sin() * 2.0)
             .collect();
@@ -215,7 +215,7 @@ mod tests {
             &data,
             &[48, 16],
             &RefactorConfig::default(),
-            &ScalarBackend::new(),
+            &CpuBackend::with_threads(1),
             &ctx,
             25.0,
         );

@@ -21,7 +21,7 @@ use crate::serialize;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_device::des::ResourceKind;
 use hpmdr_device::{DesSim, Device, Resource, SimOutcome};
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -116,7 +116,7 @@ fn from_bytes_vec<F: Copy>(bytes: &[u8]) -> Vec<F> {
 }
 
 /// Run the refactoring pipeline over `data` (shape `shape`) on `device`,
-/// computing tiles on the portable [`ScalarBackend`].
+/// computing tiles on a host-wide [`CpuBackend`].
 ///
 /// Tiles of at most `tile_rows` leading rows are staged through the
 /// device's buffer pool; results are serialized back to host memory.
@@ -135,7 +135,7 @@ pub fn refactor_pipeline<F: BitplaneFloat + Real>(
         device,
         mode,
         tile_rows,
-        ScalarBackend::new(),
+        CpuBackend::default(),
     )
 }
 
@@ -374,7 +374,6 @@ mod tests {
 
     #[test]
     fn backends_produce_identical_pipeline_artifacts() {
-        use hpmdr_exec::ParallelBackend;
         let shape = [48usize, 21];
         let data = Arc::new(field(48 * 21));
         let cfg = RefactorConfig::default();
@@ -386,7 +385,7 @@ mod tests {
             &dev,
             PipelineMode::Overlapped,
             16,
-            ScalarBackend::new(),
+            CpuBackend::with_threads(1),
         );
         let b = refactor_pipeline_with(
             data,
@@ -395,7 +394,7 @@ mod tests {
             &dev,
             PipelineMode::Overlapped,
             16,
-            ParallelBackend::with_threads(4),
+            CpuBackend::with_threads(4),
         );
         assert_eq!(a.artifacts, b.artifacts);
         assert_eq!(a.bytes_out, b.bytes_out);

@@ -23,5 +23,5 @@ pub use crate::remote::{RemoteStore, RemoteStoreConfig};
 pub use crate::retrieve::{RetrievalPlan, RetrievalSession};
 pub use crate::roi::{FetchPlan, Region, RoiPlan, RoiRequest, RoiResult};
 pub use crate::storage::{write_chunked_store, write_store, ChunkedStoreReader, StoreReader};
-pub use hpmdr_exec::{Backend, ExecCtx, Isa, ParallelBackend, ScalarBackend, SimdBackend};
+pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 pub use hpmdr_qoi::QoiExpr;

@@ -59,7 +59,7 @@ use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, Region, RoiPlan};
 use crate::Scope;
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ExecCtx, ParallelBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 use std::sync::Arc;
 
@@ -127,7 +127,7 @@ enum Mode<B: Backend> {
 /// it is independent of the reader it came from and of other streams.
 ///
 /// [`SharedReader::stream`]: crate::api::SharedReader::stream
-pub struct ApproximationStream<F, B: Backend = ParallelBackend> {
+pub struct ApproximationStream<F, B: Backend = CpuBackend> {
     store: Arc<dyn Store>,
     query: Query,
     /// Runs every frame: each is one outermost `install`, so a frame

@@ -19,7 +19,7 @@
 use crate::refactor::Refactored;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ParallelBackend};
+use hpmdr_exec::{Backend, CpuBackend};
 use hpmdr_mgard::Real;
 use hpmdr_qoi::{max_qoi_error, QoiExpr};
 use serde::{Deserialize, Serialize};
@@ -72,7 +72,7 @@ pub struct QoiRetrievalOutcome {
 }
 
 /// Run Algorithm 3: retrieve `vars` until the QoI error bound of `qoi`
-/// falls below `tau`, on a host-wide [`ParallelBackend`].
+/// falls below `tau`, on a host-wide [`CpuBackend`].
 ///
 /// # Panics
 /// Panics if variables disagree in shape/dtype or `tau` is not positive.
@@ -127,7 +127,7 @@ fn into_single(out: MultiQoiRetrievalOutcome) -> QoiRetrievalOutcome {
 /// (\[39\] controls derived quantities in sets): the loop terminates when
 /// every QoI's estimated supremum clears its tolerance, and each
 /// refinement step is driven by the currently most-violating QoI. Runs
-/// on a host-wide [`ParallelBackend`].
+/// on a host-wide [`CpuBackend`].
 ///
 /// # Panics
 /// Panics if variables disagree in shape/dtype, the set is empty, or any
@@ -137,7 +137,7 @@ pub fn retrieve_with_multi_qoi_control<F: BitplaneFloat + Real>(
     qois: &[(QoiExpr, f64)],
     estimator: EbEstimator,
 ) -> MultiQoiRetrievalOutcome {
-    let backend = ParallelBackend::new();
+    let backend = CpuBackend::new();
     backend.install(|| multi_qoi_control::<F, _>(vars, qois, estimator, &backend))
 }
 

@@ -1,13 +1,13 @@
 //! Variable refactoring: decompose → bitplane-encode → hybrid compress.
 //!
 //! Every hot stage routes through the [`hpmdr_exec::Backend`] trait:
-//! [`refactor`] runs on the portable [`ScalarBackend`] default, and
+//! [`refactor`] runs on a host-wide [`CpuBackend`], and
 //! [`refactor_with`] accepts any backend (e.g.
-//! [`hpmdr_exec::ParallelBackend`] for multi-core hosts), producing
+//! `CpuBackend::with_threads(1)` for the calling thread only), producing
 //! bit-identical artifacts either way.
 
 use hpmdr_bitplane::{BitplaneFloat, Layout};
-use hpmdr_exec::{Backend, EncodedStream, ExecCtx, ScalarBackend, StreamView};
+use hpmdr_exec::{Backend, CpuBackend, EncodedStream, ExecCtx, StreamView};
 use hpmdr_lossless::{CompressedGroup, HybridCompressor, HybridConfig};
 use hpmdr_mgard::{extract_levels, level_error_weights, Hierarchy, Real};
 use serde::{Deserialize, Serialize};
@@ -177,13 +177,12 @@ impl LevelStream {
     }
 }
 
-/// Refactor one variable of shape `shape` on the portable
-/// [`ScalarBackend`].
+/// Refactor one variable of shape `shape` on a host-wide [`CpuBackend`].
 ///
 /// Prefer [`crate::api::Mdr::refactor`], which also covers chunked
 /// decomposition and backend selection, and validates its input instead
-/// of panicking; this function remains as the monolithic scalar kernel
-/// the façade delegates to.
+/// of panicking; this function remains as the monolithic kernel the
+/// façade delegates to.
 ///
 /// # Panics
 /// Panics if `data.len()` does not match `shape`, or on non-finite input.
@@ -196,7 +195,7 @@ pub fn refactor<F: BitplaneFloat + Real>(
         data,
         shape,
         config,
-        &ScalarBackend::new(),
+        &CpuBackend::default(),
         &ExecCtx::default(),
     )
 }
@@ -361,11 +360,11 @@ mod tests {
     use super::*;
     use hpmdr_bitplane::BitplaneChunk;
 
-    /// Decode the first `units` merged units of `stream` on the scalar
-    /// backend through the supported [`Backend::decode_units`] path.
+    /// Decode the first `units` merged units of `stream` one thread wide
+    /// through the supported [`Backend::decode_units`] path.
     fn decode_prefix(stream: &LevelStream, units: usize) -> BitplaneChunk {
         let comp = HybridCompressor::new(HybridConfig::default());
-        ScalarBackend::new()
+        CpuBackend::with_threads(1)
             .decode_units(&ExecCtx::default(), stream.view(), units, &comp, "f32")
             .expect("self-produced stream decodes")
     }
@@ -513,7 +512,7 @@ mod tests {
     #[test]
     fn refactor_with_is_encode_of_prepare() {
         fn check<F: BitplaneFloat + Real>(data: Vec<F>, shape: &[usize], cfg: &RefactorConfig) {
-            let (backend, ctx) = (ScalarBackend::new(), ExecCtx::default());
+            let (backend, ctx) = (CpuBackend::with_threads(1), ExecCtx::default());
             let whole = refactor_with(&data, shape, cfg, &backend, &ctx);
             let prepared = prepare(data, shape, cfg, &backend, &ctx);
             assert!(prepared.all_finite());

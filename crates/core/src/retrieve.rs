@@ -11,7 +11,7 @@ use crate::error::MdrError;
 use crate::refactor::Refactored;
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{prefix_error_bound, BitplaneChunk, BitplaneFloat, Reconstruction};
-use hpmdr_exec::{Backend, ExecCtx, ParallelBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
 use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
 use serde::{Deserialize, Serialize};
@@ -190,7 +190,7 @@ impl RetrievalPlan {
 /// once applied; refining to a larger plan decompresses and applies only
 /// the new units. All decode and
 /// recompose kernels route through the session's [`Backend`]
-/// (a host-wide [`ParallelBackend`] unless opened via
+/// (a host-wide [`CpuBackend`] unless opened via
 /// [`RetrievalSession::with_backend`]).
 ///
 /// A session either *borrows* a variable whose payloads are already
@@ -199,7 +199,7 @@ impl RetrievalPlan {
 /// [`Self::supply_units`] as payloads arrive. An owning session releases
 /// each payload once its unit is applied, so between refinements it
 /// holds the skeleton, the sign planes and the accumulators only.
-pub struct RetrievalSession<'a, B: Backend = ParallelBackend> {
+pub struct RetrievalSession<'a, B: Backend = CpuBackend> {
     refactored: Cow<'a, Refactored>,
     backend: B,
     ctx: ExecCtx,
@@ -211,11 +211,11 @@ pub struct RetrievalSession<'a, B: Backend = ParallelBackend> {
     fetched_bytes: usize,
 }
 
-impl<'a> RetrievalSession<'a, ParallelBackend> {
+impl<'a> RetrievalSession<'a, CpuBackend> {
     /// Open a session over `refactored` (no units fetched yet) on a
-    /// host-wide [`ParallelBackend`].
+    /// host-wide [`CpuBackend`].
     pub fn new(refactored: &'a Refactored) -> Self {
-        RetrievalSession::with_backend(refactored, ParallelBackend::new())
+        RetrievalSession::with_backend(refactored, CpuBackend::new())
     }
 }
 
@@ -485,7 +485,6 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
 mod tests {
     use super::*;
     use crate::refactor::{refactor, RefactorConfig};
-    use hpmdr_exec::ScalarBackend;
 
     fn field(nx: usize, ny: usize) -> Vec<f32> {
         let mut v = Vec::with_capacity(nx * ny);
@@ -657,7 +656,7 @@ mod tests {
         let data = field(33, 20);
         let r = refactor(&data, &[33, 20], &RefactorConfig::default());
         let mut borrowing = RetrievalSession::new(&r);
-        let mut owning = RetrievalSession::owning(r.skeleton(), ScalarBackend::new());
+        let mut owning = RetrievalSession::owning(r.skeleton(), CpuBackend::with_threads(1));
         assert_eq!(owning.refactored().total_bytes(), 0);
         while !borrowing.exhausted() {
             borrowing.advance_greedy(1);
@@ -699,12 +698,21 @@ mod tests {
         }
     }
 
-    /// [`ScalarBackend`] that counts the merged units it is asked to
-    /// decompress.
-    #[derive(Clone, Default)]
+    /// A one-thread [`CpuBackend`] that counts the merged units it is
+    /// asked to decompress.
+    #[derive(Clone)]
     struct CountingBackend {
-        inner: ScalarBackend,
+        inner: CpuBackend,
         units: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Default for CountingBackend {
+        fn default() -> Self {
+            CountingBackend {
+                inner: CpuBackend::with_threads(1),
+                units: Default::default(),
+            }
+        }
     }
 
     impl Backend for CountingBackend {
@@ -761,14 +769,13 @@ mod tests {
 
     #[test]
     fn parallel_backend_thread_count_does_not_change_the_values() {
-        use hpmdr_exec::ParallelBackend;
         // The finest group (≈ 49 k coefficients) is large enough for
         // `materialize` to fan out over tiles on four workers.
         let data = field(257, 257);
         let r = refactor(&data, &[257, 257], &RefactorConfig::default());
         let (plan, _) = RetrievalPlan::for_error(&r, 1e-4);
         let run = |threads: usize| {
-            let backend = ParallelBackend::with_threads(threads);
+            let backend = CpuBackend::with_threads(threads);
             let mut sess = RetrievalSession::with_backend(&r, backend);
             sess.refine_to(&plan);
             let rec: Vec<f32> = sess.reconstruct();

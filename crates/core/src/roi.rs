@@ -21,7 +21,7 @@ use crate::chunked::{copy_hyperslab, ChunkedRefactored};
 use crate::error::MdrError;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, PoisonError};
@@ -383,8 +383,8 @@ pub struct RoiResult<F> {
     pub exhausted: bool,
 }
 
-/// Reconstruct `req` from an in-memory chunked artifact on the portable
-/// [`ScalarBackend`].
+/// Reconstruct `req` from an in-memory chunked artifact on a host-wide
+/// [`CpuBackend`].
 ///
 /// Prefer [`crate::api::Reader::retrieve`] with
 /// [`crate::api::Scope::Region`], which serves the same plan from any
@@ -394,7 +394,7 @@ pub fn retrieve_roi<F: BitplaneFloat + Real + Default>(
     cr: &ChunkedRefactored,
     req: &RoiRequest,
 ) -> Result<RoiResult<F>, MdrError> {
-    retrieve_roi_with(cr, req, &ScalarBackend::new(), &ExecCtx::default())
+    retrieve_roi_with(cr, req, &CpuBackend::default(), &ExecCtx::default())
 }
 
 /// Reconstruct `req` from an in-memory chunked artifact on `backend`,
@@ -415,8 +415,8 @@ pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
 /// Shared assembly path of the in-memory and store-backed ROI retrievals:
 /// reconstruct each planned chunk via `reconstruct(position, chunk_plan)`
 /// (fanned out on `backend` — the closure typically fetches *and*
-/// decodes, so parallel backends overlap chunk I/O with other chunks'
-/// decode) and copy its chunk∩region box into the output slab.
+/// decodes, so a multi-threaded backend overlaps chunk I/O with other
+/// chunks' decode) and copy its chunk∩region box into the output slab.
 ///
 /// Each batch item places its own box and drops its reconstruction
 /// before the next: a worker that helps with the fan then holds one
@@ -520,7 +520,6 @@ fn region_result<F>(plan: &RoiPlan, data: Vec<F>) -> RoiResult<F> {
 mod tests {
     use super::*;
     use crate::chunked::{extract_region, refactor_chunked, ChunkedConfig};
-    use hpmdr_exec::ParallelBackend;
 
     fn field_2d(nx: usize, ny: usize) -> Vec<f32> {
         let mut v = Vec::with_capacity(nx * ny);
@@ -607,15 +606,13 @@ mod tests {
         let data = field_2d(24, 24);
         let cr = refactor_chunked(&data, &[24, 24], &ChunkedConfig::with_extent(&[9, 9]));
         let req = RoiRequest::new(Region::new(&[3, 3], &[14, 14]), 1e-4);
-        let a: RoiResult<f32> = retrieve_roi(&cr, &req).unwrap();
-        let b: RoiResult<f32> = retrieve_roi_with(
-            &cr,
-            &req,
-            &ParallelBackend::with_threads(4),
-            &ExecCtx::default(),
-        )
-        .unwrap();
-        assert_eq!(a, b);
+        let run = |threads: usize| -> RoiResult<f32> {
+            let backend = CpuBackend::with_threads(threads);
+            retrieve_roi_with(&cr, &req, &backend, &ExecCtx::default()).unwrap()
+        };
+        let one = run(1);
+        assert_eq!(one, run(4));
+        assert_eq!(one, retrieve_roi(&cr, &req).unwrap());
     }
 
     #[test]

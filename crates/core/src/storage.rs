@@ -34,7 +34,7 @@ use crate::serialize::{
     check_manifest_version, check_probed_version, HeaderMeta, MANIFEST_VERSION,
 };
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, ExecCtx, ScalarBackend};
+use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -745,7 +745,7 @@ impl ChunkedStoreReader {
         Ok(out)
     }
 
-    /// Serve a region query on the portable [`ScalarBackend`]: plan on
+    /// Serve a region query on a host-wide [`CpuBackend`]: plan on
     /// the skeleton, fetch exactly the planned ranges, reconstruct the
     /// touched chunks, and assemble the region.
     ///
@@ -756,12 +756,12 @@ impl ChunkedStoreReader {
         &self,
         req: &RoiRequest,
     ) -> Result<RoiResult<F>, MdrError> {
-        self.retrieve_roi_with(req, &ScalarBackend::new(), &ExecCtx::default())
+        self.retrieve_roi_with(req, &CpuBackend::default(), &ExecCtx::default())
     }
 
     /// Serve a region query, fanning each touched chunk's fetch *and*
-    /// reconstruction out via [`Backend::map_batch`] (parallel backends
-    /// overlap shard I/O with other chunks' decode).
+    /// reconstruction out via [`Backend::map_batch`] (a multi-threaded
+    /// backend overlaps shard I/O with other chunks' decode).
     pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
         &self,
         req: &RoiRequest,

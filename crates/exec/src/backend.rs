@@ -5,6 +5,7 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout, Reconstruction};
 use hpmdr_lossless::{CodecError, CompressedGroup, HybridCompressor};
 use hpmdr_mgard::{Hierarchy, Real};
+use rayon::prelude::*;
 
 /// Why [`Backend::decode_units`] failed to rebuild a bitplane chunk.
 /// Streams are storage input, so every defect is a matchable error, not
@@ -111,11 +112,13 @@ pub struct UnitPlanes {
 /// produce **bit-identical** outputs for identical inputs — parallelism
 /// may split independent work but never reassociate arithmetic.
 ///
-/// The provided method bodies are the portable scalar kernels; a backend
-/// customizes execution by overriding [`Backend::install`] (its width)
-/// and whichever fan-out kernels it can run better.
+/// The provided method bodies are the portable kernels, fanned out on the
+/// process's one worker pool at the width [`Backend::install`] sets — so
+/// [`crate::CpuBackend`] overrides nothing else. A backend customizes
+/// execution by overriding `install` (its width or device context) and
+/// whichever kernels it can run better.
 pub trait Backend: Clone + Default + Send + Sync + 'static {
-    /// Short human-readable name (`"scalar"`, `"parallel"`, `"cuda"`, …).
+    /// Short human-readable name (`"cpu"`, `"cuda"`, …).
     fn name(&self) -> &'static str;
 
     /// Worker threads this backend may occupy.
@@ -123,8 +126,8 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
 
     /// Run `f` under this backend's execution policy (width, device
     /// context, …). Every kernel body runs inside `install`; on the host
-    /// backends the outermost `install` of a thread also counts it
-    /// against the process's core budget until it returns.
+    /// backend the outermost `install` of a thread also counts it against
+    /// the process's core budget until it returns.
     fn install<R>(&self, f: impl FnOnce() -> R) -> R;
 
     /// Multilevel decomposition (MGARD forward transform), in place.
@@ -145,38 +148,10 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         self.install(|| hpmdr_mgard::recompose_to_level(data, h, correction, level));
     }
 
-    /// Bitplane-encode one coefficient group.
-    fn encode_group<F: BitplaneFloat>(
-        &self,
-        _ctx: &ExecCtx,
-        group: &[F],
-        planes: usize,
-        layout: Layout,
-    ) -> BitplaneChunk {
-        self.install(|| hpmdr_bitplane::encode(group, planes, layout))
-    }
-
-    /// Merge an encoded chunk's planes into units of `group_size` and
-    /// compress each unit.
-    fn compress_units(
-        &self,
-        ctx: &ExecCtx,
-        chunk: &BitplaneChunk,
-        group_size: usize,
-        compressor: &HybridCompressor,
-    ) -> Vec<CompressedGroup> {
-        let m = group_size.max(1);
-        let num_units = chunk.num_planes().div_ceil(m);
-        self.install(|| {
-            (0..num_units)
-                .map(|u| compress_one_unit(ctx, chunk, u, m, compressor))
-                .collect()
-        })
-    }
-
     /// Encode and compress every level group of a decomposed variable —
-    /// the refactoring hot loop. Parallel backends fan this out per
-    /// group; the scalar kernel runs groups in order.
+    /// the refactoring hot loop. Fans out per level group (groups are
+    /// independent streams) and, within a group, per merged unit (units
+    /// compress disjoint plane ranges).
     fn encode_and_compress<F: BitplaneFloat>(
         &self,
         ctx: &ExecCtx,
@@ -186,14 +161,21 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         group_size: usize,
         compressor: &HybridCompressor,
     ) -> Vec<EncodedStream> {
-        groups
-            .iter()
-            .map(|g| {
-                let chunk = self.encode_group(ctx, g, planes, layout);
-                let units = self.compress_units(ctx, &chunk, group_size, compressor);
-                stream_from_chunk(&chunk, group_size.max(1), units)
-            })
-            .collect()
+        let m = group_size.max(1);
+        self.install(|| {
+            groups
+                .par_iter()
+                .map(|g| {
+                    let chunk = hpmdr_bitplane::encode(g, planes, layout);
+                    let num_units = chunk.num_planes().div_ceil(m);
+                    let units: Vec<CompressedGroup> = (0..num_units)
+                        .into_par_iter()
+                        .map(|u| compress_one_unit(ctx, &chunk, u, m, compressor))
+                        .collect();
+                    stream_from_chunk(&chunk, m, units)
+                })
+                .collect()
+        })
     }
 
     /// Decompress merged units `units` of a stream into their magnitude
@@ -256,8 +238,8 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
 
     /// Decompress the first `take_units` merged units of a stream back
     /// into a (possibly partial) [`BitplaneChunk`] — the retrieval-side
-    /// inverse of [`Backend::compress_units`], and the `0..take_units`
-    /// case of [`Backend::decode_unit_range`].
+    /// inverse of [`Backend::encode_and_compress`]'s unit compression, and
+    /// the `0..take_units` case of [`Backend::decode_unit_range`].
     fn decode_units(
         &self,
         ctx: &ExecCtx,
@@ -283,19 +265,19 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
 
     /// Run `f` over every item of a batch and collect the results in
     /// input order — the chunk-grid fan-out entry point. The items must
-    /// be independent: parallel backends may evaluate them concurrently
-    /// (each item typically being a whole per-chunk refactor or
-    /// reconstruction), while the scalar kernel runs them sequentially.
+    /// be independent: they are evaluated concurrently up to the width
+    /// `install` sets (each item typically being a whole per-chunk
+    /// refactor or reconstruction), and in order one thread wide.
     /// Because `f` itself routes through backend kernels that never
-    /// reassociate arithmetic, batch results are bit-identical across
-    /// backends.
+    /// reassociate arithmetic, batch results are bit-identical at every
+    /// width.
     fn map_batch<T, R, F>(&self, _ctx: &ExecCtx, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Send + Sync,
     {
-        self.install(|| items.iter().map(&f).collect())
+        self.install(|| items.par_iter().map(&f).collect())
     }
 
     /// Materialize a progressive decoder's current approximation.
@@ -312,7 +294,7 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
 
 /// Assemble the backend-level stream product from an encoded chunk and
 /// its compressed units.
-pub(crate) fn stream_from_chunk(
+fn stream_from_chunk(
     chunk: &BitplaneChunk,
     group_size: usize,
     units: Vec<CompressedGroup>,
@@ -333,7 +315,7 @@ pub(crate) fn stream_from_chunk(
 /// are one contiguous arena range, so the merge is a single bulk copy,
 /// and a `Direct` selection moves the merged buffer straight into the
 /// payload instead of copying it again.
-pub(crate) fn compress_one_unit(
+fn compress_one_unit(
     ctx: &ExecCtx,
     chunk: &BitplaneChunk,
     u: usize,
@@ -356,7 +338,7 @@ pub(crate) fn compress_one_unit(
 
 /// Append `words` to `out` as little-endian bytes — a bulk resize plus a
 /// fixed-stride copy the compiler lowers to a memcpy on LE targets.
-pub(crate) fn extend_words(out: &mut Vec<u8>, words: &[u32]) {
+fn extend_words(out: &mut Vec<u8>, words: &[u32]) {
     let start = out.len();
     out.resize(start + words.len() * 4, 0);
     for (dst, w) in out[start..].chunks_exact_mut(4).zip(words) {
@@ -365,7 +347,7 @@ pub(crate) fn extend_words(out: &mut Vec<u8>, words: &[u32]) {
 }
 
 /// Fill `out` from little-endian `bytes` (the inverse bulk copy).
-pub(crate) fn read_words(bytes: &[u8], out: &mut [u32]) {
+fn read_words(bytes: &[u8], out: &mut [u32]) {
     for (w, src) in out.iter_mut().zip(bytes.chunks_exact(4)) {
         // lint:allow(L3): statically infallible — chunks_exact(4) yields
         // exactly 4 bytes per chunk.

@@ -14,8 +14,8 @@ pub const DEFAULT_TILE_ROWS: usize = 16;
 ///   stop allocating (the `I1..I3`/`O1..O3` reuse discipline of the
 ///   paper's device buffers, applied to host scratch).
 ///
-/// The context is `Sync`: parallel backends lease distinct buffers from
-/// worker threads concurrently.
+/// The context is `Sync`: a fan's workers lease distinct buffers
+/// concurrently.
 #[derive(Debug)]
 pub struct ExecCtx {
     tile_rows: usize,

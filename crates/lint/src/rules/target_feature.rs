@@ -4,14 +4,17 @@
 //! This rule confines such calls to (a) other `#[target_feature]`
 //! functions of the *same ISA family* — the caller already established
 //! availability — or (b) allowlisted dispatch modules, whose job is to
-//! gate on the pinned `hpmdr_simd::Isa` before jumping to a kernel.
+//! gate on a detected instruction-set value (an `Isa`) before jumping to
+//! a kernel.
 //!
 //! An allowlisted dispatch module that never mentions `Isa` has lost
 //! the property the allowlist encodes, so that degenerate state is a
 //! finding too. Calls through function pointers are invisible to a
-//! token-level pass; the dispatch-module allowlist is what keeps the
-//! pointer-table idiom (`TransposeFn`) auditable, because the tables
-//! are built inside those modules.
+//! token-level pass; the dispatch-module allowlist is what keeps a
+//! kernel pointer table auditable, because such tables must be built
+//! inside those modules. The workspace ships no hand-written SIMD today,
+//! so the allowlist is empty and any `#[target_feature]` call outside a
+//! same-family kernel is a finding.
 
 use super::{emit, Finding, RuleId};
 use crate::cursor::{Family, FileCtx};

@@ -23,20 +23,19 @@
 //!   uses.
 //! * [`quantize`] — uniform level-scaled quantization (used by the MGARD
 //!   baseline codec of the evaluation, not by HP-MDR's bitplane path).
-//! * [`mod@simd`] — runtime-dispatched AVX2/NEON kernels for the
-//!   quantize/zig-zag hot loops, bit-identical to the scalar
-//!   reference on every ISA.
+//!
+//! Every kernel is portable Rust with no architecture-specific code: the
+//! panel loops are written so the compiler vectorises them for AVX2 and
+//! NEON alike, which is the one algorithm source every executor runs.
 
 pub mod grid;
 pub mod levels;
 mod line;
 pub mod quantize;
-pub mod simd;
 pub mod transform;
 
 pub use grid::Hierarchy;
 pub use levels::{extract_levels, inject_levels, level_error_weights, LevelSet};
-pub use simd::{quantize_with_isa, quantize_zigzag_with_isa, Isa};
 pub use transform::{decompose, extract_active_grid, recompose, recompose_to_level};
 
 /// Minimal float abstraction for the decomposition math.

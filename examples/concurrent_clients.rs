@@ -20,7 +20,7 @@ fn main() {
     let ds = Dataset::generate_with_shape(DatasetKind::Jhtdb, &shape, 13);
     let data = ds.variables[0].as_f32();
 
-    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build_parallel();
+    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
     let artifact = mdr.refactor(&data, &shape).expect("finite input");
     let dir = std::env::temp_dir().join(format!("hpmdr_concurrent_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

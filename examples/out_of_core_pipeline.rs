@@ -1,21 +1,21 @@
 //! Tiled refactoring through the device pipeline, with and without the
-//! Figure 4 overlap optimization, on both executor backends.
+//! Figure 4 overlap optimization, one thread wide and host-wide.
 //!
 //! Datasets larger than device memory are processed as sub-domain tiles
 //! staged through a bounded buffer pool. With overlap enabled, the next
 //! tile's host→device copy is prefetched by a dedicated DMA-engine thread
 //! while the compute engine refactors the current tile. The compute
 //! engine itself schedules portable `Backend` kernels, so the tile
-//! executor (sequential `ScalarBackend` vs multi-core `ParallelBackend`)
-//! swaps independently of the overlap schedule — with bit-identical
-//! artifacts either way.
+//! executor's width (`CpuBackend::with_threads(1)` vs the host-wide
+//! default) changes independently of the overlap schedule — with
+//! bit-identical artifacts either way.
 //!
 //! ```text
 //! cargo run -p hpmdr-examples --release --bin out_of_core_pipeline
 //! ```
 
 use hpmdr_core::pipeline::{refactor_pipeline, refactor_pipeline_with, PipelineMode};
-use hpmdr_core::{Backend, ParallelBackend, RefactorConfig, ScalarBackend};
+use hpmdr_core::{Backend, CpuBackend, RefactorConfig};
 use hpmdr_datasets::{Dataset, DatasetKind};
 use hpmdr_device::{Device, DeviceConfig};
 use hpmdr_examples::human_bytes;
@@ -39,21 +39,26 @@ fn main() {
     // Three staging buffers: current tile, prefetched tile, draining tile.
     let device = Device::new(DeviceConfig::h100_like(), tile_bytes + 4096, 3);
 
-    let seq = refactor_pipeline(
+    // The overlap comparison runs one thread wide, so the schedule alone
+    // accounts for the difference.
+    let one = CpuBackend::with_threads(1);
+    let seq = refactor_pipeline_with(
         data.clone(),
         &shape,
         &config,
         &device,
         PipelineMode::Sequential,
         tile_rows,
+        one,
     );
-    let ovl = refactor_pipeline(
+    let ovl = refactor_pipeline_with(
         data.clone(),
         &shape,
         &config,
         &device,
         PipelineMode::Overlapped,
         tile_rows,
+        one,
     );
 
     println!(
@@ -74,28 +79,27 @@ fn main() {
         seq.artifacts == ovl.artifacts
     );
 
-    // Same overlapped schedule, swapping the tile executor backend.
-    let parallel = ParallelBackend::new();
-    let par = refactor_pipeline_with(
+    // Same overlapped schedule on the default, host-wide tile executor.
+    let wide = CpuBackend::new();
+    let par = refactor_pipeline(
         data.clone(),
         &shape,
         &config,
         &device,
         PipelineMode::Overlapped,
         tile_rows,
-        parallel,
     );
     println!(
         "\nbackend {:>8} ({} threads): {:.3}s, {:.3} GB/s",
-        ScalarBackend::new().name(),
-        ScalarBackend::new().threads(),
+        one.name(),
+        one.threads(),
         ovl.wall_seconds,
         ovl.throughput_gbps
     );
     println!(
         "backend {:>8} ({} threads): {:.3}s, {:.3} GB/s (identical artifacts: {})",
-        parallel.name(),
-        parallel.threads(),
+        wide.name(),
+        wide.threads(),
         par.wall_seconds,
         par.throughput_gbps,
         par.artifacts == ovl.artifacts

@@ -27,7 +27,7 @@ fn main() {
     // Two fixed-seed volumes, refactored and registered by name — the
     // server multiplexes any number of archives on one port.
     let shape = vec![48usize, 48, 48];
-    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build_parallel();
+    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
     let mut registry = Registry::new();
     let mut fields = Vec::new();
     for (name, seed) in [("turbulence", 21u64), ("climate", 7)] {

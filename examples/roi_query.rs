@@ -1,6 +1,6 @@
 //! Region-of-interest queries over a sharded chunk store, on the façade
-//! API: one `MdrConfig` covers chunked refactoring on a parallel
-//! backend, `Artifact::write_store` persists the sharded layout,
+//! API: one `MdrConfig` covers chunked refactoring on the host-wide
+//! default backend, `Artifact::write_store` persists the sharded layout,
 //! `open_store` sniffs it back, and one `Reader` serves region-scoped
 //! `Query`s — fetching only the unit prefixes of only the chunks each
 //! query touches, with an exact achieved bound on every answer.
@@ -18,7 +18,7 @@ fn main() {
     let data = ds.variables[0].as_f32();
 
     // 20³ chunks deliberately do not divide 64: boundary chunks clip.
-    let mdr = MdrConfig::new().chunked(&[20, 20, 20]).build_parallel();
+    let mdr = MdrConfig::new().chunked(&[20, 20, 20]).build();
     let artifact = mdr.refactor(&data, &shape).expect("finite input");
     let cr = artifact.as_chunked().expect("chunked config");
     println!(

@@ -1,19 +1,15 @@
-//! Property tests: the executor backends are interchangeable.
+//! Property tests: the executor's widths are interchangeable.
 //!
 //! HP-MDR's portability guarantee is that refactored data is
 //! byte-identical regardless of the producing device; for the executor
-//! layer that means [`ScalarBackend`], [`ParallelBackend`], and
-//! [`SimdBackend`] (whatever instruction set it dispatches to) must
-//! produce bit-identical `Refactored` artifacts and identical retrieval
-//! error bounds on arbitrary inputs.
+//! layer that means [`CpuBackend`] at any thread width must produce
+//! bit-identical `Refactored` artifacts and identical retrieval error
+//! bounds on arbitrary inputs.
 
 use hpmdr_core::chunked::{refactor_chunked_with, ChunkedConfig};
 use hpmdr_core::refactor::refactor_with;
 use hpmdr_core::storage::write_chunked_store;
-use hpmdr_core::{
-    Backend, ExecCtx, Isa, ParallelBackend, RefactorConfig, RetrievalPlan, RetrievalSession,
-    ScalarBackend, SimdBackend,
-};
+use hpmdr_core::{CpuBackend, ExecCtx, RefactorConfig, RetrievalPlan, RetrievalSession};
 use proptest::prelude::*;
 
 fn random_field(nx: usize, ny: usize, seed: u32) -> Vec<f32> {
@@ -45,12 +41,12 @@ proptest! {
         config.correction = correction;
 
         let ctx = ExecCtx::default();
-        let scalar = refactor_with(&data, &[nx, ny], &config, &ScalarBackend::new(), &ctx);
+        let scalar = refactor_with(&data, &[nx, ny], &config, &CpuBackend::with_threads(1), &ctx);
         let parallel = refactor_with(
             &data,
             &[nx, ny],
             &config,
-            &ParallelBackend::with_threads(4),
+            &CpuBackend::with_threads(4),
             &ctx,
         );
 
@@ -60,18 +56,6 @@ proptest! {
             hpmdr_core::serialize::to_bytes(&scalar),
             hpmdr_core::serialize::to_bytes(&parallel)
         );
-
-        // The SIMD backend — at its best ISA and pinned to its scalar
-        // fallback — must match bit for bit as well.
-        for simd in [SimdBackend::best_available(), SimdBackend::with_isa(Isa::Scalar)] {
-            let artifact = refactor_with(&data, &[nx, ny], &config, &simd, &ctx);
-            prop_assert_eq!(&scalar, &artifact, "backend {}", simd.name());
-            prop_assert_eq!(
-                hpmdr_core::serialize::to_bytes(&scalar),
-                hpmdr_core::serialize::to_bytes(&artifact),
-                "backend {}", simd.name()
-            );
-        }
     }
 
     #[test]
@@ -84,31 +68,25 @@ proptest! {
         let data = random_field(nx, ny, seed);
         let config = RefactorConfig::default();
         let ctx = ExecCtx::default();
-        let scalar = refactor_with(&data, &[nx, ny], &config, &ScalarBackend::new(), &ctx);
+        let scalar = refactor_with(&data, &[nx, ny], &config, &CpuBackend::with_threads(1), &ctx);
         let parallel = refactor_with(
             &data,
             &[nx, ny],
             &config,
-            &ParallelBackend::with_threads(3),
+            &CpuBackend::with_threads(3),
             &ctx,
         );
-
-        let simd_artifact =
-            refactor_with(&data, &[nx, ny], &config, &SimdBackend::best_available(), &ctx);
 
         let eb = rel * scalar.value_range.max(1e-9);
         let (plan_s, bound_s) = RetrievalPlan::for_error(&scalar, eb);
         let (plan_p, bound_p) = RetrievalPlan::for_error(&parallel, eb);
-        let (plan_v, bound_v) = RetrievalPlan::for_error(&simd_artifact, eb);
         prop_assert_eq!(&plan_s, &plan_p, "plans must match");
         prop_assert_eq!(bound_s, bound_p, "guaranteed bounds must match");
-        prop_assert_eq!(&plan_s, &plan_v, "SIMD plan must match");
-        prop_assert_eq!(bound_s, bound_v, "SIMD bound must match");
 
         // Reconstructing the scalar artifact on the parallel backend (and
         // vice versa) must give identical floats: retrieval kernels are
         // backend-interchangeable too.
-        let mut sess_sp = RetrievalSession::with_backend(&scalar, ParallelBackend::with_threads(3));
+        let mut sess_sp = RetrievalSession::with_backend(&scalar, CpuBackend::with_threads(3));
         sess_sp.refine_to(&plan_s);
         let rec_sp: Vec<f32> = sess_sp.reconstruct();
 
@@ -116,15 +94,8 @@ proptest! {
         sess_ss.refine_to(&plan_s);
         let rec_ss: Vec<f32> = sess_ss.reconstruct();
 
-        let mut sess_sv =
-            RetrievalSession::with_backend(&scalar, SimdBackend::best_available());
-        sess_sv.refine_to(&plan_s);
-        let rec_sv: Vec<f32> = sess_sv.reconstruct();
-
         prop_assert_eq!(&rec_sp, &rec_ss);
-        prop_assert_eq!(&rec_sv, &rec_ss);
         prop_assert_eq!(sess_sp.error_bound(), sess_ss.error_bound());
-        prop_assert_eq!(sess_sv.error_bound(), sess_ss.error_bound());
     }
 
     #[test]
@@ -137,29 +108,21 @@ proptest! {
         case in any::<u64>(),
     ) {
         // The portability guarantee extends to the chunk grid: a sharded
-        // store refactored with ScalarBackend and one refactored with
-        // ParallelBackend (chunk-level fan-out included) must be
+        // store refactored one thread wide and one refactored four wide
+        // (chunk-level fan-out included) must be
         // byte-identical on disk, file for file.
         let data = random_field(nx, ny, seed);
         let cfg = ChunkedConfig::with_extent(&[cx, cy]);
         let ctx = ExecCtx::default();
-        let scalar = refactor_chunked_with(&data, &[nx, ny], &cfg, &ScalarBackend::new(), &ctx);
+        let scalar = refactor_chunked_with(&data, &[nx, ny], &cfg, &CpuBackend::with_threads(1), &ctx);
         let parallel = refactor_chunked_with(
             &data,
             &[nx, ny],
             &cfg,
-            &ParallelBackend::with_threads(4),
+            &CpuBackend::with_threads(4),
             &ctx,
         );
         prop_assert_eq!(&scalar, &parallel);
-        let simd = refactor_chunked_with(
-            &data,
-            &[nx, ny],
-            &cfg,
-            &SimdBackend::best_available(),
-            &ctx,
-        );
-        prop_assert_eq!(&scalar, &simd);
 
         let base = std::env::temp_dir().join(format!(
             "hpmdr_chunk_equiv_{}_{case}",
@@ -212,7 +175,7 @@ proptest! {
             &data,
             &[nx, ny],
             &cfg,
-            &ScalarBackend::new(),
+            &CpuBackend::with_threads(1),
             &ExecCtx::default(),
         );
         let base = std::env::temp_dir().join(format!(
@@ -238,22 +201,18 @@ proptest! {
         };
 
         let config = MdrConfig::new().chunked(&[cx, cy]);
-        for backend in ["scalar", "parallel", "simd"] {
+        for backend in ["one_thread", "host_wide"] {
             for (schedule, opts) in [
                 ("seq", IngestOptions::sequential().with_lookahead(lookahead)),
                 ("ovl", IngestOptions::overlapped().with_lookahead(lookahead)),
             ] {
                 let dir = base.join(format!("{backend}_{schedule}"));
                 let source = SliceSource::new(&data, &[nx, ny]).unwrap();
-                match backend {
-                    "scalar" => config.clone().build().ingest_with(source, &dir, &opts),
-                    "parallel" => config
-                        .clone()
-                        .build_parallel()
-                        .ingest_with(source, &dir, &opts),
-                    _ => config.clone().build_simd().ingest_with(source, &dir, &opts),
-                }
-                .unwrap();
+                let mdr = match backend {
+                    "one_thread" => config.clone().build_with(CpuBackend::with_threads(1)),
+                    _ => config.clone().build(),
+                };
+                mdr.ingest_with(source, &dir, &opts).unwrap();
                 let mut got: Vec<_> = std::fs::read_dir(&dir)
                     .unwrap()
                     .map(|e| {
@@ -277,13 +236,14 @@ proptest! {
 }
 
 /// Odd and tail-heavy extents stress every kernel's remainder handling:
-/// sizes straddling the 32-element tile (vector kernels handle full tiles,
-/// scalar code the stragglers) and the 4-/2-lane conversion strides.
+/// sizes straddling the 32-element word and the 1024-element tile (the
+/// tile fan's last tile is short and zero-padded), one thread wide and
+/// four wide.
 #[test]
-fn simd_backend_matches_scalar_on_odd_and_tail_sizes() {
+fn width_four_matches_width_one_on_odd_and_tail_sizes() {
     let ctx = ExecCtx::default();
     let config = RefactorConfig::default();
-    let scalar = ScalarBackend::new();
+    let (one, four) = (CpuBackend::with_threads(1), CpuBackend::with_threads(4));
     for &(nx, ny) in &[
         (1usize, 1usize),
         (1, 5),
@@ -299,44 +259,8 @@ fn simd_backend_matches_scalar_on_odd_and_tail_sizes() {
         (41, 25),
     ] {
         let data = random_field(nx, ny, (nx * 131 + ny) as u32);
-        let want = refactor_with(&data, &[nx, ny], &config, &scalar, &ctx);
-        for simd in [
-            SimdBackend::best_available(),
-            SimdBackend::with_isa(Isa::Scalar),
-        ] {
-            let got = refactor_with(&data, &[nx, ny], &config, &simd, &ctx);
-            assert_eq!(want, got, "backend {} on {nx}x{ny}", simd.name());
-        }
+        let want = refactor_with(&data, &[nx, ny], &config, &one, &ctx);
+        let got = refactor_with(&data, &[nx, ny], &config, &four, &ctx);
+        assert_eq!(want, got, "widths 1 and 4 on {nx}x{ny}");
     }
-}
-
-/// The environment overrides must force the runtime dispatch down to the
-/// scalar kernels — the always-compiled fallback path of the tentpole —
-/// and those kernels must produce the same artifact. Both variables are
-/// exercised in one test because the process environment is global.
-#[test]
-fn env_overrides_force_scalar_fallback() {
-    let ctx = ExecCtx::default();
-    let config = RefactorConfig::default();
-    let data = random_field(19, 23, 0xC0FFEE);
-    let want = refactor_with(&data, &[19, 23], &config, &ScalarBackend::new(), &ctx);
-
-    std::env::set_var("HPMDR_FORCE_SCALAR", "1");
-    let forced = SimdBackend::new();
-    std::env::remove_var("HPMDR_FORCE_SCALAR");
-    assert_eq!(forced.isa(), Isa::Scalar, "HPMDR_FORCE_SCALAR=1 must win");
-    assert_eq!(forced.name(), "simd-scalar");
-    assert_eq!(
-        want,
-        refactor_with(&data, &[19, 23], &config, &forced, &ctx)
-    );
-
-    std::env::set_var("HPMDR_SIMD", "scalar");
-    let selected = SimdBackend::new();
-    std::env::remove_var("HPMDR_SIMD");
-    assert_eq!(selected.isa(), Isa::Scalar, "HPMDR_SIMD=scalar must win");
-    assert_eq!(
-        want,
-        refactor_with(&data, &[19, 23], &config, &selected, &ctx)
-    );
 }

@@ -218,7 +218,7 @@ fn parallel_backend_clients_agree_with_scalar_serial() {
         ChunkedStoreReader::open(&dir).unwrap(),
         usize::MAX,
     ));
-    let shared = SharedReader::with_backend(store, ParallelBackend::with_threads(3));
+    let shared = SharedReader::with_backend(store, CpuBackend::with_threads(3));
     let per_client: Vec<Vec<Approximation<f32>>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|_| {

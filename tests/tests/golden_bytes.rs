@@ -14,10 +14,9 @@
 //! implementation, so they also prove the arena/LUT rewrite is a pure
 //! speed change.
 
-use hpmdr_core::chunked::{refactor_chunked, refactor_chunked_with, ChunkedConfig};
-use hpmdr_core::refactor::refactor_with;
+use hpmdr_core::chunked::{refactor_chunked, ChunkedConfig};
 use hpmdr_core::storage::write_chunked_store;
-use hpmdr_core::{refactor, ExecCtx, RefactorConfig, SimdBackend};
+use hpmdr_core::{refactor, RefactorConfig};
 use std::path::PathBuf;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -62,36 +61,6 @@ fn monolithic_f64_artifact_bytes_are_pinned() {
         fnv1a(&bytes),
         0xf4acf031c521132f,
         "serialized bytes drifted"
-    );
-}
-
-/// The SIMD backend must hit the *same* pins as the scalar reference:
-/// vectorized kernels are a pure speed change, never a format change.
-#[test]
-fn simd_backend_hits_the_same_monolithic_pins() {
-    let ctx = ExecCtx::default();
-    let backend = SimdBackend::best_available();
-
-    let data = field_f32(33, 20);
-    let r = refactor_with(&data, &[33, 20], &RefactorConfig::default(), &backend, &ctx);
-    let bytes = hpmdr_core::serialize::to_bytes(&r);
-    assert_eq!(bytes.len(), 28825, "SIMD f32 serialized length drifted");
-    assert_eq!(fnv1a(&bytes), 0xe801ed3bdf4feb66, "SIMD f32 bytes drifted");
-
-    let data64: Vec<f64> = field_f32(17, 19).into_iter().map(f64::from).collect();
-    let r64 = refactor_with(
-        &data64,
-        &[17, 19],
-        &RefactorConfig::default(),
-        &backend,
-        &ctx,
-    );
-    let bytes64 = hpmdr_core::serialize::to_bytes(&r64);
-    assert_eq!(bytes64.len(), 46770, "SIMD f64 serialized length drifted");
-    assert_eq!(
-        fnv1a(&bytes64),
-        0xf4acf031c521132f,
-        "SIMD f64 bytes drifted"
     );
 }
 
@@ -150,31 +119,4 @@ fn streaming_ingest_hits_the_same_chunked_pins() {
             "{name} ingested store bytes drifted"
         );
     }
-}
-
-#[test]
-fn simd_backend_hits_the_same_chunked_pins() {
-    let data = field_f32(24, 18);
-    let cr = refactor_chunked_with(
-        &data,
-        &[24, 18],
-        &ChunkedConfig::with_extent(&[7, 8]),
-        &SimdBackend::best_available(),
-        &ExecCtx::default(),
-    );
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("hpmdr_golden_bytes_simd_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    write_chunked_store(&cr, &dir).unwrap();
-    let mut all = std::fs::read(dir.join("manifest.json")).unwrap();
-    for c in 0..cr.grid.num_chunks() {
-        all.extend_from_slice(&std::fs::read(dir.join(format!("c{c}.shard"))).unwrap());
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(all.len(), 169060, "SIMD chunked store byte length drifted");
-    assert_eq!(
-        fnv1a(&all),
-        0xcf5be72c01834c6d,
-        "SIMD chunked store bytes drifted"
-    );
 }

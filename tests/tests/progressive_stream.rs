@@ -218,14 +218,23 @@ fn qoi_and_resolution_scopes_stream_exactly_one_final_frame() {
     }
 }
 
-/// [`ScalarBackend`] recording every `decode_unit_range` call, keyed by
+/// A one-thread [`CpuBackend`] recording every `decode_unit_range` call, keyed by
 /// the address of the stream's unit table — stable and distinct per
 /// (chunk, group) while the sessions decoding them are alive, which a
 /// stream's are for all of its calls.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 struct CountingBackend {
-    inner: ScalarBackend,
+    inner: CpuBackend,
     calls: Arc<Mutex<HashMap<usize, Vec<Range<usize>>>>>,
+}
+
+impl Default for CountingBackend {
+    fn default() -> Self {
+        CountingBackend {
+            inner: CpuBackend::with_threads(1),
+            calls: Default::default(),
+        }
+    }
 }
 
 impl CountingBackend {

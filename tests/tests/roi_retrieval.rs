@@ -10,13 +10,13 @@
 //! 2. equals the same region sliced out of a full-domain reconstruction
 //!    at the same bound (per-chunk planning is deterministic, so ROI
 //!    answers are consistent with whole-field answers), and
-//! 3. is identical between [`ScalarBackend`] and [`ParallelBackend`],
+//! 3. is identical between [`CpuBackend`]s one and three threads wide,
 //!    in memory and through the sharded store.
 
 use hpmdr_core::chunked::{extract_region, refactor_chunked_with, ChunkedConfig};
 use hpmdr_core::roi::{retrieve_roi, retrieve_roi_with, Region, RoiRequest};
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
-use hpmdr_core::{ExecCtx, ParallelBackend, RoiResult, ScalarBackend};
+use hpmdr_core::{CpuBackend, ExecCtx, RoiResult};
 use proptest::prelude::*;
 
 fn random_field(n: usize, seed: u32) -> Vec<f32> {
@@ -74,7 +74,7 @@ proptest! {
         let data = random_field(n, seed);
 
         let ctx = ExecCtx::default();
-        let scalar = ScalarBackend::new();
+        let scalar = CpuBackend::with_threads(1);
         let cfg = ChunkedConfig::with_extent(chunk_extent);
         let cr = refactor_chunked_with(&data, shape, &cfg, &scalar, &ctx);
 
@@ -86,7 +86,7 @@ proptest! {
         // out of planes the reported bound meets the request, and every
         // point honors the *reported* bound (up to f32 recompose
         // rounding — the bound models bitplane truncation).
-        let roi: RoiResult<f32> = retrieve_roi(&cr, &req).unwrap();
+        let roi: RoiResult<f32> = retrieve_roi_with(&cr, &req, &scalar, &ctx).unwrap();
         prop_assert_eq!(roi.data.len(), region.len());
         if !roi.exhausted {
             prop_assert!(roi.bound <= eb, "bound {} exceeds request {}", roi.bound, eb);
@@ -109,7 +109,7 @@ proptest! {
 
         // (3) the parallel backend gives the identical region.
         if use_parallel {
-            let par = ParallelBackend::with_threads(3);
+            let par = CpuBackend::with_threads(3);
             let cr_par = refactor_chunked_with(&data, shape, &cfg, &par, &ctx);
             prop_assert_eq!(&cr, &cr_par, "chunked artifacts must be bit-identical");
             let roi_par: RoiResult<f32> = retrieve_roi_with(&cr_par, &req, &par, &ctx).unwrap();

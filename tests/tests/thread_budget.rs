@@ -6,7 +6,6 @@
 
 use hpmdr_core::prelude::*;
 use hpmdr_core::roi::Region;
-use hpmdr_core::ScalarBackend;
 use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -99,7 +98,7 @@ fn nested_fans_inside_batch_items_run_inline_when_no_core_is_free() {
     let _serial = serial();
     let host = rayon::host_threads();
     let _hog = hog(host.saturating_sub(2));
-    let backend = ParallelBackend::with_threads(2);
+    let backend = CpuBackend::with_threads(2);
     let meet = Barrier::new(host.min(2));
     let seen = backend.map_batch(&ExecCtx::default(), &[0usize, 1], |_| {
         meet.wait();
@@ -121,7 +120,7 @@ fn nested_fans_inside_batch_items_run_inline_when_no_core_is_free() {
 }
 
 /// Retrieve (full domain, region, resolution), a stream, and ingest give
-/// the scalar backend's exact bytes at every width, whether the fans find
+/// the one-thread backend's exact bytes at every width, whether the fans find
 /// cores free or a hog holds them all — and leave no core counted.
 #[test]
 fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
@@ -131,13 +130,13 @@ fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
     let cfg = MdrConfig::new().chunked(&[8, 8, 8]);
     let chunked = InMemoryStore::from(
         cfg.clone()
-            .build_with(ScalarBackend::new())
+            .build_with(CpuBackend::with_threads(1))
             .refactor(&data, &shape)
             .unwrap(),
     );
     let mono = InMemoryStore::from(
         MdrConfig::new()
-            .build_with(ScalarBackend::new())
+            .build_with(CpuBackend::with_threads(1))
             .refactor(&data, &shape)
             .unwrap(),
     );
@@ -152,16 +151,16 @@ fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
     let want: Vec<_> = queries
         .iter()
         .map(|(store, q)| {
-            Reader::with_backend(*store, ScalarBackend::new())
+            Reader::with_backend(*store, CpuBackend::with_threads(1))
                 .retrieve::<f32>(q)
                 .unwrap()
         })
         .collect();
-    let shared = SharedReader::with_backend(Arc::new(chunked.clone()), ScalarBackend::new());
+    let shared = SharedReader::with_backend(Arc::new(chunked.clone()), CpuBackend::with_threads(1));
     let want_frames: Vec<Vec<u32>> = frames(shared.stream::<f32>(&queries[1].1).unwrap());
     let want_dir = tmp("scalar");
     cfg.clone()
-        .build_with(ScalarBackend::new())
+        .build_with(CpuBackend::with_threads(1))
         .ingest(SliceSource::new(&data, &shape).unwrap(), &want_dir)
         .unwrap();
     let want_store = store_files(&want_dir);
@@ -169,7 +168,7 @@ fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
     for threads in [1, 2, 4] {
         for hogged in [false, true] {
             let _hog = hogged.then(|| hog(rayon::host_threads()));
-            let backend = ParallelBackend::with_threads(threads);
+            let backend = CpuBackend::with_threads(threads);
             let case = format!("threads={threads} hog={hogged}");
             for ((store, q), want) in queries.iter().zip(&want) {
                 let got = Reader::with_backend(*store, backend)
@@ -212,7 +211,7 @@ fn frames(mut stream: ApproximationStream<f32, impl Backend>) -> Vec<Vec<u32>> {
     out
 }
 
-/// Counts `install`s, then runs the scalar backend's kernels.
+/// Counts `install`s, then runs the kernels one thread wide.
 #[derive(Clone, Default)]
 struct Counting {
     installs: Arc<AtomicUsize>,
@@ -220,7 +219,7 @@ struct Counting {
 
 impl Backend for Counting {
     fn name(&self) -> &'static str {
-        "counting-scalar"
+        "counting-one-thread"
     }
 
     fn threads(&self) -> usize {
@@ -229,7 +228,7 @@ impl Backend for Counting {
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
         self.installs.fetch_add(1, Ordering::SeqCst);
-        ScalarBackend::new().install(f)
+        CpuBackend::with_threads(1).install(f)
     }
 }
 
