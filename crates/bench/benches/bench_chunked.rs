@@ -13,7 +13,7 @@
 //! CI and laptops in seconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hpmdr_core::api::{CachedStore, InMemoryStore, MdrConfig, Query, SharedReader, Target};
+use hpmdr_core::api::{CachedStore, InMemoryStore, MdrConfig, Query, Reader, Target};
 use hpmdr_core::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored};
 use hpmdr_core::ingest::{ChunkSource, FileSource, IngestOptions};
 use hpmdr_core::roi::{Region, RoiPlan, RoiRequest};
@@ -111,7 +111,6 @@ fn chunked_field(e: usize) -> ChunkedRefactored {
 fn bench_roi_selectivity(c: &mut Criterion) {
     let e = bench_extent();
     let shape = vec![e, e, e];
-    let ctx = ExecCtx::default();
     let backend = CpuBackend::new();
     let cr = chunked_field(e);
 
@@ -149,13 +148,14 @@ fn bench_roi_selectivity(c: &mut Criterion) {
         // per-query one (a service keeps the reader resident).
         let reader = ChunkedStoreReader::open(&dir).expect("store opens");
         g.throughput(Throughput::Bytes((req.region.len() * 4) as u64));
+        let roi_query = Query::region(Target::AbsError(req.error_bound), req.region.clone());
         g.bench_with_input(
             BenchmarkId::new("store_roi", format!("{selectivity}")),
-            &req,
-            |b, req| {
+            &roi_query,
+            |b, q| {
                 b.iter(|| {
-                    reader
-                        .retrieve_roi_with::<f32, _>(req, &backend, &ctx)
+                    Reader::with_backend(&reader, backend)
+                        .retrieve::<f32>(q)
                         .expect("roi retrieves")
                 })
             },
@@ -177,7 +177,7 @@ fn bench_stream(c: &mut Criterion) {
     let chunk = chunk_extent_for(e);
     let cr = chunked_field(e);
     let eb = 1e-4 * cr.value_range();
-    let reader = SharedReader::new(Arc::new(CachedStore::new(
+    let reader = Reader::new(Arc::new(CachedStore::new(
         InMemoryStore::from(cr),
         usize::MAX,
     )));

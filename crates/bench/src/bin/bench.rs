@@ -12,7 +12,7 @@
 //! calls — the contract is "within noise".
 //!
 //! The `concurrent` section measures the PR 5 retrieval service: N
-//! client threads hammering one `SharedReader` over a sharded store,
+//! client threads hammering one shared `Reader` over a sharded store,
 //! with and without the `CachedStore` decorator — queries/sec and bytes
 //! fetched from the backing store per configuration, asserting the
 //! cached run fetches strictly fewer bytes and that concurrent answers
@@ -65,9 +65,9 @@ use hpmdr_core::chunked::{refactor_chunked, ChunkedConfig};
 use hpmdr_core::ingest::{IngestOptions, SliceSource};
 use hpmdr_core::prelude::{
     open_store, Approximation, CachedStore, CpuBackend, InMemoryStore, Mdr, MdrConfig, Query,
-    Reader, RemoteStore, RemoteStoreConfig, SharedReader, Store, Target,
+    Reader, RemoteStore, RemoteStoreConfig, Store, Target,
 };
-use hpmdr_core::roi::{Region, RoiRequest};
+use hpmdr_core::roi::Region;
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
 use hpmdr_core::{refactor, RefactorConfig, RetrievalPlan, RetrievalSession};
 use hpmdr_datasets::{Dataset, DatasetKind};
@@ -258,7 +258,7 @@ fn client_queries(extent: usize, value_range: f64) -> Vec<Query> {
 /// clone of `reader`; returns wall ms and one client's answers (for the
 /// byte-identity assertion).
 fn hammer(
-    reader: &SharedReader<CpuBackend>,
+    reader: &Reader<'_>,
     queries: &[Query],
     clients: usize,
     reps: usize,
@@ -825,27 +825,24 @@ fn main() {
     write_chunked_store(&cr, &dir).expect("store writes");
     let side = (extent as f64 * 0.01f64.cbrt()) as usize + 1;
     let start = (extent - side) / 2;
-    let req = RoiRequest::new(
+    let roi_query = Query::region(
+        Target::AbsError(1e-4 * cr.value_range()),
         Region::new(&[start; 3], &[side; 3]),
-        1e-4 * cr.value_range(),
     );
     let reader = ChunkedStoreReader::open(&dir).expect("store opens");
     let roi_store_ms = time_ms(reps, || {
-        std::hint::black_box(reader.retrieve_roi::<f32>(&req).expect("roi retrieves"));
+        let r = Reader::new(&reader);
+        std::hint::black_box(r.retrieve::<f32>(&roi_query).expect("roi retrieves"));
     });
-    // The same ROI through the façade: open_store + Reader over dyn Store.
+    // The same ROI through open_store: a Reader over `dyn Store`.
     let mut store = open_store(&dir).expect("store opens");
-    let roi_query = Query::region(
-        Target::AbsError(req.error_bound),
-        Region::new(&req.region.start, &req.region.extent),
-    );
     let facade_roi_store_ms = time_ms(reps, || {
         let r = Reader::new(store.as_mut());
         std::hint::black_box(r.retrieve::<f32>(&roi_query).expect("roi query serves"));
     });
 
-    // Concurrent retrieval service: 1→8 clients hammering one
-    // SharedReader over the sharded store, uncached vs cached.
+    // Concurrent retrieval service: 1→8 clients hammering one shared
+    // Reader over the sharded store, uncached vs cached.
     let queries = client_queries(extent, cr.value_range());
     let backend = CpuBackend::new();
     // Serial reference answers for the byte-identity assertion.
@@ -862,7 +859,7 @@ fn main() {
         .map(|clients| {
             let uncached_store: Arc<dyn Store> =
                 Arc::new(ChunkedStoreReader::open(&dir).expect("store opens"));
-            let uncached = SharedReader::with_backend(Arc::clone(&uncached_store), backend);
+            let uncached = Reader::with_backend(Arc::clone(&uncached_store), backend);
             let (uncached_wall_ms, answers) = hammer(&uncached, &queries, clients, reps);
             for (got, want) in answers.iter().zip(&serial) {
                 assert_eq!(
@@ -875,8 +872,7 @@ fn main() {
             let cached_store = Arc::new(CachedStore::with_default_budget(
                 ChunkedStoreReader::open(&dir).expect("store opens"),
             ));
-            let cached =
-                SharedReader::with_backend(cached_store.clone() as Arc<dyn Store>, backend);
+            let cached = Reader::with_backend(Arc::clone(&cached_store), backend);
             let (cached_wall_ms, answers) = hammer(&cached, &queries, clients, reps);
             for (got, want) in answers.iter().zip(&serial) {
                 assert_eq!(got.data, want.data, "cached answers must match serial");

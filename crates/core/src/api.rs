@@ -27,11 +27,10 @@
 use crate::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored};
 use crate::error::MdrError;
 use crate::ingest::{run_ingest, ChunkSource, IngestOptions, IngestReport};
-use crate::pipeline::PipelineMode;
 use crate::qoi_retrieval::{multi_qoi_control, EbEstimator};
 use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
-use crate::roi::{assemble_parts, assemble_region, Region, RoiPlan};
+use crate::roi::{assemble_region, Region, RoiPlan};
 use crate::storage::{ChunkedStoreReader, ChunkedStoreWriter, StoreReader};
 use hpmdr_bitplane::{BitplaneFloat, Layout};
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
@@ -39,6 +38,7 @@ use hpmdr_lossless::HybridConfig;
 use hpmdr_mgard::Real;
 use hpmdr_qoi::QoiExpr;
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -300,10 +300,10 @@ impl<B: Backend> Mdr<B> {
     /// Stream `source` chunk-by-chunk into a new sharded store at
     /// `dir`: a producer thread pulls chunk k+1 from the source while
     /// the backend refactors chunk k and a writer thread flushes chunk
-    /// k−1's shard ([`PipelineMode::Overlapped`]; `Sequential` is the
-    /// serial baseline). Peak staged payload is bounded by
-    /// `opts.lookahead ×` the largest chunk footprint — never the
-    /// dataset — and the measured high-water mark comes back in the
+    /// k−1's shard ([`PipelineMode::Overlapped`](crate::pipeline::PipelineMode);
+    /// `Sequential` is the serial baseline). Peak staged payload is
+    /// bounded by `opts.lookahead ×` the largest chunk footprint — never
+    /// the dataset — and the measured high-water mark comes back in the
     /// [`IngestReport`].
     ///
     /// The store is **bit-identical** to writing
@@ -442,21 +442,21 @@ impl<B: Backend> Mdr<B> {
         })
     }
 
-    /// A [`Reader`] over `store` sharing this handle's backend (with a
-    /// fresh execution context at the configured tile size).
-    pub fn reader<'s>(&self, store: &'s dyn Store) -> Reader<'s, B> {
+    /// A [`Reader`] over `store` (borrowed or shared — see [`StoreRef`])
+    /// sharing this handle's backend, with a fresh execution context at
+    /// the configured tile size.
+    pub fn reader<'s>(&self, store: impl Into<StoreRef<'s>>) -> Reader<'s, B> {
         Reader {
-            store,
+            store: store.into(),
             backend: self.backend.clone(),
-            ctx: ExecCtx::new(self.config.tile_rows),
-            mode: PipelineMode::Sequential,
+            ctx: Arc::new(ExecCtx::new(self.config.tile_rows)),
         }
     }
 
     /// Open the store at `path` behind a [`CachedStore`] (at the
-    /// [`DEFAULT_CACHE_BUDGET`]) and return an [`Arc`]-clonable
-    /// [`SharedReader`] on this handle's backend — the one-call setup
-    /// for serving many concurrent clients from one archive.
+    /// [`DEFAULT_CACHE_BUDGET`]) and return a clonable [`SharedReader`]
+    /// on this handle's backend — the one-call setup for serving many
+    /// concurrent clients from one archive.
     ///
     /// `path` may also carry an `http://` URL (see [`open_store`]):
     /// the result is then the two-tier memory ← network hierarchy,
@@ -464,18 +464,7 @@ impl<B: Backend> Mdr<B> {
     /// a refinement extends each cached prefix with one range request.
     pub fn open_shared(&self, path: &Path) -> Result<SharedReader<B>, MdrError> {
         let store = CachedStore::with_default_budget(open_store(path)?);
-        Ok(self.shared_reader(Arc::new(store)))
-    }
-
-    /// A [`SharedReader`] over an already-shared store on this handle's
-    /// backend (with an execution context at the configured tile size).
-    pub fn shared_reader(&self, store: Arc<dyn Store>) -> SharedReader<B> {
-        SharedReader {
-            store,
-            backend: self.backend.clone(),
-            ctx: Arc::new(ExecCtx::new(self.config.tile_rows)),
-            mode: PipelineMode::Sequential,
-        }
+        Ok(self.reader(Arc::new(store)))
     }
 }
 
@@ -577,8 +566,9 @@ impl Artifact {
 ///
 /// Stores are **shareable**: every method takes `&self` (accounting is
 /// interior-mutable) and implementations are `Send + Sync`, so one store
-/// can serve many concurrent queries — through [`SharedReader`], the
-/// overlapped prefetch pipeline, or [`Backend::map_batch`] fan-out.
+/// can serve many concurrent queries — from clones of one [`Reader`],
+/// and from the chunks of one query fanned out by
+/// [`Backend::map_batch`].
 pub trait Store: Send + Sync {
     /// Short human-readable flavor (`"memory"`, `"unit-file"`,
     /// `"sharded"`, `"cached"`).
@@ -966,12 +956,11 @@ impl CacheStats {
 /// counters, so [`Approximation::bytes_fetched`] shows what a query
 /// really cost: zero on a full cache hit.
 ///
-/// The cache is internally synchronized — clone an owning
-/// [`SharedReader`] (or wrap the store in an [`Arc`]) to share it across
-/// client threads. Backing fetches run under a *per-entry* lock:
-/// concurrent requests for the same (chunk, group) prefix trigger
-/// exactly one fetch, while misses on different entries do their I/O in
-/// parallel.
+/// The cache is internally synchronized — clone a [`SharedReader`] (or
+/// wrap the store in an [`Arc`]) to share it across client threads.
+/// Backing fetches run under a *per-entry* lock: concurrent requests for
+/// the same (chunk, group) prefix trigger exactly one fetch, while
+/// misses on different entries do their I/O in parallel.
 #[derive(Debug)]
 pub struct CachedStore<S: Store = Box<dyn Store>> {
     inner: S,
@@ -1333,6 +1322,27 @@ impl ResolvedTarget {
             ResolvedTarget::Lossless => f64::INFINITY,
         }
     }
+
+    /// Plan every chunk of `meta` that `region` touches for this target
+    /// (lossless: every stored unit, at the archive's floor bound). The
+    /// one planner behind a one-shot region answer, a stream's final
+    /// frame and a lossless stream's floor, so the final frame equals
+    /// [`Reader::retrieve`] by construction.
+    pub(crate) fn plan_region(
+        &self,
+        meta: &ChunkedRefactored,
+        region: &Region,
+    ) -> Result<RoiPlan, MdrError> {
+        RoiPlan::plan_with(meta, region, self.threshold(), |r| match self {
+            ResolvedTarget::Abs(eb) => RetrievalPlan::for_error(r, *eb),
+            ResolvedTarget::Rmse(t) => RetrievalPlan::for_rmse(r, *t),
+            ResolvedTarget::Lossless => {
+                let plan = RetrievalPlan::full(r);
+                let bound = r.error_bound_for_units(&plan.units);
+                (plan, bound)
+            }
+        })
+    }
 }
 
 fn finite_nonneg(value: f64, what: &str) -> Result<f64, MdrError> {
@@ -1379,14 +1389,10 @@ pub(crate) fn resolve_target(
 // The reader
 // ---------------------------------------------------------------------
 
-/// How many chunks the overlapped retrieval pipeline stages ahead of
-/// decode (mirrors the device pipeline's bounded staging-buffer pool).
-const PREFETCH_LOOKAHEAD: usize = 2;
-
 /// Serve one query from `store`: plan on the metadata, fetch exactly the
 /// planned unit prefixes, reconstruct on `backend`, and report the
 /// achieved guarantee and bytes fetched. The one retrieval path behind
-/// both [`Reader`] and [`SharedReader`].
+/// [`Reader::retrieve`] and a stream's single-frame queries.
 ///
 /// The whole query holds one core of the process's budget (one
 /// outermost `install`), so its fans take only the cores no other client
@@ -1395,17 +1401,15 @@ pub(crate) fn serve_query<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
     backend: &B,
     ctx: &ExecCtx,
-    mode: PipelineMode,
     query: &Query,
 ) -> Result<Approximation<F>, MdrError> {
-    backend.install(|| answer::<F, B>(store, backend, ctx, mode, query))
+    backend.install(|| answer::<F, B>(store, backend, ctx, query))
 }
 
 fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
     backend: &B,
     ctx: &ExecCtx,
-    mode: PipelineMode,
     query: &Query,
 ) -> Result<Approximation<F>, MdrError> {
     {
@@ -1430,10 +1434,10 @@ fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
             let (data, shape, achieved, exhausted) = match &query.scope {
                 Scope::Full => {
                     let domain = Region::whole(&store.meta().grid.shape);
-                    serve_region::<F, B>(store, backend, ctx, mode, &resolved, domain)?
+                    serve_region::<F, B>(store, backend, ctx, &resolved, domain)?
                 }
                 Scope::Region(region) => {
-                    serve_region::<F, B>(store, backend, ctx, mode, &resolved, region.clone())?
+                    serve_region::<F, B>(store, backend, ctx, &resolved, region.clone())?
                 }
                 Scope::Resolution(level) => {
                     serve_resolution::<F, B>(store, backend, &resolved, *level)?
@@ -1458,94 +1462,26 @@ fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
 }
 
 /// Full-domain and region scopes: per-chunk plans for the touched chunks
-/// (through the same [`RoiPlan::plan_with`] planner ROI retrieval uses),
-/// then fetch + decode per chunk under the selected pipeline:
-///
-/// * [`PipelineMode::Sequential`] — each chunk's fetch and decode run as
-///   one [`Backend::map_batch`] item (a multi-threaded backend overlaps
-///   chunk I/O with other chunks' decode; one thread wide, chunks run in
-///   order);
-/// * [`PipelineMode::Overlapped`] — a dedicated I/O thread prefetches
-///   chunk *k+1*'s planned byte ranges while chunk *k* decodes — the
-///   retrieval-side mirror of the refactoring pipeline's Figure 4
-///   schedule.
-///
-/// Both pipelines produce bit-identical results: chunk placement is the
-/// shared [`assemble_parts`] and decode never reassociates arithmetic.
+/// ([`ResolvedTarget::plan_region`]), then each chunk's fetch and decode
+/// as one [`Backend::map_batch`] item — a multi-threaded backend overlaps
+/// one chunk's I/O with other chunks' decode; one thread wide, chunks run
+/// in order. Decode never reassociates arithmetic, so the answer is
+/// bit-identical at every width.
 fn serve_region<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
     backend: &B,
     ctx: &ExecCtx,
-    mode: PipelineMode,
     resolved: &ResolvedTarget,
     region: Region,
 ) -> Result<(Vec<F>, Vec<usize>, f64, bool), MdrError> {
-    let plan = RoiPlan::plan_with(
-        store.meta(),
-        &region,
-        resolved.threshold(),
-        |r| match resolved {
-            ResolvedTarget::Abs(eb) => RetrievalPlan::for_error(r, *eb),
-            ResolvedTarget::Rmse(t) => RetrievalPlan::for_rmse(r, *t),
-            ResolvedTarget::Lossless => {
-                let plan = RetrievalPlan::full(r);
-                let bound = r.error_bound_for_units(&plan.units);
-                (plan, bound)
-            }
-        },
-    )?;
-    let res = match mode {
-        PipelineMode::Sequential => {
-            assemble_region::<F, _, _>(store.meta(), &plan, backend, ctx, |_, cp| {
-                // Owning: the session drops each unit's compressed bytes
-                // once applied, before the chunk is materialized.
-                let loaded = store.load_chunk(cp.chunk, &cp.plan)?;
-                RetrievalSession::owning(loaded, backend.clone())
-                    .refine_chunk::<F>(cp.chunk, &cp.plan)
-            })?
-        }
-        PipelineMode::Overlapped => {
-            let parts = overlapped_parts::<F, B>(store, backend, &plan)?;
-            assemble_parts(store.meta(), &plan, parts)?
-        }
-    };
-    let shape = res.region.extent.clone();
-    Ok((res.data, shape, res.bound, res.exhausted))
-}
-
-/// The overlapped fetch/decode pipeline: a dedicated I/O thread walks
-/// the plan in order, staging each chunk's planned byte ranges into a
-/// bounded channel ([`PREFETCH_LOOKAHEAD`] chunks deep, the staging-slot
-/// discipline of the device pipeline), while the caller thread decodes
-/// chunks as they arrive. Decode of chunk *k* therefore overlaps the
-/// fetch of chunk *k+1*; results are collected in plan order.
-fn overlapped_parts<F: BitplaneFloat + Real + Default, B: Backend>(
-    store: &dyn Store,
-    backend: &B,
-    plan: &RoiPlan,
-) -> Result<Vec<Vec<F>>, MdrError> {
-    std::thread::scope(|scope| {
-        let (tx, rx) = std::sync::mpsc::sync_channel(PREFETCH_LOOKAHEAD);
-        scope.spawn(move || {
-            for cp in &plan.chunks {
-                let staged = store.load_chunk(cp.chunk, &cp.plan);
-                if tx.send(staged).is_err() {
-                    // The decode side bailed on an error; stop fetching.
-                    break;
-                }
-            }
-        });
-        plan.chunks
-            .iter()
-            .map(|cp| {
-                let loaded = rx.recv().map_err(|_| {
-                    MdrError::corrupt("retrieval prefetch thread exited early".to_string())
-                })??;
-                RetrievalSession::with_backend(&loaded, backend.clone())
-                    .refine_chunk::<F>(cp.chunk, &cp.plan)
-            })
-            .collect()
-    })
+    let plan = resolved.plan_region(store.meta(), &region)?;
+    let data = assemble_region::<F, _, _>(store.meta(), &plan, backend, ctx, |cp| {
+        // Owning: the session drops each unit's compressed bytes once
+        // applied, before the chunk is materialized.
+        let loaded = store.load_chunk(cp.chunk, &cp.plan)?;
+        RetrievalSession::owning(loaded, backend.clone()).refine_chunk::<F>(cp.chunk, &cp.plan)
+    })?;
+    Ok((data, region.extent, plan.bound(), plan.exhausted()))
 }
 
 /// Resolution scope: plan only the level groups that influence the
@@ -1653,70 +1589,86 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
     Ok((data, shape, outcome.final_estimates[0], outcome.exhausted))
 }
 
-/// Serves [`Query`]s from any [`Store`] on any [`Backend`].
-///
-/// The reader is deliberately written against `&dyn Store`: one
-/// retrieval path covers the in-memory, unit-file, sharded, and cached
-/// stores, and returns identical [`Approximation`]s for identical
-/// archives (`tests/tests/store_conformance.rs`). For serving many
-/// client threads from one store, see [`SharedReader`].
-pub struct Reader<'s, B: Backend = CpuBackend> {
-    store: &'s dyn Store,
-    backend: B,
-    ctx: ExecCtx,
-    mode: PipelineMode,
+/// How a [`Reader`] holds its store: borrowed for `'s`, or shared by an
+/// [`Arc`] so the reader ([`SharedReader`]) and its streams can be
+/// `'static`. [`Reader::new`] and [`Mdr::reader`] convert into it from
+/// `&T`, `&mut T`, `&dyn Store`, `&mut dyn Store`, `Arc<T>` and
+/// `Arc<dyn Store>`; a clone copies the reference or the [`Arc`].
+#[derive(Clone)]
+pub enum StoreRef<'s> {
+    /// A store borrowed for `'s`.
+    Borrowed(&'s dyn Store),
+    /// A store shared with other readers, streams and the caller.
+    Shared(Arc<dyn Store>),
 }
 
-impl<'s> Reader<'s, CpuBackend> {
-    /// A reader over `store` on a host-wide [`CpuBackend`]: a lone
-    /// query fans its chunks across the machine; concurrent ones share
-    /// it through the process's core budget.
-    pub fn new(store: &'s dyn Store) -> Self {
-        Reader::with_backend(store, CpuBackend::new())
-    }
-}
+impl<'s> Deref for StoreRef<'s> {
+    type Target = dyn Store + 's;
 
-impl<'s, B: Backend> Reader<'s, B> {
-    /// A reader over `store` running its kernels on `backend`.
-    pub fn with_backend(store: &'s dyn Store, backend: B) -> Self {
-        Reader {
-            store,
-            backend,
-            ctx: ExecCtx::default(),
-            mode: PipelineMode::Sequential,
+    fn deref(&self) -> &Self::Target {
+        match self {
+            StoreRef::Borrowed(store) => *store,
+            StoreRef::Shared(store) => &**store,
         }
     }
+}
 
-    /// Select the fetch/decode pipeline for region-shaped queries:
-    /// [`PipelineMode::Overlapped`] prefetches the next chunk's byte
-    /// ranges on a dedicated I/O thread while the current chunk decodes.
-    /// Results are bit-identical across modes.
-    #[must_use]
-    pub fn with_pipeline(mut self, mode: PipelineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The store this reader serves from.
-    pub fn store(&self) -> &dyn Store {
-        self.store
-    }
-
-    /// Serve one query: plan on the store's metadata, fetch exactly the
-    /// planned unit prefixes, reconstruct on this reader's backend, and
-    /// report the achieved guarantee and bytes fetched.
-    pub fn retrieve<F: BitplaneFloat + Real + Default>(
-        &self,
-        query: &Query,
-    ) -> Result<Approximation<F>, MdrError> {
-        serve_query::<F, B>(self.store, &self.backend, &self.ctx, self.mode, query)
+impl<'s, T: Store> From<&'s T> for StoreRef<'s> {
+    fn from(store: &'s T) -> Self {
+        StoreRef::Borrowed(store)
     }
 }
 
-/// A cheaply clonable, thread-shareable query server: one [`Arc`]'d
-/// [`Store`] (typically a [`CachedStore`] — see [`Mdr::open_shared`])
-/// plus a backend, serving [`Query`]s from any number of client threads
-/// concurrently through `&self`.
+impl<'s, T: Store> From<&'s mut T> for StoreRef<'s> {
+    fn from(store: &'s mut T) -> Self {
+        StoreRef::Borrowed(store)
+    }
+}
+
+impl<'s, 'o: 's> From<&'s (dyn Store + 'o)> for StoreRef<'s> {
+    fn from(store: &'s (dyn Store + 'o)) -> Self {
+        StoreRef::Borrowed(store)
+    }
+}
+
+// `'o` is separate from `'s` because `&mut` is invariant in its
+// referent: `Box::as_mut` yields `&'s mut (dyn Store + 'static)`.
+impl<'s, 'o: 's> From<&'s mut (dyn Store + 'o)> for StoreRef<'s> {
+    fn from(store: &'s mut (dyn Store + 'o)) -> Self {
+        StoreRef::Borrowed(store)
+    }
+}
+
+impl<T: Store + 'static> From<Arc<T>> for StoreRef<'_> {
+    fn from(store: Arc<T>) -> Self {
+        StoreRef::Shared(store)
+    }
+}
+
+impl From<Arc<dyn Store>> for StoreRef<'_> {
+    fn from(store: Arc<dyn Store>) -> Self {
+        StoreRef::Shared(store)
+    }
+}
+
+/// Serves [`Query`]s from any [`Store`] on any [`Backend`].
+///
+/// The reader is deliberately written against `dyn Store`: one
+/// retrieval path covers the in-memory, unit-file, sharded, cached and
+/// remote stores, and returns identical [`Approximation`]s for identical
+/// archives (`tests/tests/store_conformance.rs`). It borrows its store
+/// or shares it ([`StoreRef`]); cloning a reader is cheap, and clones
+/// serve concurrently from any number of threads through `&self`.
+#[derive(Clone)]
+pub struct Reader<'s, B: Backend = CpuBackend> {
+    store: StoreRef<'s>,
+    backend: B,
+    ctx: Arc<ExecCtx>,
+}
+
+/// A [`Reader`] that shares its store ([`Arc`]'d, typically a
+/// [`CachedStore`] — see [`Mdr::open_shared`]): `'static`, so clones
+/// move into client threads and [`Reader::stream`] is available.
 ///
 /// ```no_run
 /// use hpmdr_core::prelude::*;
@@ -1731,93 +1683,91 @@ impl<'s, B: Backend> Reader<'s, B> {
 /// });
 /// # Ok::<(), MdrError>(())
 /// ```
-pub struct SharedReader<B: Backend = CpuBackend> {
-    store: Arc<dyn Store>,
-    backend: B,
-    ctx: Arc<ExecCtx>,
-    mode: PipelineMode,
-}
+pub type SharedReader<B = CpuBackend> = Reader<'static, B>;
 
-impl<B: Backend> Clone for SharedReader<B> {
-    fn clone(&self) -> Self {
-        SharedReader {
-            store: Arc::clone(&self.store),
-            backend: self.backend.clone(),
-            ctx: Arc::clone(&self.ctx),
-            mode: self.mode,
-        }
+impl<'s> Reader<'s, CpuBackend> {
+    /// A reader over `store` on a host-wide [`CpuBackend`]: a lone
+    /// query fans its chunks across the machine; concurrent ones share
+    /// it through the process's core budget.
+    ///
+    /// `store` is anything a [`StoreRef`] converts from:
+    ///
+    /// ```
+    /// use hpmdr_core::prelude::*;
+    /// use std::sync::Arc;
+    ///
+    /// let data: Vec<f32> = (0..16 * 16).map(|i| (i as f32 * 0.1).sin()).collect();
+    /// let artifact = Mdr::with_defaults().refactor(&data, &[16, 16])?;
+    /// let q = Query::full(Target::Lossless);
+    ///
+    /// let mut memory = InMemoryStore::from(artifact.clone());
+    /// let want = Reader::new(&memory).retrieve::<f32>(&q)?; // &T
+    /// assert_eq!(Reader::new(&mut memory).retrieve::<f32>(&q)?.data, want.data); // &mut T
+    /// let as_dyn: &dyn Store = &memory;
+    /// assert_eq!(Reader::new(as_dyn).retrieve::<f32>(&q)?.data, want.data); // &dyn Store
+    ///
+    /// let mut boxed: Box<dyn Store> = Box::new(InMemoryStore::from(artifact.clone()));
+    /// assert_eq!(Reader::new(boxed.as_mut()).retrieve::<f32>(&q)?.data, want.data);
+    ///
+    /// let shared: SharedReader = Reader::new(Arc::new(InMemoryStore::from(artifact))); // Arc<T>
+    /// assert_eq!(shared.retrieve::<f32>(&q)?.data, want.data);
+    /// # Ok::<(), MdrError>(())
+    /// ```
+    pub fn new(store: impl Into<StoreRef<'s>>) -> Self {
+        Reader::with_backend(store, CpuBackend::new())
     }
 }
 
-impl SharedReader<CpuBackend> {
-    /// A shared reader over `store` on a host-wide [`CpuBackend`]
-    /// (see [`Reader::new`]).
-    pub fn new(store: Arc<dyn Store>) -> Self {
-        SharedReader::with_backend(store, CpuBackend::new())
-    }
-}
-
-impl<B: Backend> SharedReader<B> {
-    /// A shared reader over `store` running its kernels on `backend`.
-    pub fn with_backend(store: Arc<dyn Store>, backend: B) -> Self {
-        SharedReader {
-            store,
+impl<'s, B: Backend> Reader<'s, B> {
+    /// A reader over `store` running its kernels on `backend`.
+    pub fn with_backend(store: impl Into<StoreRef<'s>>, backend: B) -> Self {
+        Reader {
+            store: store.into(),
             backend,
             ctx: Arc::new(ExecCtx::default()),
-            mode: PipelineMode::Sequential,
         }
     }
 
-    /// Select the fetch/decode pipeline for region-shaped queries (see
-    /// [`Reader::with_pipeline`]).
-    #[must_use]
-    pub fn with_pipeline(mut self, mode: PipelineMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The shared store this reader serves from.
+    /// The store this reader serves from.
     pub fn store(&self) -> &dyn Store {
         &*self.store
     }
 
-    /// A clone of the shared store handle (to hand to another reader or
-    /// keep for accounting after this reader is dropped).
-    pub fn store_handle(&self) -> Arc<dyn Store> {
-        Arc::clone(&self.store)
-    }
-
-    /// Serve one query — callable from any thread, concurrently with
-    /// other clones of this reader. Identical queries return identical
-    /// data, shapes, achieved bounds, and exhaustion flags whether
-    /// served serially or concurrently
-    /// (`tests/tests/concurrent_retrieval.rs`); only
+    /// Serve one query: plan on the store's metadata, fetch exactly the
+    /// planned unit prefixes, reconstruct on this reader's backend, and
+    /// report the achieved guarantee and bytes fetched.
+    ///
+    /// Callable from any thread, concurrently with other clones of this
+    /// reader: identical queries return identical data, shapes, achieved
+    /// bounds and exhaustion flags whether served serially or
+    /// concurrently (`tests/tests/concurrent_retrieval.rs`); only
     /// [`Approximation::bytes_fetched`] can interleave with concurrent
     /// clients' fetches (see its docs).
     pub fn retrieve<F: BitplaneFloat + Real + Default>(
         &self,
         query: &Query,
     ) -> Result<Approximation<F>, MdrError> {
-        serve_query::<F, B>(&*self.store, &self.backend, &self.ctx, self.mode, query)
+        serve_query::<F, B>(&*self.store, &self.backend, &self.ctx, query)
     }
+}
 
+impl<B: Backend> Reader<'static, B> {
     /// Open an incremental retrieval for `query`: an
     /// [`ApproximationStream`](crate::progressive::ApproximationStream)
     /// whose [`refine_next`](crate::progressive::ApproximationStream::refine_next)
     /// yields a coarse [`Approximation`] first and then progressively
     /// tighter ones, ending with a frame bit-identical to what
     /// [`Self::retrieve`] returns for the same query. The stream holds a
-    /// clone of the shared store handle, so it outlives this reader and
-    /// runs concurrently with other clients.
+    /// clone of the store handle, so it outlives this reader and runs
+    /// concurrently with other clients.
     pub fn stream<F: BitplaneFloat + Real + Default>(
         &self,
         query: &Query,
     ) -> Result<crate::progressive::ApproximationStream<F, B>, MdrError> {
         crate::progressive::ApproximationStream::open(
-            Arc::clone(&self.store),
+            self.store.clone(),
             self.backend.clone(),
             Arc::clone(&self.ctx),
-            self.mode,
             query.clone(),
         )
     }
@@ -2227,29 +2177,6 @@ mod tests {
             .unwrap();
         assert_eq!(b.data, reference.data);
         assert_eq!(b.bytes_fetched, 0);
-    }
-
-    #[test]
-    fn overlapped_pipeline_is_bit_identical_to_sequential() {
-        let data = field(30, 26);
-        let artifact = MdrConfig::new()
-            .chunked(&[8, 8])
-            .build()
-            .refactor(&data, &[30, 26])
-            .unwrap();
-        let store = InMemoryStore::from(artifact);
-        for q in [
-            Query::full(Target::AbsError(1e-3)),
-            Query::region(Target::Rel(1e-4), Region::new(&[3, 5], &[20, 14])),
-            Query::full(Target::Lossless),
-        ] {
-            let seq = Reader::new(&store).retrieve::<f32>(&q).unwrap();
-            let ovl = Reader::new(&store)
-                .with_pipeline(PipelineMode::Overlapped)
-                .retrieve::<f32>(&q)
-                .unwrap();
-            assert_eq!(seq, ovl, "{q:?}");
-        }
     }
 
     #[test]

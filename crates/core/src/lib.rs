@@ -23,10 +23,12 @@
 //! Start with [`prelude`] and the [`api`] façade: one [`api::MdrConfig`]
 //! builder covers monolithic and chunked refactoring on any backend, an
 //! object-safe [`api::Store`] abstracts where artifacts live (memory,
-//! unit-file directory, sharded chunk store), and one
-//! [`api::Reader::retrieve`] serves every [`api::Query`]
-//! ([`api::Target`] × [`api::Scope`]) with typed [`MdrError`]s
-//! end-to-end:
+//! unit-file directory, sharded chunk store, HTTP), and one reader —
+//! [`api::Reader`], borrowing its store or sharing it
+//! ([`api::SharedReader`]) — serves every [`api::Query`]
+//! ([`api::Target`] × [`api::Scope`]) through [`api::Reader::retrieve`],
+//! or frame by frame through [`api::Reader::stream`], with typed
+//! [`MdrError`]s end-to-end:
 //!
 //! ```
 //! use hpmdr_core::prelude::*;
@@ -46,7 +48,7 @@
 //! Modules:
 //!
 //! * [`api`] — the unified façade: [`api::Mdr`], [`api::Store`],
-//!   [`api::Query`], [`api::Reader`];
+//!   [`api::Query`], [`api::Reader`] (its streamed frames: [`progressive`]);
 //! * [`error`] — the [`MdrError`] hierarchy every fallible entry point
 //!   returns;
 //! * [`mod@refactor`] — variable refactoring into
@@ -68,25 +70,26 @@
 //! * [`chunked`] — the chunk grid: fixed-extent domain decomposition
 //!   with per-chunk refactoring fanned out through
 //!   [`hpmdr_exec::Backend::map_batch`];
-//! * [`roi`] — region-of-interest progressive retrieval: per-chunk unit
-//!   prefixes for only the chunks a hyperslab intersects, assembled with
-//!   a guaranteed L∞ bound;
+//! * [`roi`] — region-of-interest planning and assembly behind
+//!   [`api::Scope::Region`]: per-chunk unit prefixes for only the chunks
+//!   a hyperslab intersects, assembled with a guaranteed L∞ bound;
 //! * [`remote`] — the network storage tier: [`remote::RemoteStore`]
 //!   serves the sharded layout over HTTP range requests with request
 //!   coalescing ([`roi::FetchPlan`]), pooled connections, and bounded
 //!   retry (transport in [`hpmdr_netstore`]).
 //!
 //! Every hot stage executes through the portable executor layer of
-//! [`hpmdr_exec`]: [`refactor()`], [`RetrievalSession`], and both
-//! pipeline modes are generic over [`hpmdr_exec::Backend`]. Every entry
-//! point that does not take a backend — the façade
+//! [`hpmdr_exec`]: [`refactor()`], [`RetrievalSession`], the reader and
+//! the ingest pipeline are generic over [`hpmdr_exec::Backend`]. Every
+//! entry point that does not take a backend — the façade
 //! ([`api::MdrConfig::build`], [`api::Reader::new`],
-//! [`api::SharedReader::new`], [`RetrievalSession::new`]) and the plain
-//! functions ([`refactor()`] and friends) alike — runs on a host-wide
-//! [`CpuBackend`], whose fans take only the cores the process-wide budget
-//! leaves free. Artifacts are bit-identical at every width; pick a
-//! backend once in [`api::MdrConfig::build_with`] (for example
-//! `CpuBackend::with_threads(1)`) or pass one to the `_with` variants.
+//! [`RetrievalSession::new`]) and the plain functions ([`refactor()`]
+//! and friends) alike — runs on a host-wide [`CpuBackend`], whose fans
+//! take only the cores the process-wide budget leaves free. Artifacts
+//! and answers are bit-identical at every width; pick a backend once in
+//! [`api::MdrConfig::build_with`] or [`api::Reader::with_backend`] (for
+//! example `CpuBackend::with_threads(1)`), or pass one to the
+//! `refactor_with` family.
 
 pub mod api;
 pub mod chunked;
@@ -106,7 +109,7 @@ pub mod storage;
 
 pub use api::{
     open_store, Approximation, Artifact, CacheStats, CachedStore, InMemoryStore, Mdr, MdrConfig,
-    Query, Reader, Scope, SharedReader, Store, Target, DEFAULT_CACHE_BUDGET,
+    Query, Reader, Scope, SharedReader, Store, StoreRef, Target, DEFAULT_CACHE_BUDGET,
 };
 pub use chunked::{
     refactor_chunked, refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored,
@@ -126,7 +129,4 @@ pub use refactor::{
 };
 pub use remote::{RemoteStore, RemoteStoreConfig};
 pub use retrieve::{RetrievalPlan, RetrievalSession};
-pub use roi::{
-    retrieve_roi, retrieve_roi_with, FetchPlan, FetchRange, FetchSegment, Region, RoiPlan,
-    RoiRequest, RoiResult,
-};
+pub use roi::{FetchPlan, FetchRange, FetchSegment, Region, RoiPlan, RoiRequest};

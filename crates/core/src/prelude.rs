@@ -21,7 +21,7 @@ pub use crate::qoi_retrieval::EbEstimator;
 pub use crate::refactor::{RefactorConfig, Refactored};
 pub use crate::remote::{RemoteStore, RemoteStoreConfig};
 pub use crate::retrieve::{RetrievalPlan, RetrievalSession};
-pub use crate::roi::{FetchPlan, Region, RoiPlan, RoiRequest, RoiResult};
+pub use crate::roi::{FetchPlan, Region, RoiPlan, RoiRequest};
 pub use crate::storage::{write_chunked_store, write_store, ChunkedStoreReader, StoreReader};
 pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 pub use hpmdr_qoi::QoiExpr;

@@ -5,7 +5,7 @@
 //! caller opens an [`ApproximationStream`] for a [`Query`] and pulls
 //! refinement frames with [`ApproximationStream::refine_next`] — a
 //! coarse reconstruction first, then progressively tighter ones, ending
-//! with a frame **bit-identical** to what [`SharedReader::retrieve`]
+//! with a frame **bit-identical** to what [`Reader::retrieve`]
 //! returns for the same query. The wire server streams these frames to
 //! remote clients; an interactive client can stop pulling (or hang up)
 //! the moment the current bound is good enough.
@@ -18,9 +18,9 @@
 //! and a tighter target simply runs the same sequence longer. Plans for
 //! descending thresholds are therefore nested — each step's unit prefix
 //! extends the previous step's — so the stream fetches **only the
-//! delta** units per frame (through [`Store::load_units`] with a
-//! nonzero `skip`, which a [`crate::api::CachedStore`] turns into a
-//! prefix extension) and the achieved bound tightens monotonically.
+//! delta** units per frame (through [`Store::load_units`] with a nonzero
+//! `skip`, which a [`crate::api::CachedStore`] turns into a prefix
+//! extension) and the achieved bound tightens monotonically.
 //!
 //! Decode is incremental too. The stream keeps one owning
 //! [`RetrievalSession`] per touched chunk for its whole life: a frame
@@ -32,12 +32,12 @@
 //! compressed bytes.
 //!
 //! The final frame plans with the *exact* resolved target through the
-//! same planner closure the one-shot path uses, and a stepped session
-//! equals a fresh one at the same units, so its data, shape, achieved
-//! bound, and exhaustion flag cannot diverge from
-//! [`SharedReader::retrieve`] (asserted across the Target×Scope battery
-//! in `tests/tests/progressive_stream.rs`, together with the
-//! decode-once count).
+//! one planner the one-shot path uses (`ResolvedTarget::plan_region`),
+//! and a stepped session equals a fresh one at the same units, so its
+//! data, shape, achieved bound, and exhaustion flag cannot diverge from
+//! [`Reader::retrieve`] (asserted across the Target×Scope battery in
+//! `tests/tests/progressive_stream.rs`, together with the decode-once
+//! count).
 //!
 //! A frame that fails (store or decode error) ends the stream:
 //! [`ApproximationStream::refine_next`] returns the typed error once and
@@ -48,13 +48,13 @@
 //! loop; a coarse grid is already the "coarse answer"), so their
 //! streams degenerate to a single final frame.
 //!
-//! [`SharedReader::retrieve`]: crate::api::SharedReader::retrieve
+//! [`Reader::retrieve`]: crate::api::Reader::retrieve
+//! [`Store::load_units`]: crate::api::Store::load_units
 
 use crate::api::{
-    resolve_target, serve_query, Approximation, Query, ResolvedTarget, Store, Target,
+    resolve_target, serve_query, Approximation, Query, ResolvedTarget, StoreRef, Target,
 };
 use crate::error::MdrError;
-use crate::pipeline::PipelineMode;
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_parts, Region, RoiPlan};
 use crate::Scope;
@@ -82,8 +82,8 @@ pub struct RefinementFrame<F> {
     /// Zero-based step index within the stream.
     pub step: usize,
     /// Whether this is the last frame: the approximation is now exactly
-    /// what [`SharedReader::retrieve`](crate::api::SharedReader::retrieve)
-    /// would have returned.
+    /// what [`Reader::retrieve`](crate::api::Reader::retrieve) would
+    /// have returned.
     pub is_final: bool,
 }
 
@@ -114,21 +114,18 @@ enum Mode<B: Backend> {
         last_units: Option<Vec<Vec<usize>>>,
     },
     /// QoI targets and resolution scopes: one frame via the one-shot
-    /// path, on the reader's context and pipeline.
-    SingleShot {
-        ctx: Arc<ExecCtx>,
-        pipeline: PipelineMode,
-    },
+    /// path, on the reader's context.
+    SingleShot { ctx: Arc<ExecCtx> },
 }
 
 /// A pull-based incremental retrieval: see the [module docs](self).
 ///
-/// Created by [`SharedReader::stream`]; holds its own store handle, so
-/// it is independent of the reader it came from and of other streams.
+/// Created by [`Reader::stream`]; holds its own store handle, so it is
+/// independent of the reader it came from and of other streams.
 ///
-/// [`SharedReader::stream`]: crate::api::SharedReader::stream
+/// [`Reader::stream`]: crate::api::Reader::stream
 pub struct ApproximationStream<F, B: Backend = CpuBackend> {
-    store: Arc<dyn Store>,
+    store: StoreRef<'static>,
     query: Query,
     /// Runs every frame: each is one outermost `install`, so a frame
     /// holds one core of the process's budget while it computes.
@@ -142,14 +139,13 @@ pub struct ApproximationStream<F, B: Backend = CpuBackend> {
 
 impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// Open a stream for `query` (the engine behind
-    /// [`SharedReader::stream`](crate::api::SharedReader::stream)).
-    /// Query validation happens here — a malformed query fails at open,
-    /// before any frame is produced.
+    /// [`Reader::stream`](crate::api::Reader::stream)). Query validation
+    /// happens here — a malformed query fails at open, before any frame
+    /// is produced.
     pub(crate) fn open(
-        store: Arc<dyn Store>,
+        store: StoreRef<'static>,
         backend: B,
         ctx: Arc<ExecCtx>,
-        pipeline: PipelineMode,
         query: Query,
     ) -> Result<Self, MdrError> {
         {
@@ -162,7 +158,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             }
         }
         let mode = match (&query.target, &query.scope) {
-            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot { ctx, pipeline },
+            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot { ctx },
             (target, scope) => {
                 let resolved = resolve_target(&*store, target)?;
                 let meta = store.meta();
@@ -185,14 +181,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                 let floor = match &resolved {
                     ResolvedTarget::Abs(eb) => *eb,
                     ResolvedTarget::Rmse(t) => *t,
-                    ResolvedTarget::Lossless => {
-                        RoiPlan::plan_with(meta, &region, f64::INFINITY, |r| {
-                            let plan = RetrievalPlan::full(r);
-                            let bound = r.error_bound_for_units(&plan.units);
-                            (plan, bound)
-                        })?
-                        .bound()
-                    }
+                    ResolvedTarget::Lossless => resolved.plan_region(meta, &region)?.bound(),
                 };
                 let mut thresholds = Vec::new();
                 if b0.is_finite() && b0 > 0.0 {
@@ -261,7 +250,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// previous frame's, and the last frame (marked
     /// [`RefinementFrame::is_final`]) carries exactly the data, shape,
     /// achieved bound, and exhaustion flag of a one-shot
-    /// [`retrieve`](crate::api::SharedReader::retrieve) of the same
+    /// [`retrieve`](crate::api::Reader::retrieve) of the same
     /// query. A strict query fails (with [`MdrError::Unsatisfiable`]) at
     /// the final step, after the intermediate frames — callers that
     /// stream strict queries get best-effort frames and then the typed
@@ -290,9 +279,9 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// The next frame's approximation and whether it is the final one.
     fn next_approximation(&mut self) -> Result<(Approximation<F>, bool), MdrError> {
         match &mut self.mode {
-            Mode::SingleShot { ctx, pipeline } => {
+            Mode::SingleShot { ctx } => {
                 let approximation =
-                    serve_query::<F, B>(&*self.store, &self.backend, ctx, *pipeline, &self.query)?;
+                    serve_query::<F, B>(&*self.store, &self.backend, ctx, &self.query)?;
                 Ok((approximation, true))
             }
             Mode::Ladder {
@@ -306,29 +295,17 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                 let meta = self.store.meta();
                 loop {
                     let is_final = *cursor >= thresholds.len();
-                    let plan =
-                        if is_final {
-                            // The exact planner closure of the one-shot
-                            // path (`serve_region`): same plans, same
-                            // bounds, same exhaustion.
-                            RoiPlan::plan_with(meta, region, resolved.threshold(), |r| {
-                                match &*resolved {
-                                    ResolvedTarget::Abs(eb) => RetrievalPlan::for_error(r, *eb),
-                                    ResolvedTarget::Rmse(t) => RetrievalPlan::for_rmse(r, *t),
-                                    ResolvedTarget::Lossless => {
-                                        let plan = RetrievalPlan::full(r);
-                                        let bound = r.error_bound_for_units(&plan.units);
-                                        (plan, bound)
-                                    }
-                                }
-                            })?
-                        } else {
-                            let t = thresholds[*cursor];
-                            RoiPlan::plan_with(meta, region, t, |r| match &*resolved {
-                                ResolvedTarget::Rmse(_) => RetrievalPlan::for_rmse(r, t),
-                                _ => RetrievalPlan::for_error(r, t),
-                            })?
-                        };
+                    let plan = if is_final {
+                        // The one-shot path's planner: same plans, same
+                        // bounds, same exhaustion.
+                        resolved.plan_region(meta, region)?
+                    } else {
+                        let t = thresholds[*cursor];
+                        RoiPlan::plan_with(meta, region, t, |r| match &*resolved {
+                            ResolvedTarget::Rmse(_) => RetrievalPlan::for_rmse(r, t),
+                            _ => RetrievalPlan::for_error(r, t),
+                        })?
+                    };
                     if !is_final {
                         *cursor += 1;
                         let units: Vec<Vec<usize>> =
@@ -362,19 +339,19 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                             oc.session.refine_chunk::<F>(cp.chunk, &cp.plan)
                         })
                         .collect::<Result<_, MdrError>>()?;
-                    let res = assemble_parts(meta, &plan, parts)?;
-                    if is_final && self.query.strict && res.exhausted {
+                    let (achieved, exhausted) = (plan.bound(), plan.exhausted());
+                    if is_final && self.query.strict && exhausted {
                         return Err(MdrError::Unsatisfiable {
                             target: resolved.threshold(),
-                            achieved: res.bound,
+                            achieved,
                         });
                     }
                     let approximation = Approximation {
-                        data: res.data,
-                        shape: res.region.extent.clone(),
-                        achieved: res.bound,
+                        data: assemble_parts(meta, &plan, parts),
+                        shape: plan.region.extent.clone(),
+                        achieved,
                         bytes_fetched: self.store.bytes_fetched() - self.bytes_at_open,
-                        exhausted: res.exhausted,
+                        exhausted,
                     };
                     return Ok((approximation, is_final));
                 }

@@ -6,22 +6,23 @@
 //! flow is
 //!
 //! ```text
-//! RoiRequest { region, error_bound }
+//! Query::region(target, region)            (api::Reader::retrieve)
 //!   ── plan ──► RoiPlan: per intersecting chunk, a RetrievalPlan
-//!   ── fetch ─► exactly those unit prefixes (storage::ChunkedStoreReader)
+//!   ── fetch ─► exactly those unit prefixes (Store::load_chunk)
 //!   ── decode ► per-chunk reconstruction (fanned out via Backend::map_batch)
 //!   ── copy ──► the region assembled from chunk∩region boxes
 //! ```
 //!
 //! The result carries a guaranteed L∞ bound: the maximum of the chunk
 //! planners' bounds, each of which is ≤ the request unless that chunk is
-//! already fully fetched.
+//! already fully fetched. This module holds the planning and assembly
+//! halves; [`crate::api::Reader`] is the one entry point that runs them.
 
 use crate::chunked::{copy_hyperslab, ChunkedRefactored};
 use crate::error::MdrError;
-use crate::retrieve::{RetrievalPlan, RetrievalSession};
+use crate::retrieve::RetrievalPlan;
 use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
+use hpmdr_exec::{Backend, ExecCtx};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
 use std::sync::{Mutex, PoisonError};
@@ -366,57 +367,12 @@ impl FetchPlan {
     }
 }
 
-/// A reconstructed region with its guaranteed L∞ bound.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoiResult<F> {
-    /// The reconstructed hyperslab.
-    pub region: Region,
-    /// Dense row-major values of the region.
-    pub data: Vec<F>,
-    /// Guaranteed L∞ bound of every value — **exactly** the maximum of
-    /// the per-chunk planner bounds, so `bound <= request` holds
-    /// whenever [`Self::exhausted`] is `false`.
-    pub bound: f64,
-    /// True when some touched chunk ran out of stored planes before
-    /// meeting the requested bound (`bound` then exceeds the request and
-    /// is the best the archive can do).
-    pub exhausted: bool,
-}
-
-/// Reconstruct `req` from an in-memory chunked artifact on a host-wide
-/// [`CpuBackend`].
-///
-/// Prefer [`crate::api::Reader::retrieve`] with
-/// [`crate::api::Scope::Region`], which serves the same plan from any
-/// [`crate::api::Store`]; this function remains as the in-memory kernel
-/// the façade delegates to.
-pub fn retrieve_roi<F: BitplaneFloat + Real + Default>(
-    cr: &ChunkedRefactored,
-    req: &RoiRequest,
-) -> Result<RoiResult<F>, MdrError> {
-    retrieve_roi_with(cr, req, &CpuBackend::default(), &ExecCtx::default())
-}
-
-/// Reconstruct `req` from an in-memory chunked artifact on `backend`,
-/// fanning per-chunk reconstruction out through [`Backend::map_batch`].
-pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
-    cr: &ChunkedRefactored,
-    req: &RoiRequest,
-    backend: &B,
-    ctx: &ExecCtx,
-) -> Result<RoiResult<F>, MdrError> {
-    let plan = RoiPlan::for_request(cr, req)?;
-    assemble_region(cr, &plan, backend, ctx, |_, cp| {
-        RetrievalSession::with_backend(&cr.chunks[cp.chunk], backend.clone())
-            .refine_chunk::<F>(cp.chunk, &cp.plan)
-    })
-}
-
-/// Shared assembly path of the in-memory and store-backed ROI retrievals:
-/// reconstruct each planned chunk via `reconstruct(position, chunk_plan)`
-/// (fanned out on `backend` — the closure typically fetches *and*
+/// The one-shot assembly path: reconstruct each planned chunk with
+/// `reconstruct` (fanned out on `backend` — the closure fetches *and*
 /// decodes, so a multi-threaded backend overlaps chunk I/O with other
-/// chunks' decode) and copy its chunk∩region box into the output slab.
+/// chunks' decode) and copy its chunk∩region box into the region's
+/// slab, which is returned. The plan holds the answer's bound and
+/// exhaustion ([`RoiPlan::bound`], [`RoiPlan::exhausted`]).
 ///
 /// Each batch item places its own box and drops its reconstruction
 /// before the next: a worker that helps with the fan then holds one
@@ -428,22 +384,16 @@ pub(crate) fn assemble_region<F, B, R>(
     backend: &B,
     ctx: &ExecCtx,
     reconstruct: R,
-) -> Result<RoiResult<F>, MdrError>
+) -> Result<Vec<F>, MdrError>
 where
     F: BitplaneFloat + Real + Default,
     B: Backend,
-    R: Fn(usize, &ChunkRoiPlan) -> Result<Vec<F>, MdrError> + Send + Sync,
+    R: Fn(&ChunkRoiPlan) -> Result<Vec<F>, MdrError> + Send + Sync,
 {
-    if F::TYPE_NAME != cr.dtype {
-        return Err(MdrError::DtypeMismatch {
-            stored: cr.dtype.clone(),
-            requested: F::TYPE_NAME.to_string(),
-        });
-    }
     let positions: Vec<usize> = (0..plan.chunks.len()).collect();
     let out = Mutex::new(vec![F::default(); plan.region.len()]);
     let placed = backend.map_batch(ctx, &positions, |&i| {
-        let rec = reconstruct(i, &plan.chunks[i])?;
+        let rec = reconstruct(&plan.chunks[i])?;
         // Boxes are disjoint, so the order of placement is immaterial; a
         // box copy is a small share of a chunk's decode.
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
@@ -451,31 +401,22 @@ where
         Ok::<(), MdrError>(())
     });
     placed.into_iter().collect::<Result<(), _>>()?;
-    Ok(region_result(
-        plan,
-        out.into_inner().unwrap_or_else(PoisonError::into_inner),
-    ))
+    Ok(out.into_inner().unwrap_or_else(PoisonError::into_inner))
 }
 
 /// The copy phase of region assembly for already-reconstructed chunks
-/// (`parts[i]` is plan chunk `i`'s dense box) — the overlapped
-/// (prefetch-thread) retrieval path and the stream frames. Callers have
-/// already verified the dtype (decode would have panicked otherwise).
-pub(crate) fn assemble_parts<F>(
+/// (`parts[i]` is plan chunk `i`'s dense box) — a stream's frames.
+pub(crate) fn assemble_parts<F: Copy + Default>(
     cr: &ChunkedRefactored,
     plan: &RoiPlan,
     parts: Vec<Vec<F>>,
-) -> Result<RoiResult<F>, MdrError>
-where
-    F: BitplaneFloat + Real + Default,
-{
-    debug_assert_eq!(F::TYPE_NAME, cr.dtype);
+) -> Vec<F> {
     debug_assert_eq!(parts.len(), plan.chunks.len());
     let mut out = vec![F::default(); plan.region.len()];
     for (cp, rec) in plan.chunks.iter().zip(parts) {
         place_chunk(cr, plan, cp, &rec, &mut out);
     }
-    Ok(region_result(plan, out))
+    out
 }
 
 /// Copy chunk `cp`'s reconstruction `rec` (its dense box) into its
@@ -507,19 +448,22 @@ fn place_chunk<F: Copy>(
     );
 }
 
-fn region_result<F>(plan: &RoiPlan, data: Vec<F>) -> RoiResult<F> {
-    RoiResult {
-        region: plan.region.clone(),
-        data,
-        bound: plan.bound(),
-        exhausted: plan.exhausted(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Approximation, InMemoryStore, Query, Reader, Target};
     use crate::chunked::{extract_region, refactor_chunked, ChunkedConfig};
+    use hpmdr_exec::CpuBackend;
+
+    /// `region` of `cr` at absolute bound `eb`, served from memory.
+    fn roi<F: BitplaneFloat + Real + Default>(
+        cr: &ChunkedRefactored,
+        region: Region,
+        eb: f64,
+    ) -> Result<Approximation<F>, MdrError> {
+        Reader::new(&InMemoryStore::from(cr.clone()))
+            .retrieve(&Query::region(Target::AbsError(eb), region))
+    }
 
     fn field_2d(nx: usize, ny: usize) -> Vec<f32> {
         let mut v = Vec::with_capacity(nx * ny);
@@ -549,8 +493,8 @@ mod tests {
         let region = Region::new(&[5, 3], &[12, 9]);
         let reference = extract_region(&data, &[30, 22], &region);
         for eb in [1.0f64, 1e-2, 1e-4] {
-            let res: RoiResult<f32> =
-                retrieve_roi(&cr, &RoiRequest::new(region.clone(), eb)).unwrap();
+            let res = roi::<f32>(&cr, region.clone(), eb).unwrap();
+            assert_eq!(res.shape, region.extent);
             assert_eq!(res.data.len(), region.len());
             // The achieved-bound contract, for real: unless the archive
             // ran out of planes, the reported bound meets the request —
@@ -558,9 +502,13 @@ mod tests {
             // recompose rounding (the bound models bitplane truncation,
             // not float arithmetic).
             if !res.exhausted {
-                assert!(res.bound <= eb, "eb={eb}: reported bound {}", res.bound);
+                assert!(
+                    res.achieved <= eb,
+                    "eb={eb}: reported bound {}",
+                    res.achieved
+                );
             }
-            let allowed = res.bound + 1e-6 * cr.value_range();
+            let allowed = res.achieved + 1e-6 * cr.value_range();
             for (a, b) in reference.iter().zip(&res.data) {
                 assert!(
                     ((a - b).abs() as f64) <= allowed,
@@ -594,33 +542,33 @@ mod tests {
         let cr = refactor_chunked(&data, &[26, 19], &ChunkedConfig::with_extent(&[7, 6]));
         let eb = 1e-3;
         let region = Region::new(&[4, 2], &[15, 11]);
-        let roi: RoiResult<f32> = retrieve_roi(&cr, &RoiRequest::new(region.clone(), eb)).unwrap();
-        let full: RoiResult<f32> =
-            retrieve_roi(&cr, &RoiRequest::new(Region::whole(&cr.grid.shape), eb)).unwrap();
+        let part = roi::<f32>(&cr, region.clone(), eb).unwrap();
+        let full = roi::<f32>(&cr, Region::whole(&cr.grid.shape), eb).unwrap();
         let sliced = extract_region(&full.data, &cr.grid.shape, &region);
-        assert_eq!(roi.data, sliced);
+        assert_eq!(part.data, sliced);
     }
 
     #[test]
     fn parallel_backend_reconstructs_identically() {
         let data = field_2d(24, 24);
         let cr = refactor_chunked(&data, &[24, 24], &ChunkedConfig::with_extent(&[9, 9]));
-        let req = RoiRequest::new(Region::new(&[3, 3], &[14, 14]), 1e-4);
-        let run = |threads: usize| -> RoiResult<f32> {
-            let backend = CpuBackend::with_threads(threads);
-            retrieve_roi_with(&cr, &req, &backend, &ExecCtx::default()).unwrap()
+        let store = InMemoryStore::from(cr);
+        let q = Query::region(Target::AbsError(1e-4), Region::new(&[3, 3], &[14, 14]));
+        let run = |threads: usize| -> Approximation<f32> {
+            Reader::with_backend(&store, CpuBackend::with_threads(threads))
+                .retrieve(&q)
+                .unwrap()
         };
         let one = run(1);
         assert_eq!(one, run(4));
-        assert_eq!(one, retrieve_roi(&cr, &req).unwrap());
+        assert_eq!(one, Reader::new(&store).retrieve(&q).unwrap());
     }
 
     #[test]
     fn out_of_domain_region_is_a_matchable_error() {
         let data = field_2d(16, 16);
         let cr = refactor_chunked(&data, &[16, 16], &ChunkedConfig::with_extent(&[8, 8]));
-        let err = retrieve_roi::<f32>(&cr, &RoiRequest::new(Region::new(&[10, 0], &[8, 8]), 1e-2))
-            .unwrap_err();
+        let err = roi::<f32>(&cr, Region::new(&[10, 0], &[8, 8]), 1e-2).unwrap_err();
         assert!(
             matches!(&err, MdrError::InvalidQuery(w) if w.contains("exceeds domain")),
             "{err}"
@@ -631,8 +579,7 @@ mod tests {
     fn dtype_mismatch_is_a_matchable_error() {
         let data = field_2d(12, 12);
         let cr = refactor_chunked(&data, &[12, 12], &ChunkedConfig::with_extent(&[6, 6]));
-        let err = retrieve_roi::<f64>(&cr, &RoiRequest::new(Region::new(&[0, 0], &[4, 4]), 1e-2))
-            .unwrap_err();
+        let err = roi::<f64>(&cr, Region::new(&[0, 0], &[4, 4]), 1e-2).unwrap_err();
         assert!(
             matches!(&err, MdrError::DtypeMismatch { stored, requested }
                 if stored == "f32" && requested == "f64"),
@@ -704,9 +651,8 @@ mod tests {
         let cr = refactor_chunked(&data, &[12, 12], &ChunkedConfig::with_extent(&[6, 6]));
         // f32 data cannot reach 1e-300: every chunk fetches everything
         // and the result must say so rather than report a met bound.
-        let res: RoiResult<f32> =
-            retrieve_roi(&cr, &RoiRequest::new(Region::whole(&[12, 12]), 1e-300)).unwrap();
+        let res = roi::<f32>(&cr, Region::whole(&[12, 12]), 1e-300).unwrap();
         assert!(res.exhausted);
-        assert!(res.bound > 1e-300);
+        assert!(res.achieved > 1e-300);
     }
 }

@@ -22,20 +22,18 @@
 //! <dir>/manifest.json        # version + grid + per-chunk metadata
 //! <dir>/c<C>.shard           # chunk C: g0_u0 g0_u1 … g1_u0 … (raw)
 //! ```
-//! [`ChunkedStoreReader`] serves region-of-interest queries
-//! ([`crate::roi`]) by fetching exactly the planned ranges.
+//! [`ChunkedStoreReader`] backs region-of-interest queries
+//! ([`crate::api::Reader`] over [`crate::roi`]'s plans) by fetching
+//! exactly the planned ranges.
 
 use crate::chunked::{ChunkGrid, ChunkedRefactored};
 use crate::error::MdrError;
 use crate::refactor::Refactored;
-use crate::retrieve::{RetrievalPlan, RetrievalSession};
-use crate::roi::{RoiPlan, RoiRequest, RoiResult};
+use crate::retrieve::RetrievalPlan;
+use crate::roi::RoiPlan;
 use crate::serialize::{
     check_manifest_version, check_probed_version, HeaderMeta, MANIFEST_VERSION,
 };
-use hpmdr_bitplane::BitplaneFloat;
-use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
-use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
@@ -744,44 +742,6 @@ impl ChunkedStoreReader {
         }
         Ok(out)
     }
-
-    /// Serve a region query on a host-wide [`CpuBackend`]: plan on
-    /// the skeleton, fetch exactly the planned ranges, reconstruct the
-    /// touched chunks, and assemble the region.
-    ///
-    /// Prefer [`crate::api::Reader::retrieve`] with
-    /// [`crate::api::Scope::Region`] — the store-agnostic form of this
-    /// call.
-    pub fn retrieve_roi<F: BitplaneFloat + Real + Default>(
-        &self,
-        req: &RoiRequest,
-    ) -> Result<RoiResult<F>, MdrError> {
-        self.retrieve_roi_with(req, &CpuBackend::default(), &ExecCtx::default())
-    }
-
-    /// Serve a region query, fanning each touched chunk's fetch *and*
-    /// reconstruction out via [`Backend::map_batch`] (a multi-threaded
-    /// backend overlaps shard I/O with other chunks' decode).
-    pub fn retrieve_roi_with<F: BitplaneFloat + Real + Default, B: Backend>(
-        &self,
-        req: &RoiRequest,
-        backend: &B,
-        ctx: &ExecCtx,
-    ) -> Result<RoiResult<F>, MdrError> {
-        // Reject dtype mismatches before paying any shard I/O.
-        if F::TYPE_NAME != self.skeleton.dtype {
-            return Err(MdrError::DtypeMismatch {
-                stored: self.skeleton.dtype.clone(),
-                requested: F::TYPE_NAME.to_string(),
-            });
-        }
-        let plan = RoiPlan::for_request(&self.skeleton, req)?;
-        crate::roi::assemble_region(&self.skeleton, &plan, backend, ctx, |_, cp| {
-            let loaded = self.load_chunk(cp.chunk, &cp.plan)?;
-            RetrievalSession::with_backend(&loaded, backend.clone())
-                .refine_chunk::<F>(cp.chunk, &cp.plan)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -883,6 +843,7 @@ mod tests {
 
     // ---- chunked shard store ------------------------------------------
 
+    use crate::api::{InMemoryStore, Query, Reader, Target};
     use crate::chunked::{extract_region, refactor_chunked, ChunkedConfig};
     use crate::roi::{Region, RoiRequest};
 
@@ -930,8 +891,11 @@ mod tests {
 
         let eb = 1e-2 * cr.value_range();
         let req = RoiRequest::new(Region::new(&[3, 2], &[10, 9]), eb);
-        let from_store: crate::roi::RoiResult<f32> = reader.retrieve_roi(&req).unwrap();
-        let in_memory = crate::roi::retrieve_roi::<f32>(&cr, &req).unwrap();
+        let q = Query::region(Target::AbsError(eb), req.region.clone());
+        let from_store = Reader::new(&reader).retrieve::<f32>(&q).unwrap();
+        let in_memory = Reader::new(&InMemoryStore::from(cr.clone()))
+            .retrieve::<f32>(&q)
+            .unwrap();
         assert_eq!(from_store, in_memory);
 
         // Exactly the planned bytes were fetched, and strictly fewer
@@ -943,7 +907,7 @@ mod tests {
 
         // And the reconstruction honors the bound against the original.
         let reference = extract_region(&data, &[24, 18], &req.region);
-        let allowed = from_store.bound.max(eb);
+        let allowed = from_store.achieved.max(eb);
         for (a, b) in reference.iter().zip(&from_store.data) {
             assert!(((a - b).abs() as f64) <= allowed);
         }
@@ -956,9 +920,8 @@ mod tests {
         let dir = scratch("chunked_dtype");
         write_chunked_store(&cr, &dir).unwrap();
         let reader = ChunkedStoreReader::open(&dir).unwrap();
-        let err = reader
-            .retrieve_roi::<f64>(&RoiRequest::new(Region::new(&[0, 0], &[4, 4]), 1e-2))
-            .unwrap_err();
+        let q = Query::region(Target::AbsError(1e-2), Region::new(&[0, 0], &[4, 4]));
+        let err = Reader::new(&reader).retrieve::<f64>(&q).unwrap_err();
         assert!(matches!(err, MdrError::DtypeMismatch { .. }), "{err}");
         assert_eq!(reader.bytes_read(), 0, "no shard bytes may be fetched");
         let _ = std::fs::remove_dir_all(&dir);

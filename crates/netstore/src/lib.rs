@@ -11,12 +11,16 @@
 //! Everything here builds offline from `std` alone — no TLS, no HTTP
 //! framework, no async runtime. The subset of HTTP/1.1 implemented is
 //! exactly what shard fetching needs: `GET` with `Range: bytes=a-b`,
-//! `Content-Length`-framed responses, and keep-alive connections.
+//! `Content-Length`-framed responses, and keep-alive connections. The
+//! accept loop ([`Acceptor`]) is shared with the progressive retrieval
+//! server, which speaks the length-prefixed [`wire`] protocol over it.
 
+pub mod acceptor;
 pub mod client;
 pub mod server;
 pub mod wire;
 
+pub use acceptor::{Acceptor, ShutdownLatch};
 pub use client::{ClientConfig, HttpClient, HttpError, Response, RetryPolicy, Url};
 pub use server::{FaultPlan, LoopbackShardServer};
 pub use wire::{Frame, FrameLimits, WireError, FRAME_MAGIC};

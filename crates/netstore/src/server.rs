@@ -10,10 +10,11 @@
 //! It exists so the network tier is exercisable in a fully offline
 //! build — nothing here is a production server.
 
+use crate::acceptor::{Acceptor, ShutdownLatch};
 use std::io::{BufRead, BufReader, Read, Seek, SeekFrom, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,7 +59,6 @@ struct ServerState {
     truncate_first: AtomicU32,
     requests: AtomicUsize,
     bytes_served: AtomicUsize,
-    shutdown: AtomicBool,
 }
 
 impl ServerState {
@@ -99,8 +99,7 @@ const MAX_SERVE_BYTES: u64 = 1 << 30;
 #[derive(Debug)]
 pub struct LoopbackShardServer {
     state: Arc<ServerState>,
-    port: u16,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl LoopbackShardServer {
@@ -115,7 +114,6 @@ impl LoopbackShardServer {
         faults: FaultPlan,
     ) -> std::io::Result<LoopbackShardServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let port = listener.local_addr()?.port();
         let state = Arc::new(ServerState {
             dir: dir.into(),
             latency: faults.latency,
@@ -125,31 +123,17 @@ impl LoopbackShardServer {
             truncate_first: AtomicU32::new(faults.truncate_first),
             requests: AtomicUsize::new(0),
             bytes_served: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
         });
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                // ORDERING: shutdown is a latch flag; the accept loop
-                // only needs to observe it eventually.
-                if accept_state.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_state = Arc::clone(&accept_state);
-                std::thread::spawn(move || serve_connection(stream, conn_state));
-            }
-        });
-        Ok(LoopbackShardServer {
-            state,
-            port,
-            accept_thread: Some(accept_thread),
-        })
+        let conn_state = Arc::clone(&state);
+        let acceptor = Acceptor::spawn(listener, move |stream, shutdown| {
+            serve_connection(stream, &conn_state, shutdown)
+        })?;
+        Ok(LoopbackShardServer { state, acceptor })
     }
 
     /// The server's base URL, e.g. `http://127.0.0.1:41373`.
     pub fn url(&self) -> String {
-        format!("http://127.0.0.1:{}", self.port)
+        format!("http://{}", self.acceptor.addr())
     }
 
     /// Requests received so far (faulted ones included).
@@ -167,28 +151,13 @@ impl LoopbackShardServer {
     /// Stop accepting connections. In-flight requests finish; idle
     /// keep-alive connections are closed at their next request.
     pub fn shutdown(&mut self) {
-        // ORDERING: latch flag; the throwaway connection below forces
-        // the accept loop around to observe it, nothing else is ordered.
-        if self.state.shutdown.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(("127.0.0.1", self.port));
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for LoopbackShardServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
 /// Serve keep-alive requests on one connection until it closes, a
 /// fault drops it, or shutdown is flagged.
-fn serve_connection(stream: TcpStream, state: Arc<ServerState>) {
+fn serve_connection(stream: TcpStream, state: &ServerState, shutdown: &ShutdownLatch) {
     // An idle keep-alive connection must not pin the thread forever.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     let _ = stream.set_nodelay(true);
@@ -198,8 +167,7 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>) {
     });
     let mut stream = stream;
     loop {
-        // ORDERING: latch flag, observed eventually; no data guarded.
-        if state.shutdown.load(Ordering::Relaxed) {
+        if shutdown.is_set() {
             return;
         }
         let Some(request) = read_request(&mut reader) else {
@@ -219,7 +187,7 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>) {
             }
             behavior => {
                 let truncate = behavior == Behavior::Truncate;
-                let served = serve_file(&mut stream, &state, &request, truncate);
+                let served = serve_file(&mut stream, state, &request, truncate);
                 match served {
                     // A truncated body desynchronizes the connection on
                     // purpose; close it like a crashed server would.

@@ -15,9 +15,9 @@
 //! * [`Admission`] — a global in-flight byte budget; requests that
 //!   don't fit are *shed* with a typed `OverBudget` reject instead of
 //!   queued, so overload degrades into fast retryable errors.
-//! * [`ProgressiveServer`] — the accept loop: thread-per-connection,
-//!   keep-alive, per-request deadlines, every failure path a typed
-//!   reject frame.
+//! * [`ProgressiveServer`] — the connection handler behind netstore's
+//!   shared accept loop: thread-per-connection, keep-alive, per-request
+//!   deadlines, every failure path a typed reject frame.
 //! * [`ProgressiveClient`] — the matching blocking client used by
 //!   tests, the load-generating bench harness, and
 //!   `examples/progressive_client.rs`.

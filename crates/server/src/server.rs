@@ -1,8 +1,9 @@
 //! The progressive retrieval server: accept loop, per-connection
 //! protocol handling, and the query → refinement-stream pipeline.
 //!
-//! One thread accepts connections; each connection gets a thread that
-//! reads request frames in a loop (keep-alive). A query runs through:
+//! One thread accepts connections (netstore's [`Acceptor`], shared with
+//! the loopback shard server); each connection gets a thread that reads
+//! request frames in a loop (keep-alive). A query runs through:
 //! parse → registry lookup → admission (byte-weighted, non-blocking)
 //! → an [`ApproximationStream`] whose frames are written back as they
 //! are produced. Every failure is answered with a typed reject frame;
@@ -21,9 +22,9 @@ use hpmdr_core::chunked::ChunkedRefactored;
 use hpmdr_core::prelude::{Query, Scope, SharedReader, Store};
 use hpmdr_mgard::Real;
 use hpmdr_netstore::wire::{self, WireError};
-use hpmdr_netstore::Frame;
+use hpmdr_netstore::{Acceptor, Frame, ShutdownLatch};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -69,7 +70,6 @@ struct ServerState {
     max_deadline: Duration,
     idle_timeout: Duration,
     served_frames: AtomicU64,
-    shutdown: AtomicBool,
 }
 
 impl ServerState {
@@ -90,15 +90,13 @@ impl ServerState {
 /// [`shutdown`](Self::shutdown)) stops the accept loop.
 pub struct ProgressiveServer {
     state: Arc<ServerState>,
-    addr: SocketAddr,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    acceptor: Acceptor,
 }
 
 impl ProgressiveServer {
     /// Serve `registry` per `config`.
     pub fn serve(registry: Registry, config: ServerConfig) -> std::io::Result<ProgressiveServer> {
         let listener = TcpListener::bind(config.listen.as_str())?;
-        let addr = listener.local_addr()?;
         let state = Arc::new(ServerState {
             registry,
             admission: Admission::new(config.inflight_budget),
@@ -106,31 +104,17 @@ impl ProgressiveServer {
             max_deadline: config.max_deadline,
             idle_timeout: config.idle_timeout,
             served_frames: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
         });
-        let accept_state = Arc::clone(&state);
-        let accept_thread = std::thread::spawn(move || {
-            for stream in listener.incoming() {
-                // ORDERING: shutdown is a latch flag; the accept loop
-                // only needs to observe it eventually.
-                if accept_state.shutdown.load(Ordering::Relaxed) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_state = Arc::clone(&accept_state);
-                std::thread::spawn(move || serve_connection(stream, conn_state));
-            }
-        });
-        Ok(ProgressiveServer {
-            state,
-            addr,
-            accept_thread: Some(accept_thread),
-        })
+        let conn_state = Arc::clone(&state);
+        let acceptor = Acceptor::spawn(listener, move |stream, shutdown| {
+            serve_connection(stream, &conn_state, shutdown)
+        })?;
+        Ok(ProgressiveServer { state, acceptor })
     }
 
     /// The bound address (with the actual port when `0` was asked).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.acceptor.addr()
     }
 
     /// The admission gate (for counters, or for tests that pre-occupy
@@ -152,28 +136,13 @@ impl ProgressiveServer {
 
     /// Block until the server is shut down (for the CLI binary).
     pub fn wait(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.acceptor.wait();
     }
 
     /// Stop accepting connections. In-flight streams finish; idle
     /// keep-alive connections close at their next request.
     pub fn shutdown(&mut self) {
-        // ORDERING: latch flag; the throwaway connection below forces
-        // the accept loop around to observe it, nothing else is ordered.
-        if self.state.shutdown.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        self.wait();
-    }
-}
-
-impl Drop for ProgressiveServer {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.acceptor.shutdown();
     }
 }
 
@@ -216,12 +185,11 @@ fn close_gently(stream: &mut TcpStream) {
 
 /// Serve keep-alive requests on one connection until it closes, the
 /// wire desyncs, or shutdown is flagged.
-fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
+fn serve_connection(mut stream: TcpStream, state: &ServerState, shutdown: &ShutdownLatch) {
     let _ = stream.set_nodelay(true);
     let limits = protocol::request_limits();
     loop {
-        // ORDERING: latch flag, observed eventually; no data guarded.
-        if state.shutdown.load(Ordering::Relaxed) {
+        if shutdown.is_set() {
             return;
         }
         let idle_deadline = Instant::now() + state.idle_timeout;
@@ -247,8 +215,8 @@ fn serve_connection(mut stream: TcpStream, state: Arc<ServerState>) {
             Err(_) => return,
         };
         let keep = match frame.kind {
-            kind::QUERY => handle_query(&mut stream, &state, &frame),
-            kind::STATS => handle_stats(&mut stream, &state),
+            kind::QUERY => handle_query(&mut stream, state, &frame),
+            kind::STATS => handle_stats(&mut stream, state),
             other => send_reject(
                 &mut stream,
                 RejectCode::Malformed,

@@ -1,7 +1,7 @@
 //! Serving many clients from one archive: `Mdr::open_shared` opens a
-//! sharded store behind a byte-budgeted `CachedStore` and returns an
-//! `Arc`-clonable `SharedReader` — clone it into as many client threads
-//! as you like. Repeated and overlapping region queries are served from
+//! sharded store behind a byte-budgeted `CachedStore` and returns a
+//! `Reader` that shares it — clone it into as many client threads as you
+//! like. Repeated and overlapping region queries are served from
 //! the shared cache (the backing store is read at most once per byte),
 //! and answers are byte-identical to a serial reader's.
 //!
@@ -51,10 +51,7 @@ fn main() {
     let serial_bytes = serial_store.bytes_read();
 
     // Shared service: open_shared = open_store + CachedStore + Arc.
-    let reader = mdr
-        .open_shared(&dir)
-        .expect("store opens")
-        .with_pipeline(PipelineMode::Overlapped);
+    let reader = mdr.open_shared(&dir).expect("store opens");
     let t = Instant::now();
     std::thread::scope(|s| {
         for c in 0..CLIENTS {

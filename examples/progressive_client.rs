@@ -2,7 +2,7 @@
 //! in a `Registry`, serve them over the length-prefixed TCP protocol,
 //! and refine a query **frame by frame** from a `ProgressiveClient` —
 //! each frame tightens the achieved bound, the final one is
-//! bit-identical to an in-process `SharedReader::retrieve`. A short
+//! bit-identical to an in-process `Reader::retrieve`. A short
 //! burst of concurrent clients then drives the admission gate under
 //! smoke load and asserts (via a wire STATS request) that nothing was
 //! shed, and a deliberately unknown dataset shows refusals arriving as
@@ -74,7 +74,7 @@ fn main() {
 
     // The final frame is bit-identical to serving the same query
     // in-process, straight off the shared reader.
-    let local = SharedReader::new(std::sync::Arc::new(InMemoryStore::from(cr.clone())));
+    let local = Reader::new(std::sync::Arc::new(InMemoryStore::from(cr.clone())));
     let want = local.retrieve::<f32>(&query).expect("query serves");
     assert_eq!(last.data, want.data, "final frame is bit-identical");
     assert_eq!(last.header.achieved, want.achieved);

@@ -8,8 +8,8 @@
 //! no matter how large the source is — the example runs with a
 //! deliberately small lookahead and prints the measured high-water
 //! mark against its bound. The manifest commits atomically at the end;
-//! the appended store then serves concurrent clients through a
-//! [`SharedReader`], answering exactly like a one-shot refactor of the
+//! the appended store then serves concurrent clients through one
+//! shared [`Reader`], answering exactly like a one-shot refactor of the
 //! whole grown domain.
 //!
 //! ```text

@@ -171,42 +171,6 @@ fn cached_store_never_rereads_a_cached_byte_across_threads() {
 }
 
 #[test]
-fn overlapped_pipeline_under_concurrency_stays_bit_identical() {
-    let shape = [30usize, 26];
-    let data = field(shape[0], shape[1]);
-    let dir = scratch("overlap");
-    write_chunked(&dir, &shape, &data);
-    let (reference, _) = serial_reference(&dir);
-
-    let reader = Mdr::with_defaults()
-        .open_shared(&dir)
-        .unwrap()
-        .with_pipeline(PipelineMode::Overlapped);
-    let per_client: Vec<Vec<Approximation<f32>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|_| {
-                let client = reader.clone();
-                s.spawn(move || {
-                    battery()
-                        .iter()
-                        .map(|q| client.retrieve::<f32>(q).unwrap())
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    for answers in &per_client {
-        for (got, want) in answers.iter().zip(&reference) {
-            assert_eq!(got.data, want.data);
-            assert_eq!(got.achieved, want.achieved);
-            assert_eq!(got.exhausted, want.exhausted);
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn parallel_backend_clients_agree_with_scalar_serial() {
     let shape = [30usize, 26];
     let data = field(shape[0], shape[1]);

@@ -123,37 +123,6 @@ fn corrupted_payload_fails_on_decode_not_silently() {
 }
 
 #[test]
-fn corrupted_chunked_shard_is_an_error_not_an_abort() {
-    use hpmdr_core::chunked::{refactor_chunked, ChunkedConfig};
-    use hpmdr_core::roi::{Region, RoiRequest};
-    use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
-
-    let ds = small_dataset(hpmdr_datasets::DatasetKind::Jhtdb);
-    let data = ds.variables[0].as_f32();
-    let cr = refactor_chunked(&data, &ds.shape, &ChunkedConfig::with_extent(&[7, 7, 7]));
-    let dir = std::env::temp_dir().join(format!("hpmdr_fi_shard_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    write_chunked_store(&cr, &dir).unwrap();
-
-    // Truncate one shard: any query touching it must fail readably.
-    let shard = dir.join("c0.shard");
-    let bytes = std::fs::read(&shard).unwrap();
-    std::fs::write(&shard, &bytes[..bytes.len() / 3]).unwrap();
-
-    let reader = ChunkedStoreReader::open(&dir).unwrap();
-    let req = RoiRequest::new(Region::whole(&ds.shape), 1e-6 * cr.value_range());
-    let err = reader.retrieve_roi::<f32>(&req).unwrap_err();
-    // A truncated shard surfaces as archive damage: either the range
-    // read runs past the file (Corrupt) or the shortened payload fails
-    // entropy decoding (Decode). Never Io-with-a-panic, never a string.
-    assert!(
-        matches!(err, MdrError::Corrupt(_) | MdrError::Decode { .. }),
-        "shard damage must be a matchable variant: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn facade_reader_reports_shard_damage_with_the_same_variants() {
     use hpmdr_core::prelude::*;
 
@@ -168,6 +137,7 @@ fn facade_reader_reports_shard_damage_with_the_same_variants() {
     let _ = std::fs::remove_dir_all(&dir);
     artifact.write_store(&dir).unwrap();
 
+    // Truncate one shard: any query touching it must fail readably.
     let shard = dir.join("c0.shard");
     let bytes = std::fs::read(&shard).unwrap();
     std::fs::write(&shard, &bytes[..bytes.len() / 3]).unwrap();
@@ -177,6 +147,9 @@ fn facade_reader_reports_shard_damage_with_the_same_variants() {
         .retrieve::<f32>(&Query::full(Target::Rel(1e-6)))
         .err()
         .unwrap();
+    // A truncated shard surfaces as archive damage: either the range
+    // read runs past the file (Corrupt) or the shortened payload fails
+    // entropy decoding (Decode). Never Io-with-a-panic, never a string.
     assert!(
         matches!(err, MdrError::Corrupt(_) | MdrError::Decode { .. }),
         "{err}"

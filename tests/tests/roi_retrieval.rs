@@ -12,11 +12,15 @@
 //!    answers are consistent with whole-field answers), and
 //! 3. is identical between [`CpuBackend`]s one and three threads wide,
 //!    in memory and through the sharded store.
+//!
+//! Every answer is a [`Reader`] serving `Query::region` from an
+//! [`InMemoryStore`] or a [`ChunkedStoreReader`].
 
 use hpmdr_core::chunked::{extract_region, refactor_chunked_with, ChunkedConfig};
-use hpmdr_core::roi::{retrieve_roi, retrieve_roi_with, Region, RoiRequest};
+use hpmdr_core::prelude::{InMemoryStore, Query, Reader, Target};
+use hpmdr_core::roi::{Region, RoiRequest};
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
-use hpmdr_core::{CpuBackend, ExecCtx, RoiResult};
+use hpmdr_core::{CpuBackend, ExecCtx};
 use proptest::prelude::*;
 
 fn random_field(n: usize, seed: u32) -> Vec<f32> {
@@ -80,30 +84,33 @@ proptest! {
 
         let eb = rel * cr.value_range().max(1e-9);
         let region = region_from(shape, region_words);
-        let req = RoiRequest::new(region.clone(), eb);
+        let query = Query::region(Target::AbsError(eb), region.clone());
+        let memory = InMemoryStore::from(cr.clone());
 
         // (1) the achieved-bound contract, for real: unless a chunk ran
         // out of planes the reported bound meets the request, and every
         // point honors the *reported* bound (up to f32 recompose
         // rounding — the bound models bitplane truncation).
-        let roi: RoiResult<f32> = retrieve_roi_with(&cr, &req, &scalar, &ctx).unwrap();
+        let roi = Reader::with_backend(&memory, scalar).retrieve::<f32>(&query).unwrap();
+        prop_assert_eq!(&roi.shape, &region.extent);
         prop_assert_eq!(roi.data.len(), region.len());
         if !roi.exhausted {
-            prop_assert!(roi.bound <= eb, "bound {} exceeds request {}", roi.bound, eb);
+            prop_assert!(roi.achieved <= eb, "bound {} exceeds request {}", roi.achieved, eb);
         }
         let reference = extract_region(&data, shape, &region);
-        let allowed = roi.bound + 1e-6 * cr.value_range();
+        let allowed = roi.achieved + 1e-6 * cr.value_range();
         for (i, (a, b)) in reference.iter().zip(&roi.data).enumerate() {
             prop_assert!(
                 ((a - b).abs() as f64) <= allowed,
                 "point {}: |{} - {}| > {} (eb {}, bound {})",
-                i, a, b, allowed, eb, roi.bound
+                i, a, b, allowed, eb, roi.achieved
             );
         }
 
         // (2) the ROI answer is the full-domain answer, sliced.
-        let full: RoiResult<f32> =
-            retrieve_roi(&cr, &RoiRequest::new(Region::whole(shape), eb)).unwrap();
+        let full = Reader::new(&memory)
+            .retrieve::<f32>(&Query::full(Target::AbsError(eb)))
+            .unwrap();
         let sliced = extract_region(&full.data, shape, &region);
         prop_assert_eq!(&roi.data, &sliced);
 
@@ -112,7 +119,8 @@ proptest! {
             let par = CpuBackend::with_threads(3);
             let cr_par = refactor_chunked_with(&data, shape, &cfg, &par, &ctx);
             prop_assert_eq!(&cr, &cr_par, "chunked artifacts must be bit-identical");
-            let roi_par: RoiResult<f32> = retrieve_roi_with(&cr_par, &req, &par, &ctx).unwrap();
+            let memory_par = InMemoryStore::from(cr_par);
+            let roi_par = Reader::with_backend(&memory_par, par).retrieve::<f32>(&query).unwrap();
             prop_assert_eq!(&roi, &roi_par);
         }
     }
@@ -138,13 +146,17 @@ proptest! {
 
         let eb = 1e-3 * cr.value_range().max(1e-9);
         let region = region_from(shape, region_words);
-        let req = RoiRequest::new(region, eb);
+        let req = RoiRequest::new(region.clone(), eb);
+        let query = Query::region(Target::AbsError(eb), region);
 
         let dir = scratch("prop", case);
         write_chunked_store(&cr, &dir).unwrap();
         let reader = ChunkedStoreReader::open(&dir).unwrap();
-        let from_store: RoiResult<f32> = reader.retrieve_roi(&req).unwrap();
-        let in_memory: RoiResult<f32> = retrieve_roi(&cr, &req).unwrap();
+        let from_store = Reader::new(&reader).retrieve::<f32>(&query).unwrap();
+        let in_memory = Reader::new(&InMemoryStore::from(cr.clone()))
+            .retrieve::<f32>(&query)
+            .unwrap();
+        // Data, shape, achieved bound, exhaustion and bytes fetched.
         prop_assert_eq!(&from_store, &in_memory);
 
         // The store fetched exactly the planned bytes, never more than
