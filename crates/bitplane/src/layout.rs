@@ -6,7 +6,7 @@
 //!
 //! * [`Layout::Natural`] — plane word `g` covers elements `32g..32g+32`,
 //!   bit `i` within the word is element `32g+i`. Produced by the
-//!   locality-block and register-shuffling designs; preserves spatial
+//!   paper's locality-block and register-shuffling kernels; preserves spatial
 //!   locality of the input in the bit order, which helps downstream
 //!   lossless compression.
 //! * [`Layout::Interleaved32`] — within each tile of `32×32 = 1024`

@@ -8,9 +8,9 @@
 //!   to the chunk's maximum exponent so bitplane `k` always carries weight
 //!   `2^(exp-1-k)`, giving closed-form error bounds for any plane prefix.
 //! * **Two stream layouts** ([`layout`]): `Natural` (bit *i* of plane word
-//!   *g* is element `32g+i`, produced by the locality-block and
-//!   register-shuffling designs) and `Interleaved32` (bit-transposed within
-//!   32×32-element tiles, produced by the register-block design). Layouts
+//!   *g* is element `32g+i`, produced by the paper's locality-block and
+//!   register-shuffling kernels) and `Interleaved32` (bit-transposed within
+//!   32×32-element tiles, produced by its register-block kernel). Layouts
 //!   are *device independent*: a 64-lane wavefront device produces byte-
 //!   identical streams to a 32-lane device, which is the portability
 //!   property HP-MDR's refactored data relies on.
@@ -21,21 +21,17 @@
 //!   tile's 32 word columns in lockstep, a unit-stride loop the compiler
 //!   vectorises for AVX2 and NEON alike (a hand-written AVX2 per-column
 //!   encoder lost to it and was deleted).
-//! * **The paper's three parallelization designs** ([`designs`]): locality
-//!   block, register shuffling (with the four instruction variants of
-//!   Figure 3: ballot, shift, match-any, reduce-add) and register block,
-//!   executed warp-accurately on a simulated device and accounted by the
-//!   cost model, reproducing Figures 6 and 7.
+//!
+//! The paper's three GPU kernels that produce these streams are simulated,
+//! warp by warp, in `hpmdr-repro` over this crate's codecs.
 
 pub mod chunk;
-pub mod designs;
 pub mod fixed;
 pub mod layout;
 pub mod native;
 pub mod transpose;
 
 pub use chunk::BitplaneChunk;
-pub use designs::{DesignKind, EncodeOutcome, ShuffleInstr};
 pub use fixed::{align_exponent, prefix_error_bound, BitplaneFloat};
 pub use layout::Layout;
 pub use native::{decode_prefix, encode, Reconstruction};

@@ -50,21 +50,10 @@ use std::sync::{Arc, Mutex};
 /// Builder for an [`Mdr`] handle: one place to configure the refactoring
 /// parameters ([`RefactorConfig`]), the domain decomposition (monolithic
 /// or chunked), and the execution backend.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MdrConfig {
     refactor: RefactorConfig,
     chunk_extent: Option<Vec<usize>>,
-    tile_rows: usize,
-}
-
-impl Default for MdrConfig {
-    fn default() -> Self {
-        MdrConfig {
-            refactor: RefactorConfig::default(),
-            chunk_extent: None,
-            tile_rows: hpmdr_exec::DEFAULT_TILE_ROWS,
-        }
-    }
 }
 
 impl MdrConfig {
@@ -133,14 +122,6 @@ impl MdrConfig {
         self
     }
 
-    /// Leading-dimension rows per pipeline tile for the execution
-    /// contexts this configuration creates.
-    #[must_use]
-    pub fn tile_rows(mut self, rows: usize) -> Self {
-        self.tile_rows = rows.max(1);
-        self
-    }
-
     /// Build an [`Mdr`] on a [`CpuBackend`] as wide as the host: its
     /// fans take the cores the process-wide budget leaves free, so it
     /// uses the machine without oversubscribing it.
@@ -152,11 +133,10 @@ impl MdrConfig {
     /// `CpuBackend::with_threads(n)` for a fixed width. Artifacts are
     /// bit-identical across backends; only wall-clock differs.
     pub fn build_with<B: Backend>(self, backend: B) -> Mdr<B> {
-        let ctx = ExecCtx::new(self.tile_rows);
         Mdr {
             config: self,
             backend,
-            ctx,
+            ctx: ExecCtx::default(),
         }
     }
 }
@@ -300,7 +280,7 @@ impl<B: Backend> Mdr<B> {
     /// Stream `source` chunk-by-chunk into a new sharded store at
     /// `dir`: a producer thread pulls chunk k+1 from the source while
     /// the backend refactors chunk k and a writer thread flushes chunk
-    /// k−1's shard ([`PipelineMode::Overlapped`](crate::pipeline::PipelineMode);
+    /// k−1's shard ([`PipelineMode::Overlapped`](crate::ingest::PipelineMode);
     /// `Sequential` is the serial baseline). Peak staged payload is
     /// bounded by `opts.lookahead ×` the largest chunk footprint — never
     /// the dataset — and the measured high-water mark comes back in the
@@ -443,13 +423,12 @@ impl<B: Backend> Mdr<B> {
     }
 
     /// A [`Reader`] over `store` (borrowed or shared — see [`StoreRef`])
-    /// sharing this handle's backend, with a fresh execution context at
-    /// the configured tile size.
+    /// sharing this handle's backend, with a fresh execution context.
     pub fn reader<'s>(&self, store: impl Into<StoreRef<'s>>) -> Reader<'s, B> {
         Reader {
             store: store.into(),
             backend: self.backend.clone(),
-            ctx: Arc::new(ExecCtx::new(self.config.tile_rows)),
+            ctx: Arc::new(ExecCtx::default()),
         }
     }
 

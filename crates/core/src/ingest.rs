@@ -27,7 +27,6 @@
 
 use crate::chunked::{extract_region, ChunkGrid};
 use crate::error::MdrError;
-use crate::pipeline::PipelineMode;
 use crate::refactor::{encode, prepare, Decomposed, RefactorConfig, Refactored};
 use crate::roi::Region;
 use hpmdr_bitplane::BitplaneFloat;
@@ -312,6 +311,17 @@ where
     fn read_chunk(&mut self, c: usize, region: &Region) -> Result<Vec<F>, MdrError> {
         (self.gen)(c, region)
     }
+}
+
+/// Stage schedule of a chunk pipeline ([`IngestOptions::mode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PipelineMode {
+    /// No overlap: each chunk runs through every stage to completion
+    /// before the next one starts.
+    Sequential,
+    /// The Figure 4 schedule: the next chunk's read is prefetched and the
+    /// previous chunk's write deferred while the current chunk computes.
+    Overlapped,
 }
 
 /// Tuning knobs for [`crate::api::Mdr::ingest_with`].

@@ -57,11 +57,6 @@
 //!   reconstruction sessions;
 //! * [`qoi_retrieval`] — Algorithm 3 with the CP / MA / MAPE error-bound
 //!   estimators (§6.2);
-//! * [`pipeline`] — the Figure 4 refactoring/reconstruction pipelines:
-//!   sequential, overlapped (real threads + DMA engines), and
-//!   discrete-event simulated;
-//! * [`multi_device`] — weak-scaling and CPU-vs-GPU end-to-end studies
-//!   (Figures 10 and 14);
 //! * [`serialize`] — portable on-disk framing of refactored artifacts
 //!   (versioned manifests with readable mismatch errors);
 //! * [`storage`] — unit-file stores retrieving exactly the files a plan
@@ -95,8 +90,6 @@ pub mod api;
 pub mod chunked;
 pub mod error;
 pub mod ingest;
-pub mod multi_device;
-pub mod pipeline;
 pub mod prelude;
 pub mod progressive;
 pub mod qoi_retrieval;
@@ -117,7 +110,8 @@ pub use chunked::{
 pub use error::MdrError;
 pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx, Isa};
 pub use ingest::{
-    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, SliceSource,
+    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, PipelineMode,
+    SliceSource,
 };
 pub use progressive::{ApproximationStream, RefinementFrame};
 pub use qoi_retrieval::{

@@ -13,9 +13,9 @@ pub use crate::api::{
 pub use crate::chunked::{ChunkGrid, ChunkedConfig, ChunkedRefactored};
 pub use crate::error::MdrError;
 pub use crate::ingest::{
-    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, SliceSource,
+    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, PipelineMode,
+    SliceSource,
 };
-pub use crate::pipeline::PipelineMode;
 pub use crate::progressive::{ApproximationStream, RefinementFrame};
 pub use crate::qoi_retrieval::EbEstimator;
 pub use crate::refactor::{RefactorConfig, Refactored};

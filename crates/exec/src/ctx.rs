@@ -1,49 +1,23 @@
-//! Execution context: tiling parameters and reusable scratch buffers.
+//! Execution context: reusable scratch buffers.
 
 use std::sync::Mutex;
 
-/// Default leading-dimension rows per pipeline tile.
-pub const DEFAULT_TILE_ROWS: usize = 16;
+/// Most scratch buffers the pool keeps between leases.
+const MAX_POOLED: usize = 32;
 
-/// Per-run execution state shared by all kernels of a backend.
-///
-/// * **Tiling** — how many leading-dimension rows each pipeline tile
-///   spans (the staging-buffer granularity of the Figure 4 schedule).
-/// * **Buffer reuse** — a bounded pool of byte buffers leased by the
-///   merge/compress and decode kernels, so steady-state pipeline tiles
-///   stop allocating (the `I1..I3`/`O1..O3` reuse discipline of the
-///   paper's device buffers, applied to host scratch).
+/// Per-run execution state shared by all kernels of a backend: a bounded
+/// pool of byte buffers leased by the merge/compress and decode kernels,
+/// so steady-state chunks stop allocating (the `I1..I3`/`O1..O3` reuse
+/// discipline of the paper's device buffers, applied to host scratch).
 ///
 /// The context is `Sync`: a fan's workers lease distinct buffers
 /// concurrently.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ExecCtx {
-    tile_rows: usize,
     scratch: Mutex<Vec<Vec<u8>>>,
-    max_pooled: usize,
-}
-
-impl Default for ExecCtx {
-    fn default() -> Self {
-        ExecCtx::new(DEFAULT_TILE_ROWS)
-    }
 }
 
 impl ExecCtx {
-    /// Context tiling `tile_rows` leading rows per pipeline tile.
-    pub fn new(tile_rows: usize) -> Self {
-        ExecCtx {
-            tile_rows: tile_rows.max(1),
-            scratch: Mutex::new(Vec::new()),
-            max_pooled: 32,
-        }
-    }
-
-    /// Rows per pipeline tile.
-    pub fn tile_rows(&self) -> usize {
-        self.tile_rows
-    }
-
     /// Number of scratch buffers currently pooled (for tests/metrics).
     pub fn pooled_buffers(&self) -> usize {
         self.scratch.lock().unwrap_or_else(|p| p.into_inner()).len()
@@ -60,7 +34,7 @@ impl ExecCtx {
         buf.clear();
         let out = f(&mut buf);
         let mut pool = self.scratch.lock().unwrap_or_else(|p| p.into_inner());
-        if pool.len() < self.max_pooled {
+        if pool.len() < MAX_POOLED {
             pool.push(buf);
         }
         out
@@ -82,11 +56,5 @@ mod tests {
         assert_eq!(ptr1, ptr2, "second lease reuses the same allocation");
         assert_eq!(len2, 0, "leased buffers arrive cleared");
         assert_eq!(ctx.pooled_buffers(), 1);
-    }
-
-    #[test]
-    fn tile_rows_clamped_to_one() {
-        assert_eq!(ExecCtx::new(0).tile_rows(), 1);
-        assert_eq!(ExecCtx::new(64).tile_rows(), 64);
     }
 }

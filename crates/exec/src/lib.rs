@@ -7,11 +7,11 @@
 //! workspace: a [`Backend`] trait whose kernels cover the hot stages —
 //! multilevel decompose/recompose, bitplane encode/decode, and hybrid
 //! lossless (de)compression of merged units — plus an [`ExecCtx`]
-//! carrying tiling parameters and reusable scratch buffers. A batch
-//! entry point ([`Backend::map_batch`]) fans independent work items —
-//! notably the chunks of `hpmdr-core`'s chunk grid — across the same
-//! worker budget, so domain-decomposed workloads get chunk-level
-//! parallelism from the identical kernel set.
+//! carrying reusable scratch buffers. A batch entry point
+//! ([`Backend::map_batch`]) fans independent work items — notably the
+//! chunks of `hpmdr-core`'s chunk grid — across the same worker budget,
+//! so domain-decomposed workloads get chunk-level parallelism from the
+//! identical kernel set.
 //!
 //! One backend ships: [`CpuBackend`], host execution `threads` wide and
 //! the façade's default at host width. Batch items, level groups, merged
@@ -33,7 +33,7 @@
 //! invariant, which is the portability property refactored data relies on.
 //!
 //! Adding an accelerator backend means implementing [`Backend`]'s kernels
-//! and nothing else; `hpmdr-core`'s refactor/retrieve/pipeline code is
+//! and nothing else; `hpmdr-core`'s refactor/retrieve/ingest code is
 //! generic over `B: Backend`. See `ARCHITECTURE.md` at the workspace root.
 
 mod backend;
@@ -43,7 +43,7 @@ pub mod stages;
 
 pub use backend::{Backend, DecodeError, EncodedStream, StreamView, UnitPlanes};
 pub use cpu::CpuBackend;
-pub use ctx::{ExecCtx, DEFAULT_TILE_ROWS};
+pub use ctx::ExecCtx;
 pub use stages::{fan_ordered, CountingGate};
 
 /// The widest vector instruction set the host supports — a fingerprint

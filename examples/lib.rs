@@ -8,13 +8,14 @@
 //!   an ensemble-weather dataset.
 //! * `turbulence_qoi` — QoI-error-controlled retrieval of `V_total` on a
 //!   turbulence velocity field, comparing the CP/MA/MAPE estimators.
-//! * `out_of_core_pipeline` — tiled refactoring through the device
-//!   pipeline with and without overlap.
 //! * `roi_query` — region-of-interest queries over a sharded chunk
 //!   store: fetch only the chunks (and unit prefixes) a hyperslab needs.
 //! * `remote_retrieval` — open a store by `http://` URL over a loopback
 //!   shard server: coalesced range requests, then warm re-queries
 //!   served without touching the network.
+//! * `open_loop_load` — open-loop client fleets against a loopback
+//!   progressive server: tail latency from scheduled arrival, steady and
+//!   over-budget shedding.
 //!
 //! Run any of them with `cargo run -p hpmdr-examples --release --bin <name>`.
 

@@ -277,6 +277,12 @@ fn cached_remote_repeat_queries_cost_zero_requests_and_refines_extend() {
     let q = Query::region(Target::AbsError(1e-2), Region::new(&[2, 2], &[14, 11]));
     let cold = Reader::new(&store).retrieve::<f32>(&q).unwrap();
     assert!(cold.bytes_fetched > 0);
+    let local = ChunkedStoreReader::open(&dir).unwrap();
+    let want = Reader::new(&local).retrieve::<f32>(&q).unwrap();
+    assert_eq!(
+        cold.data, want.data,
+        "cached remote answer must match local"
+    );
     let after_cold = store.requests();
 
     // Warm re-query: answered entirely from cache — zero requests, and

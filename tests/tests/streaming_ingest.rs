@@ -380,6 +380,30 @@ fn ingest_report_proves_bounded_staging() {
     }
 }
 
+/// Streaming is the point: under the default lookahead, both schedules
+/// stage less than the input they ingest, where a whole-input refactor
+/// holds all of it.
+#[test]
+fn streaming_ingest_stages_less_than_the_whole_input() {
+    let shape = [64usize, 32, 32];
+    let data = field(shape.iter().product(), 0xBEEF);
+    let raw_bytes = data.len() * 4;
+    for opts in [IngestOptions::sequential(), IngestOptions::overlapped()] {
+        let dir = tmp("less_than_input");
+        let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
+        let source = SliceSource::new(&data, &shape).unwrap();
+        let report = mdr.ingest_with(source, &dir, &opts).unwrap();
+        assert_eq!(report.chunks_written, 16);
+        assert!(
+            report.peak_staged_bytes < raw_bytes,
+            "{:?} staged {} bytes of a {raw_bytes}-byte input",
+            opts.mode,
+            report.peak_staged_bytes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Appended stores serve concurrent clients like any other: the grown
 /// store behind a `SharedReader` answers identically to a serial
 /// reader over the one-shot store.
