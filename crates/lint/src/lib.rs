@@ -206,11 +206,17 @@ pub fn run(opts: &Options) -> Result<Outcome, RunError> {
 }
 
 /// Does `rel_path` live in the library source of one of the panic-free
-/// crates?
+/// crates? An entry containing `/` is a workspace-relative crate
+/// directory (`shims/serde_json`); a bare name means `crates/{name}`.
 fn in_panic_crate(rel_path: &str, panic_crates: &[String]) -> bool {
-    panic_crates
-        .iter()
-        .any(|c| rel_path.starts_with(&format!("crates/{c}/src/")))
+    panic_crates.iter().any(|c| {
+        let src = if c.contains('/') {
+            format!("{}/src/", c.trim_end_matches('/'))
+        } else {
+            format!("crates/{c}/src/")
+        };
+        rel_path.starts_with(&src)
+    })
 }
 
 fn rel_path(root: &Path, path: &Path) -> String {
@@ -254,5 +260,25 @@ mod tests {
         assert!(in_panic_crate("crates/core/src/api.rs", &crates));
         assert!(!in_panic_crate("crates/mgard/src/grid.rs", &crates));
         assert!(!in_panic_crate("tests/src/lib.rs", &crates));
+    }
+
+    #[test]
+    fn bare_panic_crate_names_mean_crates_dir() {
+        let crates = vec!["serde_json".to_string()];
+        assert!(!in_panic_crate("shims/serde_json/src/lib.rs", &crates));
+        assert!(in_panic_crate("crates/serde_json/src/lib.rs", &crates));
+    }
+
+    #[test]
+    fn panic_crate_paths_are_workspace_relative_dirs() {
+        let crates = vec!["shims/serde_json".to_string(), "shims/serde/".to_string()];
+        assert!(in_panic_crate("shims/serde_json/src/lib.rs", &crates));
+        assert!(in_panic_crate("shims/serde/src/lib.rs", &crates));
+        assert!(!in_panic_crate("shims/serde_derive/src/lib.rs", &crates));
+        assert!(!in_panic_crate("shims/serde_json/tests/t.rs", &crates));
+        assert!(!in_panic_crate(
+            "crates/shims/serde_json/src/lib.rs",
+            &crates
+        ));
     }
 }

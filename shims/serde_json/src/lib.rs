@@ -88,28 +88,16 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_number(out: &mut String, v: &Value) {
-    match *v {
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Rust's Display for f64 is shortest-round-trip, so the
-                // parse side recovers the value exactly.
-                out.push_str(&f.to_string());
-            } else {
-                out.push_str("null"); // JSON has no NaN/Inf
-            }
-        }
-        _ => unreachable!("write_number on non-number"),
-    }
-}
-
 fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(_) | Value::UInt(_) | Value::Float(_) => write_number(out, v),
+        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::UInt(u) => out.push_str(&u.to_string()),
+        // Rust's Display for f64 is shortest-round-trip, so the parse
+        // side recovers the value exactly.
+        Value::Float(f) if f.is_finite() => out.push_str(&f.to_string()),
+        Value::Float(_) => out.push_str("null"), // JSON has no NaN/Inf
         Value::Str(s) => write_escaped(out, s),
         Value::Array(items) => {
             out.push('[');
@@ -172,38 +160,68 @@ fn write_value_pretty(out: &mut String, v: &Value, indent: usize) {
 
 // ---- parser ------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (real `serde_json`'s
+/// default recursion limit). The parse recurses once per level, and every
+/// [`Value`] built from untrusted bytes comes from here, so this one limit
+/// also bounds the recursion of that value's `Drop`, `Clone` and
+/// `Deserialize`.
+const MAX_DEPTH: usize = 128;
+
+/// Recursive-descent parser over already-validated UTF-8. Linear in the
+/// input: string runs are copied whole, never re-validated.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
-fn parse(s: &str) -> Result<Value, Error> {
+fn parse(text: &str) -> Result<Value, Error> {
     let mut p = Parser {
-        bytes: s.as_bytes(),
+        text,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing data at byte {}", p.pos)));
+    if p.pos != text.len() {
+        return Err(p.error("trailing data"));
     }
     Ok(v)
 }
 
 impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+    /// The input not yet consumed.
+    fn rest(&self) -> &'a [u8] {
+        self.text.as_bytes().get(self.pos..).unwrap_or_default()
+    }
+
+    /// An error naming what went wrong and the byte offset it was found
+    /// at. Kept out of line so the recursive frames stay small.
+    #[cold]
+    fn error(&self, what: &str) -> Error {
+        Error::new(format!("{what} at byte {}", self.pos))
+    }
+
+    #[cold]
+    fn unexpected(&self) -> Error {
+        match self.text.get(self.pos..).and_then(|s| s.chars().next()) {
+            Some(c) => self.error(&format!("unexpected {c:?}")),
+            None => self.error("unexpected end of input"),
         }
     }
 
+    fn skip_ws(&mut self) {
+        self.pos += self
+            .rest()
+            .iter()
+            .take_while(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
+            .count();
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.rest().first().copied()
     }
 
     fn eat(&mut self, b: u8) -> Result<(), Error> {
@@ -211,15 +229,12 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error::new(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
+            Err(self.error(&format!("expected `{}`", b as char)))
         }
     }
 
     fn literal(&mut self, text: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+        if self.rest().starts_with(text.as_bytes()) {
             self.pos += text.len();
             true
         } else {
@@ -227,148 +242,179 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One value. The recursion runs through here, `array` and `object`
+    /// only, so their frames are all a nesting level costs.
     fn value(&mut self) -> Result<Value, Error> {
+        match self.peek() {
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            _ => self.scalar(),
+        }
+    }
+
+    /// A value that nests nothing: a literal, string or number.
+    fn scalar(&mut self) -> Result<Value, Error> {
         match self.peek() {
             Some(b'n') if self.literal("null") => Ok(Value::Null),
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            other => Err(Error::new(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
+            _ => Err(self.unexpected()),
         }
+    }
+
+    /// Consume the opening byte of one more array/object level, refusing
+    /// to go past [`MAX_DEPTH`].
+    fn open(&mut self, b: u8) -> Result<(), Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!(
+                "recursion limit exceeded: nesting deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.eat(b)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consume the closing byte of the innermost open level.
+    fn close(&mut self) {
+        self.pos += 1;
+        self.depth -= 1;
     }
 
     fn array(&mut self) -> Result<Value, Error> {
-        self.eat(b'[')?;
+        self.open(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "unterminated array at byte {}",
-                        self.pos
-                    )))
+        if self.peek() != Some(b']') {
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                    }
+                    Some(b']') => break,
+                    _ => return Err(self.error("unterminated array")),
                 }
             }
         }
+        self.close();
+        Ok(Value::Array(items))
     }
 
     fn object(&mut self) -> Result<Value, Error> {
-        self.eat(b'{')?;
+        self.open(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                _ => {
-                    return Err(Error::new(format!(
-                        "unterminated object at byte {}",
-                        self.pos
-                    )))
+        if self.peek() != Some(b'}') {
+            loop {
+                let key = self.string()?;
+                self.skip_ws();
+                self.eat(b':')?;
+                self.skip_ws();
+                let value = self.value()?;
+                pairs.push((key, value));
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        self.skip_ws();
+                    }
+                    Some(b'}') => break,
+                    _ => return Err(self.error("unterminated object")),
                 }
             }
         }
+        self.close();
+        Ok(Value::Object(pairs))
     }
 
     fn string(&mut self) -> Result<String, Error> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash in one
+            // run. Both are ASCII, so the run ends on a char boundary and
+            // needs no second UTF-8 validation.
+            let rest = self.rest();
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            let end = self.pos + run;
+            let text = self
+                .text
+                .get(self.pos..end)
+                .ok_or_else(|| self.error("invalid UTF-8"))?;
+            out.push_str(text);
+            self.pos = end;
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs for astral-plane chars.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if !(self.literal("\\u")) {
-                                    return Err(Error::new("lone high surrogate"));
-                                }
-                                let lo = self.hex4()?;
-                                let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(combined)
-                                    .ok_or_else(|| Error::new("bad surrogate pair"))?
-                            } else {
-                                char::from_u32(cp).ok_or_else(|| Error::new("bad codepoint"))?
-                            };
-                            out.push(c);
-                            continue; // hex4 advanced pos already
-                        }
-                        other => {
-                            return Err(Error::new(format!("bad escape {other:?}")));
-                        }
-                    }
-                    self.pos += 1;
-                }
                 Some(_) => {
-                    // Multi-byte UTF-8: copy the full char.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|e| Error::new(format!("invalid UTF-8: {e}")))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    self.pos += 1; // the backslash
+                    self.escape(&mut out)?;
                 }
-                None => return Err(Error::new("unterminated string")),
+                None => return Err(self.error("unterminated string")),
             }
         }
     }
 
-    fn hex4(&mut self) -> Result<u32, Error> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err(Error::new("truncated \\u escape"));
+    /// Decode one escape sequence; `pos` is just past its backslash.
+    fn escape(&mut self, out: &mut String) -> Result<(), Error> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                out.push(self.unicode_escape()?);
+                return Ok(()); // pos is past the escape already
+            }
+            _ => return Err(self.error("bad escape")),
+        };
+        self.pos += 1;
+        out.push(c);
+        Ok(())
+    }
+
+    /// The char of a `\uXXXX` escape; `pos` is just past the `u`. An
+    /// astral-plane char is a high-surrogate escape followed by a
+    /// low-surrogate one; any other surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, Error> {
+        let cp = self.hex4()?;
+        if !(0xD800..0xDC00).contains(&cp) {
+            // A lone low surrogate is no char either.
+            return char::from_u32(cp).ok_or_else(|| self.error("bad codepoint"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::new("bad \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| Error::new("bad \\u escape"))?;
+        if !self.literal("\\u") {
+            return Err(self.error("lone high surrogate"));
+        }
+        let lo = self.hex4()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return Err(self.error("high surrogate not followed by a low surrogate"));
+        }
+        char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+            .ok_or_else(|| self.error("bad surrogate pair"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
+        let v = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .filter(|digits| digits.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|digits| u32::from_str_radix(digits, 16).ok())
+            .ok_or_else(|| self.error("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
     }
@@ -389,8 +435,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("bad number"))?;
+        let text = self.text.get(start..self.pos).unwrap_or_default();
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(i) = text.parse::<i64>() {
@@ -402,7 +447,7 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Value::Float)
-            .map_err(|_| Error::new(format!("bad number `{text}`")))
+            .map_err(|_| self.error(&format!("bad number `{text}`")))
     }
 }
 
@@ -527,6 +572,51 @@ mod tests {
         for bad in ["", "{", "[1,", "\"abc", "truu", "{\"a\" 1}", "garbage"] {
             assert!(from_str::<Value>(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_and_broken_ones_are_errors() {
+        let escapes = |units: &[&str]| format!("\"\\u{}\"", units.join("\\u"));
+        let v: Value = from_str(&escapes(&["D83D", "DE00", "00E9"])).unwrap();
+        assert_eq!(v, "\u{1F600}\u{e9}");
+        for (bad, why) in [
+            // A high surrogate followed by a non-low `\u` escape used to
+            // underflow `lo - 0xDC00`.
+            (
+                escapes(&["D800", "0041"]),
+                "not followed by a low surrogate",
+            ),
+            (
+                escapes(&["D800", "D800"]),
+                "not followed by a low surrogate",
+            ),
+            (escapes(&["DC00"]), "bad codepoint"),
+            (escapes(&["D800"]), "lone high surrogate"),
+            (escapes(&["D800", "DC"]), "bad \\u escape"),
+            (r#""\uD800\u"#.to_string(), "bad \\u escape"),
+            (escapes(&["+041"]), "bad \\u escape"),
+        ] {
+            let err = from_str::<Value>(&bad).unwrap_err().to_string();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_with_the_offset_named() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&arrays(MAX_DEPTH + 1))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+        assert!(err.contains(&format!("at byte {MAX_DEPTH}")), "{err}");
+        // Arrays and objects count alike.
+        let mixed = "[{\"a\":".repeat(MAX_DEPTH / 2 + 1);
+        let err = from_str::<Value>(&mixed).unwrap_err().to_string();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+        // A closed level gives its depth back: siblings at the limit parse.
+        let siblings = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(from_str::<Value>(&siblings).is_ok());
     }
 
     #[test]
