@@ -227,8 +227,9 @@ pub fn decode_prefix<F: BitplaneFloat>(
 ///
 /// Magnitudes accumulate left-aligned (plane 0 at bit 63) as two `u32`
 /// halves in **element order**, padded to whole tiles: [`Self::advance`]
-/// pays the layout permutation once per word column (32 ORs into a tile
-/// in L1) and [`Self::materialize`] is a unit-stride loop.
+/// pays the layout permutation once per 1024-element tile (one lockstep
+/// transpose, then unit-stride ORs) and [`Self::materialize`] is a
+/// unit-stride loop.
 #[derive(Debug, Clone)]
 pub struct ProgressiveDecoder {
     n: usize,
@@ -286,9 +287,9 @@ impl ProgressiveDecoder {
     }
 
     /// Apply planes `applied..k`, handed over as one plane-major `delta`
-    /// (what a refinement step decompressed), in one pass over the word
-    /// columns: however many planes arrive, each column is gathered and
-    /// transposed once per accumulator half.
+    /// (what a refinement step decompressed), in one pass over the tiles:
+    /// however many planes arrive, each tile is gathered and transposed
+    /// once per accumulator half.
     ///
     /// # Panics
     /// Panics unless `delta` is exactly the planes `applied..k` of the
@@ -379,33 +380,41 @@ impl ProgressiveDecoder {
 }
 
 /// OR plane-major `planes` (`words` words each, stream planes `first..`
-/// of one accumulator half) into the element-order accumulator `acc`:
-/// per word column, gather the plane words into a zeroed tile at their
-/// bit weight, transpose, and OR the 32 element rows out. A column whose
-/// gathered words are all zero — most columns of the high planes — is
-/// skipped before the transpose.
+/// of one accumulator half) into the element-order accumulator `acc`.
+///
+/// The inverse of [`encode`]'s tile loop, a 1024-element tile at a time:
+/// each plane's 32 words of the tile are copied into row `31 - p` of a
+/// zeroed matrix (plane `p`'s bit weight), [`transpose32_columns`] turns
+/// the rows back into element order — word-transposed for
+/// [`Layout::Natural`] — and the 32 rows are ORed into the tile's
+/// accumulators, unit stride. A tile whose gathered words are all zero —
+/// most tiles of the high planes — is skipped before the transpose.
 fn accumulate(acc: &mut [u32], planes: &[u32], words: usize, first: usize, layout: Layout) {
     if planes.is_empty() {
         return;
     }
     let top = 31 - first % 32;
-    for u in 0..words {
-        let mut tile = [0u32; 32];
+    for (tile, acc) in acc.chunks_exact_mut(TILE_ELEMS).enumerate() {
+        // The last natural tile may be short of 32 words.
+        let from = tile * WORD_BITS;
+        let len = (words - from).min(WORD_BITS);
+        let mut m = [[0u32; WORD_BITS]; WORD_BITS];
         let mut any = 0;
         for (p, plane) in planes.chunks_exact(words).enumerate() {
-            tile[top - p] = plane[u];
-            any |= plane[u];
+            let src = &plane[from..from + len];
+            m[top - p][..len].copy_from_slice(src);
+            any |= src.iter().fold(0, |a, &w| a | w);
         }
         if any == 0 {
             continue;
         }
-        transpose32(&mut tile);
-        let (start, stride) = match layout {
-            Layout::Natural => (u * WORD_BITS, 1),
-            Layout::Interleaved32 => (u / WORD_BITS * TILE_ELEMS + u % WORD_BITS, WORD_BITS),
-        };
-        let elems = acc[start..].iter_mut().step_by(stride);
-        elems.zip(tile).for_each(|(a, t)| *a |= t);
+        transpose32_columns(&mut m);
+        if layout == Layout::Natural {
+            m = word_transposed(&m);
+        }
+        acc.iter_mut()
+            .zip(m.as_flattened())
+            .for_each(|(a, &v)| *a |= v);
     }
 }
 
@@ -755,6 +764,75 @@ mod tests {
                 let c = encode(&data, 64, layout);
                 for ks in [&[31usize, 33, 64][..], &[20, 40], &[32, 33], &[64]] {
                     assert_matches_oracle::<f64>(&c, 64, ks);
+                }
+            }
+        }
+    }
+
+    /// Values whose tiles, in `layout`'s word order, cycle through the
+    /// three shapes the tile loop of `accumulate` meets: one non-zero word
+    /// column (the tile's last, so the short last word of a partial
+    /// natural tile too), all zero (skipped), and dense.
+    fn tile_edges(n: usize, layout: Layout) -> Vec<f64> {
+        let words = layout.words_per_plane(n);
+        let dense = noisy(n, 0x5eed);
+        (0..n)
+            .map(|e| {
+                let (word, _) = layout.position(e);
+                let tile = word / WORD_BITS;
+                let last = ((tile + 1) * WORD_BITS).min(words) - 1;
+                let keep = match tile % 3 {
+                    0 => word == last,
+                    1 => false,
+                    _ => true,
+                };
+                if !keep {
+                    0.0
+                } else if dense[e] == 0.0 {
+                    1.0
+                } else {
+                    dense[e]
+                }
+            })
+            .collect()
+    }
+
+    /// Word columns of each tile that carry a set bit in any plane.
+    fn live_columns(c: &BitplaneChunk) -> Vec<usize> {
+        let words = c.words_per_plane();
+        (0..words.div_ceil(WORD_BITS))
+            .map(|tile| {
+                let cols = tile * WORD_BITS..((tile + 1) * WORD_BITS).min(words);
+                let live = |&u: &usize| (0..c.num_planes()).any(|p| c.plane(p)[u] != 0);
+                cols.filter(live).count()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn tile_edges_match_oracle() {
+        for n in [33usize, 1025, 3000, 5000] {
+            for layout in [Layout::Natural, Layout::Interleaved32] {
+                let data = tile_edges(n, layout);
+                let d32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+                let c32 = encode(&d32, 32, layout);
+                let c64 = encode(&data, 64, layout);
+                for c in [&c32, &c64] {
+                    let live = live_columns(c);
+                    for (tile, &cols) in live.iter().enumerate() {
+                        let tag = format!("{layout:?} n={n} tile {tile}");
+                        match tile % 3 {
+                            0 => assert_eq!(cols, 1, "{tag}"),
+                            1 => assert_eq!(cols, 0, "{tag}"),
+                            _ => assert!(cols > 1, "{tag}"),
+                        }
+                    }
+                }
+                for ks in [&[1usize, 9, 32][..], &[32]] {
+                    assert_matches_oracle::<f32>(&c32, 32, ks);
+                }
+                for ks in [&[31usize, 33, 64][..], &[32, 40, 64], &[7, 64]] {
+                    assert_matches_oracle::<f64>(&c64, 64, ks);
                 }
             }
         }

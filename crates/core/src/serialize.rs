@@ -12,8 +12,9 @@
 
 use crate::error::MdrError;
 use crate::refactor::{LevelStream, Refactored};
-use hpmdr_bitplane::Layout;
+use hpmdr_bitplane::{BitplaneFloat, Layout};
 use hpmdr_lossless::{Codec, CompressedGroup};
+use hpmdr_mgard::grid::MAX_DIMS;
 use hpmdr_mgard::Hierarchy;
 use serde::{Deserialize, Serialize};
 
@@ -129,12 +130,13 @@ impl HeaderMeta {
 
     /// Rebuild a [`Refactored`] whose unit payloads come from
     /// `payload(group, unit, payload_len)` (return an empty vec for a
-    /// skeleton). Checks structural consistency.
+    /// skeleton). Checks structural consistency (see [`Self::check`]).
     pub(crate) fn into_refactored(
         self,
         mut payload: impl FnMut(usize, usize, usize) -> Result<Vec<u8>, MdrError>,
     ) -> Result<Refactored, MdrError> {
         check_manifest_version(self.version.unwrap_or(1), "manifest")?;
+        self.check()?;
         let mut streams = Vec::with_capacity(self.streams.len());
         for (g, sm) in self.streams.into_iter().enumerate() {
             let mut units = Vec::with_capacity(sm.units.len());
@@ -155,7 +157,7 @@ impl HeaderMeta {
                 plane_bytes: sm.plane_bytes,
             });
         }
-        let r = Refactored {
+        Ok(Refactored {
             shape: self.shape,
             dtype: self.dtype,
             hierarchy: self.hierarchy,
@@ -163,11 +165,73 @@ impl HeaderMeta {
             weights: self.weights,
             streams,
             value_range: self.value_range,
-        };
-        if r.streams.len() != r.hierarchy.levels + 1 {
+        })
+    }
+
+    /// The one structural gate for stored metadata — serialized files and
+    /// chunked-store skeletons alike: a manifest that passes describes
+    /// streams every decode kernel can take without a panic. The
+    /// hierarchy must be the one the writer derives from `shape`, with
+    /// one stream per level group, and each stream must hold exactly its
+    /// group's elements in `plane_bytes`-byte planes, at most the element
+    /// type's plane count, `group_size ≥ 1` planes to a unit and one unit
+    /// per started group of planes.
+    fn check(&self) -> Result<(), MdrError> {
+        let h = &self.hierarchy;
+        let sized = (1..=MAX_DIMS).contains(&h.shape.len())
+            && h.shape.iter().all(|&d| d >= 1)
+            && h.shape
+                .iter()
+                .try_fold(1usize, |a, &d| a.checked_mul(d))
+                .is_some();
+        if h.shape != self.shape || !sized || Hierarchy::with_levels(&h.shape, h.levels) != *h {
+            return Err(MdrError::corrupt(format!(
+                "hierarchy of {} levels over {:?} does not fit shape {:?}",
+                h.levels, h.shape, self.shape
+            )));
+        }
+        if self.streams.len() != h.levels + 1 {
             return Err(MdrError::corrupt("inconsistent stream count"));
         }
-        Ok(r)
+        let max_planes = match self.dtype.as_str() {
+            "f32" => <f32 as BitplaneFloat>::MAX_PLANES,
+            "f64" => <f64 as BitplaneFloat>::MAX_PLANES,
+            other => {
+                return Err(MdrError::corrupt(format!(
+                    "unsupported element type {other:?}"
+                )))
+            }
+        };
+        for (g, s) in self.streams.iter().enumerate() {
+            let why = if s.n != h.group_len(g) {
+                format!("{} elements, the hierarchy gives {}", s.n, h.group_len(g))
+            } else if s.group_size == 0 {
+                "0 planes per unit".to_string()
+            } else if s.num_planes > max_planes {
+                format!(
+                    "{} planes, {} holds at most {max_planes}",
+                    s.num_planes, self.dtype
+                )
+            } else if s.units.len() != s.num_planes.div_ceil(s.group_size) {
+                format!(
+                    "{} units for {} planes at {} a unit",
+                    s.units.len(),
+                    s.num_planes,
+                    s.group_size
+                )
+            } else if s.plane_bytes != s.layout.words_per_plane(s.n) * 4 {
+                format!(
+                    "{}-byte planes, {} elements need {}",
+                    s.plane_bytes,
+                    s.n,
+                    s.layout.words_per_plane(s.n) * 4
+                )
+            } else {
+                continue;
+            };
+            return Err(MdrError::corrupt(format!("group {g} declares {why}")));
+        }
+        Ok(())
     }
 }
 

@@ -681,7 +681,10 @@ fn decode_chunk(
     // Batched fast loop: one refill + one lookup drains every whole code
     // in the 11-bit window (up to MAX_BATCH symbols on skewed streams).
     // Stops MAX_BATCH short of the end so a batch never overruns the
-    // symbol count the chunk actually encodes.
+    // symbol count the chunk actually encodes — and so every batch can
+    // store all six symbol slots at once, branch-free: the `n` real
+    // symbols come first, and the spare bytes past them are overwritten
+    // by the next batch (or the tail loop).
     while m - i >= MAX_BATCH {
         bits.refill();
         let entry = batch[bits.peek(LUT_BITS as u32) as usize & idx_mask];
@@ -690,11 +693,7 @@ fn decode_chunk(
             if !bits.take((entry & 0x3f) as u32) {
                 return Err(corrupt());
             }
-            let mut syms = entry >> 16;
-            for slot in &mut dst[i..i + n] {
-                *slot = syms as u8;
-                syms >>= 8;
-            }
+            dst[i..i + MAX_BATCH].copy_from_slice(&(entry >> 16).to_le_bytes()[..MAX_BATCH]);
             i += n;
         } else {
             // Window starts with a code longer than the LUT width.
@@ -931,6 +930,57 @@ mod tests {
         );
         assert_eq!(decompress(&c).unwrap(), data);
         assert_eq!(decompress_reference(&c).unwrap(), data);
+    }
+
+    /// Bitplane-like bytes: ≈ 97 % zeros, so zero gets a 1-bit code and
+    /// six-symbol batches are the common lookup of the fast loop.
+    fn zero_heavy(n: usize, seed: u32) -> Vec<u8> {
+        let bytes = xorshift_bytes(n, seed);
+        bytes
+            .into_iter()
+            .map(|b| if b < 8 { b * 31 + 1 } else { 0 })
+            .collect()
+    }
+
+    #[test]
+    fn batch_stores_match_the_reference_at_every_tail_length() {
+        // Chunk lengths `r` below MAX_BATCH never enter the fast loop;
+        // longer ones leave it with 0..MAX_BATCH symbols for the tail.
+        for c in 0..3 {
+            for r in 0..=7 {
+                let n = c * CHUNK_SIZE + r;
+                let data = zero_heavy(n, 0x7a11 + n as u32);
+                let stream = compress(&data);
+                if n >= CHUNK_SIZE {
+                    let table = DecodeTable::new(stream[16..16 + 256].try_into().unwrap()).unwrap();
+                    assert_eq!((table.batch[0] >> 8) & 0x7, MAX_BATCH as u64, "n={n}");
+                }
+                assert_eq!(decompress(&stream).unwrap(), data, "n={n}");
+                assert_eq!(decompress_reference(&stream).unwrap(), data, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_truncated_final_chunk_is_corrupt_not_zero_padded() {
+        // Bits past a payload read as zeros, and zero's code is all
+        // zeros: only `take`'s check stops a short chunk from decoding
+        // to a plausible answer.
+        for r in [0usize, 1, 5, 6, 7, 4000] {
+            let data = zero_heavy(2 * CHUNK_SIZE + r, 0xc0de + r as u32);
+            let stream = compress(&data);
+            let last = data.len().div_ceil(CHUNK_SIZE) - 1;
+            let at = 16 + 256 + 4 * last;
+            let len = u32::from_le_bytes(stream[at..at + 4].try_into().unwrap()) as usize;
+            for cut in 1..=len.min(3) {
+                let mut bad = stream.clone();
+                bad[at..at + 4].copy_from_slice(&((len - cut) as u32).to_le_bytes());
+                bad.truncate(bad.len() - cut);
+                let want = Err(HuffmanError::CorruptChunk { chunk: last });
+                assert_eq!(decompress(&bad), want, "r={r} cut={cut}");
+                assert_eq!(decompress_reference(&bad), want, "r={r} cut={cut}");
+            }
+        }
     }
 
     #[test]

@@ -116,6 +116,17 @@ impl Hierarchy {
         self.shape_at_level(l).iter().product()
     }
 
+    /// Element count of level group `k` (`0..=levels`): the coarsest
+    /// grid for `k = 0`, else the nodes level `levels - k` adds to the
+    /// one above it.
+    pub fn group_len(&self, k: usize) -> usize {
+        if k == 0 {
+            self.len_at_level(self.levels)
+        } else {
+            self.len_at_level(self.levels - k) - self.len_at_level(self.levels - k + 1)
+        }
+    }
+
     /// Row-major strides of the full grid.
     pub fn strides(&self) -> Vec<usize> {
         let nd = self.ndims();

@@ -161,15 +161,6 @@ fn for_each_run(h: &Hierarchy, k: usize, mut f: impl FnMut(usize, usize, usize))
     }
 }
 
-/// Element count of level group `k`.
-fn group_len(h: &Hierarchy, k: usize) -> usize {
-    if k == 0 {
-        h.len_at_level(h.levels)
-    } else {
-        h.len_at_level(h.levels - k) - h.len_at_level(h.levels - k + 1)
-    }
-}
-
 /// Pull the per-level coefficient groups out of a decomposed array.
 ///
 /// # Panics
@@ -182,7 +173,7 @@ pub fn extract_levels<F: Real>(data: &[F], h: &Hierarchy) -> Vec<Vec<F>> {
     );
     (0..=h.levels)
         .map(|k| {
-            let mut group = Vec::with_capacity(group_len(h, k));
+            let mut group = Vec::with_capacity(h.group_len(k));
             for_each_run(h, k, |start, step, count| {
                 if step == 1 {
                     group.extend_from_slice(&data[start..start + count]);
@@ -203,7 +194,7 @@ pub fn inject_levels<F: Real>(groups: &[Vec<F>], h: &Hierarchy) -> Vec<F> {
     assert_eq!(groups.len(), h.levels + 1, "group count mismatch");
     let mut out = vec![F::ZERO; h.len()];
     for (k, group) in groups.iter().enumerate() {
-        assert_eq!(group.len(), group_len(h, k), "group length mismatch");
+        assert_eq!(group.len(), h.group_len(k), "group length mismatch");
         let mut rest = group.as_slice();
         for_each_run(h, k, |start, step, count| {
             let (run, tail) = rest.split_at(count);

@@ -10,7 +10,9 @@
 //! benchmark's `coarse` (8–12) and `fine` (20–24) plans reach, and
 //! reports nanoseconds per value and the share of a same-run `memcpy` of
 //! the group's rate, like `bench_transform`. Bare decoder calls: `advance`
-//! is serial, `materialize` fans out on the default pool (printed).
+//! is serial, `materialize` fans out on the default pool (printed). Both
+//! steps run on the default `Interleaved32` stream; `advance/Natural/{k}`
+//! repeats the first on a `Natural` encoding of the same group.
 //!
 //! `encode_{64,32}/{Interleaved32,Natural}` encodes every level group of
 //! the same chunks at 32 planes — one chunk's worth of the ingest's
@@ -19,7 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_bitplane::native::ProgressiveDecoder;
-use hpmdr_bitplane::{decode_prefix, encode, Layout, Reconstruction};
+use hpmdr_bitplane::{decode_prefix, encode, BitplaneChunk, Layout, Reconstruction};
 use hpmdr_exec::{Backend, CpuBackend};
 
 mod common;
@@ -116,6 +118,7 @@ fn bench_progressive(c: &mut Criterion) {
         let group = level_groups(e).pop().expect("a chunk has a finest group");
         let n = group.len();
         let chunk = encode(&group, 32, Layout::Interleaved32);
+        let natural = encode(&group, 32, Layout::Natural);
         let mut g = c.benchmark_group(format!("progressive_{e}"));
         g.throughput(Throughput::Elements(n as u64));
 
@@ -132,11 +135,15 @@ fn bench_progressive(c: &mut Criterion) {
         for k in [8usize, 12, 20, 24] {
             // `advance` includes the fresh decoder's zeroed accumulators,
             // as every one-shot retrieval pays them.
-            let advance = bench_median(&mut g, &format!("advance/{k}"), || {
-                let mut decoder = ProgressiveDecoder::new(&chunk);
-                decoder.advance(criterion::black_box(&chunk), k);
-                criterion::black_box(&decoder);
-            });
+            let mut advance_on = |name: String, chunk: &BitplaneChunk| {
+                bench_median(&mut g, &name, || {
+                    let mut decoder = ProgressiveDecoder::new(chunk);
+                    decoder.advance(criterion::black_box(chunk), k);
+                    criterion::black_box(&decoder);
+                })
+            };
+            let advance = advance_on(format!("advance/{k}"), &chunk);
+            let advance_natural = advance_on(format!("advance/Natural/{k}"), &natural);
             let mut decoder = ProgressiveDecoder::new(&chunk);
             decoder.advance(&chunk, k);
             let materialize = bench_median(&mut g, &format!("materialize/{k}"), || {
@@ -146,6 +153,7 @@ fn bench_progressive(c: &mut Criterion) {
                 );
             });
             report(&format!("advance/{k}"), advance);
+            report(&format!("advance/Natural/{k}"), advance_natural);
             report(&format!("materialize/{k}"), materialize);
         }
         g.finish();

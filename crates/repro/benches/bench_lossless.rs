@@ -1,13 +1,15 @@
 //! Criterion microbenchmarks of the lossless stage: Huffman, RLE, and the
 //! hybrid selector over synthetic bitplane-group payloads, and — the
-//! figure to quote — `units_{64,32}/hybrid_compress`: Algorithm 2 over the
-//! real merged units of one 64³ / 32³ chunk of a decomposed turbulent
-//! field (every level group encoded at 32 planes, `Interleaved32`, merged
-//! four planes to a unit), in nanoseconds per plane byte, with the share
-//! of the bytes each codec took and the share of a same-run `memcpy`'s
-//! rate, one thread wide (`CpuBackend::with_threads(1)`), so the figure is
-//! per core. Synthetic `sparse`/`noisy` payloads flatter kernels that win
-//! only on zero-dominated input; real units are mostly neither.
+//! figures to quote — `units_{64,32}/{hybrid_compress,hybrid_decompress}`:
+//! Algorithm 2 and its inverse over the real merged units of one 64³ /
+//! 32³ chunk of a decomposed turbulent field (every level group encoded
+//! at 32 planes, `Interleaved32`, merged four planes to a unit), in
+//! nanoseconds per plane byte, with the share of the bytes each codec
+//! took and the share of a same-run `memcpy`'s rate, one thread wide
+//! (`CpuBackend::with_threads(1)`), so the figure is per core. Decompress
+//! runs the retrieval path's `decompress_to` into one reused buffer.
+//! Synthetic `sparse`/`noisy` payloads flatter kernels that win only on
+//! zero-dominated input; real units are mostly neither.
 //! `HPMDR_BENCH_EXTENT=N` runs the units group at `N³` alone (CI's smoke
 //! size is 16).
 
@@ -142,20 +144,33 @@ fn bench_units(c: &mut Criterion) {
                 }
             })
         });
+        let groups: Vec<_> = units.iter().map(|unit| hybrid.compress(unit)).collect();
+        let mut scratch = Vec::new();
+        let back_secs = bench_median(&mut g, "hybrid_decompress", || {
+            backend.install(|| {
+                for group in criterion::black_box(&groups) {
+                    let raw = hybrid.decompress_to(group, &mut scratch);
+                    criterion::black_box(raw.expect("a unit this run compressed"));
+                }
+            })
+        });
         g.finish();
 
         let mut bytes = [0usize; 3];
         let mut stored = 0;
-        for unit in &units {
-            let group = hybrid.compress(unit);
+        for (unit, group) in units.iter().zip(&groups) {
             bytes[group.codec as usize] += unit.len();
             stored += group.stored_len();
         }
-        let what = format!(
-            "{e}^3 chunk ({} units, {n} bytes) hybrid_compress",
-            units.len()
+        let what = format!("{e}^3 chunk ({} units, {n} bytes)", units.len());
+        report_rate(&format!("{what} hybrid_compress"), secs, n, "byte", memcpy);
+        report_rate(
+            &format!("{what} hybrid_decompress"),
+            back_secs,
+            n,
+            "byte",
+            memcpy,
         );
-        report_rate(&what, secs, n, "byte", memcpy);
         let share = |codec: Codec| 100.0 * bytes[codec as usize] as f64 / n.max(1) as f64;
         println!(
             "  {:<44} Huffman {:.1} %, RLE {:.1} %, Direct {:.1} % of the bytes; ratio {:.3}",
