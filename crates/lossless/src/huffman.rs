@@ -6,13 +6,14 @@
 //! canonical code table, so both directions parallelize over chunks with
 //! no cross-chunk bit dependencies.
 //!
-//! Bit I/O runs word-at-a-time. The encoder packs whole codes into a
-//! 64-bit accumulator (one shift+or per symbol, never per bit); the
-//! decoder keeps a 64-bit look-ahead refilled 8 bytes per load and
-//! resolves symbols through a flat [`LUT_BITS`]-bit table — the batched
-//! variant drains *every* whole code in the peeked window, so skewed
-//! streams decode several symbols per lookup, and only codes longer than
-//! the table width fall back to the canonical first-code scan. Byte
+//! Bit I/O runs word-at-a-time. The encoder merges up to four whole
+//! codes into one shift+or and stores its 64-bit accumulator 8 bytes at
+//! a time, branch-free (never per bit or per symbol); the decoder keeps
+//! a 64-bit look-ahead refilled 8 bytes per load and resolves symbols
+//! through a flat [`LUT_BITS`]-bit table — the batched variant drains
+//! *every* whole code in the peeked window, so skewed streams decode
+//! several symbols per lookup, and only codes longer than the table
+//! width fall back to the canonical first-code scan. Byte
 //! output is identical to the historical bit-serial coder.
 //!
 //! Stream format (little-endian):
@@ -130,33 +131,37 @@ pub fn code_lengths(hist: &[u64; 256]) -> [u8; 256] {
 /// in creation order): the leaves are sorted once, internal nodes are
 /// created with non-decreasing counts and so queue up already sorted, and
 /// the smaller of the two queue heads — the leaf on a tie — is the
-/// minimum of the whole forest.
+/// minimum of the whole forest. Everything lives in fixed arrays: the
+/// per-unit cost is the sort and two linear passes, no allocation.
 fn try_code_lengths(hist: &[u64; 256]) -> [u8; 256] {
     let mut lens = [0u8; 256];
-    let mut leaves: Vec<(u64, usize)> = (0..256)
-        .filter(|&s| hist[s] > 0)
-        .map(|s| (hist[s], s))
-        .collect();
-    match leaves[..] {
+    let mut present = [(0u64, 0usize); 256];
+    let mut n = 0;
+    for (s, &count) in hist.iter().enumerate() {
+        if count > 0 {
+            present[n] = (count, s);
+            n += 1;
+        }
+    }
+    let leaves = &mut present[..n];
+    match leaves {
         [] => return lens,
         [(_, s)] => {
-            lens[s] = 1;
+            lens[*s] = 1;
             return lens;
         }
         _ => {}
     }
     leaves.sort_unstable();
-    // `internal[i]` is the count of node `256 + i`.
-    let mut internal: Vec<u64> = Vec::with_capacity(leaves.len() - 1);
-    let mut parents: Vec<usize> = vec![usize::MAX; 256 + leaves.len()];
+    // `internal[i]` is the count of node `256 + i`; `parent[id]` is the
+    // internal index of node `id`'s parent.
+    let mut internal = [0u64; 255];
+    let mut parent = [0u16; 256 + 255];
     let (mut leaf, mut node) = (0usize, 0usize);
-    while internal.len() + 1 < leaves.len() {
+    for made in 0..n - 1 {
         let mut count = 0u64;
         for _ in 0..2 {
-            let take_leaf = match (leaves.get(leaf), internal.get(node)) {
-                (Some(&(l, _)), Some(&i)) => l <= i,
-                (l, _) => l.is_some(),
-            };
+            let take_leaf = leaf < n && (node == made || leaves[leaf].0 <= internal[node]);
             let (c, id) = if take_leaf {
                 leaf += 1;
                 leaves[leaf - 1]
@@ -164,19 +169,20 @@ fn try_code_lengths(hist: &[u64; 256]) -> [u8; 256] {
                 node += 1;
                 (internal[node - 1], 255 + node)
             };
-            parents[id] = 256 + internal.len();
+            parent[id] = made as u16;
             count += c;
         }
-        internal.push(count);
+        internal[made] = count;
     }
-    for &(_, s) in &leaves {
-        let mut depth = 0u8;
-        let mut node = s;
-        while parents[node] != usize::MAX {
-            node = parents[node];
-            depth += 1;
-        }
-        lens[s] = depth;
+    // Depths top-down: the root is the last node made and every node is
+    // made after its children, so walking creation order backwards meets
+    // each parent before its children.
+    let mut depth = [0u8; 255];
+    for i in (0..n - 2).rev() {
+        depth[i] = depth[parent[256 + i] as usize] + 1;
+    }
+    for &(_, s) in leaves.iter() {
+        lens[s] = depth[parent[s] as usize] + 1;
     }
     lens
 }
@@ -245,8 +251,36 @@ fn try_code_lengths_heap(hist: &[u64; 256]) -> [u8; 256] {
     lens
 }
 
-/// Canonical code assignment: symbols sorted by (length, value).
+/// Canonical code assignment: codes ascend in (length, value) order.
+/// The first code of each length follows from the counts of the shorter
+/// ones, so the codes are assigned in one pass in symbol order, no sort.
 pub fn canonical_codes(lens: &[u8; 256]) -> [u64; 256] {
+    let mut count = [0u64; 256];
+    for &l in lens {
+        count[l as usize] += 1;
+    }
+    let max_len = lens.iter().copied().max().unwrap_or(0) as usize;
+    // `next[l]`: the code the next symbol of length `l` receives.
+    let mut next = [0u64; 256];
+    let mut code = 0u64;
+    for l in 2..=max_len {
+        code = (code + count[l - 1]) << 1;
+        next[l] = code;
+    }
+    let mut codes = [0u64; 256];
+    for (c, &l) in codes.iter_mut().zip(lens) {
+        if l > 0 {
+            *c = next[l as usize];
+            next[l as usize] += 1;
+        }
+    }
+    codes
+}
+
+/// The sort-based assignment [`canonical_codes`] replaced, kept as the
+/// oracle its codes are tested against.
+#[cfg(test)]
+fn canonical_codes_sorted(lens: &[u8; 256]) -> [u64; 256] {
     let mut codes = [0u64; 256];
     let mut order: Vec<usize> = (0..256).filter(|&s| lens[s] > 0).collect();
     order.sort_by_key(|&s| (lens[s], s));
@@ -310,12 +344,13 @@ impl<'a> CodeBook<'a> {
     pub fn encode(&self) -> Vec<u8> {
         let (data, lens) = (self.data, &self.lens);
         let codes = canonical_codes(lens);
-        // Packed per-symbol entry table: `code | len<<58` (codes are
-        // ≤ 56 bits), so one load serves both fields.
-        let mut packed = [0u64; 256];
-        for (p, (&c, &l)) in packed.iter_mut().zip(codes.iter().zip(lens.iter())) {
-            *p = c | ((l as u64) << 58);
-        }
+        // Codes merged per step: as many as fit 63 bits beside the < 8
+        // carried ones at the book's longest code.
+        let write_chunk = match lens.iter().copied().max().unwrap_or(0) {
+            0..=14 => encode_chunk_block::<4>,
+            15..=28 => encode_chunk_block::<2>,
+            _ => encode_chunk_block::<1>,
+        };
         // Size each chunk's buffer from the known payload: its exact
         // size for a single-chunk input, the average plus an eighth
         // otherwise (a chunk denser than that regrows).
@@ -326,7 +361,7 @@ impl<'a> CodeBook<'a> {
             .par_chunks(CHUNK_SIZE)
             .map(|chunk| {
                 let mut out = Vec::with_capacity(payload_cap);
-                encode_chunk_wide(chunk, &packed, &mut out);
+                write_chunk(chunk, lens, &codes, &mut out);
                 out
             })
             .collect();
@@ -361,7 +396,7 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Reference chunk encoder: right-aligned 64-bit accumulator, one
 /// shift+or per symbol, byte-at-a-time flush. This is the semantics
-/// pin [`encode_chunk_wide`] must reproduce byte for byte.
+/// pin [`encode_chunk_block`] must reproduce byte for byte.
 #[cfg(test)]
 fn encode_chunk_reference(chunk: &[u8], lens: &[u8; 256], codes: &[u64; 256], out: &mut Vec<u8>) {
     // Whole codes land in a 64-bit accumulator. The flush keeps
@@ -386,75 +421,65 @@ fn encode_chunk_reference(chunk: &[u8], lens: &[u8; 256], codes: &[u64; 256], ou
     }
 }
 
-/// Wide-flush chunk encoder: left-aligned accumulator holding up to 64
-/// pending bits, one packed-table load per symbol (gather-free), and a
-/// 4-byte flush whenever ≥ 32 bits are pending. Symbols are inserted
-/// **two at a time** — adjacent codes whose combined length fits
-/// [`MAX_CODE_LEN`] are pre-merged into one shift+or, so the serial
-/// accumulate/flush dependency chain advances once per pair instead of
-/// once per symbol for the short codes that dominate skewed bitplane
-/// streams. Emits the identical MSB-first bitstream with the identical
-/// zero-padded tail byte as the reference encoder.
-fn encode_chunk_wide(chunk: &[u8], packed: &[u64; 256], out: &mut Vec<u8>) {
-    const LEN_SHIFT: u32 = 58;
-    const CODE_MASK: u64 = (1u64 << LEN_SHIFT) - 1;
+/// Symbols the block writer encodes between drains of its stack buffer.
+const BLOCK: usize = 512;
 
-    /// Append `len` bits of `code` (≤ [`MAX_CODE_LEN`], so `len ≤ 56`)
-    /// to the accumulator. Invariant: `bits ≤ 32` on entry and exit, so
-    /// `room = 64 - bits ≥ 32` and a straddling code hangs over by at
-    /// most `56 - 32 = 24` bits.
+/// Block chunk encoder: the bitstream of [`encode_chunk_reference`],
+/// written without a data-dependent branch. A left-aligned 64-bit
+/// accumulator carries fewer than 8 bits between steps; each step merges
+/// `PER` codes into one (`PER × longest code + 7 ≤ 63`, so nothing is
+/// shifted out), ORs it in below the carried bits, stores all 8
+/// accumulator bytes big-endian at the write position and advances by
+/// the whole bytes only — the partial byte stays in the accumulator and
+/// the next store rewrites it. The stores land in a stack buffer drained
+/// once per [`BLOCK`] symbols, whose 8 bytes of slack absorb the last
+/// store's overhang.
+fn encode_chunk_block<const PER: usize>(
+    chunk: &[u8],
+    lens: &[u8; 256],
+    codes: &[u64; 256],
+    out: &mut Vec<u8>,
+) {
+    /// One step: append `len` bits of `code` below the `bits < 8`
+    /// carried ones, store the accumulator at `pos` and advance by the
+    /// whole bytes (`bits + len ≤ 63`, so at most 7 of them).
     #[inline(always)]
-    fn insert(acc: &mut u64, bits: &mut u32, code: u64, len: u32, out: &mut Vec<u8>) {
-        debug_assert!(*bits <= 32 && len as usize <= MAX_CODE_LEN);
-        let room = 64 - *bits;
-        if len <= room {
-            // room - len ≤ 63 (len ≥ 1 for any present symbol).
-            *acc |= code << (room - len);
-            *bits += len;
-        } else {
-            // Code straddles the accumulator: place the top `room` bits,
-            // flush all 8 bytes, restart with the low `len - room` bits.
-            let hang = len - room; // 1 ..= 24
-            *acc |= code >> hang;
-            out.extend_from_slice(&acc.to_be_bytes());
-            *acc = code << (64 - hang);
-            *bits = hang;
-        }
-        if *bits >= 32 {
-            out.extend_from_slice(&((*acc >> 32) as u32).to_be_bytes());
-            *acc <<= 32;
-            *bits -= 32;
-        }
+    fn put(buf: &mut [u8], pos: &mut usize, acc: &mut u64, bits: &mut u32, code: u64, len: u32) {
+        debug_assert!(*bits < 8 && *bits + len <= 63);
+        *acc |= code << (64 - *bits - len);
+        *bits += len;
+        buf[*pos..*pos + 8].copy_from_slice(&acc.to_be_bytes());
+        let whole = *bits / 8;
+        *pos += whole as usize;
+        *acc <<= 8 * whole;
+        *bits &= 7;
     }
 
+    let mut buf = [0u8; BLOCK * MAX_CODE_LEN / 8 + 8];
     let mut acc = 0u64;
     let mut bits = 0u32;
-    let mut pairs = chunk.chunks_exact(2);
-    for pair in pairs.by_ref() {
-        let e0 = packed[pair[0] as usize];
-        let e1 = packed[pair[1] as usize];
-        let l0 = (e0 >> LEN_SHIFT) as u32;
-        let l1 = (e1 >> LEN_SHIFT) as u32;
-        if (l0 + l1) as usize <= MAX_CODE_LEN {
-            let code = ((e0 & CODE_MASK) << l1) | (e1 & CODE_MASK);
-            insert(&mut acc, &mut bits, code, l0 + l1, out);
-        } else {
-            insert(&mut acc, &mut bits, e0 & CODE_MASK, l0, out);
-            insert(&mut acc, &mut bits, e1 & CODE_MASK, l1, out);
+    for block in chunk.chunks(BLOCK) {
+        let mut pos = 0usize;
+        let (groups, rest) = block.as_chunks::<PER>();
+        for group in groups {
+            let (mut code, mut len) = (0u64, 0u32);
+            for &b in group {
+                let l = lens[b as usize] as u32;
+                code = (code << l) | codes[b as usize];
+                len += l;
+            }
+            put(&mut buf, &mut pos, &mut acc, &mut bits, code, len);
         }
+        for &b in rest {
+            let (code, len) = (codes[b as usize], lens[b as usize] as u32);
+            put(&mut buf, &mut pos, &mut acc, &mut bits, code, len);
+        }
+        out.extend_from_slice(&buf[..pos]);
     }
-    if let [b] = pairs.remainder() {
-        let e = packed[*b as usize];
-        insert(
-            &mut acc,
-            &mut bits,
-            e & CODE_MASK,
-            (e >> LEN_SHIFT) as u32,
-            out,
-        );
+    // Tail: the zero-padded partial byte.
+    if bits > 0 {
+        out.push((acc >> 56) as u8);
     }
-    // Tail: whole pending bytes plus one zero-padded partial byte.
-    out.extend_from_slice(&acc.to_be_bytes()[..bits.div_ceil(8) as usize]);
 }
 
 /// Most symbols a single batched-LUT entry resolves (its packed `u64`
@@ -1118,6 +1143,74 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(200))]
+        #[test]
+        fn canonical_codes_equal_the_sorted_oracle(
+            kind in 0usize..5,
+            present in 0usize..=80,
+            raw in proptest::collection::vec(proptest::any::<u64>(), 80),
+        ) {
+            let lens = code_lengths(&family_histogram(kind, present, &raw));
+            assert_eq!(canonical_codes(&lens), canonical_codes_sorted(&lens), "{lens:?}");
+        }
+    }
+
+    /// Fibonacci counts on the first `k` symbols: the histogram of the
+    /// deepest tree `k` symbols can have.
+    fn fibonacci_histogram(k: usize) -> [u64; 256] {
+        let mut hist = [0u64; 256];
+        let (mut a, mut b) = (1u64, 1u64);
+        for c in hist.iter_mut().take(k) {
+            *c = a;
+            (a, b) = (b, a + b);
+        }
+        hist
+    }
+
+    /// [`code_lengths`] with the heap oracle inside the same rescale loop.
+    fn code_lengths_heap(hist: &[u64; 256]) -> [u8; 256] {
+        let mut scaled = *hist;
+        loop {
+            let lens = try_code_lengths_heap(&scaled);
+            if lens.iter().all(|&l| (l as usize) <= MAX_CODE_LEN) {
+                return lens;
+            }
+            for c in scaled.iter_mut() {
+                *c = (*c).div_ceil(2);
+            }
+        }
+    }
+
+    #[test]
+    fn code_lengths_edge_cases_match_the_heap_oracle() {
+        let mut one = [0u64; 256];
+        one[200] = 5;
+        let mut two = [0u64; 256];
+        (two[3], two[250]) = (1, 1_000_000);
+        let flat = [7u64; 256];
+        // Fibonacci counts give a chain 79 deep: the rescale loop runs.
+        let fib = fibonacci_histogram(80);
+        assert!(try_code_lengths(&fib)
+            .iter()
+            .any(|&l| l as usize > MAX_CODE_LEN));
+        for (name, hist) in [("one", one), ("two", two), ("flat", flat), ("fib", fib)] {
+            let lens = code_lengths(&hist);
+            assert_eq!(lens, code_lengths_heap(&hist), "{name}");
+            assert_eq!(
+                canonical_codes(&lens),
+                canonical_codes_sorted(&lens),
+                "{name}"
+            );
+        }
+        assert_eq!(code_lengths(&one)[200], 1);
+        assert_eq!((code_lengths(&two)[3], code_lengths(&two)[250]), (1, 1));
+        assert!(code_lengths(&flat).iter().all(|&l| l == 8));
+        assert!(code_lengths(&fib)
+            .iter()
+            .all(|&l| l as usize <= MAX_CODE_LEN));
+    }
+
     #[test]
     fn kraft_inequality_holds() {
         let hist = {
@@ -1136,8 +1229,8 @@ mod tests {
         assert!(kraft <= 1.0 + 1e-9);
     }
 
-    /// Payload shapes that exercise every encoder branch: empty input,
-    /// one symbol, dense random bytes (long codes, frequent straddles),
+    /// Payload shapes that exercise every encoder path: empty input,
+    /// one symbol, dense random bytes (long codes),
     /// zero-dominated bitplane-like data, single-symbol runs, and exact
     /// chunk boundaries.
     fn equivalence_payloads() -> Vec<Vec<u8>> {
@@ -1159,17 +1252,7 @@ mod tests {
     /// [`compress`] as it shipped with the byte-at-a-time chunk encoder:
     /// the byte oracle of [`CodeBook::encode`].
     fn compress_reference(data: &[u8]) -> Vec<u8> {
-        let lens = code_lengths(&histogram(data));
-        let codes = canonical_codes(&lens);
-        let payloads: Vec<Vec<u8>> = data
-            .chunks(CHUNK_SIZE)
-            .map(|chunk| {
-                let mut out = Vec::new();
-                encode_chunk_reference(chunk, &lens, &codes, &mut out);
-                out
-            })
-            .collect();
-        frame_stream(data.len(), &lens, &payloads)
+        compress_reference_with(&code_lengths(&histogram(data)), data)
     }
 
     #[test]
@@ -1181,10 +1264,114 @@ mod tests {
         }
     }
 
+    /// [`compress_reference`] against a given code book: the chunks of
+    /// `data` encoded byte-at-a-time with the codes of `lens`.
+    fn compress_reference_with(lens: &[u8; 256], data: &[u8]) -> Vec<u8> {
+        let codes = canonical_codes_sorted(lens);
+        let payloads: Vec<Vec<u8>> = data
+            .chunks(CHUNK_SIZE)
+            .map(|chunk| {
+                let mut out = Vec::new();
+                encode_chunk_reference(chunk, lens, &codes, &mut out);
+                out
+            })
+            .collect();
+        frame_stream(data.len(), lens, &payloads)
+    }
+
+    /// Symbols `0..=depth` with Fibonacci counts, the most frequent one
+    /// padded by `pad`, shuffled: a chain-shaped tree whose longest code
+    /// is exactly `depth` bits (padding the last leaf keeps it the last
+    /// one merged).
+    fn fibonacci_payload(depth: usize, pad: usize) -> Vec<u8> {
+        let mut hist = fibonacci_histogram(depth + 1);
+        hist[depth] += pad as u64;
+        let mut data = Vec::new();
+        for (s, &count) in hist.iter().enumerate() {
+            data.extend(std::iter::repeat_n(s as u8, count as usize));
+        }
+        let mut x = 0x9e3779b9u32 ^ depth as u32;
+        for i in (1..data.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            data.swap(i, x as usize % (i + 1));
+        }
+        data
+    }
+
+    #[test]
+    fn block_writer_matches_the_reference_in_every_arm_and_tail() {
+        // Longest codes at both sides of each arm's bound (4 codes a step
+        // to 14 bits, 2 to 28, then 1), over lengths that end a block
+        // with every remainder, straddle a chunk, span several, or hold
+        // one symbol or none.
+        let mut lengths = vec![0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1];
+        lengths.push(2 * CHUNK_SIZE + 5);
+        for k in [0, 1, 3] {
+            lengths.extend((0..=7).map(|r| BLOCK * k + r));
+        }
+        // Each book with the symbols a sample draws from: its input, and
+        // its longest codes alone — every step then carries `PER` times
+        // the longest code, the most an arm's bound admits.
+        let longest_codes = |lens: &[u8; 256]| -> Vec<u8> {
+            let longest = lens.iter().max();
+            (0..=255u8)
+                .filter(|&s| Some(&lens[s as usize]) == longest)
+                .collect()
+        };
+        let mut books = Vec::new();
+        for depth in [14, 15, 28, 29, 30] {
+            // The real input of a book this deep, padded to end a block
+            // on remainder 3, through the product path.
+            let base = fibonacci_payload(depth, 0);
+            let data = fibonacci_payload(depth, (BLOCK - base.len() % BLOCK + 3) % BLOCK);
+            let stream = compress(&data);
+            let lens: [u8; 256] = stream[16..16 + 256].try_into().unwrap();
+            assert_eq!(lens.iter().max(), Some(&(depth as u8)), "depth {depth}");
+            assert_eq!(
+                stream,
+                compress_reference_with(&lens, &data),
+                "depth {depth}"
+            );
+            assert_eq!(decompress(&stream).unwrap(), data, "depth {depth}");
+            books.push((lens, longest_codes(&lens)));
+            books.push((lens, base));
+        }
+        // The deepest book a code can have, a chain MAX_CODE_LEN deep: on
+        // its longest codes a block fills the stack buffer to its slack.
+        let lens = code_lengths(&fibonacci_histogram(MAX_CODE_LEN + 1));
+        assert_eq!(lens.iter().max(), Some(&(MAX_CODE_LEN as u8)));
+        books.push((lens, longest_codes(&lens)));
+        // Each book over symbols drawn from its input, at every length
+        // above: the arm is the book's, the tail the length's.
+        for (lens, pool) in &books {
+            let depth = lens.iter().max();
+            for &n in &lengths {
+                let sample: Vec<u8> = pool.iter().copied().cycle().take(n).collect();
+                let payload_bits = histogram(&sample)
+                    .iter()
+                    .zip(lens)
+                    .map(|(&f, &l)| f * l as u64)
+                    .sum();
+                let book = CodeBook {
+                    data: &sample,
+                    lens: *lens,
+                    payload_bits,
+                };
+                let got = book.encode();
+                assert_eq!(got[16..16 + 256], lens[..], "depth {depth:?} n={n}");
+                let want = compress_reference_with(lens, &sample);
+                assert_eq!(got, want, "depth {depth:?} n={n}");
+                assert_eq!(decompress(&got).unwrap(), sample, "depth {depth:?} n={n}");
+            }
+        }
+    }
+
     #[test]
     fn wide_encoder_handles_long_codes() {
-        // A near-degenerate distribution drives code lengths toward
-        // MAX_CODE_LEN, forcing the wide encoder's straddle branch.
+        // A near-degenerate distribution drives code lengths past 16
+        // bits, onto the block writer's two- and one-code arms.
         let mut data = Vec::new();
         for sym in 0..=255u8 {
             let reps = 1usize << (sym % 18);
@@ -1194,7 +1381,7 @@ mod tests {
         let longest = got[16..16 + 256].iter().max().copied();
         assert!(
             longest > Some(16),
-            "a pair of {longest:?}-bit codes must straddle"
+            "a {longest:?}-bit longest code leaves the four-code arm"
         );
         assert_eq!(got, compress_reference(&data));
         assert_eq!(decompress(&got).unwrap(), data);

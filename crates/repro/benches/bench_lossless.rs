@@ -1,11 +1,14 @@
 //! Criterion microbenchmarks of the lossless stage: Huffman, RLE, and the
 //! hybrid selector over synthetic bitplane-group payloads, and — the
-//! figures to quote — `units_{64,32}/{hybrid_compress,hybrid_decompress}`:
-//! Algorithm 2 and its inverse over the real merged units of one 64³ /
-//! 32³ chunk of a decomposed turbulent field (every level group encoded
-//! at 32 planes, `Interleaved32`, merged four planes to a unit), in
-//! nanoseconds per plane byte, with the share of the bytes each codec
-//! took and the share of a same-run `memcpy`'s rate, one thread wide
+//! figures to quote — the `units_{64,32}` group over the real merged
+//! units of one 64³ / 32³ chunk of a decomposed turbulent field (every
+//! level group encoded at 32 planes, `Interleaved32`, merged four planes
+//! to a unit): `hybrid_compress` (Algorithm 2), `select` (its selector
+//! alone), `huffman_encode` (`CodeBook::encode` alone on the units the
+//! selector sends to Huffman, books built outside the timed loop) and
+//! `hybrid_decompress` (the inverse), in nanoseconds per plane byte,
+//! with the share of the bytes each codec took and the share of a
+//! same-run `memcpy`'s rate, one thread wide
 //! (`CpuBackend::with_threads(1)`), so the figure is per core. Decompress
 //! runs the retrieval path's `decompress_to` into one reused buffer.
 //! Synthetic `sparse`/`noisy` payloads flatter kernels that win only on
@@ -144,6 +147,31 @@ fn bench_units(c: &mut Criterion) {
                 }
             })
         });
+        // The selector alone, then the encoder alone on the units it
+        // sends to Huffman, each book built outside the timed loop.
+        let select_secs = bench_median(&mut g, "select", || {
+            backend.install(|| {
+                for unit in criterion::black_box(&units) {
+                    criterion::black_box(hybrid.select(unit));
+                }
+            })
+        });
+        let huffman_units: Vec<&Vec<u8>> = units
+            .iter()
+            .filter(|unit| hybrid.select(unit) == Codec::Huffman)
+            .collect();
+        let huffman_bytes: usize = huffman_units.iter().map(|unit| unit.len()).sum();
+        let books: Vec<_> = huffman_units
+            .iter()
+            .map(|unit| huffman::CodeBook::new(unit))
+            .collect();
+        let encode_secs = bench_median(&mut g, "huffman_encode", || {
+            backend.install(|| {
+                for book in criterion::black_box(&books) {
+                    criterion::black_box(book.encode());
+                }
+            })
+        });
         let groups: Vec<_> = units.iter().map(|unit| hybrid.compress(unit)).collect();
         let mut scratch = Vec::new();
         let back_secs = bench_median(&mut g, "hybrid_decompress", || {
@@ -164,6 +192,16 @@ fn bench_units(c: &mut Criterion) {
         }
         let what = format!("{e}^3 chunk ({} units, {n} bytes)", units.len());
         report_rate(&format!("{what} hybrid_compress"), secs, n, "byte", memcpy);
+        report_rate(&format!("{what} select"), select_secs, n, "byte", memcpy);
+        // The memcpy figure scaled to the Huffman units' bytes.
+        let huffman_memcpy = memcpy * huffman_bytes as f64 / n.max(1) as f64;
+        report_rate(
+            &format!("{what} huffman_encode ({huffman_bytes} bytes)"),
+            encode_secs,
+            huffman_bytes.max(1),
+            "byte",
+            huffman_memcpy,
+        );
         report_rate(
             &format!("{what} hybrid_decompress"),
             back_secs,
