@@ -32,7 +32,8 @@ pub trait BitplaneFloat: Copy + PartialOrd + Send + Sync + 'static {
     /// magnitude: `floor(|v| * 2^(planes - exp))`, guaranteed `< 2^planes`
     /// when `|v| < 2^exp`.
     fn to_fixed(self, exp: i32, planes: usize) -> u64 {
-        self.to_fixed_scaled(exp2(planes as i32 - exp), planes)
+        let scale = Scale::pow2(planes as i32 - exp);
+        scale.apply_rest(self).to_fixed_scaled(scale.main, planes)
     }
 
     /// [`Self::to_fixed`] with the quantum `2^(planes - exp)` precomputed
@@ -60,7 +61,8 @@ pub trait BitplaneFloat: Copy + PartialOrd + Send + Sync + 'static {
 
     /// Inverse of [`Self::to_fixed`] for a possibly truncated magnitude.
     fn from_fixed(sign: bool, fixed: u64, exp: i32, planes: usize) -> Self {
-        Self::from_fixed_scaled(sign, fixed, exp2(exp - planes as i32))
+        let scale = Scale::pow2(exp - planes as i32);
+        scale.apply_rest(Self::from_fixed_scaled(sign, fixed, scale.main))
     }
 
     /// [`Self::from_fixed`] with the quantum `2^(exp - planes)`
@@ -78,6 +80,47 @@ pub trait BitplaneFloat: Copy + PartialOrd + Send + Sync + 'static {
 #[inline]
 pub fn exp2(e: i32) -> f64 {
     f64::exp2(e as f64)
+}
+
+/// A group's quantum `2^e` as two factors: `main`, which the element
+/// loops multiply by, and `rest`, applied once per group — before them
+/// to encode, after them to decode.
+///
+/// `rest` is 1 wherever `2^e` is a finite, non-zero `f64`. An `f64` group
+/// below ≈ 2^-959 at 64 planes overflows the encode quantum (deeper
+/// still, the decode one underflows), so there each factor is half of
+/// `e`: the product in between stays normal, the scaling stays exact,
+/// and [`prefix_error_bound`] holds. An `f32` group is never split.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Scale {
+    /// The factor the element loops apply.
+    pub(crate) main: f64,
+    /// The rest of `2^e`.
+    rest: f64,
+}
+
+impl Scale {
+    /// The quantum `2^e`, decided once per group.
+    pub(crate) fn pow2(e: i32) -> Scale {
+        match exp2(e) {
+            main if main.is_finite() && main != 0.0 => Scale { main, rest: 1.0 },
+            _ => Scale {
+                main: exp2(e / 2),
+                rest: exp2(e - e / 2),
+            },
+        }
+    }
+
+    /// Whether `2^e` needed two factors.
+    pub(crate) fn is_split(self) -> bool {
+        self.rest != 1.0
+    }
+
+    /// `v · rest` (exact: only `f64` groups are split).
+    #[inline]
+    pub(crate) fn apply_rest<F: BitplaneFloat>(self, v: F) -> F {
+        F::from_f64(v.to_f64() * self.rest)
+    }
 }
 
 impl BitplaneFloat for f32 {

@@ -14,7 +14,7 @@
 //!   are *device independent*: a 64-lane wavefront device produces byte-
 //!   identical streams to a 32-lane device, which is the portability
 //!   property HP-MDR's refactored data relies on.
-//! * **Fast native codecs** ([`native`]): rayon-parallel encoders built on
+//! * **Fast native codecs** ([`native`]): tile-parallel encoders built on
 //!   a 32×32 bit-matrix transpose, used for wall-clock benchmarking and by
 //!   the end-to-end pipelines. They are portable Rust with no
 //!   architecture-specific code: the encoder transposes a 1024-element

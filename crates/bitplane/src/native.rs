@@ -4,15 +4,15 @@
 //! column is a 32×32 bit-tile transpose of 32 aligned values chosen by
 //! the layout's `element(word, row)` rule, and the encoder transposes the
 //! 32 columns of a 1024-element tile in lockstep. Tiles are independent,
-//! so encoding parallelizes over rayon with no synchronization; this is
-//! the same structure that makes the paper's register-block GPU kernel
-//! communication-free.
+//! so encoding fans out over the worker pool with no synchronization;
+//! this is the same structure that makes the paper's register-block GPU
+//! kernel communication-free.
 
 use crate::chunk::BitplaneChunk;
-use crate::fixed::{align_exponent, BitplaneFloat};
+use crate::fixed::{align_exponent, BitplaneFloat, Scale};
 use crate::layout::{Layout, TILE_ELEMS, WORD_BITS};
 use crate::transpose::{transpose32, transpose32_columns};
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 
 /// How truncated magnitudes are turned back into floats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,7 +27,7 @@ pub enum Reconstruction {
 
 /// Raw pointer into a plane-major arena (the magnitude planes, or the sign
 /// plane as an arena of one), letting disjoint word ranges be written
-/// from rayon workers without locks. Soundness: every tile is processed by
+/// from pool workers without locks. Soundness: every tile is processed by
 /// exactly one worker, and a worker only writes its own words of each
 /// plane — words `32·tile .. 32·tile + 32` (`arena[plane·words + word]`).
 struct ArenaColumns {
@@ -80,7 +80,17 @@ pub fn encode<F: BitplaneFloat>(data: &[F], planes: usize, layout: Layout) -> Bi
     let n = data.len();
     let words = layout.words_per_plane(n);
     let mut chunk = BitplaneChunk::zeroed::<F>(n, exp, layout, b);
-    let scale = crate::fixed::exp2(b as i32 - exp);
+    // A split group is staged at `rest` times its values, so the tile
+    // loop multiplies by one factor whatever the group (see `Scale`).
+    let scale = Scale::pow2(b as i32 - exp);
+    let staged: Vec<F>;
+    let data: &[F] = if scale.is_split() {
+        staged = data.iter().map(|&v| scale.apply_rest(v)).collect();
+        &staged
+    } else {
+        data
+    };
+    let scale = scale.main;
     let cols = ArenaColumns {
         ptr: chunk.arena_mut().as_mut_ptr(),
         words,
@@ -333,7 +343,8 @@ impl ProgressiveDecoder {
         } else {
             0
         };
-        let (scale, mid32) = (crate::fixed::exp2(chunk.exp - b as i32), midpoint as u32);
+        let quantum = Scale::pow2(chunk.exp - b as i32);
+        let (scale, mid32) = (quantum.main, midpoint as u32);
         // Fan out over tiles, 32 or more to a worker (a thread spawn's
         // worth). `move`: the row loops must read `b`, `midpoint` and
         // `scale` as values — behind references the compiler reloads them
@@ -375,6 +386,10 @@ impl ProgressiveDecoder {
                 }
             }
         });
+        // A split quantum's rest comes last (see `Scale`).
+        if quantum.is_split() {
+            out.iter_mut().for_each(|o| *o = quantum.apply_rest(*o));
+        }
         out
     }
 }
@@ -481,7 +496,6 @@ mod oracle {
                 0
             };
             let layout = chunk.layout;
-            let scale = crate::fixed::exp2(chunk.exp - b as i32);
             (0..chunk.n)
                 .map(|e| {
                     let (u, r) = layout.position(e);
@@ -490,7 +504,7 @@ mod oracle {
                     if fixed != 0 {
                         fixed |= midpoint;
                     }
-                    F::from_fixed_scaled(sign, fixed, scale)
+                    F::from_fixed(sign, fixed, chunk.exp, b)
                 })
                 .collect()
         }
@@ -903,9 +917,8 @@ mod tests {
         let mut dec = ProgressiveDecoder::new(&c);
         dec.advance(&c, 17);
         let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-            let pool = pool.expect("the shim's build is infallible");
-            bits(&pool.install(|| dec.materialize::<f32>(&c, Reconstruction::Midpoint)))
+            let back = hpmdr_rt::install(threads, || dec.materialize(&c, Reconstruction::Midpoint));
+            bits::<f32>(&back)
         };
         assert_eq!(run(1), run(4));
     }
@@ -922,9 +935,9 @@ mod tests {
 
     /// `noisy`, with the corner cases of the fixed-point conversion mixed
     /// in by `seed`: one denormal among ordinary values, nothing but
-    /// denormals (for `f64` the quantum `2^(planes - exp)` overflows and
-    /// every magnitude hits the `min(max)` clamp), and one value at the
-    /// top of the type's exponent range. `tiny` is a denormal of `F` and
+    /// denormals (for `f64` one factor `2^(planes - exp)` overflows and
+    /// the quantum is split), and one value at the top of the type's
+    /// exponent range. `tiny` is a denormal of `F` and
     /// `huge` its largest finite value.
     fn corner_cases<F: BitplaneFloat>(n: usize, seed: u32, tiny: f64, huge: f64) -> Vec<F> {
         let mut data = noisy(n, seed);
@@ -968,14 +981,57 @@ mod tests {
     }
 
     #[test]
-    fn encode_clamps_when_the_quantum_overflows() {
-        // Nothing but f64 denormals at 64 planes: `2^(64 - exp)` is
-        // infinite, every non-zero magnitude saturates.
+    fn encode_is_exact_when_the_quantum_overflows() {
+        // Nothing but f64 denormals at 64 planes: one factor `2^(64 - exp)`
+        // would be infinite, so the quantum is split in two. A denormal's
+        // bits are its integer mantissa `m` (`v = m · 2^-1074`), so its
+        // magnitude is `m · 2^(64 - exp - 1074)` exactly: nothing
+        // saturates, and the 17 lowest planes stay empty.
         let data: Vec<f64> = (0..100).map(|i| 1e-310 * f64::from(i % 5)).collect();
         let c = encode(&data, 64, Layout::Interleaved32);
+        assert_eq!(c.exp, -1027);
         assert!(crate::fixed::exp2(64 - c.exp).is_infinite());
-        assert!(c.plane(63).iter().any(|&w| w != 0), "saturated magnitudes");
+        for &v in &data {
+            assert_eq!(v.to_fixed(c.exp, 64), v.to_bits() << 17, "{v:e}");
+        }
+        assert!((47..64).all(|p| c.plane(p).iter().all(|&w| w == 0)));
+        let back: Vec<f64> = decode_prefix(&c, 64, Reconstruction::Truncate);
+        assert_eq!(bits(&back), bits(&data));
         assert_encode_matches_columns(&data, 64, "denormals");
+    }
+
+    /// Groups so small that one quantum factor leaves f64's range. At 64
+    /// planes the encode quantum `2^(64 - exp)` overflows for 1e-290 …
+    /// 1e-310; for a deep denormal at 16 planes the decode quantum
+    /// `2^(exp - 16)` underflows to zero as well. Every prefix, truncated
+    /// or midpoint, stays within the bound it reports.
+    #[test]
+    fn tiny_groups_meet_the_prefix_bound_at_every_k() {
+        let groups = [
+            (1e-290, 64),
+            (1e-295, 64),
+            (1e-300, 64),
+            (1e-310, 64),
+            (1e-320, 16),
+        ];
+        for (magnitude, planes) in groups {
+            let data: Vec<f64> = wave(1500, 1.0).iter().map(|v| v * magnitude).collect();
+            for layout in [Layout::Natural, Layout::Interleaved32] {
+                let c = encode(&data, planes, layout);
+                for k in 0..=planes {
+                    let bound = prefix_error_bound(c.exp, k);
+                    for recon in BOTH {
+                        let back: Vec<f64> = decode_prefix(&c, k, recon);
+                        let err = data.iter().zip(&back).map(|(a, b)| (a - b).abs());
+                        let err = err.fold(0.0, f64::max);
+                        assert!(
+                            err <= bound,
+                            "{magnitude:e} {layout:?} k={k}/{planes} {recon:?}: {err:e} > {bound:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -985,9 +1041,9 @@ mod tests {
         let d64 = corner_cases::<f64>(70_000, 0xbeef, 1e-310, f64::MAX);
         for layout in [Layout::Natural, Layout::Interleaved32] {
             let run = |threads: usize| {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build();
-                let pool = pool.expect("the shim's build is infallible");
-                pool.install(|| (encode(&d32, 27, layout), encode(&d64, 53, layout)))
+                hpmdr_rt::install(threads, || {
+                    (encode(&d32, 27, layout), encode(&d64, 53, layout))
+                })
             };
             let (one, four) = (run(1), run(4));
             assert_eq!(one, four, "{layout:?}");

@@ -7,9 +7,9 @@
 //! the smoother LETKF/ISABEL-like fields; post-maps (exp, tanh layering,
 //! vortex swirl) add the dataset-specific structure.
 
+use hpmdr_rt::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Parameters of one spectral synthesis.
 #[derive(Debug, Clone, PartialEq)]

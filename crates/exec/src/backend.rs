@@ -5,7 +5,7 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout, Reconstruction};
 use hpmdr_lossless::{CodecError, CompressedGroup, HybridCompressor};
 use hpmdr_mgard::{Hierarchy, Real};
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 
 /// Why [`Backend::decode_units`] failed to rebuild a bitplane chunk.
 /// Streams are storage input, so every defect is a matchable error, not

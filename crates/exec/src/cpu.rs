@@ -16,7 +16,7 @@ use crate::backend::Backend;
 ///   decoder materialization) split at `threads` width via `install`.
 ///
 /// Every fan runs on the process's one worker pool and draws on its one
-/// core budget (see the `rayon` shim): a fan takes only the cores no
+/// core budget (see `hpmdr_rt`): a fan takes only the cores no
 /// other thread holds, so a fan nested inside a batch item runs inline
 /// once the items fill the machine, and concurrent clients or pipeline
 /// stages that already occupy every core fan nothing. At
@@ -41,7 +41,7 @@ impl CpuBackend {
     /// Backend as wide as the host (free: the width is read once per
     /// process).
     pub fn new() -> Self {
-        Self::with_threads(rayon::host_threads())
+        Self::with_threads(hpmdr_rt::host_threads())
     }
 
     /// Backend splitting its kernels `threads` ways; 1 runs everything on
@@ -63,7 +63,7 @@ impl Backend for CpuBackend {
     }
 
     fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        rayon::install(self.threads, f)
+        hpmdr_rt::install(self.threads, f)
     }
 }
 
@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn thread_budget_is_clamped() {
         assert_eq!(CpuBackend::with_threads(0).threads(), 1);
-        assert_eq!(CpuBackend::new().threads(), rayon::host_threads());
+        assert_eq!(CpuBackend::new().threads(), hpmdr_rt::host_threads());
         assert_eq!(CpuBackend::default(), CpuBackend::new());
     }
 
@@ -116,7 +116,7 @@ mod tests {
         let b = CpuBackend::with_threads(1);
         assert_eq!(b.threads(), 1);
         assert_eq!(b.name(), "cpu");
-        b.install(|| assert_eq!(rayon::current_num_threads(), 1));
+        b.install(|| assert_eq!(hpmdr_rt::current_num_threads(), 1));
     }
 
     #[test]

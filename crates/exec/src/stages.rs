@@ -186,7 +186,7 @@ where
         // closure sets its kernels' width), so the transform's fans see
         // the cores the stages occupy.
         scope.spawn(move || {
-            rayon::install(1, || loop {
+            hpmdr_rt::install(1, || loop {
                 if !gate.acquire() {
                     break; // pipeline aborted downstream
                 }
@@ -206,7 +206,7 @@ where
         });
 
         let writer = scope.spawn(move || -> Result<(), E> {
-            rayon::install(1, || {
+            hpmdr_rt::install(1, || {
                 while let Ok(item) = rx_b.recv() {
                     if let Err(e) = consume(item) {
                         gate.abort();
@@ -234,7 +234,7 @@ where
                 }
                 Err(_) => break, // producer finished
             };
-            let width = max_batch.min(1 + rayon::idle_threads());
+            let width = max_batch.min(1 + hpmdr_rt::idle_threads());
             let mut batch = vec![first];
             while batch.len() < width {
                 match rx_a.try_recv() {

@@ -18,7 +18,7 @@
 
 use crate::huffman::CodeBook;
 use crate::rle::{varint_len, CHUNK_SIZE};
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 
 /// Estimated compression ratio of Huffman coding `data` (original size
 /// divided by estimated compressed size, header included). Returns

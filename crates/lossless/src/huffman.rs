@@ -23,7 +23,7 @@
 //! ```
 
 use crate::framing::{carve_output, parse_frames, ChunkFrames, FramingError};
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 
 /// Chunk granularity for parallel encode/decode.
 pub const CHUNK_SIZE: usize = 1 << 16;

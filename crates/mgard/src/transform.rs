@@ -29,7 +29,7 @@
 use crate::grid::Hierarchy;
 use crate::line::{decompose_panel, recompose_panel, MassFactor, PanelScratch};
 use crate::Real;
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 use std::ops::Range;
 
 /// Target footprint of one panel buffer: with the correction scratch
@@ -196,7 +196,7 @@ fn axis_pass<F: Real>(
     let parts = pass_parts(
         pass.n * pass.num_lines(),
         panels,
-        rayon::current_num_threads(),
+        hpmdr_rt::current_num_threads(),
     );
     if parts == 1 {
         run(0..panels);
@@ -450,15 +450,11 @@ mod tests {
     fn assert_matches_oracle<F: Real>(shape: &[usize], seed: u32, threads: usize) {
         let h = Hierarchy::full(shape);
         let orig: Vec<F> = rough_field(h.len(), seed);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
         for correct in [true, false] {
             let mut want = orig.clone();
             oracle_decompose(&mut want, &h, correct);
             let mut got = orig.clone();
-            pool.install(|| decompose(&mut got, &h, correct));
+            hpmdr_rt::install(threads, || decompose(&mut got, &h, correct));
             assert_eq!(
                 bits(&got),
                 bits(&want),
@@ -468,7 +464,9 @@ mod tests {
                 let mut want_back = want.clone();
                 oracle_recompose_to_level(&mut want_back, &h, correct, target);
                 let mut got_back = want.clone();
-                pool.install(|| recompose_to_level(&mut got_back, &h, correct, target));
+                hpmdr_rt::install(threads, || {
+                    recompose_to_level(&mut got_back, &h, correct, target)
+                });
                 assert_eq!(
                     bits(&got_back),
                     bits(&want_back),

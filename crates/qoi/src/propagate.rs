@@ -10,7 +10,7 @@
 //!   show `actual ≤ estimated ≤ tolerance`.
 
 use crate::expr::QoiExpr;
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Result of a domain-wide max-error scan.

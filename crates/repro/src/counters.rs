@@ -3,7 +3,7 @@
 //! Simulated kernels accumulate architectural events here; the cost model
 //! in [`crate::cost`] converts the totals into simulated time. Counters are
 //! plain integers so per-warp accounting stays allocation-free and cheap to
-//! merge across rayon workers.
+//! merge across worker threads.
 
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};

@@ -1,12 +1,12 @@
-//! API-compatible subset of `rayon` over one persistent worker pool.
+//! The runtime under every kernel: one persistent worker pool, one
+//! process-wide core budget, and the parallel iterators that fan out
+//! over them.
 //!
-//! The registry is unreachable in this build environment, so the
-//! workspace vendors the slice of rayon it actually uses: indexed
-//! parallel iterators over ranges, vectors, slices, and chunked slices,
-//! with `map` / `enumerate` / `zip` adapters and `collect` / `for_each` /
-//! `for_each_init` / `reduce` / `sum` terminals, plus a [`ThreadPool`]
-//! whose `install` scopes the thread's width (that is how the scalar
-//! executor backend pins kernels to one thread).
+//! The iterators are indexed and rayon-shaped — ranges, vectors, slices
+//! and chunked slices, with `map` / `enumerate` / `zip` adapters and
+//! `collect` / `for_each` / `reduce` / `sum` terminals — and [`install`]
+//! scopes the calling thread's width (that is how a one-thread backend
+//! pins its kernels to one thread).
 //!
 //! Execution model: a terminal splits the index space into at most
 //! `current_num_threads()` contiguous parts (respecting `with_min_len`).
@@ -17,8 +17,7 @@
 //! as many pool workers as the core budget leaves free, claims parts
 //! itself from the same shared index (so it never waits on a part nobody
 //! has started), and returns once every part has finished, re-raising a
-//! worker's panic. With no free core the parts simply run inline in
-//! order.
+//! part's panic. With no free core the parts simply run inline in order.
 //!
 //! **The pool.** `host_threads() − 1` workers, named `hpmdr-exec-{i}`
 //! (the pool is the engine of the workspace's executor layer), started
@@ -161,65 +160,6 @@ fn with_thread_override<R>(n: usize, f: impl FnOnce() -> R) -> R {
     }
     let _restore = Restore(prev);
     f()
-}
-
-/// Error from [`ThreadPoolBuilder::build`] (never produced by the shim).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError;
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "thread pool build error")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// A width scope over the process's one pool. `install` runs `f` as the
-/// free function [`install`] does, with this pool's thread count.
-#[derive(Debug)]
-pub struct ThreadPool {
-    threads: usize,
-}
-
-impl ThreadPool {
-    /// Thread count of the pool.
-    pub fn current_num_threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run `f` with this pool's width in effect (see [`install`]).
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        install(self.threads, f)
-    }
-}
-
-/// Builder for [`ThreadPool`].
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    threads: Option<usize>,
-}
-
-impl ThreadPoolBuilder {
-    /// Start building a pool.
-    pub fn new() -> Self {
-        ThreadPoolBuilder::default()
-    }
-
-    /// Fix the worker count (0 = host parallelism).
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Finish building.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        let threads = match self.threads {
-            Some(0) | None => host_threads(),
-            Some(n) => n,
-        };
-        Ok(ThreadPool { threads })
-    }
 }
 
 fn part_count(len: usize, min_len: usize) -> usize {
@@ -567,21 +507,6 @@ pub trait ParallelIterator: Sized + Send {
         });
     }
 
-    /// Run `op` on every item with one `init()` state per worker part.
-    fn for_each_init<S, I, F>(self, init: I, op: F)
-    where
-        I: Fn() -> S + Sync + Send,
-        F: Fn(&mut S, Self::Item) + Sync + Send,
-    {
-        let parts = part_count(self.length(), self.min_len_hint());
-        self.drive(parts, &|_base, items| {
-            let mut state = init();
-            for item in items {
-                op(&mut state, item);
-            }
-        });
-    }
-
     /// Fold all items with `op`, seeding each part with `identity()`.
     fn reduce<ID, OP>(self, identity: ID, op: OP) -> Self::Item
     where
@@ -595,9 +520,14 @@ pub trait ParallelIterator: Sized + Send {
             for item in items {
                 acc = op(acc, item);
             }
-            partials.lock().unwrap().push((base, acc));
+            partials
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((base, acc));
         });
-        let mut partials = partials.into_inner().unwrap();
+        let mut partials = partials
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         partials.sort_by_key(|&(base, _)| base);
         partials
             .into_iter()
@@ -614,9 +544,14 @@ pub trait ParallelIterator: Sized + Send {
         let partials: Mutex<Vec<(usize, S)>> = Mutex::new(Vec::new());
         self.drive(parts, &|base, items| {
             let s: S = items.into_iter().sum();
-            partials.lock().unwrap().push((base, s));
+            partials
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((base, s));
         });
-        let mut partials = partials.into_inner().unwrap();
+        let mut partials = partials
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         partials.sort_by_key(|&(base, _)| base);
         partials.into_iter().map(|(_, s)| s).sum()
     }
@@ -772,17 +707,6 @@ impl<'a, T: Sync> ParallelIterator for ParSliceIter<'a, T> {
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-    type Iter = ParSliceIter<'a, T>;
-    type Item = &'a T;
-    fn par_iter(&'a self) -> ParSliceIter<'a, T> {
-        ParSliceIter {
-            slice: self,
-            min_len: 1,
-        }
-    }
-}
-
-impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Iter = ParSliceIter<'a, T>;
     type Item = &'a T;
     fn par_iter(&'a self) -> ParSliceIter<'a, T> {
@@ -970,15 +894,18 @@ impl<T: Send> FromParallelIterator<T> for Vec<T> {
         if parts <= 1 {
             let out: Mutex<Vec<T>> = Mutex::new(Vec::new());
             iter.drive(1, &|_base, items| {
-                *out.lock().unwrap() = items;
+                *out.lock().unwrap_or_else(PoisonError::into_inner) = items;
             });
-            return out.into_inner().unwrap();
+            return out.into_inner().unwrap_or_else(PoisonError::into_inner);
         }
         let pieces: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
         iter.drive(parts, &|base, items| {
-            pieces.lock().unwrap().push((base, items));
+            pieces
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((base, items));
         });
-        let mut pieces = pieces.into_inner().unwrap();
+        let mut pieces = pieces.into_inner().unwrap_or_else(PoisonError::into_inner);
         pieces.sort_by_key(|&(base, _)| base);
         let mut out = Vec::with_capacity(pieces.iter().map(|(_, v)| v.len()).sum());
         for (_, mut v) in pieces {
@@ -1059,6 +986,48 @@ mod tests {
         assert_eq!(busy_threads(), 0, "after normal completion");
     }
 
+    /// The caller's own part panics while a pool worker is still inside a
+    /// sibling part that then writes to the caller's stack. The terminal
+    /// must not unwind past `run_shared`, which lends that stack to the
+    /// worker, before the sibling has finished. On one core both parts
+    /// run inline and the first one's panic ends the terminal.
+    #[test]
+    fn a_caller_panic_waits_for_the_workers_part() {
+        let _serial = serial();
+        let two_cores = host_threads() >= 2;
+        let meet = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let written = AtomicUsize::new(0);
+        let before = helped_parts();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            install(2, || {
+                (0..2usize).into_par_iter().for_each(|_| {
+                    if std::thread::current().id() == caller {
+                        if two_cores {
+                            meet.wait(); // the worker is inside its part
+                        }
+                        panic!("caller part failed");
+                    }
+                    meet.wait();
+                    // Time for the caller to leave the terminal, had
+                    // nothing held it back.
+                    std::thread::sleep(Duration::from_millis(100));
+                    written.store(1, Ordering::SeqCst);
+                });
+            })
+        }));
+        let payload = outcome.expect_err("the caller's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller part failed"));
+        let written = written.load(Ordering::SeqCst);
+        assert_eq!(
+            written,
+            usize::from(two_cores),
+            "the worker's part finished first"
+        );
+        assert_eq!(helped_parts() - before, usize::from(two_cores));
+        assert_eq!(busy_threads(), 0, "after unwinding");
+    }
+
     /// Thousands of terminals from one thread (each publishing to the
     /// pool when a core is free) and from eight at once (contending for
     /// the queue and the count) all finish: no wake-up is lost, no core
@@ -1102,8 +1071,7 @@ mod tests {
         let terms = [1e16, -1e16, 1.0];
         let later_parts_done = AtomicUsize::new(0);
         let wait = std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2;
-        let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
-        let total: f64 = pool.install(|| {
+        let total: f64 = install(3, || {
             (0..3usize)
                 .into_par_iter()
                 .map(|i| {
@@ -1211,39 +1179,24 @@ mod tests {
     }
 
     #[test]
-    fn for_each_init_visits_everything() {
-        let _serial = serial();
-        let seen = Mutex::new(vec![false; 2000]);
-        (0..2000usize)
-            .into_par_iter()
-            .with_min_len(16)
-            .for_each_init(
-                || 0usize,
-                |state, i| {
-                    *state += 1;
-                    seen.lock().unwrap()[i] = true;
-                },
-            );
-        assert!(seen.into_inner().unwrap().iter().all(|&b| b));
-    }
-
-    #[test]
     fn pool_install_limits_threads() {
         let _serial = serial();
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| {
+        let caller = std::thread::current().id();
+        install(1, || {
             assert_eq!(current_num_threads(), 1);
-            let v: Vec<usize> = (0..64usize).into_par_iter().map(|i| i).collect();
-            assert_eq!(v.len(), 64);
+            let ran_on: Vec<_> = (0..64usize)
+                .into_par_iter()
+                .map(|_| std::thread::current().id())
+                .collect();
+            assert_eq!(ran_on, vec![caller; 64]);
         });
     }
 
     #[test]
     fn par_chunks_mut_visits_disjoint_chunks_in_order() {
         let _serial = serial();
-        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
         let mut data = vec![0usize; 1000];
-        pool.install(|| {
+        install(4, || {
             data.par_chunks_mut(64)
                 .enumerate()
                 .for_each(|(c, chunk)| chunk.iter_mut().for_each(|x| *x = c));

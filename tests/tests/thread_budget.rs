@@ -6,7 +6,7 @@
 
 use hpmdr_core::prelude::*;
 use hpmdr_core::roi::Region;
-use rayon::prelude::*;
+use hpmdr_rt::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, PoisonError};
@@ -31,7 +31,7 @@ fn hog(cores: usize) -> Hog {
         .map(|_| {
             let (release, ready) = (Arc::clone(&release), ready.clone());
             thread::spawn(move || {
-                rayon::install(1, || {
+                hpmdr_rt::install(1, || {
                     ready.send(()).unwrap();
                     release.wait();
                 })
@@ -96,14 +96,14 @@ fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 #[test]
 fn nested_fans_inside_batch_items_run_inline_when_no_core_is_free() {
     let _serial = serial();
-    let host = rayon::host_threads();
+    let host = hpmdr_rt::host_threads();
     let _hog = hog(host.saturating_sub(2));
     let backend = CpuBackend::with_threads(2);
     let meet = Barrier::new(host.min(2));
     let seen = backend.map_batch(&ExecCtx::default(), &[0usize, 1], |_| {
         meet.wait();
         let me = thread::current().id();
-        let idle = rayon::idle_threads();
+        let idle = hpmdr_rt::idle_threads();
         let ran_on: Vec<_> = backend.install(|| {
             (0..64usize)
                 .into_par_iter()
@@ -167,7 +167,7 @@ fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
 
     for threads in [1, 2, 4] {
         for hogged in [false, true] {
-            let _hog = hogged.then(|| hog(rayon::host_threads()));
+            let _hog = hogged.then(|| hog(hpmdr_rt::host_threads()));
             let backend = CpuBackend::with_threads(threads);
             let case = format!("threads={threads} hog={hogged}");
             for ((store, q), want) in queries.iter().zip(&want) {
@@ -195,7 +195,7 @@ fn answers_and_stores_are_identical_with_and_without_a_hog_at_any_width() {
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(
-            rayon::busy_threads(),
+            hpmdr_rt::busy_threads(),
             0,
             "threads={threads}: a core stayed counted"
         );
@@ -248,11 +248,15 @@ fn a_qoi_query_runs_on_the_readers_backend_and_thread() {
     ));
 
     let backend = Counting::default();
-    let helped = rayon::helped_parts();
+    let helped = hpmdr_rt::helped_parts();
     let scalar = Reader::with_backend(&store, backend.clone())
         .retrieve::<f32>(&query)
         .unwrap();
-    assert_eq!(rayon::helped_parts(), helped, "a part ran off the caller");
+    assert_eq!(
+        hpmdr_rt::helped_parts(),
+        helped,
+        "a part ran off the caller"
+    );
     assert!(
         backend.installs.load(Ordering::SeqCst) > 0,
         "the QoI loop bypassed the reader's backend"
