@@ -7,12 +7,16 @@
 //! over many execution targets and storage layouts:
 //!
 //! * [`MdrConfig`] → [`Mdr`] — one builder covering monolithic *and*
-//!   chunked refactoring on any [`Backend`], no `_with` duplication;
+//!   chunked refactoring on any [`Backend`], no `_with` duplication, and
+//!   the two streaming writes [`Mdr::ingest`] / [`Mdr::append`];
 //! * [`Artifact`] — the refactoring product, whichever path produced it;
+//!   [`Artifact::write_store`] lays either decomposition out as one
+//!   sharded store;
 //! * [`Store`] — an object-safe trait over *where artifacts live*:
-//!   in memory ([`InMemoryStore`]), a unit-file directory
-//!   ([`StoreReader`]), or a sharded chunk store
-//!   ([`ChunkedStoreReader`]); [`open_store`] sniffs the on-disk flavor;
+//!   in memory ([`InMemoryStore`]), a sharded store directory
+//!   ([`ChunkedStoreReader`]), behind a cache ([`CachedStore`]), or over
+//!   HTTP ([`RemoteStore`](crate::remote::RemoteStore)); [`open_store`]
+//!   tells them apart;
 //! * [`Query`] = [`Target`] × [`Scope`] — one query model for absolute /
 //!   relative / RMSE / QoI / lossless targets over the full domain, a
 //!   region, or a coarser resolution;
@@ -26,12 +30,12 @@
 
 use crate::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored};
 use crate::error::MdrError;
-use crate::ingest::{run_ingest, ChunkSource, IngestOptions, IngestReport};
+use crate::ingest::{run_ingest, ChunkSource, IngestReport, Schedule, DEFAULT_LOOKAHEAD};
 use crate::qoi_retrieval::{multi_qoi_control, EbEstimator};
 use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_region, Region, RoiPlan};
-use crate::storage::{ChunkedStoreReader, ChunkedStoreWriter, StoreReader};
+use crate::storage::{write_chunks, ChunkedStoreReader, ChunkedStoreWriter};
 use hpmdr_bitplane::{BitplaneFloat, Layout};
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::HybridConfig;
@@ -267,41 +271,25 @@ impl<B: Backend> Mdr<B> {
         }
     }
 
-    /// Stream `source` into a **new** sharded store at `dir` with the
-    /// default overlapped schedule — see [`ingest_with`](Self::ingest_with).
-    pub fn ingest<F, S>(&self, source: S, dir: &Path) -> Result<IngestReport, MdrError>
-    where
-        F: BitplaneFloat + Real + Default,
-        S: ChunkSource<F>,
-    {
-        self.ingest_with(source, dir, &IngestOptions::default())
-    }
-
     /// Stream `source` chunk-by-chunk into a new sharded store at
     /// `dir`: a producer thread pulls chunk k+1 from the source while
     /// the backend refactors chunk k and a writer thread flushes chunk
-    /// k−1's shard ([`PipelineMode::Overlapped`](crate::ingest::PipelineMode);
-    /// `Sequential` is the serial baseline). Peak staged payload is
-    /// bounded by `opts.lookahead ×` the largest chunk footprint — never
-    /// the dataset — and the measured high-water mark comes back in the
+    /// k−1's shard. Peak staged payload is bounded by
+    /// [`DEFAULT_LOOKAHEAD`] `×` the largest chunk footprint — never the
+    /// dataset — and the measured high-water mark comes back in the
     /// [`IngestReport`].
     ///
     /// The store is **bit-identical** to writing
     /// [`Self::refactor`]'s chunked artifact with
-    /// [`crate::storage::write_chunked_store`]: both paths run the same
-    /// per-chunk fan. The manifest is committed atomically at the end;
-    /// a crashed ingest leaves no manifest (and [`open_store`] fails
-    /// cleanly) rather than a torn store.
+    /// [`Artifact::write_store`]: both paths run the same per-chunk
+    /// fan. The manifest is committed atomically at the end; a crashed
+    /// ingest leaves no manifest (and [`open_store`] fails cleanly)
+    /// rather than a torn store.
     ///
     /// Requires a chunked configuration ([`MdrConfig::chunked`]);
     /// non-finite samples from the source are [`MdrError::InvalidInput`],
     /// not a panic.
-    pub fn ingest_with<F, S>(
-        &self,
-        source: S,
-        dir: &Path,
-        opts: &IngestOptions,
-    ) -> Result<IngestReport, MdrError>
+    pub fn ingest<F, S>(&self, source: S, dir: &Path) -> Result<IngestReport, MdrError>
     where
         F: BitplaneFloat + Real + Default,
         S: ChunkSource<F>,
@@ -327,25 +315,15 @@ impl<B: Backend> Mdr<B> {
         }
         let grid = ChunkGrid::new(&shape, extent);
         let mut writer = ChunkedStoreWriter::create(dir, grid.clone(), F::TYPE_NAME)?;
-        let mut report = self.run_pipeline(source, &grid, opts, writer_sink(&mut writer))?;
+        let mut report = self.run_pipeline(source, &grid, writer_sink(&mut writer))?;
         report.shape = shape;
         finish_writer(writer, report)
-    }
-
-    /// Grow the store at `dir` by `source` along dimension 0 with the
-    /// default overlapped schedule — see [`append_with`](Self::append_with).
-    pub fn append<F, S>(&self, dir: &Path, source: S) -> Result<IngestReport, MdrError>
-    where
-        F: BitplaneFloat + Real + Default,
-        S: ChunkSource<F>,
-    {
-        self.append_with(dir, source, &IngestOptions::default())
     }
 
     /// Append `source` to the existing sharded store at `dir`, growing
     /// the domain along dimension 0 (the slowest-varying axis — the
     /// time-series direction). New chunks stream through the same
-    /// bounded pipeline as [`Self::ingest_with`]; existing shards are
+    /// bounded pipeline as [`Self::ingest`]; existing shards are
     /// untouched, and the grown manifest replaces the old one
     /// atomically only after every new shard is flushed — an
     /// interrupted append leaves the prior store fully readable.
@@ -357,12 +335,7 @@ impl<B: Backend> Mdr<B> {
     /// bit-identical to a one-shot refactor of the concatenated
     /// domain). A manifest from a newer writer is
     /// [`MdrError::VersionMismatch`].
-    pub fn append_with<F, S>(
-        &self,
-        dir: &Path,
-        source: S,
-        opts: &IngestOptions,
-    ) -> Result<IngestReport, MdrError>
+    pub fn append<F, S>(&self, dir: &Path, source: S) -> Result<IngestReport, MdrError>
     where
         F: BitplaneFloat + Real + Default,
         S: ChunkSource<F>,
@@ -379,25 +352,27 @@ impl<B: Backend> Mdr<B> {
         }
         let final_shape = writer.grid().shape.clone();
         let slab_grid = ChunkGrid::new(&slab_shape, &extent);
-        let mut report = self.run_pipeline(source, &slab_grid, opts, writer_sink(&mut writer))?;
+        let mut report = self.run_pipeline(source, &slab_grid, writer_sink(&mut writer))?;
         report.shape = final_shape;
         finish_writer(writer, report)
     }
 
-    /// Shared tail of [`Self::ingest_with`] / [`Self::append_with`]:
-    /// run the bounded pipeline over `grid` and assemble the metrics
-    /// side of the report (`shape` is filled in by the caller).
+    /// Shared tail of [`Self::ingest`] / [`Self::append`]: run the
+    /// overlapped pipeline over `grid` and assemble the metrics side of
+    /// the report (`shape` is filled in by the caller).
     fn run_pipeline<F, S>(
         &self,
         source: S,
         grid: &ChunkGrid,
-        opts: &IngestOptions,
         mut sink: impl FnMut(usize, Refactored) -> Result<(), MdrError> + Send,
     ) -> Result<IngestReport, MdrError>
     where
         F: BitplaneFloat + Real + Default,
         S: ChunkSource<F>,
     {
+        let schedule = Schedule::Overlapped {
+            lookahead: DEFAULT_LOOKAHEAD,
+        };
         // The caller's transform loop holds one core of the budget for the
         // whole ingest; the stage threads hold their own.
         let metrics = self.backend.install(|| {
@@ -407,7 +382,7 @@ impl<B: Backend> Mdr<B> {
                 &self.config.refactor,
                 &self.backend,
                 &self.ctx,
-                opts,
+                schedule,
                 true,
                 &mut sink,
             )
@@ -418,7 +393,7 @@ impl<B: Backend> Mdr<B> {
             bytes_written: 0,
             peak_staged_bytes: metrics.peak_staged_bytes,
             max_chunk_footprint_bytes: metrics.max_chunk_footprint_bytes,
-            lookahead: opts.lookahead.max(1),
+            lookahead: DEFAULT_LOOKAHEAD,
         })
     }
 
@@ -516,16 +491,26 @@ impl Artifact {
         }
     }
 
-    /// Persist under `dir` in the flavor matching the decomposition
-    /// (unit-file store for monolithic, sharded chunk store for
-    /// chunked); [`open_store`] reads either back. Returns the number of
-    /// payload files written.
+    /// Persist as a sharded store under `dir` (created if absent), which
+    /// [`open_store`] reads back. A monolithic artifact is written as the
+    /// single-chunk grid over its own shape — byte-identical to
+    /// [`crate::storage::write_chunked_store`] of
+    /// [`ChunkedRefactored::single`] — so a plan reads one range per
+    /// level group either way. Returns the number of shard files written.
+    ///
+    /// The manifest is committed atomically and shards a previous store
+    /// in `dir` left past the new grid are removed. A failed write is
+    /// [`MdrError::Io`] naming the file that failed.
     pub fn write_store(&self, dir: &Path) -> Result<usize, MdrError> {
         match self {
-            Artifact::Monolithic(r) => crate::storage::write_store(r, dir),
+            Artifact::Monolithic(r) => write_chunks(
+                dir,
+                ChunkGrid::new(&r.shape, &r.shape),
+                &r.dtype,
+                std::slice::from_ref(r),
+            ),
             Artifact::Chunked(cr) => crate::storage::write_chunked_store(cr, dir),
         }
-        .map_err(|e| MdrError::io(dir, e))
     }
 }
 
@@ -539,8 +524,8 @@ impl Artifact {
 /// of payload-free [`Refactored`]s — a monolithic artifact is a
 /// single-chunk grid), a unit-run fetch primitive, and byte/request
 /// accounting. [`Reader`] is written against `dyn Store`, so the same
-/// [`Query`] is served identically from memory, a unit-file directory,
-/// or a sharded chunk store — proven by
+/// [`Query`] is served identically from memory, a sharded store
+/// directory, a cache, or a remote server — proven by
 /// `tests/tests/store_conformance.rs`.
 ///
 /// Stores are **shareable**: every method takes `&self` (accounting is
@@ -549,8 +534,8 @@ impl Artifact {
 /// and from the chunks of one query fanned out by
 /// [`Backend::map_batch`].
 pub trait Store: Send + Sync {
-    /// Short human-readable flavor (`"memory"`, `"unit-file"`,
-    /// `"sharded"`, `"cached"`).
+    /// Short human-readable flavor: `"memory"`, `"sharded"` (every
+    /// store directory), `"cached"` or `"remote"`.
     fn flavor(&self) -> &'static str;
 
     /// The metadata skeleton: chunk grid plus per-chunk payload-free
@@ -607,8 +592,10 @@ pub trait Store: Send + Sync {
     /// therefore zero on full cache hits).
     fn bytes_fetched(&self) -> usize;
 
-    /// I/O requests issued so far (files opened or byte ranges read;
-    /// the unit of counting is flavor-specific).
+    /// I/O requests issued so far: byte ranges read (a sharded store
+    /// reads one per non-empty unit run), HTTP requests (remote, which
+    /// coalesces ranges), or unit runs copied (memory). Decorators
+    /// report their backing store's count.
     fn requests(&self) -> usize;
 
     /// Open a store of this flavor at `path`.
@@ -774,47 +761,6 @@ impl Store for InMemoryStore {
     }
 }
 
-impl Store for StoreReader {
-    fn flavor(&self) -> &'static str {
-        "unit-file"
-    }
-
-    fn meta(&self) -> &ChunkedRefactored {
-        self.chunked_meta()
-    }
-
-    fn load_units(
-        &self,
-        chunk: usize,
-        group: usize,
-        skip: usize,
-        take: usize,
-    ) -> Result<Vec<Vec<u8>>, MdrError> {
-        StoreReader::load_units(self, chunk, group, skip, take)
-    }
-
-    fn load_chunk(&self, c: usize, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
-        if c != 0 {
-            return Err(MdrError::InvalidQuery(format!(
-                "chunk {c} out of range (monolithic store)"
-            )));
-        }
-        self.load_plan(plan)
-    }
-
-    fn bytes_fetched(&self) -> usize {
-        self.bytes_read()
-    }
-
-    fn requests(&self) -> usize {
-        self.files_read()
-    }
-
-    fn open(path: &Path) -> Result<Self, MdrError> {
-        StoreReader::open(path)
-    }
-}
-
 impl Store for ChunkedStoreReader {
     fn flavor(&self) -> &'static str {
         "sharded"
@@ -832,10 +778,6 @@ impl Store for ChunkedStoreReader {
         take: usize,
     ) -> Result<Vec<Vec<u8>>, MdrError> {
         ChunkedStoreReader::load_units(self, chunk, group, skip, take)
-    }
-
-    fn load_chunk(&self, c: usize, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
-        ChunkedStoreReader::load_chunk(self, c, plan)
     }
 
     fn bytes_fetched(&self) -> usize {
@@ -1104,14 +1046,15 @@ impl<S: Store> Store for CachedStore<S> {
 /// `http://` URL is a [`RemoteStore`](crate::remote::RemoteStore)
 /// serving the sharded layout over range requests; a plain file is a
 /// serialized artifact loaded into an [`InMemoryStore`]; a directory
-/// is a unit-file or sharded store, told apart by their manifest
-/// formats (framed-binary vs bare JSON).
+/// is a sharded store ([`ChunkedStoreReader`]).
 ///
 /// A `path` that holds no store at all — nothing there, a directory
 /// without a `manifest.json`, or a URL whose manifest the server will
 /// not serve — is [`MdrError::InvalidInput`] describing what went
 /// wrong (for a remote store: the URL and the HTTP status), not a raw
-/// I/O error about a file the caller never named.
+/// I/O error about a file the caller never named. A directory in the
+/// retired one-file-per-unit layout (its `manifest.json` is a framed
+/// binary skeleton) is [`MdrError::Unsupported`] saying so.
 pub fn open_store(path: &Path) -> Result<Box<dyn Store>, MdrError> {
     // URL sniffing first: a URL is never a local path (and `is_file`
     // on one would just stat a nonexistent `./http:/…`).
@@ -1135,18 +1078,21 @@ pub fn open_store(path: &Path) -> Result<Box<dyn Store>, MdrError> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Err(MdrError::InvalidInput(format!(
                 "no HP-MDR store at {}: expected a serialized artifact file, or a store \
-                 directory containing manifest.json alongside its unit files \
-                 (g<G>_u<U>.bin) or chunk shards (c<C>.shard)",
+                 directory containing manifest.json alongside its chunk shards (c<C>.shard)",
                 path.display()
             )));
         }
         Err(e) => return Err(MdrError::io(&manifest_path, e)),
     };
     if raw.starts_with(crate::serialize::MAGIC) {
-        Ok(Box::new(<StoreReader as Store>::open(path)?))
-    } else {
-        Ok(Box::new(<ChunkedStoreReader as Store>::open(path)?))
+        return Err(MdrError::Unsupported(format!(
+            "{} holds a store in the retired unit-file layout (one file per unit), \
+             which this version no longer reads; write the artifact again with \
+             Artifact::write_store",
+            path.display()
+        )));
     }
+    Ok(Box::new(<ChunkedStoreReader as Store>::open(path)?))
 }
 
 // ---------------------------------------------------------------------
@@ -1633,8 +1579,8 @@ impl From<Arc<dyn Store>> for StoreRef<'_> {
 /// Serves [`Query`]s from any [`Store`] on any [`Backend`].
 ///
 /// The reader is deliberately written against `dyn Store`: one
-/// retrieval path covers the in-memory, unit-file, sharded, cached and
-/// remote stores, and returns identical [`Approximation`]s for identical
+/// retrieval path covers the in-memory, sharded, cached and remote
+/// stores, and returns identical [`Approximation`]s for identical
 /// archives (`tests/tests/store_conformance.rs`). It borrows its store
 /// or shares it ([`StoreRef`]); cloning a reader is cheap, and clones
 /// serve concurrently from any number of threads through `&self`.
@@ -1961,7 +1907,7 @@ mod tests {
         for (artifact, flavor) in [
             (
                 Mdr::with_defaults().refactor(&data, &[24, 20]).unwrap(),
-                "unit-file",
+                "monolithic",
             ),
             (
                 MdrConfig::new()
@@ -1977,7 +1923,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             artifact.write_store(&dir).unwrap();
             let mut store = open_store(&dir).unwrap();
-            assert_eq!(store.flavor(), flavor);
+            assert_eq!(store.flavor(), "sharded", "{flavor}");
             let a = Reader::new(store.as_mut())
                 .retrieve::<f32>(&Query::full(Target::Rel(1e-3)))
                 .unwrap();
@@ -2021,6 +1967,51 @@ mod tests {
         let err = open_store(&missing).err().unwrap();
         assert!(matches!(err, MdrError::InvalidInput(_)), "{err}");
         let _ = std::fs::remove_dir_all(&missing);
+    }
+
+    #[test]
+    fn retired_unit_file_layout_is_unsupported_and_named() {
+        // What the retired layout wrote: a framed-binary skeleton as the
+        // manifest beside one `g<G>_u<U>.bin` file per unit.
+        let data = field(16, 12);
+        let artifact = Mdr::with_defaults().refactor(&data, &[16, 12]).unwrap();
+        let r = artifact.as_monolithic().unwrap();
+        let dir = std::env::temp_dir().join(format!("hpmdr_api_retired_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("manifest.json"),
+            crate::serialize::to_bytes(&r.skeleton()),
+        )
+        .unwrap();
+        std::fs::write(dir.join("g0_u0.bin"), &r.streams[0].units[0].payload).unwrap();
+        let err = open_store(&dir).err().unwrap();
+        assert!(
+            matches!(&err, MdrError::Unsupported(w) if w.contains("retired unit-file layout")),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_shard_write_names_the_shard_not_the_directory() {
+        let data = field(16, 12);
+        for config in [MdrConfig::new(), MdrConfig::new().chunked(&[8, 6])] {
+            let artifact = config.build().refactor(&data, &[16, 12]).unwrap();
+            let dir = std::env::temp_dir().join(format!(
+                "hpmdr_api_shard_dir_{}_{}",
+                artifact.as_chunked().is_some(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(dir.join("c0.shard")).unwrap();
+            let err = artifact.write_store(&dir).unwrap_err();
+            assert!(
+                matches!(&err, MdrError::Io { path, .. } if path.ends_with("c0.shard")),
+                "{err}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   extents, boundary chunks clipped (extents need not divide the
 //!   domain), row-major chunk indexing, and hyperslab→chunk intersection.
 //! * [`ChunkedRefactored`] — one [`Refactored`] per chunk plus the grid.
-//! * [`refactor_chunked`] / [`refactor_chunked_with`] — chunk extraction
-//!   and per-chunk refactoring fanned out through
-//!   [`Backend::map_batch`], so a multi-threaded [`CpuBackend`] gets
-//!   chunk-level parallelism with bit-identical per-chunk artifacts.
+//! * [`refactor_chunked`] — chunk extraction and per-chunk refactoring
+//!   fanned out through [`Backend::map_batch`], so a multi-threaded
+//!   [`CpuBackend`] gets chunk-level parallelism with bit-identical
+//!   per-chunk artifacts. On another backend, build the façade with one:
+//!   `MdrConfig::new().chunked(..).build_with(backend).refactor(..)`.
 //!
 //! Retrieval over the grid lives in [`crate::roi`]; the sharded on-disk
 //! layout lives in [`crate::storage`].
@@ -361,7 +362,7 @@ pub fn refactor_chunked<F: BitplaneFloat + Real + Default>(
 ///
 /// # Panics
 /// Panics if `data.len()` does not match `shape`, or on non-finite input.
-pub fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backend>(
+pub(crate) fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backend>(
     data: &[F],
     shape: &[usize],
     config: &ChunkedConfig,
@@ -380,7 +381,6 @@ pub fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backend>(
     // chunk-level concurrency while extracted copies stay bounded by
     // the batch, not the dataset.
     let batch = backend.threads().max(1).saturating_mul(2);
-    let opts = crate::ingest::IngestOptions::sequential().with_lookahead(batch);
     let mut chunks: Vec<Refactored> = Vec::with_capacity(grid.num_chunks());
     crate::ingest::run_ingest(
         source,
@@ -388,7 +388,7 @@ pub fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backend>(
         &config.refactor,
         backend,
         ctx,
-        &opts,
+        crate::ingest::Schedule::Serial { batch },
         false,
         &mut |c, r| {
             debug_assert_eq!(c, chunks.len(), "chunks arrive in order");

@@ -22,8 +22,10 @@
 //!
 //! The pipeline produces **bit-identical** shards and manifests to the
 //! whole-input chunked path — in fact the whole-input path *is* this
-//! pipeline run over an in-memory [`SliceSource`] with a dataset-wide
-//! batch, so there is exactly one refactor fan in the crate.
+//! pipeline run over an in-memory [`SliceSource`] in its serial schedule
+//! (`threads × 2` chunks per fan), so there is exactly one refactor fan
+//! in the crate. Which schedule runs is the caller's, not an option:
+//! streaming ingest always overlaps, at [`DEFAULT_LOOKAHEAD`].
 
 use crate::chunked::{extract_region, ChunkGrid};
 use crate::error::MdrError;
@@ -38,7 +40,8 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default number of chunks the pipeline may hold in flight.
+/// Chunks streaming ingest may hold in flight — the `lookahead` of
+/// its staging bound ([`IngestReport::staging_bound_bytes`]).
 pub const DEFAULT_LOOKAHEAD: usize = 4;
 
 /// Most file bytes a [`FileSource`] slab read may fetch per byte it
@@ -313,59 +316,19 @@ where
     }
 }
 
-/// Stage schedule of a chunk pipeline ([`IngestOptions::mode`]).
+/// How [`run_ingest`] lays its stages out in time. The caller picks it:
+/// streaming [`crate::api::Mdr::ingest`] / [`crate::api::Mdr::append`]
+/// overlap at [`DEFAULT_LOOKAHEAD`]; the resident whole-input path runs
+/// serially with a `threads × 2` batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// No overlap: each chunk runs through every stage to completion
-    /// before the next one starts.
-    Sequential,
-    /// The Figure 4 schedule: the next chunk's read is prefetched and the
-    /// previous chunk's write deferred while the current chunk computes.
-    Overlapped,
-}
-
-/// Tuning knobs for [`crate::api::Mdr::ingest_with`].
-#[derive(Debug, Clone)]
-pub struct IngestOptions {
-    /// Stage schedule: [`PipelineMode::Overlapped`] runs source reads
-    /// and shard writes on dedicated threads overlapping the refactor
-    /// fan; [`PipelineMode::Sequential`] is the read → refactor → write
-    /// baseline on the calling thread.
-    pub mode: PipelineMode,
-    /// Maximum chunks staged anywhere in the pipeline (≥ 1). Peak
-    /// buffered payload is bounded by `lookahead ×` the largest chunk
-    /// footprint (raw samples + compressed artifact).
-    pub lookahead: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            mode: PipelineMode::Overlapped,
-            lookahead: DEFAULT_LOOKAHEAD,
-        }
-    }
-}
-
-impl IngestOptions {
-    /// Overlapped three-stage schedule (the default).
-    pub fn overlapped() -> Self {
-        IngestOptions::default()
-    }
-
-    /// Serial read → refactor → write baseline.
-    pub fn sequential() -> Self {
-        IngestOptions {
-            mode: PipelineMode::Sequential,
-            ..IngestOptions::default()
-        }
-    }
-
-    /// Set the staging bound (clamped to ≥ 1).
-    pub fn with_lookahead(mut self, lookahead: usize) -> Self {
-        self.lookahead = lookahead.max(1);
-        self
-    }
+pub(crate) enum Schedule {
+    /// The Figure 4 schedule: source reads (and [`prepare`]) and shard
+    /// writes run on their own threads, overlapping the refactor fan,
+    /// with at most `lookahead` (≥ 1) chunks staged anywhere.
+    Overlapped { lookahead: usize },
+    /// No overlap: read → refactor → write on the calling thread, `batch`
+    /// (≥ 1) chunks per fan.
+    Serial { batch: usize },
 }
 
 /// What an ingest run did, including the measured memory high-water
@@ -385,7 +348,7 @@ pub struct IngestReport {
     /// Largest single-chunk footprint seen: raw samples + compressed
     /// artifact of one chunk.
     pub max_chunk_footprint_bytes: usize,
-    /// The staging bound the run was configured with.
+    /// The staging bound the run held to ([`DEFAULT_LOOKAHEAD`]).
     pub lookahead: usize,
 }
 
@@ -462,7 +425,7 @@ pub(crate) fn run_ingest<F, S, B>(
     cfg: &RefactorConfig,
     backend: &B,
     ctx: &ExecCtx,
-    opts: &IngestOptions,
+    schedule: Schedule,
     validate: bool,
     sink: &mut (dyn FnMut(usize, Refactored) -> Result<(), MdrError> + Send),
 ) -> Result<IngestMetrics, MdrError>
@@ -472,7 +435,6 @@ where
     B: Backend,
 {
     let n = grid.num_chunks();
-    let lookahead = opts.lookahead.max(1);
     let gauge = StagedGauge::default();
     let footprint = AtomicUsize::new(0);
     let (gauge, footprint) = (&gauge, &footprint);
@@ -490,10 +452,9 @@ where
     };
     // Where it runs follows from the schedule alone. Overlapped: on the
     // producer thread, which owns the chunk it just read (no copy) and
-    // would otherwise idle while the caller encodes. Sequential: inside
-    // the fan below, which is the only parallelism that schedule has —
-    // the whole-input path is this pipeline with a `threads × 2` batch.
-    let prepare_on_read = matches!(opts.mode, PipelineMode::Overlapped);
+    // would otherwise idle while the caller encodes. Serial: inside the
+    // fan below, which is the only parallelism that schedule has.
+    let prepare_on_read = matches!(schedule, Schedule::Overlapped { .. });
 
     let mut next = 0usize;
     let produce = move || -> Option<Result<Staged<F>, MdrError>> {
@@ -555,9 +516,9 @@ where
         Ok(())
     };
 
-    match opts.mode {
-        PipelineMode::Sequential => stages::run_serial(lookahead, produce, transform, consume)?,
-        PipelineMode::Overlapped => {
+    match schedule {
+        Schedule::Serial { batch } => stages::run_serial(batch, produce, transform, consume)?,
+        Schedule::Overlapped { lookahead } => {
             // The fan sees up to a backend's worth of staged chunks per
             // dispatch when the producer runs ahead — fewer when the core
             // budget leaves the caller no helper (`run_overlapped` sizes
@@ -578,8 +539,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunked::{refactor_chunked, ChunkedConfig};
+    use crate::chunked::{refactor_chunked, refactor_chunked_with, ChunkedConfig};
+    use crate::storage::{write_chunked_store, ChunkedStoreWriter};
     use hpmdr_exec::CpuBackend;
+
+    /// Both schedules at the default slot count.
+    const BOTH: [Schedule; 2] = [
+        Schedule::Serial {
+            batch: DEFAULT_LOOKAHEAD,
+        },
+        Schedule::Overlapped {
+            lookahead: DEFAULT_LOOKAHEAD,
+        },
+    ];
+
+    /// Chunks a schedule may hold staged at once.
+    fn slots(schedule: Schedule) -> usize {
+        match schedule {
+            Schedule::Serial { batch } => batch,
+            Schedule::Overlapped { lookahead } => lookahead,
+        }
+    }
 
     fn field(shape: &[usize]) -> Vec<f32> {
         let n: usize = shape.iter().product();
@@ -592,7 +572,7 @@ mod tests {
         data: &[f32],
         shape: &[usize],
         extent: &[usize],
-        opts: &IngestOptions,
+        schedule: Schedule,
     ) -> (Vec<Refactored>, IngestMetrics) {
         let grid = ChunkGrid::new(shape, extent);
         let source = SliceSource::new(data, shape).unwrap();
@@ -603,7 +583,7 @@ mod tests {
             &RefactorConfig::default(),
             &CpuBackend::with_threads(1),
             &ExecCtx::default(),
-            opts,
+            schedule,
             true,
             &mut |c, r| {
                 out.push((c, r));
@@ -621,23 +601,189 @@ mod tests {
         let extent = [8, 8];
         let data = field(&shape);
         let cr = refactor_chunked(&data, &shape, &ChunkedConfig::with_extent(&extent));
-        for opts in [
-            IngestOptions::sequential().with_lookahead(1),
-            IngestOptions::sequential().with_lookahead(3),
-            IngestOptions::overlapped().with_lookahead(2),
-            IngestOptions::overlapped().with_lookahead(5),
+        for schedule in [
+            Schedule::Serial { batch: 1 },
+            Schedule::Serial { batch: 3 },
+            Schedule::Overlapped { lookahead: 2 },
+            Schedule::Overlapped { lookahead: 5 },
         ] {
-            let (chunks, metrics) = run_to_vec(&data, &shape, &extent, &opts);
-            assert_eq!(chunks, cr.chunks, "mode {:?}", opts.mode);
+            let (chunks, metrics) = run_to_vec(&data, &shape, &extent, schedule);
+            assert_eq!(chunks, cr.chunks, "{schedule:?}");
             assert_eq!(metrics.chunks, cr.grid.num_chunks());
             assert!(
-                metrics.peak_staged_bytes <= opts.lookahead * metrics.max_chunk_footprint_bytes,
+                metrics.peak_staged_bytes <= slots(schedule) * metrics.max_chunk_footprint_bytes,
                 "staging bound violated: peak {} > {} × {}",
                 metrics.peak_staged_bytes,
-                opts.lookahead,
+                slots(schedule),
                 metrics.max_chunk_footprint_bytes
             );
         }
+    }
+
+    /// Run `schedule` over `data` on `backend` the way the façade does
+    /// (inside the backend's `install`), discarding the chunks.
+    fn metrics_of<B: Backend>(
+        data: &[f32],
+        shape: &[usize],
+        extent: &[usize],
+        backend: &B,
+        schedule: Schedule,
+    ) -> IngestMetrics {
+        backend
+            .install(|| {
+                run_ingest(
+                    SliceSource::new(data, shape).unwrap(),
+                    &ChunkGrid::new(shape, extent),
+                    &RefactorConfig::default(),
+                    backend,
+                    &ExecCtx::default(),
+                    schedule,
+                    true,
+                    &mut |_, _| Ok(()),
+                )
+            })
+            .unwrap()
+    }
+
+    /// The measured high-water mark honours the `slots ×
+    /// max-chunk-footprint` bound under every schedule — the
+    /// bounded-memory contract, asserted on real runs.
+    #[test]
+    fn staging_peak_is_bounded_under_every_schedule() {
+        let (shape, extent) = ([32usize, 16, 16], [8usize, 8, 8]);
+        let data = field(&shape);
+        for schedule in [
+            Schedule::Serial {
+                batch: DEFAULT_LOOKAHEAD,
+            },
+            Schedule::Serial { batch: 1 },
+            Schedule::Overlapped { lookahead: 1 },
+            Schedule::Overlapped { lookahead: 2 },
+            Schedule::Overlapped { lookahead: 8 },
+        ] {
+            let m = metrics_of(&data, &shape, &extent, &CpuBackend::new(), schedule);
+            assert_eq!(m.chunks, 16);
+            assert!(m.max_chunk_footprint_bytes > 0);
+            assert!(
+                m.peak_staged_bytes <= slots(schedule) * m.max_chunk_footprint_bytes,
+                "{schedule:?}: peak {} exceeds {} × footprint {}",
+                m.peak_staged_bytes,
+                slots(schedule),
+                m.max_chunk_footprint_bytes
+            );
+            // One slot serialises the stages, so the peak is exact whichever
+            // thread holds the chunk and in whichever form (raw samples or
+            // prepared groups): one chunk's samples plus its own artifact.
+            if slots(schedule) == 1 {
+                assert_eq!(
+                    m.peak_staged_bytes, m.max_chunk_footprint_bytes,
+                    "{schedule:?}"
+                );
+            }
+        }
+    }
+
+    /// The serial schedule streams too: at the default slot count it
+    /// stages less than the input, where a whole-input refactor holds all
+    /// of it. (`Mdr::ingest`'s overlapped schedule is checked through
+    /// the façade.)
+    #[test]
+    fn serial_schedule_stages_less_than_the_whole_input() {
+        let (shape, extent) = ([64usize, 32, 32], [16usize, 16, 16]);
+        let data = field(&shape);
+        let schedule = Schedule::Serial {
+            batch: DEFAULT_LOOKAHEAD,
+        };
+        let m = metrics_of(&data, &shape, &extent, &CpuBackend::new(), schedule);
+        assert_eq!(m.chunks, 16);
+        let raw_bytes = data.len() * 4;
+        assert!(
+            m.peak_staged_bytes < raw_bytes,
+            "staged {} bytes of a {raw_bytes}-byte input",
+            m.peak_staged_bytes
+        );
+    }
+
+    /// Every file of the store under `dir`, sorted by name.
+    fn store_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().into_string().unwrap();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort_by(|a, b| a.0.cmp(&b.0));
+        files
+    }
+
+    /// Scheduling is never a format change: on either backend width,
+    /// under either schedule and any slot count, the pipeline writes the
+    /// store the whole-input chunked path does, file for file — over a
+    /// sweep of clipped and unclipped 2-D grids.
+    #[test]
+    fn stores_are_byte_identical_across_backends_and_schedules() {
+        let base = std::env::temp_dir().join(format!("hpmdr_ingest_sched_{}", std::process::id()));
+        let mut seed = 0x9E37_79B9u32;
+        let mut next = |below: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 17;
+            seed ^= seed << 5;
+            seed as usize % below
+        };
+        for case in 0..4 {
+            let shape = [8 + next(12), 8 + next(12)];
+            let extent = [3 + next(5), 3 + next(5)];
+            let data: Vec<f32> = (0..shape[0] * shape[1])
+                .map(|_| (next(1 << 16) as f32 / 65536.0 - 0.5) * 8.0)
+                .collect();
+            let _ = std::fs::remove_dir_all(&base);
+            let reference = refactor_chunked_with(
+                &data,
+                &shape,
+                &ChunkedConfig::with_extent(&extent),
+                &CpuBackend::with_threads(1),
+                &ExecCtx::default(),
+            );
+            write_chunked_store(&reference, &base.join("reference")).unwrap();
+            let want = store_files(&base.join("reference"));
+            for lookahead in 1..6 {
+                for schedule in [
+                    Schedule::Serial { batch: lookahead },
+                    Schedule::Overlapped { lookahead },
+                ] {
+                    for threads in [1, 4] {
+                        let dir = base.join(format!("{threads}_{lookahead}"));
+                        let grid = ChunkGrid::new(&shape, &extent);
+                        let mut writer =
+                            ChunkedStoreWriter::create(&dir, grid.clone(), "f32").unwrap();
+                        let backend = CpuBackend::with_threads(threads);
+                        backend
+                            .install(|| {
+                                run_ingest(
+                                    SliceSource::new(&data, &shape).unwrap(),
+                                    &grid,
+                                    &RefactorConfig::default(),
+                                    &backend,
+                                    &ExecCtx::default(),
+                                    schedule,
+                                    true,
+                                    &mut |_, r| writer.append_chunk(&r).map(drop),
+                                )
+                            })
+                            .unwrap();
+                        writer.finish().unwrap();
+                        assert_eq!(
+                            store_files(&dir),
+                            want,
+                            "case {case} {shape:?} in {extent:?}: {schedule:?} on {threads} threads"
+                        );
+                    }
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 
     /// `data` as a raw little-endian dump in a fresh temporary file.
@@ -766,7 +912,7 @@ mod tests {
     #[test]
     fn source_error_propagates_in_both_modes() {
         let shape = [16, 16];
-        for opts in [IngestOptions::sequential(), IngestOptions::overlapped()] {
+        for schedule in BOTH {
             let source = FnSource::new(&shape, |c, region: &Region| {
                 if c == 2 {
                     Err(MdrError::corrupt("feed dropped"))
@@ -781,7 +927,7 @@ mod tests {
                 &RefactorConfig::default(),
                 &CpuBackend::with_threads(1),
                 &ExecCtx::default(),
-                &opts,
+                schedule,
                 true,
                 &mut |_, _| Ok(()),
             )
@@ -794,7 +940,7 @@ mod tests {
     fn non_finite_chunk_is_an_error_not_a_panic() {
         // Whichever thread prepares the chunk: the fan or the producer.
         let shape = [12, 12];
-        for opts in [IngestOptions::sequential(), IngestOptions::overlapped()] {
+        for schedule in BOTH {
             let source = FnSource::new(&shape, |c, region: &Region| {
                 let mut v = vec![1.0f32; region.len()];
                 if c == 1 {
@@ -809,15 +955,14 @@ mod tests {
                 &RefactorConfig::default(),
                 &CpuBackend::with_threads(1),
                 &ExecCtx::default(),
-                &opts,
+                schedule,
                 true,
                 &mut |_, _| Ok(()),
             )
             .unwrap_err();
             assert!(
                 matches!(&err, MdrError::InvalidInput(w) if w.contains("chunk 1 contains non-finite")),
-                "{:?}: {err}",
-                opts.mode
+                "{schedule:?}: {err}"
             );
         }
     }
@@ -838,7 +983,7 @@ mod tests {
             &RefactorConfig::default(),
             &CpuBackend::with_threads(1),
             &ExecCtx::default(),
-            &IngestOptions::overlapped(),
+            BOTH[1],
             false,
             &mut |_, _| Ok(()),
         );
@@ -857,7 +1002,7 @@ mod tests {
             &RefactorConfig::default(),
             &CpuBackend::with_threads(1),
             &ExecCtx::default(),
-            &IngestOptions::default(),
+            BOTH[1],
             true,
             &mut |_, _| Ok(()),
         )

@@ -23,7 +23,7 @@
 //! Start with [`prelude`] and the [`api`] façade: one [`api::MdrConfig`]
 //! builder covers monolithic and chunked refactoring on any backend, an
 //! object-safe [`api::Store`] abstracts where artifacts live (memory,
-//! unit-file directory, sharded chunk store, HTTP), and one reader —
+//! a sharded store directory, a cache, HTTP), and one reader —
 //! [`api::Reader`], borrowing its store or sharing it
 //! ([`api::SharedReader`]) — serves every [`api::Query`]
 //! ([`api::Target`] × [`api::Scope`]) through [`api::Reader::retrieve`],
@@ -59,9 +59,11 @@
 //!   estimators (§6.2);
 //! * [`serialize`] — portable on-disk framing of refactored artifacts
 //!   (versioned manifests with readable mismatch errors);
-//! * [`storage`] — unit-file stores retrieving exactly the files a plan
-//!   needs (the paper's small-object I/O pattern), plus the sharded
-//!   chunk-store layout and its range-reading [`storage::ChunkedStoreReader`];
+//! * [`storage`] — the one on-disk layout: a versioned manifest plus a
+//!   shard per chunk (a monolithic artifact is one chunk), written by
+//!   [`storage::ChunkedStoreWriter`] and read one range per level group
+//!   by [`storage::ChunkedStoreReader`] (the paper's prefix-of-units I/O
+//!   pattern);
 //! * [`chunked`] — the chunk grid: fixed-extent domain decomposition
 //!   with per-chunk refactoring fanned out through
 //!   [`hpmdr_exec::Backend::map_batch`];
@@ -104,15 +106,10 @@ pub use api::{
     open_store, Approximation, Artifact, CacheStats, CachedStore, InMemoryStore, Mdr, MdrConfig,
     Query, Reader, Scope, SharedReader, Store, StoreRef, Target, DEFAULT_CACHE_BUDGET,
 };
-pub use chunked::{
-    refactor_chunked, refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored,
-};
+pub use chunked::{refactor_chunked, ChunkGrid, ChunkedConfig, ChunkedRefactored};
 pub use error::MdrError;
 pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx, Isa};
-pub use ingest::{
-    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, PipelineMode,
-    SliceSource,
-};
+pub use ingest::{ChunkSource, FileSource, FnSource, IngestElem, IngestReport, SliceSource};
 pub use progressive::{ApproximationStream, RefinementFrame};
 pub use qoi_retrieval::{
     retrieve_with_multi_qoi_control, retrieve_with_qoi_control, EbEstimator,

@@ -12,16 +12,13 @@ pub use crate::api::{
 };
 pub use crate::chunked::{ChunkGrid, ChunkedConfig, ChunkedRefactored};
 pub use crate::error::MdrError;
-pub use crate::ingest::{
-    ChunkSource, FileSource, FnSource, IngestElem, IngestOptions, IngestReport, PipelineMode,
-    SliceSource,
-};
+pub use crate::ingest::{ChunkSource, FileSource, FnSource, IngestElem, IngestReport, SliceSource};
 pub use crate::progressive::{ApproximationStream, RefinementFrame};
 pub use crate::qoi_retrieval::EbEstimator;
 pub use crate::refactor::{RefactorConfig, Refactored};
 pub use crate::remote::{RemoteStore, RemoteStoreConfig};
 pub use crate::retrieve::{RetrievalPlan, RetrievalSession};
 pub use crate::roi::{FetchPlan, Region, RoiPlan, RoiRequest};
-pub use crate::storage::{write_chunked_store, write_store, ChunkedStoreReader, StoreReader};
+pub use crate::storage::{write_chunked_store, ChunkedStoreReader};
 pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 pub use hpmdr_qoi::QoiExpr;

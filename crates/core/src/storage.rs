@@ -1,35 +1,25 @@
-//! File-backed unit storage.
+//! The sharded on-disk store.
 //!
 //! HP-MDR's retrieval advantage comes from fetching only a *prefix of
-//! merged units per level group* — which on a real system means the
-//! archive is laid out as many independently addressable objects. This
-//! module stores one file per compressed unit plus a JSON manifest, and
-//! retrieves by reading exactly the files a [`RetrievalPlan`] needs (the
-//! "many small files" I/O pattern whose overhead the paper's Figure 14
-//! discussion calls out).
-//!
-//! Layout:
-//! ```text
-//! <dir>/manifest.json        # Refactored metadata, payloads elided
-//! <dir>/g<G>_u<U>.bin        # payload of unit U of level group G
-//! ```
-//!
-//! For chunk grids ([`crate::chunked`]) the module adds a *sharded*
-//! layout in the zarr mold — a versioned chunk manifest plus one shard
-//! file per chunk, units concatenated group-major so a unit-prefix plan
-//! reads one contiguous byte range per level group:
+//! merged units per level group*, so on disk every group's units must be
+//! separately addressable. This module lays an artifact out in the zarr
+//! mold: a versioned manifest plus one shard file per chunk, units
+//! concatenated group-major, so a unit-prefix plan reads **one**
+//! contiguous byte range per level group:
 //! ```text
 //! <dir>/manifest.json        # version + grid + per-chunk metadata
 //! <dir>/c<C>.shard           # chunk C: g0_u0 g0_u1 … g1_u0 … (raw)
 //! ```
-//! [`ChunkedStoreReader`] backs region-of-interest queries
-//! ([`crate::api::Reader`] over [`crate::roi`]'s plans) by fetching
+//! A monolithic artifact is the single-chunk grid over its own shape,
+//! so every store directory has this one layout.
+//! [`ChunkedStoreWriter`] writes it (committing the manifest atomically
+//! and removing stale shards), and [`ChunkedStoreReader`] backs every
+//! query ([`crate::api::Reader`] over [`crate::roi`]'s plans) by fetching
 //! exactly the planned ranges.
 
 use crate::chunked::{ChunkGrid, ChunkedRefactored};
 use crate::error::MdrError;
 use crate::refactor::Refactored;
-use crate::retrieve::RetrievalPlan;
 use crate::roi::RoiPlan;
 use crate::serialize::{
     check_manifest_version, check_probed_version, HeaderMeta, MANIFEST_VERSION,
@@ -44,147 +34,6 @@ use std::sync::Mutex;
 /// Open shard file handles kept per reader (leased per request, so
 /// concurrent loads each get their own seek position).
 const MAX_POOLED_HANDLES: usize = 16;
-
-fn unit_path(dir: &Path, g: usize, u: usize) -> PathBuf {
-    dir.join(format!("g{g}_u{u}.bin"))
-}
-
-/// Write `r` as a unit-file store under `dir` (created if absent).
-/// Returns the number of unit files written.
-///
-/// Payloads are written straight from `r` and the manifest is built from
-/// a payload-free [`Refactored::skeleton`], so writing never duplicates
-/// the compressed unit bytes (peak memory stays at one copy of the
-/// archive).
-pub fn write_store(r: &Refactored, dir: &Path) -> io::Result<usize> {
-    std::fs::create_dir_all(dir)?;
-    let mut files = 0usize;
-    for (g, s) in r.streams.iter().enumerate() {
-        for (u, unit) in s.units.iter().enumerate() {
-            std::fs::write(unit_path(dir, g, u), &unit.payload)?;
-            files += 1;
-        }
-    }
-    let manifest = crate::serialize::to_bytes(&r.skeleton());
-    std::fs::write(dir.join("manifest.json"), manifest)?;
-    Ok(files)
-}
-
-/// Reader over a unit-file store.
-///
-/// All methods take `&self`: accounting is atomic and every read opens
-/// its own file, so one reader can serve concurrent loads (the
-/// [`crate::api::Store`] sharing contract).
-pub struct StoreReader {
-    dir: PathBuf,
-    /// Single-chunk grid view of the archive metadata — what the
-    /// [`crate::api::Store`] abstraction speaks. `chunks[0]` is the
-    /// monolithic skeleton.
-    meta: ChunkedRefactored,
-    /// Payload bytes read so far.
-    bytes_read: AtomicUsize,
-    /// Unit files opened so far.
-    files_read: AtomicUsize,
-}
-
-impl StoreReader {
-    /// Open the store at `dir`, validating the manifest.
-    pub fn open(dir: &Path) -> Result<Self, MdrError> {
-        let path = dir.join("manifest.json");
-        let manifest = std::fs::read(&path).map_err(|e| MdrError::io(&path, e))?;
-        let skeleton = crate::serialize::from_bytes(&manifest)?;
-        Ok(StoreReader {
-            dir: dir.to_path_buf(),
-            meta: ChunkedRefactored::single(skeleton),
-            bytes_read: AtomicUsize::new(0),
-            files_read: AtomicUsize::new(0),
-        })
-    }
-
-    /// Archive metadata (all unit payloads empty).
-    pub fn skeleton(&self) -> &Refactored {
-        &self.meta.chunks[0]
-    }
-
-    /// The same metadata presented as a single-chunk grid (the
-    /// [`crate::api::Store`] view).
-    pub fn chunked_meta(&self) -> &ChunkedRefactored {
-        &self.meta
-    }
-
-    /// Payload bytes fetched from storage so far.
-    pub fn bytes_read(&self) -> usize {
-        // ORDERING: monotone statistics read; no ordering with other data.
-        self.bytes_read.load(Ordering::Relaxed)
-    }
-
-    /// Unit files opened so far.
-    pub fn files_read(&self) -> usize {
-        // ORDERING: monotone statistics read; no ordering with other data.
-        self.files_read.load(Ordering::Relaxed)
-    }
-
-    /// Fetch the payloads of units `skip .. skip + take` of level group
-    /// `g` — the [`crate::api::Store::load_units`] fetch primitive (one
-    /// file read per unit). `chunk` must be `0`: unit-file stores are
-    /// monolithic.
-    pub fn load_units(
-        &self,
-        chunk: usize,
-        g: usize,
-        skip: usize,
-        take: usize,
-    ) -> Result<Vec<Vec<u8>>, MdrError> {
-        if chunk != 0 {
-            return Err(MdrError::InvalidQuery(format!(
-                "chunk {chunk} out of range (monolithic store)"
-            )));
-        }
-        let s = self.meta.chunks[0]
-            .streams
-            .get(g)
-            .ok_or_else(|| MdrError::InvalidQuery(format!("level group {g} out of range")))?;
-        if skip + take > s.units.len() {
-            return Err(MdrError::InvalidQuery(format!(
-                "units {skip}..{} of group {g} out of range ({} stored)",
-                skip + take,
-                s.units.len()
-            )));
-        }
-        let mut out = Vec::with_capacity(take);
-        for u in skip..skip + take {
-            let path = unit_path(&self.dir, g, u);
-            let bytes = std::fs::read(&path).map_err(|e| MdrError::io(&path, e))?;
-            // ORDERING: statistics counter, guards nothing.
-            self.bytes_read.fetch_add(bytes.len(), Ordering::Relaxed);
-            // ORDERING: as above.
-            self.files_read.fetch_add(1, Ordering::Relaxed);
-            out.push(bytes);
-        }
-        Ok(out)
-    }
-
-    /// Materialize an in-memory [`Refactored`] containing exactly the
-    /// units `plan` needs (other units keep empty payloads and must not
-    /// be touched by retrieval).
-    pub fn load_plan(&self, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
-        let mut out = self.meta.chunks[0].clone();
-        if plan.units.len() != out.streams.len() {
-            return Err(MdrError::InvalidQuery(
-                "plan does not match archive shape".to_string(),
-            ));
-        }
-        for (g, (s, &want)) in out.streams.iter_mut().zip(&plan.units).enumerate() {
-            let want = want.min(s.units.len());
-            for (u, payload) in self.load_units(0, g, 0, want)?.into_iter().enumerate() {
-                s.units[u].payload = payload;
-            }
-        }
-        Ok(out)
-    }
-}
-
-// ---- chunked shard store ----------------------------------------------
 
 /// File name of chunk `c`'s shard — shared with the network tier, whose
 /// range requests target the same objects a local store lays on disk.
@@ -549,19 +398,29 @@ impl ChunkedStoreWriter {
 /// group-major, plus a versioned `manifest.json` committed atomically
 /// via [`ChunkedStoreWriter`]. Returns the number of shard files
 /// written. Payloads stream straight from `cr` — nothing is cloned.
-pub fn write_chunked_store(cr: &ChunkedRefactored, dir: &Path) -> io::Result<usize> {
-    fn into_io(e: MdrError) -> io::Error {
-        match e {
-            MdrError::Io { source, .. } => source,
-            other => io::Error::other(other.to_string()),
-        }
+///
+/// Errors keep their type: a failed shard write is [`MdrError::Io`]
+/// naming that shard, not the store directory.
+pub fn write_chunked_store(cr: &ChunkedRefactored, dir: &Path) -> Result<usize, MdrError> {
+    write_chunks(dir, cr.grid.clone(), &cr.dtype, &cr.chunks)
+}
+
+/// Write `chunks` (every chunk of `grid`, in index order) as a store
+/// under `dir` — [`write_chunked_store`] without the container, so a
+/// monolithic artifact is written as the single-chunk grid over its
+/// own shape without being moved or cloned into one.
+pub(crate) fn write_chunks(
+    dir: &Path,
+    grid: ChunkGrid,
+    dtype: &str,
+    chunks: &[Refactored],
+) -> Result<usize, MdrError> {
+    let mut w = ChunkedStoreWriter::create(dir, grid, dtype)?;
+    for chunk in chunks {
+        w.append_chunk(chunk)?;
     }
-    let mut w = ChunkedStoreWriter::create(dir, cr.grid.clone(), &cr.dtype).map_err(into_io)?;
-    for chunk in &cr.chunks {
-        w.append_chunk(chunk).map_err(into_io)?;
-    }
-    w.finish().map_err(into_io)?;
-    Ok(cr.chunks.len())
+    w.finish()?;
+    Ok(chunks.len())
 }
 
 /// Reader over a sharded chunk store: plans against the metadata
@@ -721,131 +580,21 @@ impl ChunkedStoreReader {
         self.ranges_read.fetch_add(1, Ordering::Relaxed);
         Ok(split_units(&buf, &chunk_lens[g], skip, take))
     }
-
-    /// Materialize chunk `c` with exactly the unit prefixes `plan`
-    /// needs, reading one contiguous shard range per level group.
-    pub fn load_chunk(&self, c: usize, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
-        if c >= self.skeleton.chunks.len() {
-            return Err(MdrError::InvalidQuery(format!("chunk {c} out of range")));
-        }
-        let mut out = self.skeleton.chunks[c].clone();
-        if plan.units.len() != out.streams.len() {
-            return Err(MdrError::InvalidQuery(
-                "plan does not match chunk shape".to_string(),
-            ));
-        }
-        for (g, (s, &want)) in out.streams.iter_mut().zip(&plan.units).enumerate() {
-            let want = want.min(s.units.len());
-            for (u, payload) in self.load_units(c, g, 0, want)?.into_iter().enumerate() {
-                s.units[u].payload = payload;
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refactor::{refactor, RefactorConfig};
-    use crate::retrieve::RetrievalSession;
-
-    fn sample() -> (Vec<f32>, Refactored) {
-        let data: Vec<f32> = (0..33 * 20)
-            .map(|i| ((i % 33) as f32 * 0.29).sin() * 2.0)
-            .collect();
-        let r = refactor(&data, &[33, 20], &RefactorConfig::default());
-        (data, r)
-    }
+    use crate::api::{InMemoryStore, Query, Reader, Store, Target};
+    use crate::chunked::{extract_region, refactor_chunked, ChunkedConfig};
+    use crate::retrieve::RetrievalPlan;
+    use crate::roi::{Region, RoiRequest};
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("hpmdr_store_{name}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
-
-    #[test]
-    fn write_open_roundtrip_metadata() {
-        let (_, r) = sample();
-        let dir = scratch("meta");
-        let files = write_store(&r, &dir).unwrap();
-        let expected: usize = r.streams.iter().map(|s| s.num_units()).sum();
-        assert_eq!(files, expected);
-        let reader = StoreReader::open(&dir).unwrap();
-        assert_eq!(reader.skeleton().shape, r.shape);
-        assert_eq!(reader.skeleton().streams.len(), r.streams.len());
-        // Skeleton must not carry payloads.
-        assert!(reader
-            .skeleton()
-            .streams
-            .iter()
-            .all(|s| s.units.iter().all(|u| u.payload.is_empty())));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn partial_load_reads_only_needed_files() {
-        let (data, r) = sample();
-        let dir = scratch("partial");
-        write_store(&r, &dir).unwrap();
-        let reader = StoreReader::open(&dir).unwrap();
-
-        let eb = 1e-2 * r.value_range;
-        let (plan, bound) = RetrievalPlan::for_error(&r, eb);
-        let loaded = reader.load_plan(&plan).unwrap();
-        let wanted: usize = plan.units.iter().sum();
-        assert_eq!(reader.files_read(), wanted);
-        assert_eq!(reader.bytes_read(), plan.fetch_bytes(&r));
-
-        let mut sess = RetrievalSession::new(&loaded);
-        sess.refine_to(&plan);
-        let rec: Vec<f32> = sess.reconstruct();
-        for (a, b) in data.iter().zip(&rec) {
-            assert!(((a - b).abs() as f64) <= bound.max(eb));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn full_load_matches_in_memory_archive() {
-        let (_, r) = sample();
-        let dir = scratch("full");
-        write_store(&r, &dir).unwrap();
-        let reader = StoreReader::open(&dir).unwrap();
-        let loaded = reader.load_plan(&RetrievalPlan::full(&r)).unwrap();
-        assert_eq!(loaded, r);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_unit_file_is_reported() {
-        let (_, r) = sample();
-        let dir = scratch("missing");
-        write_store(&r, &dir).unwrap();
-        std::fs::remove_file(dir.join("g0_u0.bin")).unwrap();
-        let reader = StoreReader::open(&dir).unwrap();
-        let err = reader.load_plan(&RetrievalPlan::full(&r)).unwrap_err();
-        assert!(
-            matches!(&err, MdrError::Io { path, .. } if path.ends_with("g0_u0.bin")),
-            "{err}"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn corrupt_manifest_is_reported() {
-        let dir = scratch("corrupt");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("manifest.json"), b"garbage").unwrap();
-        assert!(StoreReader::open(&dir).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // ---- chunked shard store ------------------------------------------
-
-    use crate::api::{InMemoryStore, Query, Reader, Target};
-    use crate::chunked::{extract_region, refactor_chunked, ChunkedConfig};
-    use crate::roi::{Region, RoiRequest};
 
     fn chunked_sample() -> (Vec<f32>, ChunkedRefactored) {
         let data: Vec<f32> = (0..24 * 18)

@@ -3,11 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hpmdr_core::{
-    refactor, refactor_with, CpuBackend, ExecCtx, PipelineMode, RefactorConfig, RetrievalPlan,
-    RetrievalSession,
+    refactor, refactor_with, CpuBackend, ExecCtx, RefactorConfig, RetrievalPlan, RetrievalSession,
 };
 use hpmdr_datasets::{Dataset, DatasetKind};
-use hpmdr_repro::pipeline::refactor_pipeline;
+use hpmdr_repro::pipeline::{refactor_pipeline, PipelineMode};
 use hpmdr_repro::{Device, DeviceConfig};
 use std::sync::Arc;
 

@@ -14,9 +14,9 @@
 //! cargo run -p hpmdr-repro --release --example out_of_core_pipeline
 //! ```
 
-use hpmdr_core::{Backend, CpuBackend, PipelineMode, RefactorConfig};
+use hpmdr_core::{Backend, CpuBackend, RefactorConfig};
 use hpmdr_datasets::{Dataset, DatasetKind};
-use hpmdr_repro::pipeline::refactor_pipeline;
+use hpmdr_repro::pipeline::{refactor_pipeline, PipelineMode};
 use hpmdr_repro::{Device, DeviceConfig};
 use std::sync::Arc;
 

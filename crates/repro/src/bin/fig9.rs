@@ -6,9 +6,9 @@
 //! Paper shape: overlap buys ~1.43×/1.83× (refactor/reconstruct) on H100
 //! and ~1.41×/1.43× on MI250X.
 
-use hpmdr_core::{CpuBackend, PipelineMode, RefactorConfig};
+use hpmdr_core::{CpuBackend, RefactorConfig};
 use hpmdr_datasets::{Dataset, DatasetKind};
-use hpmdr_repro::pipeline::{des_pipeline, refactor_pipeline};
+use hpmdr_repro::pipeline::{des_pipeline, refactor_pipeline, PipelineMode};
 use hpmdr_repro::{reconstruct_stage_times, refactor_stage_times, Device, DeviceConfig, Table};
 use std::sync::Arc;
 

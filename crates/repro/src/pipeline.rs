@@ -21,11 +21,22 @@ use crate::{DesSim, Device, Event, Resource, SimOutcome};
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_core::refactor::{refactor_with, RefactorConfig, Refactored};
 use hpmdr_core::serialize;
-use hpmdr_core::PipelineMode;
 use hpmdr_exec::{Backend, ExecCtx};
 use hpmdr_mgard::Real;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
+
+/// Stage schedule of the tiled device pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PipelineMode {
+    /// No overlap: each tile runs through every stage to completion
+    /// before the next one starts.
+    Sequential,
+    /// The Figure 4 schedule: the next tile's copy-in is prefetched and
+    /// the previous tile's copy-out deferred while the current tile
+    /// computes.
+    Overlapped,
+}
 
 /// Tiling of a row-major array along its slowest dimension.
 #[derive(Debug, Clone)]

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! Each `NAME=PATH` registers the archive at `PATH` (any flavor
-//! `open_store` recognizes: monolithic file, unit file, sharded
-//! directory) under `NAME`. The server prints its bound address and
+//! `open_store` recognizes: serialized artifact file, store directory,
+//! `http://` URL) under `NAME`. The server prints its bound address and
 //! runs until killed.
 
 use hpmdr_server::{ProgressiveServer, Registry, ServerConfig};

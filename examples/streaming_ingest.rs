@@ -5,12 +5,11 @@
 //! k+1 from the [`ChunkSource`], the backend refactors chunk k, and a
 //! writer thread flushes chunk k−1's shard. A slot gate keeps at most
 //! `lookahead` chunks staged, so peak memory is O(lookahead × chunk)
-//! no matter how large the source is — the example runs with a
-//! deliberately small lookahead and prints the measured high-water
-//! mark against its bound. The manifest commits atomically at the end;
-//! the appended store then serves concurrent clients through one
-//! shared [`Reader`], answering exactly like a one-shot refactor of the
-//! whole grown domain.
+//! no matter how large the source is — the example ingests 48 chunks
+//! and prints the measured high-water mark against its bound. The
+//! manifest commits atomically at the end; the appended store then
+//! serves concurrent clients through one shared [`Reader`], answering
+//! exactly like a one-shot refactor of the whole grown domain.
 //!
 //! ```text
 //! cargo run -p hpmdr-examples --release --bin streaming_ingest
@@ -26,13 +25,11 @@ fn main() -> Result<(), MdrError> {
     let ds = Dataset::generate_with_shape(DatasetKind::Jhtdb, &shape, 5);
     let data = ds.variables[0].as_f32();
 
-    // Deliberately tight schedule: at most 2 chunks staged at once.
-    let opts = IngestOptions::overlapped().with_lookahead(2);
     let mdr = MdrConfig::new().chunked(&[8, 8, 8]).build();
     let dir = std::env::temp_dir().join(format!("hpmdr_streaming_ingest_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let report = mdr.ingest_with(SliceSource::new(&data, &shape)?, &dir, &opts)?;
+    let report = mdr.ingest(SliceSource::new(&data, &shape)?, &dir)?;
     println!(
         "ingested {:?}: {} chunks, {} written",
         report.shape,
@@ -54,7 +51,7 @@ fn main() -> Result<(), MdrError> {
     let slab_shape = vec![8usize, 32, 32];
     let slab = Dataset::generate_with_shape(DatasetKind::Jhtdb, &slab_shape, 7);
     let slab_data = slab.variables[0].as_f32();
-    let report = mdr.append_with(&dir, SliceSource::new(&slab_data, &slab_shape)?, &opts)?;
+    let report = mdr.append(&dir, SliceSource::new(&slab_data, &slab_shape)?)?;
     println!(
         "appended {:?}: now {} chunks, peak staged {} ≤ bound {}",
         slab_shape,

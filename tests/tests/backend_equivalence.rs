@@ -6,10 +6,11 @@
 //! bit-identical `Refactored` artifacts and identical retrieval error
 //! bounds on arbitrary inputs.
 
-use hpmdr_core::chunked::{refactor_chunked_with, ChunkedConfig};
 use hpmdr_core::refactor::refactor_with;
-use hpmdr_core::storage::write_chunked_store;
-use hpmdr_core::{CpuBackend, ExecCtx, RefactorConfig, RetrievalPlan, RetrievalSession};
+use hpmdr_core::{
+    CpuBackend, ExecCtx, MdrConfig, RefactorConfig, RetrievalPlan, RetrievalSession, SliceSource,
+};
+use hpmdr_tests::store_files;
 use proptest::prelude::*;
 
 fn random_field(nx: usize, ny: usize, seed: u32) -> Vec<f32> {
@@ -112,16 +113,15 @@ proptest! {
         // (chunk-level fan-out included) must be
         // byte-identical on disk, file for file.
         let data = random_field(nx, ny, seed);
-        let cfg = ChunkedConfig::with_extent(&[cx, cy]);
-        let ctx = ExecCtx::default();
-        let scalar = refactor_chunked_with(&data, &[nx, ny], &cfg, &CpuBackend::with_threads(1), &ctx);
-        let parallel = refactor_chunked_with(
-            &data,
-            &[nx, ny],
-            &cfg,
-            &CpuBackend::with_threads(4),
-            &ctx,
-        );
+        let config = MdrConfig::new().chunked(&[cx, cy]);
+        let refactor = |threads| {
+            config
+                .clone()
+                .build_with(CpuBackend::with_threads(threads))
+                .refactor(&data, &[nx, ny])
+                .unwrap()
+        };
+        let (scalar, parallel) = (refactor(1), refactor(4));
         prop_assert_eq!(&scalar, &parallel);
 
         let base = std::env::temp_dir().join(format!(
@@ -130,8 +130,8 @@ proptest! {
         ));
         let (dir_s, dir_p) = (base.join("scalar"), base.join("parallel"));
         let _ = std::fs::remove_dir_all(&base);
-        write_chunked_store(&scalar, &dir_s).unwrap();
-        write_chunked_store(&parallel, &dir_p).unwrap();
+        scalar.write_store(&dir_s).unwrap();
+        parallel.write_store(&dir_p).unwrap();
 
         let mut names: Vec<String> = std::fs::read_dir(&dir_s)
             .unwrap()
@@ -144,7 +144,8 @@ proptest! {
             .collect();
         names_p.sort();
         prop_assert_eq!(&names, &names_p, "same file set");
-        prop_assert!(names.len() == scalar.grid.num_chunks() + 1, "shards + manifest");
+        let num_chunks = scalar.as_chunked().unwrap().grid.num_chunks();
+        prop_assert!(names.len() == num_chunks + 1, "shards + manifest");
         for name in &names {
             let a = std::fs::read(dir_s.join(name)).unwrap();
             let b = std::fs::read(dir_p.join(name)).unwrap();
@@ -160,76 +161,42 @@ proptest! {
         cx in 3usize..8,
         cy in 3usize..8,
         seed in any::<u32>(),
-        lookahead in 1usize..6,
         case in any::<u64>(),
     ) {
         // The portability guarantee extends to streaming ingest: the
-        // bounded pipeline on any backend, under either schedule and
-        // any lookahead, must write the same store the whole-input
-        // chunked path does — file for file.
-        use hpmdr_core::{IngestOptions, MdrConfig, SliceSource};
-
+        // overlapped pipeline of `Mdr::ingest` on any backend must write
+        // the same store the whole-input path's serial schedule does —
+        // file for file. (Every slot count of both schedules is swept
+        // in-crate, in `core::ingest`'s tests.)
         let data = random_field(nx, ny, seed);
-        let cfg = ChunkedConfig::with_extent(&[cx, cy]);
-        let reference = refactor_chunked_with(
-            &data,
-            &[nx, ny],
-            &cfg,
-            &CpuBackend::with_threads(1),
-            &ExecCtx::default(),
-        );
+        let config = MdrConfig::new().chunked(&[cx, cy]);
+        let reference = config
+            .clone()
+            .build_with(CpuBackend::with_threads(1))
+            .refactor(&data, &[nx, ny])
+            .unwrap();
         let base = std::env::temp_dir().join(format!(
             "hpmdr_ingest_equiv_{}_{case}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&base);
         let dir_ref = base.join("reference");
-        write_chunked_store(&reference, &dir_ref).unwrap();
-        let want: Vec<(String, Vec<u8>)> = {
-            let mut files: Vec<_> = std::fs::read_dir(&dir_ref)
-                .unwrap()
-                .map(|e| {
-                    let e = e.unwrap();
-                    (
-                        e.file_name().into_string().unwrap(),
-                        std::fs::read(e.path()).unwrap(),
-                    )
-                })
-                .collect();
-            files.sort_by(|a, b| a.0.cmp(&b.0));
-            files
-        };
+        reference.write_store(&dir_ref).unwrap();
+        let want = store_files(&dir_ref);
 
-        let config = MdrConfig::new().chunked(&[cx, cy]);
         for backend in ["one_thread", "host_wide"] {
-            for (schedule, opts) in [
-                ("seq", IngestOptions::sequential().with_lookahead(lookahead)),
-                ("ovl", IngestOptions::overlapped().with_lookahead(lookahead)),
-            ] {
-                let dir = base.join(format!("{backend}_{schedule}"));
-                let source = SliceSource::new(&data, &[nx, ny]).unwrap();
-                let mdr = match backend {
-                    "one_thread" => config.clone().build_with(CpuBackend::with_threads(1)),
-                    _ => config.clone().build(),
-                };
-                mdr.ingest_with(source, &dir, &opts).unwrap();
-                let mut got: Vec<_> = std::fs::read_dir(&dir)
-                    .unwrap()
-                    .map(|e| {
-                        let e = e.unwrap();
-                        (
-                            e.file_name().into_string().unwrap(),
-                            std::fs::read(e.path()).unwrap(),
-                        )
-                    })
-                    .collect();
-                got.sort_by(|a, b| a.0.cmp(&b.0));
-                prop_assert_eq!(
-                    &want, &got,
-                    "{} ingest under {} must match the whole-input store",
-                    backend, schedule
-                );
-            }
+            let dir = base.join(backend);
+            let source = SliceSource::new(&data, &[nx, ny]).unwrap();
+            let mdr = match backend {
+                "one_thread" => config.clone().build_with(CpuBackend::with_threads(1)),
+                _ => config.clone().build(),
+            };
+            mdr.ingest(source, &dir).unwrap();
+            prop_assert_eq!(
+                &want, &store_files(&dir),
+                "{} ingest must match the whole-input store",
+                backend
+            );
         }
         let _ = std::fs::remove_dir_all(&base);
     }

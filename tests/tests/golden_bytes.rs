@@ -92,31 +92,24 @@ fn chunked_store_files_are_pinned() {
 /// [`write_chunked_store`] store are interchangeable byte-for-byte.
 #[test]
 fn streaming_ingest_hits_the_same_chunked_pins() {
-    use hpmdr_core::{IngestOptions, MdrConfig, SliceSource};
+    use hpmdr_core::{MdrConfig, SliceSource};
 
     let data = field_f32(24, 18);
-    for (name, opts) in [
-        ("seq", IngestOptions::sequential()),
-        ("ovl", IngestOptions::overlapped().with_lookahead(2)),
-    ] {
-        let dir: PathBuf = std::env::temp_dir().join(format!(
-            "hpmdr_golden_bytes_ingest_{name}_{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mdr = MdrConfig::new().chunked(&[7, 8]).build();
-        let source = SliceSource::new(&data, &[24, 18]).unwrap();
-        let report = mdr.ingest_with(source, &dir, &opts).unwrap();
-        let mut all = std::fs::read(dir.join("manifest.json")).unwrap();
-        for c in 0..report.chunks_written {
-            all.extend_from_slice(&std::fs::read(dir.join(format!("c{c}.shard"))).unwrap());
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(all.len(), 169060, "{name} ingested store length drifted");
-        assert_eq!(
-            fnv1a(&all),
-            0xcf5be72c01834c6d,
-            "{name} ingested store bytes drifted"
-        );
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("hpmdr_golden_bytes_ingest_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mdr = MdrConfig::new().chunked(&[7, 8]).build();
+    let source = SliceSource::new(&data, &[24, 18]).unwrap();
+    let report = mdr.ingest(source, &dir).unwrap();
+    let mut all = std::fs::read(dir.join("manifest.json")).unwrap();
+    for c in 0..report.chunks_written {
+        all.extend_from_slice(&std::fs::read(dir.join(format!("c{c}.shard"))).unwrap());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(all.len(), 169060, "ingested store length drifted");
+    assert_eq!(
+        fnv1a(&all),
+        0xcf5be72c01834c6d,
+        "ingested store bytes drifted"
+    );
 }

@@ -1,9 +1,8 @@
 //! Integration tests for the progressive access modes that compose over
 //! one archive: precision (L∞ and rate-distortion planners), resolution
-//! levels, and the file-backed unit store.
+//! levels, and the on-disk store.
 
-use hpmdr_core::storage::{write_store, StoreReader};
-use hpmdr_core::{refactor, RefactorConfig, RetrievalPlan, RetrievalSession};
+use hpmdr_core::{open_store, refactor, Artifact, RefactorConfig, RetrievalPlan, RetrievalSession};
 use hpmdr_datasets::{metrics, DatasetKind};
 use hpmdr_tests::small_dataset;
 
@@ -76,19 +75,25 @@ fn store_round_trips_through_filesystem_with_partial_io() {
     let r = refactor(&data, &ds.shape, &RefactorConfig::default());
     let dir = std::env::temp_dir().join(format!("hpmdr_it_store_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    write_store(&r, &dir).expect("write store");
+    Artifact::Monolithic(r.clone())
+        .write_store(&dir)
+        .expect("write store");
 
-    // Loose request reads strictly fewer files than a tight request.
-    let loose_reader = StoreReader::open(&dir).expect("open");
-    let (loose_plan, loose_bound) =
-        RetrievalPlan::for_error(loose_reader.skeleton(), 1e-1 * r.value_range);
-    let loose = loose_reader.load_plan(&loose_plan).expect("load");
-    let loose_files = loose_reader.files_read();
-
-    let tight_reader = StoreReader::open(&dir).expect("open");
-    let (tight_plan, _) = RetrievalPlan::for_error(tight_reader.skeleton(), 1e-5 * r.value_range);
-    let _tight = tight_reader.load_plan(&tight_plan).expect("load");
-    assert!(tight_reader.files_read() > loose_files);
+    // Each store fetches exactly its plan: one range per group with a
+    // non-zero prefix, and the plan's bytes. A loose request fetches
+    // strictly fewer bytes than a tight one.
+    let load = |rel: f64| {
+        let store = open_store(&dir).expect("open");
+        let (plan, bound) = RetrievalPlan::for_error(&store.meta().chunks[0], rel * r.value_range);
+        let loaded = store.load_chunk(0, &plan).expect("load");
+        let groups = plan.units.iter().filter(|&&u| u > 0).count();
+        assert_eq!(store.requests(), groups, "rel {rel}: one range per group");
+        assert_eq!(store.bytes_fetched(), plan.fetch_bytes(&r), "rel {rel}");
+        (plan, bound, loaded, store.bytes_fetched())
+    };
+    let (loose_plan, loose_bound, loose, loose_bytes) = load(1e-1);
+    let (_, _, _, tight_bytes) = load(1e-5);
+    assert!(loose_bytes < tight_bytes);
 
     // Loose reconstruction still honors its bound.
     let mut sess = RetrievalSession::new(&loose);

@@ -16,12 +16,30 @@
 //! Every answer is a [`Reader`] serving `Query::region` from an
 //! [`InMemoryStore`] or a [`ChunkedStoreReader`].
 
-use hpmdr_core::chunked::{extract_region, refactor_chunked_with, ChunkedConfig};
-use hpmdr_core::prelude::{InMemoryStore, Query, Reader, Target};
+use hpmdr_core::chunked::{extract_region, ChunkedConfig, ChunkedRefactored};
+use hpmdr_core::prelude::{Artifact, InMemoryStore, MdrConfig, Query, Reader, Target};
 use hpmdr_core::roi::{Region, RoiRequest};
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreReader};
-use hpmdr_core::{CpuBackend, ExecCtx};
+use hpmdr_core::CpuBackend;
 use proptest::prelude::*;
+
+/// Chunk-refactor `data` in `extent` chunks on `backend`.
+fn chunked_on(
+    data: &[f32],
+    shape: &[usize],
+    extent: &[usize],
+    backend: CpuBackend,
+) -> ChunkedRefactored {
+    let artifact = MdrConfig::new()
+        .chunked(extent)
+        .build_with(backend)
+        .refactor(data, shape)
+        .unwrap();
+    let Artifact::Chunked(cr) = artifact else {
+        panic!("a chunked configuration refactors to a chunked artifact");
+    };
+    cr
+}
 
 fn random_field(n: usize, seed: u32) -> Vec<f32> {
     let mut s = seed | 1;
@@ -77,10 +95,8 @@ proptest! {
         let n: usize = shape.iter().product();
         let data = random_field(n, seed);
 
-        let ctx = ExecCtx::default();
         let scalar = CpuBackend::with_threads(1);
-        let cfg = ChunkedConfig::with_extent(chunk_extent);
-        let cr = refactor_chunked_with(&data, shape, &cfg, &scalar, &ctx);
+        let cr = chunked_on(&data, shape, chunk_extent, scalar);
 
         let eb = rel * cr.value_range().max(1e-9);
         let region = region_from(shape, region_words);
@@ -117,7 +133,7 @@ proptest! {
         // (3) the parallel backend gives the identical region.
         if use_parallel {
             let par = CpuBackend::with_threads(3);
-            let cr_par = refactor_chunked_with(&data, shape, &cfg, &par, &ctx);
+            let cr_par = chunked_on(&data, shape, chunk_extent, par);
             prop_assert_eq!(&cr, &cr_par, "chunked artifacts must be bit-identical");
             let memory_par = InMemoryStore::from(cr_par);
             let roi_par = Reader::with_backend(&memory_par, par).retrieve::<f32>(&query).unwrap();

@@ -1,10 +1,13 @@
-//! `core::storage` plan-driven I/O coverage: a unit-file store must read
-//! exactly the files and bytes a `RetrievalPlan` asks for — the paper's
-//! small-object I/O pattern — under empty, partial, and full plans.
+//! `core::storage` plan-driven I/O coverage: a monolithic artifact on
+//! disk must fetch exactly the ranges and bytes a `RetrievalPlan` asks
+//! for — one range per level group with a non-zero unit prefix, the
+//! paper's prefix-of-units I/O pattern — under empty, partial, and full
+//! plans.
 
-use hpmdr_core::storage::{write_store, StoreReader};
-use hpmdr_core::{refactor, RefactorConfig, RetrievalPlan, RetrievalSession};
-use std::path::PathBuf;
+use hpmdr_core::{
+    open_store, refactor, Artifact, RefactorConfig, RetrievalPlan, RetrievalSession, Store,
+};
+use std::path::{Path, PathBuf};
 
 fn sample() -> (Vec<f32>, hpmdr_core::Refactored) {
     let data: Vec<f32> = (0..40 * 28)
@@ -21,18 +24,30 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+/// Write `r` as a store under `dir` and open it back.
+fn store_of(r: &hpmdr_core::Refactored, dir: &Path) -> Box<dyn Store> {
+    Artifact::Monolithic(r.clone()).write_store(dir).unwrap();
+    let store = open_store(dir).unwrap();
+    assert_eq!(store.flavor(), "sharded");
+    store
+}
+
+/// Range reads a plan costs: one per level group it takes units from.
+fn ranges(plan: &RetrievalPlan) -> usize {
+    plan.units.iter().filter(|&&u| u > 0).count()
+}
+
 #[test]
 fn empty_plan_reads_no_files_and_reconstructs_zeros() {
     let (_, r) = sample();
     let dir = scratch("empty");
-    write_store(&r, &dir).unwrap();
-    let reader = StoreReader::open(&dir).unwrap();
+    let store = store_of(&r, &dir);
 
     let plan = RetrievalPlan::empty(&r);
-    let loaded = reader.load_plan(&plan).unwrap();
-    assert_eq!(reader.files_read(), 0, "empty plan must open no unit files");
+    let loaded = store.load_chunk(0, &plan).unwrap();
+    assert_eq!(store.requests(), 0, "empty plan must issue no reads");
     assert_eq!(
-        reader.bytes_read(),
+        store.bytes_fetched(),
         0,
         "empty plan must read no payload bytes"
     );
@@ -49,11 +64,10 @@ fn empty_plan_reads_no_files_and_reconstructs_zeros() {
 fn partial_plans_read_exactly_the_plans_units() {
     let (data, r) = sample();
     let dir = scratch("partial");
-    write_store(&r, &dir).unwrap();
 
-    // Cumulative reader: totals grow by exactly each plan's increment.
-    let reader = StoreReader::open(&dir).unwrap();
-    let mut files_so_far = 0usize;
+    // Cumulative store: totals grow by exactly each plan's cost.
+    let store = store_of(&r, &dir);
+    let mut ranges_so_far = 0usize;
     let mut bytes_so_far = 0usize;
     let mut prev_units = vec![0usize; r.streams.len()];
     for rel in [1e-1f64, 1e-3, 1e-5] {
@@ -64,16 +78,15 @@ fn partial_plans_read_exactly_the_plans_units() {
             assert!(p <= q, "plan regressed a group");
         }
 
-        let fresh = StoreReader::open(&dir).unwrap();
-        let loaded = fresh.load_plan(&plan).unwrap();
-        let wanted_files: usize = plan.units.iter().sum();
+        let fresh = open_store(&dir).unwrap();
+        let loaded = fresh.load_chunk(0, &plan).unwrap();
         assert_eq!(
-            fresh.files_read(),
-            wanted_files,
-            "one file per planned unit"
+            fresh.requests(),
+            ranges(&plan),
+            "one range per group the plan takes units from"
         );
         assert_eq!(
-            fresh.bytes_read(),
+            fresh.bytes_fetched(),
             plan.fetch_bytes(&r),
             "bytes match the plan"
         );
@@ -97,12 +110,12 @@ fn partial_plans_read_exactly_the_plans_units() {
             assert!(((a - b).abs() as f64) <= bound.max(eb));
         }
 
-        // Cumulative reader counts every file exactly once per load.
-        reader.load_plan(&plan).unwrap();
-        files_so_far += wanted_files;
+        // The cumulative store counts every range exactly once per load.
+        store.load_chunk(0, &plan).unwrap();
+        ranges_so_far += ranges(&plan);
         bytes_so_far += plan.fetch_bytes(&r);
-        assert_eq!(reader.files_read(), files_so_far);
-        assert_eq!(reader.bytes_read(), bytes_so_far);
+        assert_eq!(store.requests(), ranges_so_far);
+        assert_eq!(store.bytes_fetched(), bytes_so_far);
         prev_units = plan.units;
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -112,18 +125,17 @@ fn partial_plans_read_exactly_the_plans_units() {
 fn full_plan_roundtrips_the_archive_exactly() {
     let (data, r) = sample();
     let dir = scratch("full");
-    let files_written = write_store(&r, &dir).unwrap();
-    let reader = StoreReader::open(&dir).unwrap();
+    let store = store_of(&r, &dir);
 
     let plan = RetrievalPlan::full(&r);
-    let loaded = reader.load_plan(&plan).unwrap();
+    let loaded = store.load_chunk(0, &plan).unwrap();
     assert_eq!(
-        reader.files_read(),
-        files_written,
-        "full plan opens every file"
+        store.requests(),
+        ranges(&plan),
+        "full plan reads one range per non-empty group"
     );
     assert_eq!(
-        reader.bytes_read(),
+        store.bytes_fetched(),
         r.total_bytes(),
         "full plan reads every byte"
     );
@@ -136,5 +148,31 @@ fn full_plan_roundtrips_the_archive_exactly() {
     for (a, b) in data.iter().zip(&rec) {
         assert!(((a - b).abs() as f64) <= scale * 1e-6, "near-lossless");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A monolithic store written over a 4-chunk one replaces it whole: the
+/// directory ends with one manifest and one shard, not the old chunks'
+/// shards beside the new one.
+#[test]
+fn monolithic_store_over_a_chunked_one_leaves_no_stale_shards() {
+    let (data, r) = sample();
+    let dir = scratch("overwrite");
+    let chunked = hpmdr_core::MdrConfig::new()
+        .chunked(&[20, 14])
+        .build()
+        .refactor(&data, &[40, 28])
+        .unwrap();
+    assert_eq!(chunked.write_store(&dir).unwrap(), 4);
+
+    let store = store_of(&r, &dir);
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, ["c0.shard", "manifest.json"]);
+    let loaded = store.load_chunk(0, &RetrievalPlan::full(&r)).unwrap();
+    assert_eq!(loaded, r);
     let _ = std::fs::remove_dir_all(&dir);
 }

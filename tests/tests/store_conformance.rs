@@ -1,13 +1,15 @@
 //! Store conformance: one generic function, written against
 //! `dyn Store`, serves the same [`Query`] battery from an in-memory
-//! artifact, a unit-file store, a sharded chunk store, and the same
-//! shards served over HTTP — and every flavor returns **identical**
+//! artifact, a monolithic artifact written to disk, a sharded chunk
+//! store, and the same shards served over HTTP — and every flavor
+//! returns **identical**
 //! [`Approximation`]s: same data, same shape, same achieved bound,
 //! same byte accounting. Error cases return the same [`MdrError`]
 //! variant everywhere.
 
 use hpmdr_core::prelude::*;
 use hpmdr_netstore::LoopbackShardServer;
+use hpmdr_tests::store_files;
 
 /// THE generic serving function of the acceptance criterion: it only
 /// knows `dyn Store`.
@@ -103,18 +105,21 @@ fn all_three_store_flavors_serve_identical_approximations() {
         "single-chunk artifact must equal the monolithic refactor"
     );
 
-    let unit_dir = scratch("unit");
+    let mono_dir = scratch("mono");
     let shard_dir = scratch("shard");
-    mono.write_store(&unit_dir).unwrap();
+    mono.write_store(&mono_dir).unwrap();
     chunked.write_store(&shard_dir).unwrap();
+    // A monolithic artifact goes to disk as its single-chunk grid: the
+    // two directories hold the same files, byte for byte.
+    assert_eq!(store_files(&mono_dir), store_files(&shard_dir));
 
     let mut memory_mono = InMemoryStore::from(mono);
     let mut memory_chunked = InMemoryStore::from(chunked);
-    let mut unit_file = open_store(&unit_dir).unwrap();
+    let mut mono_disk = open_store(&mono_dir).unwrap();
     let mut sharded = open_store(&shard_dir).unwrap();
     let server = LoopbackShardServer::serve(&shard_dir).unwrap();
     let mut remote = open_store(std::path::Path::new(&server.url())).unwrap();
-    assert_eq!(unit_file.flavor(), "unit-file");
+    assert_eq!(mono_disk.flavor(), "sharded");
     assert_eq!(sharded.flavor(), "sharded");
     assert_eq!(remote.flavor(), "remote");
 
@@ -124,7 +129,7 @@ fn all_three_store_flavors_serve_identical_approximations() {
         assert!(reference.bytes_fetched > 0, "{label}");
         for (name, store) in [
             ("memory/chunked", &mut memory_chunked as &mut dyn Store),
-            ("unit-file", unit_file.as_mut()),
+            ("monolithic on disk", mono_disk.as_mut()),
             ("sharded", sharded.as_mut()),
             ("remote", remote.as_mut()),
         ] {
@@ -137,7 +142,7 @@ fn all_three_store_flavors_serve_identical_approximations() {
     }
 
     drop(server);
-    let _ = std::fs::remove_dir_all(&unit_dir);
+    let _ = std::fs::remove_dir_all(&mono_dir);
     let _ = std::fs::remove_dir_all(&shard_dir);
 }
 
@@ -281,12 +286,12 @@ fn zero_range_relative_targets_are_trivially_satisfied_everywhere() {
         .refactor(&data, &shape)
         .unwrap();
 
-    let unit_dir = scratch("zr_unit");
+    let mono_dir = scratch("zr_mono");
     let shard_dir = scratch("zr_shard");
-    mono.write_store(&unit_dir).unwrap();
+    mono.write_store(&mono_dir).unwrap();
     chunked.write_store(&shard_dir).unwrap();
     let mut memory = InMemoryStore::from(mono);
-    let mut unit_file = open_store(&unit_dir).unwrap();
+    let mut mono_disk = open_store(&mono_dir).unwrap();
     let mut sharded = open_store(&shard_dir).unwrap();
 
     for q in [
@@ -296,7 +301,7 @@ fn zero_range_relative_targets_are_trivially_satisfied_everywhere() {
     ] {
         for (name, store) in [
             ("memory", &mut memory as &mut dyn Store),
-            ("unit-file", unit_file.as_mut()),
+            ("monolithic on disk", mono_disk.as_mut()),
             ("sharded", sharded.as_mut()),
         ] {
             let a = serve(store, &q).unwrap_or_else(|e| panic!("{name} {q:?}: {e}"));
@@ -307,7 +312,7 @@ fn zero_range_relative_targets_are_trivially_satisfied_everywhere() {
         }
     }
 
-    let _ = std::fs::remove_dir_all(&unit_dir);
+    let _ = std::fs::remove_dir_all(&mono_dir);
     let _ = std::fs::remove_dir_all(&shard_dir);
 }
 

@@ -17,6 +17,7 @@ use hpmdr_core::refactor::refactor;
 use hpmdr_core::roi::Region;
 use hpmdr_core::storage::{write_chunked_store, ChunkedStoreWriter};
 use hpmdr_core::RefactorConfig;
+use hpmdr_tests::store_files;
 use std::path::PathBuf;
 
 fn field(n: usize, seed: u32) -> Vec<f32> {
@@ -35,23 +36,6 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("hpmdr_sing_{name}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Read every file in `dir` keyed by name — stores compare as maps so a
-/// missing, extra, or differing file all fail loudly.
-fn store_files(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
-    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
-        .unwrap()
-        .map(|e| {
-            let e = e.unwrap();
-            (
-                e.file_name().into_string().unwrap(),
-                std::fs::read(e.path()).unwrap(),
-            )
-        })
-        .collect();
-    files.sort_by(|a, b| a.0.cmp(&b.0));
-    files
 }
 
 /// Ingest-then-append must equal a one-shot refactor of the
@@ -344,64 +328,51 @@ fn torn_manifest_is_corrupt_not_a_panic() {
 }
 
 /// The report's measured high-water mark must honor the advertised
-/// `lookahead × max-chunk-footprint` bound under every schedule — the
-/// bounded-memory contract, asserted on real runs.
+/// `lookahead × max-chunk-footprint` bound — the bounded-memory
+/// contract, asserted on a real run. (Every slot count of both
+/// schedules, and the exact peak at one slot, are checked in-crate by
+/// `core::ingest`'s `staging_peak_is_bounded_under_every_schedule`.)
 #[test]
 fn ingest_report_proves_bounded_staging() {
     let data = field(32 * 16 * 16, 0xF00D);
-    for opts in [
-        IngestOptions::sequential(),
-        IngestOptions::sequential().with_lookahead(1),
-        IngestOptions::overlapped().with_lookahead(1),
-        IngestOptions::overlapped().with_lookahead(2),
-        IngestOptions::overlapped().with_lookahead(8),
-    ] {
-        let dir = tmp("bounded");
-        let mdr = MdrConfig::new().chunked(&[8, 8, 8]).build();
-        let source = SliceSource::new(&data, &[32, 16, 16]).unwrap();
-        let report = mdr.ingest_with(source, &dir, &opts).unwrap();
-        assert_eq!(report.chunks_written, 16);
-        assert!(report.max_chunk_footprint_bytes > 0);
-        assert!(
-            report.peak_staged_bytes <= report.staging_bound_bytes(),
-            "peak {} must stay within lookahead({}) × footprint({}) = {}",
-            report.peak_staged_bytes,
-            report.lookahead,
-            report.max_chunk_footprint_bytes,
-            report.staging_bound_bytes()
-        );
-        // One slot serialises the stages, so the peak is exact whichever
-        // thread holds the chunk and in whichever form (raw samples or
-        // prepared groups): one chunk's samples plus its own artifact.
-        if opts.lookahead == 1 {
-            assert_eq!(report.peak_staged_bytes, report.max_chunk_footprint_bytes);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = tmp("bounded");
+    let mdr = MdrConfig::new().chunked(&[8, 8, 8]).build();
+    let source = SliceSource::new(&data, &[32, 16, 16]).unwrap();
+    let report = mdr.ingest(source, &dir).unwrap();
+    assert_eq!(report.chunks_written, 16);
+    assert_eq!(report.lookahead, hpmdr_core::ingest::DEFAULT_LOOKAHEAD);
+    assert!(report.max_chunk_footprint_bytes > 0);
+    assert!(
+        report.peak_staged_bytes <= report.staging_bound_bytes(),
+        "peak {} must stay within lookahead({}) × footprint({}) = {}",
+        report.peak_staged_bytes,
+        report.lookahead,
+        report.max_chunk_footprint_bytes,
+        report.staging_bound_bytes()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Streaming is the point: under the default lookahead, both schedules
-/// stage less than the input they ingest, where a whole-input refactor
-/// holds all of it.
+/// Streaming is the point: under the default lookahead, ingest stages
+/// less than the input it ingests, where a whole-input refactor holds
+/// all of it. (The serial schedule's arm is `core::ingest`'s
+/// `serial_schedule_stages_less_than_the_whole_input`.)
 #[test]
 fn streaming_ingest_stages_less_than_the_whole_input() {
     let shape = [64usize, 32, 32];
     let data = field(shape.iter().product(), 0xBEEF);
     let raw_bytes = data.len() * 4;
-    for opts in [IngestOptions::sequential(), IngestOptions::overlapped()] {
-        let dir = tmp("less_than_input");
-        let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
-        let source = SliceSource::new(&data, &shape).unwrap();
-        let report = mdr.ingest_with(source, &dir, &opts).unwrap();
-        assert_eq!(report.chunks_written, 16);
-        assert!(
-            report.peak_staged_bytes < raw_bytes,
-            "{:?} staged {} bytes of a {raw_bytes}-byte input",
-            opts.mode,
-            report.peak_staged_bytes
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let dir = tmp("less_than_input");
+    let mdr = MdrConfig::new().chunked(&[16, 16, 16]).build();
+    let source = SliceSource::new(&data, &shape).unwrap();
+    let report = mdr.ingest(source, &dir).unwrap();
+    assert_eq!(report.chunks_written, 16);
+    assert!(
+        report.peak_staged_bytes < raw_bytes,
+        "staged {} bytes of a {raw_bytes}-byte input",
+        report.peak_staged_bytes
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Appended stores serve concurrent clients like any other: the grown
