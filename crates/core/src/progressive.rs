@@ -26,9 +26,18 @@
 //! [`RetrievalSession`] per touched chunk for its whole life: a frame
 //! hands each session its delta, which the session decompresses, ORs
 //! into its plane accumulators and then releases, so a unit is entropy-
-//! decoded once however many frames follow its arrival. A frame costs
-//! its own units plus one materialize + recompose per chunk; between
-//! frames a chunk holds its skeleton, sign planes and accumulators, not
+//! decoded once however many frames follow its arrival.
+//!
+//! So is the rebuild: a frame returns the region, so it rebuilds only
+//! what the region shows. Each chunk keeps its injected coefficient grid
+//! and, per group, the units applied when that grid was built. A frame
+//! re-materializes and re-injects only the groups that gained units,
+//! then recomposes a copy of the grid through the chunk's window — its
+//! box of the region, the only values the frame reads. Levels whose group
+//! has no units yet skip their projection. Both cuts leave every value
+//! read bit-identical to a full recompose (see
+//! [`hpmdr_mgard::RecomposeTo`]). Between frames a chunk holds its
+//! skeleton, sign planes, accumulators and coefficient grid, not
 //! compressed bytes.
 //!
 //! The final frame plans with the *exact* resolved target through the
@@ -37,7 +46,9 @@
 //! data, shape, achieved bound, and exhaustion flag cannot diverge from
 //! [`Reader::retrieve`] (asserted across the Target×Scope battery in
 //! `tests/tests/progressive_stream.rs`, together with the decode-once
-//! count).
+//! count). Every intermediate frame equals fresh sessions at its ladder
+//! plan, reconstructed in full and assembled, bit for bit (this module's
+//! tests).
 //!
 //! A frame that fails (store or decode error) ends the stream:
 //! [`ApproximationStream::refine_next`] returns the typed error once and
@@ -54,13 +65,15 @@
 use crate::api::{
     resolve_target, serve_query, Approximation, Query, ResolvedTarget, StoreRef, Target,
 };
+use crate::chunked::ChunkedRefactored;
 use crate::error::MdrError;
-use crate::retrieve::{RetrievalPlan, RetrievalSession};
-use crate::roi::{assemble_parts, Region, RoiPlan};
+use crate::retrieve::{CoefficientGrid, RetrievalPlan, RetrievalSession};
+use crate::roi::{assemble_parts, chunk_window, Region, RoiPlan};
 use crate::Scope;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Geometric spacing of the intermediate refinement ladder: each step
@@ -88,17 +101,23 @@ pub struct RefinementFrame<F> {
 }
 
 /// Per-chunk refinement state, alive for the whole stream.
-struct OwnedChunk<B: Backend> {
+struct OwnedChunk<F, B: Backend> {
     /// Linear chunk index in the grid.
     index: usize,
     /// The session owning the chunk's skeleton: its applied units are
     /// what the stream has fetched, and each frame hands it only the
     /// delta.
     session: RetrievalSession<'static, B>,
+    /// The chunk's box of the region, in chunk coordinates: all a frame
+    /// reads of the chunk, so all its recompose must produce.
+    window: Vec<Range<usize>>,
+    /// The injected coefficients of the last frame; the next one
+    /// re-materializes only the groups that gained units.
+    grid: CoefficientGrid<F>,
 }
 
 /// How the stream produces its frames.
-enum Mode<B: Backend> {
+enum Mode<F, B: Backend> {
     /// Abs / RMSE / Lossless targets over Full or Region scopes: the
     /// descending-threshold ladder with delta fetches.
     Ladder {
@@ -108,7 +127,7 @@ enum Mode<B: Backend> {
         /// after they are spent.
         thresholds: Vec<f64>,
         cursor: usize,
-        owned: Vec<OwnedChunk<B>>,
+        owned: Vec<OwnedChunk<F, B>>,
         /// Unit matrix of the previously emitted frame (dedup: a ladder
         /// step whose plan did not grow is skipped, not re-sent).
         last_units: Option<Vec<Vec<usize>>>,
@@ -130,7 +149,7 @@ pub struct ApproximationStream<F, B: Backend = CpuBackend> {
     /// Runs every frame: each is one outermost `install`, so a frame
     /// holds one core of the process's budget while it computes.
     backend: B,
-    mode: Mode<B>,
+    mode: Mode<F, B>,
     bytes_at_open: usize,
     step: usize,
     done: bool,
@@ -171,10 +190,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                 };
                 // The empty plan both validates the region and yields
                 // the zero-fetch bound the ladder descends from.
-                let init = RoiPlan::plan_with(meta, &region, f64::INFINITY, |r| match &resolved {
-                    ResolvedTarget::Rmse(_) => RetrievalPlan::for_rmse(r, f64::INFINITY),
-                    _ => RetrievalPlan::for_error(r, f64::INFINITY),
-                })?;
+                let init = ladder_plan(meta, &region, &resolved, f64::INFINITY)?;
                 let b0 = init.bound();
                 // Where the ladder stops: the resolved target, or for
                 // lossless the archive's floor bound over this region.
@@ -207,6 +223,8 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                             meta.chunks[cp.chunk].clone(),
                             backend.clone(),
                         ),
+                        window: chunk_window(meta, &region, cp.chunk),
+                        grid: CoefficientGrid::default(),
                     })
                     .collect();
                 Mode::Ladder {
@@ -300,11 +318,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                         // bounds, same exhaustion.
                         resolved.plan_region(meta, region)?
                     } else {
-                        let t = thresholds[*cursor];
-                        RoiPlan::plan_with(meta, region, t, |r| match &*resolved {
-                            ResolvedTarget::Rmse(_) => RetrievalPlan::for_rmse(r, t),
-                            _ => RetrievalPlan::for_error(r, t),
-                        })?
+                        ladder_plan(meta, region, resolved, thresholds[*cursor])?
                     };
                     if !is_final {
                         *cursor += 1;
@@ -336,7 +350,12 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                                     oc.session.supply_units(g, have, fresh)?;
                                 }
                             }
-                            oc.session.refine_chunk::<F>(cp.chunk, &cp.plan)
+                            oc.session.refine_chunk::<F>(
+                                cp.chunk,
+                                &cp.plan,
+                                &oc.window,
+                                Some(&mut oc.grid),
+                            )
                         })
                         .collect::<Result<_, MdrError>>()?;
                     let (achieved, exhausted) = (plan.bound(), plan.exhausted());
@@ -360,10 +379,24 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     }
 }
 
+/// The plan of an intermediate ladder step: `resolved`'s planner at
+/// threshold `t` over `region`.
+fn ladder_plan(
+    meta: &ChunkedRefactored,
+    region: &Region,
+    resolved: &ResolvedTarget,
+    t: f64,
+) -> Result<RoiPlan, MdrError> {
+    RoiPlan::plan_with(meta, region, t, |r| match resolved {
+        ResolvedTarget::Rmse(_) => RetrievalPlan::for_rmse(r, t),
+        _ => RetrievalPlan::for_error(r, t),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{InMemoryStore, SharedReader};
+    use crate::api::{InMemoryStore, SharedReader, Store};
     use crate::chunked::{refactor_chunked, ChunkedConfig};
 
     fn field(nx: usize, ny: usize) -> Vec<f32> {
@@ -461,5 +494,138 @@ mod tests {
             reader.stream::<f32>(&Query::full(Target::AbsError(-1.0))),
             Err(MdrError::InvalidQuery(_))
         ));
+    }
+
+    /// Every frame `query` streams, rebuilt the way the stream worked
+    /// before it kept state between frames: at each ladder plan a fresh
+    /// session per chunk, refined to the chunk's plan and reconstructed
+    /// in full — every group materialized, every level and line
+    /// recomposed — then assembled. Data, bound and exhaustion per frame.
+    fn oracle_frames<F: BitplaneFloat + Real + Default>(
+        store: &Arc<dyn Store>,
+        query: &Query,
+    ) -> Vec<(Vec<F>, f64, bool)> {
+        let stream = SharedReader::new(Arc::clone(store))
+            .stream::<F>(query)
+            .unwrap();
+        let Mode::Ladder {
+            region,
+            resolved,
+            thresholds,
+            ..
+        } = &stream.mode
+        else {
+            panic!("{query:?} streams one frame");
+        };
+        let meta = store.meta();
+        let mut last_units = None;
+        let mut frames = Vec::new();
+        for t in thresholds.iter().map(Some).chain([None]) {
+            let plan = match t {
+                Some(&t) => ladder_plan(meta, region, resolved, t).unwrap(),
+                None => resolved.plan_region(meta, region).unwrap(),
+            };
+            let units: Vec<Vec<usize>> = plan.chunks.iter().map(|c| c.plan.units.clone()).collect();
+            if t.is_some() && last_units.replace(units.clone()) == Some(units) {
+                continue;
+            }
+            let parts = plan
+                .chunks
+                .iter()
+                .map(|cp| {
+                    let loaded = store.load_chunk(cp.chunk, &cp.plan).unwrap();
+                    let mut session = RetrievalSession::owning(loaded, CpuBackend::with_threads(1));
+                    session.try_refine_to(&cp.plan).unwrap();
+                    session.reconstruct_in_full::<F>()
+                })
+                .collect();
+            let data = assemble_parts(meta, &plan, parts);
+            frames.push((data, plan.bound(), plan.exhausted()));
+        }
+        frames
+    }
+
+    fn bits<F: Real>(v: &[F]) -> Vec<u64> {
+        v.iter().map(|x| x.to_f64().to_bits()).collect()
+    }
+
+    /// Every frame of every `Target × Scope` query on a chunked archive of
+    /// `data` equals its oracle frame bit for bit, at one and four threads.
+    fn assert_frames_match_oracle<F: BitplaneFloat + Real + Default + std::fmt::Debug>(
+        data: &[F],
+        shape: &[usize],
+        chunk: &[usize],
+        regions: &[Region],
+    ) {
+        let cr = refactor_chunked(data, shape, &ChunkedConfig::with_extent(chunk));
+        let store: Arc<dyn Store> = Arc::new(InMemoryStore::from(cr));
+        let targets = [
+            Target::AbsError(1e-4),
+            Target::Rel(1e-5),
+            Target::Rmse(1e-4),
+            Target::Lossless,
+        ];
+        let mut multi_frame = 0;
+        for target in targets {
+            let queries = std::iter::once(Query::full(target.clone())).chain(
+                regions
+                    .iter()
+                    .map(|r| Query::region(target.clone(), r.clone())),
+            );
+            for query in queries {
+                let want = oracle_frames::<F>(&store, &query);
+                multi_frame += usize::from(want.len() > 1);
+                for threads in [1, 4] {
+                    let reader = SharedReader::with_backend(
+                        Arc::clone(&store),
+                        CpuBackend::with_threads(threads),
+                    );
+                    let mut stream = reader.stream::<F>(&query).unwrap();
+                    let mut got = Vec::new();
+                    while let Some(frame) = stream.refine_next().unwrap() {
+                        got.push(frame.approximation);
+                    }
+                    let what = format!("{} {query:?} threads={threads}", F::TYPE_NAME);
+                    assert_eq!(got.len(), want.len(), "{what}: frame count");
+                    for (step, (a, (data, bound, exhausted))) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(bits(&a.data), bits(data), "{what}: frame {step}");
+                        assert_eq!(a.achieved, *bound, "{what}: frame {step}");
+                        assert_eq!(a.exhausted, *exhausted, "{what}: frame {step}");
+                    }
+                }
+            }
+        }
+        assert!(multi_frame >= 8, "the battery must exercise ladders");
+    }
+
+    #[test]
+    fn every_frame_equals_fresh_sessions_recomposed_in_full() {
+        let data = field(30, 22);
+        // The whole domain, a region straddling chunk boundaries in both
+        // dimensions, one inside the chunk clipped in both, one node.
+        let regions = [
+            Region::new(&[5, 6], &[14, 11]),
+            Region::new(&[25, 17], &[4, 4]),
+            Region::new(&[9, 9], &[1, 1]),
+        ];
+        assert_frames_match_oracle::<f32>(&data, &[30, 22], &[8, 8], &regions);
+        let wide: Vec<f64> = data.iter().map(|&v| f64::from(v)).collect();
+        assert_frames_match_oracle::<f64>(&wide, &[30, 22], &[8, 8], &regions);
+    }
+
+    #[test]
+    fn every_3d_frame_equals_fresh_sessions_recomposed_in_full() {
+        let shape = [13usize, 11, 10];
+        let data: Vec<f32> = (0..shape.iter().product::<usize>())
+            .map(|i| {
+                let (x, y, z) = (i / 110, i / 10 % 11, i % 10);
+                (x as f32 * 0.4).sin() * 2.0 + (y as f32 * 0.3).cos() * (z as f32 * 0.7).sin()
+            })
+            .collect();
+        let regions = [
+            Region::new(&[2, 3, 1], &[8, 7, 6]),
+            Region::new(&[7, 0, 5], &[6, 5, 5]),
+        ];
+        assert_frames_match_oracle::<f32>(&data, &shape, &[6, 5, 4], &regions);
     }
 }

@@ -13,9 +13,10 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{prefix_error_bound, BitplaneChunk, BitplaneFloat, Reconstruction};
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
-use hpmdr_mgard::{extract_active_grid, inject_levels, Real};
+use hpmdr_mgard::{extract_active_grid, inject_group, inject_levels, Real, RecomposeTo};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// A retrieval decision: merged units to fetch per level group.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -372,15 +373,19 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
     }
 
     /// One chunk's share of a region query: refine to `plan` and
-    /// materialize, labelling a decode error with the chunk's index.
+    /// reconstruct the chunk box `window` (see
+    /// [`Self::reconstruct_window`]), labelling a decode error with the
+    /// chunk's index.
     pub(crate) fn refine_chunk<F: BitplaneFloat + Real>(
         &mut self,
         chunk: usize,
         plan: &RetrievalPlan,
+        window: &[Range<usize>],
+        grid: Option<&mut CoefficientGrid<F>>,
     ) -> Result<Vec<F>, MdrError> {
         self.try_refine_to(plan)
             .map_err(|e| e.in_context(format!("chunk {chunk}")))?;
-        Ok(self.reconstruct::<F>())
+        Ok(self.reconstruct_window(window, grid))
     }
 
     /// Advance every group by `extra` merged units.
@@ -448,30 +453,8 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
         assert_eq!(F::TYPE_NAME, self.refactored.dtype, "dtype mismatch");
         let h = &self.refactored.hierarchy;
         assert!(level <= h.levels, "resolution level beyond hierarchy");
-        let groups: Vec<Vec<F>> = self
-            .refactored
-            .streams
-            .iter()
-            .zip(&self.decoders)
-            .enumerate()
-            .map(|(g, (s, d))| {
-                // Groups finer than the target level cannot influence the
-                // coarse grid; skip their decode entirely.
-                let needed = g + level <= h.levels;
-                match d {
-                    Some((chunk, dec)) if needed => self.backend.materialize::<F>(
-                        &self.ctx,
-                        dec,
-                        chunk,
-                        Reconstruction::Truncate,
-                    ),
-                    _ => vec![<F as Real>::from_f64(0.0); s.n],
-                }
-            })
-            .collect();
-        let mut data = inject_levels(&groups, h);
-        self.backend
-            .recompose_to_level(&self.ctx, &mut data, h, self.refactored.correction, level);
+        let mut data = self.injected(level);
+        self.recompose(&mut data, level, None);
         let shape = h.shape_at_level(level);
         if level == 0 {
             (data, shape)
@@ -479,6 +462,107 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
             (extract_active_grid(&data, h, level), shape)
         }
     }
+
+    /// The current approximation as read through `window` (per
+    /// dimension, a coordinate range of the full grid): inside the window
+    /// bit-identical to [`Self::reconstruct`], outside it unspecified,
+    /// since the finest level's passes visit only the lines the window
+    /// reads.
+    ///
+    /// With `grid`, the injected coefficients are kept there between
+    /// calls and only the groups that gained units since it was built are
+    /// materialized and injected again; the recompose then runs on a copy.
+    pub(crate) fn reconstruct_window<F: BitplaneFloat + Real>(
+        &self,
+        window: &[Range<usize>],
+        grid: Option<&mut CoefficientGrid<F>>,
+    ) -> Vec<F> {
+        assert_eq!(F::TYPE_NAME, self.refactored.dtype, "dtype mismatch");
+        let h = &self.refactored.hierarchy;
+        let mut data = match grid {
+            None => self.injected(0),
+            Some(grid) => {
+                if grid.built.is_empty() {
+                    grid.data = self.injected(0);
+                } else {
+                    let changed = grid.built.iter().zip(&self.units_applied);
+                    for (g, _) in changed.enumerate().filter(|(_, (then, now))| then != now) {
+                        inject_group(&mut grid.data, h, g, &self.coefficients(g, true));
+                    }
+                }
+                grid.built.clone_from(&self.units_applied);
+                grid.data.clone()
+            }
+        };
+        self.recompose(&mut data, 0, Some(window));
+        data
+    }
+
+    /// The reconstruction as it was before recomposition skipped work:
+    /// every group materialized and injected, every level, axis and line
+    /// recomposed — the oracle [`Self::reconstruct_window`] and the
+    /// level mask are held to.
+    #[cfg(test)]
+    pub(crate) fn reconstruct_in_full<F: BitplaneFloat + Real>(&self) -> Vec<F> {
+        let mut data = self.injected(0);
+        let r = &self.refactored;
+        hpmdr_mgard::recompose(&mut data, &r.hierarchy, r.correction);
+        data
+    }
+
+    /// Every group's coefficients injected into a full grid. Groups finer
+    /// than `level` cannot influence the level-`level` grid, so they are
+    /// injected as zeros without being decoded.
+    fn injected<F: BitplaneFloat + Real>(&self, level: usize) -> Vec<F> {
+        let h = &self.refactored.hierarchy;
+        let groups: Vec<Vec<F>> = (0..=h.levels)
+            .map(|g| self.coefficients(g, g + level <= h.levels))
+            .collect();
+        inject_levels(&groups, h)
+    }
+
+    /// Group `g`'s coefficients: its accumulators materialized when
+    /// `needed` and refined, else `+0.0` everywhere.
+    fn coefficients<F: BitplaneFloat + Real>(&self, g: usize, needed: bool) -> Vec<F> {
+        match &self.decoders[g] {
+            Some((chunk, dec)) if needed => {
+                self.backend
+                    .materialize::<F>(&self.ctx, dec, chunk, Reconstruction::Truncate)
+            }
+            _ => vec![F::ZERO; self.refactored.streams[g].n],
+        }
+    }
+
+    /// Recompose injected coefficients down to `level`. A group with no
+    /// applied units was injected as `+0.0`, so its level skips the
+    /// projection.
+    fn recompose<F: BitplaneFloat + Real>(
+        &self,
+        data: &mut [F],
+        level: usize,
+        window: Option<&[Range<usize>]>,
+    ) {
+        let details: Vec<bool> = self.units_applied.iter().map(|&u| u > 0).collect();
+        let to = RecomposeTo {
+            level,
+            window,
+            details: Some(&details),
+        };
+        let (h, correction) = (&self.refactored.hierarchy, self.refactored.correction);
+        self.backend
+            .recompose_to_level(&self.ctx, data, h, correction, to);
+    }
+}
+
+/// A chunk's injected coefficient grid, kept between the frames of a
+/// stream so that a frame re-materializes only the groups that gained
+/// units (see [`RetrievalSession::reconstruct_window`]).
+#[derive(Default)]
+pub(crate) struct CoefficientGrid<F> {
+    data: Vec<F>,
+    /// Units applied per group when its coefficients were injected
+    /// (empty until the grid is first built).
+    built: Vec<usize>,
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@ use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, ExecCtx};
 use hpmdr_mgard::Real;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::sync::{Mutex, PoisonError};
 
 /// An axis-aligned hyperslab: `start[d] .. start[d] + extent[d]` per
@@ -62,9 +63,10 @@ impl Region {
         self.extent.len()
     }
 
-    /// Element count.
+    /// Element count (saturating: a region too large to count cannot fit
+    /// any domain).
     pub fn len(&self) -> usize {
-        self.extent.iter().product()
+        self.extent.iter().fold(1, |n, &e| n.saturating_mul(e))
     }
 
     /// Whether the region has no elements (never true for valid regions).
@@ -72,14 +74,26 @@ impl Region {
         self.len() == 0
     }
 
-    /// Exclusive upper bound along dimension `d`.
+    /// Exclusive upper bound along dimension `d` (saturating: a region
+    /// whose end overflows `usize` fits no domain, see
+    /// [`Self::fits_within`]).
     pub fn end(&self, d: usize) -> usize {
-        self.start[d] + self.extent[d]
+        self.start[d].saturating_add(self.extent[d])
     }
 
-    /// Whether the region lies entirely inside a domain of `shape`.
+    /// Whether the region is nonempty and lies entirely inside a domain of
+    /// `shape` — the check every region passes before it is planned, so a
+    /// hostile one (a zero extent, a corner near `usize::MAX`) is rejected
+    /// here instead of overflowing later.
     pub fn fits_within(&self, shape: &[usize]) -> bool {
-        self.ndims() == shape.len() && (0..self.ndims()).all(|d| self.end(d) <= shape[d])
+        self.ndims() == shape.len()
+            && self.start.len() == shape.len()
+            && (0..self.ndims()).all(|d| {
+                self.extent[d] >= 1
+                    && self.start[d]
+                        .checked_add(self.extent[d])
+                        .is_some_and(|end| end <= shape[d])
+            })
     }
 
     /// Intersection with `other`, or `None` when disjoint.
@@ -370,9 +384,11 @@ impl FetchPlan {
 /// The one-shot assembly path: reconstruct each planned chunk with
 /// `reconstruct` (fanned out on `backend` — the closure fetches *and*
 /// decodes, so a multi-threaded backend overlaps chunk I/O with other
-/// chunks' decode) and copy its chunk∩region box into the region's
-/// slab, which is returned. The plan holds the answer's bound and
-/// exhaustion ([`RoiPlan::bound`], [`RoiPlan::exhausted`]).
+/// chunks' decode; it is handed the chunk's [`chunk_window`], the only
+/// values of its reconstruction that are read) and copy its chunk∩region
+/// box into the region's slab, which is returned. The plan holds the
+/// answer's bound and exhaustion ([`RoiPlan::bound`],
+/// [`RoiPlan::exhausted`]).
 ///
 /// Each batch item places its own box and drops its reconstruction
 /// before the next: a worker that helps with the fan then holds one
@@ -388,12 +404,13 @@ pub(crate) fn assemble_region<F, B, R>(
 where
     F: BitplaneFloat + Real + Default,
     B: Backend,
-    R: Fn(&ChunkRoiPlan) -> Result<Vec<F>, MdrError> + Send + Sync,
+    R: Fn(&ChunkRoiPlan, &[Range<usize>]) -> Result<Vec<F>, MdrError> + Send + Sync,
 {
     let positions: Vec<usize> = (0..plan.chunks.len()).collect();
     let out = Mutex::new(vec![F::default(); plan.region.len()]);
     let placed = backend.map_batch(ctx, &positions, |&i| {
-        let rec = reconstruct(&plan.chunks[i])?;
+        let cp = &plan.chunks[i];
+        let rec = reconstruct(cp, &chunk_window(cr, &plan.region, cp.chunk))?;
         // Boxes are disjoint, so the order of placement is immaterial; a
         // box copy is a small share of a chunk's decode.
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
@@ -419,6 +436,34 @@ pub(crate) fn assemble_parts<F: Copy + Default>(
     out
 }
 
+/// Chunk `chunk`'s own region and its box of `region` (their
+/// intersection), for a chunk the planner found to intersect it.
+fn chunk_box(cr: &ChunkedRefactored, region: &Region, chunk: usize) -> (Region, Region) {
+    let chunk_region = cr.grid.chunk_region(chunk);
+    let inter = chunk_region
+        .intersect(region)
+        // lint:allow(L3): planner invariant — `plan.chunks` holds only
+        // chunks the planner proved to intersect `plan.region`.
+        .expect("planned chunks intersect the region");
+    (chunk_region, inter)
+}
+
+/// The box of planned chunk `chunk` that `region` reads, per dimension a
+/// range of the chunk's local coordinates: the values of its
+/// reconstruction [`place_chunk`] copies, and so the only ones the
+/// recompose must produce.
+pub(crate) fn chunk_window(
+    cr: &ChunkedRefactored,
+    region: &Region,
+    chunk: usize,
+) -> Vec<Range<usize>> {
+    let (chunk_region, inter) = chunk_box(cr, region, chunk);
+    let local = inter.relative_to(&chunk_region.start);
+    (0..local.ndims())
+        .map(|d| local.start[d]..local.end(d))
+        .collect()
+}
+
 /// Copy chunk `cp`'s reconstruction `rec` (its dense box) into its
 /// chunk∩region box of `out`, the region's slab — the one placement
 /// rule every assembly path shares.
@@ -429,12 +474,7 @@ fn place_chunk<F: Copy>(
     rec: &[F],
     out: &mut [F],
 ) {
-    let chunk_region = cr.grid.chunk_region(cp.chunk);
-    let inter = chunk_region
-        .intersect(&plan.region)
-        // lint:allow(L3): planner invariant — `plan.chunks` holds only
-        // chunks the planner proved to intersect `plan.region`.
-        .expect("planned chunks intersect the region");
+    let (chunk_region, inter) = chunk_box(cr, &plan.region, cp.chunk);
     let src = inter.relative_to(&chunk_region.start);
     let dst = inter.relative_to(&plan.region.start);
     copy_hyperslab(
@@ -573,6 +613,48 @@ mod tests {
             matches!(&err, MdrError::InvalidQuery(w) if w.contains("exceeds domain")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn hostile_regions_are_invalid_queries_not_panics() {
+        let data = field_2d(16, 16);
+        let cr = refactor_chunked(&data, &[16, 16], &ChunkedConfig::with_extent(&[8, 8]));
+        let reader =
+            crate::api::SharedReader::new(std::sync::Arc::new(InMemoryStore::from(cr.clone())));
+        // Struct literals skip `Region::new`'s checks, as a deserialized
+        // region does.
+        for region in [
+            Region {
+                start: vec![usize::MAX, 0],
+                extent: vec![2, 4],
+            },
+            Region {
+                start: vec![usize::MAX - 1, 3],
+                extent: vec![usize::MAX, 1],
+            },
+            Region {
+                start: vec![0, 0],
+                extent: vec![1 << 40, 1 << 40],
+            },
+            Region {
+                start: vec![0, 0],
+                extent: vec![0, 4],
+            },
+            Region {
+                start: vec![3],
+                extent: vec![4, 4],
+            },
+        ] {
+            let what = format!("{region:?}");
+            let err = roi::<f32>(&cr, region.clone(), 1e-2).unwrap_err();
+            assert!(matches!(err, MdrError::InvalidQuery(_)), "{what}: {err}");
+            let query = Query::region(Target::AbsError(1e-2), region);
+            let err = reader
+                .stream::<f32>(&query)
+                .err()
+                .expect("stream must not open");
+            assert!(matches!(err, MdrError::InvalidQuery(_)), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::ctx::ExecCtx;
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout, Reconstruction};
 use hpmdr_lossless::{CodecError, CompressedGroup, HybridCompressor};
-use hpmdr_mgard::{Hierarchy, Real};
+use hpmdr_mgard::{Hierarchy, Real, RecomposeTo};
 use hpmdr_rt::prelude::*;
 
 /// Why [`Backend::decode_units`] failed to rebuild a bitplane chunk.
@@ -135,17 +135,19 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         self.install(|| hpmdr_mgard::decompose(data, h, correction));
     }
 
-    /// Recompose the levels above `level`, in place (`level = 0` is the
-    /// full inverse transform).
+    /// Recompose the levels above `to.level`, in place (level 0 is the
+    /// full inverse transform), skipping the work `to` says nobody reads:
+    /// outside `to.window` the values are unspecified, and a level whose
+    /// group `to.details` marks empty runs no projection.
     fn recompose_to_level<F: Real>(
         &self,
         _ctx: &ExecCtx,
         data: &mut [F],
         h: &Hierarchy,
         correction: bool,
-        level: usize,
+        to: RecomposeTo<'_>,
     ) {
-        self.install(|| hpmdr_mgard::recompose_to_level(data, h, correction, level));
+        self.install(|| hpmdr_mgard::recompose_to_level(data, h, correction, to));
     }
 
     /// Encode and compress every level group of a decomposed variable —

@@ -194,21 +194,36 @@ pub fn inject_levels<F: Real>(groups: &[Vec<F>], h: &Hierarchy) -> Vec<F> {
     assert_eq!(groups.len(), h.levels + 1, "group count mismatch");
     let mut out = vec![F::ZERO; h.len()];
     for (k, group) in groups.iter().enumerate() {
-        assert_eq!(group.len(), h.group_len(k), "group length mismatch");
-        let mut rest = group.as_slice();
-        for_each_run(h, k, |start, step, count| {
-            let (run, tail) = rest.split_at(count);
-            rest = tail;
-            if step == 1 {
-                out[start..start + count].copy_from_slice(run);
-            } else {
-                for (slot, &v) in out[start..].iter_mut().step_by(step).zip(run) {
-                    *slot = v;
-                }
-            }
-        });
+        inject_group(&mut out, h, k, group);
     }
     out
+}
+
+/// Scatter level group `k` into its positions of the full array `data`,
+/// leaving every other position as it is — [`inject_levels`] one group
+/// at a time, for a caller that keeps the array and replaces a group.
+///
+/// # Panics
+/// Panics if `data` or `group` does not match the hierarchy.
+pub fn inject_group<F: Real>(data: &mut [F], h: &Hierarchy, k: usize, group: &[F]) {
+    assert_eq!(
+        data.len(),
+        h.len(),
+        "data length must match hierarchy shape"
+    );
+    assert_eq!(group.len(), h.group_len(k), "group length mismatch");
+    let mut rest = group;
+    for_each_run(h, k, |start, step, count| {
+        let (run, tail) = rest.split_at(count);
+        rest = tail;
+        if step == 1 {
+            data[start..start + count].copy_from_slice(run);
+        } else {
+            for (slot, &v) in data[start..].iter_mut().step_by(step).zip(run) {
+                *slot = v;
+            }
+        }
+    });
 }
 
 /// Conservative L∞ error propagation weight of each level group: a
@@ -335,6 +350,22 @@ mod tests {
         let groups = extract_levels(&data, &h);
         let back = inject_levels(&groups, &h);
         assert_eq!(data, back);
+    }
+
+    #[test]
+    fn injecting_one_group_replaces_exactly_that_group() {
+        for shape in [vec![9usize, 8, 7], vec![17, 5], vec![33]] {
+            let h = Hierarchy::full(&shape);
+            let groups = extract_levels(&vec![1.0f64; h.len()], &h);
+            let mut grid = inject_levels(&groups, &h);
+            for k in 0..=h.levels {
+                let mut want = groups.clone();
+                want[k] = (0..h.group_len(k)).map(|i| -(i as f64)).collect();
+                inject_group(&mut grid, &h, k, &want[k]);
+                assert_eq!(grid, inject_levels(&want, &h), "{shape:?} group {k}");
+                inject_group(&mut grid, &h, k, &groups[k]);
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,25 @@
 //! panels, and panels into worker parts, changes only the interleaving of
 //! independent computations: the result is bit-identical for every panel
 //! width and every thread count.
+//!
+//! # Reading part of a recomposition
+//!
+//! A caller that reads only part of the result says so with
+//! [`RecomposeTo`], and the passes nobody reads are skipped; every value
+//! the caller reads is bit-identical to a full [`recompose`]'s.
+//!
+//! * **A window of the finest level.** Every coarser level runs in full,
+//!   because the finest level's first pass reads all of its output. At
+//!   the finest level the passes run from the last axis to the first, and
+//!   the pass along axis `a` needs only the lines whose coordinates on
+//!   every axis after `a` lie in the window: those are the lines whose
+//!   nodes the later passes read. The first pass runs in full; in 3-D
+//!   the last one visits only the window's `y × z` lines.
+//! * **No projection where there are no details.** A level whose detail
+//!   group is `+0.0` everywhere projects a zero load vector, so every
+//!   coarse node would only subtract `+0.0` — exact, `−0.0` included. Such
+//!   a level runs `predict` alone. (Its odd nodes stay `+0.0` through the
+//!   earlier axes' passes, which interpolate between them and add.)
 
 use crate::grid::Hierarchy;
 use crate::line::{decompose_panel, recompose_panel, MassFactor, PanelScratch};
@@ -87,13 +106,32 @@ impl<F: Copy> SyncPtr<F> {
     }
 }
 
+/// What a caller reads of a recomposition (see the [module
+/// docs](self#reading-part-of-a-recomposition)). The default reads
+/// everything: the full inverse transform.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecomposeTo<'a> {
+    /// Finest level to rebuild (0 = the full grid).
+    pub level: usize,
+    /// Per dimension, the coordinate range of the level-`level` active
+    /// grid the caller reads (`None` reads all of it). Values outside the
+    /// window are left unspecified.
+    pub window: Option<&'a [Range<usize>]>,
+    /// Per level group, in [`crate::extract_levels`] order, whether it may
+    /// hold a nonzero coefficient (`None`: every group may). A group
+    /// marked `false` must be `+0.0` everywhere.
+    pub details: Option<&'a [bool]>,
+}
+
 /// Geometry of one axis pass over the active grid of a level.
 struct AxisPass {
     /// Nodes per line.
     n: usize,
     /// Element stride between consecutive nodes of a line.
     axis_stride: usize,
-    /// `(extent, element stride)` of the slower of the two other
+    /// Flat index of node 0 of the pass's first line.
+    origin: usize,
+    /// `(lines, element stride)` along the slower of the two other
     /// dimensions (`(1, 0)` when absent).
     outer: (usize, usize),
     /// Same for the faster one: consecutive lines step along it.
@@ -102,13 +140,15 @@ struct AxisPass {
 
 impl AxisPass {
     /// `dims`: active extent per dimension; `elem_strides`: element stride
-    /// between active nodes per dimension (level stride × row-major stride).
-    fn new(dims: &[usize], elem_strides: &[usize], axis: usize) -> Self {
-        let mut other = (0..dims.len())
-            .filter(|&d| d != axis)
-            .map(|d| (dims[d], elem_strides[d]));
-        let first = other.next();
-        let (outer, inner) = match (first, other.next()) {
+    /// between active nodes per dimension (level stride × row-major
+    /// stride); `lines`: per dimension, the coordinate range of the lines
+    /// the pass visits (the entry of `axis` itself is ignored).
+    fn new(dims: &[usize], elem_strides: &[usize], axis: usize, lines: &[Range<usize>]) -> Self {
+        let other = || (0..dims.len()).filter(move |&d| d != axis);
+        let origin = other().map(|d| lines[d].start * elem_strides[d]).sum();
+        let mut spans = other().map(|d| (lines[d].len(), elem_strides[d]));
+        let first = spans.next();
+        let (outer, inner) = match (first, spans.next()) {
             (Some(a), Some(b)) => (a, b),
             (Some(a), None) => ((1, 0), a),
             _ => ((1, 0), (1, 0)),
@@ -116,6 +156,7 @@ impl AxisPass {
         AxisPass {
             n: dims[axis],
             axis_stride: elem_strides[axis],
+            origin,
             outer,
             inner,
         }
@@ -145,7 +186,7 @@ impl AxisPass {
         let (extent, stride) = self.inner;
         let (mut o, mut i) = (first / extent, first % extent);
         for b in out {
-            *b = o * self.outer.1 + i * stride;
+            *b = self.origin + o * self.outer.1 + i * stride;
             i += 1;
             if i == extent {
                 i = 0;
@@ -171,17 +212,18 @@ fn part_range(panels: usize, parts: usize, part: usize) -> Range<usize> {
 /// [`recompose_panel`].
 type PanelKernel<F> = fn(&mut [F], usize, &mut PanelScratch<F>, &MassFactor<F>, bool);
 
-/// One axis pass over the active grid at a level.
+/// One axis pass over the lines `lines` of the active grid at a level.
 fn axis_pass<F: Real>(
     data: &mut [F],
     dims: &[usize],
     elem_strides: &[usize],
     axis: usize,
+    lines: &[Range<usize>],
     kernel: PanelKernel<F>,
     correct: bool,
 ) {
-    let pass = AxisPass::new(dims, elem_strides, axis);
-    if pass.n < 3 {
+    let pass = AxisPass::new(dims, elem_strides, axis, lines);
+    if pass.n < 3 || pass.num_lines() == 0 {
         return;
     }
     let lanes = pass.panel_lanes::<F>();
@@ -296,46 +338,94 @@ pub fn decompose<F: Real>(data: &mut [F], h: &Hierarchy, correct: bool) {
     );
     for l in 0..h.levels {
         let (dims, elem_strides) = h.level_geometry(l);
+        let lines = whole(&dims);
         for axis in 0..h.ndims() {
-            axis_pass(data, &dims, &elem_strides, axis, decompose_panel, correct);
+            axis_pass(
+                data,
+                &dims,
+                &elem_strides,
+                axis,
+                &lines,
+                decompose_panel,
+                correct,
+            );
         }
     }
 }
 
-/// Exact inverse of [`decompose`].
-pub fn recompose<F: Real>(data: &mut [F], h: &Hierarchy, correct: bool) {
-    recompose_to_level(data, h, correct, 0);
+/// Every line of a grid of extents `dims`.
+fn whole(dims: &[usize]) -> Vec<Range<usize>> {
+    dims.iter().map(|&n| 0..n).collect()
 }
 
-/// Partially recompose down to `target_level` (0 = full grid): only the
+/// Exact inverse of [`decompose`].
+pub fn recompose<F: Real>(data: &mut [F], h: &Hierarchy, correct: bool) {
+    recompose_to_level(data, h, correct, RecomposeTo::default());
+}
+
+/// Partially recompose down to `to.level` (0 = full grid): only the
 /// levels coarser than the target are inverted, leaving a valid nodal
-/// representation on the level-`target_level` active grid. This is the
+/// representation on the level-`to.level` active grid. This is the
 /// *resolution-progressive* access mode of the MDR line: a coarse
 /// rendering needs neither the finer coefficients nor the finer
-/// recomposition passes.
+/// recomposition passes. `to.window` and `to.details` skip the work
+/// nobody reads (see the [module
+/// docs](self#reading-part-of-a-recomposition)).
 ///
 /// # Panics
-/// Panics if `data` does not match the hierarchy or `target_level`
-/// exceeds the hierarchy depth.
+/// Panics if `data` does not match the hierarchy, `to.level` exceeds the
+/// hierarchy depth, the window does not lie in the level's grid, or the
+/// mask does not have one entry per level group.
 pub fn recompose_to_level<F: Real>(
     data: &mut [F],
     h: &Hierarchy,
     correct: bool,
-    target_level: usize,
+    to: RecomposeTo<'_>,
 ) {
     assert_eq!(
         data.len(),
         h.len(),
         "data length must match hierarchy shape"
     );
-    assert!(
-        target_level <= h.levels,
-        "level {target_level} beyond hierarchy"
-    );
-    for l in (target_level..h.levels).rev() {
+    let target = to.level;
+    assert!(target <= h.levels, "level {target} beyond hierarchy");
+    if let Some(window) = to.window {
+        let dims = h.shape_at_level(target);
+        assert!(
+            window.len() == dims.len()
+                && window
+                    .iter()
+                    .zip(&dims)
+                    .all(|(r, &n)| r.start <= r.end && r.end <= n),
+            "window {window:?} outside the level-{target} grid {dims:?}"
+        );
+    }
+    if let Some(details) = to.details {
+        assert_eq!(
+            details.len(),
+            h.levels + 1,
+            "one mask entry per level group"
+        );
+    }
+    for l in (target..h.levels).rev() {
         let (dims, elem_strides) = h.level_geometry(l);
+        let correct = correct && to.details.is_none_or(|d| d[h.levels - l]);
+        let mut lines = whole(&dims);
         for axis in (0..h.ndims()).rev() {
-            axis_pass(data, &dims, &elem_strides, axis, recompose_panel, correct);
+            axis_pass(
+                data,
+                &dims,
+                &elem_strides,
+                axis,
+                &lines,
+                recompose_panel,
+                correct,
+            );
+            // The passes left at the target level read only the lines
+            // whose coordinate along this axis the caller reads.
+            if let (true, Some(window)) = (l == target, to.window) {
+                lines[axis] = window[axis].clone();
+            }
         }
     }
 }
@@ -384,7 +474,7 @@ mod tests {
         line_kernel: fn(&mut [F], &mut LineScratch<F>, bool),
         correct: bool,
     ) {
-        let pass = AxisPass::new(dims, elem_strides, axis);
+        let pass = AxisPass::new(dims, elem_strides, axis, &whole(dims));
         let mut scratch = LineScratch::with_capacity(pass.n);
         let mut bases = vec![0usize; pass.num_lines()];
         pass.lane_bases(0, &mut bases);
@@ -464,8 +554,12 @@ mod tests {
                 let mut want_back = want.clone();
                 oracle_recompose_to_level(&mut want_back, &h, correct, target);
                 let mut got_back = want.clone();
+                let to = RecomposeTo {
+                    level: target,
+                    ..RecomposeTo::default()
+                };
                 hpmdr_rt::install(threads, || {
-                    recompose_to_level(&mut got_back, &h, correct, target)
+                    recompose_to_level(&mut got_back, &h, correct, to)
                 });
                 assert_eq!(
                     bits(&got_back),
@@ -518,6 +612,123 @@ mod tests {
         ] {
             assert_matches_oracle::<f32>(&shape, 0x5eed, 1);
             assert_matches_oracle::<f64>(&shape, 0x5eed, 4);
+        }
+    }
+
+    /// Recompose `coeffs` to `level` reading only `window`, with the
+    /// groups `empty` marks zeroed and masked out, on a `threads`-wide
+    /// pool: inside the window, bit-identical to a full recompose of the
+    /// same coefficients.
+    fn assert_window_matches_full<F: Real>(
+        h: &Hierarchy,
+        seed: u32,
+        level: usize,
+        window: &[Range<usize>],
+        empty: &[bool],
+        threads: usize,
+    ) {
+        let mut groups = crate::extract_levels(&rough_field::<F>(h.len(), seed), h);
+        for (group, _) in groups.iter_mut().zip(empty).filter(|(_, &e)| e) {
+            group.fill(F::ZERO);
+        }
+        let coeffs = crate::inject_levels(&groups, h);
+        let details: Vec<bool> = empty.iter().map(|&e| !e).collect();
+        let (dims, elem_strides) = h.level_geometry(level);
+        for correct in [true, false] {
+            let mut want = coeffs.clone();
+            let full = RecomposeTo {
+                level,
+                ..RecomposeTo::default()
+            };
+            recompose_to_level(&mut want, h, correct, full);
+            let mut got = coeffs.clone();
+            let to = RecomposeTo {
+                level,
+                window: Some(window),
+                details: Some(&details),
+            };
+            hpmdr_rt::install(threads, || recompose_to_level(&mut got, h, correct, to));
+            // Every node of the window, row-major.
+            let mut coord: Vec<usize> = window.iter().map(|r| r.start).collect();
+            let count: usize = window.iter().map(|r| r.len()).product();
+            for _ in 0..count {
+                let i: usize = coord.iter().zip(&elem_strides).map(|(c, s)| c * s).sum();
+                assert_eq!(
+                    got[i].to_f64().to_bits(),
+                    want[i].to_f64().to_bits(),
+                    "{:?} levels={} to {level} window={window:?} empty={empty:?} \
+                     correct={correct} threads={threads} at {coord:?}",
+                    h.shape,
+                    h.levels
+                );
+                for d in (0..coord.len()).rev() {
+                    coord[d] += 1;
+                    if coord[d] < window[d].end {
+                        break;
+                    }
+                    coord[d] = window[d].start;
+                }
+            }
+            assert!(window.iter().zip(&dims).all(|(r, &n)| r.end <= n));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn window_and_empty_levels_are_bit_identical_inside_the_window(
+            shape in prop::collection::vec(1usize..43, 1..=3),
+            seed in any::<u32>(),
+            picks in any::<u64>(),
+        ) {
+            // Every level count of the shape, a target level, a window
+            // (possibly empty or whole) and a mask all drawn from `picks`.
+            let mut bits = picks;
+            let mut draw = |n: usize| {
+                bits = bits.rotate_left(7) ^ 0x9e37_79b9_7f4a_7c15;
+                (bits % n as u64) as usize
+            };
+            for levels in 0..=Hierarchy::full(&shape).levels {
+                let h = Hierarchy::with_levels(&shape, levels);
+                let level = if draw(3) == 0 { draw(levels + 1) } else { 0 };
+                let window: Vec<Range<usize>> = h
+                    .shape_at_level(level)
+                    .iter()
+                    .map(|&n| {
+                        let a = draw(n + 1);
+                        let b = draw(n + 1);
+                        a.min(b)..a.max(b)
+                    })
+                    .collect();
+                let empty: Vec<bool> = (0..=levels).map(|k| k > 0 && draw(3) == 0).collect();
+                for threads in [1, 4] {
+                    assert_window_matches_full::<f32>(&h, seed, level, &window, &empty, threads);
+                    assert_window_matches_full::<f64>(&h, seed, level, &window, &empty, threads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn whole_window_and_full_mask_are_the_full_recompose() {
+        // The bypass a full-domain query takes: the whole grid as the
+        // window and every group marked, bit for bit the plain recompose.
+        for shape in [vec![33usize, 20], vec![17, 9, 12], vec![100]] {
+            let h = Hierarchy::full(&shape);
+            let coeffs: Vec<f32> = rough_field(h.len(), 11);
+            let window = whole(&shape);
+            let details = vec![true; h.levels + 1];
+            let mut want = coeffs.clone();
+            recompose(&mut want, &h, true);
+            let mut got = coeffs;
+            let to = RecomposeTo {
+                level: 0,
+                window: Some(&window),
+                details: Some(&details),
+            };
+            recompose_to_level(&mut got, &h, true, to);
+            assert_eq!(bits(&got), bits(&want), "{shape:?}");
         }
     }
 
@@ -714,7 +925,7 @@ mod tests {
         decompose(&mut full, &h, true);
 
         let mut a = full.clone();
-        recompose_to_level(&mut a, &h, true, 0);
+        recompose_to_level(&mut a, &h, true, RecomposeTo::default());
         let mut b = full.clone();
         recompose(&mut b, &h, true);
         for (x, y) in a.iter().zip(&b) {
@@ -725,7 +936,11 @@ mod tests {
         // the coarser levels (the level-l nodal representation).
         for level in 1..=h.levels {
             let mut partial = full.clone();
-            recompose_to_level(&mut partial, &h, true, level);
+            let to = RecomposeTo {
+                level,
+                ..RecomposeTo::default()
+            };
+            recompose_to_level(&mut partial, &h, true, to);
             let coarse = extract_active_grid(&partial, &h, level);
             assert_eq!(coarse.len(), h.len_at_level(level));
 
@@ -739,6 +954,7 @@ mod tests {
                         &dims,
                         &elem_strides,
                         axis,
+                        &whole(&dims),
                         decompose_panel,
                         true,
                     );

@@ -5,13 +5,22 @@
 //! roofline a stencil this simple should sit near — ROADMAP item 1's
 //! "each stage as a fraction of memcpy bandwidth").
 //!
+//! Two rows time a recompose that reads part of its chunk (a window, see
+//! `hpmdr_mgard::RecomposeTo`): one octant of the chunk, and the eight
+//! chunks an `N³` region query at an unaligned offset straddles, each
+//! reading its corner of the region — what a region query's chunks cost
+//! against eight full recomposes.
+//!
 //! Runs 32³, 64³ and 128³ — the benchmark's small chunk, its large chunk
 //! and its whole domain; `HPMDR_BENCH_EXTENT=N` runs `N³` alone. The
 //! transform runs on the default pool, as a bare `hpmdr_mgard` call does;
 //! the thread count is printed with the results.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hpmdr_mgard::{decompose, extract_levels, inject_levels, recompose, Hierarchy};
+use hpmdr_mgard::{
+    decompose, extract_levels, inject_levels, recompose, recompose_to_level, Hierarchy, RecomposeTo,
+};
+use std::ops::Range;
 
 mod common;
 use common::{bench_median, report_rate};
@@ -70,6 +79,40 @@ fn bench_transform(c: &mut Criterion) {
             work.copy_from_slice(&coeffs);
             recompose(criterion::black_box(&mut work), &h, true);
         });
+        let windowed = |work: &mut [f32], window: &[Range<usize>]| {
+            work.copy_from_slice(&coeffs);
+            let to = RecomposeTo {
+                window: Some(window),
+                ..RecomposeTo::default()
+            };
+            recompose_to_level(criterion::black_box(work), &h, true, to);
+        };
+        let octant = vec![0..e / 2; 3];
+        let oct = bench_median(&mut g, "copy+recompose/octant", || {
+            windowed(&mut work, &octant)
+        });
+        // An e³ region at offset `off` covers, of the chunk at each corner
+        // of the 2×2×2 block it straddles, `off..e` on the low side of a
+        // dimension and `0..off` on the high side.
+        let off = [e / 3, e / 2, 2 * e / 3];
+        let corners: Vec<Vec<Range<usize>>> = (0..8)
+            .map(|c| {
+                (0..3)
+                    .map(|d| {
+                        if c >> d & 1 == 0 {
+                            off[d]..e
+                        } else {
+                            0..off[d]
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let straddle = bench_median(&mut g, "8x(copy+recompose/straddle)", || {
+            for window in &corners {
+                windowed(&mut work, window);
+            }
+        });
         let ext = bench_median(&mut g, "extract_levels", || {
             criterion::black_box(extract_levels(criterion::black_box(&coeffs), &h));
         });
@@ -84,6 +127,17 @@ fn bench_transform(c: &mut Criterion) {
         report("memcpy", memcpy);
         report("decompose", (dec - memcpy).max(0.0));
         report("recompose", (rec - memcpy).max(0.0));
+        let full = (rec - memcpy).max(f64::MIN_POSITIVE);
+        let oct = (oct - memcpy).max(0.0);
+        let per_chunk = (straddle / 8.0 - memcpy).max(0.0);
+        report("recompose, one-octant window", oct);
+        report("recompose, 8-chunk straddle (per chunk)", per_chunk);
+        println!(
+            "  {:<44} {:>7.2}x / {:.2}x faster than a full recompose",
+            format!("{e}^3 octant / straddle"),
+            full / oct.max(f64::MIN_POSITIVE),
+            full / per_chunk.max(f64::MIN_POSITIVE)
+        );
         report("extract_levels", ext);
         report("inject_levels", inj);
     }

@@ -261,6 +261,35 @@ fn bad_query_json_rejects_typed_and_keeps_the_connection() {
 }
 
 #[test]
+fn hostile_regions_reject_typed_and_keep_the_connection() {
+    let server = abuse_server([16, 16], ServerConfig::default());
+    let mut client = ProgressiveClient::connect(server.addr()).unwrap();
+    // A corner whose end overflows, one whose extent does, one whose
+    // element count does, and one that merely leaves the domain: each is a
+    // typed reject, not a panic that closes the connection mid-stream.
+    for (start, extent) in [
+        ([usize::MAX, 0], [2, 4]),
+        ([usize::MAX - 1, 3], [usize::MAX, 1]),
+        ([0, 0], [1 << 40, 1 << 40]),
+        ([9, 0], [8, 4]),
+    ] {
+        let region = Region::new(&start, &extent);
+        let req = QueryRequest::new("field", "f32", &Query::region(Target::Rel(1e-3), region));
+        let QueryOutcome::Rejected(r) = client.query::<f32>(&req, deadline()).unwrap() else {
+            panic!("{start:?}+{extent:?}: expected a reject");
+        };
+        assert_eq!(r.code, RejectCode::InvalidQuery, "{start:?}+{extent:?}");
+    }
+    // The same connection then serves a valid region.
+    let region = Region::new(&[3, 5], &[9, 7]);
+    let req = QueryRequest::new("field", "f32", &Query::region(Target::Rel(1e-3), region));
+    assert!(matches!(
+        client.query::<f32>(&req, deadline()).unwrap(),
+        QueryOutcome::Frames(_)
+    ));
+}
+
+#[test]
 fn oversized_declarations_reject_before_allocation() {
     let server = abuse_server([16, 16], ServerConfig::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
