@@ -35,7 +35,7 @@ use crate::qoi_retrieval::{multi_qoi_control, EbEstimator};
 use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use crate::roi::{assemble_region, Region, RoiPlan};
-use crate::storage::{write_chunks, ChunkedStoreReader, ChunkedStoreWriter};
+use crate::storage::{unit_run, write_chunks, ChunkedStoreReader, ChunkedStoreWriter};
 use hpmdr_bitplane::{BitplaneFloat, Layout};
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::HybridConfig;
@@ -99,13 +99,6 @@ impl MdrConfig {
     #[must_use]
     pub fn hybrid(mut self, hybrid: HybridConfig) -> Self {
         self.refactor.hybrid = hybrid;
-        self
-    }
-
-    /// Replace the whole per-variable refactoring configuration.
-    #[must_use]
-    pub fn refactor_config(mut self, config: RefactorConfig) -> Self {
-        self.refactor = config;
         self
     }
 
@@ -560,8 +553,10 @@ pub trait Store: Send + Sync {
     ) -> Result<Vec<Vec<u8>>, MdrError>;
 
     /// Materialize chunk `c` holding exactly the unit prefixes `plan`
-    /// needs (other units keep empty payloads). The provided body
-    /// fetches one [`Store::load_units`] prefix per level group.
+    /// needs (other units keep empty payloads): one [`Store::load_units`]
+    /// prefix per non-empty level group. Every store fetches through
+    /// this provided body; only the `Box<dyn Store>` forwarder overrides
+    /// it.
     fn load_chunk(&self, c: usize, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
         let meta = self.meta();
         let chunk = meta
@@ -593,9 +588,10 @@ pub trait Store: Send + Sync {
     fn bytes_fetched(&self) -> usize;
 
     /// I/O requests issued so far: byte ranges read (a sharded store
-    /// reads one per non-empty unit run), HTTP requests (remote, which
-    /// coalesces ranges), or unit runs copied (memory). Decorators
-    /// report their backing store's count.
+    /// reads one per non-empty unit run), HTTP requests sent (remote:
+    /// one per non-empty unit run, plus the manifest fetch at open and
+    /// any retries), or unit runs copied (memory). Decorators report
+    /// their backing store's count.
     fn requests(&self) -> usize;
 
     /// Open a store of this flavor at `path`.
@@ -712,22 +708,8 @@ impl Store for InMemoryStore {
         skip: usize,
         take: usize,
     ) -> Result<Vec<Vec<u8>>, MdrError> {
-        let c = self
-            .full
-            .chunks
-            .get(chunk)
-            .ok_or_else(|| MdrError::InvalidQuery(format!("chunk {chunk} out of range")))?;
-        let s = c.streams.get(group).ok_or_else(|| {
-            MdrError::InvalidQuery(format!("level group {group} out of range in chunk {chunk}"))
-        })?;
-        if skip + take > s.units.len() {
-            return Err(MdrError::InvalidQuery(format!(
-                "units {skip}..{} of chunk {chunk} group {group} out of range ({} stored)",
-                skip + take,
-                s.units.len()
-            )));
-        }
-        let out: Vec<Vec<u8>> = s.units[skip..skip + take]
+        let run = unit_run(&self.meta, chunk, group, skip, take)?;
+        let out: Vec<Vec<u8>> = self.full.chunks[chunk].streams[group].units[run]
             .iter()
             .map(|u| u.payload.clone())
             .collect();
@@ -950,7 +932,10 @@ impl<S: Store> Store for CachedStore<S> {
         skip: usize,
         take: usize,
     ) -> Result<Vec<Vec<u8>>, MdrError> {
-        let end = skip + take;
+        // A run outside the stored units is rejected before the
+        // directory sees it.
+        let run = unit_run(self.meta(), chunk, group, skip, take)?;
+        let end = run.end;
         let key = (chunk, group);
         // Phase 1 — directory lock, briefly: look up or create the
         // entry's payload handle and mark it used.
@@ -982,7 +967,7 @@ impl<S: Store> Store for CachedStore<S> {
                 cached.units.extend(fresh);
             }
             (
-                cached.units[skip..end].to_vec(),
+                cached.units[run].to_vec(),
                 added,
                 fetched,
                 fetched && have > 0,

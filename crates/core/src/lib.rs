@@ -71,9 +71,9 @@
 //!   [`api::Scope::Region`]: per-chunk unit prefixes for only the chunks
 //!   a hyperslab intersects, assembled with a guaranteed L∞ bound;
 //! * [`remote`] — the network storage tier: [`remote::RemoteStore`]
-//!   serves the sharded layout over HTTP range requests with request
-//!   coalescing ([`roi::FetchPlan`]), pooled connections, and bounded
-//!   retry (transport in [`hpmdr_netstore`]).
+//!   serves the sharded layout over HTTP range requests, one per unit
+//!   run, with pooled connections and bounded retry (transport in
+//!   [`hpmdr_netstore`]).
 //!
 //! Every hot stage executes through the portable executor layer of
 //! [`hpmdr_exec`]: [`refactor()`], [`RetrievalSession`], the reader and
@@ -118,6 +118,6 @@ pub use qoi_retrieval::{
 pub use refactor::{
     encode, prepare, refactor, refactor_with, Decomposed, RefactorConfig, Refactored,
 };
-pub use remote::{RemoteStore, RemoteStoreConfig};
+pub use remote::RemoteStore;
 pub use retrieve::{RetrievalPlan, RetrievalSession};
-pub use roi::{FetchPlan, FetchRange, FetchSegment, Region, RoiPlan, RoiRequest};
+pub use roi::{Region, RoiPlan, RoiRequest};

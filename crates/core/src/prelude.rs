@@ -16,9 +16,9 @@ pub use crate::ingest::{ChunkSource, FileSource, FnSource, IngestElem, IngestRep
 pub use crate::progressive::{ApproximationStream, RefinementFrame};
 pub use crate::qoi_retrieval::EbEstimator;
 pub use crate::refactor::{RefactorConfig, Refactored};
-pub use crate::remote::{RemoteStore, RemoteStoreConfig};
+pub use crate::remote::RemoteStore;
 pub use crate::retrieve::{RetrievalPlan, RetrievalSession};
-pub use crate::roi::{FetchPlan, Region, RoiPlan, RoiRequest};
+pub use crate::roi::{Region, RoiPlan, RoiRequest};
 pub use crate::storage::{write_chunked_store, ChunkedStoreReader};
 pub use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 pub use hpmdr_qoi::QoiExpr;

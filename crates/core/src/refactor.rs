@@ -72,15 +72,6 @@ impl LevelStream {
         (u * self.group_size).min(self.num_planes)
     }
 
-    /// Units needed to obtain at least `k` magnitude planes.
-    pub fn units_for_planes(&self, k: usize) -> usize {
-        if k == 0 {
-            0
-        } else {
-            k.min(self.num_planes).div_ceil(self.group_size)
-        }
-    }
-
     /// Compressed bytes of the first `u` units (what retrieval fetches).
     pub fn fetch_bytes(&self, u: usize) -> usize {
         self.units.iter().take(u).map(|g| g.stored_len()).sum()

@@ -8,15 +8,10 @@
 //! and the shard range arithmetic, so a byte range computed here is
 //! *definitionally* the range the local reader would `seek` to.
 //!
-//! On top of the one-run-one-range primitive sits fetch planning:
-//! [`Store::load_chunk`] converts a chunk's unit-prefix plan into a
-//! [`FetchPlan`] that merges near-adjacent per-group runs into few
-//! large ranges (bounded over-fetch, see
-//! [`RemoteStoreConfig::gap_threshold`]) and issues independent ranges
-//! concurrently from the client's pooled connections. Byte accounting
-//! stays in *useful* payload bytes — identical across store flavors —
-//! while the wire-level cost (transfer and waste) is reported
-//! separately.
+//! A chunk is fetched the way every store fetches one, through the
+//! provided [`Store::load_chunk`]: one `Range:` request per non-empty
+//! level group, so a query costs as many requests as a local reader
+//! makes range reads, and moves exactly the bytes that reader reads.
 //!
 //! The intended composition is [`CachedStore`](crate::api::CachedStore)
 //! `<RemoteStore>`: memory in front, network behind. A repeated query
@@ -26,47 +21,12 @@
 use crate::api::Store;
 use crate::chunked::ChunkedRefactored;
 use crate::error::MdrError;
-use crate::refactor::Refactored;
-use crate::retrieve::RetrievalPlan;
-use crate::roi::FetchPlan;
 use crate::storage::{
-    manifest_skeleton, parse_chunked_manifest, shard_name, split_units, unit_run_range,
+    manifest_skeleton, parse_chunked_manifest, shard_name, split_units, unit_run, unit_run_range,
 };
 use hpmdr_netstore::{ClientConfig, HttpClient, HttpError};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Tuning for a [`RemoteStore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteStoreConfig {
-    /// Merge two per-group runs into one range when the unwanted bytes
-    /// between them are at most this many. `0` merges only
-    /// exactly-adjacent runs; larger thresholds trade bounded
-    /// over-fetch for fewer round trips. The default (64 KiB) suits
-    /// links where a request costs milliseconds and a wasted kilobyte
-    /// costs microseconds.
-    pub gap_threshold: usize,
-    /// Whether [`Store::load_chunk`] coalesces at all. `false` falls
-    /// back to one request per level group — the baseline the bench's
-    /// `remote` section compares against.
-    pub coalesce: bool,
-    /// Ranges of one chunk fetched concurrently (each on its own
-    /// pooled connection). `1` serializes.
-    pub concurrent_ranges: usize,
-    /// Transport configuration: deadline and retry schedule.
-    pub client: ClientConfig,
-}
-
-impl Default for RemoteStoreConfig {
-    fn default() -> Self {
-        RemoteStoreConfig {
-            gap_threshold: 64 * 1024,
-            coalesce: true,
-            concurrent_ranges: 4,
-            client: ClientConfig::default(),
-        }
-    }
-}
 
 /// A sharded chunk store served over HTTP range requests.
 ///
@@ -79,30 +39,28 @@ pub struct RemoteStore {
     /// `{base}/manifest.json`, `{base}/c<C>.shard`).
     base_url: String,
     client: HttpClient,
-    config: RemoteStoreConfig,
     skeleton: ChunkedRefactored,
     /// Payload byte length of `unit_lens[chunk][group][unit]`.
     unit_lens: Vec<Vec<Vec<usize>>>,
-    /// Useful payload bytes fetched (the cross-flavor accounting).
-    useful_bytes: AtomicUsize,
-    /// Gap bytes fetched only to merge ranges.
-    wasted_bytes: AtomicUsize,
+    /// Payload bytes fetched (the cross-flavor accounting).
+    bytes_fetched: AtomicUsize,
 }
 
 impl RemoteStore {
     /// Open the store at `base_url` (e.g. `http://host:port` or
-    /// `http://host:port/dataset`) with default configuration: one
-    /// manifest fetch, no shard I/O.
+    /// `http://host:port/dataset`) with the default transport
+    /// configuration: one manifest fetch, no shard I/O.
     pub fn open_url(base_url: &str) -> Result<Self, MdrError> {
-        Self::open_with(base_url, RemoteStoreConfig::default())
+        Self::open_with(base_url, ClientConfig::default())
     }
 
-    /// Open the store at `base_url` with explicit configuration.
+    /// Open the store at `base_url` with an explicit transport
+    /// configuration (deadline and retry schedule).
     ///
     /// An unreachable or unreadable remote manifest is
     /// [`MdrError::InvalidInput`] naming the URL and, when the server
     /// answered at all, the HTTP status.
-    pub fn open_with(base_url: &str, config: RemoteStoreConfig) -> Result<Self, MdrError> {
+    pub fn open_with(base_url: &str, client: ClientConfig) -> Result<Self, MdrError> {
         if !base_url.starts_with("http://") {
             return Err(MdrError::InvalidInput(format!(
                 "remote store URL {base_url:?} is not http:// \
@@ -110,7 +68,7 @@ impl RemoteStore {
             )));
         }
         let base_url = base_url.trim_end_matches('/').to_string();
-        let client = HttpClient::new(config.client.clone());
+        let client = HttpClient::new(client);
         let manifest_url = format!("{base_url}/manifest.json");
         let raw = client.get(&manifest_url).map_err(|e| match e.status() {
             Some(status) => MdrError::InvalidInput(format!(
@@ -126,11 +84,9 @@ impl RemoteStore {
         Ok(RemoteStore {
             base_url,
             client,
-            config,
             skeleton,
             unit_lens,
-            useful_bytes: AtomicUsize::new(0),
-            wasted_bytes: AtomicUsize::new(0),
+            bytes_fetched: AtomicUsize::new(0),
         })
     }
 
@@ -139,45 +95,10 @@ impl RemoteStore {
         &self.base_url
     }
 
-    /// The configuration this store fetches under.
-    pub fn config(&self) -> &RemoteStoreConfig {
-        &self.config
-    }
-
-    /// Body bytes actually moved over the wire for shard fetches:
-    /// useful payload plus coalescing waste. Compare with
-    /// [`Store::bytes_fetched`], which counts only the useful bytes so
-    /// accounting stays identical across store flavors.
-    pub fn transfer_bytes(&self) -> usize {
-        // ORDERING: statistics counters; the sum may be momentarily torn
-        // across the two loads, which accounting tolerates.
-        self.useful_bytes.load(Ordering::Relaxed) + self.wasted_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Gap bytes fetched only to merge ranges (≤ one
-    /// [`RemoteStoreConfig::gap_threshold`] per merge).
-    pub fn wasted_bytes(&self) -> usize {
-        // ORDERING: monotone statistics read; no ordering with other data.
-        self.wasted_bytes.load(Ordering::Relaxed)
-    }
-
     /// Retries the transport performed (attempts beyond each request's
     /// first).
     pub fn retries(&self) -> usize {
         self.client.retries()
-    }
-
-    fn shard_url(&self, c: usize) -> String {
-        format!("{}/{}", self.base_url, shard_name(c))
-    }
-
-    /// Fetch `len` bytes at `start` of chunk `c`'s shard, mapping
-    /// transport errors onto the store error taxonomy.
-    fn fetch_shard_range(&self, c: usize, start: u64, len: usize) -> Result<Vec<u8>, MdrError> {
-        let url = self.shard_url(c);
-        self.client
-            .get_range(&url, start as usize, len)
-            .map_err(|e| shard_error(&url, c, e))
     }
 }
 
@@ -225,87 +146,25 @@ impl Store for RemoteStore {
         skip: usize,
         take: usize,
     ) -> Result<Vec<Vec<u8>>, MdrError> {
-        let chunk_lens = self
-            .unit_lens
-            .get(chunk)
-            .ok_or_else(|| MdrError::InvalidQuery(format!("chunk {chunk} out of range")))?;
-        let (start, nbytes) = unit_run_range(chunk_lens, chunk, group, skip, take)?;
+        let run = unit_run(&self.skeleton, chunk, group, skip, take)?;
+        let (start, nbytes) = unit_run_range(&self.unit_lens[chunk], group, run.clone());
         if nbytes == 0 {
             // Nothing stored for this run (empty payloads): no request.
             return Ok(vec![Vec::new(); take]);
         }
-        let buf = self.fetch_shard_range(chunk, start, nbytes)?;
+        let url = format!("{}/{}", self.base_url, shard_name(chunk));
+        let buf = self
+            .client
+            .get_range(&url, start as usize, nbytes)
+            .map_err(|e| shard_error(&url, chunk, e))?;
         // ORDERING: statistics counter, guards nothing.
-        self.useful_bytes.fetch_add(nbytes, Ordering::Relaxed);
-        Ok(split_units(&buf, &chunk_lens[group], skip, take))
-    }
-
-    /// Materialize chunk `c` with the unit prefixes `plan` needs. With
-    /// coalescing enabled this is the fetch-planning path: build a
-    /// [`FetchPlan`] under the gap threshold and issue its merged
-    /// ranges concurrently; otherwise fall back to the trait's
-    /// one-request-per-group schedule.
-    fn load_chunk(&self, c: usize, plan: &RetrievalPlan) -> Result<Refactored, MdrError> {
-        let chunk = self
-            .skeleton
-            .chunks
-            .get(c)
-            .ok_or_else(|| MdrError::InvalidQuery(format!("chunk {c} out of range")))?;
-        if plan.units.len() != chunk.streams.len() {
-            return Err(MdrError::InvalidQuery(
-                "plan does not match chunk shape".to_string(),
-            ));
-        }
-        if !self.config.coalesce {
-            // Per-group baseline: exactly the provided trait schedule.
-            let mut out = chunk.clone();
-            for (g, (s, &want)) in out.streams.iter_mut().zip(&plan.units).enumerate() {
-                let want = want.min(s.units.len());
-                if want == 0 {
-                    continue;
-                }
-                for (u, payload) in self.load_units(c, g, 0, want)?.into_iter().enumerate() {
-                    s.units[u].payload = payload;
-                }
-            }
-            return Ok(out);
-        }
-
-        let fetch =
-            FetchPlan::for_chunk(&self.unit_lens[c], &plan.units, self.config.gap_threshold);
-        let buffers = hpmdr_exec::fan_ordered(
-            &fetch.ranges,
-            self.config.concurrent_ranges.max(1),
-            |_, range| self.fetch_shard_range(c, range.start, range.len),
-        )?;
-        self.useful_bytes
-            // ORDERING: statistics counter, guards nothing.
-            .fetch_add(fetch.useful_bytes, Ordering::Relaxed);
-        self.wasted_bytes
-            // ORDERING: statistics counter, guards nothing.
-            .fetch_add(fetch.wasted_bytes, Ordering::Relaxed);
-
-        let mut out = chunk.clone();
-        for (range, buf) in fetch.ranges.iter().zip(buffers) {
-            for seg in &range.segments {
-                let units = split_units(
-                    &buf[seg.offset..seg.offset + seg.len],
-                    &self.unit_lens[c][seg.group],
-                    seg.skip,
-                    seg.take,
-                );
-                let s = &mut out.streams[seg.group];
-                for (u, payload) in units.into_iter().enumerate() {
-                    s.units[seg.skip + u].payload = payload;
-                }
-            }
-        }
-        Ok(out)
+        self.bytes_fetched.fetch_add(nbytes, Ordering::Relaxed);
+        Ok(split_units(&buf, &self.unit_lens[chunk][group][run]))
     }
 
     fn bytes_fetched(&self) -> usize {
         // ORDERING: monotone statistics read; no ordering with other data.
-        self.useful_bytes.load(Ordering::Relaxed)
+        self.bytes_fetched.load(Ordering::Relaxed)
     }
 
     fn requests(&self) -> usize {

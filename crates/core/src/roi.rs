@@ -255,132 +255,6 @@ impl RoiPlan {
     }
 }
 
-// ---- fetch planning (range coalescing) --------------------------------
-
-/// One unit run inside a merged fetch range: units
-/// `skip .. skip + take` of level group `group`, whose bytes start at
-/// `offset` within the fetched range's buffer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchSegment {
-    /// Level group the units belong to.
-    pub group: usize,
-    /// First unit of the run.
-    pub skip: usize,
-    /// Number of units in the run.
-    pub take: usize,
-    /// Byte offset of the run within its merged range's buffer.
-    pub offset: usize,
-    /// Byte length of the run.
-    pub len: usize,
-}
-
-/// One contiguous byte range to fetch from a group-major shard,
-/// possibly covering several groups' unit runs (plus the gap bytes
-/// between them that coalescing chose to over-fetch).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchRange {
-    /// Byte offset of the range within the shard.
-    pub start: u64,
-    /// Total bytes to fetch (useful + gap).
-    pub len: usize,
-    /// The unit runs this range carries, in shard order.
-    pub segments: Vec<FetchSegment>,
-}
-
-/// The byte-level fetch schedule for one chunk of a [`RoiPlan`]:
-/// adjacent (or near-adjacent) per-group unit-prefix runs merged into
-/// as few contiguous ranges as the gap threshold allows.
-///
-/// A group-major shard places each group's unit prefix back-to-back
-/// with the next group's, so a plan wanting deep prefixes from
-/// consecutive groups produces runs separated only by the *unwanted*
-/// tail of each group. Merging across gaps up to `gap_threshold`
-/// trades those wasted tail bytes for fewer round trips — the winning
-/// trade whenever per-request latency dwarfs per-byte cost, which is
-/// the premise of the network tier. `gap_threshold = 0` merges only
-/// exactly-adjacent runs and never wastes a byte.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchPlan {
-    /// Merged ranges in shard order (sorted, non-overlapping).
-    pub ranges: Vec<FetchRange>,
-    /// Bytes the plan actually needs (sum of all segment lengths).
-    pub useful_bytes: usize,
-    /// Gap bytes fetched only to merge ranges.
-    pub wasted_bytes: usize,
-    /// The threshold the plan was built under.
-    pub gap_threshold: usize,
-}
-
-impl FetchPlan {
-    /// Schedule the fetches for one chunk: for each level group the
-    /// unit-prefix run `0 .. planned_units[g]` (clamped to the stored
-    /// unit count, zero-byte runs dropped), merged greedily in shard
-    /// order wherever the gap between consecutive runs is at most
-    /// `gap_threshold` bytes.
-    ///
-    /// `unit_lens[g][u]` is the payload length of unit `u` of group
-    /// `g` — the same per-chunk table every chunked reader builds from
-    /// the manifest.
-    pub fn for_chunk(
-        unit_lens: &[Vec<usize>],
-        planned_units: &[usize],
-        gap_threshold: usize,
-    ) -> FetchPlan {
-        let mut ranges: Vec<FetchRange> = Vec::new();
-        let mut useful = 0usize;
-        let mut wasted = 0usize;
-        let mut group_off = 0u64;
-        for (g, lens) in unit_lens.iter().enumerate() {
-            let want = planned_units.get(g).copied().unwrap_or(0).min(lens.len());
-            let run_len: usize = lens[..want].iter().sum();
-            let group_len: u64 = lens.iter().sum::<usize>() as u64;
-            let start = group_off;
-            group_off += group_len;
-            if run_len == 0 {
-                continue;
-            }
-            useful += run_len;
-            let segment = |offset| FetchSegment {
-                group: g,
-                skip: 0,
-                take: want,
-                offset,
-                len: run_len,
-            };
-            match ranges.last_mut() {
-                Some(last) if start - (last.start + last.len as u64) <= gap_threshold as u64 => {
-                    let gap = (start - (last.start + last.len as u64)) as usize;
-                    wasted += gap;
-                    last.len += gap;
-                    last.segments.push(segment(last.len));
-                    last.len += run_len;
-                }
-                _ => ranges.push(FetchRange {
-                    start,
-                    len: run_len,
-                    segments: vec![segment(0)],
-                }),
-            }
-        }
-        FetchPlan {
-            ranges,
-            useful_bytes: useful,
-            wasted_bytes: wasted,
-            gap_threshold,
-        }
-    }
-
-    /// Number of range requests the plan issues.
-    pub fn num_ranges(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Total bytes moved (`useful_bytes + wasted_bytes`).
-    pub fn transfer_bytes(&self) -> usize {
-        self.useful_bytes + self.wasted_bytes
-    }
-}
-
 /// The one-shot assembly path: reconstruct each planned chunk with
 /// `reconstruct` (fanned out on `backend` — the closure fetches *and*
 /// decodes, so a multi-threaded backend overlaps chunk I/O with other
@@ -667,64 +541,6 @@ mod tests {
                 if stored == "f32" && requested == "f64"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn fetch_plan_zero_gap_merges_only_adjacent_runs() {
-        // Three groups of three units; full prefixes everywhere makes
-        // every run adjacent to the next -> one range, zero waste.
-        let lens = vec![vec![4, 4, 4], vec![8, 8, 8], vec![2, 2, 2]];
-        let full = FetchPlan::for_chunk(&lens, &[3, 3, 3], 0);
-        assert_eq!(full.num_ranges(), 1);
-        assert_eq!(full.useful_bytes, 42);
-        assert_eq!(full.wasted_bytes, 0);
-        assert_eq!(full.ranges[0].start, 0);
-        assert_eq!(full.ranges[0].len, 42);
-
-        // Partial prefixes leave each group's unwanted tail as a gap:
-        // at threshold 0 every run is its own range.
-        let partial = FetchPlan::for_chunk(&lens, &[2, 1, 3], 0);
-        assert_eq!(partial.num_ranges(), 3);
-        assert_eq!(partial.useful_bytes, 8 + 8 + 6);
-        assert_eq!(partial.wasted_bytes, 0);
-        assert_eq!(partial.ranges[1].start, 12);
-        assert_eq!(partial.ranges[2].start, 36);
-    }
-
-    #[test]
-    fn fetch_plan_gap_threshold_trades_waste_for_fewer_ranges() {
-        let lens = vec![vec![4, 4, 4], vec![8, 8, 8], vec![2, 2, 2]];
-        // Gaps after clamped prefixes: group 0 leaves 4, group 1
-        // leaves 16. Threshold 4 merges only the first gap...
-        let plan = FetchPlan::for_chunk(&lens, &[2, 1, 3], 4);
-        assert_eq!(plan.num_ranges(), 2);
-        assert_eq!(plan.wasted_bytes, 4);
-        // ...threshold 16 merges both.
-        let plan = FetchPlan::for_chunk(&lens, &[2, 1, 3], 16);
-        assert_eq!(plan.num_ranges(), 1);
-        assert_eq!(plan.wasted_bytes, 4 + 16);
-        assert_eq!(plan.transfer_bytes(), plan.ranges[0].len);
-        // Segment offsets address the useful runs inside the buffer.
-        let segs = &plan.ranges[0].segments;
-        assert_eq!(segs.len(), 3);
-        assert_eq!((segs[0].offset, segs[0].len), (0, 8));
-        assert_eq!((segs[1].offset, segs[1].len), (12, 8));
-        assert_eq!((segs[2].offset, segs[2].len), (36, 6));
-    }
-
-    #[test]
-    fn fetch_plan_skips_empty_and_unplanned_groups() {
-        // Group 1 planned but stores zero-length units; group 2
-        // unplanned; a short planned_units slice means "nothing" for
-        // missing groups.
-        let lens = vec![vec![4, 4], vec![0, 0], vec![6, 6]];
-        let plan = FetchPlan::for_chunk(&lens, &[2, 2], usize::MAX);
-        assert_eq!(plan.num_ranges(), 1);
-        assert_eq!(plan.useful_bytes, 8);
-        assert_eq!(plan.wasted_bytes, 0);
-        let none = FetchPlan::for_chunk(&lens, &[0, 0, 0], 1024);
-        assert_eq!(none.num_ranges(), 0);
-        assert_eq!(none.transfer_bytes(), 0);
     }
 
     #[test]

@@ -20,13 +20,13 @@
 use crate::chunked::{ChunkGrid, ChunkedRefactored};
 use crate::error::MdrError;
 use crate::refactor::Refactored;
-use crate::roi::RoiPlan;
 use crate::serialize::{
     check_manifest_version, check_probed_version, HeaderMeta, MANIFEST_VERSION,
 };
 use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -146,43 +146,63 @@ pub(crate) fn manifest_skeleton(
     ))
 }
 
-/// Bounds-check units `skip .. skip + take` of group `g` against
-/// `chunk_lens` (one chunk's `unit_lens`) and return the run's byte
-/// range in the group-major shard: `(start, nbytes)`. Shared by the
-/// local shard reader and the network tier, which must agree exactly on
-/// shard addressing.
-pub(crate) fn unit_run_range(
-    chunk_lens: &[Vec<usize>],
+/// The one bounds check behind every [`crate::api::Store::load_units`]:
+/// units `skip .. skip + take` of level group `g` of chunk `c` must lie
+/// within what `meta` stores. Anything else — an unknown chunk or group,
+/// a run past the stored units, a run whose end overflows — is
+/// [`MdrError::InvalidQuery`]. Returns the run as a unit range.
+pub(crate) fn unit_run(
+    meta: &ChunkedRefactored,
     c: usize,
     g: usize,
     skip: usize,
     take: usize,
-) -> Result<(u64, usize), MdrError> {
-    let lens = chunk_lens.get(g).ok_or_else(|| {
-        MdrError::InvalidQuery(format!("level group {g} out of range in chunk {c}"))
-    })?;
-    if skip + take > lens.len() {
-        return Err(MdrError::InvalidQuery(format!(
-            "units {skip}..{} of chunk {c} group {g} out of range ({} stored)",
-            skip + take,
-            lens.len()
-        )));
+) -> Result<Range<usize>, MdrError> {
+    let chunk = meta
+        .chunks
+        .get(c)
+        .ok_or_else(|| MdrError::InvalidQuery(format!("chunk {c} out of range")))?;
+    let stored = chunk
+        .streams
+        .get(g)
+        .ok_or_else(|| {
+            MdrError::InvalidQuery(format!("level group {g} out of range in chunk {c}"))
+        })?
+        .units
+        .len();
+    match skip.checked_add(take) {
+        Some(end) if end <= stored => Ok(skip..end),
+        _ => Err(MdrError::InvalidQuery(format!(
+            "{take} units from unit {skip} of chunk {c} group {g} out of range ({stored} stored)"
+        ))),
     }
+}
+
+/// The byte range `(start, nbytes)` of unit `run` of group `g` in the
+/// group-major shard whose unit lengths are `chunk_lens` (one chunk's
+/// `unit_lens`); `run` has passed [`unit_run`]. Shared by the local shard
+/// reader and the network tier, which must agree exactly on shard
+/// addressing.
+pub(crate) fn unit_run_range(
+    chunk_lens: &[Vec<usize>],
+    g: usize,
+    run: Range<usize>,
+) -> (u64, usize) {
     let group_off: u64 = chunk_lens[..g]
         .iter()
         .map(|l| l.iter().sum::<usize>() as u64)
         .sum();
-    let start = group_off + lens[..skip].iter().sum::<usize>() as u64;
-    let nbytes: usize = lens[skip..skip + take].iter().sum();
-    Ok((start, nbytes))
+    let lens = &chunk_lens[g];
+    let start = group_off + lens[..run.start].iter().sum::<usize>() as u64;
+    (start, lens[run].iter().sum())
 }
 
-/// Slice a contiguous group-major fetch back into per-unit payloads
-/// according to `lens[skip .. skip + take]`.
-pub(crate) fn split_units(buf: &[u8], lens: &[usize], skip: usize, take: usize) -> Vec<Vec<u8>> {
-    let mut out = Vec::with_capacity(take);
+/// Slice a contiguous group-major fetch back into per-unit payloads of
+/// lengths `lens`.
+pub(crate) fn split_units(buf: &[u8], lens: &[usize]) -> Vec<Vec<u8>> {
+    let mut out = Vec::with_capacity(lens.len());
     let mut off = 0usize;
-    for &len in &lens[skip..skip + take] {
+    for &len in lens {
         out.push(buf[off..off + len].to_vec());
         off += len;
     }
@@ -509,30 +529,6 @@ impl ChunkedStoreReader {
         self.ranges_read.load(Ordering::Relaxed)
     }
 
-    /// Bytes `plan` would fetch from this store (computable without I/O;
-    /// the skeleton's own `fetch_bytes` is zero since payloads are
-    /// elided). Errors on a plan built against a different archive.
-    pub fn plan_bytes(&self, plan: &RoiPlan) -> Result<usize, MdrError> {
-        let mut total = 0usize;
-        for cp in &plan.chunks {
-            let lens = self.unit_lens.get(cp.chunk).ok_or_else(|| {
-                MdrError::InvalidQuery(format!("chunk {} out of range", cp.chunk))
-            })?;
-            if cp.plan.units.len() != lens.len() {
-                return Err(MdrError::InvalidQuery(format!(
-                    "plan does not match chunk {} shape",
-                    cp.chunk
-                )));
-            }
-            total += lens
-                .iter()
-                .zip(&cp.plan.units)
-                .map(|(lens, &u)| lens.iter().take(u).sum::<usize>())
-                .sum::<usize>();
-        }
-        Ok(total)
-    }
-
     /// Fetch the payloads of units `skip .. skip + take` of level group
     /// `g` of chunk `c` — the [`crate::api::Store::load_units`] fetch
     /// primitive. Units are contiguous within their group on disk, so
@@ -550,11 +546,8 @@ impl ChunkedStoreReader {
         skip: usize,
         take: usize,
     ) -> Result<Vec<Vec<u8>>, MdrError> {
-        let chunk_lens = self
-            .unit_lens
-            .get(c)
-            .ok_or_else(|| MdrError::InvalidQuery(format!("chunk {c} out of range")))?;
-        let (start, nbytes) = unit_run_range(chunk_lens, c, g, skip, take)?;
+        let run = unit_run(&self.skeleton, c, g, skip, take)?;
+        let (start, nbytes) = unit_run_range(&self.unit_lens[c], g, run.clone());
         if nbytes == 0 {
             // Nothing on disk for this run (empty payloads): no I/O.
             return Ok(vec![Vec::new(); take]);
@@ -578,7 +571,7 @@ impl ChunkedStoreReader {
         self.bytes_read.fetch_add(nbytes, Ordering::Relaxed);
         // ORDERING: as above.
         self.ranges_read.fetch_add(1, Ordering::Relaxed);
-        Ok(split_units(&buf, &chunk_lens[g], skip, take))
+        Ok(split_units(&buf, &self.unit_lens[c][g][run]))
     }
 }
 
@@ -650,8 +643,7 @@ mod tests {
         // Exactly the planned bytes were fetched, and strictly fewer
         // than the whole archive.
         let plan = crate::roi::RoiPlan::for_request(reader.skeleton(), &req).unwrap();
-        assert_eq!(reader.bytes_read(), reader.plan_bytes(&plan).unwrap());
-        assert_eq!(reader.plan_bytes(&plan).unwrap(), plan.fetch_bytes(&cr));
+        assert_eq!(reader.bytes_read(), plan.fetch_bytes(&cr));
         assert!(reader.bytes_read() < cr.total_bytes());
 
         // And the reconstruction honors the bound against the original.
@@ -673,26 +665,6 @@ mod tests {
         let err = Reader::new(&reader).retrieve::<f64>(&q).unwrap_err();
         assert!(matches!(err, MdrError::DtypeMismatch { .. }), "{err}");
         assert_eq!(reader.bytes_read(), 0, "no shard bytes may be fetched");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn plan_bytes_rejects_foreign_plans() {
-        let (_, cr) = chunked_sample();
-        let dir = scratch("chunked_foreign");
-        write_chunked_store(&cr, &dir).unwrap();
-        let reader = ChunkedStoreReader::open(&dir).unwrap();
-        let mut plan = crate::roi::RoiPlan::for_request(
-            reader.skeleton(),
-            &RoiRequest::new(Region::new(&[0, 0], &[4, 4]), 1e-2),
-        )
-        .unwrap();
-        plan.chunks[0].chunk = cr.grid.num_chunks() + 7;
-        let err = reader.plan_bytes(&plan).unwrap_err();
-        assert!(
-            matches!(&err, MdrError::InvalidQuery(w) if w.contains("out of range")),
-            "{err}"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -44,7 +44,7 @@ pub mod stages;
 pub use backend::{Backend, DecodeError, EncodedStream, StreamView, UnitPlanes};
 pub use cpu::CpuBackend;
 pub use ctx::ExecCtx;
-pub use stages::{fan_ordered, CountingGate};
+pub use stages::CountingGate;
 
 /// The widest vector instruction set the host supports — a fingerprint
 /// for benchmark reports. Nothing dispatches on it: every kernel is one

@@ -1,8 +1,8 @@
-//! Staged-pipeline scheduling for streaming workloads.
+//! Staged-pipeline scheduling for streaming ingest.
 //!
-//! The retrieval side of the crate overlaps fetch with decode
-//! ([`crate::Backend`] consumers wire that up through channels of their
-//! own); this module provides the matching *ingest* schedule: a
+//! Retrieval has no schedule of its own: a query's chunks fan out
+//! through [`crate::Backend::map_batch`], each item fetching and
+//! decoding one chunk. This module provides the *ingest* schedule: a
 //! three-stage `produce → transform → consume` pipeline where the
 //! producer and consumer run on dedicated threads and the transform
 //! runs on the caller's thread (so it may fan work out through a
@@ -277,76 +277,6 @@ where
     })
 }
 
-/// Fan `f` over `items` on up to `max_workers` scoped threads,
-/// returning the results in item order; the first error wins.
-///
-/// This is the I/O-shaped sibling of `Backend::map_batch`: batch fans
-/// are sized for compute (one worker per core), while a fan over
-/// *latency-bound* work — concurrent byte-range requests against a
-/// remote store — wants its own, typically smaller, width that matches
-/// the connection budget rather than the core count. Items are claimed
-/// from a shared atomic cursor, so an item that stalls (a slow range, a
-/// retry cycle) never blocks the others. `max_workers <= 1` (or a
-/// single item) runs inline with no threads.
-pub fn fan_ordered<T, R, E, F>(items: &[T], max_workers: usize, f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let workers = max_workers.min(items.len());
-    if workers <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect();
-    }
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<R, E>>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let failed = std::sync::atomic::AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // ORDERING: best-effort early-exit hint; results are
-                // published through the mutex slots and the scope join.
-                if failed.load(std::sync::atomic::Ordering::Relaxed) {
-                    break;
-                }
-                // ORDERING: the fetch_add's atomicity alone dedups item
-                // claims; slot data is ordered by each slot's mutex.
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = f(i, item);
-                if result.is_err() {
-                    // ORDERING: hint flag only; the authoritative error is
-                    // read from the slots after the scope joins.
-                    failed.store(true, std::sync::atomic::Ordering::Relaxed);
-                }
-                // lint:allow(L3): lock-poisoning unwrap; slots are
-                // private to this scope and only poisoned if `f` panicked.
-                *slots[i].lock().unwrap() = Some(result);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for slot in slots {
-        // lint:allow(L3): into_inner errs only on poison (worker panic).
-        match slot.into_inner().unwrap() {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            // Unfilled slot: a worker bailed after a failure elsewhere;
-            // that earlier error is found when its slot is reached —
-            // unless it comes later in item order, so keep scanning.
-            None => {
-                continue;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Serial reference schedule: read up to `max_batch` items, transform
 /// them as one batch, retire the outputs, repeat. Same stage contract
 /// and error semantics as [`run_overlapped`] with zero threads — the
@@ -611,44 +541,5 @@ mod tests {
     #[test]
     fn serial_empty_stream_is_ok() {
         run_serial(8, || None::<Result<usize, String>>, Ok, |_| Ok(())).unwrap();
-    }
-
-    #[test]
-    fn fan_ordered_preserves_item_order_at_any_width() {
-        let items: Vec<usize> = (0..37).collect();
-        for workers in [0, 1, 2, 4, 64] {
-            let out = fan_ordered(&items, workers, |i, &x| Ok::<_, String>(i * 1000 + x)).unwrap();
-            assert_eq!(
-                out,
-                (0..37).map(|x| x * 1000 + x).collect::<Vec<_>>(),
-                "workers={workers}"
-            );
-        }
-        let none: Vec<usize> = Vec::new();
-        assert_eq!(
-            fan_ordered(&none, 4, |_, &x| Ok::<_, String>(x)),
-            Ok(vec![])
-        );
-    }
-
-    #[test]
-    fn fan_ordered_returns_the_error_and_stops_fanning() {
-        let items: Vec<usize> = (0..100).collect();
-        let calls = AtomicUsize::new(0);
-        let err = fan_ordered(&items, 4, |_, &x| {
-            calls.fetch_add(1, Ordering::SeqCst);
-            if x == 10 {
-                Err(format!("item {x} failed"))
-            } else {
-                std::thread::yield_now();
-                Ok(x)
-            }
-        })
-        .unwrap_err();
-        assert_eq!(err, "item 10 failed");
-        assert!(
-            calls.load(Ordering::SeqCst) < 100,
-            "failure did not short-circuit the fan"
-        );
     }
 }

@@ -82,11 +82,6 @@ impl LevelSet {
         LevelSet { indices }
     }
 
-    /// Number of groups (`levels + 1`).
-    pub fn num_groups(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Total element count across groups (must equal the grid size).
     pub fn total_len(&self) -> usize {
         self.indices.iter().map(Vec::len).sum()

@@ -191,10 +191,4 @@ impl ProgressiveClient {
             ))),
         }
     }
-
-    /// The raw connection (for tests that need to violate the
-    /// protocol on purpose).
-    pub fn stream_mut(&mut self) -> &mut TcpStream {
-        &mut self.stream
-    }
 }

@@ -11,8 +11,9 @@
 //! * `roi_query` — region-of-interest queries over a sharded chunk
 //!   store: fetch only the chunks (and unit prefixes) a hyperslab needs.
 //! * `remote_retrieval` — open a store by `http://` URL over a loopback
-//!   shard server: coalesced range requests, then warm re-queries
-//!   served without touching the network.
+//!   shard server: one range request per missed unit run, as many as a
+//!   local read of the same directory, then warm re-queries served
+//!   without touching the network.
 //! * `open_loop_load` — open-loop client fleets against a loopback
 //!   progressive server: tail latency from scheduled arrival, steady and
 //!   over-budget shedding.

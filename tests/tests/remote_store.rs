@@ -1,12 +1,11 @@
 //! The network storage tier, end to end: `RemoteStore` must read the
 //! same bytes a local `ChunkedStoreReader` reads (bit-identical
 //! answers), survive injected transport faults within its bounded
-//! retry budget, surface typed errors — never panics — when the budget
-//! runs out, and provably save requests through range coalescing.
+//! retry budget, and surface typed errors — never panics — when the
+//! budget runs out.
 
 use hpmdr_core::prelude::*;
 use hpmdr_netstore::{ClientConfig, FaultPlan, LoopbackShardServer, RetryPolicy};
-use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -98,16 +97,9 @@ fn transient_faults_are_survived_and_answers_stay_bit_identical() {
         },
     )
     .unwrap();
-    let remote = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            // All six faults can gang up on one unlucky request; the
-            // budget must cover that worst case plus the success.
-            client: quick_client(8),
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
+    // All six faults can gang up on one unlucky request; the budget
+    // must cover that worst case plus the success.
+    let remote = RemoteStore::open_with(&server.url(), quick_client(8)).unwrap();
     let mut local = open_store(&dir).unwrap();
 
     let q = Query::region(Target::AbsError(1e-4), Region::new(&[3, 2], &[15, 12]));
@@ -139,14 +131,7 @@ fn exhausted_retries_are_typed_errors_never_panics() {
         },
     )
     .unwrap();
-    let remote = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            client: quick_client(3),
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
+    let remote = RemoteStore::open_with(&server.url(), quick_client(3)).unwrap();
     let manifest_requests = server.requests();
     let err = remote.load_units(0, 0, 0, 1).unwrap_err();
     assert!(
@@ -172,14 +157,7 @@ fn exhausted_retries_are_typed_errors_never_panics() {
         },
     )
     .unwrap();
-    let remote = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            client: quick_client(3),
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
+    let remote = RemoteStore::open_with(&server.url(), quick_client(3)).unwrap();
     let err = remote.load_units(0, 0, 0, 1).unwrap_err();
     assert!(
         matches!(&err, MdrError::Corrupt(w) if w.contains("truncated")),
@@ -190,78 +168,11 @@ fn exhausted_retries_are_typed_errors_never_panics() {
     // Missing shard: the manifest names data the server cannot serve.
     let server = LoopbackShardServer::serve(&dir).unwrap();
     std::fs::remove_file(dir.join("c0.shard")).unwrap();
-    let remote = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            client: quick_client(2),
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
+    let remote = RemoteStore::open_with(&server.url(), quick_client(2)).unwrap();
     let err = remote.load_units(0, 0, 0, 1).unwrap_err();
     assert!(
         matches!(&err, MdrError::Corrupt(w) if w.contains("404")),
         "{err}"
-    );
-
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn coalescing_issues_fewer_requests_for_identical_chunks() {
-    let dir = sharded_store("coalesce");
-    let server = LoopbackShardServer::serve(&dir).unwrap();
-    let coalesced = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            gap_threshold: 1 << 20,
-            coalesce: true,
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
-    let per_group = RemoteStore::open_with(
-        &server.url(),
-        RemoteStoreConfig {
-            coalesce: false,
-            ..RemoteStoreConfig::default()
-        },
-    )
-    .unwrap();
-    let local = ChunkedStoreReader::open(&dir).unwrap();
-
-    let meta = coalesced.meta().clone();
-    let mut saved_any = false;
-    for c in 0..meta.grid.num_chunks() {
-        // A mid-depth plan: partial prefixes in several groups, the
-        // shape that leaves inter-group gaps for coalescing to bridge.
-        let (plan, _) = RetrievalPlan::for_error(&meta.chunks[c], 1e-3 * 4.0);
-        let before = (coalesced.requests(), per_group.requests());
-        let a = coalesced.load_chunk(c, &plan).unwrap();
-        let b = per_group.load_chunk(c, &plan).unwrap();
-        let reference = local.load_chunk(c, &plan).unwrap();
-        assert_eq!(a, reference, "chunk {c}: coalesced fetch changed bytes");
-        assert_eq!(b, reference, "chunk {c}: per-group fetch changed bytes");
-        let coalesced_reqs = coalesced.requests() - before.0;
-        let per_group_reqs = per_group.requests() - before.1;
-        assert!(
-            coalesced_reqs <= per_group_reqs,
-            "chunk {c}: {coalesced_reqs} coalesced vs {per_group_reqs} per-group"
-        );
-        saved_any |= coalesced_reqs < per_group_reqs;
-    }
-    assert!(
-        saved_any,
-        "coalescing never beat per-group fetch on any chunk"
-    );
-    // Both stores fetched identical useful bytes; only the coalesced
-    // one may have paid (bounded) waste on top.
-    assert_eq!(coalesced.bytes_fetched(), per_group.bytes_fetched());
-    assert_eq!(per_group.wasted_bytes(), 0);
-    assert_eq!(
-        coalesced.transfer_bytes(),
-        coalesced.bytes_fetched() + coalesced.wasted_bytes()
     );
 
     drop(server);
@@ -329,94 +240,4 @@ fn open_shared_composes_the_two_tiers_over_a_url() {
 
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-// ---- FetchPlan coalescing properties ----------------------------------
-
-/// Reference byte layout: per-group (start, useful_len, group_len).
-fn group_runs(unit_lens: &[Vec<usize>], planned: &[usize]) -> Vec<(u64, usize)> {
-    let mut runs = Vec::new();
-    let mut off = 0u64;
-    for (g, lens) in unit_lens.iter().enumerate() {
-        let want = planned.get(g).copied().unwrap_or(0).min(lens.len());
-        let useful: usize = lens[..want].iter().sum();
-        if useful > 0 {
-            runs.push((off, useful));
-        }
-        off += lens.iter().sum::<usize>() as u64;
-    }
-    runs
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fetch_plan_covers_exactly_the_planned_units_within_the_gap_budget(
-        lens in prop::collection::vec(
-            prop::collection::vec(0usize..200, 0..6),
-            1..8,
-        ),
-        planned in prop::collection::vec(0usize..8, 0..10),
-        gap in 0usize..512,
-    ) {
-        let plan = FetchPlan::for_chunk(&lens, &planned, gap);
-        let runs = group_runs(&lens, &planned);
-
-        // Useful bytes are exactly the planned unit bytes.
-        let expect_useful: usize = runs.iter().map(|&(_, u)| u).sum();
-        prop_assert_eq!(plan.useful_bytes, expect_useful);
-
-        // Ranges are sorted, non-overlapping, and their lengths add up:
-        // every fetched byte is either useful or declared waste.
-        let mut last_end = 0u64;
-        let mut total_len = 0usize;
-        for (i, r) in plan.ranges.iter().enumerate() {
-            prop_assert!(i == 0 || r.start >= last_end, "overlapping ranges");
-            last_end = r.start + r.len as u64;
-            total_len += r.len;
-            // Segments tile the range in order; gaps between
-            // consecutive segments are each within the threshold.
-            let mut seg_end = 0usize;
-            for (s, seg) in r.segments.iter().enumerate() {
-                prop_assert!(seg.offset >= seg_end);
-                let seg_gap = seg.offset - seg_end;
-                prop_assert!(s != 0 || seg_gap == 0, "range must start useful");
-                prop_assert!(seg_gap <= gap, "merged gap {seg_gap} > threshold {gap}");
-                seg_end = seg.offset + seg.len;
-            }
-            prop_assert_eq!(seg_end, r.len, "range must end useful");
-        }
-        prop_assert_eq!(total_len, plan.useful_bytes + plan.wasted_bytes);
-
-        // The segments are exactly the nonempty per-group runs, at the
-        // right absolute shard offsets.
-        let got: Vec<(u64, usize)> = plan
-            .ranges
-            .iter()
-            .flat_map(|r| {
-                r.segments
-                    .iter()
-                    .map(move |seg| (r.start + seg.offset as u64, seg.len))
-            })
-            .collect();
-        prop_assert_eq!(got, runs);
-    }
-
-    #[test]
-    fn fetch_plan_zero_gap_never_wastes_and_huge_gap_is_one_range(
-        lens in prop::collection::vec(
-            prop::collection::vec(0usize..100, 1..5),
-            1..6,
-        ),
-        planned in prop::collection::vec(1usize..5, 6),
-    ) {
-        let tight = FetchPlan::for_chunk(&lens, &planned, 0);
-        prop_assert_eq!(tight.wasted_bytes, 0);
-        let loose = FetchPlan::for_chunk(&lens, &planned, usize::MAX / 2);
-        if loose.useful_bytes > 0 {
-            prop_assert_eq!(loose.num_ranges(), 1);
-        }
-        prop_assert_eq!(tight.useful_bytes, loose.useful_bytes);
-    }
 }

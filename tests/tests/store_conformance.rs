@@ -4,7 +4,9 @@
 //! store, and the same shards served over HTTP — and every flavor
 //! returns **identical**
 //! [`Approximation`]s: same data, same shape, same achieved bound,
-//! same byte accounting. Error cases return the same [`MdrError`]
+//! same byte accounting — and every flavor fetches through the one
+//! provided `Store::load_chunk`, so each query costs the same number of
+//! requests everywhere. Error cases return the same [`MdrError`]
 //! variant everywhere.
 
 use hpmdr_core::prelude::*;
@@ -15,6 +17,13 @@ use hpmdr_tests::store_files;
 /// knows `dyn Store`.
 fn serve(store: &mut dyn Store, q: &Query) -> Result<Approximation<f32>, MdrError> {
     Reader::new(store).retrieve::<f32>(q)
+}
+
+/// [`serve`], plus the requests the query cost the store.
+fn serve_counted(store: &mut dyn Store, q: &Query) -> (Approximation<f32>, usize) {
+    let before = store.requests();
+    let answer = serve(store, q).unwrap();
+    (answer, store.requests() - before)
 }
 
 fn field(nx: usize, ny: usize) -> Vec<f32> {
@@ -125,7 +134,7 @@ fn all_three_store_flavors_serve_identical_approximations() {
 
     let region = Region::new(&[3, 5], &[14, 9]);
     for (label, q) in full_battery(region, 1) {
-        let reference = serve(&mut memory_mono, &q).unwrap();
+        let (reference, want_requests) = serve_counted(&mut memory_mono, &q);
         assert!(reference.bytes_fetched > 0, "{label}");
         for (name, store) in [
             ("memory/chunked", &mut memory_chunked as &mut dyn Store),
@@ -133,10 +142,14 @@ fn all_three_store_flavors_serve_identical_approximations() {
             ("sharded", sharded.as_mut()),
             ("remote", remote.as_mut()),
         ] {
-            let got = serve(store, &q).unwrap();
+            let (got, requests) = serve_counted(store, &q);
             assert_eq!(
                 got, reference,
                 "{label} via {name}: answers, bounds, and byte accounting must be identical"
+            );
+            assert_eq!(
+                requests, want_requests,
+                "{label} via {name}: one request per non-empty unit run"
             );
         }
     }
@@ -182,11 +195,13 @@ fn multi_chunk_memory_and_sharded_stores_agree() {
         ),
     ];
     for (label, q) in battery {
-        let a = serve(&mut memory, &q).unwrap();
-        let b = serve(sharded.as_mut(), &q).unwrap();
-        let c = serve(remote.as_mut(), &q).unwrap();
+        let (a, a_requests) = serve_counted(&mut memory, &q);
+        let (b, b_requests) = serve_counted(sharded.as_mut(), &q);
+        let (c, c_requests) = serve_counted(remote.as_mut(), &q);
         assert_eq!(a, b, "{label}");
         assert_eq!(a, c, "{label} (remote)");
+        assert_eq!(a_requests, b_requests, "{label}");
+        assert_eq!(c_requests, b_requests, "{label} (remote)");
     }
 
     // Region queries fetch strictly less than the archive holds.
@@ -266,6 +281,59 @@ fn error_cases_return_the_same_variant_from_every_store() {
     assert_eq!(variant(&a), "DtypeMismatch");
     assert_eq!(variant(&b), "DtypeMismatch");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both runs end past `usize::MAX`: `load_units` must answer
+/// `InvalidQuery` without fetching anything.
+fn rejects_overflowing_runs(name: &str, store: &dyn Store) {
+    let before = (store.requests(), store.bytes_fetched());
+    for (skip, take) in [(1, usize::MAX), (usize::MAX, 1)] {
+        match store.load_units(0, 0, skip, take) {
+            Err(e) => assert_eq!(variant(&e), "InvalidQuery", "{name} {skip}+{take}: {e}"),
+            Ok(units) => panic!("{name} {skip}+{take}: served {} units", units.len()),
+        }
+    }
+    assert_eq!(
+        (store.requests(), store.bytes_fetched()),
+        before,
+        "{name}: a rejected run reached storage"
+    );
+}
+
+#[test]
+fn overflowing_unit_runs_are_invalid_queries_on_every_store() {
+    let shape = [16usize, 16];
+    let artifact = MdrConfig::new()
+        .chunked(&[8, 8])
+        .build()
+        .refactor(&field(shape[0], shape[1]), &shape)
+        .unwrap();
+    let dir = scratch("overflow");
+    artifact.write_store(&dir).unwrap();
+    let server = LoopbackShardServer::serve(&dir).unwrap();
+    let url = server.url();
+    let open = |flavor: &str| -> Box<dyn Store> {
+        match flavor {
+            "memory" => Box::new(InMemoryStore::from(artifact.clone())),
+            "sharded" => open_store(&dir).unwrap(),
+            _ => open_store(std::path::Path::new(&url)).unwrap(),
+        }
+    };
+
+    for flavor in ["memory", "sharded", "remote"] {
+        rejects_overflowing_runs(flavor, open(flavor).as_ref());
+        // The cache rejects the run before its directory sees it.
+        let cached = CachedStore::with_default_budget(open(flavor));
+        rejects_overflowing_runs(&format!("cached {flavor}"), &cached);
+        assert_eq!(
+            cached.cache_stats(),
+            CacheStats::default(),
+            "cached {flavor}"
+        );
+    }
+
+    drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
