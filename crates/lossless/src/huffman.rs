@@ -9,12 +9,12 @@
 //! Bit I/O runs word-at-a-time. The encoder merges up to four whole
 //! codes into one shift+or and stores its 64-bit accumulator 8 bytes at
 //! a time, branch-free (never per bit or per symbol); the decoder keeps
-//! a 64-bit look-ahead refilled 8 bytes per load and resolves symbols
-//! through a flat [`LUT_BITS`]-bit table — the batched variant drains
-//! *every* whole code in the peeked window, so skewed streams decode
-//! several symbols per lookup, and only codes longer than the table
-//! width fall back to the canonical first-code scan. Byte
-//! output is identical to the historical bit-serial coder.
+//! a 64-bit look-ahead refilled 8 bytes per load, once per five lookups,
+//! and resolves symbols through a flat [`LUT_BITS`]-bit table — the
+//! batched variant drains *every* whole code in the peeked window, so
+//! skewed streams decode several symbols per lookup, and only codes
+//! longer than the table width fall back to the canonical first-code
+//! scan. Byte output is identical to the historical bit-serial coder.
 //!
 //! Stream format (little-endian):
 //! ```text
@@ -486,9 +486,16 @@ fn encode_chunk_block<const PER: usize>(
 /// holds exactly six symbol bytes above the length/count fields).
 const MAX_BATCH: usize = 6;
 
+/// Batched lookups per refill in [`decode_chunk`]'s fast loop. A word
+/// refill leaves ≥ 56 valid bits and one lookup consumes ≤ [`LUT_BITS`],
+/// so the group's takes need no check.
+const GROUP: usize = 5;
+const _: () = assert!(GROUP * LUT_BITS <= 56);
+
 /// Decoding tables derived from canonical code lengths: a flat first-level
 /// LUT for codes of ≤ [`LUT_BITS`] bits plus the canonical first-code
 /// scan for the (rare) longer codes.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct DecodeTable {
     /// `(code_len << 8) | symbol` per [`LUT_BITS`]-bit prefix;
     /// 0 marks a long-code escape to the canonical scan.
@@ -514,6 +521,72 @@ struct DecodeTable {
 
 impl DecodeTable {
     fn new(lens: &[u8; 256]) -> Result<Self, HuffmanError> {
+        if let Some(&l) = lens.iter().find(|&&l| l as usize > MAX_CODE_LEN) {
+            return Err(HuffmanError::CorruptHeader(format!(
+                "code length {l} exceeds the maximum {MAX_CODE_LEN}"
+            )));
+        }
+        let mut count = [0usize; MAX_CODE_LEN + 1];
+        for &l in lens {
+            count[l as usize] += 1;
+        }
+        // Length 0 marks an absent symbol.
+        count[0] = 0;
+        let max_len = lens.iter().copied().max().unwrap_or(0) as usize;
+        let mut first_code = [0u64; MAX_CODE_LEN + 1];
+        let mut first_index = [0usize; MAX_CODE_LEN + 1];
+        let mut code = 0u64;
+        let mut index = 0usize;
+        for len in 1..=MAX_CODE_LEN {
+            code <<= 1;
+            first_code[len] = code;
+            first_index[len] = index;
+            code += count[len] as u64;
+            index += count[len];
+            // A length-table whose canonical assignment overflows the code
+            // space can never have been produced by a Huffman tree.
+            if code > 1u64 << len {
+                return Err(HuffmanError::CorruptHeader(format!(
+                    "code-length table overfills {len}-bit code space"
+                )));
+            }
+        }
+        // Counting sort by (length, value): each length's run starts at
+        // its first index, and symbols arrive in value order.
+        let mut symbols = vec![0u8; index];
+        let mut next = first_index;
+        for (s, &l) in lens.iter().enumerate().filter(|&(_, &l)| l > 0) {
+            symbols[next[l as usize]] = s as u8;
+            next[l as usize] += 1;
+        }
+        // Canonical codes of ≤ LUT_BITS bits, left-aligned, tile the table
+        // from 0 in (length, value) order: each fills the next 2^(11 − len)
+        // prefixes, and what the short codes leave is a long-code escape.
+        let mut lut = vec![0u16; 1usize << LUT_BITS];
+        let mut at = 0usize;
+        for &s in &symbols[..first_index[LUT_BITS + 1]] {
+            let len = lens[s as usize];
+            let span = 1usize << (LUT_BITS - len as usize);
+            lut[at..at + span].fill(((len as u16) << 8) | s as u16);
+            at += span;
+        }
+        let mut batch = vec![0u64; 1usize << LUT_BITS];
+        fill_batch(&mut batch, &symbols, lens, 0);
+        Ok(DecodeTable {
+            lut,
+            batch,
+            first_code,
+            first_index,
+            symbols,
+            count,
+            max_len,
+        })
+    }
+
+    /// The sort-and-greedy builder [`Self::new`] replaced, kept as the
+    /// oracle its tables are tested against.
+    #[cfg(test)]
+    fn new_greedy(lens: &[u8; 256]) -> Result<Self, HuffmanError> {
         if let Some(&l) = lens.iter().find(|&&l| l as usize > MAX_CODE_LEN) {
             return Err(HuffmanError::CorruptHeader(format!(
                 "code length {l} exceeds the maximum {MAX_CODE_LEN}"
@@ -593,6 +666,32 @@ impl DecodeTable {
     }
 }
 
+/// Fill `batch` — the windows that begin with the whole codes packed in
+/// `entry` (a batch entry: total bits, count, symbols) — by walking the
+/// code trie. As in the one-symbol LUT, the codes that fit the bits left
+/// (a prefix of `symbols`, which is in canonical order) tile the front of
+/// the range, one sub-range per code: the windows that also begin with
+/// that code, filled one level down. The windows behind them start with a
+/// code that does not fit (or no code), so their batch is `entry`, as it
+/// is once `entry` holds [`MAX_BATCH`] symbols.
+fn fill_batch(batch: &mut [u64], symbols: &[u8], lens: &[u8; 256], entry: u64) {
+    let (used, n) = ((entry & 0x3f) as usize, ((entry >> 8) & 0x7) as usize);
+    let mut at = 0usize;
+    if n < MAX_BATCH {
+        for &s in symbols {
+            let len = lens[s as usize] as usize;
+            if used + len > LUT_BITS {
+                break;
+            }
+            let span = 1usize << (LUT_BITS - used - len);
+            let next = (entry + len as u64 + (1 << 8)) | (s as u64) << (16 + 8 * n);
+            fill_batch(&mut batch[at..at + span], symbols, lens, next);
+            at += span;
+        }
+    }
+    batch[at..].fill(entry);
+}
+
 /// Word-refilled MSB-first bit reader: `acc` always holds the next stream
 /// bits left-aligned, with at least `have` of them accounted for. Refills
 /// splice 8 bytes below the valid region per load; bits past the stream
@@ -614,25 +713,18 @@ impl<'a> Bits<'a> {
         }
     }
 
+    /// Whether 8 bytes remain for [`Self::refill_word`].
+    #[inline(always)]
+    fn word_ready(&self) -> bool {
+        self.pos + 8 <= self.data.len()
+    }
+
     /// Top the accumulator up to ≥ 56 valid bits (or until input runs
-    /// dry). Bits ORed in below the accounted region are genuine stream
-    /// bits at their final positions, so re-splicing them is idempotent.
+    /// dry).
     #[inline(always)]
     fn refill(&mut self) {
-        if self.have >= 56 {
-            return;
-        }
-        if self.pos + 8 <= self.data.len() {
-            let w = u64::from_be_bytes(
-                self.data[self.pos..self.pos + 8]
-                    .try_into()
-                    // lint:allow(L3): statically infallible — the range
-                    // above is exactly 8 bytes long (decode hot loop).
-                    .expect("8-byte slice"),
-            );
-            self.acc |= w >> self.have;
-            self.pos += ((63 - self.have) >> 3) as usize;
-            self.have |= 56;
+        if self.word_ready() {
+            self.refill_word();
         } else {
             while self.have <= 56 && self.pos < self.data.len() {
                 self.acc |= (self.data[self.pos] as u64) << (56 - self.have);
@@ -642,11 +734,37 @@ impl<'a> Bits<'a> {
         }
     }
 
+    /// Top the accumulator up to ≥ 56 valid bits from one 8-byte load
+    /// (needs [`Self::word_ready`]). Bits ORed in below the accounted
+    /// region are genuine stream bits at their final positions, so
+    /// re-splicing them is idempotent: the load runs whatever `have` is,
+    /// with no branch on it.
+    #[inline(always)]
+    fn refill_word(&mut self) {
+        let w = u64::from_be_bytes(
+            self.data[self.pos..self.pos + 8]
+                .try_into()
+                // lint:allow(L3): statically infallible — the range
+                // above is exactly 8 bytes long (decode hot loop).
+                .expect("8-byte slice"),
+        );
+        self.acc |= w >> self.have;
+        self.pos += ((63 - self.have) >> 3) as usize;
+        self.have |= 56;
+    }
+
     /// Next `k` bits without consuming (`1 ≤ k ≤ 56`; bits past the
     /// stream end are zero).
     #[inline(always)]
     fn peek(&self, k: u32) -> u64 {
         self.acc >> (64 - k)
+    }
+
+    /// Consume `k ≤ have` bits, unchecked.
+    #[inline(always)]
+    fn consume(&mut self, k: u32) {
+        self.acc <<= k;
+        self.have -= k;
     }
 
     /// Consume `k` bits; `false` when the stream does not hold them.
@@ -655,8 +773,7 @@ impl<'a> Bits<'a> {
         if k > self.have {
             return false;
         }
-        self.acc <<= k;
-        self.have -= k;
+        self.consume(k);
         true
     }
 }
@@ -689,27 +806,67 @@ fn decode_one(table: &DecodeTable, bits: &mut Bits<'_>) -> Option<u8> {
 }
 
 /// Decode `dst.len()` symbols of one chunk payload.
+///
+/// The fast loop refills once per [`GROUP`] batched lookups. The refill's
+/// load address depends on the bits the previous lookups consumed, so a
+/// refill per lookup puts that load on the loop-carried chain of every
+/// lookup; here it is on one in five. Each lookup drains every whole code
+/// in the 11-bit window (up to [`MAX_BATCH`] symbols on skewed streams)
+/// and stores all six symbol slots at once, branch-free: the `n` real
+/// symbols come first, and the spare bytes past them are overwritten by
+/// the next batch. The loop runs while the payload has 8 bytes left for
+/// the word refill and `dst` has room for [`GROUP`] full batches;
+/// [`decode_checked`] decodes the rest.
 fn decode_chunk(
     table: &DecodeTable,
     payload: &[u8],
     dst: &mut [u8],
     chunk: usize,
 ) -> Result<(), HuffmanError> {
-    let corrupt = || HuffmanError::CorruptChunk { chunk };
     let mut bits = Bits::new(payload);
     // The masked index is always in range (the shift leaves LUT_BITS
     // bits), which lets the compiler drop the per-lookup bounds check.
     let batch: &[u64] = &table.batch;
     let idx_mask = (1usize << LUT_BITS) - 1;
-    let m = dst.len();
     let mut i = 0usize;
-    // Batched fast loop: one refill + one lookup drains every whole code
-    // in the 11-bit window (up to MAX_BATCH symbols on skewed streams).
-    // Stops MAX_BATCH short of the end so a batch never overruns the
-    // symbol count the chunk actually encodes — and so every batch can
-    // store all six symbol slots at once, branch-free: the `n` real
-    // symbols come first, and the spare bytes past them are overwritten
-    // by the next batch (or the tail loop).
+    while bits.word_ready() && dst.len() - i >= GROUP * MAX_BATCH {
+        bits.refill_word();
+        let mut n = 0usize;
+        for _ in 0..GROUP {
+            let entry = batch[bits.peek(LUT_BITS as u32) as usize & idx_mask];
+            bits.consume((entry & 0x3f) as u32);
+            dst[i..i + MAX_BATCH].copy_from_slice(&(entry >> 16).to_le_bytes()[..MAX_BATCH]);
+            n = ((entry >> 8) & 0x7) as usize;
+            i += n;
+        }
+        if n == 0 {
+            // A long-code escape consumes nothing, so it repeats to the
+            // group's end: the window starts with a code longer than the
+            // LUT width.
+            bits.refill();
+            dst[i] = decode_one(table, &mut bits).ok_or(HuffmanError::CorruptChunk { chunk })?;
+            i += 1;
+        }
+    }
+    decode_checked(table, &mut bits, dst, i, chunk)
+}
+
+/// Decode `dst[i..]` with every take checked: one refill and one batched
+/// lookup per step while a whole batch fits (so a batch never overruns
+/// the symbols the chunk encodes), then one symbol per step. It finishes
+/// [`decode_chunk`]'s fast loop, and from `i = 0` it is the oracle that
+/// loop is tested against.
+fn decode_checked(
+    table: &DecodeTable,
+    bits: &mut Bits<'_>,
+    dst: &mut [u8],
+    mut i: usize,
+    chunk: usize,
+) -> Result<(), HuffmanError> {
+    let corrupt = || HuffmanError::CorruptChunk { chunk };
+    let batch: &[u64] = &table.batch;
+    let idx_mask = (1usize << LUT_BITS) - 1;
+    let m = dst.len();
     while m - i >= MAX_BATCH {
         bits.refill();
         let entry = batch[bits.peek(LUT_BITS as u32) as usize & idx_mask];
@@ -722,13 +879,13 @@ fn decode_chunk(
             i += n;
         } else {
             // Window starts with a code longer than the LUT width.
-            dst[i] = decode_one(table, &mut bits).ok_or_else(corrupt)?;
+            dst[i] = decode_one(table, bits).ok_or_else(corrupt)?;
             i += 1;
         }
     }
     for slot in &mut dst[i..] {
         bits.refill();
-        *slot = decode_one(table, &mut bits).ok_or_else(corrupt)?;
+        *slot = decode_one(table, bits).ok_or_else(corrupt)?;
     }
     Ok(())
 }
@@ -967,21 +1124,127 @@ mod tests {
             .collect()
     }
 
+    /// [`decompress`] with every chunk decoded by [`decode_checked`]
+    /// alone — one refill per lookup, every take checked: the oracle of
+    /// [`decode_chunk`]'s fast loop.
+    fn decompress_checked(stream: &[u8]) -> Result<Vec<u8>, HuffmanError> {
+        let (lens, frames) = parse_stream(stream)?;
+        let table = DecodeTable::new(&lens)?;
+        let mut out = Vec::new();
+        for (i, payload, dst) in carve_output(&frames, &mut out)? {
+            decode_checked(&table, &mut Bits::new(payload), dst, 0, i)?;
+        }
+        Ok(out)
+    }
+
+    /// A complete chain-shaped book over symbols `0..=depth`: symbol `s`
+    /// gets `s + 1` bits, and the last two both get `depth` bits.
+    fn chain_lens(depth: usize) -> [u8; 256] {
+        let mut lens = [0u8; 256];
+        for (s, l) in lens.iter_mut().enumerate().take(depth + 1) {
+            *l = (s + 1).min(depth) as u8;
+        }
+        lens
+    }
+
+    /// Symbols of [`chain_lens`]`(14)`: mostly 1–3-bit codes, with the
+    /// 12–14-bit ones (past the LUT width) about once in 20.
+    fn long_mix(n: usize, seed: u32) -> Vec<u8> {
+        xorshift_bytes(n, seed)
+            .into_iter()
+            .map(|b| match b {
+                0..=12 => 11 + b % 4,
+                13..=90 => 1 + b % 4,
+                _ => 0,
+            })
+            .collect()
+    }
+
     #[test]
     fn batch_stores_match_the_reference_at_every_tail_length() {
-        // Chunk lengths `r` below MAX_BATCH never enter the fast loop;
-        // longer ones leave it with 0..MAX_BATCH symbols for the tail.
+        // Chunk lengths `r` below GROUP × MAX_BATCH never enter the fast
+        // loop; longer ones leave it with 0..GROUP × MAX_BATCH symbols
+        // for the checked loop, itself batched down to MAX_BATCH. Each
+        // book drains six symbols a lookup, one, or escapes to long codes.
+        let chain = chain_lens(14);
         for c in 0..3 {
-            for r in 0..=7 {
+            for r in 0..=GROUP * MAX_BATCH + 1 {
                 let n = c * CHUNK_SIZE + r;
-                let data = zero_heavy(n, 0x7a11 + n as u32);
-                let stream = compress(&data);
+                let seed = 0x7a11 + n as u32;
+                let random = xorshift_bytes(n, seed);
+                let mixed = long_mix(n, seed);
+                let streams = [
+                    compress(&zero_heavy(n, seed)),
+                    compress(&random),
+                    compress_reference_with(&chain, &mixed),
+                ];
                 if n >= CHUNK_SIZE {
-                    let table = DecodeTable::new(stream[16..16 + 256].try_into().unwrap()).unwrap();
+                    let table =
+                        DecodeTable::new(streams[0][16..16 + 256].try_into().unwrap()).unwrap();
                     assert_eq!((table.batch[0] >> 8) & 0x7, MAX_BATCH as u64, "n={n}");
                 }
-                assert_eq!(decompress(&stream).unwrap(), data, "n={n}");
-                assert_eq!(decompress_reference(&stream).unwrap(), data, "n={n}");
+                for (stream, data) in streams.iter().zip([zero_heavy(n, seed), random, mixed]) {
+                    assert_eq!(decompress(stream).unwrap(), data, "n={n}");
+                    assert_eq!(decompress_checked(stream).unwrap(), data, "n={n}");
+                    assert_eq!(decompress_reference(stream).unwrap(), data, "n={n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_payload_cut_at_every_byte_decodes_as_the_checked_loop_does() {
+        // Bits past a cut read as zeros, so a cut payload may still
+        // decode; either way the fast loop must agree with the oracle.
+        let zeros = zero_heavy(900, 0x5eed);
+        let random = xorshift_bytes(300, 0x5eed);
+        let mixed = long_mix(600, 0x5eed);
+        let books = [
+            (code_lengths(&histogram(&zeros)), zeros),
+            (code_lengths(&histogram(&random)), random),
+            (chain_lens(14), mixed),
+        ];
+        for (lens, data) in &books {
+            let table = DecodeTable::new(lens).unwrap();
+            let stream = compress_reference_with(lens, data);
+            let payload = &stream[16 + 256 + 4..];
+            for cut in 0..=payload.len() {
+                let (mut fast, mut checked) = (vec![0u8; data.len()], vec![0u8; data.len()]);
+                let got = decode_chunk(&table, &payload[..cut], &mut fast, 3);
+                let want =
+                    decode_checked(&table, &mut Bits::new(&payload[..cut]), &mut checked, 0, 3);
+                assert_eq!(got, want, "n={} cut={cut}", data.len());
+                if want.is_ok() {
+                    assert_eq!(fast, checked, "n={} cut={cut}", data.len());
+                }
+            }
+            assert_eq!(decompress(&stream).unwrap(), *data);
+        }
+    }
+
+    #[test]
+    fn a_long_code_at_every_lookup_of_a_group_decodes_as_the_checked_loop_does() {
+        // Two 13- or 14-bit codes moved through every slot of the first
+        // groups, so the escape is met at each of a group's five lookups:
+        // among 1–3-bit codes (six-symbol batches), and among 10- and
+        // 11-bit ones, where four lookups leave as few bits as a group
+        // ever has (the escape must refill before it scans).
+        let lens = chain_lens(14);
+        for pattern in [&[0u8, 1, 0, 2, 0, 0][..], &[10], &[10, 9, 10, 10]] {
+            let base: Vec<u8> = pattern.iter().copied().cycle().take(400).collect();
+            for p in 0..3 * GROUP * MAX_BATCH {
+                for long in [12u8, 14] {
+                    let mut data = base.clone();
+                    data[p] = long;
+                    data[p + 7] = long;
+                    let stream = compress_reference_with(&lens, &data);
+                    assert_eq!(decompress(&stream).unwrap(), data, "{pattern:?} p={p}");
+                    assert_eq!(
+                        decompress_checked(&stream).unwrap(),
+                        data,
+                        "{pattern:?} p={p}"
+                    );
+                }
             }
         }
     }
@@ -1153,6 +1416,91 @@ mod tests {
         ) {
             let lens = code_lengths(&family_histogram(kind, present, &raw));
             assert_eq!(canonical_codes(&lens), canonical_codes_sorted(&lens), "{lens:?}");
+        }
+    }
+
+    /// A length table of `leaves` codes drawn by `raw`: split a leaf of a
+    /// one-leaf tree until it has `leaves` (the deepest leaf on an even
+    /// draw, so chains reach [`MAX_CODE_LEN`]), then by `kind` keep it
+    /// complete (0), drop `leaves / 3` codes so it is Kraft-incomplete
+    /// (1), or shorten one code so it overfills (2). Codes go to distinct
+    /// symbols placed by `raw`.
+    fn random_lengths(kind: usize, leaves: usize, raw: &[u64]) -> [u8; 256] {
+        let mut depths = vec![1u8];
+        if leaves > 1 {
+            depths[0] = 0;
+        }
+        for &r in raw.iter().cycle().take(10 * leaves) {
+            if depths.len() == leaves {
+                break;
+            }
+            let i = if r & 1 == 0 {
+                depths.len() - 1
+            } else {
+                (r >> 1) as usize % depths.len()
+            };
+            if (depths[i] as usize) < MAX_CODE_LEN {
+                depths[i] += 1;
+                depths.push(depths[i]);
+            }
+        }
+        match kind {
+            1 => depths.truncate(depths.len().saturating_sub(leaves / 3).max(1)),
+            2 => {
+                if let Some(d) = depths.iter_mut().find(|d| **d > 1) {
+                    *d -= 1;
+                }
+            }
+            _ => {}
+        }
+        let mut lens = [0u8; 256];
+        for (i, &d) in depths.iter().enumerate() {
+            lens[(i * 37 + raw[0] as usize) % 256] = d;
+        }
+        lens
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+        #[test]
+        fn trie_tables_equal_the_greedy_oracle(
+            kind in 0usize..3,
+            leaves in 1usize..=256,
+            raw in proptest::collection::vec(proptest::any::<u64>(), 64),
+        ) {
+            let lens = random_lengths(kind, leaves, &raw);
+            assert_eq!(DecodeTable::new(&lens), DecodeTable::new_greedy(&lens), "{lens:?}");
+        }
+    }
+
+    #[test]
+    fn trie_tables_equal_the_greedy_oracle_on_edge_books() {
+        let mut one = [0u8; 256];
+        one[200] = 1;
+        let mut deep = [0u8; 256];
+        deep[7] = MAX_CODE_LEN as u8;
+        let mut too_long = chain_lens(14);
+        too_long[3] = MAX_CODE_LEN as u8 + 1;
+        let books = [
+            ("none", [0u8; 256]),
+            ("one", one),
+            ("flat", [8u8; 256]),
+            ("short", [1u8; 256]),
+            (
+                "chain",
+                code_lengths(&fibonacci_histogram(MAX_CODE_LEN + 1)),
+            ),
+            ("chain 14", chain_lens(14)),
+            ("deep", deep),
+            ("too long", too_long),
+        ];
+        for (name, lens) in books {
+            let got = DecodeTable::new(&lens);
+            assert_eq!(got, DecodeTable::new_greedy(&lens), "{name}");
+            match name {
+                "short" | "too long" => assert!(got.is_err(), "{name}"),
+                _ => assert!(got.is_ok(), "{name}"),
+            }
         }
     }
 

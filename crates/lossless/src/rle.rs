@@ -131,7 +131,8 @@ pub fn read_varint(data: &[u8]) -> Option<(u64, usize)> {
     let mut v = 0u64;
     let mut shift = 0u32;
     for (i, &b) in data.iter().enumerate() {
-        if shift >= 64 {
+        // The tenth byte holds bit 63 alone: anything above 1 overflows.
+        if shift >= 64 || (shift == 63 && b > 1) {
             return None;
         }
         v |= ((b & 0x7f) as u64) << shift;
@@ -212,6 +213,22 @@ mod tests {
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
         }
+    }
+
+    #[test]
+    fn overflowing_varints_are_rejected() {
+        let mut max = Vec::new();
+        push_varint(&mut max, u64::MAX);
+        assert_eq!(max.len(), 10);
+        assert_eq!(read_varint(&max), Some((u64::MAX, 10)));
+        // A tenth byte carrying bits past 63, or continuing to an eleventh.
+        let mut wide = vec![0x81];
+        wide.extend([0x80; 8]);
+        wide.push(0x02);
+        assert_eq!(read_varint(&wide), None);
+        *wide.last_mut().unwrap() = 0x81;
+        wide.push(0x00);
+        assert_eq!(read_varint(&wide), None);
     }
 
     #[test]
