@@ -108,19 +108,6 @@ impl BitplaneChunk {
         &self.planes[b * words..(b + 1) * words]
     }
 
-    /// Mutable magnitude plane `b`.
-    #[inline]
-    pub fn plane_mut(&mut self, b: usize) -> &mut [u32] {
-        let words = self.words_per_plane();
-        &mut self.planes[b * words..(b + 1) * words]
-    }
-
-    /// Planes in order, most significant first.
-    pub fn planes_iter(&self) -> impl Iterator<Item = &[u32]> {
-        let words = self.words_per_plane().max(1);
-        self.planes.chunks_exact(words)
-    }
-
     /// The contiguous words of planes `lo..hi` — what a merged unit
     /// copies out in one go.
     #[inline]
@@ -149,16 +136,6 @@ impl BitplaneChunk {
     /// Total payload bytes: sign plane plus all magnitude planes.
     pub fn total_bytes(&self) -> usize {
         self.plane_bytes() * (self.num_planes() + 1)
-    }
-
-    /// Payload bytes needed to retrieve the first `k` magnitude planes
-    /// (the sign plane ships with the first).
-    pub fn prefix_bytes(&self, k: usize) -> usize {
-        if k == 0 {
-            0
-        } else {
-            self.plane_bytes() * (k.min(self.num_planes()) + 1)
-        }
     }
 
     /// Check internal consistency (plane lengths, padding-bit hygiene).
@@ -209,26 +186,16 @@ mod tests {
     }
 
     #[test]
-    fn prefix_bytes_includes_sign_plane_once() {
-        let c = BitplaneChunk::zeroed::<f32>(64, 1, Layout::Natural, 8);
-        assert_eq!(c.prefix_bytes(0), 0);
-        assert_eq!(c.prefix_bytes(1), 2 * 4 * 2); // sign + 1 plane
-        assert_eq!(c.prefix_bytes(8), 2 * 4 * 9);
-        assert_eq!(c.prefix_bytes(100), c.total_bytes());
-    }
-
-    #[test]
     fn plane_accessors_cover_the_arena() {
         let mut c = BitplaneChunk::zeroed::<f32>(64, 1, Layout::Natural, 4);
-        for b in 0..4 {
-            c.plane_mut(b).fill(b as u32 + 1);
+        let words = c.words_per_plane();
+        for (b, plane) in c.arena_mut().chunks_exact_mut(words).enumerate() {
+            plane.fill(b as u32 + 1);
         }
         assert_eq!(c.plane(2), &[3, 3]);
+        assert_eq!(c.plane(3), &[4, 4]);
         assert_eq!(c.plane_range(1, 3), &[2, 2, 3, 3]);
-        let all: Vec<&[u32]> = c.planes_iter().collect();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[3], &[4, 4]);
-        assert_eq!(c.arena().len(), 4 * c.words_per_plane());
+        assert_eq!(c.arena().len(), 4 * words);
     }
 
     #[test]
@@ -246,10 +213,11 @@ mod tests {
         c.signs = vec![0, 1 << 5];
         assert!(c.validate().is_err());
 
+        // Plane 1, word 1: two words a plane.
         let mut c = BitplaneChunk::zeroed::<f32>(33, 1, Layout::Natural, 2);
-        c.plane_mut(1)[1] = 1 << 31;
+        c.arena_mut()[3] = 1 << 31;
         assert!(c.validate().is_err());
-        c.plane_mut(1)[1] = 0;
+        c.arena_mut()[3] = 0;
         c.validate().unwrap();
     }
 

@@ -57,13 +57,6 @@ pub fn transpose32_columns(tile: &mut [[u32; 32]; 32]) {
     }
 }
 
-/// Out-of-place convenience wrapper over [`transpose32`].
-pub fn transposed32(m: &[u32; 32]) -> [u32; 32] {
-    let mut out = *m;
-    transpose32(&mut out);
-    out
-}
-
 /// Reference implementation used to validate the fast paths (the
 /// block-swaps above). Test-only: release binaries carry only the fast
 /// paths.
@@ -94,6 +87,13 @@ mod tests {
             *w = s;
         }
         m
+    }
+
+    /// `m` transposed by [`transpose32`], out of place.
+    fn transposed32(m: &[u32; 32]) -> [u32; 32] {
+        let mut out = *m;
+        transpose32(&mut out);
+        out
     }
 
     #[test]

@@ -1372,12 +1372,13 @@ fn answer<F: BitplaneFloat + Real + Default, B: Backend>(
 }
 
 /// Full-domain and region scopes: per-chunk plans for the touched chunks
-/// ([`ResolvedTarget::plan_region`]), then each chunk's fetch and decode
-/// as one [`Backend::map_batch`] item — a multi-threaded backend overlaps
-/// one chunk's I/O with other chunks' decode; one thread wide, chunks run
-/// in order. A chunk recomposes only its box of the region (a whole chunk
-/// for a full-domain query). Decode never reassociates arithmetic, so the
-/// answer is bit-identical at every width.
+/// ([`ResolvedTarget::plan_region`]), then the region engine
+/// ([`assemble_region`]) with a fresh session per chunk — one
+/// [`Backend::map_batch`] item per chunk fetches, decodes and places it;
+/// one thread wide, chunks run in order. A chunk recomposes only its box
+/// of the region (a whole chunk for a full-domain query). Decode never
+/// reassociates arithmetic, so the answer is bit-identical at every
+/// width.
 fn serve_region<F: BitplaneFloat + Real + Default, B: Backend>(
     store: &dyn Store,
     backend: &B,
@@ -1386,13 +1387,7 @@ fn serve_region<F: BitplaneFloat + Real + Default, B: Backend>(
     region: Region,
 ) -> Result<(Vec<F>, Vec<usize>, f64, bool), MdrError> {
     let plan = resolved.plan_region(store.meta(), &region)?;
-    let data = assemble_region::<F, _, _>(store.meta(), &plan, backend, ctx, |cp, window| {
-        // Owning: the session drops each unit's compressed bytes once
-        // applied, before the chunk is materialized.
-        let loaded = store.load_chunk(cp.chunk, &cp.plan)?;
-        RetrievalSession::owning(loaded, backend.clone())
-            .refine_chunk::<F>(cp.chunk, &cp.plan, window, None)
-    })?;
+    let data = assemble_region::<F, B>(store, &plan, backend, ctx, None)?;
     Ok((data, region.extent, plan.bound(), plan.exhausted()))
 }
 

@@ -28,6 +28,12 @@
 //! into its plane accumulators and then releases, so a unit is entropy-
 //! decoded once however many frames follow its arrival.
 //!
+//! A frame fans its chunks: it is the one-shot's region engine
+//! (`roi::assemble_region`) run over the kept sessions, one
+//! [`Backend::map_batch`] item per chunk fetching its delta, decoding,
+//! recomposing and placing its box, so a lone stream uses every core its
+//! backend may take.
+//!
 //! So is the rebuild: a frame returns the region, so it rebuilds only
 //! what the region shows. Each chunk keeps its injected coefficient grid
 //! and, per group, the units applied when that grid was built. A frame
@@ -68,12 +74,11 @@ use crate::api::{
 use crate::chunked::ChunkedRefactored;
 use crate::error::MdrError;
 use crate::retrieve::{CoefficientGrid, RetrievalPlan, RetrievalSession};
-use crate::roi::{assemble_parts, chunk_window, Region, RoiPlan};
+use crate::roi::{assemble_region, OwnedChunk, Region, RoiPlan};
 use crate::Scope;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_mgard::Real;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Geometric spacing of the intermediate refinement ladder: each step
@@ -100,22 +105,6 @@ pub struct RefinementFrame<F> {
     pub is_final: bool,
 }
 
-/// Per-chunk refinement state, alive for the whole stream.
-struct OwnedChunk<F, B: Backend> {
-    /// Linear chunk index in the grid.
-    index: usize,
-    /// The session owning the chunk's skeleton: its applied units are
-    /// what the stream has fetched, and each frame hands it only the
-    /// delta.
-    session: RetrievalSession<'static, B>,
-    /// The chunk's box of the region, in chunk coordinates: all a frame
-    /// reads of the chunk, so all its recompose must produce.
-    window: Vec<Range<usize>>,
-    /// The injected coefficients of the last frame; the next one
-    /// re-materializes only the groups that gained units.
-    grid: CoefficientGrid<F>,
-}
-
 /// How the stream produces its frames.
 enum Mode<F, B: Backend> {
     /// Abs / RMSE / Lossless targets over Full or Region scopes: the
@@ -127,14 +116,15 @@ enum Mode<F, B: Backend> {
         /// after they are spent.
         thresholds: Vec<f64>,
         cursor: usize,
+        /// Per planned chunk, the state the stream keeps for it.
         owned: Vec<OwnedChunk<F, B>>,
         /// Unit matrix of the previously emitted frame (dedup: a ladder
         /// step whose plan did not grow is skipped, not re-sent).
         last_units: Option<Vec<Vec<usize>>>,
     },
     /// QoI targets and resolution scopes: one frame via the one-shot
-    /// path, on the reader's context.
-    SingleShot { ctx: Arc<ExecCtx> },
+    /// path.
+    SingleShot,
 }
 
 /// A pull-based incremental retrieval: see the [module docs](self).
@@ -146,9 +136,12 @@ enum Mode<F, B: Backend> {
 pub struct ApproximationStream<F, B: Backend = CpuBackend> {
     store: StoreRef<'static>,
     query: Query,
-    /// Runs every frame: each is one outermost `install`, so a frame
-    /// holds one core of the process's budget while it computes.
+    /// Runs every frame: each is one `install`, so a frame holds one
+    /// core of the process's budget while it computes (or runs on the
+    /// core its caller already holds).
     backend: B,
+    /// The reader's context, which every frame's fan runs on.
+    ctx: Arc<ExecCtx>,
     mode: Mode<F, B>,
     bytes_at_open: usize,
     step: usize,
@@ -177,7 +170,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             }
         }
         let mode = match (&query.target, &query.scope) {
-            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot { ctx },
+            (Target::Qoi(..), _) | (_, Scope::Resolution(_)) => Mode::SingleShot,
             (target, scope) => {
                 let resolved = resolve_target(&*store, target)?;
                 let meta = store.meta();
@@ -218,12 +211,10 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                     .chunks
                     .iter()
                     .map(|cp| OwnedChunk {
-                        index: cp.chunk,
                         session: RetrievalSession::owning(
                             meta.chunks[cp.chunk].clone(),
                             backend.clone(),
                         ),
-                        window: chunk_window(meta, &region, cp.chunk),
                         grid: CoefficientGrid::default(),
                     })
                     .collect();
@@ -242,6 +233,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
             store,
             query,
             backend,
+            ctx,
             mode,
             bytes_at_open,
             step: 0,
@@ -297,9 +289,9 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
     /// The next frame's approximation and whether it is the final one.
     fn next_approximation(&mut self) -> Result<(Approximation<F>, bool), MdrError> {
         match &mut self.mode {
-            Mode::SingleShot { ctx } => {
+            Mode::SingleShot => {
                 let approximation =
-                    serve_query::<F, B>(&*self.store, &self.backend, ctx, &self.query)?;
+                    serve_query::<F, B>(&*self.store, &self.backend, &self.ctx, &self.query)?;
                 Ok((approximation, true))
             }
             Mode::Ladder {
@@ -332,32 +324,15 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                         *last_units = Some(units);
                     }
 
-                    // Per chunk: fetch exactly the delta units (plans are
-                    // nested, so `skip` is what the session has applied),
-                    // hand them to the live session, and decode only them.
-                    let parts: Vec<Vec<F>> = owned
-                        .iter_mut()
-                        .zip(&plan.chunks)
-                        .map(|(oc, cp)| {
-                            debug_assert_eq!(oc.index, cp.chunk);
-                            for (g, &want) in cp.plan.units.iter().enumerate() {
-                                let stored = oc.session.refactored().streams[g].num_units();
-                                let want = want.min(stored);
-                                let have = oc.session.units()[g];
-                                if want > have {
-                                    let fresh =
-                                        self.store.load_units(oc.index, g, have, want - have)?;
-                                    oc.session.supply_units(g, have, fresh)?;
-                                }
-                            }
-                            oc.session.refine_chunk::<F>(
-                                cp.chunk,
-                                &cp.plan,
-                                &oc.window,
-                                Some(&mut oc.grid),
-                            )
-                        })
-                        .collect::<Result<_, MdrError>>()?;
+                    // The region engine over the kept sessions: each
+                    // chunk fetches and decodes only its delta.
+                    let data = assemble_region(
+                        &*self.store,
+                        &plan,
+                        &self.backend,
+                        &self.ctx,
+                        Some(owned),
+                    )?;
                     let (achieved, exhausted) = (plan.bound(), plan.exhausted());
                     if is_final && self.query.strict && exhausted {
                         return Err(MdrError::Unsatisfiable {
@@ -366,7 +341,7 @@ impl<F: BitplaneFloat + Real + Default, B: Backend> ApproximationStream<F, B> {
                         });
                     }
                     let approximation = Approximation {
-                        data: assemble_parts(meta, &plan, parts),
+                        data,
                         shape: plan.region.extent.clone(),
                         achieved,
                         bytes_fetched: self.store.bytes_fetched() - self.bytes_at_open,
@@ -397,7 +372,7 @@ fn ladder_plan(
 mod tests {
     use super::*;
     use crate::api::{InMemoryStore, SharedReader, Store};
-    use crate::chunked::{refactor_chunked, ChunkedConfig};
+    use crate::chunked::{copy_hyperslab, extract_region, refactor_chunked, ChunkedConfig};
 
     fn field(nx: usize, ny: usize) -> Vec<f32> {
         let mut v = Vec::with_capacity(nx * ny);
@@ -500,7 +475,8 @@ mod tests {
     /// before it kept state between frames: at each ladder plan a fresh
     /// session per chunk, refined to the chunk's plan and reconstructed
     /// in full — every group materialized, every level and line
-    /// recomposed — then assembled. Data, bound and exhaustion per frame.
+    /// recomposed — laid at its place in the domain, and the region cut
+    /// out of that. Data, bound and exhaustion per frame.
     fn oracle_frames<F: BitplaneFloat + Real + Default>(
         store: &Arc<dyn Store>,
         query: &Query,
@@ -529,17 +505,26 @@ mod tests {
             if t.is_some() && last_units.replace(units.clone()) == Some(units) {
                 continue;
             }
-            let parts = plan
-                .chunks
-                .iter()
-                .map(|cp| {
-                    let loaded = store.load_chunk(cp.chunk, &cp.plan).unwrap();
-                    let mut session = RetrievalSession::owning(loaded, CpuBackend::with_threads(1));
-                    session.try_refine_to(&cp.plan).unwrap();
-                    session.reconstruct_in_full::<F>()
-                })
-                .collect();
-            let data = assemble_parts(meta, &plan, parts);
+            let shape = &meta.grid.shape;
+            let mut domain = vec![F::default(); meta.grid.domain_len()];
+            for cp in &plan.chunks {
+                let loaded = store.load_chunk(cp.chunk, &cp.plan).unwrap();
+                let mut session = RetrievalSession::owning(loaded, CpuBackend::with_threads(1));
+                session.try_refine_to(&cp.plan).unwrap();
+                let rec = session.reconstruct_in_full::<F>();
+                let at = meta.grid.chunk_region(cp.chunk);
+                let origin = vec![0; at.ndims()];
+                copy_hyperslab(
+                    &rec,
+                    &at.extent,
+                    &origin,
+                    &mut domain,
+                    shape,
+                    &at.start,
+                    &at.extent,
+                );
+            }
+            let data = extract_region(&domain, shape, region);
             frames.push((data, plan.bound(), plan.exhausted()));
         }
         frames

@@ -174,14 +174,6 @@ impl RetrievalPlan {
             .map(|(s, &u)| s.fetch_bytes(u))
             .sum()
     }
-
-    /// Whether every unit of every group is fetched.
-    pub fn is_full(&self, r: &Refactored) -> bool {
-        self.units
-            .iter()
-            .zip(&r.streams)
-            .all(|(&u, s)| u >= s.num_units())
-    }
 }
 
 /// Incremental reconstruction state for one refactored variable.
@@ -598,7 +590,9 @@ mod tests {
             let rec: Vec<f32> = sess.reconstruct();
             let err = max_err(&data, &rec);
             assert!(err <= bound.max(eb), "eb={eb}: err {err} bound {bound}");
-            if !plan.is_full(&r) {
+            // Refined to the plan, the session is exhausted exactly when
+            // the plan fetches every unit.
+            if !sess.exhausted() {
                 assert!(bound <= eb, "planner bound {bound} exceeds target {eb}");
             }
         }
@@ -913,7 +907,9 @@ mod tests {
                 rmse <= bound.max(target),
                 "target={target} rmse={rmse} bound={bound}"
             );
-            if !plan.is_full(&r) {
+            // Refined to the plan, the session is exhausted exactly when
+            // the plan fetches every unit.
+            if !sess.exhausted() {
                 assert!(bound <= target, "planner bound {bound} exceeds {target}");
             }
             // The RMSE plan must not fetch more than the L∞ plan needs for

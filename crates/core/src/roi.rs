@@ -8,19 +8,26 @@
 //! ```text
 //! Query::region(target, region)            (api::Reader::retrieve)
 //!   ── plan ──► RoiPlan: per intersecting chunk, a RetrievalPlan
-//!   ── fetch ─► exactly those unit prefixes (Store::load_chunk)
-//!   ── decode ► per-chunk reconstruction (fanned out via Backend::map_batch)
-//!   ── copy ──► the region assembled from chunk∩region boxes
+//!   ── fetch ─► per group, one Store::load_units run of the units the
+//!               chunk's session has not applied
+//!   ── decode ► per-chunk reconstruction of the chunk's box
+//!   ── copy ──► the box placed into the region's slab
 //! ```
+//!
+//! The last three steps are one fanned item per chunk, the crate's one
+//! region engine (`assemble_region`): a one-shot query runs it on fresh
+//! sessions (so it issues exactly [`Store::load_chunk`]'s runs), a
+//! stream's frame on the ones it keeps.
 //!
 //! The result carries a guaranteed L∞ bound: the maximum of the chunk
 //! planners' bounds, each of which is ≤ the request unless that chunk is
 //! already fully fetched. This module holds the planning and assembly
 //! halves; [`crate::api::Reader`] is the one entry point that runs them.
 
+use crate::api::Store;
 use crate::chunked::{copy_hyperslab, ChunkedRefactored};
 use crate::error::MdrError;
-use crate::retrieve::RetrievalPlan;
+use crate::retrieve::{CoefficientGrid, RetrievalPlan, RetrievalSession};
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, ExecCtx};
 use hpmdr_mgard::Real;
@@ -255,59 +262,86 @@ impl RoiPlan {
     }
 }
 
-/// The one-shot assembly path: reconstruct each planned chunk with
-/// `reconstruct` (fanned out on `backend` — the closure fetches *and*
-/// decodes, so a multi-threaded backend overlaps chunk I/O with other
-/// chunks' decode; it is handed the chunk's [`chunk_window`], the only
-/// values of its reconstruction that are read) and copy its chunk∩region
-/// box into the region's slab, which is returned. The plan holds the
-/// answer's bound and exhaustion ([`RoiPlan::bound`],
+/// A chunk's refinement state kept across a stream's frames.
+pub(crate) struct OwnedChunk<F, B: Backend> {
+    /// The owning session: its applied units are what the stream has
+    /// fetched, so each frame hands it only the delta.
+    pub(crate) session: RetrievalSession<'static, B>,
+    /// The last frame's injected coefficients; the next frame
+    /// re-materializes only the groups that gained units.
+    pub(crate) grid: CoefficientGrid<F>,
+}
+
+/// The region engine: per planned chunk one [`Backend::map_batch`] item
+/// fetches, per group, the run of planned units its session has not
+/// applied (plans only grow), refines the session, recomposes the chunk's
+/// [`chunk_window`] (the only values of it that are read) and copies that
+/// box into the region's slab, which is returned — so a multi-threaded
+/// backend overlaps one chunk's I/O with other chunks' decode. The plan
+/// holds the answer's bound and exhaustion ([`RoiPlan::bound`],
 /// [`RoiPlan::exhausted`]).
 ///
-/// Each batch item places its own box and drops its reconstruction
-/// before the next: a worker that helps with the fan then holds one
+/// A stream's frame passes its `kept` chunks, one per planned chunk. A
+/// one-shot query passes none: each item opens an owning session on the
+/// chunk's skeleton, drops it once the box is reconstructed and drops
+/// the box once placed, so a worker that helps with the fan holds one
 /// chunk's buffers at a time, never a backlog of finished chunks waiting
 /// for the caller (an allocator arena keeps what its thread once held).
-pub(crate) fn assemble_region<F, B, R>(
-    cr: &ChunkedRefactored,
+pub(crate) fn assemble_region<F, B>(
+    store: &dyn Store,
     plan: &RoiPlan,
     backend: &B,
     ctx: &ExecCtx,
-    reconstruct: R,
+    kept: Option<&mut [OwnedChunk<F, B>]>,
 ) -> Result<Vec<F>, MdrError>
 where
     F: BitplaneFloat + Real + Default,
     B: Backend,
-    R: Fn(&ChunkRoiPlan, &[Range<usize>]) -> Result<Vec<F>, MdrError> + Send + Sync,
 {
+    let meta = store.meta();
+    // Each kept chunk is refined by one item; its lock only carries the
+    // `&mut` across the fan.
+    let kept: Vec<_> = kept.into_iter().flatten().map(Mutex::new).collect();
+    debug_assert!(kept.is_empty() || kept.len() == plan.chunks.len());
     let positions: Vec<usize> = (0..plan.chunks.len()).collect();
     let out = Mutex::new(vec![F::default(); plan.region.len()]);
     let placed = backend.map_batch(ctx, &positions, |&i| {
         let cp = &plan.chunks[i];
-        let rec = reconstruct(cp, &chunk_window(cr, &plan.region, cp.chunk))?;
+        let window = chunk_window(meta, &plan.region, cp.chunk);
+        // The block ends a fresh session (and a kept chunk's lock) before
+        // the box is placed.
+        let rec = {
+            let (mut fresh, mut lock);
+            let (session, grid) = match kept.get(i) {
+                Some(slot) => {
+                    lock = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                    let OwnedChunk { session, grid } = &mut **lock;
+                    (session, Some(grid))
+                }
+                None => {
+                    let skeleton = meta.chunks[cp.chunk].clone();
+                    fresh = RetrievalSession::owning(skeleton, backend.clone());
+                    (&mut fresh, None)
+                }
+            };
+            for (g, &want) in cp.plan.units.iter().enumerate() {
+                let want = want.min(session.refactored().streams[g].num_units());
+                let have = session.units()[g];
+                if want > have {
+                    let run = store.load_units(cp.chunk, g, have, want - have)?;
+                    session.supply_units(g, have, run)?;
+                }
+            }
+            session.refine_chunk(cp.chunk, &cp.plan, &window, grid)?
+        };
         // Boxes are disjoint, so the order of placement is immaterial; a
         // box copy is a small share of a chunk's decode.
         let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
-        place_chunk(cr, plan, &plan.chunks[i], &rec, &mut out);
+        place_chunk(meta, plan, cp, &rec, &mut out);
         Ok::<(), MdrError>(())
     });
     placed.into_iter().collect::<Result<(), _>>()?;
     Ok(out.into_inner().unwrap_or_else(PoisonError::into_inner))
-}
-
-/// The copy phase of region assembly for already-reconstructed chunks
-/// (`parts[i]` is plan chunk `i`'s dense box) — a stream's frames.
-pub(crate) fn assemble_parts<F: Copy + Default>(
-    cr: &ChunkedRefactored,
-    plan: &RoiPlan,
-    parts: Vec<Vec<F>>,
-) -> Vec<F> {
-    debug_assert_eq!(parts.len(), plan.chunks.len());
-    let mut out = vec![F::default(); plan.region.len()];
-    for (cp, rec) in plan.chunks.iter().zip(parts) {
-        place_chunk(cr, plan, cp, &rec, &mut out);
-    }
-    out
 }
 
 /// Chunk `chunk`'s own region and its box of `region` (their
@@ -326,11 +360,7 @@ fn chunk_box(cr: &ChunkedRefactored, region: &Region, chunk: usize) -> (Region, 
 /// range of the chunk's local coordinates: the values of its
 /// reconstruction [`place_chunk`] copies, and so the only ones the
 /// recompose must produce.
-pub(crate) fn chunk_window(
-    cr: &ChunkedRefactored,
-    region: &Region,
-    chunk: usize,
-) -> Vec<Range<usize>> {
+fn chunk_window(cr: &ChunkedRefactored, region: &Region, chunk: usize) -> Vec<Range<usize>> {
     let (chunk_region, inter) = chunk_box(cr, region, chunk);
     let local = inter.relative_to(&chunk_region.start);
     (0..local.ndims())
@@ -339,8 +369,7 @@ pub(crate) fn chunk_window(
 }
 
 /// Copy chunk `cp`'s reconstruction `rec` (its dense box) into its
-/// chunk∩region box of `out`, the region's slab — the one placement
-/// rule every assembly path shares.
+/// chunk∩region box of `out`, the region's slab.
 fn place_chunk<F: Copy>(
     cr: &ChunkedRefactored,
     plan: &RoiPlan,

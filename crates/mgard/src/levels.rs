@@ -81,11 +81,6 @@ impl LevelSet {
         }
         LevelSet { indices }
     }
-
-    /// Total element count across groups (must equal the grid size).
-    pub fn total_len(&self) -> usize {
-        self.indices.iter().map(Vec::len).sum()
-    }
 }
 
 fn enumerate_active(h: &Hierarchy, l: usize, row_major: &[usize]) -> Vec<usize> {
@@ -234,13 +229,6 @@ pub fn level_error_weights(h: &Hierarchy, correction: bool) -> Vec<f64> {
     w
 }
 
-/// Total reconstruction error bound given per-group pointwise bounds.
-pub fn reconstruction_error_bound(h: &Hierarchy, correction: bool, group_errors: &[f64]) -> f64 {
-    let w = level_error_weights(h, correction);
-    assert_eq!(group_errors.len(), w.len(), "one error per group required");
-    w.iter().zip(group_errors).map(|(a, b)| a * b).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,7 +239,8 @@ mod tests {
         for shape in [vec![17usize], vec![9, 12], vec![5, 7, 9]] {
             let h = Hierarchy::full(&shape);
             let ls = LevelSet::new(&h);
-            assert_eq!(ls.total_len(), h.len(), "{shape:?}");
+            let total: usize = ls.indices.iter().map(Vec::len).sum();
+            assert_eq!(total, h.len(), "{shape:?}");
             let mut seen = vec![false; h.len()];
             for idx in &ls.indices {
                 for &i in idx {
@@ -404,7 +393,8 @@ mod tests {
         }
         let mut rebuilt = inject_levels(&groups, &h);
         recompose(&mut rebuilt, &h, true);
-        let bound = reconstruction_error_bound(&h, true, &errs);
+        let weights = level_error_weights(&h, true);
+        let bound: f64 = weights.iter().zip(&errs).map(|(w, e)| w * e).sum();
         let max_err = orig
             .iter()
             .zip(&rebuilt)

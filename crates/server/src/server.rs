@@ -19,7 +19,9 @@ use crate::protocol::{
 use crate::registry::Registry;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_core::chunked::ChunkedRefactored;
-use hpmdr_core::prelude::{Query, Scope, SharedReader, Store};
+use hpmdr_core::prelude::{
+    ApproximationStream, Backend, CpuBackend, Query, Scope, SharedReader, Store,
+};
 use hpmdr_mgard::Real;
 use hpmdr_netstore::wire::{self, WireError};
 use hpmdr_netstore::{Acceptor, Frame, ShutdownLatch};
@@ -340,11 +342,24 @@ fn stream_query<F: BitplaneFloat + Real + Default + WireFloat>(
     query: &Query,
     deadline: Instant,
 ) -> bool {
-    let reader = SharedReader::new(store);
-    let mut approx = match reader.stream::<F>(query) {
+    let backend = CpuBackend::new();
+    let mut approx = match SharedReader::with_backend(store, backend).stream::<F>(query) {
         Ok(s) => s,
         Err(e) => return send_reject(stream, protocol::reject_code_for(&e), e.to_string()).is_ok(),
     };
+    // The stream holds one core of the process's budget from its first
+    // frame to its last write, so a frame fans only onto a core that no
+    // other stream's frames or wire writes occupy.
+    backend.install(|| send_frames(stream, state, &mut approx, deadline))
+}
+
+/// Send `approx`'s frames up to the final one; returns keep-alive.
+fn send_frames<F: BitplaneFloat + Real + Default + WireFloat>(
+    stream: &mut TcpStream,
+    state: &ServerState,
+    approx: &mut ApproximationStream<F>,
+    deadline: Instant,
+) -> bool {
     loop {
         // Checked between frames: an expired request gets a typed
         // answer while the wire is still frame-aligned.

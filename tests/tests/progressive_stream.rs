@@ -357,67 +357,76 @@ impl Store for FailingStore {
     }
 }
 
+/// At one thread a frame's chunks fetch in order; at four they fan, so
+/// the failing frame's other chunks still fetch. Either way the error
+/// comes once, in the frame that hit it.
 #[test]
 fn a_failed_frame_ends_the_stream_with_its_error_once() {
     let data = field::<f32>();
     let query = Query::region(Target::AbsError(1e-4), Region::new(&[5, 6], &[14, 11]));
-    let open = |fail_at: usize| {
-        let store = Arc::new(FailingStore {
-            inner: InMemoryStore::from(chunked_artifact(&data)),
-            calls: AtomicUsize::new(0),
-            fail_at,
-        });
-        (
-            SharedReader::new(Arc::clone(&store) as Arc<dyn Store>),
-            store,
-        )
-    };
-
-    // The intact run fixes the reference and how many fetches it takes.
-    let (reader, store) = open(usize::MAX);
-    let oneshot = reader.retrieve::<f32>(&query).unwrap();
-    store.calls.store(0, SeqCst);
-    let frames = drain(reader.stream::<f32>(&query).unwrap());
-    assert_final_is_oneshot(&frames, &oneshot, "intact");
-    let fetches = store.calls.load(SeqCst);
-    assert!(fetches > frames.len(), "{fetches} fetches");
-
-    // Fail in the first frame, mid-ladder, and on the very last fetch.
-    for fail_at in [1, fetches / 2, fetches] {
-        let (reader, store) = open(fail_at);
-        let mut stream = reader.stream::<f32>(&query).unwrap();
-        let mut delivered = 0;
-        let err = loop {
-            match stream.refine_next() {
-                Ok(Some(frame)) => {
-                    assert!(!frame.is_final, "fail_at={fail_at}");
-                    assert_eq!(
-                        frame.approximation, frames[delivered].approximation,
-                        "fail_at={fail_at}: frames before the failure are unaffected"
-                    );
-                    delivered += 1;
-                }
-                Ok(None) => panic!("fail_at={fail_at}: stream ended without its error"),
-                Err(e) => break e,
-            }
+    for threads in [1, 4] {
+        let open = |fail_at: usize| {
+            let store = Arc::new(FailingStore {
+                inner: InMemoryStore::from(chunked_artifact(&data)),
+                calls: AtomicUsize::new(0),
+                fail_at,
+            });
+            (
+                SharedReader::with_backend(
+                    Arc::clone(&store) as Arc<dyn Store>,
+                    CpuBackend::with_threads(threads),
+                ),
+                store,
+            )
         };
-        assert!(
-            matches!(&err, MdrError::Corrupt(w) if w.contains("injected")),
-            "{err}"
-        );
-        assert!(stream.is_done());
-        assert_eq!(stream.steps_emitted(), delivered);
-        // The error is reported once; the stream stays ended and issues
-        // no further fetches.
-        let calls = store.calls.load(SeqCst);
-        for _ in 0..3 {
-            assert!(stream.refine_next().unwrap().is_none());
-        }
-        assert_eq!(store.calls.load(SeqCst), calls);
-    }
 
-    // Nothing leaked out of the failed streams: a fresh one is exact.
-    let (reader, _) = open(usize::MAX);
-    let again = drain(reader.stream::<f32>(&query).unwrap());
-    assert_final_is_oneshot(&again, &oneshot, "fresh after failures");
+        // The intact run fixes the reference and how many fetches it takes.
+        let (reader, store) = open(usize::MAX);
+        let oneshot = reader.retrieve::<f32>(&query).unwrap();
+        store.calls.store(0, SeqCst);
+        let frames = drain(reader.stream::<f32>(&query).unwrap());
+        assert_final_is_oneshot(&frames, &oneshot, "intact");
+        let fetches = store.calls.load(SeqCst);
+        assert!(fetches > frames.len(), "{fetches} fetches");
+
+        // Fail in the first frame, mid-ladder, and on the very last fetch.
+        for fail_at in [1, fetches / 2, fetches] {
+            let case = format!("threads={threads} fail_at={fail_at}");
+            let (reader, store) = open(fail_at);
+            let mut stream = reader.stream::<f32>(&query).unwrap();
+            let mut delivered = 0;
+            let err = loop {
+                match stream.refine_next() {
+                    Ok(Some(frame)) => {
+                        assert!(!frame.is_final, "{case}");
+                        assert_eq!(
+                            frame.approximation, frames[delivered].approximation,
+                            "{case}: frames before the failure are unaffected"
+                        );
+                        delivered += 1;
+                    }
+                    Ok(None) => panic!("{case}: stream ended without its error"),
+                    Err(e) => break e,
+                }
+            };
+            assert!(
+                matches!(&err, MdrError::Corrupt(w) if w.contains("injected")),
+                "{case}: {err}"
+            );
+            assert!(stream.is_done(), "{case}");
+            assert_eq!(stream.steps_emitted(), delivered, "{case}");
+            // The error is reported once; the stream stays ended and issues
+            // no further fetches.
+            let calls = store.calls.load(SeqCst);
+            for _ in 0..3 {
+                assert!(stream.refine_next().unwrap().is_none(), "{case}");
+            }
+            assert_eq!(store.calls.load(SeqCst), calls, "{case}");
+        }
+
+        // Nothing leaked out of the failed streams: a fresh one is exact.
+        let (reader, _) = open(usize::MAX);
+        let again = drain(reader.stream::<f32>(&query).unwrap());
+        assert_final_is_oneshot(&again, &oneshot, "fresh after failures");
+    }
 }

@@ -1,16 +1,21 @@
 //! The process-wide core budget and the persistent pool, seen through
 //! the façade: a fan takes only the cores no other thread holds, a fan
 //! nested in a batch item runs inline once the items fill the machine,
-//! a reader's backend runs all of its query — QoI loop included — and
-//! no schedule changes a byte of any answer or of any stored file.
+//! a reader's backend runs all of its query — QoI loop included — a
+//! lone stream's frame fans its chunks onto a free core, and no schedule
+//! changes a byte of any answer or of any stored file.
 
 use hpmdr_core::prelude::*;
 use hpmdr_core::roi::Region;
+use hpmdr_exec::{DecodeError, StreamView, UnitPlanes};
+use hpmdr_lossless::HybridCompressor;
 use hpmdr_rt::prelude::*;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 /// These tests hold or read the process's one budget: one at a time.
 fn serial() -> MutexGuard<'static, ()> {
@@ -265,4 +270,79 @@ fn a_qoi_query_runs_on_the_readers_backend_and_thread() {
     let parallel = Reader::new(&store).retrieve::<f32>(&query).unwrap();
     assert_eq!(bits(&parallel.data), bits(&scalar.data));
     assert_eq!(parallel.achieved.to_bits(), scalar.achieved.to_bits());
+}
+
+/// The two-wide host backend, sleeping before every unit-run decode so
+/// each chunk of a frame takes milliseconds: ample time for an idle pool
+/// worker to take a chunk.
+#[derive(Clone, Default)]
+struct SlowDecode;
+
+impl Backend for SlowDecode {
+    fn name(&self) -> &'static str {
+        "slow-decode"
+    }
+
+    fn threads(&self) -> usize {
+        2
+    }
+
+    fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+        CpuBackend::with_threads(2).install(f)
+    }
+
+    fn decode_unit_range(
+        &self,
+        ctx: &ExecCtx,
+        stream: StreamView<'_>,
+        units: Range<usize>,
+        compressor: &HybridCompressor,
+    ) -> Result<UnitPlanes, DecodeError> {
+        thread::sleep(Duration::from_millis(2));
+        CpuBackend::with_threads(2).decode_unit_range(ctx, stream, units, compressor)
+    }
+}
+
+/// A lone stream's intermediate frame fans its chunks: with a second core
+/// free a pool worker runs part of it, on one core none does, and either
+/// way the frames are the one-thread reader's bit for bit. The chunks
+/// hold 2 048 elements, far below every kernel's fan floor, so any part a
+/// worker runs is a chunk of the frame.
+#[test]
+fn a_lone_streams_frame_fans_its_chunks_onto_a_free_core() {
+    let _serial = serial();
+    let two_cores = hpmdr_rt::host_threads() >= 2;
+    let shape = [32usize, 32, 16];
+    let data = field(shape.iter().product(), 11);
+    let store = Arc::new(InMemoryStore::from(
+        MdrConfig::new()
+            .chunked(&[16, 16, 8])
+            .build_with(CpuBackend::with_threads(1))
+            .refactor(&data, &shape)
+            .unwrap(),
+    ));
+    let query = Query::region(Target::Rel(1e-5), Region::new(&[4, 4, 2], &[24, 24, 12]));
+    let scalar = SharedReader::with_backend(store.clone(), CpuBackend::with_threads(1));
+    let want = frames(scalar.stream::<f32>(&query).unwrap());
+    assert!(want.len() >= 3, "{} frames", want.len());
+
+    let mut stream = SharedReader::with_backend(store, SlowDecode)
+        .stream::<f32>(&query)
+        .unwrap();
+    let first = stream.refine_next().unwrap().unwrap();
+    let before = hpmdr_rt::helped_parts();
+    let second = stream.refine_next().unwrap().unwrap();
+    let helped = hpmdr_rt::helped_parts() - before;
+    assert!(!second.is_final, "the measured frame is intermediate");
+    if two_cores {
+        assert!(helped >= 1, "the frame ran every chunk on the caller");
+    } else {
+        assert_eq!(helped, 0, "one core has no worker to help");
+    }
+    let mut got = vec![
+        bits(&first.approximation.data),
+        bits(&second.approximation.data),
+    ];
+    got.extend(frames(stream));
+    assert_eq!(got, want);
 }
