@@ -1458,6 +1458,7 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
             "invalid QoI tolerance {tau}"
         )));
     }
+    expr.check_constants().map_err(MdrError::InvalidQuery)?;
     if expr.num_vars() > 1 {
         return Err(MdrError::Unsupported(format!(
             "QoI references {} variables; a reader serves exactly one",
@@ -1487,12 +1488,7 @@ fn serve_qoi<F: BitplaneFloat + Real + Default, B: Backend>(
         EbEstimator::Mape { c: 10.0 },
         backend,
     );
-    let data: Vec<F> = outcome
-        .vars
-        .swap_remove(0)
-        .into_iter()
-        .map(<F as Real>::from_f64)
-        .collect();
+    let data = outcome.vars.swap_remove(0);
     Ok((data, shape, outcome.final_estimates[0], outcome.exhausted))
 }
 
@@ -1837,6 +1833,34 @@ mod tests {
             let want = (*x as f64) * (*x as f64);
             assert!((got - want).abs() <= 1e-3 + 1e-9, "{got} vs {want}");
         }
+    }
+
+    #[test]
+    fn qoi_targets_with_unusable_constants_are_invalid_queries() {
+        let data = field(17, 17);
+        let artifact = Mdr::with_defaults().refactor(&data, &[17, 17]).unwrap();
+        let store = InMemoryStore::from(artifact);
+        let var = || Box::new(QoiExpr::Var(0));
+        let ln = |floor| QoiExpr::Ln { arg: var(), floor };
+        for expr in [
+            QoiExpr::Scale(f64::INFINITY, var()),
+            QoiExpr::Scale(f64::NAN, var()),
+            QoiExpr::Add(var(), Box::new(QoiExpr::Const(f64::NAN))),
+            QoiExpr::Const(f64::NEG_INFINITY),
+            ln(0.0),
+            ln(-1.0),
+            ln(f64::NAN),
+            ln(f64::INFINITY),
+            QoiExpr::Sqrt(Box::new(ln(0.0))),
+        ] {
+            let err = Reader::new(&store)
+                .retrieve::<f32>(&Query::full(Target::Qoi(expr.clone(), 1e-3)))
+                .unwrap_err();
+            assert!(matches!(err, MdrError::InvalidQuery(_)), "{expr:?}: {err}");
+        }
+        // A positive floor is served.
+        let ok = Query::full(Target::Qoi(ln(1e-6), 1e-3));
+        assert!(Reader::new(&store).retrieve::<f32>(&ok).is_ok());
     }
 
     #[test]

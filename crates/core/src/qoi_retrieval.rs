@@ -21,7 +21,7 @@ use crate::retrieve::{RetrievalPlan, RetrievalSession};
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{Backend, CpuBackend};
 use hpmdr_mgard::Real;
-use hpmdr_qoi::{max_qoi_error, QoiExpr};
+use hpmdr_qoi::{max_qoi_error, MaxError, QoiExpr};
 use serde::{Deserialize, Serialize};
 
 /// Error-bound estimation strategy for the next Algorithm-3 iteration.
@@ -89,11 +89,14 @@ pub fn retrieve_with_qoi_control<F: BitplaneFloat + Real>(
     ))
 }
 
-/// Outcome of a retrieval controlled by a *set* of QoIs.
+/// Outcome of a retrieval controlled by a *set* of QoIs. The public
+/// entry points widen the variables to `f64` once, at the end; the loop
+/// itself keeps them in the archive's element type `T`.
 #[derive(Debug, Clone)]
-pub struct MultiQoiRetrievalOutcome {
-    /// Reconstructed variables (f64 for QoI evaluation).
-    pub vars: Vec<Vec<f64>>,
+pub struct MultiQoiRetrievalOutcome<T = f64> {
+    /// Reconstructed variables: `f64` from the public entry points, the
+    /// archive's element type inside the loop.
+    pub vars: Vec<Vec<T>>,
     /// Iterations of the outer loop.
     pub iterations: usize,
     /// Total compressed bytes fetched.
@@ -108,6 +111,26 @@ pub struct MultiQoiRetrievalOutcome {
     pub recompose_elements: u64,
     /// True if the streams ran out before meeting every tolerance.
     pub exhausted: bool,
+}
+
+impl<T: Into<f64>> MultiQoiRetrievalOutcome<T> {
+    /// The same outcome with its variables widened to `f64`.
+    fn widen(self) -> MultiQoiRetrievalOutcome {
+        MultiQoiRetrievalOutcome {
+            vars: self
+                .vars
+                .into_iter()
+                .map(|v| v.into_iter().map(Into::into).collect())
+                .collect(),
+            iterations: self.iterations,
+            fetched_bytes: self.fetched_bytes,
+            bitrate: self.bitrate,
+            final_estimates: self.final_estimates,
+            final_bounds: self.final_bounds,
+            recompose_elements: self.recompose_elements,
+            exhausted: self.exhausted,
+        }
+    }
 }
 
 fn into_single(out: MultiQoiRetrievalOutcome) -> QoiRetrievalOutcome {
@@ -138,19 +161,34 @@ pub fn retrieve_with_multi_qoi_control<F: BitplaneFloat + Real>(
     estimator: EbEstimator,
 ) -> MultiQoiRetrievalOutcome {
     let backend = CpuBackend::new();
-    backend.install(|| multi_qoi_control::<F, _>(vars, qois, estimator, &backend))
+    backend
+        .install(|| multi_qoi_control::<F, _>(vars, qois, estimator, &backend))
+        .widen()
 }
 
 /// The Algorithm-3 loop on `backend`: its sessions decode and recompose
 /// on it. Callers run it under `backend.install` (a façade query already
 /// does), so the domain-wide estimator scans split at the backend's
-/// width too.
+/// width too. The reconstructions stay in `F`; the scans widen them
+/// block by block.
 pub(crate) fn multi_qoi_control<F: BitplaneFloat + Real, B: Backend>(
     vars: &[&Refactored],
     qois: &[(QoiExpr, f64)],
     estimator: EbEstimator,
     backend: &B,
-) -> MultiQoiRetrievalOutcome {
+) -> MultiQoiRetrievalOutcome<F> {
+    control_loop(vars, qois, estimator, backend, max_qoi_error::<F>)
+}
+
+/// [`multi_qoi_control`] with the domain-wide estimator scan `scan`
+/// passed in (the tests hold the loop to a per-point reference scan).
+fn control_loop<F: BitplaneFloat + Real, B: Backend>(
+    vars: &[&Refactored],
+    qois: &[(QoiExpr, f64)],
+    estimator: EbEstimator,
+    backend: &B,
+    scan: impl Fn(&QoiExpr, &[&[F]], &[f64]) -> MaxError,
+) -> MultiQoiRetrievalOutcome<F> {
     assert!(!qois.is_empty(), "at least one QoI required");
     for (q, tau) in qois {
         assert!(*tau > 0.0, "tolerance must be positive");
@@ -184,7 +222,7 @@ pub(crate) fn multi_qoi_control<F: BitplaneFloat + Real, B: Backend>(
 
     let mut iterations = 0usize;
     let mut recompose_elements = 0u64;
-    let mut fields: Vec<Vec<f64>>;
+    let mut fields: Vec<Vec<F>>;
     let mut bounds: Vec<f64>;
     let mut estimates: Vec<f64>;
     let mut exhausted = false;
@@ -203,24 +241,18 @@ pub(crate) fn multi_qoi_control<F: BitplaneFloat + Real, B: Backend>(
         ma_mode_started = false;
 
         // Recompose all variables (the pipeline-overlapped stage).
-        fields = sessions
-            .iter()
-            .map(|s| {
-                let rec: Vec<F> = s.reconstruct();
-                rec.iter().map(|v| Real::to_f64(*v)).collect::<Vec<f64>>()
-            })
-            .collect();
+        fields = sessions.iter().map(|s| s.reconstruct()).collect();
         recompose_elements += (n * nv) as u64;
         bounds = sessions.iter().map(|s| s.error_bound()).collect();
         iterations += 1;
 
         // Estimate every QoI's error supremum; the most-violating one
         // (largest τ′/τ) drives the next refinement.
-        let refs: Vec<&[f64]> = fields.iter().map(|f| f.as_slice()).collect();
+        let refs: Vec<&[F]> = fields.iter().map(|f| f.as_slice()).collect();
         let maxima: Vec<_> = qois
             .iter()
             .map(|(q, _)| {
-                max_qoi_error(
+                scan(
                     q,
                     &refs[..q.num_vars().max(1)],
                     &bounds[..q.num_vars().max(1)],
@@ -247,7 +279,11 @@ pub(crate) fn multi_qoi_control<F: BitplaneFloat + Real, B: Backend>(
         // Choose the next bounds from the most-violating QoI.
         match estimator {
             EbEstimator::Cp => {
-                let point: Vec<f64> = fields.iter().take(worst_nv).map(|f| f[m.argmax]).collect();
+                let point: Vec<f64> = fields
+                    .iter()
+                    .take(worst_nv)
+                    .map(|f| f[m.argmax].into())
+                    .collect();
                 let mut e = bounds.clone();
                 let mut guard = 0;
                 while worst_qoi.error_bound(&point, &e[..worst_nv]) > *worst_tau && guard < 200 {
@@ -446,6 +482,99 @@ mod tests {
             EbEstimator::Cp,
         );
         assert!(multi.fetched_bytes >= single.fetched_bytes);
+    }
+
+    /// The per-point reference scan: `error_bound` at every point in
+    /// index order, keeping the first strict maximum above 0.
+    fn pointwise_scan(q: &QoiExpr, vars: &[&[f32]], errs: &[f64]) -> MaxError {
+        let n = vars.first().map_or(0, |v| v.len());
+        let mut best = MaxError {
+            value: 0.0,
+            argmax: 0,
+        };
+        for i in 0..n {
+            let point: Vec<f64> = vars.iter().map(|v| f64::from(v[i])).collect();
+            let b = q.error_bound(&point, errs);
+            if b > best.value {
+                best = MaxError {
+                    value: b,
+                    argmax: i,
+                };
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn the_block_scan_leaves_every_iteration_unchanged() {
+        let (_, refs) = setup();
+        let rr: Vec<&Refactored> = refs.iter().collect();
+        let backend = CpuBackend::new();
+        let sets = [
+            vec![(QoiExpr::vector_magnitude(3), 1e-3)],
+            vec![(QoiExpr::Square(Box::new(QoiExpr::Var(0))), 1e-3)],
+            vec![
+                (QoiExpr::kinetic_energy(3), 1e-2),
+                (QoiExpr::linear(&[1.0, -1.0, 0.5]), 1e-3),
+            ],
+        ];
+        for qois in &sets {
+            for est in [
+                EbEstimator::Cp,
+                EbEstimator::Ma,
+                EbEstimator::Mape { c: 10.0 },
+            ] {
+                let block =
+                    backend.install(|| multi_qoi_control::<f32, _>(&rr, qois, est, &backend));
+                let pointwise = backend
+                    .install(|| control_loop::<f32, _>(&rr, qois, est, &backend, pointwise_scan));
+                let case = format!("{} {qois:?}", est.label());
+                assert_eq!(block.iterations, pointwise.iterations, "{case}");
+                assert_eq!(block.fetched_bytes, pointwise.fetched_bytes, "{case}");
+                assert_eq!(
+                    block.recompose_elements, pointwise.recompose_elements,
+                    "{case}"
+                );
+                assert_eq!(block.exhausted, pointwise.exhausted, "{case}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&block.final_estimates),
+                    bits(&pointwise.final_estimates),
+                    "{case}"
+                );
+                assert_eq!(
+                    bits(&block.final_bounds),
+                    bits(&pointwise.final_bounds),
+                    "{case}"
+                );
+                for (a, b) in block.vars.iter().zip(&pointwise.vars) {
+                    let a: Vec<u32> = a.iter().map(|x| x.to_bits()).collect();
+                    let b: Vec<u32> = b.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(a, b, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_qoi_bound_refines_to_exhaustion() {
+        // `∞·x` has no finite error bound anywhere: the loop must fetch
+        // everything and say it could not meet τ, not report a zero error.
+        let (_, refs) = setup();
+        let rr: Vec<&Refactored> = refs.iter().collect();
+        for factor in [f64::INFINITY, f64::NAN] {
+            let q = QoiExpr::Scale(factor, Box::new(QoiExpr::Var(0)));
+            for est in [EbEstimator::Cp, EbEstimator::Mape { c: 10.0 }] {
+                let out = retrieve_with_qoi_control::<f32>(&rr, &q, 1e-3, est);
+                assert!(out.exhausted, "{factor} {}", est.label());
+                assert_eq!(
+                    out.final_estimate,
+                    f64::INFINITY,
+                    "{factor} {}",
+                    est.label()
+                );
+            }
+        }
     }
 
     #[test]

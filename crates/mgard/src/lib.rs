@@ -38,9 +38,12 @@ pub use grid::Hierarchy;
 pub use levels::{extract_levels, inject_group, inject_levels, level_error_weights, LevelSet};
 pub use transform::{decompose, extract_active_grid, recompose, recompose_to_level, RecomposeTo};
 
-/// Minimal float abstraction for the decomposition math.
+/// Minimal float abstraction for the decomposition math. Both element
+/// types widen to `f64` exactly (`Into<f64>`), which is how the QoI scans
+/// read a reconstruction without copying it.
 pub trait Real:
     Copy
+    + Into<f64>
     + PartialOrd
     + Send
     + Sync

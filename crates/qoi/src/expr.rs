@@ -9,6 +9,9 @@
 use crate::interval::Interval;
 use serde::{Deserialize, Serialize};
 
+/// Most variables one expression may read at a point.
+pub(crate) const MAX_VARS: usize = 8;
+
 /// A pointwise quantity of interest over `n` variables.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum QoiExpr {
@@ -103,6 +106,32 @@ impl QoiExpr {
         }
     }
 
+    /// Check the expression's constants: every `Const` and `Scale` factor
+    /// must be finite and every `Ln` floor finite and positive (a zero,
+    /// negative or NaN floor has no finite logarithm to clamp to). Returns
+    /// a description of the first constant that is not.
+    pub fn check_constants(&self) -> Result<(), String> {
+        match self {
+            QoiExpr::Var(_) => Ok(()),
+            QoiExpr::Const(c) if !c.is_finite() => Err(format!("constant {c} is not finite")),
+            QoiExpr::Const(_) => Ok(()),
+            QoiExpr::Add(a, b) | QoiExpr::Sub(a, b) | QoiExpr::Mul(a, b) => {
+                a.check_constants()?;
+                b.check_constants()
+            }
+            QoiExpr::Scale(c, _) if !c.is_finite() => {
+                Err(format!("scale factor {c} is not finite"))
+            }
+            QoiExpr::Scale(_, a) | QoiExpr::Square(a) | QoiExpr::Sqrt(a) | QoiExpr::Abs(a) => {
+                a.check_constants()
+            }
+            QoiExpr::Ln { floor, .. } if !(floor.is_finite() && *floor > 0.0) => {
+                Err(format!("log floor {floor} is not a finite positive number"))
+            }
+            QoiExpr::Ln { arg, .. } => arg.check_constants(),
+        }
+    }
+
     /// Operation count per point (used by the simulated QoI kernel cost).
     pub fn op_count(&self) -> usize {
         match self {
@@ -151,15 +180,20 @@ impl QoiExpr {
         }
     }
 
-    /// Guaranteed bound on `|Q(v + δ) − Q(v)|` over all `|δ_i| ≤ errs[i]`.
+    /// Guaranteed bound on `|Q(v + δ) − Q(v)|` over all `|δ_i| ≤ errs[i]`;
+    /// `+∞` when the value or its image is not finite.
+    ///
+    /// # Panics
+    /// Panics with more than 8 variables (the domain-wide scans' cap).
     pub fn error_bound(&self, vars: &[f64], errs: &[f64]) -> f64 {
         debug_assert_eq!(vars.len(), errs.len());
-        let boxes: Vec<Interval> = vars
-            .iter()
-            .zip(errs)
-            .map(|(&v, &e)| Interval::ball(v, e))
-            .collect();
-        let img = self.eval_interval(&boxes);
+        assert!(vars.len() <= MAX_VARS, "at most 8 variables supported");
+        let mut boxes = [Interval::point(0.0); MAX_VARS];
+        let n = vars.len().min(errs.len());
+        for ((b, &v), &e) in boxes.iter_mut().zip(vars).zip(errs) {
+            *b = Interval::ball(v, e);
+        }
+        let img = self.eval_interval(&boxes[..n]);
         img.max_deviation_from(self.eval(vars))
     }
 }

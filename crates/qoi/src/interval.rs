@@ -156,9 +156,15 @@ impl Interval {
         }
     }
 
-    /// Largest deviation of the interval from `v`.
+    /// Largest deviation of the interval from `v`; `+∞` when `v` or an
+    /// end is not finite (`[∞, ∞]` around `∞` bounds nothing, and NaN
+    /// would compare below every bound).
     pub fn max_deviation_from(self, v: f64) -> f64 {
-        (self.hi - v).max(v - self.lo).max(0.0)
+        if v.is_finite() && self.lo.is_finite() && self.hi.is_finite() {
+            (self.hi - v).max(v - self.lo).max(0.0)
+        } else {
+            f64::INFINITY
+        }
     }
 }
 
@@ -228,6 +234,20 @@ mod tests {
         let i = Interval::new(0.0, 10.0);
         assert_eq!(i.max_deviation_from(2.0), 8.0);
         assert_eq!(i.max_deviation_from(9.0), 9.0);
+    }
+
+    #[test]
+    fn non_finite_deviation_is_unbounded() {
+        let inf = Interval::point(f64::INFINITY);
+        assert_eq!(inf.max_deviation_from(f64::INFINITY), f64::INFINITY);
+        assert_eq!(
+            Interval::point(f64::NAN).max_deviation_from(1.0),
+            f64::INFINITY
+        );
+        assert_eq!(
+            Interval::new(0.0, 1.0).max_deviation_from(f64::NAN),
+            f64::INFINITY
+        );
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //! * [`propagate`] — the GPU-kernel-shaped evaluation: pointwise supremum
 //!   error estimates, their domain-wide maximum (with arg-max, needed by
 //!   the CP estimator), and actual-error measurement for validation
-//!   (Figure 13).
+//!   (Figure 13), all run by one block evaluator that compiles the
+//!   expression into a flat postfix program once per scan.
 
 pub mod expr;
 pub mod interval;
+mod program;
 pub mod propagate;
 
 pub use expr::QoiExpr;

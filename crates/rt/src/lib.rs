@@ -33,6 +33,15 @@
 //! free, so threads that already fill the machine — concurrent clients,
 //! a pipeline's stage threads — fan nothing, and a terminal nested inside
 //! a part runs inline once its siblings hold every core.
+//!
+//! **Items cost a `Vec` slot each.** Every source hands each part its
+//! items as one `Vec` — a range (`(0..n).into_par_iter()`) materializes
+//! its indices — and `map` collects each part's results into another.
+//! A kernel over millions of points therefore fans over *blocks* of a
+//! few thousand elements (`par_chunks` / `par_chunks_mut`, or a range of
+//! block indices), looping over the block inside the closure, never over
+//! points: a per-point item pays two `Vec` writes and reads around work
+//! of a few nanoseconds.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -465,7 +474,9 @@ pub trait ParallelIterator: Sized + Send {
         self
     }
 
-    /// Map each item through `f` (applied on the worker threads).
+    /// Map each item through `f` (applied on the worker threads); each
+    /// part's results are collected into a `Vec` before the terminal
+    /// sees them.
     fn map<R, F>(self, f: F) -> Map<Self, F>
     where
         R: Send,
@@ -631,7 +642,8 @@ impl<T: Send> IntoParallelIterator for Vec<T> {
     }
 }
 
-/// Parallel iterator over `start..end`.
+/// Parallel iterator over `start..end`; each part materializes its
+/// indices as a `Vec<usize>`, so fan a per-element kernel over blocks.
 pub struct ParRange {
     start: usize,
     end: usize,

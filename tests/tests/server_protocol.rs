@@ -290,6 +290,39 @@ fn hostile_regions_reject_typed_and_keep_the_connection() {
 }
 
 #[test]
+fn unusable_qoi_constants_reject_typed_and_keep_the_connection() {
+    // A monolithic archive, so a QoI query reaches its control loop.
+    let shape = [16usize, 16];
+    let artifact = Mdr::with_defaults()
+        .refactor(&field(shape[0], shape[1]), &shape)
+        .unwrap();
+    let mut registry = Registry::new();
+    registry.register("mono", Box::new(InMemoryStore::from(artifact)), 8 << 20);
+    let server = ProgressiveServer::serve(registry, ServerConfig::default()).unwrap();
+    let mut client = ProgressiveClient::connect(server.addr()).unwrap();
+    // JSON carries no NaN or infinity, so a hostile floor is the finite
+    // one that has no logarithm: zero or negative.
+    let ln = |floor| QoiExpr::Ln {
+        arg: Box::new(QoiExpr::Var(0)),
+        floor,
+    };
+    for floor in [0.0, -1.0] {
+        let query = Query::full(Target::Qoi(ln(floor), 1e-3));
+        let req = QueryRequest::new("mono", "f32", &query);
+        let QueryOutcome::Rejected(r) = client.query::<f32>(&req, deadline()).unwrap() else {
+            panic!("floor {floor}: expected a reject");
+        };
+        assert_eq!(r.code, RejectCode::InvalidQuery, "floor {floor}");
+    }
+    // The same connection then serves a positive floor.
+    let req = QueryRequest::new("mono", "f32", &Query::full(Target::Qoi(ln(1e-6), 1e-3)));
+    assert!(matches!(
+        client.query::<f32>(&req, deadline()).unwrap(),
+        QueryOutcome::Frames(_)
+    ));
+}
+
+#[test]
 fn oversized_declarations_reject_before_allocation() {
     let server = abuse_server([16, 16], ServerConfig::default());
     let mut raw = TcpStream::connect(server.addr()).unwrap();
