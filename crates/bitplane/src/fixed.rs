@@ -73,6 +73,20 @@ pub trait BitplaneFloat: Copy + PartialOrd + Send + Sync + 'static {
         let mag = fixed as f64 * scale;
         Self::from_f64(if sign { -mag } else { mag })
     }
+
+    /// `2^e` in `Self` when it is a normal number there: the quantum
+    /// [`Self::from_fixed_native`] multiplies by.
+    fn pow2_normal(e: i32) -> Option<Self>;
+
+    /// [`Self::from_fixed_scaled`] of a magnitude of at most 32 bits,
+    /// computed in `Self`: `±(fixed as Self)·q`. Bit-identical to it for
+    /// every `q = 2^e` that [`Self::pow2_normal`] returns: the conversion
+    /// rounds `fixed` to nearest once, and scaling by a power of two
+    /// commutes with round-to-nearest while the result stays normal — it
+    /// is at least `q` when `fixed ≥ 1` — so it lands on the one rounding
+    /// of the exact product `fixed·2^e` that the wide path makes. An
+    /// overflow is infinite on both paths, and zero keeps its sign.
+    fn from_fixed_native(sign: bool, fixed: u32, q: Self) -> Self;
 }
 
 /// `2^e` as f64 without going through `powi` (exact for the full exponent
@@ -143,6 +157,19 @@ impl BitplaneFloat for f32 {
     fn from_f64(v: f64) -> Self {
         v as f32
     }
+    fn pow2_normal(e: i32) -> Option<Self> {
+        // The biased exponent field of a normal `f32` is 1..=254.
+        (-126..=127)
+            .contains(&e)
+            .then(|| f32::from_bits(((e + 127) as u32) << 23))
+    }
+    #[inline]
+    fn from_fixed_native(sign: bool, fixed: u32, q: Self) -> Self {
+        // `mag` is never NaN and its sign bit is clear, so setting the
+        // bit negates it.
+        let mag = fixed as f32 * q;
+        f32::from_bits(mag.to_bits() | (u32::from(sign) << 31))
+    }
 }
 
 impl BitplaneFloat for f64 {
@@ -164,6 +191,13 @@ impl BitplaneFloat for f64 {
     #[inline]
     fn from_f64(v: f64) -> Self {
         v
+    }
+    fn pow2_normal(e: i32) -> Option<Self> {
+        (-1022..=1023).contains(&e).then(|| exp2(e))
+    }
+    #[inline]
+    fn from_fixed_native(sign: bool, fixed: u32, q: Self) -> Self {
+        Self::from_fixed_scaled(sign, u64::from(fixed), q)
     }
 }
 

@@ -321,7 +321,8 @@ impl ProgressiveDecoder {
         self.applied = k;
     }
 
-    /// Materialize current values (signs/exp/layout read from `chunk`).
+    /// Materialize current values (signs/exp/layout read from `chunk`):
+    /// [`Self::values`] written out in element order, fanned over tiles.
     ///
     /// # Panics
     /// Panics on an element type or element count other than the chunk's.
@@ -330,67 +331,169 @@ impl ProgressiveDecoder {
         chunk: &BitplaneChunk,
         recon: Reconstruction,
     ) -> Vec<F> {
+        let values = self.values::<F>(chunk, recon);
+        let mut out = vec![F::from_f64(0.0); self.n];
+        // Fan out over tiles, 32 or more to a worker (a thread spawn's
+        // worth).
+        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
+        tiles.for_each(move |(tile, out)| values.fill(tile * TILE_ELEMS, out));
+        out
+    }
+
+    /// The current values, to be read a range at a time with
+    /// [`Values::fill`] wherever the caller places them (signs, exponent
+    /// and layout read from `chunk`).
+    ///
+    /// # Panics
+    /// Panics on an element type or element count other than the chunk's.
+    pub fn values<'a, F: BitplaneFloat>(
+        &'a self,
+        chunk: &'a BitplaneChunk,
+        recon: Reconstruction,
+    ) -> Values<'a, F> {
         assert_eq!(chunk.dtype, F::TYPE_NAME, "chunk dtype mismatch");
         assert_eq!(chunk.n, self.n, "chunk and decoder element counts differ");
-        let b = self.total_planes;
-        let mut out = vec![F::from_f64(0.0); self.n];
-        if chunk.exp == i32::MIN || b == 0 {
-            return out;
-        }
+        let b = if chunk.exp == i32::MIN {
+            0
+        } else {
+            self.total_planes
+        };
         // Midpoint offset: half of the first dropped plane's quantum.
         let midpoint: u64 = if self.applied < b && matches!(recon, Reconstruction::Midpoint) {
             1u64 << (b - self.applied - 1)
         } else {
             0
         };
-        let quantum = Scale::pow2(chunk.exp - b as i32);
-        let (scale, mid32) = (quantum.main, midpoint as u32);
-        // Fan out over tiles, 32 or more to a worker (a thread spawn's
-        // worth). `move`: the row loops must read `b`, `midpoint` and
-        // `scale` as values — behind references the compiler reloads them
-        // after every store to `out` and the loops do not vectorise.
-        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
-        tiles.for_each(move |(tile, out)| {
-            let acc = tile * TILE_ELEMS..(tile + 1) * TILE_ELEMS;
-            let lo = self.lo.get(acc.clone()).unwrap_or(&[0; TILE_ELEMS]);
-            let (hi, lo) = (
-                self.hi[acc].chunks_exact(WORD_BITS),
-                lo.chunks_exact(WORD_BITS),
-            );
-            // The sign of tile element `32·j + t` is bit `j` of sign word
-            // `t` (interleaved) or bit `t` of word `j` (natural, made
-            // interleaved by one transpose), so row `j` below reads 32
-            // consecutive accumulators and sign words, unit stride.
-            let mut signs = [0u32; WORD_BITS];
-            let words = chunk.signs[tile * WORD_BITS..].iter();
-            signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
-            if chunk.layout == Layout::Natural {
-                transpose32(&mut signs);
-            }
-            for (j, ((row, hi), lo)) in out.chunks_mut(WORD_BITS).zip(hi).zip(lo).enumerate() {
-                let cells = row.iter_mut().zip(hi).zip(lo).zip(&signs);
-                if b <= 32 {
-                    // The magnitude fits the `hi` half: `u32` up to a
-                    // `u32 → f64` conversion the compiler vectorises.
-                    for (((o, &h), _), &s) in cells {
-                        let fixed = h >> (32 - b);
-                        let fixed = fixed | if fixed != 0 { mid32 } else { 0 };
-                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, u64::from(fixed), scale);
+        let e = if b == 0 { 0 } else { chunk.exp - b as i32 };
+        Values {
+            decoder: self,
+            signs: &chunk.signs,
+            layout: chunk.layout,
+            b,
+            midpoint,
+            quantum: Scale::pow2(e),
+            native: (b <= 32).then(|| F::pow2_normal(e)).flatten(),
+        }
+    }
+}
+
+/// A [`ProgressiveDecoder`]'s current values, read a range at a time:
+/// the per-group setup done once, so the caller decides where each value
+/// lands (see [`ProgressiveDecoder::values`]).
+///
+/// A value is computed from its accumulator, its sign bit and the
+/// group's quantum `2^(exp − b)` (`b` the stream's plane count). Streams
+/// of at most 32 planes whose quantum is a normal number of `F` compute
+/// it in `F` ([`BitplaneFloat::from_fixed_native`]); every other group
+/// goes through `f64`. Both give the same bits.
+#[derive(Debug, Clone, Copy)]
+pub struct Values<'a, F> {
+    decoder: &'a ProgressiveDecoder,
+    signs: &'a [u32],
+    layout: Layout,
+    /// Magnitude planes of the full stream; 0 when every value is `+0.0`.
+    b: usize,
+    midpoint: u64,
+    quantum: Scale,
+    /// `quantum` in `F`, when the native path applies.
+    native: Option<F>,
+}
+
+impl<F: BitplaneFloat> Values<'_, F> {
+    /// Write values `from .. from + out.len()` into `out`.
+    ///
+    /// # Panics
+    /// Panics if the range runs past the last value.
+    pub fn fill(&self, from: usize, out: &mut [F]) {
+        assert!(
+            from + out.len() <= self.decoder.n,
+            "values {from}..{} of {}",
+            from + out.len(),
+            self.decoder.n
+        );
+        if self.b == 0 {
+            out.fill(F::from_f64(0.0));
+            return;
+        }
+        let mut done = 0;
+        while done < out.len() {
+            let e = from + done;
+            let tile = e / TILE_ELEMS;
+            let len = ((tile + 1) * TILE_ELEMS - e).min(out.len() - done);
+            self.tile(tile, e % TILE_ELEMS, &mut out[done..done + len]);
+            done += len;
+        }
+        // A split quantum's rest comes last (see `Scale`).
+        if self.quantum.is_split() {
+            out.iter_mut()
+                .for_each(|o| *o = self.quantum.apply_rest(*o));
+        }
+    }
+
+    /// Values `start .. start + out.len()` of tile `tile`.
+    fn tile(&self, tile: usize, start: usize, out: &mut [F]) {
+        // The sign of tile value `32·j + t` is bit `j` of sign word `t`
+        // (interleaved) or bit `t` of word `j` (natural, made interleaved
+        // by one transpose), so each row below reads its sign words at
+        // unit stride.
+        let mut signs = [0u32; WORD_BITS];
+        let words = self.signs[tile * WORD_BITS..].iter();
+        signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
+        if self.layout == Layout::Natural {
+            transpose32(&mut signs);
+        }
+        let base = tile * TILE_ELEMS;
+        let mut done = 0;
+        while done < out.len() {
+            let (j, lane) = ((start + done) / WORD_BITS, (start + done) % WORD_BITS);
+            let len = (WORD_BITS - lane).min(out.len() - done);
+            let e = base + start + done;
+            self.row(e, j, &signs[lane..lane + len], &mut out[done..done + len]);
+            done += len;
+        }
+    }
+
+    /// Values `e .. e + out.len()`, all in row `j` of their tile, whose
+    /// sign words are `signs`.
+    #[inline]
+    fn row(&self, e: usize, j: usize, signs: &[u32], out: &mut [F]) {
+        let len = out.len();
+        let hi = &self.decoder.hi[e..e + len];
+        let (b, scale) = (self.b, self.quantum.main);
+        if b <= 32 {
+            // The magnitude fits the `hi` half.
+            let mid = self.midpoint as u32;
+            let fixed = |h: u32| {
+                let f = h >> (32 - b);
+                f | if f != 0 { mid } else { 0 }
+            };
+            let cells = out.iter_mut().zip(hi).zip(signs);
+            match self.native {
+                Some(q) => {
+                    for ((o, &h), &s) in cells {
+                        *o = F::from_fixed_native((s >> j) & 1 == 1, fixed(h), q);
                     }
-                } else {
-                    for (((o, &h), &l), &s) in cells {
-                        let fixed = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
-                        let fixed = fixed | if fixed != 0 { midpoint } else { 0 };
-                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, fixed, scale);
+                }
+                None => {
+                    for ((o, &h), &s) in cells {
+                        let f = u64::from(fixed(h));
+                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, f, scale);
                     }
                 }
             }
-        });
-        // A split quantum's rest comes last (see `Scale`).
-        if quantum.is_split() {
-            out.iter_mut().for_each(|o| *o = quantum.apply_rest(*o));
+        } else {
+            let lo = self
+                .decoder
+                .lo
+                .get(e..e + len)
+                .unwrap_or(&[0; WORD_BITS][..len]);
+            let cells = out.iter_mut().zip(hi).zip(lo).zip(signs);
+            for (((o, &h), &l), &s) in cells {
+                let f = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
+                let f = f | if f != 0 { self.midpoint } else { 0 };
+                *o = F::from_fixed_scaled((s >> j) & 1 == 1, f, scale);
+            }
         }
-        out
     }
 }
 
@@ -439,6 +542,77 @@ fn accumulate(acc: &mut [u32], planes: &[u32], words: usize, first: usize, layou
 #[cfg(test)]
 mod oracle {
     use super::*;
+
+    /// [`ProgressiveDecoder::materialize`] as it was before the native
+    /// path: every value through `f64`, a tile at a time — the reference
+    /// the native path is held to, bit for bit.
+    pub fn materialize_wide<F: BitplaneFloat>(
+        dec: &ProgressiveDecoder,
+        chunk: &BitplaneChunk,
+        recon: Reconstruction,
+    ) -> Vec<F> {
+        assert_eq!(chunk.dtype, F::TYPE_NAME, "chunk dtype mismatch");
+        assert_eq!(chunk.n, dec.n, "chunk and decoder element counts differ");
+        let b = dec.total_planes;
+        let mut out = vec![F::from_f64(0.0); dec.n];
+        if chunk.exp == i32::MIN || b == 0 {
+            return out;
+        }
+        // Midpoint offset: half of the first dropped plane's quantum.
+        let midpoint: u64 = if dec.applied < b && matches!(recon, Reconstruction::Midpoint) {
+            1u64 << (b - dec.applied - 1)
+        } else {
+            0
+        };
+        let quantum = Scale::pow2(chunk.exp - b as i32);
+        let (scale, mid32) = (quantum.main, midpoint as u32);
+        // Fan out over tiles, 32 or more to a worker (a thread spawn's
+        // worth). `move`: the row loops must read `b`, `midpoint` and
+        // `scale` as values — behind references the compiler reloads them
+        // after every store to `out` and the loops do not vectorise.
+        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
+        tiles.for_each(move |(tile, out)| {
+            let acc = tile * TILE_ELEMS..(tile + 1) * TILE_ELEMS;
+            let lo = dec.lo.get(acc.clone()).unwrap_or(&[0; TILE_ELEMS]);
+            let (hi, lo) = (
+                dec.hi[acc].chunks_exact(WORD_BITS),
+                lo.chunks_exact(WORD_BITS),
+            );
+            // The sign of tile element `32·j + t` is bit `j` of sign word
+            // `t` (interleaved) or bit `t` of word `j` (natural, made
+            // interleaved by one transpose), so row `j` below reads 32
+            // consecutive accumulators and sign words, unit stride.
+            let mut signs = [0u32; WORD_BITS];
+            let words = chunk.signs[tile * WORD_BITS..].iter();
+            signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
+            if chunk.layout == Layout::Natural {
+                transpose32(&mut signs);
+            }
+            for (j, ((row, hi), lo)) in out.chunks_mut(WORD_BITS).zip(hi).zip(lo).enumerate() {
+                let cells = row.iter_mut().zip(hi).zip(lo).zip(&signs);
+                if b <= 32 {
+                    // The magnitude fits the `hi` half: `u32` up to a
+                    // `u32 → f64` conversion the compiler vectorises.
+                    for (((o, &h), _), &s) in cells {
+                        let fixed = h >> (32 - b);
+                        let fixed = fixed | if fixed != 0 { mid32 } else { 0 };
+                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, u64::from(fixed), scale);
+                    }
+                } else {
+                    for (((o, &h), &l), &s) in cells {
+                        let fixed = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
+                        let fixed = fixed | if fixed != 0 { midpoint } else { 0 };
+                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, fixed, scale);
+                    }
+                }
+            }
+        });
+        // A split quantum's rest comes last (see `Scale`).
+        if quantum.is_split() {
+            out.iter_mut().for_each(|o| *o = quantum.apply_rest(*o));
+        }
+        out
+    }
 
     pub struct Decoder {
         fixed: Vec<u64>,
@@ -1058,5 +1232,72 @@ mod tests {
         let data = wave32(64);
         let c = encode(&data, 32, Layout::Natural);
         let _: Vec<f64> = decode_prefix(&c, 32, Reconstruction::Truncate);
+    }
+
+    /// Applied plane counts around the native path's seams: nothing, one
+    /// plane, the last exactly representable `f32` mantissa width and one
+    /// past it, and every plane.
+    const NATIVE_KS: [usize; 5] = [0, 1, 24, 25, 32];
+
+    /// [`ProgressiveDecoder::materialize`] and [`Values::fill`] over
+    /// ragged ranges (starting and ending anywhere in a row or tile)
+    /// against the wide path, bit for bit, at every `k` of [`NATIVE_KS`]
+    /// and both reconstructions.
+    fn assert_native_matches_wide<F: BitplaneFloat>(chunk: &BitplaneChunk, tag: &str) {
+        let mut dec = ProgressiveDecoder::new(chunk);
+        for k in NATIVE_KS {
+            dec.advance(chunk, k);
+            for recon in BOTH {
+                let tag = format!("{tag} {:?} n={} k={k} {recon:?}", chunk.layout, chunk.n);
+                let want = bits(&oracle::materialize_wide::<F>(&dec, chunk, recon));
+                assert_eq!(bits(&dec.materialize::<F>(chunk, recon)), want, "{tag}");
+                let values = dec.values::<F>(chunk, recon);
+                let mut got = vec![F::from_f64(-1.0); chunk.n];
+                let (mut from, mut len) = (0, 1);
+                while from < chunk.n {
+                    let to = (from + len).min(chunk.n);
+                    values.fill(from, &mut got[from..to]);
+                    (from, len) = (to, len * 7 % 97 + 1);
+                }
+                assert_eq!(bits(&got), want, "{tag} ragged");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn native_materialize_is_bit_identical_to_the_wide_path(
+            n in group_len(),
+            planes64 in prop_oneof![Just(20usize), Just(32usize), Just(64usize)],
+            seed in any::<u32>(),
+        ) {
+            let data = noisy(n, seed);
+            let d32: Vec<f32> = data.iter().map(|&v| v as f32).collect();
+            for layout in [Layout::Natural, Layout::Interleaved32] {
+                assert_native_matches_wide::<f32>(&encode(&d32, 32, layout), "f32");
+                assert_native_matches_wide::<f64>(&encode(&data, planes64, layout), "f64");
+            }
+        }
+    }
+
+    #[test]
+    fn native_path_guard_edges_match_the_wide_path() {
+        // A quantum `2^(exp − b)` at either end of the normal `f32` range
+        // takes the native path (−126, 127); one step beyond it, the wide
+        // one (−127: subnormal products; 128: infinite ones).
+        let data: Vec<f32> = noisy(3000, 0x9e37).iter().map(|&v| v as f32).collect();
+        for layout in [Layout::Natural, Layout::Interleaved32] {
+            let mut chunk = encode(&data, 32, layout);
+            for e in [-126, -127, 127, 128] {
+                assert_eq!(f32::pow2_normal(e).is_some(), e == -126 || e == 127);
+                chunk.exp = e + 32;
+                assert_native_matches_wide::<f32>(&chunk, &format!("exp - b = {e}"));
+            }
+        }
+        for e in [-1022, -1023] {
+            assert_eq!(f64::pow2_normal(e).is_some(), e == -1022);
+        }
     }
 }

@@ -35,9 +35,9 @@
 //! backend may take.
 //!
 //! So is the rebuild: a frame returns the region, so it rebuilds only
-//! what the region shows. Each chunk keeps its injected coefficient grid
-//! and, per group, the units applied when that grid was built. A frame
-//! re-materializes and re-injects only the groups that gained units,
+//! what the region shows. Each chunk keeps its coefficient grid and, per
+//! group, the units applied when that grid was built. A frame
+//! re-materializes into it only the groups that gained units,
 //! then recomposes a copy of the grid through the chunk's window — its
 //! box of the region, the only values the frame reads. Levels whose group
 //! has no units yet skip their projection. Both cuts leave every value

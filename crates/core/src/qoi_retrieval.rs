@@ -75,7 +75,8 @@ pub struct QoiRetrievalOutcome {
 /// falls below `tau`, on a host-wide [`CpuBackend`].
 ///
 /// # Panics
-/// Panics if variables disagree in shape/dtype or `tau` is not positive.
+/// Panics if variables disagree in shape/dtype, `tau` is not positive or
+/// `qoi` has a log floor that is not finite and positive.
 pub fn retrieve_with_qoi_control<F: BitplaneFloat + Real>(
     vars: &[&Refactored],
     qoi: &QoiExpr,
@@ -153,8 +154,9 @@ fn into_single(out: MultiQoiRetrievalOutcome) -> QoiRetrievalOutcome {
 /// on a host-wide [`CpuBackend`].
 ///
 /// # Panics
-/// Panics if variables disagree in shape/dtype, the set is empty, or any
-/// tolerance is not positive.
+/// Panics if variables disagree in shape/dtype, the set is empty, any
+/// tolerance is not positive, or a QoI has a log floor that is not
+/// finite and positive.
 pub fn retrieve_with_multi_qoi_control<F: BitplaneFloat + Real>(
     vars: &[&Refactored],
     qois: &[(QoiExpr, f64)],
@@ -192,6 +194,7 @@ fn control_loop<F: BitplaneFloat + Real, B: Backend>(
     assert!(!qois.is_empty(), "at least one QoI required");
     for (q, tau) in qois {
         assert!(*tau > 0.0, "tolerance must be positive");
+        q.assert_log_floors();
         assert!(
             q.num_vars() <= vars.len(),
             "QoI references {} variables, {} supplied",
@@ -583,6 +586,15 @@ mod tests {
         let (_, refs) = setup();
         let rr: Vec<&Refactored> = refs.iter().collect();
         retrieve_with_multi_qoi_control::<f32>(&rr, &[], EbEstimator::Ma);
+    }
+
+    #[test]
+    #[should_panic(expected = "log floor 0 is not a finite positive number")]
+    fn a_zero_log_floor_is_rejected() {
+        let (_, refs) = setup();
+        let rr: Vec<&Refactored> = refs.iter().collect();
+        let q = QoiExpr::log_density(0.0);
+        retrieve_with_qoi_control::<f32>(&rr, &q, 1e-3, EbEstimator::Ma);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{prefix_error_bound, BitplaneChunk, BitplaneFloat, Reconstruction};
 use hpmdr_exec::{Backend, CpuBackend, ExecCtx};
 use hpmdr_lossless::{HybridCompressor, HybridConfig};
-use hpmdr_mgard::{extract_active_grid, inject_group, inject_levels, Real, RecomposeTo};
+use hpmdr_mgard::{extract_active_grid, Real, RecomposeTo};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -445,7 +445,7 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
         assert_eq!(F::TYPE_NAME, self.refactored.dtype, "dtype mismatch");
         let h = &self.refactored.hierarchy;
         assert!(level <= h.levels, "resolution level beyond hierarchy");
-        let mut data = self.injected(level);
+        let mut data = self.coefficient_grid(level);
         self.recompose(&mut data, level, None);
         let shape = h.shape_at_level(level);
         if level == 0 {
@@ -461,25 +461,26 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
     /// since the finest level's passes visit only the lines the window
     /// reads.
     ///
-    /// With `grid`, the injected coefficients are kept there between
-    /// calls and only the groups that gained units since it was built are
-    /// materialized and injected again; the recompose then runs on a copy.
+    /// With `grid`, the coefficient grid is kept there between calls and
+    /// only the groups that gained units since it was built are
+    /// materialized into it again; the recompose then runs on a copy.
     pub(crate) fn reconstruct_window<F: BitplaneFloat + Real>(
         &self,
         window: &[Range<usize>],
         grid: Option<&mut CoefficientGrid<F>>,
     ) -> Vec<F> {
         assert_eq!(F::TYPE_NAME, self.refactored.dtype, "dtype mismatch");
-        let h = &self.refactored.hierarchy;
         let mut data = match grid {
-            None => self.injected(0),
+            None => self.coefficient_grid(0),
             Some(grid) => {
                 if grid.built.is_empty() {
-                    grid.data = self.injected(0);
+                    grid.data = self.coefficient_grid(0);
                 } else {
+                    // A group only ever gains units, so one that changed
+                    // has a decoder; the others keep what they hold.
                     let changed = grid.built.iter().zip(&self.units_applied);
                     for (g, _) in changed.enumerate().filter(|(_, (then, now))| then != now) {
-                        inject_group(&mut grid.data, h, g, &self.coefficients(g, true));
+                        self.place(&mut grid.data, g);
                     }
                 }
                 grid.built.clone_from(&self.units_applied);
@@ -491,42 +492,42 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
     }
 
     /// The reconstruction as it was before recomposition skipped work:
-    /// every group materialized and injected, every level, axis and line
+    /// every group materialized into the grid, every level, axis and line
     /// recomposed — the oracle [`Self::reconstruct_window`] and the
     /// level mask are held to.
     #[cfg(test)]
     pub(crate) fn reconstruct_in_full<F: BitplaneFloat + Real>(&self) -> Vec<F> {
-        let mut data = self.injected(0);
+        let mut data = self.coefficient_grid(0);
         let r = &self.refactored;
         hpmdr_mgard::recompose(&mut data, &r.hierarchy, r.correction);
         data
     }
 
-    /// Every group's coefficients injected into a full grid. Groups finer
-    /// than `level` cannot influence the level-`level` grid, so they are
-    /// injected as zeros without being decoded.
-    fn injected<F: BitplaneFloat + Real>(&self, level: usize) -> Vec<F> {
+    /// The coefficient grid: every refined group's accumulators
+    /// materialized into their nodes, `+0.0` everywhere else. Groups finer
+    /// than `level` cannot influence the level-`level` grid, so they stay
+    /// `+0.0` without being decoded.
+    fn coefficient_grid<F: BitplaneFloat + Real>(&self, level: usize) -> Vec<F> {
         let h = &self.refactored.hierarchy;
-        let groups: Vec<Vec<F>> = (0..=h.levels)
-            .map(|g| self.coefficients(g, g + level <= h.levels))
-            .collect();
-        inject_levels(&groups, h)
+        let mut grid = vec![F::ZERO; h.len()];
+        for g in (0..=h.levels).filter(|g| g + level <= h.levels) {
+            self.place(&mut grid, g);
+        }
+        grid
     }
 
-    /// Group `g`'s coefficients: its accumulators materialized when
-    /// `needed` and refined, else `+0.0` everywhere.
-    fn coefficients<F: BitplaneFloat + Real>(&self, g: usize, needed: bool) -> Vec<F> {
-        match &self.decoders[g] {
-            Some((chunk, dec)) if needed => {
-                self.backend
-                    .materialize::<F>(&self.ctx, dec, chunk, Reconstruction::Truncate)
-            }
-            _ => vec![F::ZERO; self.refactored.streams[g].n],
+    /// Materialize group `g`'s accumulators into its nodes of `grid`, if
+    /// the group has been refined.
+    fn place<F: BitplaneFloat + Real>(&self, grid: &mut [F], g: usize) {
+        if let Some((chunk, dec)) = &self.decoders[g] {
+            let (h, recon) = (&self.refactored.hierarchy, Reconstruction::Truncate);
+            self.backend
+                .materialize_group(&self.ctx, dec, chunk, recon, grid, h, g);
         }
     }
 
-    /// Recompose injected coefficients down to `level`. A group with no
-    /// applied units was injected as `+0.0`, so its level skips the
+    /// Recompose the coefficient grid down to `level`. A group with no
+    /// applied units holds `+0.0`, so its level skips the
     /// projection.
     fn recompose<F: BitplaneFloat + Real>(
         &self,
@@ -546,13 +547,13 @@ impl<'a, B: Backend> RetrievalSession<'a, B> {
     }
 }
 
-/// A chunk's injected coefficient grid, kept between the frames of a
-/// stream so that a frame re-materializes only the groups that gained
-/// units (see [`RetrievalSession::reconstruct_window`]).
+/// A chunk's coefficient grid, kept between the frames of a stream so
+/// that a frame re-materializes only the groups that gained units (see
+/// [`RetrievalSession::reconstruct_window`]).
 #[derive(Default)]
 pub(crate) struct CoefficientGrid<F> {
     data: Vec<F>,
-    /// Units applied per group when its coefficients were injected
+    /// Units applied per group when its coefficients were materialized
     /// (empty until the grid is first built).
     built: Vec<usize>,
 }

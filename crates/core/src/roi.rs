@@ -267,7 +267,7 @@ pub(crate) struct OwnedChunk<F, B: Backend> {
     /// The owning session: its applied units are what the stream has
     /// fetched, so each frame hands it only the delta.
     pub(crate) session: RetrievalSession<'static, B>,
-    /// The last frame's injected coefficients; the next frame
+    /// The last frame's coefficient grid; the next frame
     /// re-materializes only the groups that gained units.
     pub(crate) grid: CoefficientGrid<F>,
 }

@@ -282,7 +282,8 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         self.install(|| items.par_iter().map(&f).collect())
     }
 
-    /// Materialize a progressive decoder's current approximation.
+    /// Materialize a progressive decoder's current approximation: a
+    /// fresh vector, its values written in element order.
     fn materialize<F: BitplaneFloat>(
         &self,
         _ctx: &ExecCtx,
@@ -291,6 +292,33 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         recon: Reconstruction,
     ) -> Vec<F> {
         self.install(|| decoder.materialize::<F>(chunk, recon))
+    }
+
+    /// Materialize a progressive decoder's current approximation of level
+    /// group `k` straight into that group's nodes of the coefficient grid
+    /// `grid`, leaving every other node as it is: what
+    /// [`Backend::materialize`] and an injection of the result produce,
+    /// with nothing group-sized built in between.
+    ///
+    /// # Panics
+    /// Panics if `grid` does not match `h`, or the decoder does not hold
+    /// group `k` of it.
+    #[allow(clippy::too_many_arguments)]
+    fn materialize_group<F: BitplaneFloat + Real>(
+        &self,
+        _ctx: &ExecCtx,
+        decoder: &ProgressiveDecoder,
+        chunk: &BitplaneChunk,
+        recon: Reconstruction,
+        grid: &mut [F],
+        h: &Hierarchy,
+        k: usize,
+    ) {
+        assert_eq!(chunk.n, h.group_len(k), "not level group {k}'s decoder");
+        self.install(|| {
+            let values = decoder.values::<F>(chunk, recon);
+            hpmdr_mgard::write_group(grid, h, k, |from, out| values.fill(from, out));
+        });
     }
 }
 

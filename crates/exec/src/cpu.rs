@@ -148,6 +148,70 @@ mod tests {
     }
 
     #[test]
+    fn materializing_into_the_grid_is_materialize_then_inject() {
+        // Odd, even and prime extents in 1-D, 2-D and 3-D; the last two
+        // shapes' finest groups are large enough to split across four
+        // workers. Every group of a decomposed field goes through its own
+        // decoder at a few plane counts.
+        use hpmdr_bitplane::native::ProgressiveDecoder;
+        use hpmdr_bitplane::Reconstruction;
+        use hpmdr_mgard::{decompose, extract_levels, inject_levels, Hierarchy};
+        let ctx = ExecCtx::default();
+        let shapes = [
+            vec![33usize],
+            vec![64],
+            vec![97],
+            vec![17, 12],
+            vec![31, 37],
+            vec![9, 8, 7],
+            vec![13, 11, 5],
+            vec![48, 48, 48],
+            vec![41, 43, 47],
+        ];
+        for shape in shapes {
+            let h = Hierarchy::full(&shape);
+            let mut data = field(h.len());
+            decompose(&mut data, &h, true);
+            let chunks: Vec<_> = extract_levels(&data, &h)
+                .iter()
+                .map(|g| hpmdr_bitplane::encode(g, 32, Layout::Interleaved32))
+                .collect();
+            for (k, recon) in [
+                (3, Reconstruction::Truncate),
+                (20, Reconstruction::Midpoint),
+            ] {
+                let decoders: Vec<ProgressiveDecoder> = chunks
+                    .iter()
+                    .map(|c| {
+                        let mut dec = ProgressiveDecoder::new(c);
+                        dec.advance(c, k);
+                        dec
+                    })
+                    .collect();
+                for threads in [1, 4] {
+                    let backend = CpuBackend::with_threads(threads);
+                    let groups: Vec<Vec<f32>> = decoders
+                        .iter()
+                        .zip(&chunks)
+                        .map(|(dec, c)| backend.materialize(&ctx, dec, c, recon))
+                        .collect();
+                    let want = inject_levels(&groups, &h);
+                    let mut grid = vec![f32::NAN; h.len()];
+                    for (g, (dec, c)) in decoders.iter().zip(&chunks).enumerate() {
+                        backend.materialize_group(&ctx, dec, c, recon, &mut grid, &h, g);
+                    }
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&grid),
+                        bits(&want),
+                        "{shape:?} k={k} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn direct_payloads_hold_their_own_size_not_the_scratch_buffers() {
         // Two chunks' level groups in ingest order through one context:
         // the tiny coarse groups of the second chunk (`Direct`, under the

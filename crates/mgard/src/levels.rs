@@ -16,7 +16,17 @@
 
 use crate::grid::Hierarchy;
 use crate::Real;
+use hpmdr_rt::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
+
+/// Least group elements one worker part of [`write_group`] must have:
+/// thirty-two 1024-value decoder tiles, a thread hand-off's worth.
+const MIN_PART_ELEMS: usize = 1 << 15;
+
+/// Group elements [`write_group`] stages at a time: one 1024-value tile
+/// of a bitplane decoder.
+const STAGE: usize = 1024;
 
 /// Flat element indices of each level group, in deterministic row-major
 /// order (the order `extract`/`inject` use).
@@ -116,7 +126,27 @@ fn enumerate_active(h: &Hierarchy, l: usize, row_major: &[usize]) -> Vec<usize> 
 /// where a row whose other coordinates all survive to the next level
 /// contributes only its odd nodes (none if the last dimension is frozen)
 /// and any other row contributes whole.
-fn for_each_run(h: &Hierarchy, k: usize, mut f: impl FnMut(usize, usize, usize)) {
+fn for_each_run(h: &Hierarchy, k: usize, f: impl FnMut(usize, usize, usize)) {
+    let slabs = slab_count(h, k);
+    runs_in_slabs(h, k, 0..slabs, f);
+}
+
+/// Slabs of level group `k`'s grid along the first dimension (a 1-D grid
+/// is one slab): the unit [`write_group`] splits the group at.
+fn slab_count(h: &Hierarchy, k: usize) -> usize {
+    match h.ndims() {
+        1 => 1,
+        _ => h.dim_at_level(0, h.levels - k),
+    }
+}
+
+/// [`for_each_run`] over the rows whose first coordinate lies in `slabs`.
+fn runs_in_slabs(
+    h: &Hierarchy,
+    k: usize,
+    slabs: Range<usize>,
+    mut f: impl FnMut(usize, usize, usize),
+) {
     let last = h.ndims() - 1;
     let (dims, elem_stride) = h.level_geometry(h.levels - k);
     // A dimension with < 3 nodes is frozen and keeps all of them; a
@@ -130,9 +160,14 @@ fn for_each_run(h: &Hierarchy, k: usize, mut f: impl FnMut(usize, usize, usize))
 
     let n = dims[last];
     let step = elem_stride[last];
-    let rows: usize = dims[..last].iter().product();
-    let mut coord = vec![0usize; last];
-    let mut base = 0usize;
+    let (rows, mut coord, mut base) = if last == 0 {
+        (slabs.len().min(1), Vec::new(), 0)
+    } else {
+        let per_slab: usize = dims[1..last].iter().product();
+        let mut coord = vec![0usize; last];
+        coord[0] = slabs.start;
+        (slabs.len() * per_slab, coord, slabs.start * elem_stride[0])
+    };
     for _ in 0..rows {
         if whole || !(0..last).all(|d| survives(d, coord[d])) {
             f(base, step, n);
@@ -149,6 +184,126 @@ fn for_each_run(h: &Hierarchy, k: usize, mut f: impl FnMut(usize, usize, usize))
             coord[d] = 0;
         }
     }
+}
+
+/// Elements of level group `k` in the slabs before slab `slab` (see
+/// [`slab_count`]): a slab whose first coordinate does not survive to the
+/// next level contributes every node, any other one the nodes whose other
+/// coordinates do not all survive.
+fn group_offset(h: &Hierarchy, k: usize, slab: usize) -> usize {
+    if slab == 0 {
+        return 0;
+    }
+    if h.ndims() == 1 {
+        return h.group_len(k);
+    }
+    let dims = h.shape_at_level(h.levels - k);
+    let whole: usize = dims[1..].iter().product();
+    if k == 0 {
+        return slab * whole;
+    }
+    let kept: usize = dims[1..]
+        .iter()
+        .map(|&n| if n >= 3 { n.div_ceil(2) } else { n })
+        .product();
+    let dropped = if dims[0] >= 3 { slab / 2 } else { 0 };
+    dropped * whole + (slab - dropped) * (whole - kept)
+}
+
+/// Write level group `k` into its nodes of the full array `grid`,
+/// leaving every other node as it is: `values(from, out)` fills `out`
+/// with the group's elements `from .. from + out.len()`, in group order
+/// ([`extract_levels`]'s), a 1024-element block at a time, which the
+/// group's runs then take their values from. Nothing group-sized is ever
+/// built: this is how a decoder writes its values into the grid a
+/// recompose reads.
+///
+/// The work is split at slabs of the group's level along the first
+/// dimension, one contiguous part of `grid` per worker of the current
+/// pool (none smaller than 2¹⁵ group elements).
+///
+/// # Panics
+/// Panics if `grid` does not match the hierarchy or `k` is not one of its
+/// groups.
+pub fn write_group<F: Real>(
+    grid: &mut [F],
+    h: &Hierarchy,
+    k: usize,
+    values: impl Fn(usize, &mut [F]) + Sync,
+) {
+    assert!(k <= h.levels, "no level group {k}");
+    let parts = hpmdr_rt::current_num_threads().min(h.group_len(k) / MIN_PART_ELEMS);
+    write_group_in_parts(grid, h, k, parts, &values);
+}
+
+/// [`write_group`] cut into (at most) `parts` parts.
+fn write_group_in_parts<F: Real>(
+    grid: &mut [F],
+    h: &Hierarchy,
+    k: usize,
+    parts: usize,
+    values: &(impl Fn(usize, &mut [F]) + Sync),
+) {
+    assert_eq!(
+        grid.len(),
+        h.len(),
+        "data length must match hierarchy shape"
+    );
+    let slabs = slab_count(h, k);
+    let per = slabs.div_ceil(parts.clamp(1, slabs));
+    if per == slabs {
+        write_slabs(grid, 0, h, k, 0..slabs, values);
+        return;
+    }
+    // Slab `s` of the level starts at `s · span` and ends before the next
+    // one, so `per` slabs are one contiguous part of the grid.
+    let span = per * h.strides()[0] * h.stride_at_level(0, h.levels - k);
+    grid.par_chunks_mut(span).enumerate().for_each(|(p, part)| {
+        let slabs = p * per..((p + 1) * per).min(slabs);
+        write_slabs(part, p * span, h, k, slabs, values);
+    });
+}
+
+/// Write the group elements of `slabs` into `part`, the grid from flat
+/// index `origin` on: [`STAGE`] elements at a time through a stage the
+/// runs then take their values from.
+fn write_slabs<F: Real>(
+    part: &mut [F],
+    origin: usize,
+    h: &Hierarchy,
+    k: usize,
+    slabs: Range<usize>,
+    values: &impl Fn(usize, &mut [F]),
+) {
+    let (mut from, end) = (
+        group_offset(h, k, slabs.start),
+        group_offset(h, k, slabs.end),
+    );
+    let mut stage = [F::ZERO; STAGE];
+    // `stage[next..staged]` holds the values the runs have yet to take.
+    let (mut next, mut staged) = (0, 0);
+    runs_in_slabs(h, k, slabs, |start, step, count| {
+        let mut slot = start - origin;
+        let mut left = count;
+        while left > 0 {
+            if next == staged {
+                // Stage boundaries sit at multiples of `STAGE` in the
+                // group, where the values' own blocks begin.
+                staged = (STAGE - from % STAGE).min(end - from);
+                values(from, &mut stage[..staged]);
+                (from, next) = (from + staged, 0);
+            }
+            let take = left.min(staged - next);
+            let run = &stage[next..next + take];
+            if step == 1 {
+                part[slot..slot + take].copy_from_slice(run);
+            } else {
+                let slots = part[slot..].iter_mut().step_by(step);
+                slots.zip(run).for_each(|(s, &v)| *s = v);
+            }
+            (next, slot, left) = (next + take, slot + take * step, left - take);
+        }
+    });
 }
 
 /// Pull the per-level coefficient groups out of a decomposed array.
@@ -184,36 +339,21 @@ pub fn inject_levels<F: Real>(groups: &[Vec<F>], h: &Hierarchy) -> Vec<F> {
     assert_eq!(groups.len(), h.levels + 1, "group count mismatch");
     let mut out = vec![F::ZERO; h.len()];
     for (k, group) in groups.iter().enumerate() {
-        inject_group(&mut out, h, k, group);
+        assert_eq!(group.len(), h.group_len(k), "group length mismatch");
+        let mut rest = &group[..];
+        for_each_run(h, k, |start, step, count| {
+            let (run, tail) = rest.split_at(count);
+            rest = tail;
+            if step == 1 {
+                out[start..start + count].copy_from_slice(run);
+            } else {
+                for (slot, &v) in out[start..].iter_mut().step_by(step).zip(run) {
+                    *slot = v;
+                }
+            }
+        });
     }
     out
-}
-
-/// Scatter level group `k` into its positions of the full array `data`,
-/// leaving every other position as it is — [`inject_levels`] one group
-/// at a time, for a caller that keeps the array and replaces a group.
-///
-/// # Panics
-/// Panics if `data` or `group` does not match the hierarchy.
-pub fn inject_group<F: Real>(data: &mut [F], h: &Hierarchy, k: usize, group: &[F]) {
-    assert_eq!(
-        data.len(),
-        h.len(),
-        "data length must match hierarchy shape"
-    );
-    assert_eq!(group.len(), h.group_len(k), "group length mismatch");
-    let mut rest = group;
-    for_each_run(h, k, |start, step, count| {
-        let (run, tail) = rest.split_at(count);
-        rest = tail;
-        if step == 1 {
-            data[start..start + count].copy_from_slice(run);
-        } else {
-            for (slot, &v) in data[start..].iter_mut().step_by(step).zip(run) {
-                *slot = v;
-            }
-        }
-    });
 }
 
 /// Conservative L∞ error propagation weight of each level group: a
@@ -345,9 +485,77 @@ mod tests {
             for k in 0..=h.levels {
                 let mut want = groups.clone();
                 want[k] = (0..h.group_len(k)).map(|i| -(i as f64)).collect();
-                inject_group(&mut grid, &h, k, &want[k]);
+                write_group(&mut grid, &h, k, |from, out| {
+                    out.copy_from_slice(&want[k][from..from + out.len()]);
+                });
                 assert_eq!(grid, inject_levels(&want, &h), "{shape:?} group {k}");
-                inject_group(&mut grid, &h, k, &groups[k]);
+                write_group(&mut grid, &h, k, |from, out| {
+                    out.copy_from_slice(&groups[k][from..from + out.len()]);
+                });
+            }
+        }
+    }
+
+    #[test]
+    fn writing_groups_in_parts_is_injecting_them() {
+        // Every split of the slabs, on shapes whose first dimension is
+        // odd, even, prime or frozen, and whose larger groups' strided
+        // runs straddle stage refills: each part must start at its slabs'
+        // group offset and write exactly the nodes `inject_levels` does.
+        let shapes = [
+            vec![1usize],
+            vec![2],
+            vec![31],
+            vec![64],
+            vec![7, 13],
+            vec![16, 9],
+            vec![2, 29],
+            vec![1, 12],
+            vec![5, 7, 11],
+            vec![8, 6, 4],
+            vec![13, 2, 17],
+            vec![2, 9, 9],
+            vec![33, 32, 31],
+            vec![40, 41, 43],
+        ];
+        for shape in shapes {
+            let h = Hierarchy::full(&shape);
+            let marked: Vec<Vec<f64>> = (0..=h.levels)
+                .map(|k| {
+                    (0..h.group_len(k))
+                        .map(|j| (k * 1_000_000 + j) as f64)
+                        .collect()
+                })
+                .collect();
+            let want = inject_levels(&marked, &h);
+            for parts in 1..=6 {
+                let mut grid = vec![-1.0f64; h.len()];
+                for (k, group) in marked.iter().enumerate() {
+                    write_group_in_parts(&mut grid, &h, k, parts, &|from, out: &mut [f64]| {
+                        out.copy_from_slice(&group[from..from + out.len()]);
+                    });
+                }
+                assert_eq!(grid, want, "{shape:?} in {parts} parts");
+            }
+        }
+    }
+
+    #[test]
+    fn group_offsets_count_the_slabs_before() {
+        for shape in [
+            vec![9usize, 8, 7],
+            vec![17, 5],
+            vec![2, 5, 6],
+            vec![33, 2],
+            vec![33],
+        ] {
+            let h = Hierarchy::full(&shape);
+            for k in 0..=h.levels {
+                for slab in 0..=slab_count(&h, k) {
+                    let mut count = 0;
+                    runs_in_slabs(&h, k, 0..slab, |_, _, n| count += n);
+                    assert_eq!(group_offset(&h, k, slab), count, "{shape:?} group {k}");
+                }
             }
         }
     }

@@ -35,7 +35,7 @@ pub mod quantize;
 pub mod transform;
 
 pub use grid::Hierarchy;
-pub use levels::{extract_levels, inject_group, inject_levels, level_error_weights, LevelSet};
+pub use levels::{extract_levels, inject_levels, level_error_weights, write_group, LevelSet};
 pub use transform::{decompose, extract_active_grid, recompose, recompose_to_level, RecomposeTo};
 
 /// Minimal float abstraction for the decomposition math. Both element

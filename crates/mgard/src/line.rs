@@ -19,11 +19,13 @@
 //! # Panels
 //!
 //! The lines of one axis pass never exchange data, so the kernels here
-//! transform a *panel* of `w` lines in lockstep: `buf[i·w + lane]` is
-//! node `i` of line `lane`, and every step above — predict, load vector,
-//! forward sweep, back substitution, coarse update — is a loop over the
-//! `w` lanes of one row. That turns the latency-bound scalar Thomas
-//! recurrence into unit-stride lane loops the compiler vectorises, with
+//! transform a [`Panel`] of `w` lines in lockstep: row `i` holds node `i`
+//! of every line, lane `lane` being line `lane`, and every step above —
+//! predict, load vector, forward sweep, back substitution, coarse update
+//! — is a loop over the `w` lanes of one row. A row is any `w`-element
+//! slice: a row of a dense scratch buffer or, for lines that are adjacent
+//! in the array, the `w` elements where the array holds that node. That
+//! turns the latency-bound scalar Thomas recurrence into unit-stride lane loops the compiler vectorises, with
 //! no change to what any single line computes: each lane sees the same
 //! operations on the same operands in the same order as the per-line
 //! reference kept in `oracle` for the tests, so the result is
@@ -117,43 +119,85 @@ impl<F: Real> PanelScratch<F> {
     }
 }
 
-/// One decomposition step of every line of the panel `buf` (`w` lanes,
-/// `buf.len() / w` nodes, in place): even rows end up holding corrected
-/// coarse values, odd rows the detail coefficients.
+/// `w` lines of `n` nodes, transformed in lockstep: `n` rows of `w`
+/// lanes, lane `lane` of row `i` being node `i` of line `lane`. The rows
+/// are separate slices, so they may lie anywhere — consecutive in a
+/// scratch buffer or at a node stride in the array — and one can be
+/// written while others are read.
+pub(crate) struct Panel<'p, 'a, F> {
+    rows: &'p mut [&'a mut [F]],
+    w: usize,
+}
+
+impl<'p, 'a, F> Panel<'p, 'a, F> {
+    /// The panel of `rows`.
+    ///
+    /// # Panics
+    /// Panics unless every row has the same length.
+    pub(crate) fn new(rows: &'p mut [&'a mut [F]]) -> Self {
+        let w = rows.first().map_or(0, |r| r.len());
+        assert!(rows.iter().all(|r| r.len() == w), "ragged panel");
+        Panel { rows, w }
+    }
+
+    /// Nodes per line.
+    fn nodes(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Row `i`.
+    fn row(&self, i: usize) -> &[F] {
+        self.rows[i]
+    }
+
+    /// Row `i`, writable.
+    fn row_mut(&mut self, i: usize) -> &mut [F] {
+        self.rows[i]
+    }
+
+    /// Row `i ≥ 1` writable between its readable neighbours `i − 1` and
+    /// (when there is one) `i + 1`.
+    fn around(&mut self, i: usize) -> (&[F], &mut [F], Option<&[F]>) {
+        let (head, tail) = self.rows.split_at_mut(i);
+        let (row, next) = tail.split_at_mut(1);
+        (head[i - 1], row[0], next.first().map(|r| &**r))
+    }
+}
+
+/// One decomposition step of every line of `panel`, in place: even rows
+/// end up holding corrected coarse values, odd rows the detail
+/// coefficients.
 ///
 /// `scratch` must be sized for at least this panel and `fac` be for its
 /// coarse length. Lines shorter than 3 nodes are left untouched.
 pub(crate) fn decompose_panel<F: Real>(
-    buf: &mut [F],
-    w: usize,
+    mut panel: Panel<'_, '_, F>,
     scratch: &mut PanelScratch<F>,
     fac: &MassFactor<F>,
     correct: bool,
 ) {
-    if buf.len() / w < 3 {
+    if panel.nodes() < 3 {
         return;
     }
-    predict(buf, w, |odd, pred| odd - pred);
+    predict(&mut panel, |odd, pred| odd - pred);
     if correct {
-        project(buf, w, scratch, fac, &fac.m, |r, m| r / m, |v, x| v + x);
+        project(&mut panel, scratch, fac, &fac.m, |r, m| r / m, |v, x| v + x);
     }
 }
 
 /// Inverse of [`decompose_panel`].
 pub(crate) fn recompose_panel<F: Real>(
-    buf: &mut [F],
-    w: usize,
+    mut panel: Panel<'_, '_, F>,
     scratch: &mut PanelScratch<F>,
     fac: &MassFactor<F>,
     correct: bool,
 ) {
-    if buf.len() / w < 3 {
+    if panel.nodes() < 3 {
         return;
     }
     if correct {
         project(
-            buf,
-            w,
+            &mut panel,
             scratch,
             fac,
             &fac.inv_m,
@@ -161,25 +205,37 @@ pub(crate) fn recompose_panel<F: Real>(
             |v, x| v - x,
         );
     }
-    predict(buf, w, |odd, pred| odd + pred);
+    predict(&mut panel, |odd, pred| odd + pred);
 }
 
 /// `odd = apply(odd, pred)` on every odd row, where `pred` interpolates
 /// the two even neighbours (one-sided past the end of an even-length
 /// line).
-fn predict<F: Real>(buf: &mut [F], w: usize, apply: impl Fn(F, F) -> F) {
+fn predict<F: Real>(panel: &mut Panel<'_, '_, F>, apply: impl Fn(F, F) -> F) {
+    for r in (1..panel.nodes()).step_by(2) {
+        let (left, odd, right) = panel.around(r);
+        predict_row(odd, left, right, &apply);
+    }
+}
+
+/// One odd row of [`predict`]. The lane loop of every row step takes its
+/// rows as arguments: slices a call receives are known not to overlap,
+/// so the loops vectorise without run-time overlap checks.
+#[inline]
+fn predict_row<F: Real>(
+    odd: &mut [F],
+    left: &[F],
+    right: Option<&[F]>,
+    apply: &impl Fn(F, F) -> F,
+) {
     let half = F::from_f64(0.5);
-    let n = buf.len() / w;
-    for r in (1..n).step_by(2) {
-        let (head, tail) = buf.split_at_mut(r * w);
-        let left = &head[(r - 1) * w..];
-        let (odd, tail) = tail.split_at_mut(w);
-        if r + 1 < n {
-            let right = &tail[..w];
+    match right {
+        Some(right) => {
             for ((o, &a), &b) in odd.iter_mut().zip(left).zip(right) {
                 *o = apply(*o, (a + b) * half);
             }
-        } else {
+        }
+        None => {
             for (o, &a) in odd.iter_mut().zip(left) {
                 *o = apply(*o, a);
             }
@@ -194,17 +250,14 @@ fn predict<F: Real>(buf: &mut [F], w: usize, apply: impl Fn(F, F) -> F) {
 /// `pivots`/`pivot` select the forward-sweep form: divide by `m_j`
 /// (decompose) or multiply by `1/m_j` (recompose).
 fn project<F: Real>(
-    buf: &mut [F],
-    w: usize,
+    panel: &mut Panel<'_, '_, F>,
     scratch: &mut PanelScratch<F>,
     fac: &MassFactor<F>,
     pivots: &[F],
     pivot: impl Fn(F, F) -> F,
     apply: impl Fn(F, F) -> F,
 ) {
-    let half = F::from_f64(0.5);
-    let off = F::from_f64(MassFactor::<F>::OFF);
-    let n = buf.len() / w;
+    let (n, w) = (panel.nodes(), panel.w);
     let nc = n.div_ceil(2);
     let nf = n / 2;
     assert_eq!(fac.coarse_len(), nc, "factorisation is for another length");
@@ -213,41 +266,66 @@ fn project<F: Real>(
 
     // Load vector fused with the forward sweep.
     for (j, &p) in pivots.iter().enumerate() {
-        let dl = if j >= 1 {
-            &buf[(2 * j - 1) * w..2 * j * w]
-        } else {
-            zeros
-        };
-        let dr = if j < nf {
-            &buf[(2 * j + 1) * w..(2 * j + 2) * w]
-        } else {
-            zeros
-        };
+        let dl = if j >= 1 { panel.row(2 * j - 1) } else { zeros };
+        let dr = if j < nf { panel.row(2 * j + 1) } else { zeros };
         let (done, cur) = rhs.split_at_mut(j * w);
-        let cur = &mut cur[..w];
-        if j == 0 {
-            for ((r, &a), &b) in cur.iter_mut().zip(dl).zip(dr) {
-                *r = pivot((a + b) * half, p);
-            }
-        } else {
-            let prev = &done[(j - 1) * w..];
-            for (((r, &a), &b), &q) in cur.iter_mut().zip(dl).zip(dr).zip(prev) {
-                *r = pivot((a + b) * half - off * q, p);
-            }
-        }
+        let prev = j.checked_sub(1).map(|i| &done[i * w..]);
+        forward_row(&mut cur[..w], dl, dr, prev, p, &pivot);
     }
 
     // Back substitution fused with the coarse update.
     for j in (0..nc).rev() {
         let (cur, next) = rhs[j * w..].split_at_mut(w);
-        let coarse = &mut buf[2 * j * w..(2 * j + 1) * w];
-        if j + 1 < nc {
-            let c = fac.c[j];
-            for ((v, r), &x) in coarse.iter_mut().zip(cur).zip(&next[..w]) {
+        let next = (j + 1 < nc).then(|| (fac.c[j], &next[..w]));
+        update_row(panel.row_mut(2 * j), cur, next, &apply);
+    }
+}
+
+/// Row `j` of the load vector and forward sweep of [`project`]:
+/// `r = pivot(½(dl + dr) − off·prev, p)` (no `prev` term for row 0).
+#[inline]
+fn forward_row<F: Real>(
+    cur: &mut [F],
+    dl: &[F],
+    dr: &[F],
+    prev: Option<&[F]>,
+    p: F,
+    pivot: &impl Fn(F, F) -> F,
+) {
+    let half = F::from_f64(0.5);
+    let off = F::from_f64(MassFactor::<F>::OFF);
+    match prev {
+        None => {
+            for ((r, &a), &b) in cur.iter_mut().zip(dl).zip(dr) {
+                *r = pivot((a + b) * half, p);
+            }
+        }
+        Some(prev) => {
+            for (((r, &a), &b), &q) in cur.iter_mut().zip(dl).zip(dr).zip(prev) {
+                *r = pivot((a + b) * half - off * q, p);
+            }
+        }
+    }
+}
+
+/// Row `j` of the back substitution of [`project`], fused with the
+/// coarse update: `r −= c·x` against the next row `x` (none for the last
+/// row), then `coarse = apply(coarse, r)`.
+#[inline]
+fn update_row<F: Real>(
+    coarse: &mut [F],
+    cur: &mut [F],
+    next: Option<(F, &[F])>,
+    apply: &impl Fn(F, F) -> F,
+) {
+    match next {
+        Some((c, next)) => {
+            for ((v, r), &x) in coarse.iter_mut().zip(cur).zip(next) {
                 *r = *r - c * x;
                 *v = apply(*v, *r);
             }
-        } else {
+        }
+        None => {
             for (v, &r) in coarse.iter_mut().zip(cur.iter()) {
                 *v = apply(*v, r);
             }
@@ -516,7 +594,12 @@ mod tests {
                     let mut scratch = PanelScratch::new(n, w);
                     let mut s = LineScratch::with_capacity(n);
 
-                    decompose_panel(&mut panel, w, &mut scratch, &fac, correct);
+                    decompose_panel(
+                        Panel::new(&mut panel.chunks_exact_mut(w).collect::<Vec<_>>()),
+                        &mut scratch,
+                        &fac,
+                        correct,
+                    );
                     let mut want = lines.clone();
                     for line in &mut want {
                         decompose_line(line, &mut s, correct);
@@ -527,7 +610,12 @@ mod tests {
                         }
                     }
 
-                    recompose_panel(&mut panel, w, &mut scratch, &fac, correct);
+                    recompose_panel(
+                        Panel::new(&mut panel.chunks_exact_mut(w).collect::<Vec<_>>()),
+                        &mut scratch,
+                        &fac,
+                        correct,
+                    );
                     for line in &mut want {
                         recompose_line(line, &mut s, correct);
                     }
@@ -535,6 +623,52 @@ mod tests {
                         for (i, v) in line.iter().enumerate() {
                             assert_eq!(panel[i * w + lane].to_bits(), v.to_bits());
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn strided_rows_transform_like_a_dense_panel() {
+        // A panel whose rows are the first `w` of every `stride` elements,
+        // as a panel transformed in place sees the array: bit-identical to
+        // the same lines in a dense buffer, and nothing between the rows
+        // touched.
+        for (n, w, stride) in [
+            (9usize, 5usize, 7usize),
+            (33, 16, 40),
+            (4, 3, 3),
+            (17, 1, 9),
+        ] {
+            for correct in [true, false] {
+                let value = |i: usize| ((i * 31) as f32 * 0.17).sin() * 5.0;
+                let mut mem: Vec<f32> = (0..n * stride).map(value).collect();
+                let mut dense: Vec<f32> = (0..n)
+                    .flat_map(|i| (0..w).map(move |lane| value(i * stride + lane)))
+                    .collect();
+                let fac = MassFactor::new(n.div_ceil(2));
+                let mut scratch = PanelScratch::new(n, w);
+                type Kernel =
+                    fn(Panel<'_, '_, f32>, &mut PanelScratch<f32>, &MassFactor<f32>, bool);
+                for kernel in [decompose_panel as Kernel, recompose_panel] {
+                    let mut rows: Vec<&mut [f32]> =
+                        mem.chunks_exact_mut(stride).map(|r| &mut r[..w]).collect();
+                    kernel(Panel::new(&mut rows), &mut scratch, &fac, correct);
+                    let mut rows: Vec<&mut [f32]> = dense.chunks_exact_mut(w).collect();
+                    kernel(Panel::new(&mut rows), &mut scratch, &fac, correct);
+                    for (i, v) in mem.iter().enumerate() {
+                        let (row, lane) = (i / stride, i % stride);
+                        let want = if lane < w {
+                            dense[row * w + lane]
+                        } else {
+                            value(i)
+                        };
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "n={n} w={w} stride={stride} at {i}"
+                        );
                     }
                 }
             }

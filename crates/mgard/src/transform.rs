@@ -10,16 +10,16 @@
 //!
 //! All lines of one axis pass are independent, so a pass is cut into
 //! *panels* of consecutive lines that are transformed in lockstep by the
-//! kernels of `crate::line`: a panel is copied into a dense
-//! cache-resident `n × w` buffer (`buf[i·w + lane]`), transformed, and
-//! copied back. Along an axis that is not the last, consecutive lines are
-//! the neighbouring nodes of the last dimension, so panel rows are
-//! contiguous runs of the array (at level 0; stride `2^l` above) and the
-//! copies are row copies; along the last axis the lines themselves are
-//! contiguous and the copy is a transpose. A panel that already sits in
-//! the array in buffer layout — a single unit-stride line, or a full slab
-//! of a middle axis — is transformed in place. Panels, not lines, are
-//! what a parallel pool fans out over.
+//! kernels of `crate::line`. Along an axis that is not the last,
+//! consecutive lines are the neighbouring nodes of the last dimension: at
+//! level 0 they are adjacent in the array, so each node of a panel is `w`
+//! consecutive elements, and the panel is transformed in place, its rows
+//! the axis's node stride apart (a single line is such a panel too).
+//! Everywhere else — along the last axis, whose lines are the contiguous
+//! runs, and above level 0, where neighbouring lines are `2^l` apart — a
+//! panel is gathered into a dense cache-resident `n × w` buffer
+//! (`buf[i·w + lane]`), transformed, and scattered back. Panels, not
+//! lines, are what a parallel pool fans out over.
 //!
 //! Lines never exchange data inside a pass, so how they are grouped into
 //! panels, and panels into worker parts, changes only the interleaving of
@@ -46,7 +46,7 @@
 //!   earlier axes' passes, which interpolate between them and add.)
 
 use crate::grid::Hierarchy;
-use crate::line::{decompose_panel, recompose_panel, MassFactor, PanelScratch};
+use crate::line::{decompose_panel, recompose_panel, MassFactor, Panel, PanelScratch};
 use crate::Real;
 use hpmdr_rt::prelude::*;
 use std::ops::Range;
@@ -70,7 +70,9 @@ const MIN_PART_ELEMS: usize = 1 << 17;
 ///
 /// Soundness: a panel is a set of whole lines, and two lines of one axis
 /// pass differ in a non-axis coordinate, so distinct panels touch disjoint
-/// element sets; every panel is processed by exactly one worker.
+/// element sets; every panel is processed by exactly one worker. A panel
+/// transformed in place borrows its nodes as one slice per node, never a
+/// range spanning another panel's elements.
 struct SyncPtr<F> {
     ptr: *mut F,
     len: usize,
@@ -210,7 +212,7 @@ fn part_range(panels: usize, parts: usize, part: usize) -> Range<usize> {
 
 /// The panel kernel an axis pass applies: [`decompose_panel`] or
 /// [`recompose_panel`].
-type PanelKernel<F> = fn(&mut [F], usize, &mut PanelScratch<F>, &MassFactor<F>, bool);
+type PanelKernel<F> = fn(Panel<'_, '_, F>, &mut PanelScratch<F>, &MassFactor<F>, bool);
 
 /// One axis pass over the lines `lines` of the active grid at a level.
 fn axis_pass<F: Real>(
@@ -272,49 +274,40 @@ fn run_panels<F: Real>(
         pass.lane_bases(first, bases);
         // Bases ascend, so this bounds every index the panel touches.
         assert!(bases[w - 1] + (n - 1) * axis_stride < view.len);
-        let contiguous = bases[w - 1] - bases[0] == w - 1;
 
-        if contiguous && axis_stride == w {
-            // The panel already sits in the array in buffer layout.
-            // SAFETY: in bounds by the assert above; rows of `w`
-            // consecutive lanes at stride `w` tile exactly this range, so
-            // all of it belongs to this panel.
-            let block = unsafe { view.slice_mut(bases[0], n * w) };
-            kernel(block, w, &mut scratch, fac, correct);
+        if bases[w - 1] - bases[0] == w - 1 {
+            // Adjacent lines: node `i` of every lane is the `w`
+            // consecutive elements at `bases[0] + i·axis_stride`, and the
+            // panel is transformed where it lies. Two nodes of one line
+            // are distinct elements, so those rows cannot overlap.
+            assert!(w <= axis_stride, "nodes of one line overlap");
+            let mut rows: Vec<&mut [F]> = (0..n)
+                // SAFETY: in bounds by the assert above; node `i` of this
+                // panel's lines, and the rows are disjoint (`w ≤
+                // axis_stride`).
+                .map(|i| unsafe { view.slice_mut(bases[0] + i * axis_stride, w) })
+                .collect();
+            kernel(Panel::new(&mut rows), &mut scratch, fac, correct);
             continue;
         }
 
         let buf = &mut buf[..n * w];
-        if contiguous && w > 1 {
-            for (i, row) in buf.chunks_exact_mut(w).enumerate() {
-                // SAFETY: in bounds by the assert above; the `w`
-                // consecutive lanes of node `i` belong to this panel.
-                row.copy_from_slice(unsafe { view.slice_mut(bases[0] + i * axis_stride, w) });
-            }
-        } else {
-            for (i, row) in buf.chunks_exact_mut(w).enumerate() {
-                for (slot, &base) in row.iter_mut().zip(bases.iter()) {
-                    // SAFETY: in bounds by the assert above; node `i` of
-                    // one of this panel's lines.
-                    *slot = unsafe { view.read(base + i * axis_stride) };
-                }
+        for (i, row) in buf.chunks_exact_mut(w).enumerate() {
+            for (slot, &base) in row.iter_mut().zip(bases.iter()) {
+                // SAFETY: in bounds by the assert above; node `i` of one
+                // of this panel's lines.
+                *slot = unsafe { view.read(base + i * axis_stride) };
             }
         }
 
-        kernel(buf, w, &mut scratch, fac, correct);
+        let mut rows: Vec<&mut [F]> = buf.chunks_exact_mut(w).collect();
+        kernel(Panel::new(&mut rows), &mut scratch, fac, correct);
 
         // Scatter to the same indices the gather read.
-        if contiguous && w > 1 {
-            for (i, row) in buf.chunks_exact(w).enumerate() {
-                // SAFETY: same range as the gather of this row.
-                unsafe { view.slice_mut(bases[0] + i * axis_stride, w) }.copy_from_slice(row);
-            }
-        } else {
-            for (i, row) in buf.chunks_exact(w).enumerate() {
-                for (&v, &base) in row.iter().zip(bases.iter()) {
-                    // SAFETY: same index as the gather.
-                    unsafe { view.write(base + i * axis_stride, v) };
-                }
+        for (i, row) in buf.chunks_exact(w).enumerate() {
+            for (&v, &base) in row.iter().zip(bases.iter()) {
+                // SAFETY: same index as the gather.
+                unsafe { view.write(base + i * axis_stride, v) };
             }
         }
     }
@@ -705,6 +698,83 @@ mod tests {
                 for threads in [1, 4] {
                     assert_window_matches_full::<f32>(&h, seed, level, &window, &empty, threads);
                     assert_window_matches_full::<f64>(&h, seed, level, &window, &empty, threads);
+                }
+            }
+        }
+    }
+
+    /// Panels of the level-0 passes of `shape` that run in place with
+    /// their rows further apart than their width — the strided in-place
+    /// panels, as `run_panels` classifies them.
+    fn strided_in_place_panels<F>(shape: &[usize]) -> usize {
+        let h = Hierarchy::full(shape);
+        let (dims, elem_strides) = h.level_geometry(0);
+        let mut count = 0;
+        for axis in 0..dims.len() {
+            let pass = AxisPass::new(&dims, &elem_strides, axis, &whole(&dims));
+            let lanes = pass.panel_lanes::<F>();
+            for first in (0..pass.num_lines()).step_by(lanes) {
+                let mut bases = vec![0; lanes.min(pass.num_lines() - first)];
+                pass.lane_bases(first, &mut bases);
+                let w = bases.len();
+                let adjacent = bases[w - 1] - bases[0] == w - 1;
+                count += usize::from(pass.n >= 3 && adjacent && pass.axis_stride > w);
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn strided_in_place_panels_match_the_per_line_oracle() {
+        // Shapes whose outer-axis panels stay in the array with rows
+        // further apart than their width: decompose and every target
+        // level against the per-line oracle, and a windowed, masked
+        // recompose against the oracle's full one inside the window.
+        for shape in [
+            vec![24usize, 9, 70],
+            vec![40, 20, 33],
+            vec![300, 40],
+            vec![5, 7, 130],
+        ] {
+            assert!(strided_in_place_panels::<f32>(&shape) > 0, "{shape:?}");
+            assert!(strided_in_place_panels::<f64>(&shape) > 0, "{shape:?}");
+            for threads in [1, 4] {
+                assert_matches_oracle::<f32>(&shape, 0xface, threads);
+                assert_matches_oracle::<f64>(&shape, 0xface, threads);
+            }
+            let h = Hierarchy::full(&shape);
+            let window: Vec<Range<usize>> = shape.iter().map(|&n| n / 5..n - n / 3).collect();
+            for empty in [
+                vec![false; h.levels + 1],
+                (0..=h.levels).map(|k| k % 2 == 1).collect(),
+            ] {
+                let mut groups = crate::extract_levels(&rough_field::<f32>(h.len(), 5), &h);
+                for (group, _) in groups.iter_mut().zip(&empty).filter(|(_, &e)| e) {
+                    group.fill(0.0);
+                }
+                let coeffs = crate::inject_levels(&groups, &h);
+                let details: Vec<bool> = empty.iter().map(|&e| !e).collect();
+                let mut want = coeffs.clone();
+                oracle_recompose_to_level(&mut want, &h, true, 0);
+                for threads in [1, 4] {
+                    let mut got = coeffs.clone();
+                    let to = RecomposeTo {
+                        level: 0,
+                        window: Some(&window),
+                        details: Some(&details),
+                    };
+                    hpmdr_rt::install(threads, || recompose_to_level(&mut got, &h, true, to));
+                    let strides = h.strides();
+                    let inside = |i: usize| {
+                        (0..shape.len()).all(|d| window[d].contains(&(i / strides[d] % shape[d])))
+                    };
+                    for i in (0..h.len()).filter(|&i| inside(i)) {
+                        assert_eq!(
+                            got[i].to_bits(),
+                            want[i].to_bits(),
+                            "{shape:?} empty={empty:?} threads={threads} at {i}"
+                        );
+                    }
                 }
             }
         }

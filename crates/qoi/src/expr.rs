@@ -125,10 +125,36 @@ impl QoiExpr {
             QoiExpr::Scale(_, a) | QoiExpr::Square(a) | QoiExpr::Sqrt(a) | QoiExpr::Abs(a) => {
                 a.check_constants()
             }
-            QoiExpr::Ln { floor, .. } if !(floor.is_finite() && *floor > 0.0) => {
-                Err(format!("log floor {floor} is not a finite positive number"))
+            QoiExpr::Ln { arg, floor } => match bad_floor(*floor) {
+                Some(why) => Err(why),
+                None => arg.check_constants(),
+            },
+        }
+    }
+
+    /// The argument check of the entry points that bound errors: every
+    /// `Ln` floor finite and positive, as [`Self::check_constants`]
+    /// requires. A floor that is not has no logarithm to clamp to, and
+    /// the check fails the same way in every build profile. Other
+    /// non-finite constants pass: their bounds read `+∞`.
+    ///
+    /// # Panics
+    /// Panics, naming it, on the first floor that is not usable.
+    pub fn assert_log_floors(&self) {
+        match self {
+            QoiExpr::Var(_) | QoiExpr::Const(_) => {}
+            QoiExpr::Add(a, b) | QoiExpr::Sub(a, b) | QoiExpr::Mul(a, b) => {
+                a.assert_log_floors();
+                b.assert_log_floors();
             }
-            QoiExpr::Ln { arg, .. } => arg.check_constants(),
+            QoiExpr::Scale(_, a) | QoiExpr::Square(a) | QoiExpr::Sqrt(a) | QoiExpr::Abs(a) => {
+                a.assert_log_floors()
+            }
+            QoiExpr::Ln { arg, floor } => {
+                let why = bad_floor(*floor);
+                assert!(why.is_none(), "{}", why.unwrap_or_default());
+                arg.assert_log_floors();
+            }
         }
     }
 
@@ -184,10 +210,12 @@ impl QoiExpr {
     /// `+∞` when the value or its image is not finite.
     ///
     /// # Panics
-    /// Panics with more than 8 variables (the domain-wide scans' cap).
+    /// Panics with more than 8 variables (the domain-wide scans' cap) or
+    /// on a log floor that is not finite and positive.
     pub fn error_bound(&self, vars: &[f64], errs: &[f64]) -> f64 {
         debug_assert_eq!(vars.len(), errs.len());
         assert!(vars.len() <= MAX_VARS, "at most 8 variables supported");
+        self.assert_log_floors();
         let mut boxes = [Interval::point(0.0); MAX_VARS];
         let n = vars.len().min(errs.len());
         for ((b, &v), &e) in boxes.iter_mut().zip(vars).zip(errs) {
@@ -196,6 +224,12 @@ impl QoiExpr {
         let img = self.eval_interval(&boxes[..n]);
         img.max_deviation_from(self.eval(vars))
     }
+}
+
+/// Why `floor` cannot clamp a logarithm, if it cannot.
+fn bad_floor(floor: f64) -> Option<String> {
+    (!(floor.is_finite() && floor > 0.0))
+        .then(|| format!("log floor {floor} is not a finite positive number"))
 }
 
 #[cfg(test)]

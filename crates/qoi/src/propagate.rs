@@ -67,6 +67,11 @@ pub fn eval_field<T: Copy + Into<f64> + Sync>(expr: &QoiExpr, vars: &[&[T]]) -> 
 /// Supremum over the domain of the pointwise QoI error bound, given the
 /// reconstructed variables and one uniform error bound per variable. The
 /// arg-max is the lowest index attaining the supremum (0 when it is 0).
+///
+/// # Panics
+/// Panics if variables have differing lengths or are fewer than the
+/// expression references, if there is not one bound per variable, or on
+/// a log floor that is not finite and positive.
 pub fn max_qoi_error<T: Copy + Into<f64> + Sync>(
     expr: &QoiExpr,
     vars: &[&[T]],
@@ -74,6 +79,7 @@ pub fn max_qoi_error<T: Copy + Into<f64> + Sync>(
 ) -> MaxError {
     let n = validate(expr, vars);
     assert_eq!(vars.len(), errs.len(), "one error bound per variable");
+    expr.assert_log_floors();
     let program = Program::compile(expr);
     let (value, argmax) = (0..n.div_ceil(RUN))
         .into_par_iter()
@@ -104,7 +110,9 @@ pub fn max_qoi_error<T: Copy + Into<f64> + Sync>(
 }
 
 /// Maximum actual QoI error between ground-truth variables and their
-/// reconstructions.
+/// reconstructions. A point whose difference is NaN (a NaN on either
+/// side) counts as `+∞`, as an unbounded pointwise bound does in
+/// [`max_qoi_error`]: a NaN reconstruction is never a zero error.
 pub fn actual_max_error<T: Copy + Into<f64> + Sync>(
     expr: &QoiExpr,
     truth: &[&[T]],
@@ -123,7 +131,8 @@ pub fn actual_max_error<T: Copy + Into<f64> + Sync>(
                 let t = program.run(truth, None, start, len, &mut exact);
                 let a = program.run(approx, None, start, len, &mut approximate);
                 for (&x, &y) in t.v[..len].iter().zip(&a.v[..len]) {
-                    worst = worst.max((x - y).abs());
+                    let e = (x - y).abs();
+                    worst = worst.max(if e.is_nan() { f64::INFINITY } else { e });
                 }
             }
             worst
@@ -268,6 +277,31 @@ mod tests {
             assert_eq!(m.argmax, 0, "{q:?}");
             assert_eq!(q.error_bound(&[x[7]], &[1e-3]), f64::INFINITY, "{q:?}");
         }
+    }
+
+    #[test]
+    fn a_nan_reconstruction_is_an_unbounded_actual_error() {
+        // One NaN point among exact ones: the actual error is `+∞`, as the
+        // estimate over the same field is — never the 0 that a maximum
+        // dropping NaN reads.
+        let truth = [1.0f64, 2.0, 3.0];
+        let approx = [1.0f64, f64::NAN, 3.0];
+        let q = QoiExpr::Var(0);
+        assert_eq!(actual_max_error(&q, &[&truth], &[&approx]), f64::INFINITY);
+        assert_eq!(max_qoi_error(&q, &[&approx], &[0.0]).value, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "log floor 0 is not a finite positive number")]
+    fn a_zero_log_floor_is_rejected_by_the_domain_scan() {
+        let x = velocity_field(100, 0.5);
+        max_qoi_error(&QoiExpr::log_density(0.0), &[&x], &[1e-3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "log floor 0 is not a finite positive number")]
+    fn a_zero_log_floor_is_rejected_by_the_pointwise_bound() {
+        QoiExpr::log_density(0.0).error_bound(&[1.0], &[1e-3]);
     }
 
     /// The per-point reference: `error_bound` at every point in index

@@ -4,15 +4,18 @@
 //! decoder's two steps on the group every retrieval spends most of its
 //! decode time in.
 //!
-//! `progressive/{advance,materialize}` runs on the finest level group of
-//! a 64³ and a 32³ chunk (≈ 230 k and ≈ 28 k coefficients of a
-//! decomposed turbulent field) at the plane counts the repository
-//! benchmark's `coarse` (8–12) and `fine` (20–24) plans reach, and
-//! reports nanoseconds per value and the share of a same-run `memcpy` of
-//! the group's rate, like `bench_transform`. Bare decoder calls: `advance`
-//! is serial, `materialize` fans out on the default pool (printed). Both
-//! steps run on the default `Interleaved32` stream; `advance/Natural/{k}`
-//! repeats the first on a `Natural` encoding of the same group.
+//! `progressive/{advance,materialize,materialize_into_grid}` runs on the
+//! finest level group of a 64³ and a 32³ chunk (≈ 230 k and ≈ 28 k
+//! coefficients of a decomposed turbulent field) at the plane counts the
+//! repository benchmark's `coarse` (8–12) and `fine` (20–24) plans reach,
+//! and reports nanoseconds per value and the share of a same-run `memcpy`
+//! of the group's rate, like `bench_transform`. Bare decoder calls:
+//! `advance` is serial; `materialize` (into a fresh vector) and
+//! `materialize_into_grid` (straight into the group's nodes of a kept
+//! chunk grid, through `hpmdr_mgard::write_group`, what a retrieval does)
+//! fan out on the default pool (printed). All run on the default
+//! `Interleaved32` stream; `advance/Natural/{k}` repeats the first on a
+//! `Natural` encoding of the same group.
 //!
 //! `encode_{64,32}/{Interleaved32,Natural}` encodes every level group of
 //! the same chunks at 32 planes — one chunk's worth of the ingest's
@@ -23,6 +26,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{decode_prefix, encode, BitplaneChunk, Layout, Reconstruction};
 use hpmdr_exec::{Backend, CpuBackend};
+use hpmdr_mgard::Hierarchy;
 
 mod common;
 use common::{bench_median, level_groups, report_rate};
@@ -117,6 +121,8 @@ fn bench_progressive(c: &mut Criterion) {
     for e in [64usize, 32] {
         let group = level_groups(e).pop().expect("a chunk has a finest group");
         let n = group.len();
+        let h = Hierarchy::full(&[e; 3]);
+        let mut grid = vec![0.0f32; h.len()];
         let chunk = encode(&group, 32, Layout::Interleaved32);
         let natural = encode(&group, 32, Layout::Natural);
         let mut g = c.benchmark_group(format!("progressive_{e}"));
@@ -152,9 +158,18 @@ fn bench_progressive(c: &mut Criterion) {
                         .materialize::<f32>(&chunk, Reconstruction::Truncate),
                 );
             });
+            let into_grid = bench_median(&mut g, &format!("materialize_into_grid/{k}"), || {
+                let values =
+                    criterion::black_box(&decoder).values::<f32>(&chunk, Reconstruction::Truncate);
+                hpmdr_mgard::write_group(&mut grid, &h, h.levels, |from, out| {
+                    values.fill(from, out)
+                });
+                criterion::black_box(&mut grid);
+            });
             report(&format!("advance/{k}"), advance);
             report(&format!("advance/Natural/{k}"), advance_natural);
             report(&format!("materialize/{k}"), materialize);
+            report(&format!("materialize_into_grid/{k}"), into_grid);
         }
         g.finish();
     }
