@@ -30,7 +30,7 @@
 
 use crate::chunked::{refactor_chunked_with, ChunkGrid, ChunkedConfig, ChunkedRefactored};
 use crate::error::MdrError;
-use crate::ingest::{run_ingest, ChunkSource, IngestReport, Schedule, DEFAULT_LOOKAHEAD};
+use crate::ingest::{run_ingest, ChunkSource, IngestReport, DEFAULT_LOOKAHEAD};
 use crate::qoi_retrieval::{multi_qoi_control, EbEstimator};
 use crate::refactor::{refactor_with, scan_samples, RefactorConfig, Refactored};
 use crate::retrieve::{RetrievalPlan, RetrievalSession};
@@ -265,12 +265,11 @@ impl<B: Backend> Mdr<B> {
     }
 
     /// Stream `source` chunk-by-chunk into a new sharded store at
-    /// `dir`: a producer thread pulls chunk k+1 from the source while
-    /// the backend refactors chunk k and a writer thread flushes chunk
-    /// k−1's shard. Peak staged payload is bounded by
-    /// [`DEFAULT_LOOKAHEAD`] `×` the largest chunk footprint — never the
-    /// dataset — and the measured high-water mark comes back in the
-    /// [`IngestReport`].
+    /// `dir`: each of the backend's worker loops reads the next chunk,
+    /// refactors it whole, and flushes the shards in chunk order. Peak
+    /// staged payload is bounded by [`DEFAULT_LOOKAHEAD`] `×` the largest
+    /// chunk footprint — never the dataset — and the measured high-water
+    /// mark comes back in the [`IngestReport`].
     ///
     /// The store is **bit-identical** to writing
     /// [`Self::refactor`]'s chunked artifact with
@@ -351,7 +350,7 @@ impl<B: Backend> Mdr<B> {
     }
 
     /// Shared tail of [`Self::ingest`] / [`Self::append`]: run the
-    /// overlapped pipeline over `grid` and assemble the metrics side of
+    /// ingest schedule over `grid` and assemble the metrics side of
     /// the report (`shape` is filled in by the caller).
     fn run_pipeline<F, S>(
         &self,
@@ -363,23 +362,16 @@ impl<B: Backend> Mdr<B> {
         F: BitplaneFloat + Real + Default,
         S: ChunkSource<F>,
     {
-        let schedule = Schedule::Overlapped {
-            lookahead: DEFAULT_LOOKAHEAD,
-        };
-        // The caller's transform loop holds one core of the budget for the
-        // whole ingest; the stage threads hold their own.
-        let metrics = self.backend.install(|| {
-            run_ingest(
-                source,
-                grid,
-                &self.config.refactor,
-                &self.backend,
-                &self.ctx,
-                schedule,
-                true,
-                &mut sink,
-            )
-        })?;
+        let metrics = run_ingest(
+            source,
+            grid,
+            &self.config.refactor,
+            &self.backend,
+            &self.ctx,
+            DEFAULT_LOOKAHEAD,
+            true,
+            &mut sink,
+        )?;
         Ok(IngestReport {
             shape: grid.shape.clone(),
             chunks_written: metrics.chunks,

@@ -355,10 +355,10 @@ pub fn refactor_chunked<F: BitplaneFloat + Real + Default>(
 /// (so a multi-threaded backend runs whole chunks concurrently).
 /// Per-chunk artifacts are bit-identical across backends and widths.
 ///
-/// This is the streaming ingest pipeline run over an in-memory source
-/// ([`crate::ingest::SliceSource`]) in its serial schedule — the same
-/// fan that serves [`crate::api::Mdr::ingest`], proven identical by the
-/// conformance suite.
+/// This is the streaming ingest schedule run over an in-memory source
+/// ([`crate::ingest::SliceSource`]) with two slots per worker loop — the
+/// same fan that serves [`crate::api::Mdr::ingest`], proven identical by
+/// the conformance suite.
 ///
 /// # Panics
 /// Panics if `data.len()` does not match `shape`, or on non-finite input.
@@ -377,10 +377,10 @@ pub(crate) fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backen
     );
     // lint:allow(L3): infallible — the assert_eq above checked the length.
     let source = crate::ingest::SliceSource::new(data, shape).expect("length checked above");
-    // Batch a backend's worth of chunks per fan: a wide backend keeps
-    // chunk-level concurrency while extracted copies stay bounded by
-    // the batch, not the dataset.
-    let batch = backend.threads().max(1).saturating_mul(2);
+    // Two chunks in flight per worker loop: a wide backend keeps every
+    // loop busy while extracted copies stay bounded by the slots, not the
+    // dataset.
+    let slots = backend.threads().max(1).saturating_mul(2);
     let mut chunks: Vec<Refactored> = Vec::with_capacity(grid.num_chunks());
     crate::ingest::run_ingest(
         source,
@@ -388,7 +388,7 @@ pub(crate) fn refactor_chunked_with<F: BitplaneFloat + Real + Default, B: Backen
         &config.refactor,
         backend,
         ctx,
-        crate::ingest::Schedule::Serial { batch },
+        slots,
         false,
         &mut |c, r| {
             debug_assert_eq!(c, chunks.len(), "chunks arrive in order");

@@ -4,32 +4,35 @@
 //! resident in memory. This module is the other regime — checkpoint
 //! streams, sensor feeds, datasets larger than RAM — where data arrives
 //! (or is generated) one chunk at a time and is refactored and flushed
-//! to a sharded store as it goes. The schedule mirrors the paper's
-//! pipeline optimization on the *write* side: while the backend
-//! refactors chunk k, a producer thread is already pulling chunk k+1
-//! from the [`ChunkSource`] and a writer thread is flushing chunk k−1's
-//! shard, with a slot gate keeping at most `lookahead` chunks staged
-//! anywhere in the pipeline. The refactor itself is cut at
-//! [`prepare`] | [`encode`] across those threads: the producer
-//! transforms the chunk it just read, so the caller's thread only
-//! entropy-codes.
+//! to a sharded store as it goes. The schedule is the paper's pipeline
+//! on the *write* side, as one ordered worker fan
+//! ([`hpmdr_exec::stages::run_ordered`]): each of the backend's worker
+//! loops reads the next chunk from the [`ChunkSource`] (under a lock, in
+//! chunk order), runs its whole refactor — [`prepare`], the finite
+//! check, [`encode`] — and hands it to an in-order commit, so while one
+//! loop refactors chunk k another is reading chunk k+1 and whichever
+//! finishes the oldest chunk flushes its shard. A slot gate keeps at
+//! most `slots` chunks between their read and their flushed shard; the
+//! core budget decides how many loops run at once, and with none free
+//! one loop on the caller reads, refactors and flushes each chunk in
+//! turn.
 //!
 //! The memory contract is the point: peak staged payload is bounded by
-//! `lookahead × max-chunk-footprint` (a chunk's footprint is its raw
-//! samples plus its compressed artifact), **never** O(dataset).
+//! `slots × max-chunk-footprint` (a chunk's footprint is its raw samples
+//! plus its compressed artifact), **never** O(dataset).
 //! [`IngestReport`] returns the measured peak so callers and benches
 //! can assert the bound held.
 //!
-//! The pipeline produces **bit-identical** shards and manifests to the
+//! The schedule produces **bit-identical** shards and manifests to the
 //! whole-input chunked path — in fact the whole-input path *is* this
-//! pipeline run over an in-memory [`SliceSource`] in its serial schedule
-//! (`threads × 2` chunks per fan), so there is exactly one refactor fan
-//! in the crate. Which schedule runs is the caller's, not an option:
-//! streaming ingest always overlaps, at [`DEFAULT_LOOKAHEAD`].
+//! schedule run over an in-memory [`SliceSource`] (with `threads × 2`
+//! slots), so there is exactly one refactor fan in the crate. How many
+//! slots a run gets is the caller's, not an option: streaming ingest
+//! always runs at [`DEFAULT_LOOKAHEAD`].
 
 use crate::chunked::{extract_region, ChunkGrid};
 use crate::error::MdrError;
-use crate::refactor::{encode, prepare, Decomposed, RefactorConfig, Refactored};
+use crate::refactor::{encode, prepare, RefactorConfig, Refactored};
 use crate::roi::Region;
 use hpmdr_bitplane::BitplaneFloat;
 use hpmdr_exec::{stages, Backend, ExecCtx};
@@ -54,11 +57,13 @@ const SLAB_MAX_BYTES: usize = 1 << 20;
 
 /// A sequential supplier of chunk data for streaming ingest.
 ///
-/// The pipeline calls [`read_chunk`](ChunkSource::read_chunk) exactly
-/// once per chunk, in increasing row-major chunk order, so purely
-/// sequential sources (a socket, a simulation timestep loop) work
-/// without any seeking; random-access sources simply ignore the
-/// ordering guarantee.
+/// Ingest calls [`read_chunk`](ChunkSource::read_chunk) exactly once per
+/// chunk, in increasing row-major chunk order, so purely sequential
+/// sources (a socket, a simulation timestep loop) work without any
+/// seeking; random-access sources simply ignore the ordering guarantee.
+/// The calls come under a lock, one at a time, from whichever worker
+/// loop claims the next chunk — so on more than one thread, which is
+/// why a source must be `Send`.
 pub trait ChunkSource<F>: Send {
     /// Row-major shape of the domain this source delivers.
     fn shape(&self) -> &[usize];
@@ -316,21 +321,6 @@ where
     }
 }
 
-/// How [`run_ingest`] lays its stages out in time. The caller picks it:
-/// streaming [`crate::api::Mdr::ingest`] / [`crate::api::Mdr::append`]
-/// overlap at [`DEFAULT_LOOKAHEAD`]; the resident whole-input path runs
-/// serially with a `threads × 2` batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Schedule {
-    /// The Figure 4 schedule: source reads (and [`prepare`]) and shard
-    /// writes run on their own threads, overlapping the refactor fan,
-    /// with at most `lookahead` (≥ 1) chunks staged anywhere.
-    Overlapped { lookahead: usize },
-    /// No overlap: read → refactor → write on the calling thread, `batch`
-    /// (≥ 1) chunks per fan.
-    Serial { batch: usize },
-}
-
 /// What an ingest run did, including the measured memory high-water
 /// mark so the bounded-memory contract is checkable by the caller.
 #[derive(Debug, Clone)]
@@ -391,31 +381,18 @@ pub(crate) struct IngestMetrics {
     pub max_chunk_footprint_bytes: usize,
 }
 
-/// A staged chunk's samples: as read, or already through [`prepare`]
-/// on the thread that read them. Either way they occupy one chunk's
-/// worth of bytes — the level groups partition the chunk.
-enum Samples<F> {
-    Raw(Vec<F>),
-    Prepared(Decomposed<F>),
-}
-
-/// One chunk staged between the producer and the refactor fan.
-struct Staged<F> {
-    c: usize,
-    samples: Samples<F>,
-    raw_bytes: usize,
-}
-
-/// Run the ingest pipeline over every chunk of `grid`, delivering
-/// refactored chunks to `sink` in chunk order.
+/// Run the ingest schedule over every chunk of `grid`, delivering
+/// refactored chunks to `sink` in chunk order, with at most `slots` (≥ 1)
+/// chunks between their read and the end of their `sink` call.
 ///
 /// This is **the** refactor fan: both streaming ingest and the
 /// whole-input chunked path funnel through it, which is what makes
-/// their artifacts bit-identical by construction. `validate` turns
-/// non-finite samples into [`MdrError::InvalidInput`] (streaming
-/// sources are untrusted); with `validate` off [`encode`]'s assertion
-/// applies, preserving the historical panic-on-NaN contract of the
-/// in-memory path.
+/// their artifacts bit-identical by construction. Each chunk's refactor
+/// ([`prepare`], the finite check, [`encode`]) runs whole on the worker
+/// loop that read it. `validate` turns non-finite samples into
+/// [`MdrError::InvalidInput`] (streaming sources are untrusted); with
+/// `validate` off [`encode`]'s assertion applies, preserving the
+/// historical panic-on-NaN contract of the in-memory path.
 // One parameter per pipeline concern; bundling them into a struct would
 // just move the same eight names behind a constructor.
 #[allow(clippy::too_many_arguments)]
@@ -425,7 +402,7 @@ pub(crate) fn run_ingest<F, S, B>(
     cfg: &RefactorConfig,
     backend: &B,
     ctx: &ExecCtx,
-    schedule: Schedule,
+    slots: usize,
     validate: bool,
     sink: &mut (dyn FnMut(usize, Refactored) -> Result<(), MdrError> + Send),
 ) -> Result<IngestMetrics, MdrError>
@@ -437,27 +414,9 @@ where
     let n = grid.num_chunks();
     let gauge = StagedGauge::default();
     let footprint = AtomicUsize::new(0);
-    let (gauge, footprint) = (&gauge, &footprint);
-
-    // The transform half of chunk `c`, on whichever thread the schedule
-    // gives it.
-    let prepare_chunk = |c: usize, data: Vec<F>| -> Result<Decomposed<F>, MdrError> {
-        let d = prepare(data, &grid.chunk_region(c).extent, cfg, backend, ctx);
-        if validate && !d.all_finite() {
-            return Err(MdrError::InvalidInput(format!(
-                "chunk {c} contains non-finite samples"
-            )));
-        }
-        Ok(d)
-    };
-    // Where it runs follows from the schedule alone. Overlapped: on the
-    // producer thread, which owns the chunk it just read (no copy) and
-    // would otherwise idle while the caller encodes. Serial: inside the
-    // fan below, which is the only parallelism that schedule has.
-    let prepare_on_read = matches!(schedule, Schedule::Overlapped { .. });
 
     let mut next = 0usize;
-    let produce = move || -> Option<Result<Staged<F>, MdrError>> {
+    let produce = || -> Option<Result<(usize, Vec<F>), MdrError>> {
         if next == n {
             return None;
         }
@@ -472,63 +431,36 @@ where
                     region.len()
                 )));
             }
-            let raw_bytes = std::mem::size_of_val(data.as_slice());
-            gauge.add(raw_bytes);
-            let samples = if prepare_on_read {
-                Samples::Prepared(prepare_chunk(c, data)?)
-            } else {
-                Samples::Raw(data)
-            };
-            Ok(Staged {
-                c,
-                samples,
-                raw_bytes,
-            })
+            gauge.add(std::mem::size_of_val(data.as_slice()));
+            Ok((c, data))
         }))
     };
 
-    let transform = |batch: Vec<Staged<F>>| -> Result<Vec<(usize, Refactored, usize)>, MdrError> {
-        let outs = backend.map_batch(ctx, &batch, |staged| {
-            let prepared;
-            let d = match &staged.samples {
-                Samples::Prepared(d) => d,
-                Samples::Raw(data) => {
-                    prepared = prepare_chunk(staged.c, data.clone())?;
-                    &prepared
-                }
-            };
-            let r = encode(d, cfg, backend, ctx);
-            let artifact_bytes = r.total_bytes();
-            gauge.add(artifact_bytes);
-            footprint.fetch_max(staged.raw_bytes + artifact_bytes, Ordering::SeqCst);
-            Ok((staged.c, r, artifact_bytes))
-        });
-        let raw_total: usize = batch.iter().map(|s| s.raw_bytes).sum();
-        let collected: Result<Vec<_>, MdrError> = outs.into_iter().collect();
-        drop(batch);
-        gauge.sub(raw_total);
-        collected
+    let work = |(c, data): (usize, Vec<F>)| {
+        let raw_bytes = std::mem::size_of_val(data.as_slice());
+        let d = prepare(data, &grid.chunk_region(c).extent, cfg, backend, ctx);
+        if validate && !d.all_finite() {
+            return Err(MdrError::InvalidInput(format!(
+                "chunk {c} contains non-finite samples"
+            )));
+        }
+        let r = encode(&d, cfg, backend, ctx);
+        let artifact_bytes = r.total_bytes();
+        // The artifact is counted before the raw bytes go, so one slot's
+        // peak is the chunk's whole footprint.
+        gauge.add(artifact_bytes);
+        gauge.sub(raw_bytes);
+        footprint.fetch_max(raw_bytes + artifact_bytes, Ordering::SeqCst);
+        Ok((c, r, artifact_bytes))
     };
 
-    let consume = move |(c, r, artifact_bytes): (usize, Refactored, usize)| {
+    let commit = |(c, r, artifact_bytes): (usize, Refactored, usize)| {
         sink(c, r)?;
         gauge.sub(artifact_bytes);
         Ok(())
     };
 
-    match schedule {
-        Schedule::Serial { batch } => stages::run_serial(batch, produce, transform, consume)?,
-        Schedule::Overlapped { lookahead } => {
-            // The fan sees up to a backend's worth of staged chunks per
-            // dispatch when the producer runs ahead — fewer when the core
-            // budget leaves the caller no helper (`run_overlapped` sizes
-            // each batch from the count; on two cores the producer and
-            // writer hold the second, so every batch is one chunk).
-            let max_batch = backend.threads().clamp(1, lookahead);
-            stages::run_overlapped(lookahead, max_batch, produce, transform, consume)?
-        }
-    }
-
+    stages::run_ordered(backend, ctx, slots, produce, work, commit)?;
     Ok(IngestMetrics {
         chunks: n,
         peak_staged_bytes: gauge.peak.load(Ordering::SeqCst),
@@ -543,23 +475,9 @@ mod tests {
     use crate::storage::{write_chunked_store, ChunkedStoreWriter};
     use hpmdr_exec::CpuBackend;
 
-    /// Both schedules at the default slot count.
-    const BOTH: [Schedule; 2] = [
-        Schedule::Serial {
-            batch: DEFAULT_LOOKAHEAD,
-        },
-        Schedule::Overlapped {
-            lookahead: DEFAULT_LOOKAHEAD,
-        },
-    ];
-
-    /// Chunks a schedule may hold staged at once.
-    fn slots(schedule: Schedule) -> usize {
-        match schedule {
-            Schedule::Serial { batch } => batch,
-            Schedule::Overlapped { lookahead } => lookahead,
-        }
-    }
+    /// One worker loop on the caller (the serial schedule), and a fan of
+    /// four loops (as many run at once as the host has cores free).
+    const WIDTHS: [usize; 2] = [1, 4];
 
     fn field(shape: &[usize]) -> Vec<f32> {
         let n: usize = shape.iter().product();
@@ -572,7 +490,8 @@ mod tests {
         data: &[f32],
         shape: &[usize],
         extent: &[usize],
-        schedule: Schedule,
+        threads: usize,
+        slots: usize,
     ) -> (Vec<Refactored>, IngestMetrics) {
         let grid = ChunkGrid::new(shape, extent);
         let source = SliceSource::new(data, shape).unwrap();
@@ -581,9 +500,9 @@ mod tests {
             source,
             &grid,
             &RefactorConfig::default(),
-            &CpuBackend::with_threads(1),
+            &CpuBackend::with_threads(threads),
             &ExecCtx::default(),
-            schedule,
+            slots,
             true,
             &mut |c, r| {
                 out.push((c, r));
@@ -601,107 +520,89 @@ mod tests {
         let extent = [8, 8];
         let data = field(&shape);
         let cr = refactor_chunked(&data, &shape, &ChunkedConfig::with_extent(&extent));
-        for schedule in [
-            Schedule::Serial { batch: 1 },
-            Schedule::Serial { batch: 3 },
-            Schedule::Overlapped { lookahead: 2 },
-            Schedule::Overlapped { lookahead: 5 },
-        ] {
-            let (chunks, metrics) = run_to_vec(&data, &shape, &extent, schedule);
-            assert_eq!(chunks, cr.chunks, "{schedule:?}");
-            assert_eq!(metrics.chunks, cr.grid.num_chunks());
-            assert!(
-                metrics.peak_staged_bytes <= slots(schedule) * metrics.max_chunk_footprint_bytes,
-                "staging bound violated: peak {} > {} × {}",
-                metrics.peak_staged_bytes,
-                slots(schedule),
-                metrics.max_chunk_footprint_bytes
-            );
-        }
-    }
-
-    /// Run `schedule` over `data` on `backend` the way the façade does
-    /// (inside the backend's `install`), discarding the chunks.
-    fn metrics_of<B: Backend>(
-        data: &[f32],
-        shape: &[usize],
-        extent: &[usize],
-        backend: &B,
-        schedule: Schedule,
-    ) -> IngestMetrics {
-        backend
-            .install(|| {
-                run_ingest(
-                    SliceSource::new(data, shape).unwrap(),
-                    &ChunkGrid::new(shape, extent),
-                    &RefactorConfig::default(),
-                    backend,
-                    &ExecCtx::default(),
-                    schedule,
-                    true,
-                    &mut |_, _| Ok(()),
-                )
-            })
-            .unwrap()
-    }
-
-    /// The measured high-water mark honours the `slots ×
-    /// max-chunk-footprint` bound under every schedule — the
-    /// bounded-memory contract, asserted on real runs.
-    #[test]
-    fn staging_peak_is_bounded_under_every_schedule() {
-        let (shape, extent) = ([32usize, 16, 16], [8usize, 8, 8]);
-        let data = field(&shape);
-        for schedule in [
-            Schedule::Serial {
-                batch: DEFAULT_LOOKAHEAD,
-            },
-            Schedule::Serial { batch: 1 },
-            Schedule::Overlapped { lookahead: 1 },
-            Schedule::Overlapped { lookahead: 2 },
-            Schedule::Overlapped { lookahead: 8 },
-        ] {
-            let m = metrics_of(&data, &shape, &extent, &CpuBackend::new(), schedule);
-            assert_eq!(m.chunks, 16);
-            assert!(m.max_chunk_footprint_bytes > 0);
-            assert!(
-                m.peak_staged_bytes <= slots(schedule) * m.max_chunk_footprint_bytes,
-                "{schedule:?}: peak {} exceeds {} × footprint {}",
-                m.peak_staged_bytes,
-                slots(schedule),
-                m.max_chunk_footprint_bytes
-            );
-            // One slot serialises the stages, so the peak is exact whichever
-            // thread holds the chunk and in whichever form (raw samples or
-            // prepared groups): one chunk's samples plus its own artifact.
-            if slots(schedule) == 1 {
-                assert_eq!(
-                    m.peak_staged_bytes, m.max_chunk_footprint_bytes,
-                    "{schedule:?}"
+        for threads in WIDTHS {
+            for slots in [1, 2, 3, 5] {
+                let (chunks, metrics) = run_to_vec(&data, &shape, &extent, threads, slots);
+                assert_eq!(chunks, cr.chunks, "{threads} threads, {slots} slots");
+                assert_eq!(metrics.chunks, cr.grid.num_chunks());
+                assert!(
+                    metrics.peak_staged_bytes <= slots * metrics.max_chunk_footprint_bytes,
+                    "staging bound violated: peak {} > {slots} × {}",
+                    metrics.peak_staged_bytes,
+                    metrics.max_chunk_footprint_bytes
                 );
             }
         }
     }
 
-    /// The serial schedule streams too: at the default slot count it
+    /// Run the schedule `threads` wide with `slots` over `data`,
+    /// discarding the chunks.
+    fn metrics_of(
+        data: &[f32],
+        shape: &[usize],
+        extent: &[usize],
+        threads: usize,
+        slots: usize,
+    ) -> IngestMetrics {
+        run_ingest(
+            SliceSource::new(data, shape).unwrap(),
+            &ChunkGrid::new(shape, extent),
+            &RefactorConfig::default(),
+            &CpuBackend::with_threads(threads),
+            &ExecCtx::default(),
+            slots,
+            true,
+            &mut |_, _| Ok(()),
+        )
+        .unwrap()
+    }
+
+    /// The measured high-water mark honours the `slots ×
+    /// max-chunk-footprint` bound at every width and slot count — the
+    /// bounded-memory contract, asserted on real runs.
+    #[test]
+    fn staging_peak_is_bounded_under_every_schedule() {
+        let (shape, extent) = ([32usize, 16, 16], [8usize, 8, 8]);
+        let data = field(&shape);
+        for threads in WIDTHS {
+            for slots in [1, 2, DEFAULT_LOOKAHEAD, 8] {
+                let m = metrics_of(&data, &shape, &extent, threads, slots);
+                let case = format!("{threads} threads, {slots} slots");
+                assert_eq!(m.chunks, 16);
+                assert!(m.max_chunk_footprint_bytes > 0);
+                assert!(
+                    m.peak_staged_bytes <= slots * m.max_chunk_footprint_bytes,
+                    "{case}: peak {} exceeds {slots} × footprint {}",
+                    m.peak_staged_bytes,
+                    m.max_chunk_footprint_bytes
+                );
+                // One slot holds one chunk at a time, whichever loop runs it,
+                // and its artifact is counted before its samples go: the
+                // peak is exactly one chunk's samples plus its own artifact.
+                if slots == 1 {
+                    assert_eq!(m.peak_staged_bytes, m.max_chunk_footprint_bytes, "{case}");
+                }
+            }
+        }
+    }
+
+    /// The schedule streams at every width: at the default slot count it
     /// stages less than the input, where a whole-input refactor holds all
-    /// of it. (`Mdr::ingest`'s overlapped schedule is checked through
-    /// the façade.)
+    /// of it. (`Mdr::ingest` is checked through the façade.)
     #[test]
     fn serial_schedule_stages_less_than_the_whole_input() {
         let (shape, extent) = ([64usize, 32, 32], [16usize, 16, 16]);
         let data = field(&shape);
-        let schedule = Schedule::Serial {
-            batch: DEFAULT_LOOKAHEAD,
-        };
-        let m = metrics_of(&data, &shape, &extent, &CpuBackend::new(), schedule);
-        assert_eq!(m.chunks, 16);
-        let raw_bytes = data.len() * 4;
-        assert!(
-            m.peak_staged_bytes < raw_bytes,
-            "staged {} bytes of a {raw_bytes}-byte input",
-            m.peak_staged_bytes
-        );
+        for threads in WIDTHS {
+            let m = metrics_of(&data, &shape, &extent, threads, DEFAULT_LOOKAHEAD);
+            assert_eq!(m.chunks, 16);
+            let raw_bytes = data.len() * 4;
+            assert!(
+                m.peak_staged_bytes < raw_bytes,
+                "{threads} threads: staged {} bytes of a {raw_bytes}-byte input",
+                m.peak_staged_bytes
+            );
+        }
     }
 
     /// Every file of the store under `dir`, sorted by name.
@@ -718,10 +619,10 @@ mod tests {
         files
     }
 
-    /// Scheduling is never a format change: on either backend width,
-    /// under either schedule and any slot count, the pipeline writes the
-    /// store the whole-input chunked path does, file for file — over a
-    /// sweep of clipped and unclipped 2-D grids.
+    /// Scheduling is never a format change: at either backend width and
+    /// any slot count, the schedule writes the store the whole-input
+    /// chunked path does, file for file — over a sweep of clipped and
+    /// unclipped 2-D grids.
     #[test]
     fn stores_are_byte_identical_across_backends_and_schedules() {
         let base = std::env::temp_dir().join(format!("hpmdr_ingest_sched_{}", std::process::id()));
@@ -748,38 +649,28 @@ mod tests {
             );
             write_chunked_store(&reference, &base.join("reference")).unwrap();
             let want = store_files(&base.join("reference"));
-            for lookahead in 1..6 {
-                for schedule in [
-                    Schedule::Serial { batch: lookahead },
-                    Schedule::Overlapped { lookahead },
-                ] {
-                    for threads in [1, 4] {
-                        let dir = base.join(format!("{threads}_{lookahead}"));
-                        let grid = ChunkGrid::new(&shape, &extent);
-                        let mut writer =
-                            ChunkedStoreWriter::create(&dir, grid.clone(), "f32").unwrap();
-                        let backend = CpuBackend::with_threads(threads);
-                        backend
-                            .install(|| {
-                                run_ingest(
-                                    SliceSource::new(&data, &shape).unwrap(),
-                                    &grid,
-                                    &RefactorConfig::default(),
-                                    &backend,
-                                    &ExecCtx::default(),
-                                    schedule,
-                                    true,
-                                    &mut |_, r| writer.append_chunk(&r).map(drop),
-                                )
-                            })
-                            .unwrap();
-                        writer.finish().unwrap();
-                        assert_eq!(
-                            store_files(&dir),
-                            want,
-                            "case {case} {shape:?} in {extent:?}: {schedule:?} on {threads} threads"
-                        );
-                    }
+            for slots in 1..6 {
+                for threads in WIDTHS {
+                    let dir = base.join(format!("{threads}_{slots}"));
+                    let grid = ChunkGrid::new(&shape, &extent);
+                    let mut writer = ChunkedStoreWriter::create(&dir, grid.clone(), "f32").unwrap();
+                    run_ingest(
+                        SliceSource::new(&data, &shape).unwrap(),
+                        &grid,
+                        &RefactorConfig::default(),
+                        &CpuBackend::with_threads(threads),
+                        &ExecCtx::default(),
+                        slots,
+                        true,
+                        &mut |_, r| writer.append_chunk(&r).map(drop),
+                    )
+                    .unwrap();
+                    writer.finish().unwrap();
+                    assert_eq!(
+                        store_files(&dir),
+                        want,
+                        "case {case} {shape:?} in {extent:?}: {slots} slots on {threads} threads"
+                    );
                 }
             }
         }
@@ -912,7 +803,7 @@ mod tests {
     #[test]
     fn source_error_propagates_in_both_modes() {
         let shape = [16, 16];
-        for schedule in BOTH {
+        for threads in WIDTHS {
             let source = FnSource::new(&shape, |c, region: &Region| {
                 if c == 2 {
                     Err(MdrError::corrupt("feed dropped"))
@@ -925,22 +816,25 @@ mod tests {
                 source,
                 &grid,
                 &RefactorConfig::default(),
-                &CpuBackend::with_threads(1),
+                &CpuBackend::with_threads(threads),
                 &ExecCtx::default(),
-                schedule,
+                DEFAULT_LOOKAHEAD,
                 true,
                 &mut |_, _| Ok(()),
             )
             .unwrap_err();
-            assert!(matches!(&err, MdrError::Corrupt(w) if w.contains("feed dropped")));
+            assert!(
+                matches!(&err, MdrError::Corrupt(w) if w.contains("feed dropped")),
+                "{threads} threads: {err}"
+            );
         }
     }
 
     #[test]
     fn non_finite_chunk_is_an_error_not_a_panic() {
-        // Whichever thread prepares the chunk: the fan or the producer.
+        // Whichever loop refactors the chunk: the caller's or a worker's.
         let shape = [12, 12];
-        for schedule in BOTH {
+        for threads in WIDTHS {
             let source = FnSource::new(&shape, |c, region: &Region| {
                 let mut v = vec![1.0f32; region.len()];
                 if c == 1 {
@@ -953,60 +847,69 @@ mod tests {
                 source,
                 &grid,
                 &RefactorConfig::default(),
-                &CpuBackend::with_threads(1),
+                &CpuBackend::with_threads(threads),
                 &ExecCtx::default(),
-                schedule,
+                DEFAULT_LOOKAHEAD,
                 true,
                 &mut |_, _| Ok(()),
             )
             .unwrap_err();
             assert!(
                 matches!(&err, MdrError::InvalidInput(w) if w.contains("chunk 1 contains non-finite")),
-                "{schedule:?}: {err}"
+                "{threads} threads: {err}"
             );
         }
     }
 
-    /// With `validate` off the in-memory contract applies under either
-    /// schedule: `prepare` lets the NaN through on whichever thread runs
-    /// it, and the encoder's own assertion fires on the caller's thread
-    /// (a producer-thread panic would surface as the scope's instead).
+    /// With `validate` off the in-memory contract applies at every width:
+    /// `prepare` lets the NaN through, and the encoder's own assertion
+    /// fires and comes out of the call with its own message — on the
+    /// caller one thread wide (checked first), and from whichever loop
+    /// ran the chunk in the four-wide fan.
     #[test]
     #[should_panic(expected = "bitplane encoding requires finite data")]
     fn unvalidated_non_finite_chunk_panics_in_the_encoder() {
         let shape = [12, 12];
         let mut data = field(&shape);
         data[100] = f32::NAN;
-        let _ = run_ingest(
-            SliceSource::new(&data, &shape).unwrap(),
-            &ChunkGrid::new(&shape, &[6, 6]),
-            &RefactorConfig::default(),
-            &CpuBackend::with_threads(1),
-            &ExecCtx::default(),
-            BOTH[1],
-            false,
-            &mut |_, _| Ok(()),
-        );
+        let ingest = |threads: usize| {
+            let _ = run_ingest(
+                SliceSource::new(&data, &shape).unwrap(),
+                &ChunkGrid::new(&shape, &[6, 6]),
+                &RefactorConfig::default(),
+                &CpuBackend::with_threads(threads),
+                &ExecCtx::default(),
+                DEFAULT_LOOKAHEAD,
+                false,
+                &mut |_, _| Ok(()),
+            );
+        };
+        let one = std::panic::catch_unwind(|| ingest(1)).unwrap_err();
+        let message = one.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(message.contains("bitplane encoding requires finite data"));
+        ingest(4);
     }
 
     #[test]
     fn short_chunk_from_source_is_rejected() {
         let shape = [8, 8];
-        let source = FnSource::new(&shape, |_c, region: &Region| {
-            Ok(vec![0.25f32; region.len() - 1])
-        });
-        let grid = ChunkGrid::new(&shape, &[8, 8]);
-        let err = run_ingest(
-            source,
-            &grid,
-            &RefactorConfig::default(),
-            &CpuBackend::with_threads(1),
-            &ExecCtx::default(),
-            BOTH[1],
-            true,
-            &mut |_, _| Ok(()),
-        )
-        .unwrap_err();
-        assert!(matches!(&err, MdrError::InvalidInput(w) if w.contains("expected")));
+        for threads in WIDTHS {
+            let source = FnSource::new(&shape, |_c, region: &Region| {
+                Ok(vec![0.25f32; region.len() - 1])
+            });
+            let grid = ChunkGrid::new(&shape, &[8, 8]);
+            let err = run_ingest(
+                source,
+                &grid,
+                &RefactorConfig::default(),
+                &CpuBackend::with_threads(threads),
+                &ExecCtx::default(),
+                DEFAULT_LOOKAHEAD,
+                true,
+                &mut |_, _| Ok(()),
+            )
+            .unwrap_err();
+            assert!(matches!(&err, MdrError::InvalidInput(w) if w.contains("expected")));
+        }
     }
 }

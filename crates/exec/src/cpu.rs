@@ -18,8 +18,8 @@ use crate::backend::Backend;
 /// Every fan runs on the process's one worker pool and draws on its one
 /// core budget (see `hpmdr_rt`): a fan takes only the cores no
 /// other thread holds, so a fan nested inside a batch item runs inline
-/// once the items fill the machine, and concurrent clients or pipeline
-/// stages that already occupy every core fan nothing. At
+/// once the items fill the machine, and concurrent clients that already
+/// occupy every core fan nothing. At
 /// `with_threads(1)` every fan runs its parts in order on the calling
 /// thread — one canonical execution order, the semantics reference.
 ///

@@ -18,9 +18,9 @@
 //! units and element ranges fan out on the process's one persistent
 //! worker pool; every `install` counts its thread against one
 //! process-wide core budget for the duration of the call, and a fan takes
-//! only the cores that budget leaves free — so a lone query uses the
-//! whole machine while concurrent clients, pipeline stage threads (see
-//! [`stages`]) and fans nested in a batch item do not oversubscribe it.
+//! only the cores that budget leaves free — so a lone query or ingest
+//! (see [`stages`]) uses the whole machine while concurrent clients and
+//! fans nested in a batch item do not oversubscribe it.
 //! `CpuBackend::with_threads(1)` runs every kernel in order on the
 //! calling thread, the one canonical execution order.
 //!

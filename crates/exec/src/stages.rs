@@ -1,38 +1,41 @@
-//! Staged-pipeline scheduling for streaming ingest.
+//! The ordered worker schedule of streaming ingest.
 //!
 //! Retrieval has no schedule of its own: a query's chunks fan out
 //! through [`crate::Backend::map_batch`], each item fetching and
-//! decoding one chunk. This module provides the *ingest* schedule: a
-//! three-stage `produce → transform → consume` pipeline where the
-//! producer and consumer run on dedicated threads and the transform
-//! runs on the caller's thread (so it may fan work out through a
-//! backend without nesting thread pools).
+//! decoding one chunk. This module provides the *ingest* schedule,
+//! [`run_ordered`]: every worker loop of one `map_batch` fan produces an
+//! item (a chunk read, in order, under a lock), works it (the chunk's
+//! whole refactor) and commits it (the shard append) in production order
+//! through a reorder buffer. Every loop does every kind of work, so no
+//! core waits on a stage that has nothing to do, and the core budget
+//! decides how many loops run at once.
 //!
-//! The defining property is the **slot gate**: at most `slots` produced
-//! items exist anywhere in the pipeline at once. The producer blocks
-//! before reading item k+`slots` until the consumer has fully retired
-//! item k, which is what turns "stream a dataset" into "hold a bounded
-//! window of it". Callers translate `slots` into a memory bound:
+//! The defining property is the **slot gate**: at most `slots` items
+//! exist between their production and the end of their commit. A loop
+//! blocks before producing item k+`slots` until item k has been
+//! committed, which is what turns "stream a dataset" into "hold a
+//! bounded window of it". Callers translate `slots` into a memory bound:
 //! peak staged bytes ≤ `slots` × max-item-footprint.
 //!
-//! Errors from any stage abort the pipeline: the first error wins, the
-//! gate is released so no thread deadlocks, and both worker threads are
-//! joined before the call returns.
+//! Errors from any closure abort the run: the first error wins, the gate
+//! is aborted so no loop stays parked on it, and the call returns once
+//! every loop has.
 
-use std::sync::mpsc;
-use std::sync::{Condvar, Mutex};
+use crate::{Backend, ExecCtx};
+use std::collections::BTreeMap;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Weighted counting gate bounding how much claimed work is in flight.
 ///
-/// The ingest pipeline claims one unit per staged item ([`acquire`] /
+/// The ingest schedule claims one unit per staged item ([`acquire`] /
 /// [`release`](Self::release) with weight 1, blocking while the gate is
 /// full); a server admitting requests against a byte budget claims each
 /// request's estimated size with the non-blocking
 /// [`try_claim`](Self::try_claim) and *sheds* instead of blocking. Both
 /// disciplines share this gate so "bounded in-flight work" has exactly
 /// one implementation. [`abort`](Self::abort) wakes every waiter and
-/// makes all further `acquire` calls fail, so an erroring stage can
-/// never strand a producer on a full gate.
+/// makes all further `acquire` calls fail, so a failing loop can
+/// never strand another on a full gate.
 ///
 /// [`acquire`]: Self::acquire
 pub struct CountingGate {
@@ -131,197 +134,262 @@ impl CountingGate {
     }
 }
 
-/// Run a three-stage overlapped pipeline.
+/// Run `produce → work → commit` over a stream of items on a fan of
+/// ordered worker loops.
 ///
-/// * `produce` is called repeatedly on a dedicated thread; `None` ends
-///   the stream. Each `Some` item first claims one of `slots` gate
-///   slots, so at most `slots` items are staged pipeline-wide.
-/// * `transform` runs on the calling thread. It receives batches of at
-///   least one item — up to `max_batch` when the producer has run ahead
-///   and the core budget has that many cores for the caller's fan — and
-///   may fan each batch out across worker threads. Outputs are forwarded
-///   to the consumer in production order.
-/// * `consume` runs on a second dedicated thread; each retired item
-///   releases one gate slot.
+/// [`Backend::map_batch`] starts one loop per backend thread, but no more
+/// than `slots` (more loops could not work more items at once, only hold
+/// more cores), and the core budget decides how many of them run at once.
+/// Each loop claims a gate slot, calls `produce` under a lock (items are
+/// produced one at a time and numbered in order, whichever loop asks),
+/// runs `work` on its item unlocked, and hands the result to an in-order
+/// reorder buffer. Whoever completes the oldest outstanding item commits
+/// it and every ready successor, releasing one slot per commit. So
+/// `commit` sees the results in production order, and at most `slots`
+/// items are between `produce` and the end of their `commit`. When the
+/// backend is one thread wide or no core is free, one loop on the caller
+/// runs every item in turn: produce, work, commit, next.
 ///
-/// The first error from any stage cancels the other stages and is
-/// returned; remaining in-flight items are dropped, not consumed.
-pub fn run_overlapped<A, B, E, P, T, C>(
+/// `None` from `produce` ends the stream. The first error from any closure
+/// is returned; items still in flight are dropped, not committed. A panic
+/// in any closure aborts the gate, so no loop stays parked on it, and
+/// comes out of the call.
+pub fn run_ordered<Bk, A, B, E, P, W, C>(
+    backend: &Bk,
+    ctx: &ExecCtx,
     slots: usize,
-    max_batch: usize,
-    mut produce: P,
-    mut transform: T,
-    mut consume: C,
+    produce: P,
+    work: W,
+    commit: C,
 ) -> Result<(), E>
 where
+    Bk: Backend,
     A: Send,
     B: Send,
     E: Send,
     P: FnMut() -> Option<Result<A, E>> + Send,
-    T: FnMut(Vec<A>) -> Result<Vec<B>, E>,
+    W: Fn(A) -> Result<B, E> + Sync,
     C: FnMut(B) -> Result<(), E> + Send,
 {
-    let max_batch = max_batch.max(1);
-    let gate = CountingGate::new(slots);
-    let gate = &gate;
+    let run = Ordered {
+        gate: CountingGate::new(slots),
+        source: Mutex::new(Source {
+            produce,
+            produced: 0,
+            ended: false,
+        }),
+        order: Mutex::new(Order {
+            next: 0,
+            ready: BTreeMap::new(),
+            commit: Some(commit),
+        }),
+        failure: Mutex::new(None),
+    };
+    let loops: Vec<usize> = (0..backend.threads().min(slots).max(1)).collect();
+    backend.map_batch(ctx, &loops, |_| run.worker(&work));
+    let failure = lock(&run.failure).take();
+    failure.map_or(Ok(()), Err)
+}
 
-    // If the transform stage panics, this unwinds before the scope
-    // joins its threads; aborting the gate unblocks a producer parked
-    // on a full pipeline so the join can complete. On the normal path
-    // it fires after both threads have already exited — a no-op.
-    struct AbortOnDrop<'a>(&'a CountingGate);
-    impl Drop for AbortOnDrop<'_> {
-        fn drop(&mut self) {
+/// The state one [`run_ordered`] call shares among its loops.
+struct Ordered<P, B, C, E> {
+    gate: CountingGate,
+    source: Mutex<Source<P>>,
+    order: Mutex<Order<B, C>>,
+    failure: Mutex<Option<E>>,
+}
+
+/// The producer and how far it got.
+struct Source<P> {
+    produce: P,
+    /// Items produced so far: the sequence number of the next one.
+    produced: usize,
+    /// `produce` returned `None` or an error: it is called no more.
+    ended: bool,
+}
+
+/// The reorder buffer in front of `commit`.
+struct Order<B, C> {
+    /// Sequence number of the next item to commit.
+    next: usize,
+    /// Worked items waiting for a predecessor.
+    ready: BTreeMap<usize, B>,
+    /// The commit closure; `None` while a loop is committing with it.
+    commit: Option<C>,
+}
+
+impl<A, B, C, E, P> Ordered<P, B, C, E>
+where
+    P: FnMut() -> Option<Result<A, E>>,
+    C: FnMut(B) -> Result<(), E>,
+{
+    /// One worker loop: claim a slot, produce, work, retire, until the
+    /// stream ends or the run fails.
+    fn worker(&self, work: &impl Fn(A) -> Result<B, E>) {
+        let _abort = AbortOnUnwind(&self.gate);
+        while self.gate.acquire() {
+            let Some((seq, item)) = self.next_item() else {
+                self.gate.release();
+                return;
+            };
+            if let Err(e) = work(item).and_then(|out| self.retire(seq, out)) {
+                self.fail(e);
+                return;
+            }
+        }
+    }
+
+    /// The next item and its sequence number, or `None` once the stream
+    /// has ended (a failure of `produce` is recorded first).
+    fn next_item(&self) -> Option<(usize, A)> {
+        // A poisoned lock means `produce` panicked on another loop, which
+        // ends the run.
+        let mut source = self.source.lock().ok()?;
+        if source.ended {
+            return None;
+        }
+        match (source.produce)() {
+            Some(Ok(item)) => {
+                let seq = source.produced;
+                source.produced += 1;
+                Some((seq, item))
+            }
+            end => {
+                source.ended = true;
+                drop(source);
+                if let Some(Err(e)) = end {
+                    self.fail(e);
+                }
+                None
+            }
+        }
+    }
+
+    /// Hand item `seq`'s result to the reorder buffer. If no loop is
+    /// committing, commit the run of ready items from the head on.
+    fn retire(&self, seq: usize, out: B) -> Result<(), E> {
+        let mut order = lock(&self.order);
+        order.ready.insert(seq, out);
+        // Another loop is committing; it finds this item if it is next.
+        let Some(mut commit) = order.commit.take() else {
+            return Ok(());
+        };
+        loop {
+            let head = order.next;
+            let Some(out) = order.ready.remove(&head) else {
+                order.commit = Some(commit);
+                return Ok(());
+            };
+            order.next += 1;
+            drop(order);
+            let committed = commit(out);
+            self.gate.release();
+            committed?;
+            order = lock(&self.order);
+        }
+    }
+
+    /// Record `e` unless an earlier failure was, and stop every loop.
+    fn fail(&self, e: E) {
+        lock(&self.failure).get_or_insert(e);
+        self.gate.abort();
+    }
+}
+
+/// Lock a mutex whose data every update leaves valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Aborts the gate when its loop unwinds, so a panic never leaves the
+/// other loops parked on a full gate; the panic itself comes out of the
+/// `map_batch` fan.
+struct AbortOnUnwind<'a>(&'a CountingGate);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
             self.0.abort();
         }
     }
-
-    std::thread::scope(|scope| {
-        let _abort_guard = AbortOnDrop(gate);
-        let (tx_a, rx_a) = mpsc::channel::<Result<A, E>>();
-        let (tx_b, rx_b) = mpsc::channel::<B>();
-
-        // Each stage thread counts against the core budget for its whole
-        // loop (one thread wide; a backend's own `install` inside the
-        // closure sets its kernels' width), so the transform's fans see
-        // the cores the stages occupy.
-        scope.spawn(move || {
-            hpmdr_rt::install(1, || loop {
-                if !gate.acquire() {
-                    break; // pipeline aborted downstream
-                }
-                let Some(item) = produce() else {
-                    gate.release();
-                    break;
-                };
-                let failed = item.is_err();
-                if tx_a.send(item).is_err() {
-                    gate.release();
-                    break; // transform stage gone
-                }
-                if failed {
-                    break; // stop at the first source error
-                }
-            })
-        });
-
-        let writer = scope.spawn(move || -> Result<(), E> {
-            hpmdr_rt::install(1, || {
-                while let Ok(item) = rx_b.recv() {
-                    if let Err(e) = consume(item) {
-                        gate.abort();
-                        return Err(e);
-                    }
-                    gate.release();
-                }
-                Ok(())
-            })
-        });
-
-        // Transform stage on the caller's thread: drain whatever the
-        // producer has staged so a backend fan sees several chunks per
-        // dispatch when the producer runs ahead — up to `max_batch`, and
-        // no more than the caller plus the cores the budget leaves free
-        // can run at once (a batch nobody helps with only delays its
-        // first output).
-        let mut transform_err: Option<E> = None;
-        'pump: loop {
-            let first = match rx_a.recv() {
-                Ok(Ok(a)) => a,
-                Ok(Err(e)) => {
-                    transform_err = Some(e);
-                    break;
-                }
-                Err(_) => break, // producer finished
-            };
-            let width = max_batch.min(1 + hpmdr_rt::idle_threads());
-            let mut batch = vec![first];
-            while batch.len() < width {
-                match rx_a.try_recv() {
-                    Ok(Ok(a)) => batch.push(a),
-                    Ok(Err(e)) => {
-                        transform_err = Some(e);
-                        break 'pump; // source failed; staged items are moot
-                    }
-                    Err(_) => break,
-                }
-            }
-            match transform(batch) {
-                Ok(outs) => {
-                    for out in outs {
-                        if tx_b.send(out).is_err() {
-                            // Consumer died; its error is authoritative.
-                            break 'pump;
-                        }
-                    }
-                }
-                Err(e) => {
-                    transform_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if transform_err.is_some() {
-            gate.abort(); // unblock a producer waiting on a full gate
-        }
-        drop(rx_a); // producer's next send fails -> it exits
-        drop(tx_b); // consumer drains and exits
-
-        // lint:allow(L3): join fails only if the writer panicked — a bug,
-        // not an input condition; re-raising the panic is intended.
-        let writer_result = writer.join().expect("ingest writer thread panicked");
-        match transform_err {
-            Some(e) => Err(e),
-            None => writer_result,
-        }
-    })
-}
-
-/// Serial reference schedule: read up to `max_batch` items, transform
-/// them as one batch, retire the outputs, repeat. Same stage contract
-/// and error semantics as [`run_overlapped`] with zero threads — the
-/// compute-then-write baseline, and the path that reproduces the
-/// historical whole-input fan when `max_batch` covers the dataset.
-pub fn run_serial<A, B, E, P, T, C>(
-    max_batch: usize,
-    mut produce: P,
-    mut transform: T,
-    mut consume: C,
-) -> Result<(), E>
-where
-    P: FnMut() -> Option<Result<A, E>>,
-    T: FnMut(Vec<A>) -> Result<Vec<B>, E>,
-    C: FnMut(B) -> Result<(), E>,
-{
-    let max_batch = max_batch.max(1);
-    let mut done = false;
-    while !done {
-        let mut batch = Vec::new();
-        while batch.len() < max_batch {
-            match produce() {
-                Some(Ok(a)) => batch.push(a),
-                Some(Err(e)) => return Err(e),
-                None => {
-                    done = true;
-                    break;
-                }
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        for out in transform(batch)? {
-            consume(out)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, resume_unwind};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
+
+    /// One loop on the caller, and four loops at once.
+    const WIDTHS: [usize; 2] = [1, 4];
+
+    /// `CpuBackend`'s `map_batch` semantics without its core budget: one
+    /// thread wide the items run in order on the caller, wider each runs
+    /// on a thread of its own. The pool would run the loops of a wide run
+    /// at once only on cores no other test of this binary holds, which
+    /// leaves the interleavings below to chance.
+    #[derive(Clone, Default)]
+    struct Threads(usize);
+
+    impl Backend for Threads {
+        fn name(&self) -> &'static str {
+            "threads"
+        }
+
+        fn threads(&self) -> usize {
+            self.0.max(1)
+        }
+
+        fn install<R>(&self, f: impl FnOnce() -> R) -> R {
+            f()
+        }
+
+        fn map_batch<T, R, F>(&self, _ctx: &ExecCtx, items: &[T], f: F) -> Vec<R>
+        where
+            T: Sync,
+            R: Send,
+            F: Fn(&T) -> R + Send + Sync,
+        {
+            if self.threads() == 1 {
+                return items.iter().map(f).collect();
+            }
+            std::thread::scope(|s| {
+                let f = &f;
+                let handles: Vec<_> = items.iter().map(|t| s.spawn(move || f(t))).collect();
+                let joined = handles.into_iter().map(|h| h.join());
+                joined
+                    .map(|r| r.unwrap_or_else(|p| resume_unwind(p)))
+                    .collect()
+            })
+        }
+    }
+
+    fn run<A, B, E, P, W, C>(
+        threads: usize,
+        slots: usize,
+        produce: P,
+        work: W,
+        commit: C,
+    ) -> Result<(), E>
+    where
+        A: Send,
+        B: Send,
+        E: Send,
+        P: FnMut() -> Option<Result<A, E>> + Send,
+        W: Fn(A) -> Result<B, E> + Sync,
+        C: FnMut(B) -> Result<(), E> + Send,
+    {
+        run_ordered(
+            &Threads(threads),
+            &ExecCtx::default(),
+            slots,
+            produce,
+            work,
+            commit,
+        )
+    }
 
     fn counting_producer(n: usize) -> impl FnMut() -> Option<Result<usize, String>> + Send {
         let mut next = 0;
@@ -333,6 +401,11 @@ mod tests {
                 Some(Ok(next - 1))
             }
         }
+    }
+
+    /// Uneven work, so loops finish items out of order.
+    fn jitter(x: usize) {
+        std::thread::sleep(Duration::from_micros(60 * (x * 7 % 5) as u64));
     }
 
     #[test]
@@ -368,178 +441,262 @@ mod tests {
         assert!(!gate.acquire());
     }
 
+    /// Every width commits the same results, in order, at every slot
+    /// count: the one loop of a one-thread backend is the serial schedule
+    /// the fan must match.
     #[test]
     fn overlapped_preserves_order_and_visits_everything() {
-        let mut seen = Vec::new();
-        run_overlapped(
-            3,
-            2,
-            counting_producer(100),
-            |batch: Vec<usize>| Ok(batch.into_iter().map(|x| x * 10).collect()),
-            |out| {
-                seen.push(out);
+        for threads in WIDTHS {
+            for slots in [1, 3, 8] {
+                let mut seen = Vec::new();
+                run(
+                    threads,
+                    slots,
+                    counting_producer(100),
+                    |x| {
+                        jitter(x);
+                        Ok(x * 10)
+                    },
+                    |out| {
+                        seen.push(out);
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let want: Vec<usize> = (0..100).map(|x| x * 10).collect();
+                assert_eq!(seen, want, "{threads} threads, {slots} slots");
+            }
+        }
+    }
+
+    /// The serial schedule (one loop on the caller) and the four-wide fan
+    /// commit the same outputs, in the same order.
+    #[test]
+    fn serial_matches_overlapped_output() {
+        let outputs = |threads| {
+            let mut seen = Vec::new();
+            run(
+                threads,
+                4,
+                counting_producer(33),
+                |x| {
+                    jitter(x);
+                    Ok::<_, String>(x + 1)
+                },
+                |out| {
+                    seen.push(out);
+                    Ok(())
+                },
+            )
+            .unwrap();
+            seen
+        };
+        let serial = outputs(1);
+        let overlapped = outputs(4);
+        assert_eq!(serial, overlapped);
+        assert_eq!(serial.len(), 33);
+    }
+
+    /// One thread wide, the one loop runs on the caller and finishes each
+    /// item before producing the next: the serial schedule.
+    #[test]
+    fn one_loop_runs_each_item_to_its_commit_on_the_caller() {
+        let caller = std::thread::current().id();
+        let events = Mutex::new(Vec::new());
+        let log = |e: String| {
+            assert_eq!(std::thread::current().id(), caller);
+            lock(&events).push(e);
+        };
+        let mut next = 0;
+        run(
+            1,
+            4,
+            || {
+                log(format!("p{next}"));
+                next += 1;
+                (next <= 3).then_some(Ok::<_, String>(next - 1))
+            },
+            |x| {
+                log(format!("w{x}"));
+                Ok(x)
+            },
+            |x| {
+                log(format!("c{x}"));
                 Ok(())
             },
         )
         .unwrap();
-        assert_eq!(seen, (0..100).map(|x| x * 10).collect::<Vec<_>>());
+        let want = ["p0", "w0", "c0", "p1", "w1", "c1", "p2", "w2", "c2", "p3"];
+        assert_eq!(events.into_inner().unwrap(), want);
     }
 
     #[test]
     fn in_flight_never_exceeds_slots() {
-        const SLOTS: usize = 3;
-        let live = Arc::new(AtomicUsize::new(0));
-        let peak = Arc::new(AtomicUsize::new(0));
-
-        struct Tracked(Arc<AtomicUsize>);
+        struct Tracked(Arc<AtomicUsize>, usize);
         impl Drop for Tracked {
             fn drop(&mut self) {
                 self.0.fetch_sub(1, Ordering::SeqCst);
             }
         }
 
-        let (l, p) = (live.clone(), peak.clone());
-        let mut next = 0usize;
-        run_overlapped(
-            SLOTS,
-            1,
-            move || {
-                if next == 64 {
-                    return None;
-                }
-                next += 1;
-                let now = l.fetch_add(1, Ordering::SeqCst) + 1;
-                p.fetch_max(now, Ordering::SeqCst);
-                Some(Ok::<_, String>(Tracked(l.clone())))
-            },
-            Ok,
-            |item| {
-                std::thread::yield_now();
-                drop(item);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(live.load(Ordering::SeqCst), 0);
-        assert!(
-            peak.load(Ordering::SeqCst) <= SLOTS,
-            "peak in-flight {} exceeded {} slots",
-            peak.load(Ordering::SeqCst),
-            SLOTS
-        );
+        for threads in WIDTHS {
+            for slots in [1, 3] {
+                let live = Arc::new(AtomicUsize::new(0));
+                let peak = AtomicUsize::new(0);
+                let mut next = 0usize;
+                run(
+                    threads,
+                    slots,
+                    || {
+                        if next == 64 {
+                            return None;
+                        }
+                        next += 1;
+                        let now = live.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(now, Ordering::SeqCst);
+                        Some(Ok::<_, String>(Tracked(live.clone(), next)))
+                    },
+                    |item| {
+                        jitter(item.1);
+                        Ok(item)
+                    },
+                    drop_ok,
+                )
+                .unwrap();
+                let (live, peak) = (live.load(Ordering::SeqCst), peak.into_inner());
+                assert_eq!(live, 0);
+                assert!(
+                    (1..=slots).contains(&peak),
+                    "{threads} threads: peak in flight {peak} for {slots} slots"
+                );
+            }
+        }
+    }
+
+    fn drop_ok<T>(item: T) -> Result<(), String> {
+        drop(item);
+        Ok(())
     }
 
     #[test]
     fn producer_error_propagates() {
-        let mut next = 0;
-        let err = run_overlapped(
-            2,
-            1,
-            move || {
-                next += 1;
-                if next == 5 {
-                    Some(Err("source failed".to_string()))
-                } else {
-                    Some(Ok(next))
-                }
-            },
-            |batch: Vec<i32>| Ok(batch),
-            |_| Ok(()),
-        )
-        .unwrap_err();
-        assert_eq!(err, "source failed");
-    }
-
-    /// The producer closure may run real compute (the ingest pipeline
-    /// transforms chunks there): a panic in it must come out of the
-    /// call — through the scope's join — not strand the transform stage
-    /// on a channel or the producer's claimed slot on the gate.
-    #[test]
-    #[should_panic(expected = "a scoped thread panicked")]
-    fn producer_panic_propagates_and_does_not_hang_a_full_gate() {
-        let mut next = 0;
-        let _ = run_overlapped(
-            2,
-            1,
-            move || {
-                next += 1;
-                assert!(next < 5, "producer died");
-                Some(Ok::<_, String>(next))
-            },
-            |batch: Vec<i32>| Ok(batch),
-            |_| Ok(()),
-        );
+        for threads in WIDTHS {
+            let mut next = 0;
+            let err = run(
+                threads,
+                2,
+                move || {
+                    next += 1;
+                    Some(if next == 5 {
+                        Err("source failed".to_string())
+                    } else {
+                        Ok(next)
+                    })
+                },
+                Ok,
+                drop_ok,
+            )
+            .unwrap_err();
+            assert_eq!(err, "source failed", "{threads} threads");
+        }
     }
 
     #[test]
     fn transform_error_propagates() {
-        let err = run_overlapped(
-            2,
-            1,
-            counting_producer(1000),
-            |batch: Vec<usize>| {
-                if batch.contains(&7) {
-                    Err("transform failed".to_string())
-                } else {
-                    Ok(batch)
-                }
-            },
-            |_| Ok(()),
-        )
-        .unwrap_err();
-        assert_eq!(err, "transform failed");
+        for threads in WIDTHS {
+            let err = run(
+                threads,
+                2,
+                counting_producer(1000),
+                |x| {
+                    if x == 7 {
+                        Err("work failed".to_string())
+                    } else {
+                        Ok(x)
+                    }
+                },
+                drop_ok,
+            )
+            .unwrap_err();
+            assert_eq!(err, "work failed", "{threads} threads");
+        }
     }
 
     #[test]
     fn consumer_error_propagates_and_does_not_hang_a_full_gate() {
-        let err = run_overlapped(
-            2,
-            1,
-            counting_producer(1000),
-            |batch: Vec<usize>| Ok(batch),
-            |out| {
+        for threads in WIDTHS {
+            let err = run(threads, 2, counting_producer(1000), Ok, |out| {
                 if out == 3 {
                     Err("writer failed".to_string())
                 } else {
                     Ok(())
                 }
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err, "writer failed");
+            })
+            .unwrap_err();
+            assert_eq!(err, "writer failed", "{threads} threads");
+        }
     }
 
+    /// Run with a panic in closure `at` (0 produce, 1 work, 2 commit) on
+    /// item 5, two slots; `message` is the panic's.
+    fn panicking_run(threads: usize, at: usize, message: &str) {
+        let dies = |stage: usize, x: usize| assert!(stage != at || x != 5, "{message}");
+        let mut next = 0;
+        let _ = run(
+            threads,
+            2,
+            || {
+                dies(0, next);
+                next += 1;
+                Some(Ok::<_, String>(next - 1))
+            },
+            |x| {
+                dies(1, x);
+                jitter(x);
+                Ok(x)
+            },
+            |x| {
+                dies(2, x);
+                Ok(())
+            },
+        );
+    }
+
+    /// The panic's message, as `assert!` formats it.
+    fn panic_message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+    }
+
+    /// A panic in `produce` comes out of the call — uncaught, from the
+    /// four-wide fan — and no loop stays parked on the full gate (the test
+    /// would hang). One thread wide it comes out too.
     #[test]
-    fn serial_matches_overlapped_output() {
-        let mut serial = Vec::new();
-        run_serial(
-            4,
-            counting_producer(33),
-            |batch: Vec<usize>| Ok::<_, String>(batch.into_iter().map(|x| x + 1).collect()),
-            |out| {
-                serial.push(out);
-                Ok(())
-            },
-        )
-        .unwrap();
-        let mut overlapped = Vec::new();
-        run_overlapped(
-            4,
-            4,
-            counting_producer(33),
-            |batch: Vec<usize>| Ok::<_, String>(batch.into_iter().map(|x| x + 1).collect()),
-            |out| {
-                overlapped.push(out);
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(serial, overlapped);
-        assert_eq!(serial.len(), 33);
+    #[should_panic(expected = "producer died")]
+    fn producer_panic_propagates_and_does_not_hang_a_full_gate() {
+        let one = catch_unwind(|| panicking_run(1, 0, "producer died")).unwrap_err();
+        assert_eq!(panic_message(&*one), Some("producer died"));
+        panicking_run(4, 0, "producer died");
+    }
+
+    /// As the producer's: a panic in `work` or `commit` comes out of the
+    /// call with its own payload at every width, and hangs no loop.
+    #[test]
+    fn work_and_commit_panics_propagate_and_do_not_hang_a_full_gate() {
+        for threads in WIDTHS {
+            for (at, message) in [(1, "work died"), (2, "commit died")] {
+                let payload = catch_unwind(|| panicking_run(threads, at, message)).unwrap_err();
+                assert_eq!(panic_message(&*payload), Some(message), "{threads} threads");
+            }
+        }
     }
 
     #[test]
     fn serial_empty_stream_is_ok() {
-        run_serial(8, || None::<Result<usize, String>>, Ok, |_| Ok(())).unwrap();
+        for threads in WIDTHS {
+            run(threads, 8, || None::<Result<usize, String>>, Ok, drop_ok).unwrap();
+        }
     }
 }

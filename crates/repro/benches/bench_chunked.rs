@@ -7,8 +7,8 @@
 //! a 512³-scale field must fetch strictly fewer bytes). The `stream`
 //! group prices a region query streamed frame by frame against the same
 //! query answered one-shot. The `ingest` group is the write path's stage
-//! table: milliseconds per stage of a streaming ingest, the two-core
-//! floor they imply, and how far the overlapped schedule sits above it.
+//! table: milliseconds per stage of a streaming ingest, the floor they
+//! imply on the host's cores, and how far the ingest sits above it.
 //! Set `HPMDR_BENCH_EXTENT=512` for the full-size run; the default keeps
 //! CI and laptops in seconds.
 
@@ -231,11 +231,13 @@ fn median_secs<const N: usize>(mut run: impl FnMut() -> [f64; N]) -> [f64; N] {
 /// The write path as a stage table, on the repository benchmark's
 /// geometry: an `e`³ raw file (128³ unless `HPMDR_BENCH_EXTENT` is set)
 /// ingested in 2 × 2 × 2 chunks on the default backend. One serial pass
-/// through the public leaf calls prices each stage; the overlapped
-/// schedule runs read + prepare, encode and write on three threads, so
-/// with two cores its floor is `max(longest thread, Σ / 2)` plus the
-/// pipeline's fill (the first chunk's read + prepare) and drain (the last
-/// shard's write and the serial manifest commit).
+/// through the public leaf calls prices each stage. `Mdr::ingest` runs
+/// every stage of a chunk on the worker loop that read it, one loop per
+/// core, with the reads one at a time under the source lock — so on
+/// `cores` cores its floor is `max(Σ read, (Σ − finish) / cores)` plus the
+/// schedule's fill (the first chunk's read, which the other loops queue
+/// behind) and drain (the last shard's write and the serial manifest
+/// commit).
 fn bench_ingest(_c: &mut Criterion) {
     let e = env_extent().unwrap_or(128).max(8);
     let shape = [e; 3];
@@ -305,22 +307,20 @@ fn bench_ingest(_c: &mut Criterion) {
         hpmdr_core::Backend::name(backend)
     );
     println!(
-        "  producer  read {:.2} ({} reads per chunk) + prepare {:.2}",
+        "  every loop  read {:.2} ({} reads per chunk, under the source lock) + prepare {:.2} \
+         + encode {:.2} + write {:.2}",
         ms(read),
         reads / n,
-        ms(prep)
+        ms(prep),
+        ms(enc),
+        ms(write)
     );
-    println!("  caller    encode {:.2}", ms(enc));
-    println!(
-        "  writer    write {:.2} + finish {:.2}",
-        ms(write),
-        ms(finish)
-    );
+    println!("  serial      finish {:.2}", ms(finish));
     let total = read + prep + enc + write + finish;
-    let critical = (read + prep).max(enc).max(write);
-    let fill = (read + prep) / n as f64;
+    let spread = (total - finish) / cores as f64;
+    let fill = read / n as f64;
     let drain = write / n as f64 + finish;
-    let floor = critical.max((total - finish) / 2.0) + fill + drain;
+    let floor = read.max(spread) + fill + drain;
     println!(
         "  overlapped wall {:.2} ({:.0} MB/s), stage sum {:.2} ({:.0} MB/s)",
         ms(overlapped),
@@ -329,10 +329,10 @@ fn bench_ingest(_c: &mut Criterion) {
         mbps(total)
     );
     println!(
-        "  two-core floor = max(critical stage {:.2}, sum / 2 {:.2}) + fill {:.2} + drain {:.2} \
-         = {:.2}; overlapped wall = {:+.0} % above it",
-        ms(critical),
-        ms((total - finish) / 2.0),
+        "  {cores}-core floor = max(reads {:.2}, (sum - finish) / {cores} {:.2}) + fill {:.2} \
+         + drain {:.2} = {:.2}; overlapped wall = {:+.0} % above it",
+        ms(read),
+        ms(spread),
         ms(fill),
         ms(drain),
         ms(floor),
@@ -340,7 +340,7 @@ fn bench_ingest(_c: &mut Criterion) {
     );
     // The stage sum is the serial schedule's work. With one core the
     // overlap hides none of it, and under ~10 ms of it (CI's smoke
-    // extent) the two thread spawns outweigh what it hides: noise
+    // extent) waking the pool's loops outweighs what it hides: noise
     // either way.
     if cores >= 2 && total >= 10e-3 {
         assert!(

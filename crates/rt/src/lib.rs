@@ -31,8 +31,8 @@
 //! the terminal's duration), and a worker counts while it helps a
 //! terminal. A terminal offers parts only to the cores the count leaves
 //! free, so threads that already fill the machine — concurrent clients,
-//! a pipeline's stage threads — fan nothing, and a terminal nested inside
-//! a part runs inline once its siblings hold every core.
+//! say — fan nothing, and a terminal nested inside a part runs inline
+//! once its siblings hold every core.
 //!
 //! **Items cost a `Vec` slot each.** Every source hands each part its
 //! items as one `Vec` — a range (`(0..n).into_par_iter()`) materializes

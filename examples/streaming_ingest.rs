@@ -1,12 +1,13 @@
 //! Streaming ingest into a sharded store, then growing it by a
 //! time-series slab — all under a bounded staging budget.
 //!
-//! The pipeline overlaps three stages: a producer thread pulls chunk
-//! k+1 from the [`ChunkSource`], the backend refactors chunk k, and a
-//! writer thread flushes chunk k−1's shard. A slot gate keeps at most
-//! `lookahead` chunks staged, so peak memory is O(lookahead × chunk)
-//! no matter how large the source is — the example ingests 48 chunks
-//! and prints the measured high-water mark against its bound. The
+//! Each of the backend's worker loops pulls the next chunk from the
+//! [`ChunkSource`], refactors it whole, and the shards are flushed in
+//! chunk order by whichever loop finishes the oldest chunk. A slot gate
+//! keeps at most `lookahead` chunks staged, so peak memory is
+//! O(lookahead × chunk) no matter how large the source is — the example
+//! ingests 48 chunks and prints the measured high-water mark against its
+//! bound. The
 //! manifest commits atomically at the end; the appended store then
 //! serves concurrent clients through one shared [`Reader`], answering
 //! exactly like a one-shot refactor of the whole grown domain.

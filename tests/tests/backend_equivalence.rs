@@ -163,11 +163,11 @@ proptest! {
         seed in any::<u32>(),
         case in any::<u64>(),
     ) {
-        // The portability guarantee extends to streaming ingest: the
-        // overlapped pipeline of `Mdr::ingest` on any backend must write
-        // the same store the whole-input path's serial schedule does —
-        // file for file. (Every slot count of both schedules is swept
-        // in-crate, in `core::ingest`'s tests.)
+        // The portability guarantee extends to streaming ingest:
+        // `Mdr::ingest` on any backend must write the same store the
+        // one-thread whole-input path does — file for file. (Every slot
+        // count at widths 1 and 4 is swept in-crate, in `core::ingest`'s
+        // tests.)
         let data = random_field(nx, ny, seed);
         let config = MdrConfig::new().chunked(&[cx, cy]);
         let reference = config

@@ -329,8 +329,8 @@ fn torn_manifest_is_corrupt_not_a_panic() {
 
 /// The report's measured high-water mark must honor the advertised
 /// `lookahead × max-chunk-footprint` bound — the bounded-memory
-/// contract, asserted on a real run. (Every slot count of both
-/// schedules, and the exact peak at one slot, are checked in-crate by
+/// contract, asserted on a real run. (Slot counts 1 to 8 at widths 1
+/// and 4, and the exact peak at one slot, are checked in-crate by
 /// `core::ingest`'s `staging_peak_is_bounded_under_every_schedule`.)
 #[test]
 fn ingest_report_proves_bounded_staging() {
@@ -355,7 +355,7 @@ fn ingest_report_proves_bounded_staging() {
 
 /// Streaming is the point: under the default lookahead, ingest stages
 /// less than the input it ingests, where a whole-input refactor holds
-/// all of it. (The serial schedule's arm is `core::ingest`'s
+/// all of it. (Both widths of the schedule are `core::ingest`'s
 /// `serial_schedule_stages_less_than_the_whole_input`.)
 #[test]
 fn streaming_ingest_stages_less_than_the_whole_input() {

@@ -2,8 +2,9 @@
 //! the façade: a fan takes only the cores no other thread holds, a fan
 //! nested in a batch item runs inline once the items fill the machine,
 //! a reader's backend runs all of its query — QoI loop included — a
-//! lone stream's frame fans its chunks onto a free core, and no schedule
-//! changes a byte of any answer or of any stored file.
+//! lone stream's frame fans its chunks onto a free core, a lone ingest
+//! reads and refactors on every free core, and no schedule changes a
+//! byte of any answer or of any stored file.
 
 use hpmdr_core::prelude::*;
 use hpmdr_core::roi::Region;
@@ -345,4 +346,62 @@ fn a_lone_streams_frame_fans_its_chunks_onto_a_free_core() {
     ];
     got.extend(frames(stream));
     assert_eq!(got, want);
+}
+
+/// A lone ingest reads each chunk on whichever worker loop claims it:
+/// with two cores free its reads land on at least two threads, while one
+/// thread wide or under a hog one loop on the caller reads them all. Every
+/// run writes the same store and leaves no core counted.
+#[test]
+fn a_lone_ingest_reads_on_every_free_core() {
+    let _serial = serial();
+    let two_free = hpmdr_rt::idle_threads() >= 2;
+    let shape = [64usize, 32, 32];
+    let data = field(shape.iter().product(), 5);
+    let cfg = MdrConfig::new().chunked(&[8, 16, 16]);
+    let caller = thread::current().id();
+    let ingest = |backend: CpuBackend, hogged: bool, name: &str| {
+        let _hog = hogged.then(|| hog(hpmdr_rt::host_threads()));
+        let readers = Mutex::new(Vec::new());
+        let mut slice = SliceSource::new(&data, &shape).unwrap();
+        let source = FnSource::new(&shape, |c, region: &Region| {
+            let mut seen = readers.lock().unwrap();
+            let me = thread::current().id();
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+            if c == 0 {
+                // Reads run under the source lock: holding it gives the
+                // fan's other loops time to start and queue behind it.
+                thread::sleep(Duration::from_millis(20));
+            }
+            slice.read_chunk(c, region)
+        });
+        let dir = tmp(name);
+        cfg.clone()
+            .build_with(backend)
+            .ingest(source, &dir)
+            .unwrap();
+        let files = store_files(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        (readers.into_inner().unwrap(), files)
+    };
+
+    let (one, want) = ingest(CpuBackend::with_threads(1), false, "ingest_one");
+    assert_eq!(one, [caller], "one thread wide, the caller reads");
+    assert_eq!(hpmdr_rt::busy_threads(), 0);
+
+    let (hogged, files) = ingest(CpuBackend::new(), true, "ingest_hogged");
+    assert_eq!(hogged, [caller], "with no core free, the caller reads");
+    assert!(files == want, "the hogged ingest wrote another store");
+    assert_eq!(hpmdr_rt::busy_threads(), 0);
+
+    let (free, files) = ingest(CpuBackend::new(), false, "ingest_free");
+    if two_free {
+        assert!(free.len() >= 2, "reads ran on {} thread", free.len());
+    } else {
+        assert_eq!(free, [caller], "one core has no worker to read");
+    }
+    assert!(files == want, "the fanned ingest wrote another store");
+    assert_eq!(hpmdr_rt::busy_threads(), 0);
 }
