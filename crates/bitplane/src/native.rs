@@ -12,7 +12,6 @@ use crate::chunk::BitplaneChunk;
 use crate::fixed::{align_exponent, BitplaneFloat, Scale};
 use crate::layout::{Layout, TILE_ELEMS, WORD_BITS};
 use crate::transpose::{transpose32, transpose32_columns};
-use hpmdr_rt::prelude::*;
 
 /// How truncated magnitudes are turned back into floats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -102,52 +101,54 @@ pub fn encode<F: BitplaneFloat>(data: &[F], planes: usize, layout: Layout) -> Bi
     // Fan out over tiles, 32 or more to a worker (a thread spawn's worth).
     // `move`: the conversion loop must read `scale` and `b` as values to
     // vectorise (see `materialize`).
-    let tiles = data.par_chunks(TILE_ELEMS).with_min_len(32).enumerate();
-    tiles.for_each(move |(tile, vals)| {
-        // Elements past `n` stay zero: padding bits are never set.
-        let mut hi = [[0u32; WORD_BITS]; WORD_BITS];
-        let mut lo = [[0u32; WORD_BITS]; WORD_BITS];
-        let mut signs = [0u32; WORD_BITS];
-        let rows = hi.iter_mut().zip(&mut lo).zip(&mut signs);
-        for (((hi, lo), sign), row) in rows.zip(vals.chunks(WORD_BITS)) {
-            let cells = hi.iter_mut().zip(lo).zip(row).enumerate();
-            if b <= 32 {
-                // The magnitude fits the `hi` half.
-                for (t, ((h, _), &v)) in cells {
-                    *h = (v.to_fixed_scaled(scale, b) as u32) << (32 - b);
-                    *sign |= u32::from(v.is_neg()) << t;
+    hpmdr_rt::map_blocks(n.div_ceil(TILE_ELEMS), 32, move |tiles| {
+        let vals = data[tiles.start * TILE_ELEMS..].chunks(TILE_ELEMS);
+        for (tile, vals) in tiles.zip(vals) {
+            // Elements past `n` stay zero: padding bits are never set.
+            let mut hi = [[0u32; WORD_BITS]; WORD_BITS];
+            let mut lo = [[0u32; WORD_BITS]; WORD_BITS];
+            let mut signs = [0u32; WORD_BITS];
+            let rows = hi.iter_mut().zip(&mut lo).zip(&mut signs);
+            for (((hi, lo), sign), row) in rows.zip(vals.chunks(WORD_BITS)) {
+                let cells = hi.iter_mut().zip(lo).zip(row).enumerate();
+                if b <= 32 {
+                    // The magnitude fits the `hi` half.
+                    for (t, ((h, _), &v)) in cells {
+                        *h = (v.to_fixed_scaled(scale, b) as u32) << (32 - b);
+                        *sign |= u32::from(v.is_neg()) << t;
+                    }
+                } else {
+                    for (t, ((h, l), &v)) in cells {
+                        // Left-aligned in 64 bits: plane 0 is always bit 63.
+                        let a = v.to_fixed_scaled(scale, b) << (64 - b);
+                        (*h, *l) = ((a >> 32) as u32, a as u32);
+                        *sign |= u32::from(v.is_neg()) << t;
+                    }
                 }
-            } else {
-                for (t, ((h, l), &v)) in cells {
-                    // Left-aligned in 64 bits: plane 0 is always bit 63.
-                    let a = v.to_fixed_scaled(scale, b) << (64 - b);
-                    (*h, *l) = ((a >> 32) as u32, a as u32);
-                    *sign |= u32::from(v.is_neg()) << t;
+            }
+            // The last natural tile may be short of 32 words.
+            let first = tile * WORD_BITS;
+            let len = (words - first).min(WORD_BITS);
+            let halves = [(&mut hi, 0), (&mut lo, 32)];
+            for (half, base) in halves.into_iter().filter(|&(_, base)| base < b) {
+                if layout == Layout::Natural {
+                    *half = word_transposed(half);
+                }
+                transpose32_columns(half);
+                for (p, row) in half.iter().rev().take(b - base).enumerate() {
+                    // SAFETY: `base + p < b` planes, `first + len <= words`,
+                    // and this worker alone owns the tile's words.
+                    unsafe { cols.write(base + p, first, &row[..len]) };
                 }
             }
-        }
-        // The last natural tile may be short of 32 words.
-        let first = tile * WORD_BITS;
-        let len = (words - first).min(WORD_BITS);
-        let halves = [(&mut hi, 0), (&mut lo, 32)];
-        for (half, base) in halves.into_iter().filter(|&(_, base)| base < b) {
-            if layout == Layout::Natural {
-                *half = word_transposed(half);
+            // Row `j` of `signs` masks elements `32j..32j + 32`: a natural
+            // sign word as it stands, an interleaved one after a transpose.
+            if layout == Layout::Interleaved32 {
+                transpose32(&mut signs);
             }
-            transpose32_columns(half);
-            for (p, row) in half.iter().rev().take(b - base).enumerate() {
-                // SAFETY: `base + p < b` planes, `first + len <= words`,
-                // and this worker alone owns the tile's words.
-                unsafe { cols.write(base + p, first, &row[..len]) };
-            }
+            // SAFETY: as above, on the one-plane sign arena.
+            unsafe { signs_col.write(0, first, &signs[..len]) };
         }
-        // Row `j` of `signs` masks elements `32j..32j + 32`: a natural
-        // sign word as it stands, an interleaved one after a transpose.
-        if layout == Layout::Interleaved32 {
-            transpose32(&mut signs);
-        }
-        // SAFETY: as above, on the one-plane sign arena.
-        unsafe { signs_col.write(0, first, &signs[..len]) };
     });
     chunk
 }
@@ -335,8 +336,9 @@ impl ProgressiveDecoder {
         let mut out = vec![F::from_f64(0.0); self.n];
         // Fan out over tiles, 32 or more to a worker (a thread spawn's
         // worth).
-        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
-        tiles.for_each(move |(tile, out)| values.fill(tile * TILE_ELEMS, out));
+        hpmdr_rt::map_blocks_mut(&mut out, TILE_ELEMS, 32, move |tile, out| {
+            values.fill(tile * TILE_ELEMS, out);
+        });
         out
     }
 
@@ -570,39 +572,40 @@ mod oracle {
         // worth). `move`: the row loops must read `b`, `midpoint` and
         // `scale` as values — behind references the compiler reloads them
         // after every store to `out` and the loops do not vectorise.
-        let tiles = out.par_chunks_mut(TILE_ELEMS).with_min_len(32).enumerate();
-        tiles.for_each(move |(tile, out)| {
-            let acc = tile * TILE_ELEMS..(tile + 1) * TILE_ELEMS;
-            let lo = dec.lo.get(acc.clone()).unwrap_or(&[0; TILE_ELEMS]);
-            let (hi, lo) = (
-                dec.hi[acc].chunks_exact(WORD_BITS),
-                lo.chunks_exact(WORD_BITS),
-            );
-            // The sign of tile element `32·j + t` is bit `j` of sign word
-            // `t` (interleaved) or bit `t` of word `j` (natural, made
-            // interleaved by one transpose), so row `j` below reads 32
-            // consecutive accumulators and sign words, unit stride.
-            let mut signs = [0u32; WORD_BITS];
-            let words = chunk.signs[tile * WORD_BITS..].iter();
-            signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
-            if chunk.layout == Layout::Natural {
-                transpose32(&mut signs);
-            }
-            for (j, ((row, hi), lo)) in out.chunks_mut(WORD_BITS).zip(hi).zip(lo).enumerate() {
-                let cells = row.iter_mut().zip(hi).zip(lo).zip(&signs);
-                if b <= 32 {
-                    // The magnitude fits the `hi` half: `u32` up to a
-                    // `u32 → f64` conversion the compiler vectorises.
-                    for (((o, &h), _), &s) in cells {
-                        let fixed = h >> (32 - b);
-                        let fixed = fixed | if fixed != 0 { mid32 } else { 0 };
-                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, u64::from(fixed), scale);
-                    }
-                } else {
-                    for (((o, &h), &l), &s) in cells {
-                        let fixed = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
-                        let fixed = fixed | if fixed != 0 { midpoint } else { 0 };
-                        *o = F::from_fixed_scaled((s >> j) & 1 == 1, fixed, scale);
+        hpmdr_rt::map_blocks_mut(&mut out, TILE_ELEMS, 32, move |first, part| {
+            for (tile, out) in (first..).zip(part.chunks_mut(TILE_ELEMS)) {
+                let acc = tile * TILE_ELEMS..(tile + 1) * TILE_ELEMS;
+                let lo = dec.lo.get(acc.clone()).unwrap_or(&[0; TILE_ELEMS]);
+                let (hi, lo) = (
+                    dec.hi[acc].chunks_exact(WORD_BITS),
+                    lo.chunks_exact(WORD_BITS),
+                );
+                // The sign of tile element `32·j + t` is bit `j` of sign word
+                // `t` (interleaved) or bit `t` of word `j` (natural, made
+                // interleaved by one transpose), so row `j` below reads 32
+                // consecutive accumulators and sign words, unit stride.
+                let mut signs = [0u32; WORD_BITS];
+                let words = chunk.signs[tile * WORD_BITS..].iter();
+                signs.iter_mut().zip(words).for_each(|(s, &w)| *s = w);
+                if chunk.layout == Layout::Natural {
+                    transpose32(&mut signs);
+                }
+                for (j, ((row, hi), lo)) in out.chunks_mut(WORD_BITS).zip(hi).zip(lo).enumerate() {
+                    let cells = row.iter_mut().zip(hi).zip(lo).zip(&signs);
+                    if b <= 32 {
+                        // The magnitude fits the `hi` half: `u32` up to a
+                        // `u32 → f64` conversion the compiler vectorises.
+                        for (((o, &h), _), &s) in cells {
+                            let fixed = h >> (32 - b);
+                            let fixed = fixed | if fixed != 0 { mid32 } else { 0 };
+                            *o = F::from_fixed_scaled((s >> j) & 1 == 1, u64::from(fixed), scale);
+                        }
+                    } else {
+                        for (((o, &h), &l), &s) in cells {
+                            let fixed = ((u64::from(h) << 32) | u64::from(l)) >> (64 - b);
+                            let fixed = fixed | if fixed != 0 { midpoint } else { 0 };
+                            *o = F::from_fixed_scaled((s >> j) & 1 == 1, fixed, scale);
+                        }
                     }
                 }
             }

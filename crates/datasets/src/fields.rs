@@ -7,7 +7,6 @@
 //! the smoother LETKF/ISABEL-like fields; post-maps (exp, tanh layering,
 //! vortex swirl) add the dataset-specific structure.
 
-use hpmdr_rt::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -111,10 +110,9 @@ pub fn spectral_field(spec: &FieldSpec) -> Vec<f64> {
         1.0 / dims[1] as f64,
         1.0 / dims[2] as f64,
     ];
-    (0..n)
-        .into_par_iter()
-        .with_min_len(4096)
-        .map(|idx| {
+    let mut out = vec![0.0; n];
+    hpmdr_rt::map_blocks_mut(&mut out, 1, 4096, |first, part| {
+        for (idx, out) in (first..).zip(part) {
             let z = idx % dims[2];
             let y = (idx / dims[2]) % dims[1];
             let x = idx / (dims[1] * dims[2]);
@@ -126,17 +124,19 @@ pub fn spectral_field(spec: &FieldSpec) -> Vec<f64> {
                     + m.phase;
                 acc += m.amp * phase.cos();
             }
-            acc
-        })
-        .collect()
+            *out = acc;
+        }
+    });
+    out
 }
 
 /// Lognormal density field (NYX-like baryon density): `ρ0 · exp(σ·g)`.
 pub fn lognormal_density(shape: &[usize], seed: u64, sigma: f64, rho0: f64) -> Vec<f64> {
-    let g = spectral_field(&FieldSpec::turbulent(shape, seed));
-    g.into_par_iter()
-        .map(|v| rho0 * (sigma * v).exp())
-        .collect()
+    let mut g = spectral_field(&FieldSpec::turbulent(shape, seed));
+    hpmdr_rt::map_blocks_mut(&mut g, 1, 1, |_, part| {
+        part.iter_mut().for_each(|v| *v = rho0 * (sigma * *v).exp());
+    });
+    g
 }
 
 /// Mixing-layer field with sharp `tanh` interfaces (Miranda-like density).
@@ -145,19 +145,19 @@ pub fn interface_field(shape: &[usize], seed: u64, layers: usize, sharpness: f64
     let n: usize = shape.iter().product();
     let rows = shape[0];
     let row_elems = n / rows.max(1);
-    (0..n)
-        .into_par_iter()
-        .with_min_len(4096)
-        .map(|idx| {
+    let mut out = vec![0.0; n];
+    hpmdr_rt::map_blocks_mut(&mut out, 1, 4096, |first, part| {
+        for (idx, out) in (first..).zip(part) {
             let x = (idx / row_elems.max(1)) as f64 / rows as f64;
             let mut v = 1.0;
             for l in 1..=layers {
                 let pos = l as f64 / (layers + 1) as f64 + 0.03 * perturb[idx];
                 v += 0.5 * ((x - pos) * sharpness).tanh();
             }
-            v + 0.02 * perturb[idx]
-        })
-        .collect()
+            *out = v + 0.02 * perturb[idx];
+        }
+    });
+    out
 }
 
 /// Hurricane-like vortex field: swirl magnitude decaying from a moving
@@ -170,10 +170,9 @@ pub fn vortex_field(shape: &[usize], seed: u64) -> Vec<f64> {
     dims[..shape.len()].copy_from_slice(shape);
     // Eye drifts across the last-two dimensions with the leading dim
     // (time/altitude for 100×500×500 ISABEL-like grids).
-    (0..n)
-        .into_par_iter()
-        .with_min_len(4096)
-        .map(|idx| {
+    let mut out = vec![0.0; n];
+    hpmdr_rt::map_blocks_mut(&mut out, 1, 4096, |first, part| {
+        for (idx, out) in (first..).zip(part) {
             let z = idx % dims[2];
             let y = (idx / dims[2]) % dims[1];
             let x = idx / (dims[1] * dims[2]);
@@ -186,20 +185,23 @@ pub fn vortex_field(shape: &[usize], seed: u64) -> Vec<f64> {
             // Rankine-like swirl profile.
             let rc = 0.05;
             let swirl = if r < rc { r / rc } else { (rc / r).powf(0.6) };
-            30.0 * swirl + 3.0 * background[idx]
-        })
-        .collect()
+            *out = 30.0 * swirl + 3.0 * background[idx];
+        }
+    });
+    out
 }
 
 /// Smooth ensemble-forecast field (LETKF-like): large-scale structure with
 /// mild member-dependent perturbations.
 pub fn ensemble_field(shape: &[usize], seed: u64, member: u64) -> Vec<f64> {
-    let base = spectral_field(&FieldSpec::smooth(shape, seed));
+    let mut base = spectral_field(&FieldSpec::smooth(shape, seed));
     let pert = spectral_field(&FieldSpec::turbulent(shape, seed ^ (member + 1)));
-    base.into_par_iter()
-        .zip(pert.into_par_iter())
-        .map(|(b, p)| 280.0 + 15.0 * b + 0.8 * p)
-        .collect()
+    hpmdr_rt::map_blocks_mut(&mut base, 1, 1, |first, part| {
+        for (b, &p) in part.iter_mut().zip(&pert[first..]) {
+            *b = 280.0 + 15.0 * *b + 0.8 * p;
+        }
+    });
+    base
 }
 
 /// Turbulent velocity component (JHTDB-like): Kolmogorov-sloped spectrum,

@@ -5,7 +5,6 @@ use hpmdr_bitplane::native::ProgressiveDecoder;
 use hpmdr_bitplane::{BitplaneChunk, BitplaneFloat, Layout, Reconstruction};
 use hpmdr_lossless::{CodecError, CompressedGroup, HybridCompressor};
 use hpmdr_mgard::{Hierarchy, Real, RecomposeTo};
-use hpmdr_rt::prelude::*;
 
 /// Why [`Backend::decode_units`] failed to rebuild a bitplane chunk.
 /// Streams are storage input, so every defect is a matchable error, not
@@ -164,19 +163,19 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         compressor: &HybridCompressor,
     ) -> Vec<EncodedStream> {
         let m = group_size.max(1);
+        let encode_group = |g: &Vec<F>| {
+            let chunk = hpmdr_bitplane::encode(g, planes, layout);
+            let units = hpmdr_rt::map_blocks(chunk.num_planes().div_ceil(m), 1, |r| {
+                let compress = |u| compress_one_unit(ctx, &chunk, u, m, compressor);
+                r.map(compress).collect::<Vec<_>>()
+            });
+            stream_from_chunk(&chunk, m, units.into_iter().flatten().collect())
+        };
         self.install(|| {
-            groups
-                .par_iter()
-                .map(|g| {
-                    let chunk = hpmdr_bitplane::encode(g, planes, layout);
-                    let num_units = chunk.num_planes().div_ceil(m);
-                    let units: Vec<CompressedGroup> = (0..num_units)
-                        .into_par_iter()
-                        .map(|u| compress_one_unit(ctx, &chunk, u, m, compressor))
-                        .collect();
-                    stream_from_chunk(&chunk, m, units)
-                })
-                .collect()
+            let parts = hpmdr_rt::map_blocks(groups.len(), 1, |r| {
+                groups[r].iter().map(encode_group).collect::<Vec<_>>()
+            });
+            parts.into_iter().flatten().collect()
         })
     }
 
@@ -279,7 +278,12 @@ pub trait Backend: Clone + Default + Send + Sync + 'static {
         R: Send,
         F: Fn(&T) -> R + Send + Sync,
     {
-        self.install(|| items.par_iter().map(&f).collect())
+        self.install(|| {
+            let parts = hpmdr_rt::map_blocks(items.len(), 1, |r| {
+                items[r].iter().map(&f).collect::<Vec<_>>()
+            });
+            parts.into_iter().flatten().collect()
+        })
     }
 
     /// Materialize a progressive decoder's current approximation: a

@@ -16,9 +16,9 @@
 //! Because both estimates are exact up to chunk-boundary effects, the
 //! selector's decisions match what actual encoding would have produced.
 
+use crate::framing::map_chunks;
 use crate::huffman::CodeBook;
 use crate::rle::{varint_len, CHUNK_SIZE};
-use hpmdr_rt::prelude::*;
 
 /// Estimated compression ratio of Huffman coding `data` (original size
 /// divided by estimated compressed size, header included). Returns
@@ -41,23 +41,22 @@ pub fn estimate_rle_cr(data: &[u8]) -> f64 {
     if data.is_empty() {
         return f64::INFINITY;
     }
-    let cost: u64 = data
-        .par_chunks(CHUNK_SIZE)
-        .map(|chunk| {
-            let mut bytes = 0u64;
-            let mut i = 0;
-            while i < chunk.len() {
-                let v = chunk[i];
-                let mut j = i + 1;
-                while j < chunk.len() && chunk[j] == v {
-                    j += 1;
-                }
-                bytes += 1 + varint_len((j - i) as u64) as u64;
-                i = j;
+    let cost: u64 = map_chunks(data, CHUNK_SIZE, |chunk| {
+        let mut bytes = 0u64;
+        let mut i = 0;
+        while i < chunk.len() {
+            let v = chunk[i];
+            let mut j = i + 1;
+            while j < chunk.len() && chunk[j] == v {
+                j += 1;
             }
-            bytes
-        })
-        .sum();
+            bytes += 1 + varint_len((j - i) as u64) as u64;
+            i = j;
+        }
+        bytes
+    })
+    .iter()
+    .sum();
     data.len() as f64 / (cost + rle_header_len(data.len())) as f64
 }
 
@@ -76,7 +75,7 @@ pub fn rle_cr_exceeds(data: &[u8], threshold: f64) -> bool {
     if data.is_empty() {
         return f64::INFINITY > threshold;
     }
-    let runs: usize = data.par_chunks(CHUNK_SIZE).map(count_runs).sum();
+    let runs: usize = map_chunks(data, CHUNK_SIZE, count_runs).iter().sum();
     let at_least = 2 * runs as u64 + rle_header_len(data.len());
     data.len() as f64 / at_least as f64 > threshold && estimate_rle_cr(data) > threshold
 }

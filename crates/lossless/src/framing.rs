@@ -5,7 +5,9 @@
 //! codec-specific table, a `u32` payload-length table, then the chunk
 //! payloads. Parsing and geometry validation live here once, so the two
 //! codecs cannot drift apart on how they reject corrupt frames (storage
-//! input must error readably, never panic).
+//! input must error readably, never panic). So do the chunk fans
+//! ([`map_chunks`], [`decode_chunks`]), so both report the same corrupt
+//! chunk at every width.
 
 /// Largest chunk size a reader accepts. Writers chunk at 64 KiB
 /// ([`crate::huffman::CHUNK_SIZE`]); the 64× headroom tolerates future
@@ -155,6 +157,34 @@ pub(crate) fn carve_output<'a, 'b>(
     Ok(work)
 }
 
+/// `f` of every `size`-byte chunk of `data` (the last may be shorter),
+/// in chunk order, the chunks fanned over the pool.
+pub(crate) fn map_chunks<R: Send>(
+    data: &[u8],
+    size: usize,
+    f: impl Fn(&[u8]) -> R + Sync,
+) -> Vec<R> {
+    let parts = hpmdr_rt::map_blocks(data.len().div_ceil(size), 1, |r| {
+        let chunks = data[r.start * size..].chunks(size).take(r.len());
+        chunks.map(&f).collect::<Vec<_>>()
+    });
+    parts.into_iter().flatten().collect()
+}
+
+/// Run `decode(payload, dst, chunk)` on every job, fanned over the pool.
+/// A part stops at its first corrupt chunk and the parts' outcomes come
+/// back in part order, so the error returned is the lowest chunk's.
+pub(crate) fn decode_chunks<E: Send>(
+    work: &mut [ChunkJob<'_, '_>],
+    decode: impl Fn(&[u8], &mut [u8], usize) -> Result<(), E> + Sync,
+) -> Result<(), E> {
+    let parts = hpmdr_rt::map_blocks_mut(work, 1, 1, |_, jobs| {
+        jobs.iter_mut()
+            .try_for_each(|(chunk, payload, dst)| decode(payload, dst, *chunk))
+    });
+    parts.into_iter().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,6 +239,55 @@ mod tests {
         assert_eq!(f.chunks[0].1, 65536);
         assert_eq!(f.chunks[1].1, 70000 - 65536);
         assert_eq!(f.payload_total(), 150);
+    }
+
+    /// `stream` (a chunk table at `table_off`) with its chunk payloads
+    /// replaced by `payloads`.
+    fn reframed(stream: &[u8], table_off: usize, payloads: &[&[u8]]) -> Vec<u8> {
+        let mut s = stream[..table_off].to_vec();
+        for p in payloads {
+            s.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        }
+        payloads.iter().for_each(|p| s.extend_from_slice(p));
+        s
+    }
+
+    /// Chunks 1 and 3 of four are empty, so both fail to decode: each
+    /// codec reports chunk 1, one thread wide and with a part per chunk.
+    #[test]
+    fn decode_reports_the_lowest_corrupt_chunk_at_any_width() {
+        let mut x = 0x2545_f491u32;
+        let data: Vec<u8> = (0..4 * crate::huffman::CHUNK_SIZE)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect();
+        let corrupt = |stream: &[u8], table_off: usize| {
+            let frames = parse_frames(stream, table_off).unwrap();
+            assert_eq!(frames.chunks.len(), 4);
+            let mut payloads: Vec<&[u8]> = frames.chunks.iter().map(|&(p, _)| p).collect();
+            payloads[1] = &[];
+            payloads[3] = &[];
+            reframed(stream, table_off, &payloads)
+        };
+        let huffman = corrupt(&crate::huffman::compress(&data), 16 + 256);
+        let rle = corrupt(&crate::rle::compress(&data), 16);
+        for width in [1, 4] {
+            let mut out = Vec::new();
+            let got = hpmdr_rt::install(width, || {
+                crate::huffman::decompress_into(&huffman, &mut out)
+            });
+            assert_eq!(got, Err(crate::HuffmanError::CorruptChunk { chunk: 1 }));
+            let got = hpmdr_rt::install(width, || crate::rle::decompress_into(&rle, &mut out));
+            let chunk = match got {
+                Err(crate::RleError::CorruptChunk { chunk, .. }) => chunk,
+                other => panic!("expected a corrupt chunk, got {other:?}"),
+            };
+            assert_eq!(chunk, 1, "width {width}");
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! [n_chunks × compressed byte length u32][chunk payloads, byte aligned]
 //! ```
 
-use crate::framing::{carve_output, parse_frames, ChunkFrames, FramingError};
-use hpmdr_rt::prelude::*;
+use crate::framing::{
+    carve_output, decode_chunks, map_chunks, parse_frames, ChunkFrames, FramingError,
+};
 
 /// Chunk granularity for parallel encode/decode.
 pub const CHUNK_SIZE: usize = 1 << 16;
@@ -76,37 +77,34 @@ impl std::error::Error for HuffmanError {}
 /// never touch the same counter — the serial `h[b] += 1` dependency chain
 /// is what bounds a naive histogram, not memory bandwidth.
 pub fn histogram(data: &[u8]) -> [u64; 256] {
-    data.par_chunks(1 << 20)
-        .map(|chunk| {
-            // u32 lanes cannot overflow: each worker chunk is ≤ 2^20 bytes.
-            let mut lanes = [[0u32; 256]; 4];
-            let mut quads = chunk.chunks_exact(4);
-            for q in &mut quads {
-                lanes[0][q[0] as usize] += 1;
-                lanes[1][q[1] as usize] += 1;
-                lanes[2][q[2] as usize] += 1;
-                lanes[3][q[3] as usize] += 1;
+    map_chunks(data, 1 << 20, |chunk| {
+        // u32 lanes cannot overflow: each worker chunk is ≤ 2^20 bytes.
+        let mut lanes = [[0u32; 256]; 4];
+        let mut quads = chunk.chunks_exact(4);
+        for q in &mut quads {
+            lanes[0][q[0] as usize] += 1;
+            lanes[1][q[1] as usize] += 1;
+            lanes[2][q[2] as usize] += 1;
+            lanes[3][q[3] as usize] += 1;
+        }
+        for &b in quads.remainder() {
+            lanes[0][b as usize] += 1;
+        }
+        let mut h = [0u64; 256];
+        for lane in &lanes {
+            for (x, &y) in h.iter_mut().zip(lane.iter()) {
+                *x += y as u64;
             }
-            for &b in quads.remainder() {
-                lanes[0][b as usize] += 1;
-            }
-            let mut h = [0u64; 256];
-            for lane in &lanes {
-                for (x, &y) in h.iter_mut().zip(lane.iter()) {
-                    *x += y as u64;
-                }
-            }
-            h
-        })
-        .reduce(
-            || [0u64; 256],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b.iter()) {
-                    *x += y;
-                }
-                a
-            },
-        )
+        }
+        h
+    })
+    .iter()
+    .fold([0u64; 256], |mut a, b| {
+        for (x, y) in a.iter_mut().zip(b.iter()) {
+            *x += y;
+        }
+        a
+    })
 }
 
 /// Optimal prefix-code lengths for `hist` (0 for absent symbols).
@@ -357,15 +355,11 @@ impl<'a> CodeBook<'a> {
         let n_chunks = data.len().div_ceil(CHUNK_SIZE).max(1);
         let share = (self.payload_bits.div_ceil(8) as usize).div_ceil(n_chunks);
         let payload_cap = share + usize::from(n_chunks > 1) * share / 8;
-        let payloads: Vec<Vec<u8>> = data
-            .par_chunks(CHUNK_SIZE)
-            .map(|chunk| {
-                let mut out = Vec::with_capacity(payload_cap);
-                write_chunk(chunk, lens, &codes, &mut out);
-                out
-            })
-            .collect();
-
+        let payloads = map_chunks(data, CHUNK_SIZE, |chunk| {
+            let mut out = Vec::with_capacity(payload_cap);
+            write_chunk(chunk, lens, &codes, &mut out);
+            out
+        });
         frame_stream(data.len(), lens, &payloads)
     }
 }
@@ -927,12 +921,10 @@ pub fn decompress_into(stream: &[u8], out: &mut Vec<u8>) -> Result<(), HuffmanEr
     let table = DecodeTable::new(&lens)?;
     // Carve the output into per-chunk windows so decoding fans out with
     // no post-hoc concatenation.
-    let work = carve_output(&frames, out)?;
-    work.into_par_iter()
-        .map(|(i, payload, dst)| decode_chunk(&table, payload, dst, i))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<Result<(), _>>()
+    let mut work = carve_output(&frames, out)?;
+    decode_chunks(&mut work, |payload, dst, i| {
+        decode_chunk(&table, payload, dst, i)
+    })
 }
 
 /// Decompress a stream produced by [`compress`].

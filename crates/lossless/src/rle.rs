@@ -12,8 +12,7 @@
 //! [n_chunks × compressed byte length u32][chunk payloads]
 //! ```
 
-use crate::framing::{carve_output, parse_frames, FramingError};
-use hpmdr_rt::prelude::*;
+use crate::framing::{carve_output, decode_chunks, map_chunks, parse_frames, FramingError};
 
 /// Chunk granularity for parallel encode/decode.
 pub const CHUNK_SIZE: usize = 1 << 16;
@@ -106,10 +105,7 @@ fn compress_chunk(chunk: &[u8]) -> Vec<u8> {
 
 /// Compress `data`; the result decompresses with [`decompress`].
 pub fn compress(data: &[u8]) -> Vec<u8> {
-    let payloads: Vec<Vec<u8>> = data
-        .par_chunks(CHUNK_SIZE.max(1))
-        .map(compress_chunk)
-        .collect();
+    let payloads = map_chunks(data, CHUNK_SIZE, compress_chunk);
     let mut out =
         Vec::with_capacity(16 + 4 * payloads.len() + payloads.iter().map(Vec::len).sum::<usize>());
     out.extend_from_slice(&(data.len() as u64).to_le_bytes());
@@ -174,12 +170,8 @@ fn decode_chunk(payload: &[u8], dst: &mut [u8], chunk: usize) -> Result<(), RleE
 /// streams.
 pub fn decompress_into(stream: &[u8], out: &mut Vec<u8>) -> Result<(), RleError> {
     let frames = parse_frames(stream, 16).map_err(RleError::from)?;
-    let work = carve_output(&frames, out).map_err(RleError::from)?;
-    work.into_par_iter()
-        .map(|(i, payload, dst)| decode_chunk(payload, dst, i))
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<Result<(), _>>()
+    let mut work = carve_output(&frames, out).map_err(RleError::from)?;
+    decode_chunks(&mut work, decode_chunk)
 }
 
 /// Decompress a stream produced by [`compress`].

@@ -16,7 +16,6 @@
 
 use crate::grid::Hierarchy;
 use crate::Real;
-use hpmdr_rt::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -258,9 +257,9 @@ fn write_group_in_parts<F: Real>(
     // Slab `s` of the level starts at `s · span` and ends before the next
     // one, so `per` slabs are one contiguous part of the grid.
     let span = per * h.strides()[0] * h.stride_at_level(0, h.levels - k);
-    grid.par_chunks_mut(span).enumerate().for_each(|(p, part)| {
-        let slabs = p * per..((p + 1) * per).min(slabs);
-        write_slabs(part, p * span, h, k, slabs, values);
+    hpmdr_rt::map_blocks_mut(grid, span, 1, |p, part| {
+        let end = (p + part.len().div_ceil(span)) * per;
+        write_slabs(part, p * span, h, k, p * per..end.min(slabs), values);
     });
 }
 

@@ -48,7 +48,6 @@
 use crate::grid::Hierarchy;
 use crate::line::{decompose_panel, recompose_panel, MassFactor, Panel, PanelScratch};
 use crate::Real;
-use hpmdr_rt::prelude::*;
 use std::ops::Range;
 
 /// Target footprint of one panel buffer: with the correction scratch
@@ -198,18 +197,6 @@ impl AxisPass {
     }
 }
 
-/// Worker parts an axis pass over `elems` active elements in `panels`
-/// panels is split into on a pool of `threads`: as many as the pool has,
-/// but none with less than [`MIN_PART_ELEMS`] of work.
-fn pass_parts(elems: usize, panels: usize, threads: usize) -> usize {
-    threads.min(elems / MIN_PART_ELEMS).min(panels).max(1)
-}
-
-/// Panels `part` of `parts` owns out of `panels` (contiguous, balanced).
-fn part_range(panels: usize, parts: usize, part: usize) -> Range<usize> {
-    panels * part / parts..panels * (part + 1) / parts
-}
-
 /// The panel kernel an axis pass applies: [`decompose_panel`] or
 /// [`recompose_panel`].
 type PanelKernel<F> = fn(Panel<'_, '_, F>, &mut PanelScratch<F>, &MassFactor<F>, bool);
@@ -235,20 +222,15 @@ fn axis_pass<F: Real>(
         ptr: data.as_mut_ptr(),
         len: data.len(),
     };
-    let run = |range: Range<usize>| run_panels(&view, &pass, &fac, lanes, range, kernel, correct);
+    hpmdr_rt::map_blocks(panels, min_part_panels(pass.n, lanes), |range| {
+        run_panels(&view, &pass, &fac, lanes, range, kernel, correct);
+    });
+}
 
-    let parts = pass_parts(
-        pass.n * pass.num_lines(),
-        panels,
-        hpmdr_rt::current_num_threads(),
-    );
-    if parts == 1 {
-        run(0..panels);
-    } else {
-        (0..parts)
-            .into_par_iter()
-            .for_each(|part| run(part_range(panels, parts, part)));
-    }
+/// Panels of `n`-node lines, `lanes` to a panel, that make up
+/// [`MIN_PART_ELEMS`] of work: the least one part of an axis pass takes.
+fn min_part_panels(n: usize, lanes: usize) -> usize {
+    MIN_PART_ELEMS.div_ceil(n * lanes)
 }
 
 /// Transform panels `range` of `pass` (each `lanes` lines wide, the last
@@ -802,13 +784,26 @@ mod tests {
         }
     }
 
+    /// The panel ranges an axis pass over `lines` lines of `n` nodes,
+    /// `lanes` to a panel, is cut into at a width of `threads`.
+    fn pass_parts(n: usize, lines: usize, lanes: usize, threads: usize) -> Vec<Range<usize>> {
+        let panels = lines.div_ceil(lanes);
+        let min = min_part_panels(n, lanes);
+        hpmdr_rt::install(threads, || hpmdr_rt::map_blocks(panels, min, |r| r))
+    }
+
     #[test]
     fn parallel_fan_out_is_bit_identical_to_oracle() {
         // Large enough that a 4-thread pool really splits the level-0
         // passes (see `work_floor_keeps_small_passes_on_one_thread`).
         for shape in [vec![80usize, 72, 96], vec![700, 800]] {
-            let elems: usize = shape.iter().product();
-            assert!(pass_parts(elems, 64, 4) > 1);
+            let strides: Vec<usize> = (0..shape.len())
+                .map(|d| shape[d + 1..].iter().product())
+                .collect();
+            let pass = AxisPass::new(&shape, &strides, 0, &whole(&shape));
+            for lanes in [pass.panel_lanes::<f32>(), pass.panel_lanes::<f64>()] {
+                assert!(pass_parts(pass.n, pass.num_lines(), lanes, 4).len() > 1);
+            }
             assert_matches_oracle::<f32>(&shape, 7, 4);
             assert_matches_oracle::<f64>(&shape, 7, 4);
         }
@@ -819,29 +814,30 @@ mod tests {
         // A 32^3 chunk (and every coarser level of a 64^3 one) is not
         // worth a hand-off, however wide the pool.
         for threads in [1, 2, 4, 64] {
-            assert_eq!(pass_parts(32 * 32 * 32, 32, threads), 1);
-            assert_eq!(pass_parts(33 * 33 * 33, 64, threads), 1);
+            assert_eq!(pass_parts(32, 32 * 32, 32, threads).len(), 1);
+            assert_eq!(pass_parts(33, 33 * 33, 33, threads).len(), 1);
         }
         // Larger passes use the pool, never beyond it or the panel count,
         // and no part falls below the floor.
-        assert_eq!(pass_parts(64 * 64 * 64, 64, 1), 1);
-        assert_eq!(pass_parts(64 * 64 * 64, 64, 2), 2);
-        assert_eq!(pass_parts(64 * 64 * 64, 64, 64), 2);
-        assert_eq!(pass_parts(128 * 128 * 128, 256, 4), 4);
-        assert_eq!(pass_parts(128 * 128 * 128, 3, 4), 3);
-        for (elems, panels, threads) in [(1usize << 20, 100usize, 3usize), (1 << 24, 7, 16)] {
-            let parts = pass_parts(elems, panels, threads);
-            assert!(parts >= 1 && parts <= threads.min(panels));
-            assert!(elems / parts >= MIN_PART_ELEMS);
-            // The parts tile the panels in order.
+        assert_eq!(pass_parts(64, 64 * 64, 64, 1).len(), 1);
+        assert_eq!(pass_parts(64, 64 * 64, 64, 2).len(), 2);
+        assert_eq!(pass_parts(64, 64 * 64, 64, 64).len(), 2);
+        assert_eq!(pass_parts(128, 128 * 128, 64, 4).len(), 4);
+        assert_eq!(pass_parts(128, 128 * 128, 5462, 4).len(), 3);
+        for (n, lines, lanes, threads) in [
+            (64usize, 1usize << 14, 16usize, 3usize),
+            (4096, 4096, 586, 16),
+        ] {
+            let parts = pass_parts(n, lines, lanes, threads);
+            assert!(parts.len() <= threads.min(lines.div_ceil(lanes)));
+            // The parts tile the panels in order, none below the floor.
             let mut next = 0;
-            for part in 0..parts {
-                let r = part_range(panels, parts, part);
+            for r in &parts {
                 assert_eq!(r.start, next);
-                assert!(!r.is_empty());
+                assert!(r.len() * n * lanes >= MIN_PART_ELEMS);
                 next = r.end;
             }
-            assert_eq!(next, panels);
+            assert_eq!(next, lines.div_ceil(lanes));
         }
     }
 

@@ -13,11 +13,11 @@
 //! operator chain. The expression is compiled once per scan into a flat
 //! postfix program, which runs over blocks of 256 points with a value lane
 //! and, for the error bound, `lo`/`hi` interval lanes per stack slot. The
-//! domain fans over runs of 16 blocks (over run indices, or the output's
-//! `par_chunks_mut` for [`eval_field`]); a run allocates its stack once
-//! and loads each variable block by block, widening `f32` inputs to `f64`
-//! as it goes. No point allocates, walks
-//! the expression tree or materializes an index. Every point goes through
+//! domain fans over runs of 16 blocks (a range of runs per part, or the
+//! output's runs for [`eval_field`]); a part allocates its stack once and
+//! loads each variable block by block, widening `f32` inputs to `f64` as
+//! it goes. No point allocates, walks the expression tree or
+//! materializes an index. Every point goes through
 //! the same IEEE operations as [`QoiExpr::eval`] and
 //! [`QoiExpr::error_bound`], so each scan is bit-identical to that
 //! per-point API, which stays the reference (and the CP estimator's
@@ -29,11 +29,11 @@
 use crate::expr::{QoiExpr, MAX_VARS};
 use crate::interval::Interval;
 use crate::program::{Program, BLOCK};
-use hpmdr_rt::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
-/// Points per fanned item: a run allocates its stack once and evaluates
-/// it block by block.
+/// Points per unit of the fan's cut: a part allocates its stack once and
+/// evaluates its runs block by block.
 const RUN: usize = 16 * BLOCK;
 
 /// Result of a domain-wide max-error scan.
@@ -54,7 +54,7 @@ pub fn eval_field<T: Copy + Into<f64> + Sync>(expr: &QoiExpr, vars: &[&[T]]) -> 
     let n = validate(expr, vars);
     let program = Program::compile(expr);
     let mut out = vec![0.0; n];
-    out.par_chunks_mut(RUN).enumerate().for_each(|(r, out)| {
+    hpmdr_rt::map_blocks_mut(&mut out, RUN, 1, |r, out| {
         let mut stack = program.stack();
         for (b, out) in out.chunks_mut(BLOCK).enumerate() {
             let top = program.run(vars, None, r * RUN + b * BLOCK, out.len(), &mut stack);
@@ -81,31 +81,30 @@ pub fn max_qoi_error<T: Copy + Into<f64> + Sync>(
     assert_eq!(vars.len(), errs.len(), "one error bound per variable");
     expr.assert_log_floors();
     let program = Program::compile(expr);
-    let (value, argmax) = (0..n.div_ceil(RUN))
-        .into_par_iter()
-        .map(|r| {
-            let mut stack = program.stack();
-            let mut bounds = [0.0f64; BLOCK];
-            let mut best = (0.0f64, 0usize);
-            for (start, len) in blocks(r, n) {
-                let top = program.run(vars, Some(errs), start, len, &mut stack);
-                let lanes = top.v[..len]
-                    .iter()
-                    .zip(top.lo[..len].iter().zip(&top.hi[..len]));
-                for (e, (&v, (&lo, &hi))) in bounds[..len].iter_mut().zip(lanes) {
-                    *e = Interval { lo, hi }.max_deviation_from(v);
-                }
-                // No bound is NaN, so the first lane holding the block's
-                // maximum is where a strict `>` scan would stop.
-                let peak = bounds[..len].iter().fold(0.0f64, |m, &e| m.max(e));
-                if peak > best.0 {
-                    let j = bounds[..len].iter().position(|&e| e == peak).unwrap_or(0);
-                    best = (peak, start + j);
-                }
+    let parts = hpmdr_rt::map_blocks(n.div_ceil(RUN), 1, |runs| {
+        let mut stack = program.stack();
+        let mut bounds = [0.0f64; BLOCK];
+        let mut best = (0.0f64, 0usize);
+        for (start, len) in blocks(runs, n) {
+            let top = program.run(vars, Some(errs), start, len, &mut stack);
+            let lanes = top.v[..len]
+                .iter()
+                .zip(top.lo[..len].iter().zip(&top.hi[..len]));
+            for (e, (&v, (&lo, &hi))) in bounds[..len].iter_mut().zip(lanes) {
+                *e = Interval { lo, hi }.max_deviation_from(v);
             }
-            best
-        })
-        .reduce(|| (0.0, 0), |a, b| if b.0 > a.0 { b } else { a });
+            // No bound is NaN, so the first lane holding the block's
+            // maximum is where a strict `>` scan would stop.
+            let peak = bounds[..len].iter().fold(0.0f64, |m, &e| m.max(e));
+            if peak > best.0 {
+                let j = bounds[..len].iter().position(|&e| e == peak).unwrap_or(0);
+                best = (peak, start + j);
+            }
+        }
+        best
+    });
+    let first_max = |a: (f64, usize), b: (f64, usize)| if b.0 > a.0 { b } else { a };
+    let (value, argmax) = parts.into_iter().fold((0.0, 0), first_max);
     MaxError { value, argmax }
 }
 
@@ -122,34 +121,26 @@ pub fn actual_max_error<T: Copy + Into<f64> + Sync>(
     assert_eq!(validate(expr, approx), n, "fields must share the grid");
     assert_eq!(truth.len(), approx.len());
     let program = Program::compile(expr);
-    (0..n.div_ceil(RUN))
-        .into_par_iter()
-        .map(|r| {
-            let (mut exact, mut approximate) = (program.stack(), program.stack());
-            let mut worst = 0.0f64;
-            for (start, len) in blocks(r, n) {
-                let t = program.run(truth, None, start, len, &mut exact);
-                let a = program.run(approx, None, start, len, &mut approximate);
-                for (&x, &y) in t.v[..len].iter().zip(&a.v[..len]) {
-                    let e = (x - y).abs();
-                    worst = worst.max(if e.is_nan() { f64::INFINITY } else { e });
-                }
+    let parts = hpmdr_rt::map_blocks(n.div_ceil(RUN), 1, |runs| {
+        let (mut exact, mut approximate) = (program.stack(), program.stack());
+        let mut worst = 0.0f64;
+        for (start, len) in blocks(runs, n) {
+            let t = program.run(truth, None, start, len, &mut exact);
+            let a = program.run(approx, None, start, len, &mut approximate);
+            for (&x, &y) in t.v[..len].iter().zip(&a.v[..len]) {
+                let e = (x - y).abs();
+                worst = worst.max(if e.is_nan() { f64::INFINITY } else { e });
             }
-            worst
-        })
-        .reduce(|| 0.0, f64::max)
+        }
+        worst
+    });
+    parts.into_iter().fold(0.0, f64::max)
 }
 
-/// The blocks `(start, len)` of run `r` of an `n`-point domain.
-///
-/// The reducing scans fan over run indices, not over
-/// `par_chunks(RUN).enumerate()` of the field: on `f32` fields that
-/// adapter chain is the bitplane encoder's tile fan, and sharing its
-/// instantiation changed how the encoder was inlined (−10 % ingest
-/// throughput, measured on a 2-core x86-64 host).
-fn blocks(r: usize, n: usize) -> impl Iterator<Item = (usize, usize)> {
-    let end = ((r + 1) * RUN).min(n);
-    (r * RUN..end)
+/// The blocks `(start, len)` of runs `runs` of an `n`-point domain.
+fn blocks(runs: Range<usize>, n: usize) -> impl Iterator<Item = (usize, usize)> {
+    let end = (runs.end * RUN).min(n);
+    (runs.start * RUN..end)
         .step_by(BLOCK)
         .map(move |start| (start, BLOCK.min(end - start)))
 }

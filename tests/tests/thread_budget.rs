@@ -10,7 +10,6 @@ use hpmdr_core::prelude::*;
 use hpmdr_core::roi::Region;
 use hpmdr_exec::{DecodeError, StreamView, UnitPlanes};
 use hpmdr_lossless::HybridCompressor;
-use hpmdr_rt::prelude::*;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -109,13 +108,8 @@ fn nested_fans_inside_batch_items_run_inline_when_no_core_is_free() {
     let seen = backend.map_batch(&ExecCtx::default(), &[0usize, 1], |_| {
         meet.wait();
         let me = thread::current().id();
-        let idle = hpmdr_rt::idle_threads();
-        let ran_on: Vec<_> = backend.install(|| {
-            (0..64usize)
-                .into_par_iter()
-                .map(|_| thread::current().id())
-                .collect()
-        });
+        let idle = hpmdr_rt::host_threads() - hpmdr_rt::busy_threads();
+        let ran_on = backend.install(|| hpmdr_rt::map_blocks(64, 1, |_| thread::current().id()));
         meet.wait();
         (idle, ran_on.iter().all(|&t| t == me))
     });
@@ -355,7 +349,7 @@ fn a_lone_streams_frame_fans_its_chunks_onto_a_free_core() {
 #[test]
 fn a_lone_ingest_reads_on_every_free_core() {
     let _serial = serial();
-    let two_free = hpmdr_rt::idle_threads() >= 2;
+    let two_free = hpmdr_rt::host_threads() - hpmdr_rt::busy_threads() >= 2;
     let shape = [64usize, 32, 32];
     let data = field(shape.iter().product(), 5);
     let cfg = MdrConfig::new().chunked(&[8, 16, 16]);
